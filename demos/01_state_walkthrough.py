@@ -9,14 +9,9 @@ time.
 
 import numpy as np
 
-from sqpc import (
-    BellState,
-    DoubleCnotEve,
-    Mode,
-    Register,
-    prepare_bell,
-)
-from sqpc.jiang import PairRecord, participant_respond
+from sqpc import BellState, DoubleCnotEve, Mode
+from sqpc.attacks import PublicRecord
+from sqpc.jiang import PairBatch, participant_respond
 
 rng = np.random.default_rng(1)
 
@@ -31,33 +26,37 @@ def show(label, amps):
     print(f"  {label}: " + " ".join(terms))
 
 
+def probe_reads(eve):
+    """The probe's per-position reads, as the attack report publishes them."""
+    return eve.finalize(PublicRecord(protocol="jiang", L=1))
+
+
 print("== CTRL position: the attack stays invisible ==")
-record = PairRecord(0, BellState.PHI_PLUS, Register(prepare_bell(BellState.PHI_PLUS)))
-show("pair as prepared (A,B)", record.register.amps)
+pairs = PairBatch.prepare([BellState.PHI_PLUS.value])  # a batch of one position
+show("pair as prepared (A,B)", pairs.register.amps[:, 0])
 
 eve = DoubleCnotEve(target="A")
-record.wire_a = eve.on_forward(0, record.register, record.wire_a, rng)
-show("after forward C-NOT (A,B,probe)", record.register.amps)
+pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+show("after forward C-NOT (A,B,probe)", pairs.register.amps[:, 0])
 print("  the probe is now perfectly correlated with both halves")
 
-record.return_a = participant_respond(Mode.CTRL, record.register, record.wire_a)
-record.return_a = eve.on_return(0, record.register, record.return_a, rng)
-show("after return C-NOT + probe read", record.register.amps)
-print(f"  probe read: {eve._indicator[0]}  (always 0 on a reflection)")
+pairs.returns["A"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["A"])
+pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+show("after return C-NOT + probe read", pairs.register.amps[:, 0])
+print(f"  probe read: {probe_reads(eve).indicator_bits[0]}  (always 0 on a reflection)")
 print()
 
 print("== SIFT position: the probe flags the replaced qubit ==")
-fired = 0
-trials = 20_000
-for _ in range(trials):
-    message_bit = int(rng.integers(2))
-    record = PairRecord(0, BellState.PHI_PLUS, Register(prepare_bell(BellState.PHI_PLUS)))
-    eve = DoubleCnotEve(target="A")
-    record.wire_a = eve.on_forward(0, record.register, record.wire_a, rng)
-    record.return_a = participant_respond(Mode.SIFT, record.register, record.wire_a, message_bit)
-    record.return_a = eve.on_return(0, record.register, record.return_a, rng)
-    if eve._indicator[0]:
-        fired += 1
-        assert eve._data_bits[0] == message_bit  # a fired probe reads it exactly
-print(f"  probe fired {fired}/{trials} times ({fired / trials:.3f}, expected 0.500)")
+trials = 20_000  # one batch position per trial
+message_bits = rng.integers(2, size=trials)
+pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
+eve = DoubleCnotEve(target="A")
+pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+pairs.returns["A"] = participant_respond([Mode.SIFT] * trials, pairs.register, pairs.wires["A"], message_bits)
+pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+report = probe_reads(eve)
+fired = [pos for pos, bit in report.indicator_bits.items() if bit]
+# a fired probe reads the message bit exactly
+assert report.intercepted_bits == {pos: int(message_bits[pos]) for pos in fired}
+print(f"  probe fired {len(fired)}/{trials} times ({len(fired) / trials:.3f}, expected 0.500)")
 print("  every fired probe read the resent message bit exactly")

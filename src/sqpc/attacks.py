@@ -1,9 +1,12 @@
 """Channel-tap adversaries for both comparison protocols.
 
-A tap sits on one participant's quantum channel and gets a hook on every
-forward transit (TP to participant) and return transit (participant to
-TP).  Hooks may grow the position's register with ancillas, measure
-through the register API, and substitute the wire that travels onward.
+A tap sits on one participant's quantum channel and gets one hook call
+for the forward transits (TP to participant) of all its positions and one
+for the return transits (participant to TP).  A hook receives the
+positions as rows of the session's batched register, with the wire each
+one travels on.  It may grow the register with ancillas (one per row),
+measure through the register API, and substitute the wires that travel
+onward.
 Taps never read amplitudes; everything an attacker knows comes from its
 own measurement outcomes plus the classical values published after the
 session (mode declarations, R values, disclosures, messages).
@@ -34,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .jiang import Bits, Mode, PairRecord, participant_respond
-from .kernel import BellState, Register, prepare_bell, prepare_z
+from .jiang import Bits, Mode, PairBatch, participant_respond, sift_mask
+from .kernel import BellState, Register, prepare_bell, prepare_z, wire_groups
 
 
 @dataclass
@@ -70,6 +73,7 @@ class AttackReport:
     """What one attacker walked away with.
 
     ``intercepted_bits`` are raw per-position channel reads;
+    ``indicator_bits`` are the double C-NOT probe reads per position;
     ``message_bits`` / ``masked_secret_bits`` / ``secret_bits`` are the
     decoded claims keyed by message index (a masked bit is Secret XOR K,
     all an outsider can get without the pre-shared key).  ``accuracy``
@@ -81,6 +85,7 @@ class AttackReport:
     target: str
     probed_positions: list[int] = field(default_factory=list)
     intercepted_bits: dict[int, int] = field(default_factory=dict)
+    indicator_bits: dict[int, int] = field(default_factory=dict)
     message_bits: dict[int, int] = field(default_factory=dict)
     masked_secret_bits: dict[int, int] = field(default_factory=dict)
     secret_bits: dict[int, int] = field(default_factory=dict)
@@ -142,11 +147,19 @@ class ChannelTap:
     def observe_own_modes(self, modes: Sequence[Mode]) -> None:
         """Only called when ``identity`` names a participant."""
 
-    def on_forward(self, position: int, register: Register, wire: int, rng: np.random.Generator) -> int:
-        return wire
+    def on_forward(
+        self, positions: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Forward transits of ``positions`` (rows of ``register``), each
+        travelling on the aligned entry of ``wires``; returns the wires
+        handed on."""
+        return wires
 
-    def on_return(self, position: int, register: Register, wire: int, rng: np.random.Generator) -> int:
-        return wire
+    def on_return(
+        self, positions: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Return transits; same contract as :meth:`on_forward`."""
+        return wires
 
     def finalize(self, published: PublicRecord) -> AttackReport | None:
         return None
@@ -186,34 +199,40 @@ class DoubleCnotEve(ChannelTap):
         self.target = target
         self.midflight = midflight
         self.attack_name = "double-cnot-midflight" if midflight else "double-cnot"
-        self._ancilla: dict[int, int] = {}
+        self._ancilla: int | None = None
+        self._probed: list[int] = []
         self._indicator: dict[int, int] = {}
         self._forward_reads: dict[int, int] = {}
         self._data_bits: dict[int, int] = {}
 
-    def on_forward(self, position, register, wire, rng):
-        ancilla = register.adjoin(prepare_z(0))
-        register.cnot(wire, ancilla)
-        self._ancilla[position] = ancilla
+    def on_forward(self, positions, register, wires, rng):
+        self._ancilla = register.adjoin(prepare_z(0))
+        for (wire,), rows in wire_groups(positions, wires):
+            register.cnot(wire, self._ancilla, rows)
+        self._probed = positions.tolist()
         if self.midflight:
-            self._forward_reads[position] = register.measure_z(ancilla, rng)
-        return wire
+            reads = register.measure_z(self._ancilla, rng, positions)
+            self._forward_reads = dict(zip(self._probed, reads.tolist()))
+        return wires
 
-    def on_return(self, position, register, wire, rng):
-        ancilla = self._ancilla.get(position)
-        if ancilla is None:
-            return wire
-        register.cnot(wire, ancilla)
-        bit = register.measure_z(ancilla, rng)
-        self._indicator[position] = bit
-        if bit == 1 and not self.midflight:
-            self._data_bits[position] = register.measure_z(wire, rng)
-        return wire
+    def on_return(self, positions, register, wires, rng):
+        if self._ancilla is None:
+            return wires
+        for (wire,), rows in wire_groups(positions, wires):
+            register.cnot(wire, self._ancilla, rows)
+        indicator = register.measure_z(self._ancilla, rng, positions)
+        self._indicator = dict(zip(positions.tolist(), indicator.tolist()))
+        if not self.midflight:
+            fired = indicator == 1
+            for (wire,), rows in wire_groups(positions[fired], wires[fired]):
+                self._data_bits.update(zip(rows.tolist(), register.measure_z(wire, rng, rows).tolist()))
+        return wires
 
     def finalize(self, published):
         report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = sorted(self._ancilla)
+        report.probed_positions = sorted(self._probed)
         report.intercepted_bits = dict(self._forward_reads if self.midflight else self._data_bits)
+        report.indicator_bits = dict(self._indicator)
         report.indicator_events = sum(self._indicator.values())
         if published.modes is None:
             return report
@@ -278,17 +297,25 @@ class MaliciousAgent(ChannelTap):
     def observe_own_modes(self, modes):
         self._own_modes = list(modes)
 
-    def _attacks_position(self, position: int) -> bool:
+    def _attacked(self, positions: np.ndarray) -> np.ndarray:
         if self._attack_set is not None:
-            return position in self._attack_set
-        return self._own_modes is not None and self._own_modes[position] is Mode.SIFT
+            return np.isin(positions, list(self._attack_set))
+        if self._own_modes is None:
+            return np.zeros(len(positions), dtype=bool)
+        return sift_mask(self._own_modes)[positions]
 
-    def on_return(self, position, register, wire, rng):
-        if not self._attacks_position(position):
-            return wire
-        bit = register.measure_z(wire, rng)
-        self._reads[position] = bit
-        return register.adjoin(prepare_z(bit))
+    def on_return(self, positions, register, wires, rng):
+        attacked = self._attacked(positions)
+        if not attacked.any():
+            return wires
+        # Rows not intercepted get an idle |0> in the resend slot.
+        resend = np.zeros(register.amps.shape[1], dtype=np.intp)
+        for (wire,), rows in wire_groups(positions[attacked], wires[attacked]):
+            bits = register.measure_z(wire, rng, rows)
+            resend[rows] = bits
+            self._reads.update(zip(rows.tolist(), bits.tolist()))
+        fresh = register.adjoin(prepare_z(resend))
+        return np.where(attacked, fresh, wires)
 
     def finalize(self, published):
         report = AttackReport(attack=self.attack_name, target=self.target)
@@ -343,11 +370,14 @@ class BlockingAttacker(ChannelTap):
             size = min(self.attack_count, num_positions)
             self._attack_set = {int(p) for p in rng.choice(num_positions, size=size, replace=False)}
 
-    def on_return(self, position, register, wire, rng):
-        if self._attack_set is not None and position not in self._attack_set:
-            return wire
-        self._reads[position] = register.measure_x(wire, rng)
-        return wire
+    def on_return(self, positions, register, wires, rng):
+        if self._attack_set is None:
+            attacked = np.ones(len(positions), dtype=bool)
+        else:
+            attacked = np.isin(positions, list(self._attack_set))
+        for (wire,), rows in wire_groups(positions[attacked], wires[attacked]):
+            self._reads.update(zip(rows.tolist(), register.measure_x(wire, rng, rows).tolist()))
+        return wires
 
     def finalize(self, published):
         report = AttackReport(attack=self.attack_name, target=self.target)
@@ -365,9 +395,10 @@ class InterceptResendZ(ChannelTap):
         self.attack_name = "intercept-resend-z"
         self._reads: dict[int, int] = {}
 
-    def on_forward(self, position, register, wire, rng):
-        self._reads[position] = register.measure_z(wire, rng)
-        return wire
+    def on_forward(self, positions, register, wires, rng):
+        for (wire,), rows in wire_groups(positions, wires):
+            self._reads.update(zip(rows.tolist(), register.measure_z(wire, rng, rows).tolist()))
+        return wires
 
     def finalize(self, published):
         report = AttackReport(attack=self.attack_name, target=self.target)
@@ -422,33 +453,32 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
     checks: list[StateCheck] = []
 
     def run_pipeline(message_bit: int | None):
-        """Forward tap on a phi+ pair, then CTRL (None) or SIFT(bit)."""
-        record = PairRecord(position=0, prepared=BellState.PHI_PLUS, register=Register(prepare_bell(BellState.PHI_PLUS)))
+        """Forward tap on a one-position phi+ batch, then CTRL (None) or SIFT(bit)."""
+        pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         eve = DoubleCnotEve(target="A")
-        record.wire_a = eve.on_forward(0, record.register, record.wire_a, rng)
-        if message_bit is None:
-            record.return_a = participant_respond(Mode.CTRL, record.register, record.wire_a)
-        else:
-            record.return_a = participant_respond(Mode.SIFT, record.register, record.wire_a, message_bit)
-        return record, eve
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        mode = Mode.CTRL if message_bit is None else Mode.SIFT
+        pairs.returns["A"] = participant_respond([mode], pairs.register, pairs.wires["A"], [message_bit or 0])
+        return pairs, eve
 
     # 1. Forward tap entangles the probe: (|000> + |111>)/sqrt(2) on (A, B, E).
-    record, _ = run_pipeline(None)
+    pairs, _ = run_pipeline(None)
     expected = _basis_state(3, (0b000, s), (0b111, s))
-    ok = kernel.amplitudes_close(record.register.amps, expected, tol)
+    ok = kernel.amplitudes_close(pairs.register.amps[:, 0], expected, tol)
     checks.append(StateCheck("forward-probe-entanglement", ok, "probe C-NOT on a phi+ half gives the three-qubit GHZ correlations"))
 
     # 2. CTRL round trip restores the pair and parks the probe back in |0>.
-    record, eve = run_pipeline(None)
-    record.return_a = eve.on_return(0, record.register, record.return_a, rng)
+    pairs, eve = run_pipeline(None)
+    pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
     expected = kernel.tensor(prepare_bell(BellState.PHI_PLUS), prepare_z(0))
-    ok = kernel.amplitudes_close(record.register.amps, expected, tol) and eve._indicator[0] == 0
+    indicator = eve.finalize(PublicRecord(protocol="jiang", L=1)).indicator_bits[0]
+    ok = kernel.amplitudes_close(pairs.register.amps[:, 0], expected, tol) and indicator == 0
     checks.append(StateCheck("ctrl-roundtrip-restoration", ok, "reflected qubit undoes the probe C-NOT, pair intact and probe silent"))
 
     # 3. After a SIFT discard the probe and the far half stay perfectly
     #    Z-correlated (the retained-qubit reading of the discarded pair).
-    record, _ = run_pipeline(0)
-    amps = record.register.amps  # wires: A=0, B=1, E=2, F=3
+    pairs, _ = run_pipeline(0)
+    amps = pairs.register.amps[:, 0]  # wires: A=0, B=1, E=2, F=3
     p_disagree = _prob(amps, lambda b: b[2] != b[1])
     p_probe_one = _prob(amps, lambda b: b[2] == 1)
     ok = p_disagree <= tol and abs(p_probe_one - 0.5) <= tol
@@ -469,13 +499,14 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
     # 6. Through the full pipeline the probe fires with probability exactly
     #    1/2 on SIFT positions and, when it fires, certifies the resent bit.
     ok = True
+    probe = 2
     for bit in (0, 1):
-        record, eve = run_pipeline(bit)
-        reg = record.register
-        probe = eve._ancilla[0]
-        reg.cnot(record.return_a, probe)
-        p_fire = _prob(reg.amps, lambda b: b[probe] == 1)
-        p_wrong = _prob(reg.amps, lambda b: b[probe] == 1 and b[record.return_a] != bit)
+        pairs, _ = run_pipeline(bit)
+        resend = int(pairs.returns["A"][0])
+        pairs.register.cnot(resend, probe)
+        amps = pairs.register.amps[:, 0]
+        p_fire = _prob(amps, lambda b: b[probe] == 1)
+        p_wrong = _prob(amps, lambda b: b[probe] == 1 and b[resend] != bit)
         ok = ok and abs(p_fire - 0.5) <= tol and p_wrong <= tol
     checks.append(StateCheck("sift-probe-indicator-odds", ok, "probe fires with probability 1/2 and a fired probe reads the resent bit exactly"))
 

@@ -40,11 +40,12 @@ from .jiang import (
     Mode,
     _finalize_taps,
     draw_modes,
+    sift_mask,
     sift_positions,
     tp_compare,
     xor_bits,
 )
-from .kernel import Register, prepare_x, prepare_z
+from .kernel import Register, prepare_x, prepare_z, wire_groups
 
 
 @dataclass
@@ -87,16 +88,31 @@ class ImprovedConfig:
 
 
 @dataclass
-class PhotonRecord:
-    """One single-photon position of one participant's stream."""
+class PhotonBatch:
+    """One participant's photon stream as one batched register, row p =
+    position p.
+
+    ``wire`` and ``return_wire`` are the per-position wires as delivered
+    and as TP receives them; ``sift_bit`` holds the participant's own
+    measure-resend read at SIFT positions and -1 elsewhere.
+    """
 
     participant: str
-    position: int
-    prepared_sign: int
+    prepared_sign: np.ndarray
     register: Register
-    wire: int = 0
-    return_wire: int | None = None
-    sift_bit: int | None = None  # the participant's own measure-resend read
+    wire: np.ndarray
+    return_wire: np.ndarray | None = None
+    sift_bit: np.ndarray | None = None
+
+    @classmethod
+    def prepare(cls, participant: str, signs) -> "PhotonBatch":
+        """One photon per position in the X eigenstate of the given sign."""
+        signs = np.asarray(signs, dtype=np.intp)
+        return cls(participant, signs, Register(prepare_x(signs)), np.zeros(len(signs), dtype=np.intp))
+
+    @property
+    def positions(self) -> np.ndarray:
+        return np.arange(len(self.prepared_sign))
 
 
 @dataclass(frozen=True)
@@ -110,7 +126,7 @@ class CheckDisclosure:
 @dataclass
 class ImprovedTranscript:
     config: ImprovedConfig
-    records: dict[str, list[PhotonRecord]]
+    records: dict[str, PhotonBatch]
     modes: dict[str, list[Mode]]
     sift_positions: dict[str, list[int]]
     r_positions: dict[str, list[int]]
@@ -126,38 +142,34 @@ class ImprovedTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_photons(
-    config: ImprovedConfig, rng: np.random.Generator
-) -> dict[str, list[PhotonRecord]]:
-    """8L single-qubit registers in uniformly random |+>/|-> states, the
-    first 4L for participant A and the rest for B."""
+def tp_prepare_photons(config: ImprovedConfig, rng: np.random.Generator) -> dict[str, PhotonBatch]:
+    """8L photons in uniformly random |+>/|-> states, the first 4L for
+    participant A and the rest for B, one batched register each."""
     per = config.photons_per_participant
     signs = rng.integers(0, 2, size=2 * per)
-    records: dict[str, list[PhotonRecord]] = {}
-    for offset, participant in zip((0, per), PARTICIPANTS):
-        records[participant] = [
-            PhotonRecord(
-                participant=participant,
-                position=pos,
-                prepared_sign=int(signs[offset + pos]),
-                register=Register(prepare_x(int(signs[offset + pos]))),
-            )
-            for pos in range(per)
-        ]
-    return records
+    return {
+        participant: PhotonBatch.prepare(participant, signs[offset : offset + per])
+        for offset, participant in zip((0, per), PARTICIPANTS)
+    }
 
 
-def sift_measure_resend(record: PhotonRecord, rng: np.random.Generator) -> tuple[int, int]:
-    """Z-measure the incoming photon and resend a fresh qubit carrying the
-    outcome; returns (r_bit, outgoing wire)."""
-    bit = record.register.measure_z(record.wire, rng)
-    record.sift_bit = bit
-    wire = record.register.adjoin(prepare_z(bit))
-    return bit, wire
+def sift_measure_resend(photons: PhotonBatch, modes: Sequence[Mode], rng: np.random.Generator) -> np.ndarray:
+    """Z-measure the incoming photon at every SIFT position and resend a
+    fresh qubit carrying the outcome, recorded in ``photons.sift_bit``.
+    CTRL positions reflect.  Returns the outgoing wire of every position."""
+    sift = sift_mask(modes)
+    photons.sift_bit = np.full(len(sift), -1, dtype=np.intp)
+    if not sift.any():
+        return photons.wire
+    sifted = np.flatnonzero(sift)
+    for (wire,), rows in wire_groups(sifted, photons.wire[sifted]):
+        photons.sift_bit[rows] = photons.register.measure_z(wire, rng, rows)
+    fresh = photons.register.adjoin(prepare_z(np.where(sift, photons.sift_bit, 0)))
+    return np.where(sift, fresh, photons.wire)
 
 
 def tp_check_ctrl_x(
-    records: dict[str, list[PhotonRecord]],
+    records: dict[str, PhotonBatch],
     modes: dict[str, list[Mode]],
     rng: np.random.Generator,
 ) -> tuple[int, dict[str, dict[int, tuple[int, bool]]]]:
@@ -169,15 +181,24 @@ def tp_check_ctrl_x(
     mismatches = 0
     results: dict[str, dict[int, tuple[int, bool]]] = {}
     for participant in PARTICIPANTS:
+        photons = records[participant]
         results[participant] = {}
-        for record in records[participant]:
-            if modes[participant][record.position] is not Mode.CTRL:
-                continue
-            sign = record.register.measure_x(record.return_wire, rng)
-            mismatch = sign != record.prepared_sign
-            mismatches += int(mismatch)
-            results[participant][record.position] = (sign, mismatch)
+        ctrl = np.flatnonzero(~sift_mask(modes[participant]))
+        for (wire,), rows in wire_groups(ctrl, photons.return_wire[ctrl]):
+            signs = photons.register.measure_x(wire, rng, rows)
+            mismatch = signs != photons.prepared_sign[rows]
+            mismatches += int(mismatch.sum())
+            results[participant].update(zip(rows.tolist(), zip(signs.tolist(), mismatch.tolist())))
     return mismatches, results
+
+
+def tp_read_sift(photons: PhotonBatch, modes: Sequence[Mode], rng: np.random.Generator) -> dict[int, int]:
+    """TP's Z-reads of every SIFT return, keyed by position."""
+    reads: dict[int, int] = {}
+    sifted = np.flatnonzero(sift_mask(modes))
+    for (wire,), rows in wire_groups(sifted, photons.return_wire[sifted]):
+        reads.update(zip(rows.tolist(), photons.register.measure_z(wire, rng, rows).tolist()))
+    return dict(sorted(reads.items()))
 
 
 def disclose_half_r(
@@ -262,27 +283,19 @@ def run_improved_session(
             tap.observe_own_modes(modes[tap.identity])
 
     for participant in PARTICIPANTS:
-        for record in records[participant]:
-            wire = record.wire
-            for tap in taps:
-                if tap.target == participant:
-                    wire = tap.on_forward(record.position, record.register, wire, rng)
-            record.wire = wire
+        photons = records[participant]
+        for tap in taps:
+            if tap.target == participant:
+                photons.wire = tap.on_forward(photons.positions, photons.register, photons.wire, rng)
 
     for participant in PARTICIPANTS:
-        for record in records[participant]:
-            if modes[participant][record.position] is Mode.SIFT:
-                _, record.return_wire = sift_measure_resend(record, rng)
-            else:
-                record.return_wire = record.wire
+        records[participant].return_wire = sift_measure_resend(records[participant], modes[participant], rng)
 
     for participant in PARTICIPANTS:
-        for record in records[participant]:
-            wire = record.return_wire
-            for tap in taps:
-                if tap.target == participant:
-                    wire = tap.on_return(record.position, record.register, wire, rng)
-            record.return_wire = wire
+        photons = records[participant]
+        for tap in taps:
+            if tap.target == participant:
+                photons.return_wire = tap.on_return(photons.positions, photons.register, photons.return_wire, rng)
 
     # Receipt confirmed; modes are now declared.  TP measures everything,
     # then runs the two integrity checks in order.
@@ -293,11 +306,7 @@ def run_improved_session(
         len(modes[p]) - len(sift[p]) for p in PARTICIPANTS
     )
     for participant in PARTICIPANTS:
-        reads: dict[int, int] = {}
-        for pos in sift[participant]:
-            record = records[participant][pos]
-            reads[pos] = record.register.measure_z(record.return_wire, rng)
-        transcript.tp_r[participant] = reads
+        transcript.tp_r[participant] = tp_read_sift(records[participant], modes[participant], rng)
 
     if transcript.ctrl_position_count > 0 and mismatches / transcript.ctrl_position_count > config.error_threshold:
         outcome = ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
@@ -307,7 +316,7 @@ def run_improved_session(
 
     disclosures = {}
     for participant in PARTICIPANTS:
-        bits = [records[participant][pos].sift_bit for pos in r_positions[participant]]
+        bits = records[participant].sift_bit[r_positions[participant]].tolist()
         disclosures[participant] = disclose_half_r(
             r_positions[participant], bits, rng, count=config.check_count
         )
@@ -332,7 +341,7 @@ def run_improved_session(
     for participant in PARTICIPANTS:
         disclosed = set(disclosures[participant].positions)
         mask_positions = [pos for pos in r_positions[participant] if pos not in disclosed]
-        masks_own[participant] = [records[participant][pos].sift_bit for pos in mask_positions]
+        masks_own[participant] = records[participant].sift_bit[mask_positions].tolist()
         masks_tp[participant] = [transcript.tp_r[participant][pos] for pos in mask_positions]
         published_m[participant] = derive_improved_message(
             secrets[participant], masks_own[participant], key

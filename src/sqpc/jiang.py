@@ -17,8 +17,11 @@ participant SIFTs exactly L of the 2L positions; under the coin policy a
 SIFT deficit aborts the session and surplus SIFT positions carry fresh
 uniformly random filler qubits that the comparison ignores.
 
-Adversaries participate as channel taps with hooks on every forward and
-return transit; see :mod:`sqpc.attacks`.
+All 2L positions live in one batched register (see :mod:`sqpc.kernel`),
+so each protocol step is a few batch calls rather than a loop over
+positions.  Adversaries participate as channel taps with one hook call for
+all forward transits of their channel and one for all return transits;
+see :mod:`sqpc.attacks`.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .kernel import BellState, Register, prepare_bell, prepare_z
+from .kernel import BellState, Register, prepare_bell, prepare_z, wire_groups
 
 if TYPE_CHECKING:  # taps are duck-typed; see sqpc.attacks.ChannelTap
     from .attacks import AttackReport, ChannelTap
@@ -84,7 +87,7 @@ class ComparisonOutcome:
 
 
 def random_bits(length: int, rng: np.random.Generator) -> Bits:
-    return [int(b) for b in rng.integers(0, 2, size=length)]
+    return rng.integers(0, 2, size=length).tolist()
 
 
 def xor_bits(*seqs: Sequence[int]) -> Bits:
@@ -131,31 +134,31 @@ class SessionConfig:
 
 
 @dataclass
-class PairRecord:
-    """One prepared pair: its register and the wires of every qubit in play.
+class PairBatch:
+    """A session's prepared pairs as one batched register, row p = position p.
 
-    ``wire_a``/``wire_b`` are the halves as delivered to the participants
-    (forward taps may grow the register but hand the same data wire on);
-    ``return_a``/``return_b`` are the wires TP finally receives, which a
-    SIFT response or a tampering tap may have replaced.
+    Wire 0 of every row is Alice's half and wire 1 Bob's.  ``wires`` maps
+    each participant to the per-position wires as delivered (forward taps
+    may grow the register but hand the same data wires on); ``returns``
+    maps each participant to the per-position wires TP finally receives,
+    which a SIFT response or a tampering tap may have replaced.
     """
 
-    position: int
-    prepared: BellState
+    prepared: np.ndarray  # BellState value per position
     register: Register
-    wire_a: int = 0
-    wire_b: int = 1
-    return_a: int | None = None
-    return_b: int | None = None
+    wires: dict[str, np.ndarray]
+    returns: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def wire(self, participant: str) -> int:
-        return self.wire_a if participant == "A" else self.wire_b
+    @classmethod
+    def prepare(cls, values) -> "PairBatch":
+        """One pair per position, in the Bell states with the given values."""
+        values = np.asarray(values, dtype=np.intp)
+        halves = np.zeros(len(values), dtype=np.intp)
+        return cls(values, Register(prepare_bell(values)), {"A": halves, "B": halves + 1})
 
-    def return_wire(self, participant: str) -> int:
-        w = self.return_a if participant == "A" else self.return_b
-        if w is None:
-            raise ValueError(f"participant {participant} has not responded at position {self.position}")
-        return w
+    @property
+    def positions(self) -> np.ndarray:
+        return np.arange(len(self.prepared))
 
 
 @dataclass
@@ -170,10 +173,10 @@ class PositionResult:
 
 @dataclass
 class SessionTranscript:
-    """Everything TP sees, plus the per-position quantum records."""
+    """Everything TP sees, plus the session's pair register."""
 
     config: SessionConfig
-    records: list[PairRecord]
+    pairs: PairBatch
     modes_a: list[Mode]
     modes_b: list[Mode]
     r_a: Bits
@@ -191,14 +194,11 @@ class SessionTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_pairs(config: SessionConfig, rng: np.random.Generator) -> list[PairRecord]:
-    """Draw 2L Bell variants from the configured distribution and build one
-    two-qubit register per position (qubit 0 = Alice's half, 1 = Bob's)."""
+def tp_prepare_pairs(config: SessionConfig, rng: np.random.Generator) -> PairBatch:
+    """Draw 2L Bell variants from the configured distribution into one
+    batched register (qubit 0 = Alice's half, 1 = Bob's)."""
     variants = rng.choice(4, size=2 * config.L, p=np.asarray(config.bell_weights, dtype=float))
-    return [
-        PairRecord(position=pos, prepared=BellState(int(v)), register=Register(prepare_bell(BellState(int(v)))))
-        for pos, v in enumerate(variants)
-    ]
+    return PairBatch.prepare(variants)
 
 
 def draw_modes(
@@ -216,51 +216,65 @@ def draw_modes(
         arranged = rng.integers(0, 2, size=num_positions)
     else:
         raise ValueError(f"unknown mode policy {policy!r}")
-    return [Mode.SIFT if b else Mode.CTRL for b in arranged]
+    return [Mode.SIFT if b else Mode.CTRL for b in arranged.tolist()]
 
 
 def choose_modes(config: SessionConfig, rng: np.random.Generator) -> list[Mode]:
     return draw_modes(2 * config.L, config.L, config.mode_policy, rng)
 
 
+def sift_mask(modes: Sequence[Mode]) -> np.ndarray:
+    """True at the SIFT positions of a mode sequence."""
+    return np.array([mode is Mode.SIFT for mode in modes], dtype=bool)
+
+
 def participant_respond(
-    mode: Mode, register: Register, incoming_wire: int, message_bit: int | None = None
-) -> int:
-    """Apply one participant's response at one position.
+    modes: Sequence[Mode], register: Register, incoming: np.ndarray, message_bits=None
+) -> np.ndarray:
+    """Apply one participant's response at every position of a register.
 
     CTRL reflects the incoming wire untouched.  SIFT keeps the incoming
-    qubit in the register unmeasured (the physical "discard") and adjoins
-    a fresh Z-basis qubit carrying ``message_bit``, which becomes the
-    outgoing wire.
+    qubit in the register unmeasured (the physical "discard") and sends a
+    fresh Z-basis qubit carrying that position's entry of
+    ``message_bits``.  The fresh qubit is adjoined to every row, idle in
+    |0> at CTRL positions.  Returns the outgoing wire of every position.
     """
-    if mode is Mode.CTRL:
-        return incoming_wire
-    if message_bit is None:
+    sift = sift_mask(modes)
+    if not sift.any():
+        return incoming
+    if message_bits is None:
         raise ValueError("SIFT response requires a message bit")
-    return register.adjoin(prepare_z(message_bit))
+    fresh = register.adjoin(prepare_z(np.where(sift, message_bits, 0)))
+    return np.where(sift, fresh, incoming)
 
 
-def tp_resolve_position(
-    record: PairRecord, mode_a: Mode, mode_b: Mode, rng: np.random.Generator
-) -> PositionResult:
-    """TP's per-position measurement.
+def tp_resolve_positions(
+    pairs: PairBatch, modes_a: Sequence[Mode], modes_b: Sequence[Mode], rng: np.random.Generator
+) -> list[PositionResult]:
+    """TP's measurements at every position.
 
     CTRL/CTRL positions get a Bell measurement on the two returned wires,
     flagged as a mismatch when the outcome differs from the prepared
     state.  At any other position TP Z-reads each SIFT return and leaves
-    a reflected half, if any, unmeasured.
+    a reflected half, if any, unmeasured.  One batch call per distinct
+    set of returned wires: Bell measurements first, then Alice's reads,
+    then Bob's.
     """
-    result = PositionResult()
-    if mode_a is Mode.CTRL and mode_b is Mode.CTRL:
-        outcome = record.register.measure_bell(record.return_wire("A"), record.return_wire("B"), rng)
-        result.bell_outcome = outcome
-        result.bell_mismatch = outcome != record.prepared
-        return result
-    if mode_a is Mode.SIFT:
-        result.bit_a = record.register.measure_z(record.return_wire("A"), rng)
-    if mode_b is Mode.SIFT:
-        result.bit_b = record.register.measure_z(record.return_wire("B"), rng)
-    return result
+    prepared = pairs.prepared.tolist()
+    results = [PositionResult() for _ in prepared]
+    sift = {"A": sift_mask(modes_a), "B": sift_mask(modes_b)}
+    ctrl_ctrl = np.flatnonzero(~sift["A"] & ~sift["B"])
+    for (w1, w2), rows in wire_groups(ctrl_ctrl, pairs.returns["A"][ctrl_ctrl], pairs.returns["B"][ctrl_ctrl]):
+        outcomes = pairs.register.measure_bell(w1, w2, rng, rows)
+        for pos, value in zip(rows.tolist(), outcomes.tolist()):
+            results[pos].bell_outcome = BellState(value)
+            results[pos].bell_mismatch = value != prepared[pos]
+    for participant, attr in (("A", "bit_a"), ("B", "bit_b")):
+        sifted = np.flatnonzero(sift[participant])
+        for (wire,), rows in wire_groups(sifted, pairs.returns[participant][sifted]):
+            for pos, bit in zip(rows.tolist(), pairs.register.measure_z(wire, rng, rows).tolist()):
+                setattr(results[pos], attr, bit)
+    return results
 
 
 def tp_compare(
@@ -295,9 +309,10 @@ def run_session(
 
     All randomness, including every tap's measurement draws, comes from
     ``rng`` (seeded from ``config.seed`` when not supplied), so identical
-    inputs give bit-identical transcripts.  Taps fire on every forward and
-    return transit of the channel they target; mode declarations become
-    visible to taps only through ``finalize``, after TP has everything.
+    inputs give bit-identical transcripts.  Each tap gets the forward
+    transits of every position of the channel it targets in one call, then
+    the return transits in another; mode declarations become visible to
+    taps only through ``finalize``, after TP has everything.
     """
     from .attacks import GroundTruth, PublicRecord
 
@@ -307,7 +322,7 @@ def run_session(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    records = tp_prepare_pairs(config, rng)
+    pairs = tp_prepare_pairs(config, rng)
     r_a = random_bits(L, rng)
     r_b = random_bits(L, rng)
     msg = {"A": derive_message(secret_a, r_a, key), "B": derive_message(secret_b, r_b, key)}
@@ -317,7 +332,7 @@ def run_session(
 
     transcript = SessionTranscript(
         config=config,
-        records=records,
+        pairs=pairs,
         modes_a=modes["A"],
         modes_b=modes["B"],
         r_a=r_a,
@@ -346,52 +361,36 @@ def run_session(
         if tap.identity in PARTICIPANTS:
             tap.observe_own_modes(modes[tap.identity])
 
-    # Forward transits, TP -> participant, channel A then B per position.
-    for rec in records:
-        for participant in PARTICIPANTS:
-            wire = rec.wire(participant)
-            for tap in taps:
-                if tap.target == participant:
-                    wire = tap.on_forward(rec.position, rec.register, wire, rng)
-            if participant == "A":
-                rec.wire_a = wire
-            else:
-                rec.wire_b = wire
+    # Forward transits, TP -> participant, channel A then channel B.
+    positions = pairs.positions
+    for participant in PARTICIPANTS:
+        for tap in taps:
+            if tap.target == participant:
+                pairs.wires[participant] = tap.on_forward(positions, pairs.register, pairs.wires[participant], rng)
 
     # Responses; the i-th SIFT position carries message bit i, surplus
     # SIFT positions under the coin policy carry random filler.
-    msg_index = {p: {pos: i for i, pos in enumerate(msg_positions[p])} for p in PARTICIPANTS}
-    for rec in records:
-        for participant in PARTICIPANTS:
-            mode = modes[participant][rec.position]
-            bit: int | None = None
-            if mode is Mode.SIFT:
-                idx = msg_index[participant].get(rec.position)
-                bit = msg[participant][idx] if idx is not None else int(rng.integers(0, 2))
-            out_wire = participant_respond(mode, rec.register, rec.wire(participant), bit)
-            if participant == "A":
-                rec.return_a = out_wire
-            else:
-                rec.return_b = out_wire
+    for participant in PARTICIPANTS:
+        bits = np.zeros(2 * L, dtype=np.intp)
+        bits[msg_positions[participant]] = msg[participant]
+        surplus = sift[participant][L:]
+        if surplus:
+            bits[surplus] = rng.integers(0, 2, size=len(surplus))
+        pairs.returns[participant] = participant_respond(
+            modes[participant], pairs.register, pairs.wires[participant], bits
+        )
 
     # Return transits, participant -> TP.
-    for rec in records:
-        for participant in PARTICIPANTS:
-            wire = rec.return_wire(participant)
-            for tap in taps:
-                if tap.target == participant:
-                    wire = tap.on_return(rec.position, rec.register, wire, rng)
-            if participant == "A":
-                rec.return_a = wire
-            else:
-                rec.return_b = wire
+    for participant in PARTICIPANTS:
+        for tap in taps:
+            if tap.target == participant:
+                pairs.returns[participant] = tap.on_return(positions, pairs.register, pairs.returns[participant], rng)
 
     # TP confirms receipt; only now are the mode declarations public.
-    for rec in records:
-        result = tp_resolve_position(rec, modes["A"][rec.position], modes["B"][rec.position], rng)
-        transcript.position_results.append(result)
+    transcript.position_results = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
+    for pos, result in enumerate(transcript.position_results):
         if result.bell_mismatch is not None:
-            transcript.ctrl_ctrl_positions.append(rec.position)
+            transcript.ctrl_ctrl_positions.append(pos)
             transcript.bell_mismatch_count += int(result.bell_mismatch)
 
     transcript.tp_m_a = [transcript.position_results[pos].bit_a for pos in msg_positions["A"]]

@@ -1,28 +1,35 @@
-"""Exact pure-state simulation of small qubit registers.
+"""Exact pure-state simulation of small qubit registers, one at a time or
+in batches.
 
-A state vector is a dense complex numpy array of length ``2**n`` over an
-``n``-qubit register (``n <= 8``).  Qubit 0 is the MOST significant bit of
-a basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in
+A state is a dense complex numpy array of shape ``(2**n, *batch)``.  Axis
+0 holds the ``2**n`` amplitudes of an ``n``-qubit register (``n <= 8``);
+the trailing batch axes index independent registers of the same width.  A
+single state has batch shape ``()``; a session's positions form one array
+of batch shape ``(positions,)``.  Every op acts on axis 0 through an index
+table for its (width, wires), built on first use and cached, so single
+states and batches run the same code.  Qubit 0 is the MOST significant bit
+of a basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in
 |0> and qubits 1 and 2 in |1>.  All operations return fresh arrays or
 collapse-and-renormalize, so states stay unit norm to double precision.
 
 X-basis labels follow the Hadamard image of the computational basis:
 ``PLUS == 0`` encodes |+> = H|0> and ``MINUS == 1`` encodes |-> = H|1>.
 
-Every measurement draws exactly one uniform variate from the caller's
-``numpy.random.Generator``, which keeps whole-protocol runs reproducible
-from a single seed regardless of what the amplitudes happen to be.
+Every measurement draws exactly one uniform variate per measured state
+(one per row of a batch), all in a single ``rng.random(batch)`` call on
+the caller's ``numpy.random.Generator``.  Whole-protocol runs are then
+reproducible from a single seed whatever the amplitudes happen to be.  The
+outcome is the first one whose cumulative probability exceeds the scaled
+uniform; when rounding leaves the uniform at the total, it is the last
+outcome of nonzero probability, so a collapse never divides by zero.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import functools
 
 import numpy as np
-
-# Dimension at or below which scalar loops beat numpy dispatch overhead.
-_SMALL_DIM = 16
 
 MAX_QUBITS = 8
 
@@ -42,17 +49,59 @@ class BellState(enum.Enum):
     PSI_MINUS = 3  # (|01> - |10>) / sqrt(2)
 
 
-# Coefficient of |v1 v2> in each Bell state, v1 = first measured qubit.
-_BELL_COEFFS: dict[BellState, dict[tuple[int, int], float]] = {
-    BellState.PHI_PLUS: {(0, 0): SQRT_HALF, (1, 1): SQRT_HALF},
-    BellState.PHI_MINUS: {(0, 0): SQRT_HALF, (1, 1): -SQRT_HALF},
-    BellState.PSI_PLUS: {(0, 1): SQRT_HALF, (1, 0): SQRT_HALF},
-    BellState.PSI_MINUS: {(0, 1): SQRT_HALF, (1, 0): -SQRT_HALF},
-}
+# Row v = BellState(v), column (v1 << 1) | v2 = pair basis label, v1 the
+# first measured qubit.
+_BELL_MATRIX = np.array(
+    [
+        [SQRT_HALF, 0.0, 0.0, SQRT_HALF],
+        [SQRT_HALF, 0.0, 0.0, -SQRT_HALF],
+        [0.0, SQRT_HALF, SQRT_HALF, 0.0],
+        [0.0, SQRT_HALF, -SQRT_HALF, 0.0],
+    ],
+    dtype=complex,
+)
+
+_Z_STATES = np.eye(2, dtype=complex)
+
+_OUTCOMES = np.arange(4)
+
+# Row s = the X eigenstate with sign s; the Hadamard.
+_HADAMARD = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
+
+
+# The Hadamard (k = 2 outcome blocks) and the change from pair blocks
+# (v1 << 1) | v2 to Bell overlaps ordered by BellState value (k = 4, the
+# rows of _BELL_MATRIX) share one butterfly: with x the first k/2 blocks
+# and y the last k/2 in reverse order, output rows 2i and 2i+1 are
+# (x_i + y_i) / sqrt(2) and (x_i - y_i) / sqrt(2).  Element-wise adds, not
+# a matrix product that may fuse a multiply into an add, so amplitudes of
+# equal size cancel exactly and an outcome of probability 0 stays at 0.
+
+
+def _rotate_in(parts: np.ndarray) -> np.ndarray:
+    """Blocks (k, ...) into the measurement basis."""
+    half = len(parts) // 2
+    x, y = parts[:half], parts[::-1][:half]
+    out = np.empty_like(parts)
+    np.add(x, y, out=out[0::2])
+    np.subtract(x, y, out=out[1::2])
+    out *= SQRT_HALF
+    return out
+
+
+def _rotate_out(parts: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_rotate_in`: blocks back out of the measurement basis."""
+    half = len(parts) // 2
+    x, y = parts[0::2], parts[1::2]
+    out = np.empty_like(parts)
+    np.add(x, y, out=out[:half])
+    np.subtract(x, y, out=out[::-1][:half])
+    out *= SQRT_HALF
+    return out
 
 
 def num_qubits(amps: np.ndarray) -> int:
-    """Number of qubits of a state vector, validating the length."""
+    """Number of qubits of a state (axis 0), validating its length."""
     size = amps.shape[0]
     n = size.bit_length() - 1
     if size != (1 << n) or n < 1:
@@ -65,221 +114,210 @@ def _check_wire(q: int, n: int) -> None:
         raise ValueError(f"qubit {q} out of bounds for a {n}-qubit register")
 
 
-def state_norm(amps: np.ndarray) -> float:
-    return float(np.linalg.norm(amps))
+def _mask(n: int, q: int) -> int:
+    return 1 << (n - 1 - q)
 
 
-def prepare_z(bit: int) -> np.ndarray:
-    """Single qubit in |0> or |1>."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    amps = np.zeros(2, dtype=complex)
-    amps[bit] = 1.0
-    return amps
+# Index tables.  Wires are validated when a table is first built; a bad
+# wire raises and is never cached.
 
 
-def prepare_x(sign: int) -> np.ndarray:
-    """Single qubit in |+> (sign=PLUS) or |-> (sign=MINUS)."""
-    if sign not in (PLUS, MINUS):
-        raise ValueError(f"sign must be PLUS (0) or MINUS (1), got {sign!r}")
-    return np.array([SQRT_HALF, SQRT_HALF if sign == PLUS else -SQRT_HALF], dtype=complex)
-
-
-def prepare_bell(state: BellState) -> np.ndarray:
-    """Two qubits in the requested Bell state."""
-    amps = np.zeros(4, dtype=complex)
-    for (v1, v2), coeff in _BELL_COEFFS[state].items():
-        amps[(v1 << 1) | v2] = coeff
-    return amps
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the qubits of ``a`` precede (are more significant
-    than) the qubits of ``b``."""
-    n = num_qubits(a) + num_qubits(b)
-    if n > MAX_QUBITS:
-        raise ValueError(f"register overflow: {n} qubits exceeds the cap of {MAX_QUBITS}")
-    return (a[:, None] * b[None, :]).reshape(-1)
-
-
-def _split(amps: np.ndarray, q: int) -> np.ndarray:
-    """View of the state as (labels above q, q, labels below q)."""
-    return amps.reshape(1 << q, 2, -1)
-
-
-def apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Flip ``target`` on every basis label whose ``control`` bit is 1."""
-    n = num_qubits(amps)
+@functools.lru_cache(maxsize=None)
+def _cnot_table(n: int, control: int, target: int) -> np.ndarray:
+    """Basis label each output label reads from under CNOT."""
     _check_wire(control, n)
     _check_wire(target, n)
     if control == target:
         raise ValueError("control and target must be distinct qubits")
-    if amps.shape[0] <= _SMALL_DIM:
-        c_mask = 1 << (n - 1 - control)
-        t_mask = 1 << (n - 1 - target)
-        out = amps.copy()
-        for i in range(amps.shape[0]):
-            if i & c_mask:
-                out[i] = amps[i ^ t_mask]
-        return out
-    lo, hi = sorted((control, target))
-    arr = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1).copy()
-    if control < target:
-        tmp = arr[:, 1, :, 0, :].copy()
-        arr[:, 1, :, 0, :] = arr[:, 1, :, 1, :]
-        arr[:, 1, :, 1, :] = tmp
-    else:
-        tmp = arr[:, 0, :, 1, :].copy()
-        arr[:, 0, :, 1, :] = arr[:, 1, :, 1, :]
-        arr[:, 1, :, 1, :] = tmp
-    return arr.reshape(-1)
+    labels = np.arange(1 << n)
+    return np.where(labels & _mask(n, control), labels ^ _mask(n, target), labels)
+
+
+@functools.lru_cache(maxsize=None)
+def _split_table(n: int, q: int) -> np.ndarray:
+    """(2, 2**(n-1)) labels: row v holds the labels with qubit ``q`` = v,
+    column j the same assignment of the other qubits in both rows."""
+    _check_wire(q, n)
+    labels = np.arange(1 << n)
+    rest = labels[(labels & _mask(n, q)) == 0]
+    return np.stack([rest, rest | _mask(n, q)])
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_table(n: int, q1: int, q2: int) -> np.ndarray:
+    """(4, 2**(n-2)) labels: row (v1 << 1) | v2 holds the labels with
+    q1 = v1 and q2 = v2, column j the same rest in every row."""
+    _check_wire(q1, n)
+    _check_wire(q2, n)
+    if q1 == q2:
+        raise ValueError("Bell measurement needs two distinct qubits")
+    m1, m2 = _mask(n, q1), _mask(n, q2)
+    labels = np.arange(1 << n)
+    rest = labels[(labels & (m1 | m2)) == 0]
+    return np.stack([rest, rest | m2, rest | m1, rest | m1 | m2])
+
+
+def _from_table(table: np.ndarray, values) -> np.ndarray:
+    """States ``table[values]`` with the amplitude axis first."""
+    return table.T[:, values]
+
+
+def prepare_z(bit) -> np.ndarray:
+    """|0> or |1>; an array of bits gives one state per bit, shape (2, *bits.shape)."""
+    bits = np.asarray(bit)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    return _from_table(_Z_STATES, bits.astype(np.intp))
+
+
+def prepare_x(sign) -> np.ndarray:
+    """|+> (sign=PLUS) or |-> (sign=MINUS); an array of signs gives one
+    state per sign, shape (2, *signs.shape)."""
+    signs = np.asarray(sign)
+    if not ((signs == PLUS) | (signs == MINUS)).all():
+        raise ValueError(f"sign must be PLUS (0) or MINUS (1), got {sign!r}")
+    return _from_table(_HADAMARD, signs.astype(np.intp))
+
+
+def prepare_bell(state) -> np.ndarray:
+    """The requested Bell state; an array of ``BellState`` values gives one
+    state per value, shape (4, *values.shape)."""
+    values = state.value if isinstance(state, BellState) else np.asarray(state, dtype=np.intp)
+    return _from_table(_BELL_MATRIX, values)
+
+
+def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product on axis 0; the qubits of ``a`` precede (are more
+    significant than) the qubits of ``b``.  Batch axes broadcast, so one
+    state can be adjoined to every row of a batch."""
+    n = num_qubits(a) + num_qubits(b)
+    if n > MAX_QUBITS:
+        raise ValueError(f"register overflow: {n} qubits exceeds the cap of {MAX_QUBITS}")
+    batch = a.shape[1:] if a.ndim >= b.ndim else b.shape[1:]
+    ndim = 1 + len(batch)
+    a = a.reshape(a.shape + (1,) * (ndim - a.ndim))
+    b = b.reshape(b.shape + (1,) * (ndim - b.ndim))
+    return (a[:, None] * b[None, :]).reshape((-1,) + batch)
+
+
+def apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Flip ``target`` on every basis label whose ``control`` bit is 1."""
+    return amps[_cnot_table(num_qubits(amps), control, target)]
 
 
 def apply_hadamard(amps: np.ndarray, q: int) -> np.ndarray:
     """Hadamard on one qubit (the basis change used by X measurements)."""
-    n = num_qubits(amps)
-    _check_wire(q, n)
-    if amps.shape[0] <= _SMALL_DIM:
-        mask = 1 << (n - 1 - q)
-        out = np.empty_like(amps)
-        for i in range(amps.shape[0]):
-            if i & mask:
-                out[i] = (amps[i ^ mask] - amps[i]) * SQRT_HALF
-            else:
-                out[i] = (amps[i] + amps[i | mask]) * SQRT_HALF
-        return out
-    arr = _split(amps, q)
-    out = np.empty_like(arr)
-    a0 = arr[:, 0, :]
-    a1 = arr[:, 1, :]
-    out[:, 0, :] = (a0 + a1) * SQRT_HALF
-    out[:, 1, :] = (a0 - a1) * SQRT_HALF
-    return out.reshape(-1)
+    table = _split_table(num_qubits(amps), q)
+    out = np.empty_like(amps)
+    out[table] = _rotate_in(amps[table])
+    return out
 
 
-def measure_z(amps: np.ndarray, q: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+def _probabilities(parts: np.ndarray) -> np.ndarray:
+    """(k, *batch) outcome probabilities of (k, m, *batch) outcome blocks."""
+    weights = np.abs(parts)
+    weights *= weights
+    return np.add.reduce(weights, 1)
+
+
+def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One outcome index per state from (k, *batch) probabilities, drawing
+    one uniform per state in a single call.
+
+    The outcome is the first whose cumulative probability exceeds the
+    uniform scaled by the total, so it has nonzero probability.  One always
+    exists: a uniform below 1 times a normal float rounds to below it.
+    """
+    cumulative = np.add.accumulate(probs, 0)
+    u = rng.random(probs.shape[1:]) * cumulative[-1]
+    return (cumulative <= u).argmin(0)
+
+
+# The smallest normal double, added under the square root so that an
+# outcome of probability 0, which is never the chosen one, scales by
+# 0 / sqrt(TINY) = 0 rather than 0 / 0.
+_TINY = 2.0**-1022
+
+
+def _measure(amps: np.ndarray, table: np.ndarray, rng: np.random.Generator, rotated: bool = False):
+    """Projective measurement onto the outcome blocks ``amps[table]``,
+    rotated into the X or Bell basis by :func:`_rotate_in` when
+    ``rotated``.  Returns the outcome indices (shape ``batch``) and the
+    renormalized collapsed states."""
+    parts = amps[table]
+    if rotated:
+        parts = _rotate_in(parts)
+    probs = _probabilities(parts)
+    outcome = _sample(probs, rng)
+    chosen = _OUTCOMES[: len(table)].reshape((-1,) + (1,) * outcome.ndim) == outcome
+    parts = parts * (chosen / np.sqrt(probs + _TINY))[:, None]
+    if rotated:
+        parts = _rotate_out(parts)
+    out = np.empty_like(amps)
+    out[table] = parts
+    return outcome, out
+
+
+def _bits(outcome: np.ndarray):
+    """An ``int`` for a single state, an int array for a batch."""
+    return int(outcome) if outcome.ndim == 0 else outcome
+
+
+def measure_z(amps: np.ndarray, q: int, rng: np.random.Generator):
     """Projective Z measurement of one qubit.
 
     Parameters
     ----------
     amps : ndarray
-        Unit-norm state vector.
+        Unit-norm state, shape ``(2**n, *batch)``.
     q : int
         Qubit to measure.
     rng : numpy.random.Generator
-        Source of the single Born-rule draw.
+        Source of the Born-rule draws, one per state.
 
     Returns
     -------
     (bit, collapsed)
-        The sampled outcome and the renormalized post-measurement state.
+        The sampled outcome (an ``int`` for a single state, an int array
+        of shape ``batch`` otherwise) and the renormalized states.
     """
-    n = num_qubits(amps)
-    _check_wire(q, n)
-    if amps.shape[0] <= _SMALL_DIM:
-        mask = 1 << (n - 1 - q)
-        p1 = 0.0
-        for i in range(amps.shape[0]):
-            if i & mask:
-                a = amps[i]
-                p1 += a.real * a.real + a.imag * a.imag
-        bit = 1 if rng.random() < p1 else 0
-        scale = 1.0 / math.sqrt(p1 if bit == 1 else 1.0 - p1)
-        out = np.zeros_like(amps)
-        want = mask if bit else 0
-        for i in range(amps.shape[0]):
-            if i & mask == want:
-                out[i] = amps[i] * scale
-        return bit, out
-    arr = _split(amps, q)
-    branch = arr[:, 1, :]
-    p1 = float(np.sum((branch * branch.conj()).real))
-    bit = 1 if rng.random() < p1 else 0
-    prob = p1 if bit == 1 else 1.0 - p1
-    out = np.zeros_like(arr)
-    out[:, bit, :] = arr[:, bit, :] / math.sqrt(prob)
-    return bit, out.reshape(-1)
+    outcome, out = _measure(amps, _split_table(num_qubits(amps), q), rng)
+    return _bits(outcome), out
 
 
-def measure_x(amps: np.ndarray, q: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+def measure_x(amps: np.ndarray, q: int, rng: np.random.Generator):
     """Projective X measurement of one qubit.
 
-    Implemented as a Hadamard-conjugated Z measurement; returns PLUS (0)
-    for |+> and MINUS (1) for |->, with the collapsed state left in the
-    corresponding X eigenstate.
+    Returns PLUS (0) for |+> and MINUS (1) for |->, with the collapsed
+    state left in the corresponding X eigenstate; shapes as in
+    :func:`measure_z`.
     """
-    rotated = apply_hadamard(amps, q)
-    sign, collapsed = measure_z(rotated, q, rng)
-    return sign, apply_hadamard(collapsed, q)
-
-
-# Row v = BellState(v), column (v1 << 1) | v2 = pair basis label.
-_BELL_MATRIX = np.array(
-    [
-        [SQRT_HALF, 0.0, 0.0, SQRT_HALF],
-        [SQRT_HALF, 0.0, 0.0, -SQRT_HALF],
-        [0.0, SQRT_HALF, SQRT_HALF, 0.0],
-        [0.0, SQRT_HALF, -SQRT_HALF, 0.0],
-    ],
-    dtype=complex,
-)
-
-
-def _pair_blocks(amps: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
-    """State reorganized as a (4, rest) matrix: row (v1 << 1) | v2 holds the
-    amplitudes with q1 = v1, q2 = v2."""
-    arr = np.moveaxis(amps.reshape((2,) * n), (q1, q2), (0, 1))
-    return arr.reshape(4, -1)
-
-
-def _bell_overlaps(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
-    """(4, rest) overlap coefficients: row v is <bell_v| applied to the
-    (q1, q2) subsystem."""
-    n = num_qubits(amps)
-    _check_wire(q1, n)
-    _check_wire(q2, n)
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    return _BELL_MATRIX.conj() @ _pair_blocks(amps, q1, q2, n)
+    outcome, out = _measure(amps, _split_table(num_qubits(amps), q), rng, rotated=True)
+    return _bits(outcome), out
 
 
 def bell_probabilities(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on qubits (q1, q2),
-    ordered by ``BellState`` value."""
-    overlaps = _bell_overlaps(amps, q1, q2)
-    return (overlaps * overlaps.conj()).real.sum(axis=1)
+    ordered by ``BellState`` value: shape ``(4, *batch)``."""
+    return _probabilities(_rotate_in(amps[_pair_table(num_qubits(amps), q1, q2)]))
 
 
-def measure_bell(
-    amps: np.ndarray, q1: int, q2: int, rng: np.random.Generator
-) -> tuple[BellState, np.ndarray]:
+def measure_bell(amps: np.ndarray, q1: int, q2: int, rng: np.random.Generator):
     """Projective measurement of qubits (q1, q2) in the Bell basis.
 
     The outcome is sampled from the four Bell projector probabilities and
     the returned state is the renormalized collapse, with the pair left in
     the measured Bell state and the rest of the register updated
-    accordingly.
+    accordingly.  A single state gives a ``BellState``; a batch gives an
+    int array of ``BellState`` values.
     """
-    n = num_qubits(amps)
-    overlaps = _bell_overlaps(amps, q1, q2)
-    probs = (overlaps * overlaps.conj()).real.sum(axis=1)
-    u = rng.random() * probs.sum()
-    cumulative = 0.0
-    outcome = BellState.PSI_MINUS
-    for variant in BellState:
-        cumulative += probs[variant.value]
-        if u < cumulative:
-            outcome = variant
-            break
-    scaled = overlaps[outcome.value] / np.sqrt(probs[outcome.value])
-    blocks = _BELL_MATRIX[outcome.value][:, None] * scaled[None, :]
-    arr = blocks.reshape((2, 2) + (2,) * (n - 2))
-    return outcome, np.moveaxis(arr, (0, 1), (q1, q2)).reshape(-1)
+    outcome, out = _measure(amps, _pair_table(num_qubits(amps), q1, q2), rng, rotated=True)
+    return (BellState(int(outcome)) if outcome.ndim == 0 else outcome), out
 
 
 def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool:
-    """True when the two states agree entrywise within ``tol`` up to one
-    global phase factor.
+    """True when the two single states agree entrywise within ``tol`` up to
+    one global phase factor.
 
     The phase is read off the largest-magnitude entry of ``expected``, so
     orthogonal states and single-entry sign flips are reported as different
@@ -296,13 +334,34 @@ def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool
     return bool(np.max(np.abs(amps - phase * expected)) <= tol)
 
 
+def wire_groups(rows: np.ndarray, *wires: np.ndarray):
+    """Split ``rows`` into groups whose states share every wire.
+
+    ``wires`` are per-row wire arrays aligned with ``rows``.  Yields
+    ``(wire_tuple, group_rows)`` for each distinct combination, in
+    ascending order, so a caller can make one batch call per group.
+    """
+    combos = sorted(set(zip(*(w.tolist() for w in wires))))
+    if len(combos) == 1:
+        yield combos[0], rows
+        return
+    for combo in combos:
+        mask = wires[0] == combo[0]
+        for w, wire in zip(wires[1:], combo[1:]):
+            mask &= w == wire
+        yield combo, rows[mask]
+
+
 class Register:
-    """Mutable qubit register for one protocol position.
+    """Mutable qubit register: one state, or a batch of same-width states.
 
     Thin stateful wrapper over the kernel ops: qubits can only be adjoined
     (never removed), so wire indices handed out by :meth:`adjoin` stay
-    valid for the life of the register.  Adversary taps are expected to
-    act on registers exclusively through these methods, never by reading
+    valid for the life of the register, and every row of a batch has the
+    same wires.  A row that does not need an adjoined qubit keeps it idle
+    in |0>.  Gates and measurements act on every row, or only on ``rows``
+    (indices into the single batch axis) when given.  Adversary taps act
+    on registers exclusively through these methods, never by reading
     amplitudes, so that every bit an attacker learns comes from a
     measurement outcome.
     """
@@ -315,27 +374,40 @@ class Register:
     def n(self) -> int:
         return num_qubits(self.amps)
 
+    def _get(self, rows) -> np.ndarray:
+        return self.amps if rows is None else self.amps[:, rows]
+
+    def _set(self, rows, amps: np.ndarray) -> None:
+        if rows is None:
+            self.amps = amps
+        else:
+            self.amps[:, rows] = amps
+
     def adjoin(self, amps: np.ndarray) -> int:
-        """Tensor a fresh (sub)state onto the register; returns the wire
-        index of its first qubit."""
+        """Tensor a fresh (sub)state onto every row: one state for all rows,
+        or shape ``(2**k, *batch)`` for one per row.  Returns the wire index
+        of its first qubit."""
         wire = self.n
         self.amps = tensor(self.amps, amps)
         return wire
 
-    def cnot(self, control: int, target: int) -> None:
-        self.amps = apply_cnot(self.amps, control, target)
+    def cnot(self, control: int, target: int, rows=None) -> None:
+        self._set(rows, apply_cnot(self._get(rows), control, target))
 
-    def hadamard(self, wire: int) -> None:
-        self.amps = apply_hadamard(self.amps, wire)
+    def hadamard(self, wire: int, rows=None) -> None:
+        self._set(rows, apply_hadamard(self._get(rows), wire))
 
-    def measure_z(self, wire: int, rng: np.random.Generator) -> int:
-        bit, self.amps = measure_z(self.amps, wire, rng)
+    def measure_z(self, wire: int, rng: np.random.Generator, rows=None):
+        bit, amps = measure_z(self._get(rows), wire, rng)
+        self._set(rows, amps)
         return bit
 
-    def measure_x(self, wire: int, rng: np.random.Generator) -> int:
-        sign, self.amps = measure_x(self.amps, wire, rng)
+    def measure_x(self, wire: int, rng: np.random.Generator, rows=None):
+        sign, amps = measure_x(self._get(rows), wire, rng)
+        self._set(rows, amps)
         return sign
 
-    def measure_bell(self, w1: int, w2: int, rng: np.random.Generator) -> BellState:
-        outcome, self.amps = measure_bell(self.amps, w1, w2, rng)
+    def measure_bell(self, w1: int, w2: int, rng: np.random.Generator, rows=None):
+        outcome, amps = measure_bell(self._get(rows), w1, w2, rng)
+        self._set(rows, amps)
         return outcome

@@ -11,28 +11,26 @@ import time
 
 import numpy as np
 
-from sqpc import jiang
 from sqpc.attacks import DoubleCnotEve, MaliciousAgent, attack_state_checks
 from sqpc.harness import ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
 from sqpc.improved import ImprovedConfig, qubit_efficiency, run_improved_session
 from sqpc.jiang import (
     ComparisonOutcome,
     Mode,
+    PairBatch,
     SessionConfig,
     participant_respond,
     random_bits,
     run_session,
-    tp_resolve_position,
+    tp_resolve_positions,
 )
 from sqpc.kernel import (
     BellState,
-    Register,
     apply_cnot,
     apply_hadamard,
     measure_bell,
     measure_x,
     measure_z,
-    prepare_bell,
     prepare_z,
     tensor,
 )
@@ -61,15 +59,16 @@ def test_criterion_2_silent_ctrl_restoration():
     rng = np.random.default_rng(2024)
     mismatches = 0
     trials_per_state = 10_000
+    ctrl = [Mode.CTRL] * trials_per_state
     for variant in BellState:
-        for _ in range(trials_per_state):
-            rec = jiang.PairRecord(0, variant, Register(prepare_bell(variant)))
-            eve = DoubleCnotEve("A")
-            rec.wire_a = eve.on_forward(0, rec.register, rec.wire_a, rng)
-            rec.return_a = participant_respond(Mode.CTRL, rec.register, rec.wire_a)
-            rec.return_b = participant_respond(Mode.CTRL, rec.register, rec.wire_b)
-            rec.return_a = eve.on_return(0, rec.register, rec.return_a, rng)
-            result = tp_resolve_position(rec, Mode.CTRL, Mode.CTRL, rng)
+        # One batch position per trial.
+        pairs = PairBatch.prepare([variant.value] * trials_per_state)
+        eve = DoubleCnotEve("A")
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        pairs.returns["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
+        pairs.returns["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
+        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+        for result in tp_resolve_positions(pairs, ctrl, ctrl, rng):
             mismatches += int(result.bell_mismatch)
     ok = mismatches == 0
     report_line(
@@ -288,22 +287,20 @@ def test_criterion_9_kernel_properties():
             p1 = sum(
                 abs(a) ** 2 for i, a in enumerate(sv) if (i >> (n - 1 - q)) & 1
             )
-            ones = sum(measure_z(sv, q, rng)[0] for _ in range(samples))
+            ones = int(measure_z(_copies(sv, samples), q, rng)[0].sum())
             pulls = [_pull(ones / samples, p1, samples)]
         elif kind == "x":
             q = int(rng.integers(n))
             plus_vec = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
             p_plus = oracle_projector_probability(sv, plus_vec, [q])
-            plus = sum(measure_x(sv, q, rng)[0] == 0 for _ in range(samples))
+            plus = int((measure_x(_copies(sv, samples), q, rng)[0] == 0).sum())
             pulls = [_pull(plus / samples, p_plus, samples)]
         else:
             q1, q2 = (int(x) for x in rng.choice(n, size=2, replace=False))
             names = ["phi+", "phi-", "psi+", "psi-"]
             exact = [oracle_projector_probability(sv, BELL_VECTORS[name], [q1, q2]) for name in names]
-            counts = [0, 0, 0, 0]
-            for _ in range(samples):
-                outcome, _ = measure_bell(sv, q1, q2, rng)
-                counts[outcome.value] += 1
+            outcomes, _ = measure_bell(_copies(sv, samples), q1, q2, rng)
+            counts = np.bincount(outcomes, minlength=4).tolist()
             pulls = [_pull(c / samples, p, samples) for c, p in zip(counts, exact)]
         worst_pull = max(worst_pull, max(pulls))
         if max(pulls) > 4.0:
@@ -316,6 +313,13 @@ def test_criterion_9_kernel_properties():
         f"worst_norm_drift={worst_norm_drift:.2e} worst_sigma_pull={worst_pull:.2f}",
         time.monotonic() - t0,
     )
+
+
+def _copies(sv: np.ndarray, samples: int) -> np.ndarray:
+    """``samples`` single shots of one state as one batch: the batch draws
+    one uniform per shot from the same stream as ``samples`` single-state
+    calls would."""
+    return np.repeat(sv[:, None], samples, axis=1)
 
 
 def _pull(frequency: float, probability: float, samples: int) -> float:

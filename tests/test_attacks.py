@@ -11,17 +11,19 @@ from sqpc.attacks import (
     DoubleCnotEve,
     InterceptResendZ,
     MaliciousAgent,
+    PublicRecord,
     attack_state_checks,
 )
 from sqpc.jiang import (
     ComparisonOutcome,
     Mode,
+    PairBatch,
     SessionConfig,
     participant_respond,
     random_bits,
     run_session,
 )
-from sqpc.kernel import SQRT_HALF, BellState, Register, amplitudes_close, prepare_bell
+from sqpc.kernel import SQRT_HALF, BellState, Register, amplitudes_close, prepare_z
 
 
 def bits(text):
@@ -40,59 +42,60 @@ class TestStateCheckSuite:
         # register state is the GHZ correlations tensored with the fresh
         # |m>, for either message bit.
         for m, indices in ((0, (0b0000, 0b1110)), (1, (0b0001, 0b1111))):
-            rec = jiang.PairRecord(0, BellState.PHI_PLUS, Register(prepare_bell(BellState.PHI_PLUS)))
+            pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
             eve = DoubleCnotEve("A")
-            rec.wire_a = eve.on_forward(0, rec.register, rec.wire_a, rng)
-            rec.return_a = participant_respond(Mode.SIFT, rec.register, rec.wire_a, m)
+            pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+            pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [m])
             expected = np.zeros(16, dtype=complex)
             for i in indices:
                 expected[i] = SQRT_HALF
-            assert amplitudes_close(rec.register.amps, expected, 1e-9)
+            assert amplitudes_close(pairs.register.amps[:, 0], expected, 1e-9)
 
     def test_forward_tap_on_psi_plus(self, rng):
         # CNOT into a fresh ancilla maps psi+ into matched three-way flips.
-        rec = jiang.PairRecord(0, BellState.PSI_PLUS, Register(prepare_bell(BellState.PSI_PLUS)))
+        pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         eve = DoubleCnotEve("A")
-        rec.wire_a = eve.on_forward(0, rec.register, rec.wire_a, rng)
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
         expected = np.zeros(8, dtype=complex)  # wires (A, B, E)
         expected[0b010] = SQRT_HALF
         expected[0b101] = SQRT_HALF
-        assert amplitudes_close(rec.register.amps, expected, 1e-9)
-        assert np.linalg.norm(rec.register.amps) == pytest.approx(1.0, abs=1e-12)
+        assert amplitudes_close(pairs.register.amps[:, 0], expected, 1e-9)
+        assert np.linalg.norm(pairs.register.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDoubleCnotEve:
     @pytest.mark.parametrize("variant", list(BellState))
     def test_ctrl_restoration_is_exact(self, variant, rng):
-        # 500 round trips per Bell state: the probe never fires and TP's
-        # Bell read never mismatches.
-        for _ in range(500):
-            rec = jiang.PairRecord(0, variant, Register(prepare_bell(variant)))
-            eve = DoubleCnotEve("A")
-            rec.wire_a = eve.on_forward(0, rec.register, rec.wire_a, rng)
-            rec.return_a = participant_respond(Mode.CTRL, rec.register, rec.wire_a)
-            rec.return_b = participant_respond(Mode.CTRL, rec.register, rec.wire_b)
-            rec.return_a = eve.on_return(0, rec.register, rec.return_a, rng)
-            assert eve._indicator[0] == 0
-            result = jiang.tp_resolve_position(rec, Mode.CTRL, Mode.CTRL, rng)
-            assert result.bell_mismatch is False
+        # 500 round trips per Bell state, one batch position each: the
+        # probe never fires and TP's Bell read never mismatches.
+        trips = 500
+        pairs = PairBatch.prepare([variant.value] * trips)
+        eve = DoubleCnotEve("A")
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        pairs.returns["A"] = participant_respond([Mode.CTRL] * trips, pairs.register, pairs.wires["A"])
+        pairs.returns["B"] = participant_respond([Mode.CTRL] * trips, pairs.register, pairs.wires["B"])
+        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+        report = eve.finalize(PublicRecord(protocol="jiang", L=trips // 2))
+        assert report.indicator_bits == {pos: 0 for pos in range(trips)}
+        results = jiang.tp_resolve_positions(pairs, [Mode.CTRL] * trips, [Mode.CTRL] * trips, rng)
+        assert [result.bell_mismatch for result in results] == [False] * trips
 
     def test_indicator_and_data_read_on_sift(self, rng):
-        fired = 0
         trials = 3000
-        for _ in range(trials):
-            m = int(rng.integers(2))
-            rec = jiang.PairRecord(0, BellState.PHI_PLUS, Register(prepare_bell(BellState.PHI_PLUS)))
-            eve = DoubleCnotEve("A")
-            rec.wire_a = eve.on_forward(0, rec.register, rec.wire_a, rng)
-            rec.return_a = participant_respond(Mode.SIFT, rec.register, rec.wire_a, m)
-            rec.return_a = eve.on_return(0, rec.register, rec.return_a, rng)
-            if eve._indicator[0]:
-                fired += 1
-                assert eve._data_bits[0] == m  # a fired probe reads the bit exactly
-                # and the read does not disturb the resent eigenstate
-                assert rec.register.measure_z(rec.return_a, rng) == m
-        assert abs(fired / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
+        m = rng.integers(2, size=trials)
+        pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
+        eve = DoubleCnotEve("A")
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        pairs.returns["A"] = participant_respond([Mode.SIFT] * trials, pairs.register, pairs.wires["A"], m)
+        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+        report = eve.finalize(PublicRecord(protocol="jiang", L=trials // 2))
+        fired = sorted(pos for pos, bit in report.indicator_bits.items() if bit)
+        # a fired probe reads the bit exactly
+        assert report.intercepted_bits == {pos: int(m[pos]) for pos in fired}
+        # and the read does not disturb the resent eigenstate
+        (wire,) = set(pairs.returns["A"][fired].tolist())
+        assert np.array_equal(pairs.register.measure_z(wire, rng, np.array(fired)), m[fired])
+        assert abs(len(fired) / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_session_report_decodes_masked_secret(self, rng):
         config = SessionConfig(L=32)
@@ -207,15 +210,16 @@ class TestMaliciousAgent:
 class TestBlocking:
     def test_x_outcomes_carry_no_information(self, rng):
         # Outcome distribution is uniform whatever the Z bit: sample both.
+        # 4000 returned qubits per Z bit, one batch position each.
         counts = {0: [0, 0], 1: [0, 0]}
+        positions = np.arange(4000)
         for z_bit in (0, 1):
-            for _ in range(4000):
-                tap = BlockingAttacker("A")
-                tap.begin_session(1, rng)
-                reg = Register(np.zeros(2, dtype=complex))
-                reg.amps[z_bit] = 1.0
-                tap.on_return(0, reg, 0, rng)
-                counts[z_bit][tap._reads[0]] += 1
+            tap = BlockingAttacker("A")
+            tap.begin_session(len(positions), rng)
+            reg = Register(prepare_z(np.full(len(positions), z_bit)))
+            tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), rng)
+            for read in tap.finalize(PublicRecord(protocol="improved", L=1)).intercepted_bits.values():
+                counts[z_bit][read] += 1
         for z_bit in (0, 1):
             frac = counts[z_bit][0] / 4000
             assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / 4000)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent
+from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord
 from sqpc.improved import (
     CheckDisclosure,
     ImprovedConfig,
-    PhotonRecord,
+    PhotonBatch,
     disclose_half_r,
     derive_improved_message,
     qubit_efficiency,
@@ -23,44 +23,48 @@ from sqpc.jiang import (
     Mode,
     random_bits,
 )
-from sqpc.kernel import PLUS, Register, prepare_x
+from sqpc.kernel import PLUS
 
 
 def bits(text):
     return [int(c) for c in text]
 
+def probe_reads(eve):
+    """The double C-NOT probe's per-position reads, as its report publishes them."""
+    return eve.finalize(PublicRecord(protocol="improved", L=1)).indicator_bits
+
+
 class TestPreparation:
     def test_counts_per_participant(self, rng):
         records = tp_prepare_photons(ImprovedConfig(L=1), rng)
-        assert len(records["A"]) == 4
-        assert len(records["B"]) == 4
+        assert len(records["A"].prepared_sign) == 4
+        assert len(records["B"].prepared_sign) == 4
 
     def test_sign_frequency(self, rng):
         records = tp_prepare_photons(ImprovedConfig(L=1250), rng)
-        signs = [rec.prepared_sign for p in ("A", "B") for rec in records[p]]
+        signs = np.concatenate([records[p].prepared_sign for p in ("A", "B")])
         assert abs(np.mean(signs) - 0.5) < 0.015
 
     def test_prepared_states_are_x_eigenstates(self, rng):
         records = tp_prepare_photons(ImprovedConfig(L=2), rng)
-        for rec in records["A"] + records["B"]:
-            assert rec.register.measure_x(rec.wire, rng) == rec.prepared_sign
+        for photons in records.values():
+            (wire,) = set(photons.wire.tolist())
+            assert np.array_equal(photons.register.measure_x(wire, rng), photons.prepared_sign)
 
 class TestSiftMeasureResend:
     def test_r_bit_uniform_on_plus_input(self, rng):
-        ones = 0
+        # 4000 SIFTed |+> photons, one batch position each.
         trials = 4000
-        for _ in range(trials):
-            rec = PhotonRecord("A", 0, PLUS, Register(prepare_x(PLUS)))
-            r_bit, _ = sift_measure_resend(rec, rng)
-            ones += r_bit
+        photons = PhotonBatch.prepare("A", [PLUS] * trials)
+        sift_measure_resend(photons, [Mode.SIFT] * trials, rng)
+        ones = int(photons.sift_bit.sum())
         assert abs(ones / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_resent_qubit_carries_the_bit(self, rng):
-        for _ in range(50):
-            rec = PhotonRecord("A", 0, PLUS, Register(prepare_x(PLUS)))
-            r_bit, wire = sift_measure_resend(rec, rng)
-            assert rec.register.measure_z(wire, rng) == r_bit
-            assert rec.sift_bit == r_bit
+        photons = PhotonBatch.prepare("A", [PLUS] * 50)
+        wires = sift_measure_resend(photons, [Mode.SIFT] * 50, rng)
+        (wire,) = set(wires.tolist())
+        assert np.array_equal(photons.register.measure_z(wire, rng), photons.sift_bit)
 
 class TestCtrlCheck:
     def test_honest_ctrl_always_matches(self, rng):
@@ -68,36 +72,30 @@ class TestCtrlCheck:
         records = tp_prepare_photons(config, rng)
         modes = {p: [Mode.CTRL] * 16 for p in ("A", "B")}
         for p in ("A", "B"):
-            for rec in records[p]:
-                rec.return_wire = rec.wire
+            records[p].return_wire = records[p].wire
         mismatches, results = tp_check_ctrl_x(records, modes, rng)
         assert mismatches == 0
         assert all(len(results[p]) == 16 for p in ("A", "B"))
 
     def test_z_measured_transit_flips_half_the_time(self, rng):
         # Oracle: |<-+|0>|^2 = |<-+|1>|^2 = 1/2 on either collapse branch.
-        mismatches = 0
         trials = 4000
-        for _ in range(trials):
-            sign = int(rng.integers(2))
-            rec = PhotonRecord("A", 0, sign, Register(prepare_x(sign)))
-            rec.register.measure_z(rec.wire, rng)  # adversarial Z read in transit
-            rec.return_wire = rec.wire
-            got = rec.register.measure_x(rec.return_wire, rng)
-            mismatches += got != sign
+        signs = rng.integers(2, size=trials)
+        photons = PhotonBatch.prepare("A", signs)
+        photons.register.measure_z(0, rng)  # adversarial Z read in transit
+        mismatches = int((photons.register.measure_x(0, rng) != signs).sum())
         assert abs(mismatches / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_double_cnot_roundtrip_keeps_x_state(self, rng):
         # Probe CNOT pairs leave reflected |+/-> photons untouched: enumerate
         # both signs.
-        for sign in (0, 1):
-            rec = PhotonRecord("A", 0, sign, Register(prepare_x(sign)))
-            eve = DoubleCnotEve("A")
-            rec.wire = eve.on_forward(0, rec.register, rec.wire, rng)
-            rec.return_wire = rec.wire
-            rec.return_wire = eve.on_return(0, rec.register, rec.return_wire, rng)
-            assert eve._indicator[0] == 0
-            assert rec.register.measure_x(rec.return_wire, rng) == sign
+        photons = PhotonBatch.prepare("A", [0, 1])
+        eve = DoubleCnotEve("A")
+        photons.wire = eve.on_forward(photons.positions, photons.register, photons.wire, rng)
+        photons.return_wire = photons.wire
+        photons.return_wire = eve.on_return(photons.positions, photons.register, photons.return_wire, rng)
+        assert probe_reads(eve) == {0: 0, 1: 0}
+        assert photons.register.measure_x(0, rng).tolist() == [0, 1]
 
 class TestDisclosure:
     def test_half_of_positions_disclosed(self, rng):
@@ -143,7 +141,7 @@ class TestHonestSessions:
             # TP's Z-read agrees with the participant's measure-resend bit at
             # every honest SIFT position.
             for pos, tp_bit in transcript.tp_r[p].items():
-                assert tp_bit == transcript.records[p][pos].sift_bit
+                assert tp_bit == transcript.records[p].sift_bit[pos]
             assert len(transcript.tp_masks[p]) == 6
         # masks cancel: published messages decode against TP masks
         m_t_full = [
@@ -222,14 +220,13 @@ class TestImmunity:
         # For each prepared sign and each measured r bit the probe returns
         # to |0> with certainty: run the pipeline and assert the probe read
         # is 0 every time (the only randomness is the r draw itself).
-        for sign in (0, 1):
-            for _ in range(40):
-                rec = PhotonRecord("A", 0, sign, Register(prepare_x(sign)))
-                eve = DoubleCnotEve("A")
-                rec.wire = eve.on_forward(0, rec.register, rec.wire, rng)
-                _, rec.return_wire = sift_measure_resend(rec, rng)
-                rec.return_wire = eve.on_return(0, rec.register, rec.return_wire, rng)
-                assert eve._indicator[0] == 0
+        # 40 photons of each sign, one batch position each.
+        photons = PhotonBatch.prepare("A", [0] * 40 + [1] * 40)
+        eve = DoubleCnotEve("A")
+        photons.wire = eve.on_forward(photons.positions, photons.register, photons.wire, rng)
+        photons.return_wire = sift_measure_resend(photons, [Mode.SIFT] * 80, rng)
+        photons.return_wire = eve.on_return(photons.positions, photons.register, photons.return_wire, rng)
+        assert probe_reads(eve) == {pos: 0 for pos in range(80)}
 
     def test_midflight_triggers_x_mismatches(self, rng):
         config = ImprovedConfig(L=4)

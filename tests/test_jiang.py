@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpc import jiang
 from sqpc.attacks import InterceptResendZ
 from sqpc.jiang import (
     INDEPENDENT_COIN,
@@ -14,15 +13,16 @@ from sqpc.jiang import (
     Mode,
     SessionConfig,
     choose_modes,
+    PairBatch,
     derive_message,
     participant_respond,
     random_bits,
     run_session,
     tp_compare,
     tp_prepare_pairs,
-    tp_resolve_position,
+    tp_resolve_positions,
 )
-from sqpc.kernel import BellState, Register, prepare_bell
+from sqpc.kernel import BellState
 
 def bits(text: str) -> list[int]:
     return [int(c) for c in text]
@@ -45,23 +45,22 @@ class TestDeriveMessage:
 
 class TestPreparation:
     def test_two_records_for_l1(self, rng):
-        records = tp_prepare_pairs(SessionConfig(L=1), rng)
-        assert len(records) == 2
-        for rec in records:
-            assert np.allclose(np.linalg.norm(rec.register.amps), 1.0)
+        pairs = tp_prepare_pairs(SessionConfig(L=1), rng)
+        assert pairs.register.amps.shape == (4, 2)
+        assert np.allclose(np.linalg.norm(pairs.register.amps, axis=0), 1.0)
 
     def test_uniform_variant_frequencies(self, rng):
-        records = tp_prepare_pairs(SessionConfig(L=5000), rng)
+        pairs = tp_prepare_pairs(SessionConfig(L=5000), rng)
         counts = {v: 0 for v in BellState}
-        for rec in records:
-            counts[rec.prepared] += 1
+        for value in pairs.prepared:
+            counts[BellState(int(value))] += 1
         for v in BellState:
             assert abs(counts[v] / 10000 - 0.25) < 0.02
 
     def test_point_mass_distribution(self, rng):
         config = SessionConfig(L=16, bell_weights=(1.0, 0.0, 0.0, 0.0))
-        records = tp_prepare_pairs(config, rng)
-        assert all(rec.prepared is BellState.PHI_PLUS for rec in records)
+        pairs = tp_prepare_pairs(config, rng)
+        assert all(value == BellState.PHI_PLUS.value for value in pairs.prepared)
 
 class TestChooseModes:
     def test_balanced_counts(self, rng):
@@ -82,18 +81,18 @@ class TestChooseModes:
 class TestRespondAndResolve:
     def test_ctrl_roundtrip_preserves_bell(self, rng):
         for variant in BellState:
-            rec = jiang.PairRecord(0, variant, Register(prepare_bell(variant)))
-            rec.return_a = participant_respond(Mode.CTRL, rec.register, rec.wire_a)
-            rec.return_b = participant_respond(Mode.CTRL, rec.register, rec.wire_b)
-            result = tp_resolve_position(rec, Mode.CTRL, Mode.CTRL, rng)
+            pairs = PairBatch.prepare([variant.value])
+            pairs.returns["A"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["A"])
+            pairs.returns["B"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["B"])
+            (result,) = tp_resolve_positions(pairs, [Mode.CTRL], [Mode.CTRL], rng)
             assert result.bell_outcome is variant
             assert result.bell_mismatch is False
 
     def test_sift_sends_the_message_bit(self, rng):
-        rec = jiang.PairRecord(0, BellState.PHI_PLUS, Register(prepare_bell(BellState.PHI_PLUS)))
-        rec.return_a = participant_respond(Mode.SIFT, rec.register, rec.wire_a, 1)
-        rec.return_b = participant_respond(Mode.CTRL, rec.register, rec.wire_b)
-        result = tp_resolve_position(rec, Mode.SIFT, Mode.CTRL, rng)
+        pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
+        pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [1])
+        pairs.returns["B"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["B"])
+        (result,) = tp_resolve_positions(pairs, [Mode.SIFT], [Mode.CTRL], rng)
         assert result.bit_a == 1
         assert result.bit_b is None
         assert result.bell_outcome is None
@@ -101,9 +100,9 @@ class TestRespondAndResolve:
     def test_sift_retains_correlated_discard(self, rng):
         # After a SIFT the kept half stays perfectly Z-correlated with the
         # far half: enumerate the register directly.
-        rec = jiang.PairRecord(0, BellState.PHI_PLUS, Register(prepare_bell(BellState.PHI_PLUS)))
-        rec.return_a = participant_respond(Mode.SIFT, rec.register, rec.wire_a, 0)
-        amps = rec.register.amps
+        pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
+        pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [0])
+        amps = pairs.register.amps[:, 0]
         n = 3
         disagree = sum(
             abs(a) ** 2
@@ -113,16 +112,16 @@ class TestRespondAndResolve:
         assert disagree <= 1e-12
 
     def test_both_sift(self, rng):
-        rec = jiang.PairRecord(0, BellState.PSI_PLUS, Register(prepare_bell(BellState.PSI_PLUS)))
-        rec.return_a = participant_respond(Mode.SIFT, rec.register, rec.wire_a, 0)
-        rec.return_b = participant_respond(Mode.SIFT, rec.register, rec.wire_b, 1)
-        result = tp_resolve_position(rec, Mode.SIFT, Mode.SIFT, rng)
+        pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
+        pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [0])
+        pairs.returns["B"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["B"], [1])
+        (result,) = tp_resolve_positions(pairs, [Mode.SIFT], [Mode.SIFT], rng)
         assert (result.bit_a, result.bit_b) == (0, 1)
 
     def test_sift_requires_bit(self):
-        rec = jiang.PairRecord(0, BellState.PHI_PLUS, Register(prepare_bell(BellState.PHI_PLUS)))
+        pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         with pytest.raises(ValueError):
-            participant_respond(Mode.SIFT, rec.register, rec.wire_a)
+            participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"])
 
 class TestCompare:
     def test_equal_when_everything_cancels(self):
@@ -199,14 +198,13 @@ class TestRunSession:
 
         def run():
             transcript, outcome, _ = run_session(config, secret_a, secret_b, key)
-            states = [rec.register.amps.copy() for rec in transcript.records]
+            states = transcript.pairs.register.amps.copy()
             return transcript.modes_a, transcript.modes_b, transcript.r_a, transcript.r_b, outcome, states
 
         first = run()
         second = run()
         assert first[:5] == second[:5]
-        for a, b in zip(first[5], second[5]):
-            assert np.array_equal(a, b)
+        assert np.array_equal(first[5], second[5])
 
     def test_honest_never_aborts(self, rng):
         config = SessionConfig(L=4)
