@@ -9,7 +9,7 @@ time.
 
 import numpy as np
 
-from sqpc import BellState, DoubleCnotEve, Mode
+from sqpc import BellState, DoubleCnotEve
 from sqpc.attacks import PublicRecord
 from sqpc.jiang import PairBatch, participant_respond
 
@@ -40,7 +40,7 @@ pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["
 show("after forward C-NOT (A,B,probe)", pairs.register.amps[:, 0])
 print("  the probe is now perfectly correlated with both halves")
 
-pairs.returns["A"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["A"])
+pairs.returns["A"] = participant_respond(np.array([False]), pairs.register, pairs.wires["A"])  # one CTRL position
 pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
 show("after return C-NOT + probe read", pairs.register.amps[:, 0])
 print(f"  probe read: {probe_reads(eve).indicator_bits[0]}  (always 0 on a reflection)")
@@ -52,7 +52,7 @@ message_bits = rng.integers(2, size=trials)
 pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
 eve = DoubleCnotEve(target="A")
 pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
-pairs.returns["A"] = participant_respond([Mode.SIFT] * trials, pairs.register, pairs.wires["A"], message_bits)
+pairs.returns["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], message_bits)
 pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
 report = probe_reads(eve)
 fired = [pos for pos, bit in report.indicator_bits.items() if bit]

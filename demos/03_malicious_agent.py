@@ -25,7 +25,7 @@ key = random_bits(8, rng)
 secret_a = random_bits(8, rng)
 secret_b = random_bits(8, rng)
 agent = MaliciousAgent(victim="A", key=key)
-transcript, outcome, reports = run_session(SessionConfig(L=8), secret_a, secret_b, key, [agent], rng)
+transcript, outcome, reports = run_session(SessionConfig(L=8), secret_a, secret_b, key, [agent], rng=rng)
 report = reports[0]
 
 print("one L=8 session in detail:")

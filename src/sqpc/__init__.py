@@ -32,7 +32,6 @@ from .jiang import (
     BALANCED,
     INDEPENDENT_COIN,
     ComparisonOutcome,
-    Mode,
     SessionConfig,
     SessionTranscript,
     derive_message,

@@ -6,7 +6,9 @@ for the return transits (participant to TP).  A hook receives the
 positions as rows of the session's batched register, with the wire each
 one travels on.  It may grow the register with ancillas (one per row),
 measure through the register API, and substitute the wires that travel
-onward.
+onward.  A tap keeps what it measured as arrays over the positions, -1
+where it read nothing, and decodes them in ``finalize`` by indexing with
+the carrier positions it derives from the published SIFT masks.
 Taps never read amplitudes; everything an attacker knows comes from its
 own measurement outcomes plus the classical values published after the
 session (mode declarations, R values, disclosures, messages).
@@ -32,12 +34,10 @@ Attackers here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from . import kernel
-from .jiang import Bits, Mode, PairBatch, participant_respond, sift_mask
+from .jiang import Bits, PairBatch, participant_respond
 from .kernel import BellState, Register, prepare_bell, prepare_z, wire_groups
 
 
@@ -51,7 +51,7 @@ class PublicRecord:
 
     protocol: str  # "jiang" | "improved"
     L: int
-    modes: dict[str, list[Mode]] | None = None
+    modes: dict[str, np.ndarray] | None = None  # participant -> SIFT mask
     r: dict[str, Bits] | None = None
     disclosures: dict[str, object] | None = None  # participant -> CheckDisclosure
     messages: dict[str, Bits] | None = None
@@ -132,7 +132,7 @@ class ChannelTap:
 
     ``target`` names the participant whose channel is tapped.  A tap that
     is itself a protocol participant sets ``identity`` and receives its
-    own mode sequence through :meth:`observe_own_modes` (a participant
+    own SIFT mask through :meth:`observe_own_modes` (a participant
     legitimately knows its own choices before declaring them); everything
     else arrives only through :meth:`finalize`.
     """
@@ -144,7 +144,7 @@ class ChannelTap:
     def begin_session(self, num_positions: int, rng: np.random.Generator) -> None:
         """Called once before any transit with the per-channel position count."""
 
-    def observe_own_modes(self, modes: Sequence[Mode]) -> None:
+    def observe_own_modes(self, sift: np.ndarray) -> None:
         """Only called when ``identity`` names a participant."""
 
     def on_forward(
@@ -165,17 +165,74 @@ class ChannelTap:
         return None
 
 
-def _declared_sift(published: PublicRecord, participant: str) -> list[int]:
-    modes = published.modes[participant] if published.modes else []
-    return [pos for pos, mode in enumerate(modes) if mode is Mode.SIFT]
-
-
-def _carrier_positions(published: PublicRecord, participant: str) -> list[int]:
+def _carrier_positions(published: PublicRecord, participant: str) -> np.ndarray:
     """Positions whose SIFT payload enters the comparison: the first L SIFT
     positions in the base protocol, the first 2L (the R carriers) in the
     improved one."""
     quota = published.L if published.protocol == "jiang" else 2 * published.L
-    return _declared_sift(published, participant)[:quota]
+    return published.modes[participant].nonzero()[0][:quota]
+
+
+# What a tap holds before its first hook call: no positions, nothing read.
+_NO_READS = np.full(0, -1, dtype=np.intp)
+
+
+def _blank_reads(register: Register) -> np.ndarray:
+    """A read array with one entry per row of ``register``, all unread."""
+    return np.full(register.amps.shape[1], -1, dtype=np.intp)
+
+
+def _read_dict(reads: np.ndarray) -> dict[int, int]:
+    """The reads actually made, keyed by position in ascending order."""
+    return {pos: bit for pos, bit in enumerate(reads.tolist()) if bit >= 0}
+
+
+def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
+    """A report of raw channel reads that decodes nothing."""
+    report = AttackReport(attack=tap.attack_name, target=tap.target)
+    report.intercepted_bits = _read_dict(reads)
+    report.probed_positions = list(report.intercepted_bits)
+    return report
+
+
+def _decode(report: AttackReport, published: PublicRecord, reads: np.ndarray, key: Bits | None = None) -> None:
+    """Turn per-position reads of the target's SIFT payload into claims
+    keyed by message index.
+
+    Base protocol: the read at the i-th carrier is message bit i, and
+    XOR-ing the published R_i gives Secret_i XOR K_i.  Improved protocol:
+    the read at the i-th undisclosed R carrier is the mask bit of
+    published message bit i.  With ``key`` the masked bits decode to
+    secret bits.
+    """
+    target = report.target
+    carriers = _carrier_positions(published, target)
+    if published.protocol == "jiang":
+        report.message_bits = _read_dict(reads[carriers])
+        if published.r is None:
+            return
+        r = published.r[target]
+        masked = {idx: bit ^ r[idx] for idx, bit in report.message_bits.items()}
+    elif published.messages is not None and published.disclosures is not None:
+        disclosed = set(published.disclosures[target].positions)
+        mask_positions = [pos for pos in carriers.tolist() if pos not in disclosed]
+        message = published.messages[target]
+        masked = {idx: message[idx] ^ bit for idx, bit in _read_dict(reads[mask_positions]).items()}
+    else:
+        return
+    report.masked_secret_bits = masked
+    if key is not None:
+        report.secret_bits = {idx: bit ^ key[idx] for idx, bit in masked.items()}
+
+
+def _attack_mask(count: int | None, num_positions: int, rng: np.random.Generator) -> np.ndarray | None:
+    """A uniformly random ``count``-subset of the positions as a mask, or
+    ``None`` (attack everything the tap's policy allows) without a count."""
+    if count is None:
+        return None
+    mask = np.zeros(num_positions, dtype=bool)
+    mask[rng.choice(num_positions, size=min(count, num_positions), replace=False)] = True
+    return mask
 
 
 class DoubleCnotEve(ChannelTap):
@@ -200,19 +257,19 @@ class DoubleCnotEve(ChannelTap):
         self.midflight = midflight
         self.attack_name = "double-cnot-midflight" if midflight else "double-cnot"
         self._ancilla: int | None = None
-        self._probed: list[int] = []
-        self._indicator: dict[int, int] = {}
-        self._forward_reads: dict[int, int] = {}
-        self._data_bits: dict[int, int] = {}
+        self._probed = _NO_READS
+        self._indicator = _NO_READS
+        self._forward_reads = _NO_READS
+        self._data_bits = _NO_READS
 
     def on_forward(self, positions, register, wires, rng):
         self._ancilla = register.adjoin(prepare_z(0))
         for (wire,), rows in wire_groups(positions, wires):
             register.cnot(wire, self._ancilla, rows)
-        self._probed = positions.tolist()
+        self._probed = positions
         if self.midflight:
-            reads = register.measure_z(self._ancilla, rng, positions)
-            self._forward_reads = dict(zip(self._probed, reads.tolist()))
+            self._forward_reads = _blank_reads(register)
+            self._forward_reads[positions] = register.measure_z(self._ancilla, rng, positions)
         return wires
 
     def on_return(self, positions, register, wires, rng):
@@ -221,48 +278,33 @@ class DoubleCnotEve(ChannelTap):
         for (wire,), rows in wire_groups(positions, wires):
             register.cnot(wire, self._ancilla, rows)
         indicator = register.measure_z(self._ancilla, rng, positions)
-        self._indicator = dict(zip(positions.tolist(), indicator.tolist()))
+        self._indicator = _blank_reads(register)
+        self._indicator[positions] = indicator
         if not self.midflight:
             fired = indicator == 1
+            self._data_bits = _blank_reads(register)
             for (wire,), rows in wire_groups(positions[fired], wires[fired]):
-                self._data_bits.update(zip(rows.tolist(), register.measure_z(wire, rng, rows).tolist()))
+                self._data_bits[rows] = register.measure_z(wire, rng, rows)
         return wires
 
     def finalize(self, published):
         report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = sorted(self._probed)
-        report.intercepted_bits = dict(self._forward_reads if self.midflight else self._data_bits)
-        report.indicator_bits = dict(self._indicator)
-        report.indicator_events = sum(self._indicator.values())
+        report.probed_positions = sorted(self._probed.tolist())
+        report.intercepted_bits = _read_dict(self._forward_reads if self.midflight else self._data_bits)
+        report.indicator_bits = _read_dict(self._indicator)
+        report.indicator_events = sum(report.indicator_bits.values())
         if published.modes is None:
             return report
 
-        sift = set(_declared_sift(published, self.target))
-        report.indicator_opportunities = sum(1 for pos in report.probed_positions if pos in sift)
-        carriers = _carrier_positions(published, self.target)
-
-        if published.protocol == "jiang":
-            for idx, pos in enumerate(carriers):
-                if self.midflight:
-                    # Second ancilla read is (mid-flight value) XOR (resent bit).
-                    if pos in self._forward_reads and pos in self._indicator:
-                        report.message_bits[idx] = self._forward_reads[pos] ^ self._indicator[pos]
-                elif pos in self._data_bits:
-                    report.message_bits[idx] = self._data_bits[pos]
-            if published.r is not None:
-                r = published.r[self.target]
-                for idx, bit in report.message_bits.items():
-                    report.masked_secret_bits[idx] = bit ^ r[idx]
-        else:
-            source = self._forward_reads if self.midflight else self._data_bits
-            r_hat = {pos: source[pos] for pos in carriers if pos in source}
-            if published.messages is not None and published.disclosures is not None:
-                disclosed = set(published.disclosures[self.target].positions)
-                mask_positions = [pos for pos in carriers if pos not in disclosed]
-                message = published.messages[self.target]
-                for idx, pos in enumerate(mask_positions):
-                    if pos in r_hat:
-                        report.masked_secret_bits[idx] = message[idx] ^ r_hat[pos]
+        report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target][self._probed]))
+        reads = self._data_bits
+        if self.midflight:
+            reads = self._forward_reads
+            if published.protocol == "jiang":
+                # Second ancilla read is (mid-flight value) XOR (resent bit);
+                # both reads exist at every probed position.
+                reads = reads ^ self._indicator
+        _decode(report, published, reads)
         return report
 
 
@@ -285,66 +327,39 @@ class MaliciousAgent(ChannelTap):
         self.attack_name = "malicious-agent"
         self.key = list(key) if key is not None else None
         self.intercept_count = intercept_count
-        self._attack_set: set[int] | None = None
-        self._own_modes: list[Mode] | None = None
-        self._reads: dict[int, int] = {}
+        self._attack_mask: np.ndarray | None = None
+        self._own_sift: np.ndarray | None = None
+        self._reads = _NO_READS
 
     def begin_session(self, num_positions, rng):
-        if self.intercept_count is not None:
-            size = min(self.intercept_count, num_positions)
-            self._attack_set = {int(p) for p in rng.choice(num_positions, size=size, replace=False)}
+        self._attack_mask = _attack_mask(self.intercept_count, num_positions, rng)
 
-    def observe_own_modes(self, modes):
-        self._own_modes = list(modes)
+    def observe_own_modes(self, sift):
+        self._own_sift = sift
 
     def _attacked(self, positions: np.ndarray) -> np.ndarray:
-        if self._attack_set is not None:
-            return np.isin(positions, list(self._attack_set))
-        if self._own_modes is None:
+        if self._attack_mask is not None:
+            return self._attack_mask[positions]
+        if self._own_sift is None:
             return np.zeros(len(positions), dtype=bool)
-        return sift_mask(self._own_modes)[positions]
+        return self._own_sift[positions]
 
     def on_return(self, positions, register, wires, rng):
         attacked = self._attacked(positions)
+        self._reads = _blank_reads(register)
         if not attacked.any():
             return wires
         # Rows not intercepted get an idle |0> in the resend slot.
         resend = np.zeros(register.amps.shape[1], dtype=np.intp)
         for (wire,), rows in wire_groups(positions[attacked], wires[attacked]):
-            bits = register.measure_z(wire, rng, rows)
-            resend[rows] = bits
-            self._reads.update(zip(rows.tolist(), bits.tolist()))
+            resend[rows] = self._reads[rows] = register.measure_z(wire, rng, rows)
         fresh = register.adjoin(prepare_z(resend))
         return np.where(attacked, fresh, wires)
 
     def finalize(self, published):
-        report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = sorted(self._reads)
-        report.intercepted_bits = dict(self._reads)
-        if published.modes is None:
-            return report
-        carriers = _carrier_positions(published, self.target)
-        if published.protocol == "jiang":
-            for idx, pos in enumerate(carriers):
-                if pos in self._reads:
-                    report.message_bits[idx] = self._reads[pos]
-            if published.r is not None:
-                r = published.r[self.target]
-                for idx, bit in report.message_bits.items():
-                    masked = bit ^ r[idx]
-                    report.masked_secret_bits[idx] = masked
-                    if self.key is not None:
-                        report.secret_bits[idx] = masked ^ self.key[idx]
-        elif published.messages is not None and published.disclosures is not None:
-            disclosed = set(published.disclosures[self.target].positions)
-            mask_positions = [pos for pos in carriers if pos not in disclosed]
-            message = published.messages[self.target]
-            for idx, pos in enumerate(mask_positions):
-                if pos in self._reads:
-                    masked = message[idx] ^ self._reads[pos]
-                    report.masked_secret_bits[idx] = masked
-                    if self.key is not None:
-                        report.secret_bits[idx] = masked ^ self.key[idx]
+        report = _raw_report(self, self._reads)
+        if published.modes is not None:
+            _decode(report, published, self._reads, self.key)
         return report
 
 
@@ -362,28 +377,21 @@ class BlockingAttacker(ChannelTap):
         self.target = target
         self.attack_name = "blocking"
         self.attack_count = attack_count
-        self._attack_set: set[int] | None = None
-        self._reads: dict[int, int] = {}
+        self._attack_mask: np.ndarray | None = None
+        self._reads = _NO_READS
 
     def begin_session(self, num_positions, rng):
-        if self.attack_count is not None:
-            size = min(self.attack_count, num_positions)
-            self._attack_set = {int(p) for p in rng.choice(num_positions, size=size, replace=False)}
+        self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
 
     def on_return(self, positions, register, wires, rng):
-        if self._attack_set is None:
-            attacked = np.ones(len(positions), dtype=bool)
-        else:
-            attacked = np.isin(positions, list(self._attack_set))
+        attacked = slice(None) if self._attack_mask is None else self._attack_mask[positions]
+        self._reads = _blank_reads(register)
         for (wire,), rows in wire_groups(positions[attacked], wires[attacked]):
-            self._reads.update(zip(rows.tolist(), register.measure_x(wire, rng, rows).tolist()))
+            self._reads[rows] = register.measure_x(wire, rng, rows)
         return wires
 
     def finalize(self, published):
-        report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = sorted(self._reads)
-        report.intercepted_bits = dict(self._reads)
-        return report
+        return _raw_report(self, self._reads)
 
 
 class InterceptResendZ(ChannelTap):
@@ -393,18 +401,16 @@ class InterceptResendZ(ChannelTap):
     def __init__(self, target: str = "A"):
         self.target = target
         self.attack_name = "intercept-resend-z"
-        self._reads: dict[int, int] = {}
+        self._reads = _NO_READS
 
     def on_forward(self, positions, register, wires, rng):
+        self._reads = _blank_reads(register)
         for (wire,), rows in wire_groups(positions, wires):
-            self._reads.update(zip(rows.tolist(), register.measure_z(wire, rng, rows).tolist()))
+            self._reads[rows] = register.measure_z(wire, rng, rows)
         return wires
 
     def finalize(self, published):
-        report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = sorted(self._reads)
-        report.intercepted_bits = dict(self._reads)
-        return report
+        return _raw_report(self, self._reads)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +463,8 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         eve = DoubleCnotEve(target="A")
         pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
-        mode = Mode.CTRL if message_bit is None else Mode.SIFT
-        pairs.returns["A"] = participant_respond([mode], pairs.register, pairs.wires["A"], [message_bit or 0])
+        sift = np.array([message_bit is not None])
+        pairs.returns["A"] = participant_respond(sift, pairs.register, pairs.wires["A"], [message_bit or 0])
         return pairs, eve
 
     # 1. Forward tap entangles the probe: (|000> + |111>)/sqrt(2) on (A, B, E).

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -123,15 +124,22 @@ class MetricSummary:
 
     @classmethod
     def from_values(cls, values: list[float]) -> "MetricSummary":
+        """Mean and population-std error of ``values``, bit-identical to
+        ``ndarray.mean``/``std``: the same pairwise ``np.add.reduce`` sums,
+        divisions by the count, deviations, squares and square roots, in
+        the same order, without their per-call dispatch."""
         arr = np.asarray(values, dtype=float)
-        mean = float(arr.mean())
-        std_error = float(arr.std(ddof=0) / np.sqrt(arr.size))
+        count = len(arr)
+        mean = float(np.add.reduce(arr)) / count
+        deviation = arr - mean
+        variance = float(np.add.reduce(deviation * deviation)) / count
+        std_error = math.sqrt(variance) / math.sqrt(count)
         return cls(
             mean=mean,
             std_error=std_error,
             ci_low=mean - 1.96 * std_error,
             ci_high=mean + 1.96 * std_error,
-            count=int(arr.size),
+            count=count,
         )
 
     def as_dict(self) -> dict:
@@ -216,21 +224,11 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     taps = _build_taps(spec, key)
 
     if spec.scenario == "jiang":
-        config = SessionConfig(
-            L=L,
-            error_threshold=spec.error_threshold,
-            mode_policy=spec.mode_policy,
-            seed=spec.seed,
-        )
-        transcript, outcome, reports = run_session(config, secret_a, secret_b, key, taps, rng)
+        config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
+        transcript, outcome, reports = run_session(config, secret_a, secret_b, key, taps, rng=rng)
     else:
-        config = ImprovedConfig(
-            L=L,
-            error_threshold=spec.error_threshold,
-            mode_policy=spec.mode_policy,
-            seed=spec.seed,
-        )
-        transcript, outcome, reports = run_improved_session(config, secret_a, secret_b, key, taps, rng)
+        config = ImprovedConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
+        transcript, outcome, reports = run_improved_session(config, secret_a, secret_b, key, taps, rng=rng)
 
     expected = _expected_outcome(secret_a, secret_b)
     correct = (not outcome.is_aborted) and outcome == expected
@@ -345,13 +343,14 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
         raise SpecValidationError("scenario", "detection curves are defined for the improved protocol")
     if spec.attack not in ("blocking", "malicious-agent"):
         raise SpecValidationError("attack", "detection curves need attack 'blocking' or 'malicious-agent'")
+    for k in attacked_counts:
+        if k < 0:
+            raise SpecValidationError("attacked_count", f"curve points must be >= 0, got {k}")
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
 
     rows = []
     for row_index, k in enumerate(attacked_counts):
-        if k < 0:
-            raise SpecValidationError("attacked_count", f"curve points must be >= 0, got {k}")
         if spec.attack == "blocking":
             row_spec = dataclasses.replace(spec, L=max(k, 1), attacked_count=None)
             if k == 0:

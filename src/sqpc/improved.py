@@ -17,6 +17,10 @@ the first C-NOT, and a measure-resend sends back exactly the bit the
 probe got entangled with, so the second C-NOT always returns the probe to
 |0>.  Costs: participants need measurement hardware and the qubit
 efficiency halves (L compared bits for 4L photons each).
+
+As in :mod:`sqpc.jiang`, each participant's modes are one boolean SIFT
+mask over their 4L positions (True = SIFT), and the participant's own
+measure-resend reads sit in an array over the positions, -1 at CTRL.
 """
 
 from __future__ import annotations
@@ -37,11 +41,8 @@ from .jiang import (
     PARTICIPANTS,
     Bits,
     ComparisonOutcome,
-    Mode,
     _finalize_taps,
     draw_modes,
-    sift_mask,
-    sift_positions,
     tp_compare,
     xor_bits,
 )
@@ -60,7 +61,6 @@ class ImprovedConfig:
     L: int
     error_threshold: float = 0.0
     mode_policy: str = BALANCED
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.L < 1:
@@ -127,9 +127,9 @@ class CheckDisclosure:
 class ImprovedTranscript:
     config: ImprovedConfig
     records: dict[str, PhotonBatch]
-    modes: dict[str, list[Mode]]
-    sift_positions: dict[str, list[int]]
-    r_positions: dict[str, list[int]]
+    modes: dict[str, np.ndarray]  # participant -> SIFT mask
+    sift_positions: dict[str, np.ndarray]
+    r_positions: dict[str, np.ndarray]
     x_results: dict[str, dict[int, tuple[int, bool]]] = field(default_factory=dict)
     x_mismatch_count: int = 0
     ctrl_position_count: int = 0
@@ -153,15 +153,15 @@ def tp_prepare_photons(config: ImprovedConfig, rng: np.random.Generator) -> dict
     }
 
 
-def sift_measure_resend(photons: PhotonBatch, modes: Sequence[Mode], rng: np.random.Generator) -> np.ndarray:
-    """Z-measure the incoming photon at every SIFT position and resend a
-    fresh qubit carrying the outcome, recorded in ``photons.sift_bit``.
-    CTRL positions reflect.  Returns the outgoing wire of every position."""
-    sift = sift_mask(modes)
+def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Z-measure the incoming photon at every SIFT position (``sift`` is the
+    participant's SIFT mask) and resend a fresh qubit carrying the outcome,
+    recorded in ``photons.sift_bit``.  CTRL positions reflect.  Returns the
+    outgoing wire of every position."""
     photons.sift_bit = np.full(len(sift), -1, dtype=np.intp)
     if not sift.any():
         return photons.wire
-    sifted = np.flatnonzero(sift)
+    sifted = sift.nonzero()[0]
     for (wire,), rows in wire_groups(sifted, photons.wire[sifted]):
         photons.sift_bit[rows] = photons.register.measure_z(wire, rng, rows)
     fresh = photons.register.adjoin(prepare_z(np.where(sift, photons.sift_bit, 0)))
@@ -170,10 +170,11 @@ def sift_measure_resend(photons: PhotonBatch, modes: Sequence[Mode], rng: np.ran
 
 def tp_check_ctrl_x(
     records: dict[str, PhotonBatch],
-    modes: dict[str, list[Mode]],
+    modes: dict[str, np.ndarray],
     rng: np.random.Generator,
 ) -> tuple[int, dict[str, dict[int, tuple[int, bool]]]]:
-    """X-measure every reflected photon and compare with the prepared sign.
+    """X-measure every reflected photon (False in the participant's SIFT
+    mask) and compare with the prepared sign.
 
     Returns the total mismatch count and the per-position results, keyed
     by participant then position.
@@ -183,7 +184,7 @@ def tp_check_ctrl_x(
     for participant in PARTICIPANTS:
         photons = records[participant]
         results[participant] = {}
-        ctrl = np.flatnonzero(~sift_mask(modes[participant]))
+        ctrl = (~modes[participant]).nonzero()[0]
         for (wire,), rows in wire_groups(ctrl, photons.return_wire[ctrl]):
             signs = photons.register.measure_x(wire, rng, rows)
             mismatch = signs != photons.prepared_sign[rows]
@@ -192,10 +193,10 @@ def tp_check_ctrl_x(
     return mismatches, results
 
 
-def tp_read_sift(photons: PhotonBatch, modes: Sequence[Mode], rng: np.random.Generator) -> dict[int, int]:
-    """TP's Z-reads of every SIFT return, keyed by position."""
+def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> dict[int, int]:
+    """TP's Z-reads of every SIFT return (True in ``sift``), keyed by position."""
     reads: dict[int, int] = {}
-    sifted = np.flatnonzero(sift_mask(modes))
+    sifted = sift.nonzero()[0]
     for (wire,), rows in wire_groups(sifted, photons.return_wire[sifted]):
         reads.update(zip(rows.tolist(), photons.register.measure_z(wire, rng, rows).tolist()))
     return dict(sorted(reads.items()))
@@ -239,7 +240,8 @@ def run_improved_session(
     secret_b: Sequence[int],
     key: Sequence[int],
     taps: Sequence[ChannelTap] = (),
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[ImprovedTranscript, ComparisonOutcome, list[AttackReport]]:
     """Run one improved-protocol session; same driver contract as
     :func:`sqpc.jiang.run_session` (single rng, taps on both transits,
@@ -247,12 +249,10 @@ def run_improved_session(
     L = config.L
     if not len(secret_a) == len(secret_b) == len(key) == L:
         raise ValueError("secrets and key must all have length L")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     records = tp_prepare_photons(config, rng)
     modes = {p: draw_modes(config.photons_per_participant, config.sift_count, config.mode_policy, rng) for p in PARTICIPANTS}
-    sift = {p: sift_positions(modes[p]) for p in PARTICIPANTS}
+    sift = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
     r_positions = {p: sift[p][: config.sift_count] for p in PARTICIPANTS}
 
     transcript = ImprovedTranscript(
@@ -302,9 +302,7 @@ def run_improved_session(
     mismatches, x_results = tp_check_ctrl_x(records, modes, rng)
     transcript.x_results = x_results
     transcript.x_mismatch_count = mismatches
-    transcript.ctrl_position_count = sum(
-        len(modes[p]) - len(sift[p]) for p in PARTICIPANTS
-    )
+    transcript.ctrl_position_count = sum(len(modes[p]) - len(sift[p]) for p in PARTICIPANTS)
     for participant in PARTICIPANTS:
         transcript.tp_r[participant] = tp_read_sift(records[participant], modes[participant], rng)
 
@@ -318,7 +316,7 @@ def run_improved_session(
     for participant in PARTICIPANTS:
         bits = records[participant].sift_bit[r_positions[participant]].tolist()
         disclosures[participant] = disclose_half_r(
-            r_positions[participant], bits, rng, count=config.check_count
+            r_positions[participant].tolist(), bits, rng, count=config.check_count
         )
     transcript.disclosures = disclosures
     disclosure_mismatches = sum(
@@ -340,7 +338,7 @@ def run_improved_session(
     published_m: dict[str, Bits] = {}
     for participant in PARTICIPANTS:
         disclosed = set(disclosures[participant].positions)
-        mask_positions = [pos for pos in r_positions[participant] if pos not in disclosed]
+        mask_positions = [pos for pos in r_positions[participant].tolist() if pos not in disclosed]
         masks_own[participant] = records[participant].sift_bit[mask_positions].tolist()
         masks_tp[participant] = [transcript.tp_r[participant][pos] for pos in mask_positions]
         published_m[participant] = derive_improved_message(

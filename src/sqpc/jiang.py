@@ -11,28 +11,32 @@ prepared, Z-reads every SIFT return, and, if the mismatch rate stays at
 or below the error threshold, the participants publish R_A and R_B so TP
 can scan M_A XOR M_B XOR R_A XOR R_B for the first nonzero bit.
 
-The i-th bit of a participant's message rides on their i-th SIFT position
-in ascending position order.  Under the default balanced policy each
-participant SIFTs exactly L of the 2L positions; under the coin policy a
-SIFT deficit aborts the session and surplus SIFT positions carry fresh
-uniformly random filler qubits that the comparison ignores.
+Each participant's mode choices are one boolean SIFT mask over the 2L
+positions (True = SIFT, False = CTRL); the transcript, the public record
+and every tap see that mask.  The i-th bit of a participant's message
+rides on their i-th SIFT position in ascending position order.  Under the
+default balanced policy each participant SIFTs exactly L of the 2L
+positions; under the coin policy a SIFT deficit aborts the session and
+surplus SIFT positions carry fresh uniformly random filler qubits that the
+comparison ignores.
 
 All 2L positions live in one batched register (see :mod:`sqpc.kernel`),
 so each protocol step is a few batch calls rather than a loop over
-positions.  Adversaries participate as channel taps with one hook call for
-all forward transits of their channel and one for all return transits;
-see :mod:`sqpc.attacks`.
+positions.  TP's reads come back as arrays over the positions as well: a
+Bell outcome per position and a Z bit per participant per position, each
+-1 where nothing was measured.  Adversaries participate as channel taps
+with one hook call for all forward transits of their channel and one for
+all return transits; see :mod:`sqpc.attacks`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .kernel import BellState, Register, prepare_bell, prepare_z, wire_groups
+from .kernel import Register, prepare_bell, prepare_z, wire_groups
 
 if TYPE_CHECKING:  # taps are duck-typed; see sqpc.attacks.ChannelTap
     from .attacks import AttackReport, ChannelTap
@@ -49,11 +53,6 @@ EAVESDROPPER_DETECTED = "eavesdropper-detected"
 INSUFFICIENT_SIFT = "insufficient-sift"
 DISCLOSURE_MISMATCH = "disclosure-mismatch"
 _DETECTION_REASONS = (EAVESDROPPER_DETECTED, DISCLOSURE_MISMATCH)
-
-
-class Mode(enum.Enum):
-    CTRL = "ctrl"
-    SIFT = "sift"
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,6 @@ class SessionConfig:
     bell_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     error_threshold: float = 0.0
     mode_policy: str = BALANCED
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.L < 1:
@@ -162,31 +160,30 @@ class PairBatch:
 
 
 @dataclass
-class PositionResult:
-    """TP's measurement record for one position."""
-
-    bell_outcome: BellState | None = None
-    bell_mismatch: bool | None = None
-    bit_a: int | None = None
-    bit_b: int | None = None
-
-
-@dataclass
 class SessionTranscript:
-    """Everything TP sees, plus the session's pair register."""
+    """Everything TP sees, plus the session's pair register.
+
+    ``modes_a``/``modes_b`` are the SIFT masks.  ``bell_outcomes`` holds the
+    ``BellState`` value TP measured at each CTRL/CTRL position and
+    ``tp_bits_a``/``tp_bits_b`` TP's Z-read of each SIFT return, all -1
+    where nothing was measured (and ``None`` when the session aborted
+    before TP measured).
+    """
 
     config: SessionConfig
     pairs: PairBatch
-    modes_a: list[Mode]
-    modes_b: list[Mode]
+    modes_a: np.ndarray
+    modes_b: np.ndarray
     r_a: Bits
     r_b: Bits
-    sift_positions_a: list[int]
-    sift_positions_b: list[int]
-    message_positions_a: list[int]
-    message_positions_b: list[int]
-    position_results: list[PositionResult] = field(default_factory=list)
-    ctrl_ctrl_positions: list[int] = field(default_factory=list)
+    sift_positions_a: np.ndarray
+    sift_positions_b: np.ndarray
+    message_positions_a: np.ndarray
+    message_positions_b: np.ndarray
+    bell_outcomes: np.ndarray | None = None
+    tp_bits_a: np.ndarray | None = None
+    tp_bits_b: np.ndarray | None = None
+    ctrl_ctrl_positions: np.ndarray | None = None
     bell_mismatch_count: int = 0
     tp_m_a: Bits | None = None
     tp_m_b: Bits | None = None
@@ -203,33 +200,26 @@ def tp_prepare_pairs(config: SessionConfig, rng: np.random.Generator) -> PairBat
 
 def draw_modes(
     num_positions: int, sift_quota: int, policy: str, rng: np.random.Generator
-) -> list[Mode]:
-    """Mode sequence for one participant.
+) -> np.ndarray:
+    """SIFT mask (True = SIFT, False = CTRL) for one participant.
 
     Balanced: a uniformly random arrangement with exactly ``sift_quota``
-    SIFT entries.  Coin: an independent fair coin per position.
+    SIFT entries, from one ``rng.permutation``.  Coin: an independent fair
+    coin per position, from one ``rng.integers`` call.
     """
     if policy == BALANCED:
-        arranged = np.array([1] * sift_quota + [0] * (num_positions - sift_quota))
-        arranged = arranged[rng.permutation(num_positions)]
-    elif policy == INDEPENDENT_COIN:
-        arranged = rng.integers(0, 2, size=num_positions)
-    else:
-        raise ValueError(f"unknown mode policy {policy!r}")
-    return [Mode.SIFT if b else Mode.CTRL for b in arranged.tolist()]
+        return rng.permutation(num_positions) < sift_quota
+    if policy == INDEPENDENT_COIN:
+        return rng.integers(0, 2, size=num_positions) == 1
+    raise ValueError(f"unknown mode policy {policy!r}")
 
 
-def choose_modes(config: SessionConfig, rng: np.random.Generator) -> list[Mode]:
+def choose_modes(config: SessionConfig, rng: np.random.Generator) -> np.ndarray:
     return draw_modes(2 * config.L, config.L, config.mode_policy, rng)
 
 
-def sift_mask(modes: Sequence[Mode]) -> np.ndarray:
-    """True at the SIFT positions of a mode sequence."""
-    return np.array([mode is Mode.SIFT for mode in modes], dtype=bool)
-
-
 def participant_respond(
-    modes: Sequence[Mode], register: Register, incoming: np.ndarray, message_bits=None
+    sift: np.ndarray, register: Register, incoming: np.ndarray, message_bits=None
 ) -> np.ndarray:
     """Apply one participant's response at every position of a register.
 
@@ -237,9 +227,9 @@ def participant_respond(
     qubit in the register unmeasured (the physical "discard") and sends a
     fresh Z-basis qubit carrying that position's entry of
     ``message_bits``.  The fresh qubit is adjoined to every row, idle in
-    |0> at CTRL positions.  Returns the outgoing wire of every position.
+    |0> at CTRL positions.  ``sift`` is the participant's SIFT mask over
+    the rows.  Returns the outgoing wire of every position.
     """
-    sift = sift_mask(modes)
     if not sift.any():
         return incoming
     if message_bits is None:
@@ -249,32 +239,30 @@ def participant_respond(
 
 
 def tp_resolve_positions(
-    pairs: PairBatch, modes_a: Sequence[Mode], modes_b: Sequence[Mode], rng: np.random.Generator
-) -> list[PositionResult]:
-    """TP's measurements at every position.
+    pairs: PairBatch, sift_a: np.ndarray, sift_b: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """TP's measurements at every position, given both SIFT masks.
 
-    CTRL/CTRL positions get a Bell measurement on the two returned wires,
-    flagged as a mismatch when the outcome differs from the prepared
-    state.  At any other position TP Z-reads each SIFT return and leaves
-    a reflected half, if any, unmeasured.  One batch call per distinct
-    set of returned wires: Bell measurements first, then Alice's reads,
-    then Bob's.
+    CTRL/CTRL positions get a Bell measurement on the two returned wires.
+    At any other position TP Z-reads each SIFT return and leaves a
+    reflected half, if any, unmeasured.  One batch call per distinct set
+    of returned wires: Bell measurements first, then Alice's reads, then
+    Bob's.  Returns ``(bell, bits_a, bits_b)``: the ``BellState`` value per
+    position and each participant's Z bit per position, -1 where that
+    measurement was not made.
     """
-    prepared = pairs.prepared.tolist()
-    results = [PositionResult() for _ in prepared]
-    sift = {"A": sift_mask(modes_a), "B": sift_mask(modes_b)}
-    ctrl_ctrl = np.flatnonzero(~sift["A"] & ~sift["B"])
+    bell = np.full(len(pairs.prepared), -1, dtype=np.intp)
+    ctrl_ctrl = (~(sift_a | sift_b)).nonzero()[0]
     for (w1, w2), rows in wire_groups(ctrl_ctrl, pairs.returns["A"][ctrl_ctrl], pairs.returns["B"][ctrl_ctrl]):
-        outcomes = pairs.register.measure_bell(w1, w2, rng, rows)
-        for pos, value in zip(rows.tolist(), outcomes.tolist()):
-            results[pos].bell_outcome = BellState(value)
-            results[pos].bell_mismatch = value != prepared[pos]
-    for participant, attr in (("A", "bit_a"), ("B", "bit_b")):
-        sifted = np.flatnonzero(sift[participant])
+        bell[rows] = pairs.register.measure_bell(w1, w2, rng, rows)
+    bits = []
+    for participant, sift in (("A", sift_a), ("B", sift_b)):
+        read = np.full(len(sift), -1, dtype=np.intp)
+        sifted = sift.nonzero()[0]
         for (wire,), rows in wire_groups(sifted, pairs.returns[participant][sifted]):
-            for pos, bit in zip(rows.tolist(), pairs.register.measure_z(wire, rng, rows).tolist()):
-                setattr(results[pos], attr, bit)
-    return results
+            read[rows] = pairs.register.measure_z(wire, rng, rows)
+        bits.append(read)
+    return bell, bits[0], bits[1]
 
 
 def tp_compare(
@@ -293,41 +281,36 @@ def tp_compare(
     return ComparisonOutcome.equal(), prefix
 
 
-def sift_positions(modes: Sequence[Mode]) -> list[int]:
-    return [pos for pos, mode in enumerate(modes) if mode is Mode.SIFT]
-
-
 def run_session(
     config: SessionConfig,
     secret_a: Sequence[int],
     secret_b: Sequence[int],
     key: Sequence[int],
     taps: Sequence["ChannelTap"] = (),
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[SessionTranscript, ComparisonOutcome, list["AttackReport"]]:
     """Run one full session and return (transcript, outcome, attack reports).
 
     All randomness, including every tap's measurement draws, comes from
-    ``rng`` (seeded from ``config.seed`` when not supplied), so identical
-    inputs give bit-identical transcripts.  Each tap gets the forward
-    transits of every position of the channel it targets in one call, then
-    the return transits in another; mode declarations become visible to
-    taps only through ``finalize``, after TP has everything.
+    ``rng``, so identical inputs give bit-identical transcripts.  Each tap
+    gets the forward transits of every position of the channel it targets
+    in one call, then the return transits in another; mode declarations
+    become visible to taps only through ``finalize``, after TP has
+    everything.
     """
     from .attacks import GroundTruth, PublicRecord
 
     L = config.L
     if not len(secret_a) == len(secret_b) == len(key) == L:
         raise ValueError("secrets and key must all have length L")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     pairs = tp_prepare_pairs(config, rng)
     r_a = random_bits(L, rng)
     r_b = random_bits(L, rng)
     msg = {"A": derive_message(secret_a, r_a, key), "B": derive_message(secret_b, r_b, key)}
     modes = {"A": choose_modes(config, rng), "B": choose_modes(config, rng)}
-    sift = {p: sift_positions(modes[p]) for p in PARTICIPANTS}
+    sift = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
     msg_positions = {p: sift[p][:L] for p in PARTICIPANTS}
 
     transcript = SessionTranscript(
@@ -374,7 +357,7 @@ def run_session(
         bits = np.zeros(2 * L, dtype=np.intp)
         bits[msg_positions[participant]] = msg[participant]
         surplus = sift[participant][L:]
-        if surplus:
+        if len(surplus):
             bits[surplus] = rng.integers(0, 2, size=len(surplus))
         pairs.returns[participant] = participant_respond(
             modes[participant], pairs.register, pairs.wires[participant], bits
@@ -387,16 +370,17 @@ def run_session(
                 pairs.returns[participant] = tap.on_return(positions, pairs.register, pairs.returns[participant], rng)
 
     # TP confirms receipt; only now are the mode declarations public.
-    transcript.position_results = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
-    for pos, result in enumerate(transcript.position_results):
-        if result.bell_mismatch is not None:
-            transcript.ctrl_ctrl_positions.append(pos)
-            transcript.bell_mismatch_count += int(result.bell_mismatch)
+    bell, tp_bits_a, tp_bits_b = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
+    ctrl_ctrl = (bell >= 0).nonzero()[0]
+    transcript.bell_outcomes = bell
+    transcript.tp_bits_a = tp_bits_a
+    transcript.tp_bits_b = tp_bits_b
+    transcript.ctrl_ctrl_positions = ctrl_ctrl
+    transcript.bell_mismatch_count = int(np.count_nonzero(bell[ctrl_ctrl] != pairs.prepared[ctrl_ctrl]))
+    transcript.tp_m_a = tp_bits_a[msg_positions["A"]].tolist()
+    transcript.tp_m_b = tp_bits_b[msg_positions["B"]].tolist()
 
-    transcript.tp_m_a = [transcript.position_results[pos].bit_a for pos in msg_positions["A"]]
-    transcript.tp_m_b = [transcript.position_results[pos].bit_b for pos in msg_positions["B"]]
-
-    n_ctrl = len(transcript.ctrl_ctrl_positions)
+    n_ctrl = len(ctrl_ctrl)
     if n_ctrl > 0 and transcript.bell_mismatch_count / n_ctrl > config.error_threshold:
         outcome = ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
         published = PublicRecord(

@@ -16,7 +16,6 @@ from sqpc.harness import ExperimentSpec, emit_report, estimate_detection_curve, 
 from sqpc.improved import ImprovedConfig, qubit_efficiency, run_improved_session
 from sqpc.jiang import (
     ComparisonOutcome,
-    Mode,
     PairBatch,
     SessionConfig,
     participant_respond,
@@ -59,7 +58,7 @@ def test_criterion_2_silent_ctrl_restoration():
     rng = np.random.default_rng(2024)
     mismatches = 0
     trials_per_state = 10_000
-    ctrl = [Mode.CTRL] * trials_per_state
+    ctrl = np.zeros(trials_per_state, dtype=bool)
     for variant in BellState:
         # One batch position per trial.
         pairs = PairBatch.prepare([variant.value] * trials_per_state)
@@ -68,8 +67,8 @@ def test_criterion_2_silent_ctrl_restoration():
         pairs.returns["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
         pairs.returns["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
         pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
-        for result in tp_resolve_positions(pairs, ctrl, ctrl, rng):
-            mismatches += int(result.bell_mismatch)
+        bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, rng)
+        mismatches += int(np.count_nonzero(bell != pairs.prepared))
     ok = mismatches == 0
     report_line(
         2,
@@ -120,7 +119,7 @@ def test_criterion_4_malicious_agent_overlap():
     small = []
     for _ in range(2_000):
         secret_a, secret_b, key = (random_bits(2, rng) for _ in range(3))
-        _, _, reports = run_session(config, secret_a, secret_b, key, [MaliciousAgent("A", key)], rng)
+        _, _, reports = run_session(config, secret_a, secret_b, key, [MaliciousAgent("A", key)], rng=rng)
         small.append(len(reports[0].secret_bits) / 2)
     small_mean = float(np.mean(small))
 

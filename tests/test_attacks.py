@@ -16,7 +16,6 @@ from sqpc.attacks import (
 )
 from sqpc.jiang import (
     ComparisonOutcome,
-    Mode,
     PairBatch,
     SessionConfig,
     participant_respond,
@@ -45,7 +44,7 @@ class TestStateCheckSuite:
             pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
             eve = DoubleCnotEve("A")
             pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
-            pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [m])
+            pairs.returns["A"] = participant_respond(np.array([True]), pairs.register, pairs.wires["A"], [m])
             expected = np.zeros(16, dtype=complex)
             for i in indices:
                 expected[i] = SQRT_HALF
@@ -72,13 +71,14 @@ class TestDoubleCnotEve:
         pairs = PairBatch.prepare([variant.value] * trips)
         eve = DoubleCnotEve("A")
         pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
-        pairs.returns["A"] = participant_respond([Mode.CTRL] * trips, pairs.register, pairs.wires["A"])
-        pairs.returns["B"] = participant_respond([Mode.CTRL] * trips, pairs.register, pairs.wires["B"])
+        ctrl = np.zeros(trips, dtype=bool)
+        pairs.returns["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
+        pairs.returns["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
         pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
         report = eve.finalize(PublicRecord(protocol="jiang", L=trips // 2))
         assert report.indicator_bits == {pos: 0 for pos in range(trips)}
-        results = jiang.tp_resolve_positions(pairs, [Mode.CTRL] * trips, [Mode.CTRL] * trips, rng)
-        assert [result.bell_mismatch for result in results] == [False] * trips
+        bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, rng)
+        assert (bell != pairs.prepared).tolist() == [False] * trips
 
     def test_indicator_and_data_read_on_sift(self, rng):
         trials = 3000
@@ -86,7 +86,7 @@ class TestDoubleCnotEve:
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
         eve = DoubleCnotEve("A")
         pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
-        pairs.returns["A"] = participant_respond([Mode.SIFT] * trials, pairs.register, pairs.wires["A"], m)
+        pairs.returns["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], m)
         pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
         report = eve.finalize(PublicRecord(protocol="jiang", L=trials // 2))
         fired = sorted(pos for pos, bit in report.indicator_bits.items() if bit)
@@ -100,7 +100,7 @@ class TestDoubleCnotEve:
     def test_session_report_decodes_masked_secret(self, rng):
         config = SessionConfig(L=32)
         secret_a, secret_b, key = (random_bits(32, rng) for _ in range(3))
-        _, outcome, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("A")], rng)
+        _, outcome, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("A")], rng=rng)
         report = reports[0]
         assert report.detected is False
         assert report.accuracy == 1.0
@@ -113,14 +113,14 @@ class TestDoubleCnotEve:
         config = SessionConfig(L=8)
         for _ in range(100):
             s = random_bits(8, rng)
-            _, outcome, reports = run_session(config, s, s, random_bits(8, rng), [DoubleCnotEve("A")], rng)
+            _, outcome, reports = run_session(config, s, s, random_bits(8, rng), [DoubleCnotEve("A")], rng=rng)
             assert not outcome.is_aborted
             assert reports[0].detected is False
 
     def test_targets_bob_channel_symmetrically(self, rng):
         config = SessionConfig(L=16)
         secret_a, secret_b, key = (random_bits(16, rng) for _ in range(3))
-        _, _, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("B")], rng)
+        _, _, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("B")], rng=rng)
         report = reports[0]
         assert report.target == "B"
         for idx, bit in report.masked_secret_bits.items():
@@ -136,7 +136,7 @@ class TestDoubleCnotEve:
         for _ in range(trials):
             secret_a, secret_b, key = (random_bits(16, rng) for _ in range(3))
             _, outcome, reports = run_session(
-                config, secret_a, secret_b, key, [DoubleCnotEve("A", midflight=True)], rng
+                config, secret_a, secret_b, key, [DoubleCnotEve("A", midflight=True)], rng=rng
             )
             report = reports[0]
             detected += outcome.attacker_detected
@@ -153,7 +153,7 @@ class TestMaliciousAgent:
         for _ in range(40):
             secret_a, secret_b, key = (random_bits(32, rng) for _ in range(3))
             _, outcome, reports = run_session(
-                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng
+                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
             report = reports[0]
             assert not outcome.is_aborted
@@ -170,7 +170,7 @@ class TestMaliciousAgent:
             secret_b = random_bits(8, rng)
             key = random_bits(8, rng)
             _, outcome, _ = run_session(
-                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng
+                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
             expected = ComparisonOutcome.equal() if secret_a == secret_b else ComparisonOutcome.not_equal(
                 next(i for i, (a, b) in enumerate(zip(secret_a, secret_b)) if a != b)
@@ -190,7 +190,7 @@ class TestMaliciousAgent:
         for _ in range(3000):
             secret_a, secret_b, key = (random_bits(2, rng) for _ in range(3))
             _, _, reports = run_session(
-                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng
+                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
             fractions.append(len(reports[0].secret_bits) / 2)
         assert abs(np.mean(fractions) - exact) < 0.02
@@ -199,7 +199,7 @@ class TestMaliciousAgent:
         config = SessionConfig(L=8)
         secret_a, secret_b, key = (random_bits(8, rng) for _ in range(3))
         transcript, _, reports = run_session(
-            config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng
+            config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
         )
         report = reports[0]
         message_positions = set(transcript.message_positions_a)
@@ -228,7 +228,7 @@ class TestBlocking:
         config = SessionConfig(L=4)
         secret = random_bits(4, rng)
         # library-level: blocking CAN run on the base protocol
-        _, _, reports = run_session(config, secret, secret, random_bits(4, rng), [BlockingAttacker("A")], rng)
+        _, _, reports = run_session(config, secret, secret, random_bits(4, rng), [BlockingAttacker("A")], rng=rng)
         report = reports[0]
         assert report.learned_count == 0
         assert report.accuracy == 1.0
@@ -243,7 +243,7 @@ class TestInterceptResend:
         for _ in range(trials):
             secret = random_bits(16, rng)
             _, outcome, reports = run_session(
-                config, secret, secret, random_bits(16, rng), [InterceptResendZ("A")], rng
+                config, secret, secret, random_bits(16, rng), [InterceptResendZ("A")], rng=rng
             )
             report = reports[0]
             assert report.learned_count == 0

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from sqpc import harness
 from sqpc.cli import main
 from sqpc.harness import (
     ExperimentSpec,
@@ -69,6 +71,22 @@ class TestAggregation:
         assert summary.ci_low == pytest.approx(summary.mean - 1.96 * summary.std_error)
         assert summary.ci_high == pytest.approx(summary.mean + 1.96 * summary.std_error)
         assert summary.count == 100
+
+    def test_summary_bit_identical_to_ndarray_reductions(self):
+        # The reference is numpy's own mean/std; every float must agree
+        # exactly, not within a tolerance.
+        rng = np.random.default_rng(8)
+        for size in (1, 2, 3, 7, 8, 9, 31, 127, 128, 129, 1000, 10_000):
+            for values in (
+                (rng.random(size) < 0.3).astype(float),
+                rng.random(size),
+                rng.random(size) * 1e-7 + 0.5,
+                np.full(size, 0.1),
+            ):
+                summary = MetricSummary.from_values(values.tolist())
+                assert summary.mean == float(values.mean())
+                assert summary.std_error == float(values.std(ddof=0) / np.sqrt(values.size))
+                assert summary.count == size
 
     def test_honest_experiment_metrics(self):
         stats = run_experiment(small_spec(L=8, trials=1_000))
@@ -162,6 +180,21 @@ class TestDetectionCurve:
         curve = estimate_detection_curve(spec, [1, 2])
         text = emit_report(curve, "csv", None)
         assert text.splitlines()[0] == "k,detection_rate,std_error,count"
+
+    def test_rejects_negative_count_before_any_trial(self, monkeypatch):
+        calls = []
+        real_run_trial = harness.run_trial
+
+        def counting_run_trial(spec, index):
+            calls.append(index)
+            return real_run_trial(spec, index)
+
+        monkeypatch.setattr(harness, "run_trial", counting_run_trial)
+        spec = ExperimentSpec(scenario="improved", attack="blocking", L=1, trials=5, seed=1)
+        with pytest.raises(SpecValidationError) as err:
+            estimate_detection_curve(spec, [1, 2, -1])
+        assert err.value.field == "attacked_count"
+        assert calls == []
 
     def test_rejects_wrong_scenario(self):
         spec = ExperimentSpec(scenario="jiang", attack="malicious-agent", trials=5)

@@ -20,7 +20,6 @@ from sqpc.improved import (
 from sqpc.jiang import (
     DISCLOSURE_MISMATCH,
     ComparisonOutcome,
-    Mode,
     random_bits,
 )
 from sqpc.kernel import PLUS
@@ -56,13 +55,13 @@ class TestSiftMeasureResend:
         # 4000 SIFTed |+> photons, one batch position each.
         trials = 4000
         photons = PhotonBatch.prepare("A", [PLUS] * trials)
-        sift_measure_resend(photons, [Mode.SIFT] * trials, rng)
+        sift_measure_resend(photons, np.ones(trials, dtype=bool), rng)
         ones = int(photons.sift_bit.sum())
         assert abs(ones / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_resent_qubit_carries_the_bit(self, rng):
         photons = PhotonBatch.prepare("A", [PLUS] * 50)
-        wires = sift_measure_resend(photons, [Mode.SIFT] * 50, rng)
+        wires = sift_measure_resend(photons, np.ones(50, dtype=bool), rng)
         (wire,) = set(wires.tolist())
         assert np.array_equal(photons.register.measure_z(wire, rng), photons.sift_bit)
 
@@ -70,7 +69,7 @@ class TestCtrlCheck:
     def test_honest_ctrl_always_matches(self, rng):
         config = ImprovedConfig(L=4)
         records = tp_prepare_photons(config, rng)
-        modes = {p: [Mode.CTRL] * 16 for p in ("A", "B")}
+        modes = {p: np.zeros(16, dtype=bool) for p in ("A", "B")}
         for p in ("A", "B"):
             records[p].return_wire = records[p].wire
         mismatches, results = tp_check_ctrl_x(records, modes, rng)
@@ -188,13 +187,14 @@ class TestHonestSessions:
         assert completed > 0 and aborted > 0
 
     def test_deterministic_given_seed(self):
-        config = ImprovedConfig(L=4, seed=123)
+        config = ImprovedConfig(L=4)
         secret_a, secret_b, key = bits("1011"), bits("1001"), bits("0110")
 
         def run():
-            transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key)
+            rng = np.random.default_rng(123)
+            transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
             return (
-                transcript.modes,
+                {p: mask.tolist() for p, mask in transcript.modes.items()},
                 transcript.tp_r,
                 transcript.disclosures,
                 transcript.published_m,
@@ -209,7 +209,7 @@ class TestImmunity:
         for _ in range(60):
             secret = random_bits(4, rng)
             _, outcome, reports = run_improved_session(
-                config, secret, secret, random_bits(4, rng), [DoubleCnotEve("A")], rng
+                config, secret, secret, random_bits(4, rng), [DoubleCnotEve("A")], rng=rng
             )
             report = reports[0]
             assert not outcome.is_aborted
@@ -224,7 +224,7 @@ class TestImmunity:
         photons = PhotonBatch.prepare("A", [0] * 40 + [1] * 40)
         eve = DoubleCnotEve("A")
         photons.wire = eve.on_forward(photons.positions, photons.register, photons.wire, rng)
-        photons.return_wire = sift_measure_resend(photons, [Mode.SIFT] * 80, rng)
+        photons.return_wire = sift_measure_resend(photons, np.ones(80, dtype=bool), rng)
         photons.return_wire = eve.on_return(photons.positions, photons.register, photons.return_wire, rng)
         assert probe_reads(eve) == {pos: 0 for pos in range(80)}
 
@@ -235,7 +235,7 @@ class TestImmunity:
         for _ in range(150):
             secret = random_bits(4, rng)
             transcript, outcome, _ = run_improved_session(
-                config, secret, secret, random_bits(4, rng), [DoubleCnotEve("A", midflight=True)], rng
+                config, secret, secret, random_bits(4, rng), [DoubleCnotEve("A", midflight=True)], rng=rng
             )
             mismatches += sum(int(m) for _, m in transcript.x_results["A"].values())
             ctrl_attacked += len(transcript.x_results["A"])
@@ -253,7 +253,7 @@ class TestImmunity:
         for _ in range(trials):
             secret = random_bits(1, rng)
             _, outcome, _ = run_improved_session(
-                config, secret, secret, random_bits(1, rng), [BlockingAttacker("A")], rng
+                config, secret, secret, random_bits(1, rng), [BlockingAttacker("A")], rng=rng
             )
             if outcome.is_aborted:
                 assert outcome.abort_reason == DISCLOSURE_MISMATCH
@@ -268,7 +268,7 @@ class TestImmunity:
         for _ in range(40):
             secret = random_bits(8, rng)
             _, outcome, _ = run_improved_session(
-                config, secret, list(secret), random_bits(8, rng), [BlockingAttacker("A")], rng
+                config, secret, list(secret), random_bits(8, rng), [BlockingAttacker("A")], rng=rng
             )
             assert not outcome.is_aborted
             wrong += outcome != ComparisonOutcome.equal()
@@ -279,7 +279,7 @@ class TestImmunity:
         for _ in range(50):
             secret = random_bits(3, rng)
             transcript, outcome, _ = run_improved_session(
-                config, secret, secret, random_bits(3, rng), [BlockingAttacker("A")], rng
+                config, secret, secret, random_bits(3, rng), [BlockingAttacker("A")], rng=rng
             )
             assert transcript.x_mismatch_count == 0
             if outcome.is_aborted:
@@ -296,7 +296,7 @@ class TestImmunity:
             secret_a, secret_b, key = (random_bits(4, rng) for _ in range(3))
             _, outcome, _ = run_improved_session(
                 config, secret_a, secret_b, key,
-                [MaliciousAgent(victim="A", key=key, intercept_count=16)], rng,
+                [MaliciousAgent(victim="A", key=key, intercept_count=16)], rng=rng,
             )
             detected += outcome.attacker_detected
         # undetected probability is E[(1/2)^{#CTRL hit}] = (1/2)^8 here
@@ -310,7 +310,7 @@ class TestImmunity:
             secret_a, secret_b, key = (random_bits(2, rng) for _ in range(3))
             _, outcome, reports = run_improved_session(
                 config, secret_a, secret_b, key,
-                [MaliciousAgent(victim="A", key=key, intercept_count=3)], rng,
+                [MaliciousAgent(victim="A", key=key, intercept_count=3)], rng=rng,
             )
             report = reports[0]
             if not outcome.is_aborted and report.secret_bits:

@@ -10,7 +10,6 @@ from sqpc.jiang import (
     INDEPENDENT_COIN,
     INSUFFICIENT_SIFT,
     ComparisonOutcome,
-    Mode,
     SessionConfig,
     choose_modes,
     PairBatch,
@@ -26,6 +25,9 @@ from sqpc.kernel import BellState
 
 def bits(text: str) -> list[int]:
     return [int(c) for c in text]
+
+CTRL = np.array([False])
+SIFT = np.array([True])
 
 class TestDeriveMessage:
     def test_all_zero(self):
@@ -66,42 +68,44 @@ class TestChooseModes:
     def test_balanced_counts(self, rng):
         modes = choose_modes(SessionConfig(L=4), rng)
         assert len(modes) == 8
-        assert sum(m is Mode.SIFT for m in modes) == 4
+        assert modes.dtype == bool
+        assert int(modes.sum()) == 4
 
     def test_coin_frequency(self, rng):
         modes = choose_modes(SessionConfig(L=5000, mode_policy=INDEPENDENT_COIN), rng)
-        frac = sum(m is Mode.SIFT for m in modes) / 10000
+        frac = int(modes.sum()) / 10000
         assert abs(frac - 0.5) < 0.015
 
     def test_same_seed_same_modes(self):
         a = choose_modes(SessionConfig(L=16), np.random.default_rng(3))
         b = choose_modes(SessionConfig(L=16), np.random.default_rng(3))
-        assert a == b
+        assert np.array_equal(a, b)
 
 class TestRespondAndResolve:
     def test_ctrl_roundtrip_preserves_bell(self, rng):
         for variant in BellState:
             pairs = PairBatch.prepare([variant.value])
-            pairs.returns["A"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["A"])
-            pairs.returns["B"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["B"])
-            (result,) = tp_resolve_positions(pairs, [Mode.CTRL], [Mode.CTRL], rng)
-            assert result.bell_outcome is variant
-            assert result.bell_mismatch is False
+            pairs.returns["A"] = participant_respond(CTRL, pairs.register, pairs.wires["A"])
+            pairs.returns["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
+            bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, rng)
+            assert BellState(int(bell[0])) is variant
+            assert bell[0] == pairs.prepared[0]
+            assert (bit_a[0], bit_b[0]) == (-1, -1)
 
     def test_sift_sends_the_message_bit(self, rng):
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
-        pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [1])
-        pairs.returns["B"] = participant_respond([Mode.CTRL], pairs.register, pairs.wires["B"])
-        (result,) = tp_resolve_positions(pairs, [Mode.SIFT], [Mode.CTRL], rng)
-        assert result.bit_a == 1
-        assert result.bit_b is None
-        assert result.bell_outcome is None
+        pairs.returns["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [1])
+        pairs.returns["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
+        bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, rng)
+        assert bit_a[0] == 1
+        assert bit_b[0] == -1
+        assert bell[0] == -1
 
     def test_sift_retains_correlated_discard(self, rng):
         # After a SIFT the kept half stays perfectly Z-correlated with the
         # far half: enumerate the register directly.
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
-        pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [0])
+        pairs.returns["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [0])
         amps = pairs.register.amps[:, 0]
         n = 3
         disagree = sum(
@@ -113,15 +117,15 @@ class TestRespondAndResolve:
 
     def test_both_sift(self, rng):
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
-        pairs.returns["A"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"], [0])
-        pairs.returns["B"] = participant_respond([Mode.SIFT], pairs.register, pairs.wires["B"], [1])
-        (result,) = tp_resolve_positions(pairs, [Mode.SIFT], [Mode.SIFT], rng)
-        assert (result.bit_a, result.bit_b) == (0, 1)
+        pairs.returns["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [0])
+        pairs.returns["B"] = participant_respond(SIFT, pairs.register, pairs.wires["B"], [1])
+        _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, rng)
+        assert (bit_a[0], bit_b[0]) == (0, 1)
 
     def test_sift_requires_bit(self):
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         with pytest.raises(ValueError):
-            participant_respond([Mode.SIFT], pairs.register, pairs.wires["A"])
+            participant_respond(SIFT, pairs.register, pairs.wires["A"])
 
 class TestCompare:
     def test_equal_when_everything_cancels(self):
@@ -191,20 +195,22 @@ class TestRunSession:
         assert masked == [s ^ k for s, k in zip(secret_a, key)]
 
     def test_deterministic_given_seed(self):
-        config = SessionConfig(L=8, seed=99)
+        config = SessionConfig(L=8)
         secret_a = bits("10110100")
         secret_b = bits("10010110")
         key = bits("11001010")
 
         def run():
-            transcript, outcome, _ = run_session(config, secret_a, secret_b, key)
+            rng = np.random.default_rng(99)
+            transcript, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
             states = transcript.pairs.register.amps.copy()
             return transcript.modes_a, transcript.modes_b, transcript.r_a, transcript.r_b, outcome, states
 
         first = run()
         second = run()
-        assert first[:5] == second[:5]
-        assert np.array_equal(first[5], second[5])
+        assert first[2:5] == second[2:5]
+        for a, b in zip(first[:2] + first[5:], second[:2] + second[5:]):
+            assert np.array_equal(a, b)
 
     def test_honest_never_aborts(self, rng):
         config = SessionConfig(L=4)
@@ -240,20 +246,19 @@ class TestRunSession:
             )
             if outcome.is_aborted:
                 continue
-            for modes, attr in ((transcript.modes_a, "bit_a"), (transcript.modes_b, "bit_b")):
-                extracted = sum(
-                    getattr(result, attr) is not None for result in transcript.position_results
-                )
-                assert extracted == sum(m is Mode.SIFT for m in modes)
+            for modes, tp_bits in ((transcript.modes_a, transcript.tp_bits_a), (transcript.modes_b, transcript.tp_bits_b)):
+                extracted = int(np.count_nonzero(tp_bits >= 0))
+                assert extracted == int(modes.sum())
 
     def test_every_position_classified_once(self, rng):
         config = SessionConfig(L=8)
         secret = random_bits(8, rng)
         transcript, _, _ = run_session(config, secret, secret, random_bits(8, rng), rng=rng)
-        for pos, result in enumerate(transcript.position_results):
+        for pos in range(2 * config.L):
             is_ctrl_ctrl = pos in transcript.ctrl_ctrl_positions
-            has_sift_read = result.bit_a is not None or result.bit_b is not None
+            has_sift_read = transcript.tp_bits_a[pos] >= 0 or transcript.tp_bits_b[pos] >= 0
             assert is_ctrl_ctrl != has_sift_read
+            assert is_ctrl_ctrl == (transcript.bell_outcomes[pos] >= 0)
 
     def test_coin_policy_complete_sessions_compare_correctly(self):
         config = SessionConfig(L=3, mode_policy=INDEPENDENT_COIN)
@@ -281,10 +286,16 @@ class TestRunSession:
         for trial in range(120):
             secret = random_bits(16, rng)
             transcript, outcome, _ = run_session(
-                config, secret, secret, random_bits(16, rng), [InterceptResendZ("A")], rng
+                config, secret, secret, random_bits(16, rng), [InterceptResendZ("A")], rng=rng
             )
             ctrl_ctrl += len(transcript.ctrl_ctrl_positions)
             mismatches += transcript.bell_mismatch_count
+            # The count equals the CTRL/CTRL positions whose Bell read
+            # differs from the prepared state, counted one by one.
+            prepared = transcript.pairs.prepared
+            assert transcript.bell_mismatch_count == sum(
+                int(transcript.bell_outcomes[pos] != prepared[pos]) for pos in transcript.ctrl_ctrl_positions
+            )
         rate = mismatches / ctrl_ctrl
         assert abs(rate - 0.5) < 4 * np.sqrt(0.25 / ctrl_ctrl)
 
@@ -301,10 +312,10 @@ class TestBalancedEnumeration:
         n = 3000
         rng = np.random.default_rng(11)
         for _ in range(n):
-            modes = tuple(choose_modes(config, rng))
+            modes = tuple(choose_modes(config, rng).tolist())
             counts[modes] = counts.get(modes, 0) + 1
         arrangements = set(
-            tuple(Mode.SIFT if i in picked else Mode.CTRL for i in range(4))
+            tuple(i in picked for i in range(4))
             for picked in itertools.combinations(range(4), 2)
         )
         assert set(counts) == arrangements
