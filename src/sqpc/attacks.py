@@ -2,13 +2,16 @@
 
 A tap sits on one participant's quantum channel and gets one hook call
 for the forward transits (TP to participant) of all its positions and one
-for the return transits (participant to TP).  A hook receives the
-positions as rows of the session's batched register, with the wire each
-one travels on.  It may grow the register with ancillas (one per row),
-measure through the register API, and substitute the wires that travel
-onward.  A tap keeps what it measured as arrays over the positions, -1
-where it read nothing, and decodes them in ``finalize`` by indexing with
-the carrier positions it derives from the published SIFT masks.
+for the return transits (participant to TP).  A hook receives the rows of
+the session's batched register that carry the channel's positions (row
+``rows[i]`` carries position i), with the wire each one travels on.  It
+may grow the register with ancillas (one per row), measure through the
+register API, and substitute the wires that travel onward; a measurement
+over positions on different wires is one call with per-row wires, rows
+sorted by wire.  A tap keeps what it measured as arrays over the
+channel's positions, -1 where it read nothing, and decodes them in
+``finalize`` by indexing with the carrier positions it derives from the
+published SIFT masks.
 Taps never read amplitudes; everything an attacker knows comes from its
 own measurement outcomes plus the classical values published after the
 session (mode declarations, R values, disclosures, messages).
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import kernel
 from .jiang import Bits, PairBatch, participant_respond
-from .kernel import BellState, Register, prepare_bell, prepare_z, wire_groups
+from .kernel import BellState, Register, prepare_bell, prepare_z, sort_rows
 
 
 @dataclass
@@ -148,15 +151,15 @@ class ChannelTap:
         """Only called when ``identity`` names a participant."""
 
     def on_forward(
-        self, positions: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
+        self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Forward transits of ``positions`` (rows of ``register``), each
-        travelling on the aligned entry of ``wires``; returns the wires
-        handed on."""
+        """Forward transits of every position of the channel: position i
+        sits on row ``rows[i]`` of ``register`` and travels on ``wires[i]``.
+        Returns the wires handed on."""
         return wires
 
     def on_return(
-        self, positions: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
+        self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Return transits; same contract as :meth:`on_forward`."""
         return wires
@@ -177,9 +180,17 @@ def _carrier_positions(published: PublicRecord, participant: str) -> np.ndarray:
 _NO_READS = np.full(0, -1, dtype=np.intp)
 
 
-def _blank_reads(register: Register) -> np.ndarray:
-    """A read array with one entry per row of ``register``, all unread."""
-    return np.full(register.amps.shape[1], -1, dtype=np.intp)
+def _read_by_wire(measure, rows: np.ndarray, wires: np.ndarray, rng: np.random.Generator, picked=None) -> np.ndarray:
+    """Reads of the positions ``picked`` (all of them by default), -1 at
+    the others: one ``measure`` call (a bound ``Register`` measurement)
+    over their rows on their per-row wires, sorted by wire."""
+    reads = np.full(len(rows), -1, dtype=np.intp)
+    if picked is None:
+        picked = np.arange(len(rows))
+    if len(picked):
+        picked, picked_wires = sort_rows(picked, wires[picked])
+        reads[picked] = measure(picked_wires, rng, rows[picked])
+    return reads
 
 
 def _read_dict(reads: np.ndarray) -> dict[int, int]:
@@ -262,34 +273,27 @@ class DoubleCnotEve(ChannelTap):
         self._forward_reads = _NO_READS
         self._data_bits = _NO_READS
 
-    def on_forward(self, positions, register, wires, rng):
+    def on_forward(self, rows, register, wires, rng):
         self._ancilla = register.adjoin(prepare_z(0))
-        for (wire,), rows in wire_groups(positions, wires):
-            register.cnot(wire, self._ancilla, rows)
-        self._probed = positions
+        register.cnot(wires, self._ancilla, rows)
+        self._probed = np.arange(len(rows))
         if self.midflight:
-            self._forward_reads = _blank_reads(register)
-            self._forward_reads[positions] = register.measure_z(self._ancilla, rng, positions)
+            self._forward_reads = register.measure_z(self._ancilla, rng, rows)
         return wires
 
-    def on_return(self, positions, register, wires, rng):
+    def on_return(self, rows, register, wires, rng):
         if self._ancilla is None:
             return wires
-        for (wire,), rows in wire_groups(positions, wires):
-            register.cnot(wire, self._ancilla, rows)
-        indicator = register.measure_z(self._ancilla, rng, positions)
-        self._indicator = _blank_reads(register)
-        self._indicator[positions] = indicator
+        register.cnot(wires, self._ancilla, rows)
+        self._indicator = register.measure_z(self._ancilla, rng, rows)
         if not self.midflight:
-            fired = indicator == 1
-            self._data_bits = _blank_reads(register)
-            for (wire,), rows in wire_groups(positions[fired], wires[fired]):
-                self._data_bits[rows] = register.measure_z(wire, rng, rows)
+            fired = (self._indicator == 1).nonzero()[0]
+            self._data_bits = _read_by_wire(register.measure_z, rows, wires, rng, fired)
         return wires
 
     def finalize(self, published):
         report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = sorted(self._probed.tolist())
+        report.probed_positions = self._probed.tolist()
         report.intercepted_bits = _read_dict(self._forward_reads if self.midflight else self._data_bits)
         report.indicator_bits = _read_dict(self._indicator)
         report.indicator_events = sum(report.indicator_bits.values())
@@ -337,22 +341,21 @@ class MaliciousAgent(ChannelTap):
     def observe_own_modes(self, sift):
         self._own_sift = sift
 
-    def _attacked(self, positions: np.ndarray) -> np.ndarray:
+    def _attacked(self, count: int) -> np.ndarray:
         if self._attack_mask is not None:
-            return self._attack_mask[positions]
+            return self._attack_mask
         if self._own_sift is None:
-            return np.zeros(len(positions), dtype=bool)
-        return self._own_sift[positions]
+            return np.zeros(count, dtype=bool)
+        return self._own_sift
 
-    def on_return(self, positions, register, wires, rng):
-        attacked = self._attacked(positions)
-        self._reads = _blank_reads(register)
+    def on_return(self, rows, register, wires, rng):
+        attacked = self._attacked(len(rows))
+        self._reads = _read_by_wire(register.measure_z, rows, wires, rng, attacked.nonzero()[0])
         if not attacked.any():
             return wires
         # Rows not intercepted get an idle |0> in the resend slot.
         resend = np.zeros(register.amps.shape[1], dtype=np.intp)
-        for (wire,), rows in wire_groups(positions[attacked], wires[attacked]):
-            resend[rows] = self._reads[rows] = register.measure_z(wire, rng, rows)
+        resend[rows[attacked]] = self._reads[attacked]
         fresh = register.adjoin(prepare_z(resend))
         return np.where(attacked, fresh, wires)
 
@@ -383,11 +386,9 @@ class BlockingAttacker(ChannelTap):
     def begin_session(self, num_positions, rng):
         self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
 
-    def on_return(self, positions, register, wires, rng):
-        attacked = slice(None) if self._attack_mask is None else self._attack_mask[positions]
-        self._reads = _blank_reads(register)
-        for (wire,), rows in wire_groups(positions[attacked], wires[attacked]):
-            self._reads[rows] = register.measure_x(wire, rng, rows)
+    def on_return(self, rows, register, wires, rng):
+        attacked = None if self._attack_mask is None else self._attack_mask.nonzero()[0]
+        self._reads = _read_by_wire(register.measure_x, rows, wires, rng, attacked)
         return wires
 
     def finalize(self, published):
@@ -403,10 +404,8 @@ class InterceptResendZ(ChannelTap):
         self.attack_name = "intercept-resend-z"
         self._reads = _NO_READS
 
-    def on_forward(self, positions, register, wires, rng):
-        self._reads = _blank_reads(register)
-        for (wire,), rows in wire_groups(positions, wires):
-            self._reads[rows] = register.measure_z(wire, rng, rows)
+    def on_forward(self, rows, register, wires, rng):
+        self._reads = _read_by_wire(register.measure_z, rows, wires, rng)
         return wires
 
     def finalize(self, published):

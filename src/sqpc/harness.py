@@ -207,11 +207,17 @@ def _expected_outcome(secret_a: Bits, secret_b: Bits) -> ComparisonOutcome:
 
 def _x_mismatch_rate(transcript, report: AttackReport) -> float | None:
     """Mismatch rate of TP's X checks over the attacked CTRL positions."""
-    results = transcript.x_results.get(report.target, {})
-    attacked = [pos for pos in report.probed_positions if pos in results]
+    if transcript.x_results is None:
+        return None
+    channel = transcript.photons.channel(report.target)
+    probed = np.asarray(report.probed_positions, dtype=np.intp)
+    signs = transcript.x_results[channel][probed]
+    checked = signs >= 0
+    attacked = int(np.count_nonzero(checked))
     if not attacked:
         return None
-    return sum(int(results[pos][1]) for pos in attacked) / len(attacked)
+    prepared = transcript.photons.prepared_sign[channel][probed]
+    return int(np.count_nonzero(checked & (signs != prepared))) / attacked
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:

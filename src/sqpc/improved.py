@@ -18,14 +18,22 @@ probe got entangled with, so the second C-NOT always returns the probe to
 |0>.  Costs: participants need measurement hardware and the qubit
 efficiency halves (L compared bits for 4L photons each).
 
-As in :mod:`sqpc.jiang`, each participant's modes are one boolean SIFT
-mask over their 4L positions (True = SIFT), and the participant's own
-measure-resend reads sit in an array over the positions, -1 at CTRL.
+All 8L photons live in one batched register (see :mod:`sqpc.kernel`):
+participant A's 4L positions are rows 0..4L-1 and B's are rows
+4L..8L-1, so position p of B is row 4L + p.  Each protocol step is one
+kernel call over both channels: SIFT measure-resend, TP's X checks and
+TP's Z reads each measure their rows in (channel, wire, row) order, which
+draws what the step would draw for A's rows then B's.  As in
+:mod:`sqpc.jiang`, each participant's modes are one boolean SIFT mask
+over their 4L positions (True = SIFT); the participants' own
+measure-resend reads, TP's X reads and TP's Z reads are arrays over the
+rows, -1 where nothing was read.  Taps, disclosures and the public record
+see positions within a channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -46,7 +54,7 @@ from .jiang import (
     tp_compare,
     xor_bits,
 )
-from .kernel import Register, prepare_x, prepare_z, wire_groups
+from .kernel import Register, prepare_x, prepare_z, sort_rows
 
 
 @dataclass
@@ -89,30 +97,46 @@ class ImprovedConfig:
 
 @dataclass
 class PhotonBatch:
-    """One participant's photon stream as one batched register, row p =
-    position p.
+    """Photons as one batched register, row r = photon r.
 
-    ``wire`` and ``return_wire`` are the per-position wires as delivered
-    and as TP receives them; ``sift_bit`` holds the participant's own
-    measure-resend read at SIFT positions and -1 elsewhere.
+    The rows split into channels of ``channel_size`` rows each, one per
+    participant in ``PARTICIPANTS`` order.  ``wire`` and ``return_wire``
+    are the per-row wires as delivered and as TP receives them;
+    ``sift_bit`` holds the participant's own measure-resend read at SIFT
+    rows and -1 elsewhere.
     """
 
-    participant: str
     prepared_sign: np.ndarray
     register: Register
     wire: np.ndarray
+    channel_size: int
     return_wire: np.ndarray | None = None
     sift_bit: np.ndarray | None = None
 
     @classmethod
-    def prepare(cls, participant: str, signs) -> "PhotonBatch":
-        """One photon per position in the X eigenstate of the given sign."""
+    def prepare(cls, signs, channel_size: int | None = None) -> "PhotonBatch":
+        """One photon per row in the X eigenstate of the given sign; one
+        channel of all rows unless ``channel_size`` is given."""
         signs = np.asarray(signs, dtype=np.intp)
-        return cls(participant, signs, Register(prepare_x(signs)), np.zeros(len(signs), dtype=np.intp))
+        wire = np.zeros(len(signs), dtype=np.intp)
+        return cls(signs, Register(prepare_x(signs)), wire, channel_size or len(signs))
 
     @property
-    def positions(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
         return np.arange(len(self.prepared_sign))
+
+    def channel(self, participant: str) -> slice:
+        """The rows of ``participant``'s positions."""
+        start = PARTICIPANTS.index(participant) * self.channel_size
+        return slice(start, start + self.channel_size)
+
+    def by_channel_and_wire(self, selected: np.ndarray, wires: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``selected`` rows (a mask) and their entries of the per-row
+        ``wires``, in (channel, wire, row) order: one measurement over them
+        draws what one call per channel and wire would."""
+        rows = selected.nonzero()[0]
+        rows, _, wires = sort_rows(rows, rows // self.channel_size, wires[rows])
+        return rows, wires
 
 
 @dataclass(frozen=True)
@@ -125,15 +149,23 @@ class CheckDisclosure:
 
 @dataclass
 class ImprovedTranscript:
+    """Everything TP sees, plus the session's photon register.
+
+    ``x_results`` is TP's X read of each reflected photon and ``tp_r`` its
+    Z read of each SIFT return, both over the rows of ``photons`` and -1
+    where nothing was measured (``None`` when the session aborted before
+    TP measured).
+    """
+
     config: ImprovedConfig
-    records: dict[str, PhotonBatch]
+    photons: PhotonBatch
     modes: dict[str, np.ndarray]  # participant -> SIFT mask
     sift_positions: dict[str, np.ndarray]
     r_positions: dict[str, np.ndarray]
-    x_results: dict[str, dict[int, tuple[int, bool]]] = field(default_factory=dict)
+    x_results: np.ndarray | None = None
     x_mismatch_count: int = 0
     ctrl_position_count: int = 0
-    tp_r: dict[str, dict[int, int]] = field(default_factory=dict)
+    tp_r: np.ndarray | None = None
     disclosures: dict[str, CheckDisclosure] | None = None
     disclosure_mismatch_count: int | None = None
     tp_masks: dict[str, Bits] | None = None
@@ -142,64 +174,47 @@ class ImprovedTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_photons(config: ImprovedConfig, rng: np.random.Generator) -> dict[str, PhotonBatch]:
-    """8L photons in uniformly random |+>/|-> states, the first 4L for
-    participant A and the rest for B, one batched register each."""
-    per = config.photons_per_participant
-    signs = rng.integers(0, 2, size=2 * per)
-    return {
-        participant: PhotonBatch.prepare(participant, signs[offset : offset + per])
-        for offset, participant in zip((0, per), PARTICIPANTS)
-    }
+def tp_prepare_photons(config: ImprovedConfig, rng: np.random.Generator) -> PhotonBatch:
+    """8L photons in uniformly random |+>/|-> states in one batched
+    register, the first 4L for participant A and the rest for B."""
+    signs = rng.integers(0, 2, size=config.photons_total)
+    return PhotonBatch.prepare(signs, config.photons_per_participant)
 
 
 def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Z-measure the incoming photon at every SIFT position (``sift`` is the
-    participant's SIFT mask) and resend a fresh qubit carrying the outcome,
-    recorded in ``photons.sift_bit``.  CTRL positions reflect.  Returns the
-    outgoing wire of every position."""
+    """Z-measure the incoming photon at every SIFT row (``sift`` is a mask
+    over the rows) and resend a fresh qubit carrying the outcome, recorded
+    in ``photons.sift_bit``.  CTRL rows reflect.  Returns the outgoing wire
+    of every row."""
     photons.sift_bit = np.full(len(sift), -1, dtype=np.intp)
     if not sift.any():
         return photons.wire
-    sifted = sift.nonzero()[0]
-    for (wire,), rows in wire_groups(sifted, photons.wire[sifted]):
-        photons.sift_bit[rows] = photons.register.measure_z(wire, rng, rows)
+    rows, wires = photons.by_channel_and_wire(sift, photons.wire)
+    photons.sift_bit[rows] = photons.register.measure_z(wires, rng, rows)
     fresh = photons.register.adjoin(prepare_z(np.where(sift, photons.sift_bit, 0)))
     return np.where(sift, fresh, photons.wire)
 
 
-def tp_check_ctrl_x(
-    records: dict[str, PhotonBatch],
-    modes: dict[str, np.ndarray],
-    rng: np.random.Generator,
-) -> tuple[int, dict[str, dict[int, tuple[int, bool]]]]:
-    """X-measure every reflected photon (False in the participant's SIFT
-    mask) and compare with the prepared sign.
+def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """X-measure every reflected photon (True in ``ctrl``, a mask over the
+    rows) and compare with the prepared sign.
 
-    Returns the total mismatch count and the per-position results, keyed
-    by participant then position.
+    Returns the mismatch count and the sign read at each row, -1 where
+    nothing was measured.
     """
-    mismatches = 0
-    results: dict[str, dict[int, tuple[int, bool]]] = {}
-    for participant in PARTICIPANTS:
-        photons = records[participant]
-        results[participant] = {}
-        ctrl = (~modes[participant]).nonzero()[0]
-        for (wire,), rows in wire_groups(ctrl, photons.return_wire[ctrl]):
-            signs = photons.register.measure_x(wire, rng, rows)
-            mismatch = signs != photons.prepared_sign[rows]
-            mismatches += int(mismatch.sum())
-            results[participant].update(zip(rows.tolist(), zip(signs.tolist(), mismatch.tolist())))
-    return mismatches, results
+    signs = np.full(len(ctrl), -1, dtype=np.intp)
+    rows, wires = photons.by_channel_and_wire(ctrl, photons.return_wire)
+    signs[rows] = photons.register.measure_x(wires, rng, rows)
+    return int(np.count_nonzero(signs[rows] != photons.prepared_sign[rows])), signs
 
 
-def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> dict[int, int]:
-    """TP's Z-reads of every SIFT return (True in ``sift``), keyed by position."""
-    reads: dict[int, int] = {}
-    sifted = sift.nonzero()[0]
-    for (wire,), rows in wire_groups(sifted, photons.return_wire[sifted]):
-        reads.update(zip(rows.tolist(), photons.register.measure_z(wire, rng, rows).tolist()))
-    return dict(sorted(reads.items()))
+def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """TP's Z-reads of every SIFT return (True in ``sift``, a mask over the
+    rows), -1 at the other rows."""
+    reads = np.full(len(sift), -1, dtype=np.intp)
+    rows, wires = photons.by_channel_and_wire(sift, photons.return_wire)
+    reads[rows] = photons.register.measure_z(wires, rng, rows)
+    return reads
 
 
 def disclose_half_r(
@@ -214,18 +229,18 @@ def disclose_half_r(
         raise ValueError("positions and bits must align")
     if count is None:
         count = len(positions) // 2
-    picked = sorted(int(i) for i in rng.permutation(len(positions))[:count])
+    picked = np.sort(rng.permutation(len(positions))[:count])
     return CheckDisclosure(
-        positions=tuple(positions[i] for i in picked),
-        values=tuple(r_bits[i] for i in picked),
+        positions=tuple(np.asarray(positions)[picked].tolist()),
+        values=tuple(np.asarray(r_bits)[picked].tolist()),
     )
 
 
-def tp_verify_disclosure(disclosure: CheckDisclosure, tp_reads: dict[int, int]) -> int:
-    """Count disagreements between a disclosure and TP's own Z-reads."""
-    return sum(
-        int(tp_reads[pos] != value) for pos, value in zip(disclosure.positions, disclosure.values)
-    )
+def tp_verify_disclosure(disclosure: CheckDisclosure, tp_reads: np.ndarray) -> int:
+    """Count disagreements between a disclosure and TP's own Z-reads, an
+    array over the participant's positions."""
+    read = tp_reads[np.asarray(disclosure.positions, dtype=np.intp)]
+    return int(np.count_nonzero(read != np.asarray(disclosure.values, dtype=np.intp)))
 
 
 def derive_improved_message(secret: Sequence[int], mask: Sequence[int], key: Sequence[int]) -> Bits:
@@ -250,14 +265,14 @@ def run_improved_session(
     if not len(secret_a) == len(secret_b) == len(key) == L:
         raise ValueError("secrets and key must all have length L")
 
-    records = tp_prepare_photons(config, rng)
+    photons = tp_prepare_photons(config, rng)
     modes = {p: draw_modes(config.photons_per_participant, config.sift_count, config.mode_policy, rng) for p in PARTICIPANTS}
     sift = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
     r_positions = {p: sift[p][: config.sift_count] for p in PARTICIPANTS}
 
     transcript = ImprovedTranscript(
         config=config,
-        records=records,
+        photons=photons,
         modes=modes,
         sift_positions=sift,
         r_positions=r_positions,
@@ -282,29 +297,32 @@ def run_improved_session(
         if tap.identity in PARTICIPANTS:
             tap.observe_own_modes(modes[tap.identity])
 
+    channel = {p: photons.channel(p) for p in PARTICIPANTS}
+    rows = photons.rows
     for participant in PARTICIPANTS:
-        photons = records[participant]
+        own = channel[participant]
         for tap in taps:
             if tap.target == participant:
-                photons.wire = tap.on_forward(photons.positions, photons.register, photons.wire, rng)
+                photons.wire[own] = tap.on_forward(rows[own], photons.register, photons.wire[own], rng)
+
+    sift_rows = np.concatenate([modes[p] for p in PARTICIPANTS])
+    photons.return_wire = sift_measure_resend(photons, sift_rows, rng)
 
     for participant in PARTICIPANTS:
-        records[participant].return_wire = sift_measure_resend(records[participant], modes[participant], rng)
-
-    for participant in PARTICIPANTS:
-        photons = records[participant]
+        own = channel[participant]
         for tap in taps:
             if tap.target == participant:
-                photons.return_wire = tap.on_return(photons.positions, photons.register, photons.return_wire, rng)
+                photons.return_wire[own] = tap.on_return(rows[own], photons.register, photons.return_wire[own], rng)
 
     # Receipt confirmed; modes are now declared.  TP measures everything,
     # then runs the two integrity checks in order.
-    mismatches, x_results = tp_check_ctrl_x(records, modes, rng)
-    transcript.x_results = x_results
+    ctrl_rows = ~sift_rows
+    mismatches, transcript.x_results = tp_check_ctrl_x(photons, ctrl_rows, rng)
     transcript.x_mismatch_count = mismatches
-    transcript.ctrl_position_count = sum(len(modes[p]) - len(sift[p]) for p in PARTICIPANTS)
-    for participant in PARTICIPANTS:
-        transcript.tp_r[participant] = tp_read_sift(records[participant], modes[participant], rng)
+    transcript.ctrl_position_count = int(np.count_nonzero(ctrl_rows))
+    transcript.tp_r = tp_read_sift(photons, sift_rows, rng)
+    own_r = {p: photons.sift_bit[channel[p]] for p in PARTICIPANTS}
+    tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
 
     if transcript.ctrl_position_count > 0 and mismatches / transcript.ctrl_position_count > config.error_threshold:
         outcome = ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
@@ -312,16 +330,12 @@ def run_improved_session(
         published = PublicRecord(protocol="improved", L=L, modes=modes, announced=outcome.kind)
         return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
 
-    disclosures = {}
-    for participant in PARTICIPANTS:
-        bits = records[participant].sift_bit[r_positions[participant]].tolist()
-        disclosures[participant] = disclose_half_r(
-            r_positions[participant].tolist(), bits, rng, count=config.check_count
-        )
+    disclosures = {
+        p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=config.check_count)
+        for p in PARTICIPANTS
+    }
     transcript.disclosures = disclosures
-    disclosure_mismatches = sum(
-        tp_verify_disclosure(disclosures[p], transcript.tp_r[p]) for p in PARTICIPANTS
-    )
+    disclosure_mismatches = sum(tp_verify_disclosure(disclosures[p], tp_r[p]) for p in PARTICIPANTS)
     transcript.disclosure_mismatch_count = disclosure_mismatches
     disclosed_total = sum(len(disclosures[p].positions) for p in PARTICIPANTS)
 
@@ -333,16 +347,15 @@ def run_improved_session(
         )
         return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
 
-    masks_own: dict[str, Bits] = {}
     masks_tp: dict[str, Bits] = {}
     published_m: dict[str, Bits] = {}
     for participant in PARTICIPANTS:
-        disclosed = set(disclosures[participant].positions)
-        mask_positions = [pos for pos in r_positions[participant].tolist() if pos not in disclosed]
-        masks_own[participant] = records[participant].sift_bit[mask_positions].tolist()
-        masks_tp[participant] = [transcript.tp_r[participant][pos] for pos in mask_positions]
+        undisclosed = np.ones(config.photons_per_participant, dtype=bool)
+        undisclosed[list(disclosures[participant].positions)] = False
+        mask_positions = r_positions[participant][undisclosed[r_positions[participant]]]
+        masks_tp[participant] = tp_r[participant][mask_positions].tolist()
         published_m[participant] = derive_improved_message(
-            secrets[participant], masks_own[participant], key
+            secrets[participant], own_r[participant][mask_positions].tolist(), key
         )
     transcript.tp_masks = masks_tp
     transcript.published_m = published_m

@@ -31,12 +31,13 @@ all return transits; see :mod:`sqpc.attacks`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .kernel import Register, prepare_bell, prepare_z, wire_groups
+from .kernel import Register, prepare_bell, prepare_z, sort_rows
 
 if TYPE_CHECKING:  # taps are duck-typed; see sqpc.attacks.ChannelTap
     from .attacks import AttackReport, ChannelTap
@@ -191,10 +192,22 @@ class SessionTranscript:
     outcome: ComparisonOutcome | None = None
 
 
+@functools.lru_cache(maxsize=None)
+def _bell_cdf(weights: tuple[float, float, float, float]) -> np.ndarray:
+    """Cumulative Bell weights, normalized as ``Generator.choice`` does."""
+    cdf = np.asarray(weights, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def tp_prepare_pairs(config: SessionConfig, rng: np.random.Generator) -> PairBatch:
     """Draw 2L Bell variants from the configured distribution into one
-    batched register (qubit 0 = Alice's half, 1 = Bob's)."""
-    variants = rng.choice(4, size=2 * config.L, p=np.asarray(config.bell_weights, dtype=float))
+    batched register (qubit 0 = Alice's half, 1 = Bob's).
+
+    One uniform per pair, inverted through the cumulative weights: the
+    draws and variants of ``rng.choice(4, size=2L, p=bell_weights)``,
+    without its per-call validation of the weights."""
+    variants = _bell_cdf(tuple(config.bell_weights)).searchsorted(rng.random(2 * config.L), side="right")
     return PairBatch.prepare(variants)
 
 
@@ -245,22 +258,23 @@ def tp_resolve_positions(
 
     CTRL/CTRL positions get a Bell measurement on the two returned wires.
     At any other position TP Z-reads each SIFT return and leaves a
-    reflected half, if any, unmeasured.  One batch call per distinct set
-    of returned wires: Bell measurements first, then Alice's reads, then
-    Bob's.  Returns ``(bell, bits_a, bits_b)``: the ``BellState`` value per
-    position and each participant's Z bit per position, -1 where that
-    measurement was not made.
+    reflected half, if any, unmeasured.  One batch call per step with
+    per-row wires, rows sorted by wire: Bell measurements first, then
+    Alice's reads, then Bob's.  Returns ``(bell, bits_a, bits_b)``: the
+    ``BellState`` value per position and each participant's Z bit per
+    position, -1 where that measurement was not made.
     """
     bell = np.full(len(pairs.prepared), -1, dtype=np.intp)
     ctrl_ctrl = (~(sift_a | sift_b)).nonzero()[0]
-    for (w1, w2), rows in wire_groups(ctrl_ctrl, pairs.returns["A"][ctrl_ctrl], pairs.returns["B"][ctrl_ctrl]):
+    if len(ctrl_ctrl):
+        rows, w1, w2 = sort_rows(ctrl_ctrl, pairs.returns["A"][ctrl_ctrl], pairs.returns["B"][ctrl_ctrl])
         bell[rows] = pairs.register.measure_bell(w1, w2, rng, rows)
     bits = []
     for participant, sift in (("A", sift_a), ("B", sift_b)):
         read = np.full(len(sift), -1, dtype=np.intp)
         sifted = sift.nonzero()[0]
-        for (wire,), rows in wire_groups(sifted, pairs.returns[participant][sifted]):
-            read[rows] = pairs.register.measure_z(wire, rng, rows)
+        rows, wires = sort_rows(sifted, pairs.returns[participant][sifted])
+        read[rows] = pairs.register.measure_z(wires, rng, rows)
         bits.append(read)
     return bell, bits[0], bits[1]
 

@@ -12,16 +12,25 @@ of a basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in
 |0> and qubits 1 and 2 in |1>.  All operations return fresh arrays or
 collapse-and-renormalize, so states stay unit norm to double precision.
 
+On a batch with one axis, the gates and measurements also take one wire
+per row: an int array aligned with the rows, so rows whose qubits travel
+on different wires share one call.  Such a call gathers each row through
+the table of its own wires; when every row has the same wire it uses the
+shared axis-0 table.
+
 X-basis labels follow the Hadamard image of the computational basis:
 ``PLUS == 0`` encodes |+> = H|0> and ``MINUS == 1`` encodes |-> = H|1>.
 
 Every measurement draws exactly one uniform variate per measured state
 (one per row of a batch), all in a single ``rng.random(batch)`` call on
-the caller's ``numpy.random.Generator``.  Whole-protocol runs are then
-reproducible from a single seed whatever the amplitudes happen to be.  The
-outcome is the first one whose cumulative probability exceeds the scaled
-uniform; when rounding leaves the uniform at the total, it is the last
-outcome of nonzero probability, so a collapse never divides by zero.
+the caller's ``numpy.random.Generator``: uniform ``i`` goes to row ``i``,
+whatever the row's wires.  Whole-protocol runs are then reproducible from
+a single seed whatever the amplitudes happen to be.  A caller that lists
+its rows sorted by wire with a stable sort draws exactly what one call
+per distinct wire, in ascending wire order, would draw.  The outcome is
+the first one whose cumulative probability exceeds the scaled uniform;
+when rounding leaves the uniform at the total, it is the last outcome of
+nonzero probability, so a collapse never divides by zero.
 """
 
 from __future__ import annotations
@@ -157,6 +166,86 @@ def _pair_table(n: int, q1: int, q2: int) -> np.ndarray:
     return np.stack([rest, rest | m2, rest | m1, rest | m1 | m2])
 
 
+# Per-row tables: every table of a width side by side on one trailing
+# axis, entry w for wires (w,) or w1 * n + w2 for wires (w1, w2), so one
+# ``take`` picks each row's table by its wires.  Entries whose two wires
+# coincide are left at label 0 and never used: per-row wires are checked
+# first.
+
+
+@functools.lru_cache(maxsize=None)
+def _cnot_tables(n: int) -> np.ndarray:
+    """(2**n, n*n): entry c * n + t is ``_cnot_table(n, c, t)``."""
+    out = np.zeros((1 << n, n, n), dtype=np.intp)
+    for c in range(n):
+        for t in range(n):
+            if c != t:
+                out[:, c, t] = _cnot_table(n, c, t)
+    return out.reshape(1 << n, n * n)
+
+
+@functools.lru_cache(maxsize=None)
+def _split_tables(n: int) -> np.ndarray:
+    """(2, 2**(n-1), n): entry q is ``_split_table(n, q)``."""
+    return np.stack([_split_table(n, q) for q in range(n)], axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_tables(n: int) -> np.ndarray:
+    """(4, 2**(n-2), n*n): entry q1 * n + q2 is ``_pair_table(n, q1, q2)``."""
+    out = np.zeros((4, 1 << (n - 2), n, n), dtype=np.intp)
+    for q1 in range(n):
+        for q2 in range(n):
+            if q1 != q2:
+                out[..., q1, q2] = _pair_table(n, q1, q2)
+    return out.reshape(4, 1 << (n - 2), n * n)
+
+
+def _row_index(amps: np.ndarray, n: int, table, row_tables, wires: tuple):
+    """Where an op on ``wires`` gathers ``amps`` from, when some wire is
+    one wire per row of a batch with one axis (an int array aligned with
+    it) and the others are ints.
+
+    When every row shares its wires, this is the axis-0 table
+    ``table(n, *wires)`` that int wires get.  Otherwise it is a (labels,
+    columns) pair that picks row i's table from ``row_tables(n)`` by its
+    wires.  A wire out of range, or two wires equal on some row, raises
+    ``ValueError``.
+    """
+    shared = []
+    for w in wires:
+        if not (isinstance(w, np.ndarray) and w.ndim):
+            _check_wire(int(w), n)
+            shared.append(int(w))
+            continue
+        if w.shape != amps.shape[1:] or w.ndim != 1:
+            raise ValueError(f"per-row wires of shape {w.shape} do not align with a batch of shape {amps.shape[1:]}")
+        distinct = set(w.tolist())
+        if not distinct:
+            shared.append(None)
+            continue
+        low, high = min(distinct), max(distinct)
+        if low < 0 or high >= n:
+            raise ValueError(f"qubit {low if low < 0 else high} out of bounds for a {n}-qubit register")
+        shared.append(low if low == high else None)
+    if None not in shared:
+        return table(n, *shared)
+    if len(wires) == 2 and np.any(np.equal(*wires)):
+        raise ValueError("the two wires of a row must be distinct qubits")
+    entry = wires[0] if len(wires) == 1 else wires[0] * n + wires[1]
+    # ``take`` keeps the labels contiguous, and so the gathered blocks.
+    return row_tables(n).take(entry, axis=-1), np.arange(amps.shape[1])
+
+
+def _split_index(amps: np.ndarray, q):
+    """Where a one-qubit op on ``q`` (an int, or one wire per row) gathers
+    ``amps`` from."""
+    n = num_qubits(amps)
+    if isinstance(q, np.ndarray):
+        return _row_index(amps, n, _split_table, _split_tables, (q,))
+    return _split_table(n, q)
+
+
 def _from_table(table: np.ndarray, values) -> np.ndarray:
     """States ``table[values]`` with the amplitude axis first."""
     return table.T[:, values]
@@ -200,16 +289,20 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] * b[None, :]).reshape((-1,) + batch)
 
 
-def apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Flip ``target`` on every basis label whose ``control`` bit is 1."""
-    return amps[_cnot_table(num_qubits(amps), control, target)]
+def apply_cnot(amps: np.ndarray, control, target) -> np.ndarray:
+    """Flip ``target`` on every basis label whose ``control`` bit is 1.
+    Either wire may be one per row (see :func:`_row_index`)."""
+    n = num_qubits(amps)
+    if isinstance(control, np.ndarray) or isinstance(target, np.ndarray):
+        return amps[_row_index(amps, n, _cnot_table, _cnot_tables, (control, target))]
+    return amps[_cnot_table(n, control, target)]
 
 
-def apply_hadamard(amps: np.ndarray, q: int) -> np.ndarray:
+def apply_hadamard(amps: np.ndarray, q) -> np.ndarray:
     """Hadamard on one qubit (the basis change used by X measurements)."""
-    table = _split_table(num_qubits(amps), q)
+    index = _split_index(amps, q)
     out = np.empty_like(amps)
-    out[table] = _rotate_in(amps[table])
+    out[index] = _rotate_in(amps[index])
     return out
 
 
@@ -239,22 +332,22 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 _TINY = 2.0**-1022
 
 
-def _measure(amps: np.ndarray, table: np.ndarray, rng: np.random.Generator, rotated: bool = False):
-    """Projective measurement onto the outcome blocks ``amps[table]``,
+def _measure(amps: np.ndarray, index, rng: np.random.Generator, rotated: bool = False):
+    """Projective measurement onto the outcome blocks ``amps[index]``,
     rotated into the X or Bell basis by :func:`_rotate_in` when
     ``rotated``.  Returns the outcome indices (shape ``batch``) and the
     renormalized collapsed states."""
-    parts = amps[table]
+    parts = amps[index]
     if rotated:
         parts = _rotate_in(parts)
     probs = _probabilities(parts)
     outcome = _sample(probs, rng)
-    chosen = _OUTCOMES[: len(table)].reshape((-1,) + (1,) * outcome.ndim) == outcome
+    chosen = _OUTCOMES[: len(parts)].reshape((-1,) + (1,) * outcome.ndim) == outcome
     parts = parts * (chosen / np.sqrt(probs + _TINY))[:, None]
     if rotated:
         parts = _rotate_out(parts)
     out = np.empty_like(amps)
-    out[table] = parts
+    out[index] = parts
     return outcome, out
 
 
@@ -263,15 +356,16 @@ def _bits(outcome: np.ndarray):
     return int(outcome) if outcome.ndim == 0 else outcome
 
 
-def measure_z(amps: np.ndarray, q: int, rng: np.random.Generator):
+def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
     """Projective Z measurement of one qubit.
 
     Parameters
     ----------
     amps : ndarray
         Unit-norm state, shape ``(2**n, *batch)``.
-    q : int
-        Qubit to measure.
+    q : int or ndarray
+        Qubit to measure: one for every state, or one per row of a batch
+        with one axis (an int array aligned with it).
     rng : numpy.random.Generator
         Source of the Born-rule draws, one per state.
 
@@ -281,18 +375,18 @@ def measure_z(amps: np.ndarray, q: int, rng: np.random.Generator):
         The sampled outcome (an ``int`` for a single state, an int array
         of shape ``batch`` otherwise) and the renormalized states.
     """
-    outcome, out = _measure(amps, _split_table(num_qubits(amps), q), rng)
+    outcome, out = _measure(amps, _split_index(amps, q), rng)
     return _bits(outcome), out
 
 
-def measure_x(amps: np.ndarray, q: int, rng: np.random.Generator):
+def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
     """Projective X measurement of one qubit.
 
     Returns PLUS (0) for |+> and MINUS (1) for |->, with the collapsed
     state left in the corresponding X eigenstate; shapes as in
     :func:`measure_z`.
     """
-    outcome, out = _measure(amps, _split_table(num_qubits(amps), q), rng, rotated=True)
+    outcome, out = _measure(amps, _split_index(amps, q), rng, rotated=True)
     return _bits(outcome), out
 
 
@@ -302,8 +396,9 @@ def bell_probabilities(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
     return _probabilities(_rotate_in(amps[_pair_table(num_qubits(amps), q1, q2)]))
 
 
-def measure_bell(amps: np.ndarray, q1: int, q2: int, rng: np.random.Generator):
-    """Projective measurement of qubits (q1, q2) in the Bell basis.
+def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
+    """Projective measurement of qubits (q1, q2) in the Bell basis; either
+    may be one per row, as in :func:`measure_z`.
 
     The outcome is sampled from the four Bell projector probabilities and
     the returned state is the renormalized collapse, with the pair left in
@@ -311,7 +406,12 @@ def measure_bell(amps: np.ndarray, q1: int, q2: int, rng: np.random.Generator):
     accordingly.  A single state gives a ``BellState``; a batch gives an
     int array of ``BellState`` values.
     """
-    outcome, out = _measure(amps, _pair_table(num_qubits(amps), q1, q2), rng, rotated=True)
+    n = num_qubits(amps)
+    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
+        index = _row_index(amps, n, _pair_table, _pair_tables, (q1, q2))
+    else:
+        index = _pair_table(n, q1, q2)
+    outcome, out = _measure(amps, index, rng, rotated=True)
     return (BellState(int(outcome)) if outcome.ndim == 0 else outcome), out
 
 
@@ -334,22 +434,14 @@ def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool
     return bool(np.max(np.abs(amps - phase * expected)) <= tol)
 
 
-def wire_groups(rows: np.ndarray, *wires: np.ndarray):
-    """Split ``rows`` into groups whose states share every wire.
-
-    ``wires`` are per-row wire arrays aligned with ``rows``.  Yields
-    ``(wire_tuple, group_rows)`` for each distinct combination, in
-    ascending order, so a caller can make one batch call per group.
-    """
-    combos = sorted(set(zip(*(w.tolist() for w in wires))))
-    if len(combos) == 1:
-        yield combos[0], rows
-        return
-    for combo in combos:
-        mask = wires[0] == combo[0]
-        for w, wire in zip(wires[1:], combo[1:]):
-            mask &= w == wire
-        yield combo, rows[mask]
+def sort_rows(rows: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``rows`` and the aligned ``keys`` (per-row wires, or a channel then
+    wires), reordered by the keys with a stable sort, the first key most
+    significant.  Measuring the sorted rows on their sorted wires in one
+    call draws the uniforms that one call per distinct key combination, in
+    ascending order, would draw."""
+    order = np.lexsort(keys[::-1])
+    return (rows[order], *(key[order] for key in keys))
 
 
 class Register:
@@ -358,11 +450,13 @@ class Register:
     Thin stateful wrapper over the kernel ops: qubits can only be adjoined
     (never removed), so wire indices handed out by :meth:`adjoin` stay
     valid for the life of the register, and every row of a batch has the
-    same wires.  A row that does not need an adjoined qubit keeps it idle
+    same width.  A row that does not need an adjoined qubit keeps it idle
     in |0>.  Gates and measurements act on every row, or only on ``rows``
-    (indices into the single batch axis) when given.  Adversary taps act
-    on registers exclusively through these methods, never by reading
-    amplitudes, so that every bit an attacker learns comes from a
+    (indices into the single batch axis) when given; each wire is an int
+    for all of them or an int array aligned with them, one per row.
+    Measurement uniform ``i`` goes to the i-th selected row.  Adversary
+    taps act on registers exclusively through these methods, never by
+    reading amplitudes, so that every bit an attacker learns comes from a
     measurement outcome.
     """
 
@@ -391,23 +485,23 @@ class Register:
         self.amps = tensor(self.amps, amps)
         return wire
 
-    def cnot(self, control: int, target: int, rows=None) -> None:
+    def cnot(self, control, target, rows=None) -> None:
         self._set(rows, apply_cnot(self._get(rows), control, target))
 
-    def hadamard(self, wire: int, rows=None) -> None:
+    def hadamard(self, wire, rows=None) -> None:
         self._set(rows, apply_hadamard(self._get(rows), wire))
 
-    def measure_z(self, wire: int, rng: np.random.Generator, rows=None):
+    def measure_z(self, wire, rng: np.random.Generator, rows=None):
         bit, amps = measure_z(self._get(rows), wire, rng)
         self._set(rows, amps)
         return bit
 
-    def measure_x(self, wire: int, rng: np.random.Generator, rows=None):
+    def measure_x(self, wire, rng: np.random.Generator, rows=None):
         sign, amps = measure_x(self._get(rows), wire, rng)
         self._set(rows, amps)
         return sign
 
-    def measure_bell(self, w1: int, w2: int, rng: np.random.Generator, rows=None):
+    def measure_bell(self, w1, w2, rng: np.random.Generator, rows=None):
         outcome, amps = measure_bell(self._get(rows), w1, w2, rng)
         self._set(rows, amps)
         return outcome

@@ -35,32 +35,31 @@ def probe_reads(eve):
 
 class TestPreparation:
     def test_counts_per_participant(self, rng):
-        records = tp_prepare_photons(ImprovedConfig(L=1), rng)
-        assert len(records["A"].prepared_sign) == 4
-        assert len(records["B"].prepared_sign) == 4
+        photons = tp_prepare_photons(ImprovedConfig(L=1), rng)
+        assert len(photons.prepared_sign[photons.channel("A")]) == 4
+        assert len(photons.prepared_sign[photons.channel("B")]) == 4
 
     def test_sign_frequency(self, rng):
-        records = tp_prepare_photons(ImprovedConfig(L=1250), rng)
-        signs = np.concatenate([records[p].prepared_sign for p in ("A", "B")])
+        photons = tp_prepare_photons(ImprovedConfig(L=1250), rng)
+        signs = photons.prepared_sign
         assert abs(np.mean(signs) - 0.5) < 0.015
 
     def test_prepared_states_are_x_eigenstates(self, rng):
-        records = tp_prepare_photons(ImprovedConfig(L=2), rng)
-        for photons in records.values():
-            (wire,) = set(photons.wire.tolist())
-            assert np.array_equal(photons.register.measure_x(wire, rng), photons.prepared_sign)
+        photons = tp_prepare_photons(ImprovedConfig(L=2), rng)
+        (wire,) = set(photons.wire.tolist())
+        assert np.array_equal(photons.register.measure_x(wire, rng), photons.prepared_sign)
 
 class TestSiftMeasureResend:
     def test_r_bit_uniform_on_plus_input(self, rng):
         # 4000 SIFTed |+> photons, one batch position each.
         trials = 4000
-        photons = PhotonBatch.prepare("A", [PLUS] * trials)
+        photons = PhotonBatch.prepare([PLUS] * trials)
         sift_measure_resend(photons, np.ones(trials, dtype=bool), rng)
         ones = int(photons.sift_bit.sum())
         assert abs(ones / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_resent_qubit_carries_the_bit(self, rng):
-        photons = PhotonBatch.prepare("A", [PLUS] * 50)
+        photons = PhotonBatch.prepare([PLUS] * 50)
         wires = sift_measure_resend(photons, np.ones(50, dtype=bool), rng)
         (wire,) = set(wires.tolist())
         assert np.array_equal(photons.register.measure_z(wire, rng), photons.sift_bit)
@@ -68,19 +67,18 @@ class TestSiftMeasureResend:
 class TestCtrlCheck:
     def test_honest_ctrl_always_matches(self, rng):
         config = ImprovedConfig(L=4)
-        records = tp_prepare_photons(config, rng)
-        modes = {p: np.zeros(16, dtype=bool) for p in ("A", "B")}
-        for p in ("A", "B"):
-            records[p].return_wire = records[p].wire
-        mismatches, results = tp_check_ctrl_x(records, modes, rng)
+        photons = tp_prepare_photons(config, rng)
+        ctrl = np.ones(32, dtype=bool)
+        photons.return_wire = photons.wire
+        mismatches, signs = tp_check_ctrl_x(photons, ctrl, rng)
         assert mismatches == 0
-        assert all(len(results[p]) == 16 for p in ("A", "B"))
+        assert all(np.count_nonzero(signs[photons.channel(p)] >= 0) == 16 for p in ("A", "B"))
 
     def test_z_measured_transit_flips_half_the_time(self, rng):
         # Oracle: |<-+|0>|^2 = |<-+|1>|^2 = 1/2 on either collapse branch.
         trials = 4000
         signs = rng.integers(2, size=trials)
-        photons = PhotonBatch.prepare("A", signs)
+        photons = PhotonBatch.prepare(signs)
         photons.register.measure_z(0, rng)  # adversarial Z read in transit
         mismatches = int((photons.register.measure_x(0, rng) != signs).sum())
         assert abs(mismatches / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
@@ -88,11 +86,11 @@ class TestCtrlCheck:
     def test_double_cnot_roundtrip_keeps_x_state(self, rng):
         # Probe CNOT pairs leave reflected |+/-> photons untouched: enumerate
         # both signs.
-        photons = PhotonBatch.prepare("A", [0, 1])
+        photons = PhotonBatch.prepare([0, 1])
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.positions, photons.register, photons.wire, rng)
+        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, rng)
         photons.return_wire = photons.wire
-        photons.return_wire = eve.on_return(photons.positions, photons.register, photons.return_wire, rng)
+        photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, rng)
         assert probe_reads(eve) == {0: 0, 1: 0}
         assert photons.register.measure_x(0, rng).tolist() == [0, 1]
 
@@ -113,9 +111,10 @@ class TestDisclosure:
 
     def test_verify_counts_mismatches(self):
         disclosure = CheckDisclosure(positions=(1, 3), values=(0, 1))
-        assert tp_verify_disclosure(disclosure, {1: 0, 3: 1}) == 0
-        assert tp_verify_disclosure(disclosure, {1: 1, 3: 1}) == 1
-        assert tp_verify_disclosure(disclosure, {1: 1, 3: 0}) == 2
+        # TP's reads over positions 0..3, -1 where it read nothing.
+        assert tp_verify_disclosure(disclosure, np.array([-1, 0, -1, 1])) == 0
+        assert tp_verify_disclosure(disclosure, np.array([-1, 1, -1, 1])) == 1
+        assert tp_verify_disclosure(disclosure, np.array([-1, 1, -1, 0])) == 2
 
 class TestHonestSessions:
     def test_equal_and_not_equal(self, rng):
@@ -139,8 +138,10 @@ class TestHonestSessions:
         for p in ("A", "B"):
             # TP's Z-read agrees with the participant's measure-resend bit at
             # every honest SIFT position.
-            for pos, tp_bit in transcript.tp_r[p].items():
-                assert tp_bit == transcript.records[p].sift_bit[pos]
+            own = transcript.photons.channel(p)
+            tp_r = transcript.tp_r[own]
+            read = tp_r >= 0
+            assert np.array_equal(tp_r[read], transcript.photons.sift_bit[own][read])
             assert len(transcript.tp_masks[p]) == 6
         # masks cancel: published messages decode against TP masks
         m_t_full = [
@@ -163,7 +164,7 @@ class TestHonestSessions:
             assert len(transcript.sift_positions[p]) == 6
             assert len(transcript.r_positions[p]) == 6
             assert len(transcript.disclosures[p].positions) == 3
-            assert len(transcript.x_results[p]) == 6
+            assert np.count_nonzero(transcript.x_results[transcript.photons.channel(p)] >= 0) == 6
         assert transcript.ctrl_position_count == 12
         assert transcript.x_mismatch_count == 0
         assert transcript.disclosure_mismatch_count == 0
@@ -195,7 +196,7 @@ class TestHonestSessions:
             transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
             return (
                 {p: mask.tolist() for p, mask in transcript.modes.items()},
-                transcript.tp_r,
+                transcript.tp_r.tolist(),
                 transcript.disclosures,
                 transcript.published_m,
                 outcome,
@@ -221,11 +222,11 @@ class TestImmunity:
         # to |0> with certainty: run the pipeline and assert the probe read
         # is 0 every time (the only randomness is the r draw itself).
         # 40 photons of each sign, one batch position each.
-        photons = PhotonBatch.prepare("A", [0] * 40 + [1] * 40)
+        photons = PhotonBatch.prepare([0] * 40 + [1] * 40)
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.positions, photons.register, photons.wire, rng)
+        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, rng)
         photons.return_wire = sift_measure_resend(photons, np.ones(80, dtype=bool), rng)
-        photons.return_wire = eve.on_return(photons.positions, photons.register, photons.return_wire, rng)
+        photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, rng)
         assert probe_reads(eve) == {pos: 0 for pos in range(80)}
 
     def test_midflight_triggers_x_mismatches(self, rng):
@@ -237,8 +238,11 @@ class TestImmunity:
             transcript, outcome, _ = run_improved_session(
                 config, secret, secret, random_bits(4, rng), [DoubleCnotEve("A", midflight=True)], rng=rng
             )
-            mismatches += sum(int(m) for _, m in transcript.x_results["A"].values())
-            ctrl_attacked += len(transcript.x_results["A"])
+            own = transcript.photons.channel("A")
+            signs = transcript.x_results[own]
+            checked = signs >= 0
+            mismatches += int(np.count_nonzero(checked & (signs != transcript.photons.prepared_sign[own])))
+            ctrl_attacked += int(np.count_nonzero(checked))
         rate = mismatches / ctrl_attacked
         assert abs(rate - 0.5) < 4 * np.sqrt(0.25 / ctrl_attacked)
 

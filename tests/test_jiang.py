@@ -64,6 +64,27 @@ class TestPreparation:
         pairs = tp_prepare_pairs(config, rng)
         assert all(value == BellState.PHI_PLUS.value for value in pairs.prepared)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (0.25, 0.25, 0.25, 0.25),
+            (1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0),
+            (0.1, 0.2, 0.3, 0.4),
+            (0.5, 0.0, 0.5, 0.0),
+        ],
+    )
+    def test_variants_and_draws_match_weighted_choice(self, weights):
+        # The variants rng.choice(4, size=2L, p=weights) would give, from
+        # the same uniforms: the next draw of both generators agrees too.
+        for seed in range(200):
+            config = SessionConfig(L=1 + seed % 40, bell_weights=weights)
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            pairs = tp_prepare_pairs(config, ours)
+            expected = reference.choice(4, size=2 * config.L, p=np.asarray(weights, dtype=float))
+            assert np.array_equal(pairs.prepared, expected)
+            assert ours.random() == reference.random()
+
 class TestChooseModes:
     def test_balanced_counts(self, rng):
         modes = choose_modes(SessionConfig(L=4), rng)

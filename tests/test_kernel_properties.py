@@ -201,3 +201,87 @@ def test_register_rows_touch_only_the_selected_states(n, columns, seed, data):
     untouched = np.setdiff1d(np.arange(columns), rows)
     assert np.array_equal(register.amps[:, untouched], stack[:, untouched])
     assert np.max(np.abs(register.amps[:, rows] - sub.amps)) <= AGREE_TOL
+
+
+def draw_row_wires(data, kind: str, n: int, count: int) -> tuple:
+    """Per-row wires for ``count`` rows: one int array per wire of the op,
+    sometimes one int for every row instead."""
+    columns = [pick_wires(data, "bell" if kind in ("bell", "cnot") else kind, n) for _ in range(count)]
+    wires = tuple(np.array(column, dtype=np.intp) for column in zip(*columns))
+    if kind == "cnot" and data.draw(st.booleans()):
+        target = data.draw(st.integers(0, n - 1))
+        control = np.array([data.draw(st.integers(0, n - 1).filter(lambda q: q != target)) for _ in range(count)])
+        wires = (control, target)
+    return wires
+
+
+def apply_single(kind: str, state: np.ndarray, wires: tuple, rng):
+    if kind == "cnot":
+        return None, apply_cnot(state, *wires)
+    return measure(kind, state, wires, rng)
+
+
+@pytest.mark.parametrize("kind", ["z", "x", "bell", "cnot"])
+@settings(deadline=None)
+@given(n=st.integers(2, 5), columns=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_per_row_wires_match_single_states(kind, n, columns, seed, data):
+    rng = np.random.default_rng(seed)
+    stack = random_states(n, columns, rng)
+    rows = np.array(data.draw(st.permutations(range(columns))))[: data.draw(st.integers(1, columns))]
+    wires = draw_row_wires(data, kind, n, len(rows))
+    uniforms = rng.random(len(rows))
+
+    register = Register(stack.copy())
+    if kind == "cnot":
+        register.cnot(*wires, rows)
+    else:
+        method = {"z": register.measure_z, "x": register.measure_x, "bell": register.measure_bell}[kind]
+        outcomes = method(*wires, UniformSequence(uniforms), rows)
+
+    one_by_one = UniformSequence(uniforms)
+    for i, row in enumerate(rows.tolist()):
+        row_wires = tuple(int(np.asarray(w)[i]) if np.ndim(w) else w for w in wires)
+        outcome, expected = apply_single(kind, stack[:, row], row_wires, one_by_one)
+        if kind != "cnot":
+            assert int(outcomes[i]) == outcome
+        assert np.max(np.abs(register.amps[:, row] - expected)) <= AGREE_TOL
+    untouched = np.setdiff1d(np.arange(columns), rows)
+    assert np.array_equal(register.amps[:, untouched], stack[:, untouched])
+
+
+def per_row_calls(wires_of):
+    """Every per-row kernel entry point, each given per-row wires by ``wires_of(count)``."""
+    rng = np.random.default_rng(0)
+    return [
+        lambda register: register.measure_z(*wires_of(1), rng),
+        lambda register: register.measure_x(*wires_of(1), rng),
+        lambda register: register.measure_bell(*wires_of(2), rng),
+        lambda register: register.cnot(*wires_of(2)),
+    ]
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_per_row_wire_out_of_range_raises(bad):
+    # Three qubits, four rows; the bad wire sits on one row among good ones.
+    stack = random_states(3, 4, np.random.default_rng(1))
+
+    def wires_of(count):
+        first = np.array([0, bad, 0, 1])
+        return (first, np.array([1, 2, 2, 2]))[:count]
+
+    for call in per_row_calls(wires_of):
+        with pytest.raises(ValueError):
+            call(Register(stack.copy()))
+    # An int wire that goes with per-row wires is checked as well.
+    with pytest.raises(ValueError):
+        Register(stack.copy()).cnot(np.array([0, 1, 0, 1]), bad)
+
+
+def test_equal_wires_raise():
+    stack = random_states(3, 4, np.random.default_rng(2))
+    per_row = (np.array([0, 1, 2, 0]), np.array([1, 1, 0, 2]))  # row 1: both wires 1
+    for wires in (per_row, (1, 1), (np.array([1, 1, 1, 1]), 1)):
+        with pytest.raises(ValueError):
+            Register(stack.copy()).cnot(*wires)
+        with pytest.raises(ValueError):
+            Register(stack.copy()).measure_bell(*wires, np.random.default_rng(0))

@@ -1,8 +1,9 @@
 """Byte-identity of CSV reports across refactors that keep the rng draw order.
 
 Each digest is the sha256 of a CSV report for a fixed spec and seed:
-``run_experiment`` for every valid scenario x attack x mode policy, and
-the blocking and malicious-agent detection curves under both policies.
+``run_experiment`` for every valid scenario x attack x mode policy, the
+improved protocol's attacks again with target B, and the blocking and
+malicious-agent detection curves under both policies.
 A change that moves no rng draw must leave every digest as recorded.  A
 change that reorders draws on purpose re-records them with
 ``experiment_digest`` and ``curve_digest`` below and says so in its
@@ -48,6 +49,21 @@ EXPERIMENT_DIGESTS = {
     ("improved", "intercept-resend-z", "coin"): "b8f4fd8d78f2253e986ffa12887993e70b461bab2c0b0becce9f8cfe1353e276",
 }
 
+# Improved protocol with the attack on participant B's channel, whose
+# positions sit on the second half of the session's photon register.
+TARGET_B_DIGESTS = {
+    ("double-cnot", "balanced"): "0bbeb4036f54dfb713f2ebfe89b7b0c9e04c9cf90dc926d6c064a33f18748269",
+    ("double-cnot", "coin"): "6d97ae009eb02326168842f933091a95a3b1075c8cda42be40ec8e8bb3a5b26a",
+    ("double-cnot-midflight", "balanced"): "609e79deb65fe12ada05a407f4f11205f61c9245f34df3431f0a9933ffac037f",
+    ("double-cnot-midflight", "coin"): "638bdb5a130f05096dba11470c75e362edc31be69ef90eaa7f359d8f61066b98",
+    ("malicious-agent", "balanced"): "4154621f49e93b69550f891513ce03b029d44d8969d8ac889a04d3bf3a828e5d",
+    ("malicious-agent", "coin"): "07d3213fc3beb021f2a5c5815a292bf86f7d2d93f509aa4d3b023f5e84c3ce4c",
+    ("blocking", "balanced"): "2632aafb45426b855115ec512ff5001ae994e967d209b2bd5b7956e8e79a7e4c",
+    ("blocking", "coin"): "409bf839dfcc8083a62b3cf3c6f2cd94f56d19a51669e0216689a6ab63045237",
+    ("intercept-resend-z", "balanced"): "c4014cea6e9abb6f2977a3629575e071ab5f35e3e744c7da5f702a231549afc6",
+    ("intercept-resend-z", "coin"): "9c165313f82b9d095f365c64a33742fc5b5fc592e91adfcb521dc17ea8b10ab6",
+}
+
 CURVE_DIGESTS = {
     ("blocking", "balanced"): "3e4b4b1ff2f85d97ad2eb800c2b9caf9b94bb19f265862e6878d66d773022509",
     ("blocking", "coin"): "f493829b454f4b6212710880ee2536d0b64c4b00e3c831de39af919860833487",
@@ -73,8 +89,8 @@ def curve_cases():
     return [(attack, policy) for attack in CURVES for policy in MODE_POLICIES]
 
 
-def experiment_digest(scenario: str, attack: str, policy: str) -> str:
-    spec = ExperimentSpec(scenario=scenario, attack=attack, mode_policy=policy, **BASE)
+def experiment_digest(scenario: str, attack: str, policy: str, target: str = "A") -> str:
+    spec = ExperimentSpec(scenario=scenario, attack=attack, mode_policy=policy, target=target, **BASE)
     return _sha(emit_report(run_experiment(spec), "csv"))
 
 
@@ -86,6 +102,11 @@ def curve_digest(attack: str, policy: str) -> str:
 @pytest.mark.parametrize("scenario,attack,policy", experiment_cases())
 def test_experiment_csv_bytes(scenario, attack, policy):
     assert experiment_digest(scenario, attack, policy) == EXPERIMENT_DIGESTS[scenario, attack, policy]
+
+
+@pytest.mark.parametrize("attack,policy", sorted(TARGET_B_DIGESTS))
+def test_experiment_csv_bytes_target_b(attack, policy):
+    assert experiment_digest("improved", attack, policy, target="B") == TARGET_B_DIGESTS[attack, policy]
 
 
 @pytest.mark.parametrize("attack,policy", curve_cases())
