@@ -28,7 +28,7 @@ def show(label, amps):
 
 def probe_reads(eve):
     """The probe's per-position reads, as the attack report publishes them."""
-    return eve.finalize(PublicRecord(protocol="jiang", L=1))
+    return eve.finalize(PublicRecord(L=1))
 
 
 print("== CTRL position: the attack stays invisible ==")

@@ -10,7 +10,6 @@ from .attacks import (
     DoubleCnotEve,
     InterceptResendZ,
     MaliciousAgent,
-    attack_state_checks,
 )
 from .harness import (
     AggregateStats,
@@ -34,6 +33,7 @@ from .jiang import (
     ComparisonOutcome,
     SessionConfig,
     SessionTranscript,
+    attack_state_checks,
     derive_message,
     run_session,
 )

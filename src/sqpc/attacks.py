@@ -9,9 +9,9 @@ may grow the register with ancillas (one per row), measure through the
 register API, and substitute the wires that travel onward; a measurement
 over positions on different wires is one call with per-row wires, rows
 sorted by wire.  A tap keeps what it measured as arrays over the
-channel's positions, -1 where it read nothing, and decodes them in
-``finalize`` by indexing with the carrier positions it derives from the
-published SIFT masks.
+channel's positions, -1 where it read nothing, and reports them raw from
+``finalize``; the protocol, which knows what each position carries,
+decodes them.  Nothing here imports a protocol module.
 Taps never read amplitudes; everything an attacker knows comes from its
 own measurement outcomes plus the classical values published after the
 session (mode declarations, R values, disclosures, messages).
@@ -39,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from . import kernel
-from .jiang import Bits, PairBatch, participant_respond
-from .kernel import BellState, Register, prepare_bell, prepare_z, sort_rows
+from .kernel import Register, prepare_z, sort_rows
+
+Bits = list[int]
 
 
 @dataclass
@@ -52,7 +52,6 @@ class PublicRecord:
     would have published them (an abort suppresses later publications).
     """
 
-    protocol: str  # "jiang" | "improved"
     L: int
     modes: dict[str, np.ndarray] | None = None  # participant -> SIFT mask
     r: dict[str, Bits] | None = None
@@ -77,11 +76,12 @@ class AttackReport:
 
     ``intercepted_bits`` are raw per-position channel reads;
     ``indicator_bits`` are the double C-NOT probe reads per position;
-    ``message_bits`` / ``masked_secret_bits`` / ``secret_bits`` are the
-    decoded claims keyed by message index (a masked bit is Secret XOR K,
-    all an outsider can get without the pre-shared key).  ``accuracy``
-    and ``detected`` are filled in by the session driver, which holds the
-    ground truth and the abort state.
+    ``payload_reads`` are the reads of the target's SIFT payload per
+    position (-1 where none), ``None`` for a tap that never reads it.
+    The session driver decodes them into ``message_bits`` /
+    ``masked_secret_bits`` / ``secret_bits``, claims keyed by message
+    index (a masked bit is Secret XOR K, all an outsider can get without
+    the pre-shared key), and fills in ``accuracy`` and ``detected``.
     """
 
     attack: str
@@ -94,6 +94,7 @@ class AttackReport:
     secret_bits: dict[int, int] = field(default_factory=dict)
     indicator_events: int = 0
     indicator_opportunities: int = 0
+    payload_reads: np.ndarray | None = None
     accuracy: float | None = None
     detected: bool | None = None
 
@@ -137,15 +138,19 @@ class ChannelTap:
     is itself a protocol participant sets ``identity`` and receives its
     own SIFT mask through :meth:`observe_own_modes` (a participant
     legitimately knows its own choices before declaring them); everything
-    else arrives only through :meth:`finalize`.
+    else arrives only through :meth:`finalize`.  An insider also holds the
+    pre-shared ``key``, with which its payload reads decode to secret bits.
     """
 
     target: str = "A"
     identity: str | None = None
+    key: Bits | None = None
     attack_name: str = "none"
 
     def begin_session(self, num_positions: int, rng: np.random.Generator) -> None:
-        """Called once before any transit with the per-channel position count."""
+        """Called once per session, before any transit and also in a
+        session that aborts before its transits, with the per-channel
+        position count.  A tap drops an earlier session's reads here."""
 
     def observe_own_modes(self, sift: np.ndarray) -> None:
         """Only called when ``identity`` names a participant."""
@@ -168,15 +173,7 @@ class ChannelTap:
         return None
 
 
-def _carrier_positions(published: PublicRecord, participant: str) -> np.ndarray:
-    """Positions whose SIFT payload enters the comparison: the first L SIFT
-    positions in the base protocol, the first 2L (the R carriers) in the
-    improved one."""
-    quota = published.L if published.protocol == "jiang" else 2 * published.L
-    return published.modes[participant].nonzero()[0][:quota]
-
-
-# What a tap holds before its first hook call: no positions, nothing read.
+# What a tap holds before a session's hook calls: no positions, nothing read.
 _NO_READS = np.full(0, -1, dtype=np.intp)
 
 
@@ -193,47 +190,17 @@ def _read_by_wire(measure, rows: np.ndarray, wires: np.ndarray, rng: np.random.G
     return reads
 
 
-def _read_dict(reads: np.ndarray) -> dict[int, int]:
-    """The reads actually made, keyed by position in ascending order."""
+def read_dict(reads: np.ndarray) -> dict[int, int]:
+    """The reads actually made, keyed by index in ascending order."""
     return {pos: bit for pos, bit in enumerate(reads.tolist()) if bit >= 0}
 
 
 def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
-    """A report of raw channel reads that decodes nothing."""
+    """A report of channel reads, probing every position read."""
     report = AttackReport(attack=tap.attack_name, target=tap.target)
-    report.intercepted_bits = _read_dict(reads)
+    report.intercepted_bits = read_dict(reads)
     report.probed_positions = list(report.intercepted_bits)
     return report
-
-
-def _decode(report: AttackReport, published: PublicRecord, reads: np.ndarray, key: Bits | None = None) -> None:
-    """Turn per-position reads of the target's SIFT payload into claims
-    keyed by message index.
-
-    Base protocol: the read at the i-th carrier is message bit i, and
-    XOR-ing the published R_i gives Secret_i XOR K_i.  Improved protocol:
-    the read at the i-th undisclosed R carrier is the mask bit of
-    published message bit i.  With ``key`` the masked bits decode to
-    secret bits.
-    """
-    target = report.target
-    carriers = _carrier_positions(published, target)
-    if published.protocol == "jiang":
-        report.message_bits = _read_dict(reads[carriers])
-        if published.r is None:
-            return
-        r = published.r[target]
-        masked = {idx: bit ^ r[idx] for idx, bit in report.message_bits.items()}
-    elif published.messages is not None and published.disclosures is not None:
-        disclosed = set(published.disclosures[target].positions)
-        mask_positions = [pos for pos in carriers.tolist() if pos not in disclosed]
-        message = published.messages[target]
-        masked = {idx: message[idx] ^ bit for idx, bit in _read_dict(reads[mask_positions]).items()}
-    else:
-        return
-    report.masked_secret_bits = masked
-    if key is not None:
-        report.secret_bits = {idx: bit ^ key[idx] for idx, bit in masked.items()}
 
 
 def _attack_mask(count: int | None, num_positions: int, rng: np.random.Generator) -> np.ndarray | None:
@@ -267,11 +234,11 @@ class DoubleCnotEve(ChannelTap):
         self.target = target
         self.midflight = midflight
         self.attack_name = "double-cnot-midflight" if midflight else "double-cnot"
+        self.begin_session(0, None)
+
+    def begin_session(self, num_positions, rng):
         self._ancilla: int | None = None
-        self._probed = _NO_READS
-        self._indicator = _NO_READS
-        self._forward_reads = _NO_READS
-        self._data_bits = _NO_READS
+        self._probed = self._indicator = self._forward_reads = self._data_bits = _NO_READS
 
     def on_forward(self, rows, register, wires, rng):
         self._ancilla = register.adjoin(prepare_z(0))
@@ -294,21 +261,15 @@ class DoubleCnotEve(ChannelTap):
     def finalize(self, published):
         report = AttackReport(attack=self.attack_name, target=self.target)
         report.probed_positions = self._probed.tolist()
-        report.intercepted_bits = _read_dict(self._forward_reads if self.midflight else self._data_bits)
-        report.indicator_bits = _read_dict(self._indicator)
+        report.intercepted_bits = read_dict(self._forward_reads if self.midflight else self._data_bits)
+        report.indicator_bits = read_dict(self._indicator)
         report.indicator_events = sum(report.indicator_bits.values())
-        if published.modes is None:
-            return report
-
-        report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target][self._probed]))
-        reads = self._data_bits
-        if self.midflight:
-            reads = self._forward_reads
-            if published.protocol == "jiang":
-                # Second ancilla read is (mid-flight value) XOR (resent bit);
-                # both reads exist at every probed position.
-                reads = reads ^ self._indicator
-        _decode(report, published, reads)
+        # Mid-flight, the second ancilla read is (mid-flight value) XOR
+        # (returned bit), so XOR-ing the two reads, which exist at every
+        # probed position, gives the returned bit.
+        report.payload_reads = self._forward_reads ^ self._indicator if self.midflight else self._data_bits
+        if published.modes is not None:
+            report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target][self._probed]))
         return report
 
 
@@ -337,6 +298,8 @@ class MaliciousAgent(ChannelTap):
 
     def begin_session(self, num_positions, rng):
         self._attack_mask = _attack_mask(self.intercept_count, num_positions, rng)
+        self._own_sift = None
+        self._reads = _NO_READS
 
     def observe_own_modes(self, sift):
         self._own_sift = sift
@@ -361,8 +324,7 @@ class MaliciousAgent(ChannelTap):
 
     def finalize(self, published):
         report = _raw_report(self, self._reads)
-        if published.modes is not None:
-            _decode(report, published, self._reads, self.key)
+        report.payload_reads = self._reads
         return report
 
 
@@ -385,6 +347,7 @@ class BlockingAttacker(ChannelTap):
 
     def begin_session(self, num_positions, rng):
         self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
+        self._reads = _NO_READS
 
     def on_return(self, rows, register, wires, rng):
         attacked = None if self._attack_mask is None else self._attack_mask.nonzero()[0]
@@ -402,6 +365,9 @@ class InterceptResendZ(ChannelTap):
     def __init__(self, target: str = "A"):
         self.target = target
         self.attack_name = "intercept-resend-z"
+        self.begin_session(0, None)
+
+    def begin_session(self, num_positions, rng):
         self._reads = _NO_READS
 
     def on_forward(self, rows, register, wires, rng):
@@ -410,109 +376,3 @@ class InterceptResendZ(ChannelTap):
 
     def finalize(self, published):
         return _raw_report(self, self._reads)
-
-
-# ---------------------------------------------------------------------------
-# Exact-state verification suite for the double C-NOT analysis
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StateCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _prob(amps: np.ndarray, predicate) -> float:
-    """Probability mass of basis labels satisfying ``predicate(bits)``."""
-    n = kernel.num_qubits(amps)
-    total = 0.0
-    for index, amp in enumerate(amps):
-        bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
-        if predicate(bits):
-            total += abs(amp) ** 2
-    return total
-
-
-def _basis_state(n: int, *indices_with_amp: tuple[int, complex]) -> np.ndarray:
-    amps = np.zeros(1 << n, dtype=complex)
-    for index, amp in indices_with_amp:
-        amps[index] = amp
-    return amps
-
-
-def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
-    """Amplitude-exact verification of the double C-NOT state evolutions
-    on a phi+ pair, as used by ``sqpc verify-equations``.
-
-    Register wire order is (Alice half, Bob half, probe ancilla, fresh
-    resend qubit) in adjoin order; expected states are written in that
-    convention.  The resend cases are checked by composing kernel ops
-    from the coherent-pair premise in wire order (resend, probe, far
-    half), and the discard case is checked through the retained-qubit
-    model at the observable level.
-    """
-    s = kernel.SQRT_HALF
-    rng = np.random.default_rng(0)
-    checks: list[StateCheck] = []
-
-    def run_pipeline(message_bit: int | None):
-        """Forward tap on a one-position phi+ batch, then CTRL (None) or SIFT(bit)."""
-        pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
-        eve = DoubleCnotEve(target="A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
-        sift = np.array([message_bit is not None])
-        pairs.returns["A"] = participant_respond(sift, pairs.register, pairs.wires["A"], [message_bit or 0])
-        return pairs, eve
-
-    # 1. Forward tap entangles the probe: (|000> + |111>)/sqrt(2) on (A, B, E).
-    pairs, _ = run_pipeline(None)
-    expected = _basis_state(3, (0b000, s), (0b111, s))
-    ok = kernel.amplitudes_close(pairs.register.amps[:, 0], expected, tol)
-    checks.append(StateCheck("forward-probe-entanglement", ok, "probe C-NOT on a phi+ half gives the three-qubit GHZ correlations"))
-
-    # 2. CTRL round trip restores the pair and parks the probe back in |0>.
-    pairs, eve = run_pipeline(None)
-    pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
-    expected = kernel.tensor(prepare_bell(BellState.PHI_PLUS), prepare_z(0))
-    indicator = eve.finalize(PublicRecord(protocol="jiang", L=1)).indicator_bits[0]
-    ok = kernel.amplitudes_close(pairs.register.amps[:, 0], expected, tol) and indicator == 0
-    checks.append(StateCheck("ctrl-roundtrip-restoration", ok, "reflected qubit undoes the probe C-NOT, pair intact and probe silent"))
-
-    # 3. After a SIFT discard the probe and the far half stay perfectly
-    #    Z-correlated (the retained-qubit reading of the discarded pair).
-    pairs, _ = run_pipeline(0)
-    amps = pairs.register.amps[:, 0]  # wires: A=0, B=1, E=2, F=3
-    p_disagree = _prob(amps, lambda b: b[2] != b[1])
-    p_probe_one = _prob(amps, lambda b: b[2] == 1)
-    ok = p_disagree <= tol and abs(p_probe_one - 0.5) <= tol
-    checks.append(StateCheck("discarded-half-probe-correlation", ok, "probe and far half agree in Z with probability 1, each side uniform"))
-
-    # 4./5. Resend algebra from the coherent-pair premise, wires (F, E, B):
-    #    F=|0>: (|000> + |011>)/sqrt(2);  F=|1>: (|110> + |101>)/sqrt(2).
-    for bit, indices, name in (
-        (0, (0b000, 0b011), "resend0-probe-superposition"),
-        (1, (0b110, 0b101), "resend1-probe-superposition"),
-    ):
-        sv = kernel.tensor(prepare_z(bit), prepare_bell(BellState.PHI_PLUS))
-        sv = kernel.apply_cnot(sv, 0, 1)
-        expected = _basis_state(3, *((i, s) for i in indices))
-        ok = kernel.amplitudes_close(sv, expected, tol)
-        checks.append(StateCheck(name, ok, f"second C-NOT with a fresh |{bit}> control leaves the stated superposition"))
-
-    # 6. Through the full pipeline the probe fires with probability exactly
-    #    1/2 on SIFT positions and, when it fires, certifies the resent bit.
-    ok = True
-    probe = 2
-    for bit in (0, 1):
-        pairs, _ = run_pipeline(bit)
-        resend = int(pairs.returns["A"][0])
-        pairs.register.cnot(resend, probe)
-        amps = pairs.register.amps[:, 0]
-        p_fire = _prob(amps, lambda b: b[probe] == 1)
-        p_wrong = _prob(amps, lambda b: b[probe] == 1 and b[resend] != bit)
-        ok = ok and abs(p_fire - 0.5) <= tol and p_wrong <= tol
-    checks.append(StateCheck("sift-probe-indicator-odds", ok, "probe fires with probability 1/2 and a fired probe reads the resent bit exactly"))
-
-    return checks

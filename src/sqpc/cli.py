@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .attacks import attack_state_checks
 from .harness import (
-    ATTACKS,
+    ATTACK_TABLE,
     SCENARIOS,
     ExperimentSpec,
     SpecValidationError,
@@ -21,7 +20,7 @@ from .harness import (
     estimate_detection_curve,
     run_experiment,
 )
-from .jiang import MODE_POLICIES
+from .jiang import MODE_POLICIES, attack_state_checks
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,15 +34,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", choices=SCENARIOS, required=True)
-    parser.add_argument("--attack", choices=ATTACKS, default="none")
+    parser.add_argument("--attack", choices=tuple(ATTACK_TABLE), default="none")
     parser.add_argument("--L", type=int, default=32, help="secret length in bits")
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mode-policy", choices=MODE_POLICIES, default="balanced", dest="mode_policy")
     parser.add_argument("--threshold", type=float, default=0.0, help="abort threshold on check mismatch rate")
     parser.add_argument("--target", choices=("A", "B"), default="A", help="participant whose channel is attacked")
+    counted = ", ".join(name for name, attack in ATTACK_TABLE.items() if attack.takes_count)
     parser.add_argument("--attacked-count", type=int, default=None, dest="attacked_count",
-                        help="attacked-position subset size (default: attack-specific)")
+                        help=f"attacked-position subset size, taken only by {counted} (default: attack-specific)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
 

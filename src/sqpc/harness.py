@@ -3,6 +3,7 @@
 Every trial gets its own rng seeded by a splitmix64 hash of (master seed,
 trial index), so aggregates do not depend on execution order and a spec
 re-run reproduces every sampled bit.
+Every per-attack fact lives in one ``ATTACK_TABLE`` entry.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -37,22 +39,6 @@ from .jiang import (
 )
 
 SCENARIOS = ("jiang", "improved")
-
-ATTACKS = (
-    "none",
-    "double-cnot",
-    "double-cnot-midflight",
-    "malicious-agent",
-    "blocking",
-    "intercept-resend-z",
-)
-
-# blocking detection is defined by the disclosure check, which only the
-# improved protocol has.
-VALID_ATTACKS = {
-    "jiang": ("none", "double-cnot", "double-cnot-midflight", "malicious-agent", "intercept-resend-z"),
-    "improved": ATTACKS,
-}
 
 SCHEMA_VERSION = 1
 
@@ -82,9 +68,10 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise SpecValidationError("scenario", f"must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.attack not in ATTACKS:
-            raise SpecValidationError("attack", f"must be one of {ATTACKS}, got {self.attack!r}")
-        if self.attack not in VALID_ATTACKS[self.scenario]:
+        if self.attack not in ATTACK_TABLE:
+            raise SpecValidationError("attack", f"must be one of {tuple(ATTACK_TABLE)}, got {self.attack!r}")
+        attack = ATTACK_TABLE[self.attack]
+        if self.scenario not in attack.scenarios:
             raise SpecValidationError(
                 "attack", f"{self.attack!r} is not valid for scenario {self.scenario!r}"
             )
@@ -98,8 +85,55 @@ class ExperimentSpec:
             raise SpecValidationError("error_threshold", f"must lie in [0, 1], got {self.error_threshold}")
         if self.target not in ("A", "B"):
             raise SpecValidationError("target", f"must be 'A' or 'B', got {self.target!r}")
+        if self.attacked_count is not None and not attack.takes_count:
+            raise SpecValidationError("attacked_count", f"attack {self.attack!r} takes no attacked count")
         if self.attacked_count is not None and self.attacked_count < 0:
             raise SpecValidationError("attacked_count", f"must be >= 0, got {self.attacked_count}")
+
+
+@dataclass(frozen=True)
+class Attack:
+    """Everything the harness knows about one attack.
+
+    ``taps`` builds the taps from the spec and the pre-shared key;
+    ``columns`` are metrics beyond the common five, in report order, and
+    one no trial fills (``x_mismatch_rate`` outside the improved protocol)
+    is left out; ``curve_row`` maps a spec and an attack size k to that
+    detection-curve row's spec (``None``: no curve).
+    """
+
+    taps: Callable[[ExperimentSpec, Bits], list[ChannelTap]]
+    scenarios: tuple[str, ...] = SCENARIOS
+    columns: tuple[str, ...] = ("x_mismatch_rate",)
+    takes_count: bool = False
+    curve_row: Callable[[ExperimentSpec, int], ExperimentSpec] | None = None
+
+
+_PROBE_COLUMNS = ("sift_indicator_rate", "x_mismatch_rate")
+
+ATTACK_TABLE = {
+    "none": Attack(lambda spec, key: [], columns=()),
+    "double-cnot": Attack(lambda spec, key: [DoubleCnotEve(spec.target)], columns=_PROBE_COLUMNS),
+    "double-cnot-midflight": Attack(
+        lambda spec, key: [DoubleCnotEve(spec.target, midflight=True)], columns=_PROBE_COLUMNS
+    ),
+    # Curve k: the return positions measured, whose CTRL hits trip the X check.
+    "malicious-agent": Attack(
+        lambda spec, key: [MaliciousAgent(spec.target, key, spec.attacked_count)],
+        takes_count=True,
+        curve_row=lambda spec, k: dataclasses.replace(spec, attacked_count=k),
+    ),
+    # Detected by the disclosure check, which only the improved protocol
+    # has.  Curve k: disclosed-and-attacked bits, every return position
+    # attacked at secret length k (k = 0 attacks nothing).
+    "blocking": Attack(
+        lambda spec, key: [BlockingAttacker(spec.target, spec.attacked_count)],
+        scenarios=("improved",),
+        takes_count=True,
+        curve_row=lambda spec, k: dataclasses.replace(spec, L=max(k, 1), attacked_count=None if k else 0),
+    ),
+    "intercept-resend-z": Attack(lambda spec, key: [InterceptResendZ(spec.target)]),
+}
 
 
 @dataclass
@@ -182,22 +216,6 @@ def splitmix64(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _build_taps(spec: ExperimentSpec, key: Bits) -> list[ChannelTap]:
-    if spec.attack == "none":
-        return []
-    if spec.attack == "double-cnot":
-        return [DoubleCnotEve(target=spec.target)]
-    if spec.attack == "double-cnot-midflight":
-        return [DoubleCnotEve(target=spec.target, midflight=True)]
-    if spec.attack == "malicious-agent":
-        return [MaliciousAgent(victim=spec.target, key=key, intercept_count=spec.attacked_count)]
-    if spec.attack == "blocking":
-        return [BlockingAttacker(target=spec.target, attack_count=spec.attacked_count)]
-    if spec.attack == "intercept-resend-z":
-        return [InterceptResendZ(target=spec.target)]
-    raise SpecValidationError("attack", f"unknown attack {spec.attack!r}")
-
-
 def _expected_outcome(secret_a: Bits, secret_b: Bits) -> ComparisonOutcome:
     for i, (a, b) in enumerate(zip(secret_a, secret_b)):
         if a != b:
@@ -227,7 +245,8 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     secret_a = random_bits(L, rng)
     secret_b = list(secret_a) if rng.random() < 0.5 else random_bits(L, rng)
     key = random_bits(L, rng)
-    taps = _build_taps(spec, key)
+    attack = ATTACK_TABLE[spec.attack]
+    taps = attack.taps(spec, key)
 
     if spec.scenario == "jiang":
         config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
@@ -250,7 +269,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         leak_fraction=leak_fraction,
         leak_accuracy=leak_accuracy,
     )
-    if report is not None and spec.attack in ("double-cnot", "double-cnot-midflight"):
+    if report is not None and "sift_indicator_rate" in attack.columns:
         rate = report.sift_indicator_rate
         result.sift_indicator_rate = rate if rate is not None else 0.0
     if report is not None and spec.scenario == "improved":
@@ -275,10 +294,8 @@ def run_experiment(spec: ExperimentSpec) -> AggregateStats:
         "leak_fraction": [],
         "leak_accuracy": [],
     }
-    if spec.attack in ("double-cnot", "double-cnot-midflight"):
-        columns["sift_indicator_rate"] = []
-    if spec.scenario == "improved" and spec.attack != "none":
-        columns["x_mismatch_rate"] = []
+    extra = ATTACK_TABLE[spec.attack].columns
+    columns.update((name, []) for name in extra)
 
     for i in range(spec.trials):
         trial = run_trial(spec, i)
@@ -287,10 +304,10 @@ def run_experiment(spec: ExperimentSpec) -> AggregateStats:
         columns["outcome_correct"].append(float(trial.correct))
         columns["leak_fraction"].append(trial.leak_fraction)
         columns["leak_accuracy"].append(trial.leak_accuracy)
-        if "sift_indicator_rate" in columns and trial.sift_indicator_rate is not None:
-            columns["sift_indicator_rate"].append(trial.sift_indicator_rate)
-        if "x_mismatch_rate" in columns and trial.x_mismatch_rate is not None:
-            columns["x_mismatch_rate"].append(trial.x_mismatch_rate)
+        for name in extra:
+            value = getattr(trial, name)
+            if value is not None:
+                columns[name].append(value)
 
     metrics = {
         name: MetricSummary.from_values(values) for name, values in columns.items() if values
@@ -336,19 +353,15 @@ class DetectionCurve:
 
 
 def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -> DetectionCurve:
-    """Detection rate as a function of attack size k.
-
-    For the blocking attack, k is the number of disclosed-and-attacked
-    bits: the attacker hits every return position and the secret length
-    is set to k, so all k disclosed bits are corrupted candidates.  For
-    the malicious agent, k is the number of return positions it measures
-    (its hits on CTRL positions drive the X-check detection).
+    """Detection rate as a function of attack size k, for an attack whose
+    ``ATTACK_TABLE`` entry has a ``curve_row``: it sets what k means.
     """
     spec.validate()
     if spec.scenario != "improved":
         raise SpecValidationError("scenario", "detection curves are defined for the improved protocol")
-    if spec.attack not in ("blocking", "malicious-agent"):
-        raise SpecValidationError("attack", "detection curves need attack 'blocking' or 'malicious-agent'")
+    curve_row = ATTACK_TABLE[spec.attack].curve_row
+    if curve_row is None:
+        raise SpecValidationError("attack", f"attack {spec.attack!r} has no detection curve")
     for k in attacked_counts:
         if k < 0:
             raise SpecValidationError("attacked_count", f"curve points must be >= 0, got {k}")
@@ -357,13 +370,7 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
 
     rows = []
     for row_index, k in enumerate(attacked_counts):
-        if spec.attack == "blocking":
-            row_spec = dataclasses.replace(spec, L=max(k, 1), attacked_count=None)
-            if k == 0:
-                row_spec = dataclasses.replace(row_spec, attacked_count=0)
-        else:
-            row_spec = dataclasses.replace(spec, attacked_count=k)
-        row_spec = dataclasses.replace(row_spec, seed=splitmix64(spec.seed, 0x10_0000 + row_index))
+        row_spec = dataclasses.replace(curve_row(spec, k), seed=splitmix64(spec.seed, 0x10_0000 + row_index))
         detections = []
         for i in range(spec.trials):
             detections.append(float(run_trial(row_spec, i).detected))

@@ -29,6 +29,9 @@ over their 4L positions (True = SIFT); the participants' own
 measure-resend reads, TP's X reads and TP's Z reads are arrays over the
 rows, -1 where nothing was read.  Taps, disclosures and the public record
 see positions within a channel.
+
+Sessions run on :func:`sqpc.jiang.drive_session` with this protocol's
+own steps; :func:`decode_claims` decodes tap reads of its R carriers.
 """
 
 from __future__ import annotations
@@ -39,18 +42,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord
+from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, read_dict
 from .jiang import (
     BALANCED,
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
-    INSUFFICIENT_SIFT,
     MODE_POLICIES,
     PARTICIPANTS,
     Bits,
     ComparisonOutcome,
-    _finalize_taps,
     draw_modes,
+    drive_session,
     tp_compare,
     xor_bits,
 )
@@ -243,10 +245,32 @@ def tp_verify_disclosure(disclosure: CheckDisclosure, tp_reads: np.ndarray) -> i
     return int(np.count_nonzero(read != np.asarray(disclosure.values, dtype=np.intp)))
 
 
+def mask_positions(sift: np.ndarray, L: int, disclosure: CheckDisclosure) -> np.ndarray:
+    """The R carriers (the first 2L SIFT positions of the mask ``sift``)
+    that ``disclosure`` left out, ascending: the i-th masks message bit i."""
+    carriers = sift.nonzero()[0][: 2 * L]
+    undisclosed = np.ones(len(sift), dtype=bool)
+    undisclosed[list(disclosure.positions)] = False
+    return carriers[undisclosed[carriers]]
+
+
 def derive_improved_message(secret: Sequence[int], mask: Sequence[int], key: Sequence[int]) -> Bits:
     """M = Secret XOR mask XOR K, the mask being the undisclosed R bits in
     ascending position order."""
     return xor_bits(secret, mask, key)
+
+
+def decode_claims(report: AttackReport, published: PublicRecord) -> None:
+    """A tap's payload read at the target's i-th undisclosed R carrier
+    (of the first 2L SIFT positions) is the mask of published message
+    bit i; XOR-ing the two gives Secret_i XOR K_i."""
+    if report.payload_reads is None or published.messages is None:
+        return
+    target = report.target
+    masks = mask_positions(published.modes[target], published.L, published.disclosures[target])
+    message = published.messages[target]
+    reads = read_dict(report.payload_reads[masks])
+    report.masked_secret_bits = {idx: message[idx] ^ bit for idx, bit in reads.items()}
 
 
 def run_improved_session(
@@ -277,102 +301,61 @@ def run_improved_session(
         sift_positions=sift,
         r_positions=r_positions,
     )
-    truth = GroundTruth(
-        L=L,
-        secrets={"A": list(secret_a), "B": list(secret_b)},
-        key=list(key),
-        messages={"A": [], "B": []},
-    )
     secrets = {"A": list(secret_a), "B": list(secret_b)}
-
-    if any(len(sift[p]) < config.sift_count for p in PARTICIPANTS):
-        outcome = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
-        transcript.outcome = outcome
-        published = PublicRecord(protocol="improved", L=L, announced=outcome.kind)
-        return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
-
-    for tap in taps:
-        tap.begin_session(config.photons_per_participant, rng)
-    for tap in taps:
-        if tap.identity in PARTICIPANTS:
-            tap.observe_own_modes(modes[tap.identity])
-
+    truth = GroundTruth(L=L, secrets=secrets, key=list(key), messages={"A": [], "B": []})
     channel = {p: photons.channel(p) for p in PARTICIPANTS}
-    rows = photons.rows
-    for participant in PARTICIPANTS:
-        own = channel[participant]
-        for tap in taps:
-            if tap.target == participant:
-                photons.wire[own] = tap.on_forward(rows[own], photons.register, photons.wire[own], rng)
-
     sift_rows = np.concatenate([modes[p] for p in PARTICIPANTS])
-    photons.return_wire = sift_measure_resend(photons, sift_rows, rng)
 
-    for participant in PARTICIPANTS:
-        own = channel[participant]
-        for tap in taps:
-            if tap.target == participant:
-                photons.return_wire[own] = tap.on_return(rows[own], photons.register, photons.return_wire[own], rng)
+    def respond() -> np.ndarray:
+        photons.return_wire = sift_measure_resend(photons, sift_rows, rng)
+        return photons.return_wire
 
-    # Receipt confirmed; modes are now declared.  TP measures everything,
-    # then runs the two integrity checks in order.
-    ctrl_rows = ~sift_rows
-    mismatches, transcript.x_results = tp_check_ctrl_x(photons, ctrl_rows, rng)
-    transcript.x_mismatch_count = mismatches
-    transcript.ctrl_position_count = int(np.count_nonzero(ctrl_rows))
-    transcript.tp_r = tp_read_sift(photons, sift_rows, rng)
-    own_r = {p: photons.sift_bit[channel[p]] for p in PARTICIPANTS}
-    tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
+    def tp_steps(published: PublicRecord) -> ComparisonOutcome:
+        # Receipt confirmed; modes are now declared.  TP measures
+        # everything, then runs the two integrity checks in order.
+        published.modes = modes
+        ctrl_rows = ~sift_rows
+        mismatches, transcript.x_results = tp_check_ctrl_x(photons, ctrl_rows, rng)
+        transcript.x_mismatch_count = mismatches
+        transcript.ctrl_position_count = int(np.count_nonzero(ctrl_rows))
+        transcript.tp_r = tp_read_sift(photons, sift_rows, rng)
+        own_r = {p: photons.sift_bit[channel[p]] for p in PARTICIPANTS}
+        tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
 
-    if transcript.ctrl_position_count > 0 and mismatches / transcript.ctrl_position_count > config.error_threshold:
-        outcome = ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
-        transcript.outcome = outcome
-        published = PublicRecord(protocol="improved", L=L, modes=modes, announced=outcome.kind)
-        return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
+        if transcript.ctrl_position_count > 0 and mismatches / transcript.ctrl_position_count > config.error_threshold:
+            return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
 
-    disclosures = {
-        p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=config.check_count)
-        for p in PARTICIPANTS
-    }
-    transcript.disclosures = disclosures
-    disclosure_mismatches = sum(tp_verify_disclosure(disclosures[p], tp_r[p]) for p in PARTICIPANTS)
-    transcript.disclosure_mismatch_count = disclosure_mismatches
-    disclosed_total = sum(len(disclosures[p].positions) for p in PARTICIPANTS)
+        disclosures = {
+            p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=config.check_count)
+            for p in PARTICIPANTS
+        }
+        transcript.disclosures = published.disclosures = disclosures
+        disclosure_mismatches = sum(tp_verify_disclosure(disclosures[p], tp_r[p]) for p in PARTICIPANTS)
+        transcript.disclosure_mismatch_count = disclosure_mismatches
+        disclosed_total = sum(len(disclosures[p].positions) for p in PARTICIPANTS)
 
-    if disclosed_total > 0 and disclosure_mismatches / disclosed_total > config.error_threshold:
-        outcome = ComparisonOutcome.aborted(DISCLOSURE_MISMATCH)
-        transcript.outcome = outcome
-        published = PublicRecord(
-            protocol="improved", L=L, modes=modes, disclosures=disclosures, announced=outcome.kind
-        )
-        return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
+        if disclosed_total > 0 and disclosure_mismatches / disclosed_total > config.error_threshold:
+            return ComparisonOutcome.aborted(DISCLOSURE_MISMATCH)
 
-    masks_tp: dict[str, Bits] = {}
-    published_m: dict[str, Bits] = {}
-    for participant in PARTICIPANTS:
-        undisclosed = np.ones(config.photons_per_participant, dtype=bool)
-        undisclosed[list(disclosures[participant].positions)] = False
-        mask_positions = r_positions[participant][undisclosed[r_positions[participant]]]
-        masks_tp[participant] = tp_r[participant][mask_positions].tolist()
-        published_m[participant] = derive_improved_message(
-            secrets[participant], own_r[participant][mask_positions].tolist(), key
-        )
-    transcript.tp_masks = masks_tp
-    transcript.published_m = published_m
-    truth.messages = published_m
+        masks_tp: dict[str, Bits] = {}
+        published_m: dict[str, Bits] = {}
+        for participant in PARTICIPANTS:
+            masks = mask_positions(modes[participant], L, disclosures[participant])
+            masks_tp[participant] = tp_r[participant][masks].tolist()
+            published_m[participant] = derive_improved_message(
+                secrets[participant], own_r[participant][masks].tolist(), key
+            )
+        transcript.tp_masks = masks_tp
+        transcript.published_m = truth.messages = published.messages = published_m
 
-    outcome, m_t = tp_compare(published_m["A"], published_m["B"], masks_tp["A"], masks_tp["B"])
-    transcript.m_t = m_t
-    transcript.outcome = outcome
-    published = PublicRecord(
-        protocol="improved",
-        L=L,
-        modes=modes,
-        disclosures=disclosures,
-        messages=published_m,
-        announced=outcome.kind,
+        outcome, transcript.m_t = tp_compare(published_m["A"], published_m["B"], masks_tp["A"], masks_tp["B"])
+        return outcome
+
+    channels = {p: (photons.rows[channel[p]], channel[p]) for p in PARTICIPANTS}
+    transcript.outcome, reports = drive_session(
+        taps, modes, config.sift_count, channels, photons.register, photons.wire, respond, tp_steps, decode_claims, truth, rng
     )
-    return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
+    return transcript, transcript.outcome, reports
 
 
 def qubit_efficiency(protocol: str) -> Fraction:

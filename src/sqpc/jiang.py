@@ -27,22 +27,33 @@ Bell outcome per position and a Z bit per participant per position, each
 -1 where nothing was measured.  Adversaries participate as channel taps
 with one hook call for all forward transits of their channel and one for
 all return transits; see :mod:`sqpc.attacks`.
+
+:func:`drive_session` runs the transit pattern both protocols share;
+each protocol supplies its own steps and decodes tap reads itself
+(:func:`decode_claims`).  :func:`attack_state_checks` verifies the double
+C-NOT state evolutions through this protocol's pair pipeline.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import Register, prepare_bell, prepare_z, sort_rows
-
-if TYPE_CHECKING:  # taps are duck-typed; see sqpc.attacks.ChannelTap
-    from .attacks import AttackReport, ChannelTap
-
-Bits = list[int]
+from . import kernel
+from .attacks import (
+    AttackReport,
+    Bits,
+    ChannelTap,
+    DoubleCnotEve,
+    GroundTruth,
+    PublicRecord,
+    read_dict,
+    score_report,
+)
+from .kernel import BellState, Register, prepare_bell, prepare_z, sort_rows
 
 BALANCED = "balanced"
 INDEPENDENT_COIN = "coin"
@@ -295,15 +306,85 @@ def tp_compare(
     return ComparisonOutcome.equal(), prefix
 
 
+def drive_session(
+    taps: Sequence[ChannelTap],
+    modes: dict[str, np.ndarray],
+    sift_quota: int,
+    channels: dict[str, tuple[np.ndarray, object]],
+    register: Register,
+    wires,
+    respond: Callable[[], object],
+    tp_steps: Callable[[PublicRecord], ComparisonOutcome],
+    decode: Callable[[AttackReport, PublicRecord], None],
+    truth: GroundTruth,
+    rng: np.random.Generator,
+) -> tuple[ComparisonOutcome, list[AttackReport]]:
+    """Run the transit pattern both protocols share around their own steps.
+
+    Every tap begins the session, which aborts if a participant's SIFT
+    mask holds fewer than ``sift_quota`` positions.  Otherwise each
+    channel's taps get its forward transits, ``respond()`` returns the
+    container of returned wires, the return transits follow, and
+    ``tp_steps`` fills in the public record and returns the outcome.
+    ``channels`` maps each participant to the ``register`` rows of its
+    positions and the key of its wires in either container.  Last, every
+    report is decoded, scored against ``truth`` and marked detected.
+    """
+    for tap in taps:
+        tap.begin_session(len(modes[PARTICIPANTS[0]]), rng)
+    published = PublicRecord(L=truth.L)
+    if any(np.count_nonzero(modes[p]) < sift_quota for p in PARTICIPANTS):
+        outcome = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
+    else:
+        for tap in taps:
+            if tap.identity in PARTICIPANTS:
+                tap.observe_own_modes(modes[tap.identity])
+
+        def transit(hook: str, wires) -> None:
+            for participant, (rows, index) in channels.items():
+                for tap in taps:
+                    if tap.target == participant:
+                        wires[index] = getattr(tap, hook)(rows, register, wires[index], rng)
+
+        transit("on_forward", wires)
+        transit("on_return", respond())
+        outcome = tp_steps(published)
+    published.announced = outcome.kind
+
+    reports = []
+    for tap in taps:
+        report = tap.finalize(published)
+        if report is not None:
+            decode(report, published)
+            if tap.key is not None:
+                report.secret_bits = {i: bit ^ tap.key[i] for i, bit in report.masked_secret_bits.items()}
+            score_report(report, truth)
+            report.detected = outcome.attacker_detected
+            reports.append(report)
+    return outcome, reports
+
+
+def decode_claims(report: AttackReport, published: PublicRecord) -> None:
+    """A tap's payload read at the target's i-th SIFT position is message
+    bit i; XOR-ing the published R_i gives Secret_i XOR K_i."""
+    if report.payload_reads is None or published.modes is None:
+        return
+    carriers = published.modes[report.target].nonzero()[0][: published.L]
+    report.message_bits = read_dict(report.payload_reads[carriers])
+    if published.r is not None:
+        r = published.r[report.target]
+        report.masked_secret_bits = {idx: bit ^ r[idx] for idx, bit in report.message_bits.items()}
+
+
 def run_session(
     config: SessionConfig,
     secret_a: Sequence[int],
     secret_b: Sequence[int],
     key: Sequence[int],
-    taps: Sequence["ChannelTap"] = (),
+    taps: Sequence[ChannelTap] = (),
     *,
     rng: np.random.Generator,
-) -> tuple[SessionTranscript, ComparisonOutcome, list["AttackReport"]]:
+) -> tuple[SessionTranscript, ComparisonOutcome, list[AttackReport]]:
     """Run one full session and return (transcript, outcome, attack reports).
 
     All randomness, including every tap's measurement draws, comes from
@@ -313,8 +394,6 @@ def run_session(
     become visible to taps only through ``finalize``, after TP has
     everything.
     """
-    from .attacks import GroundTruth, PublicRecord
-
     L = config.L
     if not len(secret_a) == len(secret_b) == len(key) == L:
         raise ValueError("secrets and key must all have length L")
@@ -346,78 +425,148 @@ def run_session(
         messages=msg,
     )
 
-    if any(len(sift[p]) < L for p in PARTICIPANTS):
-        outcome = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
-        transcript.outcome = outcome
-        published = PublicRecord(protocol="jiang", L=L, announced=outcome.kind)
-        return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
+    def respond() -> dict[str, np.ndarray]:
+        # The i-th SIFT position carries message bit i, surplus SIFT
+        # positions under the coin policy carry random filler.
+        for participant in PARTICIPANTS:
+            bits = np.zeros(2 * L, dtype=np.intp)
+            bits[msg_positions[participant]] = msg[participant]
+            surplus = sift[participant][L:]
+            if len(surplus):
+                bits[surplus] = rng.integers(0, 2, size=len(surplus))
+            pairs.returns[participant] = participant_respond(
+                modes[participant], pairs.register, pairs.wires[participant], bits
+            )
+        return pairs.returns
 
-    for tap in taps:
-        tap.begin_session(2 * L, rng)
-    for tap in taps:
-        if tap.identity in PARTICIPANTS:
-            tap.observe_own_modes(modes[tap.identity])
+    def tp_steps(published: PublicRecord) -> ComparisonOutcome:
+        # TP confirms receipt; only now are the mode declarations public.
+        bell, tp_bits_a, tp_bits_b = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
+        ctrl_ctrl = (bell >= 0).nonzero()[0]
+        transcript.bell_outcomes = bell
+        transcript.tp_bits_a = tp_bits_a
+        transcript.tp_bits_b = tp_bits_b
+        transcript.ctrl_ctrl_positions = ctrl_ctrl
+        transcript.bell_mismatch_count = int(np.count_nonzero(bell[ctrl_ctrl] != pairs.prepared[ctrl_ctrl]))
+        transcript.tp_m_a = tp_bits_a[msg_positions["A"]].tolist()
+        transcript.tp_m_b = tp_bits_b[msg_positions["B"]].tolist()
+        published.modes = modes
 
-    # Forward transits, TP -> participant, channel A then channel B.
-    positions = pairs.positions
-    for participant in PARTICIPANTS:
-        for tap in taps:
-            if tap.target == participant:
-                pairs.wires[participant] = tap.on_forward(positions, pairs.register, pairs.wires[participant], rng)
+        n_ctrl = len(ctrl_ctrl)
+        if n_ctrl > 0 and transcript.bell_mismatch_count / n_ctrl > config.error_threshold:
+            return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
+        outcome, transcript.m_t = tp_compare(transcript.tp_m_a, transcript.tp_m_b, r_a, r_b)
+        published.r = {"A": r_a, "B": r_b}
+        return outcome
 
-    # Responses; the i-th SIFT position carries message bit i, surplus
-    # SIFT positions under the coin policy carry random filler.
-    for participant in PARTICIPANTS:
-        bits = np.zeros(2 * L, dtype=np.intp)
-        bits[msg_positions[participant]] = msg[participant]
-        surplus = sift[participant][L:]
-        if len(surplus):
-            bits[surplus] = rng.integers(0, 2, size=len(surplus))
-        pairs.returns[participant] = participant_respond(
-            modes[participant], pairs.register, pairs.wires[participant], bits
-        )
-
-    # Return transits, participant -> TP.
-    for participant in PARTICIPANTS:
-        for tap in taps:
-            if tap.target == participant:
-                pairs.returns[participant] = tap.on_return(positions, pairs.register, pairs.returns[participant], rng)
-
-    # TP confirms receipt; only now are the mode declarations public.
-    bell, tp_bits_a, tp_bits_b = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
-    ctrl_ctrl = (bell >= 0).nonzero()[0]
-    transcript.bell_outcomes = bell
-    transcript.tp_bits_a = tp_bits_a
-    transcript.tp_bits_b = tp_bits_b
-    transcript.ctrl_ctrl_positions = ctrl_ctrl
-    transcript.bell_mismatch_count = int(np.count_nonzero(bell[ctrl_ctrl] != pairs.prepared[ctrl_ctrl]))
-    transcript.tp_m_a = tp_bits_a[msg_positions["A"]].tolist()
-    transcript.tp_m_b = tp_bits_b[msg_positions["B"]].tolist()
-
-    n_ctrl = len(ctrl_ctrl)
-    if n_ctrl > 0 and transcript.bell_mismatch_count / n_ctrl > config.error_threshold:
-        outcome = ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
-        published = PublicRecord(
-            protocol="jiang", L=L, modes=modes, announced=outcome.kind
-        )
-    else:
-        outcome, m_t = tp_compare(transcript.tp_m_a, transcript.tp_m_b, r_a, r_b)
-        transcript.m_t = m_t
-        published = PublicRecord(
-            protocol="jiang", L=L, modes=modes, r={"A": r_a, "B": r_b}, announced=outcome.kind
-        )
-    transcript.outcome = outcome
-    return transcript, outcome, _finalize_taps(taps, published, truth, outcome)
+    channels = {p: (pairs.positions, p) for p in PARTICIPANTS}
+    transcript.outcome, reports = drive_session(
+        taps, modes, L, channels, pairs.register, pairs.wires, respond, tp_steps, decode_claims, truth, rng
+    )
+    return transcript, transcript.outcome, reports
 
 
-def _finalize_taps(taps, published, truth, outcome) -> list["AttackReport"]:
-    from .attacks import score_report
+# ---------------------------------------------------------------------------
+# Exact-state verification suite for the double C-NOT analysis
+# ---------------------------------------------------------------------------
 
-    reports = []
-    for tap in taps:
-        report = tap.finalize(published)
-        if report is not None:
-            score_report(report, truth)
-            report.detected = outcome.attacker_detected
-            reports.append(report)
-    return reports
+
+@dataclass
+class StateCheck:
+    name: str
+    passed: bool
+    detail: str
+
+
+def _prob(amps: np.ndarray, predicate) -> float:
+    """Probability mass of basis labels satisfying ``predicate(bits)``."""
+    n = kernel.num_qubits(amps)
+    total = 0.0
+    for index, amp in enumerate(amps):
+        bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
+        if predicate(bits):
+            total += abs(amp) ** 2
+    return total
+
+
+def _basis_state(n: int, *indices_with_amp: tuple[int, complex]) -> np.ndarray:
+    amps = np.zeros(1 << n, dtype=complex)
+    for index, amp in indices_with_amp:
+        amps[index] = amp
+    return amps
+
+
+def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
+    """Amplitude-exact verification of the double C-NOT state evolutions
+    on a phi+ pair, as used by ``sqpc verify-equations``.
+
+    Register wire order is (Alice half, Bob half, probe ancilla, fresh
+    resend qubit) in adjoin order; expected states are written in that
+    convention.  The resend cases are checked by composing kernel ops
+    from the coherent-pair premise in wire order (resend, probe, far
+    half), and the discard case is checked through the retained-qubit
+    model at the observable level.
+    """
+    s = kernel.SQRT_HALF
+    rng = np.random.default_rng(0)
+    checks: list[StateCheck] = []
+
+    def run_pipeline(message_bit: int | None):
+        """Forward tap on a one-position phi+ batch, then CTRL (None) or SIFT(bit)."""
+        pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
+        eve = DoubleCnotEve(target="A")
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        sift = np.array([message_bit is not None])
+        pairs.returns["A"] = participant_respond(sift, pairs.register, pairs.wires["A"], [message_bit or 0])
+        return pairs, eve
+
+    # 1. Forward tap entangles the probe: (|000> + |111>)/sqrt(2) on (A, B, E).
+    pairs, _ = run_pipeline(None)
+    expected = _basis_state(3, (0b000, s), (0b111, s))
+    ok = kernel.amplitudes_close(pairs.register.amps[:, 0], expected, tol)
+    checks.append(StateCheck("forward-probe-entanglement", ok, "probe C-NOT on a phi+ half gives the three-qubit GHZ correlations"))
+
+    # 2. CTRL round trip restores the pair and parks the probe back in |0>.
+    pairs, eve = run_pipeline(None)
+    pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+    expected = kernel.tensor(prepare_bell(BellState.PHI_PLUS), prepare_z(0))
+    indicator = eve.finalize(PublicRecord(L=1)).indicator_bits[0]
+    ok = kernel.amplitudes_close(pairs.register.amps[:, 0], expected, tol) and indicator == 0
+    checks.append(StateCheck("ctrl-roundtrip-restoration", ok, "reflected qubit undoes the probe C-NOT, pair intact and probe silent"))
+
+    # 3. After a SIFT discard the probe and the far half stay perfectly
+    #    Z-correlated (the retained-qubit reading of the discarded pair).
+    pairs, _ = run_pipeline(0)
+    amps = pairs.register.amps[:, 0]  # wires: A=0, B=1, E=2, F=3
+    p_disagree = _prob(amps, lambda b: b[2] != b[1])
+    p_probe_one = _prob(amps, lambda b: b[2] == 1)
+    ok = p_disagree <= tol and abs(p_probe_one - 0.5) <= tol
+    checks.append(StateCheck("discarded-half-probe-correlation", ok, "probe and far half agree in Z with probability 1, each side uniform"))
+
+    # 4./5. Resend algebra from the coherent-pair premise, wires (F, E, B):
+    #    F=|0>: (|000> + |011>)/sqrt(2);  F=|1>: (|110> + |101>)/sqrt(2).
+    for bit, indices, name in (
+        (0, (0b000, 0b011), "resend0-probe-superposition"),
+        (1, (0b110, 0b101), "resend1-probe-superposition"),
+    ):
+        sv = kernel.tensor(prepare_z(bit), prepare_bell(BellState.PHI_PLUS))
+        sv = kernel.apply_cnot(sv, 0, 1)
+        expected = _basis_state(3, *((i, s) for i in indices))
+        ok = kernel.amplitudes_close(sv, expected, tol)
+        checks.append(StateCheck(name, ok, f"second C-NOT with a fresh |{bit}> control leaves the stated superposition"))
+
+    # 6. Through the full pipeline the probe fires with probability exactly
+    #    1/2 on SIFT positions and, when it fires, certifies the resent bit.
+    ok = True
+    probe = 2
+    for bit in (0, 1):
+        pairs, _ = run_pipeline(bit)
+        resend = int(pairs.returns["A"][0])
+        pairs.register.cnot(resend, probe)
+        amps = pairs.register.amps[:, 0]
+        p_fire = _prob(amps, lambda b: b[probe] == 1)
+        p_wrong = _prob(amps, lambda b: b[probe] == 1 and b[resend] != bit)
+        ok = ok and abs(p_fire - 0.5) <= tol and p_wrong <= tol
+    checks.append(StateCheck("sift-probe-indicator-odds", ok, "probe fires with probability 1/2 and a fired probe reads the resent bit exactly"))
+
+    return checks

@@ -11,13 +11,14 @@ import time
 
 import numpy as np
 
-from sqpc.attacks import DoubleCnotEve, MaliciousAgent, attack_state_checks
+from sqpc.attacks import DoubleCnotEve, MaliciousAgent
 from sqpc.harness import ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
 from sqpc.improved import ImprovedConfig, qubit_efficiency, run_improved_session
 from sqpc.jiang import (
     ComparisonOutcome,
     PairBatch,
     SessionConfig,
+    attack_state_checks,
     participant_respond,
     random_bits,
     run_session,

@@ -12,12 +12,14 @@ from sqpc.attacks import (
     InterceptResendZ,
     MaliciousAgent,
     PublicRecord,
-    attack_state_checks,
 )
 from sqpc.jiang import (
+    INDEPENDENT_COIN,
+    INSUFFICIENT_SIFT,
     ComparisonOutcome,
     PairBatch,
     SessionConfig,
+    attack_state_checks,
     participant_respond,
     random_bits,
     run_session,
@@ -75,7 +77,7 @@ class TestDoubleCnotEve:
         pairs.returns["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
         pairs.returns["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
         pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
-        report = eve.finalize(PublicRecord(protocol="jiang", L=trips // 2))
+        report = eve.finalize(PublicRecord(L=trips // 2))
         assert report.indicator_bits == {pos: 0 for pos in range(trips)}
         bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, rng)
         assert (bell != pairs.prepared).tolist() == [False] * trips
@@ -88,7 +90,7 @@ class TestDoubleCnotEve:
         pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
         pairs.returns["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], m)
         pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
-        report = eve.finalize(PublicRecord(protocol="jiang", L=trials // 2))
+        report = eve.finalize(PublicRecord(L=trials // 2))
         fired = sorted(pos for pos, bit in report.indicator_bits.items() if bit)
         # a fired probe reads the bit exactly
         assert report.intercepted_bits == {pos: int(m[pos]) for pos in fired}
@@ -125,6 +127,23 @@ class TestDoubleCnotEve:
         assert report.target == "B"
         for idx, bit in report.masked_secret_bits.items():
             assert bit == secret_b[idx] ^ key[idx]
+
+    def test_reused_tap_reports_only_its_own_session(self):
+        # One tap across sessions: a session that aborts before any transit
+        # reports no reads, not the previous session's.
+        eve = DoubleCnotEve("A")
+        config = SessionConfig(L=2, mode_policy=INDEPENDENT_COIN)
+        aborted = 0
+        for seed in range(10):
+            _, outcome, (report,) = run_session(
+                config, bits("01"), bits("11"), bits("10"), [eve], rng=np.random.default_rng(seed)
+            )
+            if outcome.abort_reason == INSUFFICIENT_SIFT:
+                aborted += 1
+                assert report.probed_positions == []
+                assert report.indicator_bits == {}
+                assert report.intercepted_bits == {}
+        assert aborted > 0
 
     def test_midflight_on_base_protocol_is_loud_but_total(self):
         # Reading the probe mid-flight collapses the pair: the declared SIFT
@@ -218,7 +237,7 @@ class TestBlocking:
             tap.begin_session(len(positions), rng)
             reg = Register(prepare_z(np.full(len(positions), z_bit)))
             tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), rng)
-            for read in tap.finalize(PublicRecord(protocol="improved", L=1)).intercepted_bits.values():
+            for read in tap.finalize(PublicRecord(L=1)).intercepted_bits.values():
                 counts[z_bit][read] += 1
         for z_bit in (0, 1):
             frac = counts[z_bit][0] / 4000

@@ -40,6 +40,7 @@ class TestSpecValidation:
             ("error_threshold", dict(error_threshold=2.0)),
             ("target", dict(target="C")),
             ("attacked_count", dict(attacked_count=-1)),
+            ("attacked_count", dict(attack="double-cnot", attacked_count=1)),
         ],
     )
     def test_rejects_bad_fields(self, field, overrides):

@@ -30,7 +30,7 @@ def bits(text):
 
 def probe_reads(eve):
     """The double C-NOT probe's per-position reads, as its report publishes them."""
-    return eve.finalize(PublicRecord(protocol="improved", L=1)).indicator_bits
+    return eve.finalize(PublicRecord(L=1)).indicator_bits
 
 
 class TestPreparation:

@@ -1,8 +1,8 @@
 """Byte-identity of CSV reports across refactors that keep the rng draw order.
 
 Each digest is the sha256 of a CSV report for a fixed spec and seed:
-``run_experiment`` for every valid scenario x attack x mode policy, the
-improved protocol's attacks again with target B, and the blocking and
+``run_experiment`` for every valid scenario x attack x mode policy, each
+protocol's attacks again with target B, and the blocking and
 malicious-agent detection curves under both policies.
 A change that moves no rng draw must leave every digest as recorded.  A
 change that reorders draws on purpose re-records them with
@@ -14,7 +14,14 @@ import hashlib
 
 import pytest
 
-from sqpc.harness import VALID_ATTACKS, ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
+from sqpc.harness import (
+    ATTACK_TABLE,
+    SCENARIOS,
+    ExperimentSpec,
+    emit_report,
+    estimate_detection_curve,
+    run_experiment,
+)
 from sqpc.jiang import MODE_POLICIES
 
 BASE = dict(L=4, trials=30, seed=11, error_threshold=0.1)
@@ -64,6 +71,19 @@ TARGET_B_DIGESTS = {
     ("intercept-resend-z", "coin"): "9c165313f82b9d095f365c64a33742fc5b5fc592e91adfcb521dc17ea8b10ab6",
 }
 
+# The base protocol with the attack on participant B's channel, whose
+# positions are the second wire of every pair.
+JIANG_TARGET_B_DIGESTS = {
+    ("double-cnot", "balanced"): "535995e6374a92a8000ecf5f8f6a567fae6e549be2f3df3b5b8f427a0ec5729b",
+    ("double-cnot", "coin"): "6ea393a58eac9e6e2711a064b00adc6dbd8a594147db052f590c5cc89a28f1f4",
+    ("double-cnot-midflight", "balanced"): "d96c5c15952b626f600e1b92efb1b39378454383544c5cff9709153a5df0e038",
+    ("double-cnot-midflight", "coin"): "59de18fda41ec32eb28cac1748f95c3ca3664b8718364f800e18ff69f31e7ba6",
+    ("malicious-agent", "balanced"): "45838905bc491b23c3cc604ca7edeb5950246e7eb6f74afb23cb695bdc89a50a",
+    ("malicious-agent", "coin"): "045e082cd213c814ae54aae3dcbc56e00e336e69531e6486a43a30aec13db405",
+    ("intercept-resend-z", "balanced"): "554964032d5dfd1c5fdbf50f41369cf13ed9c4d995efc377d34b542b26abfb00",
+    ("intercept-resend-z", "coin"): "dc8e37e533b7ee84da7f372231f4e28841867c3f47a75279e02de8ccf4564b79",
+}
+
 CURVE_DIGESTS = {
     ("blocking", "balanced"): "3e4b4b1ff2f85d97ad2eb800c2b9caf9b94bb19f265862e6878d66d773022509",
     ("blocking", "coin"): "f493829b454f4b6212710880ee2536d0b64c4b00e3c831de39af919860833487",
@@ -79,8 +99,9 @@ def _sha(text: str) -> str:
 def experiment_cases():
     return [
         (scenario, attack, policy)
-        for scenario, attacks in VALID_ATTACKS.items()
-        for attack in attacks
+        for scenario in SCENARIOS
+        for attack, entry in ATTACK_TABLE.items()
+        if scenario in entry.scenarios
         for policy in MODE_POLICIES
     ]
 
@@ -107,6 +128,11 @@ def test_experiment_csv_bytes(scenario, attack, policy):
 @pytest.mark.parametrize("attack,policy", sorted(TARGET_B_DIGESTS))
 def test_experiment_csv_bytes_target_b(attack, policy):
     assert experiment_digest("improved", attack, policy, target="B") == TARGET_B_DIGESTS[attack, policy]
+
+
+@pytest.mark.parametrize("attack,policy", sorted(JIANG_TARGET_B_DIGESTS))
+def test_jiang_csv_bytes_target_b(attack, policy):
+    assert experiment_digest("jiang", attack, policy, target="B") == JIANG_TARGET_B_DIGESTS[attack, policy]
 
 
 @pytest.mark.parametrize("attack,policy", curve_cases())
