@@ -362,6 +362,8 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
     curve_row = ATTACK_TABLE[spec.attack].curve_row
     if curve_row is None:
         raise SpecValidationError("attack", f"attack {spec.attack!r} has no detection curve")
+    if spec.attacked_count is not None:
+        raise SpecValidationError("attacked_count", "a detection curve sets the attacked count from its k values")
     for k in attacked_counts:
         if k < 0:
             raise SpecValidationError("attacked_count", f"curve points must be >= 0, got {k}")

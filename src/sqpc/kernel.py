@@ -5,38 +5,42 @@ A state is a dense complex numpy array of shape ``(2**n, *batch)``.  Axis
 0 holds the ``2**n`` amplitudes of an ``n``-qubit register (``n <= 8``);
 the trailing batch axes index independent registers of the same width.  A
 single state has batch shape ``()``; a session's positions form one array
-of batch shape ``(positions,)``.  Every op acts on axis 0 through an index
-table for its (width, wires), built on first use and cached, so single
-states and batches run the same code.  Qubit 0 is the MOST significant bit
-of a basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in
-|0> and qubits 1 and 2 in |1>.  All operations return fresh arrays or
+of batch shape ``(positions,)``.  Qubit 0 is the MOST significant bit of a
+basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in |0>
+and qubits 1 and 2 in |1>.  All operations return fresh arrays or
 collapse-and-renormalize, so states stay unit norm to double precision.
 
-On a batch with one axis, the gates and measurements also take one wire
-per row: an int array aligned with the rows, so rows whose qubits travel
-on different wires share one call.  Such a call gathers each row through
-the table of its own wires; when every row has the same wire it uses the
-shared axis-0 table.
+Every gate and measurement, and :func:`bell_probabilities`, gathers axis 0
+through one dispatch, :func:`_index`, from one cached table builder,
+:func:`_table`, which validates the wires when it builds a table.  On a
+batch with one axis each wire may also be one per row, an int array
+aligned with the rows, so rows whose qubits travel on different wires
+share one call.  Int wires, and per-row wires that every row shares,
+gather along axis 0 through the table of their (width, wires); mixed
+per-row wires gather each row through its own table, picked from the one
+per-width stack of those tables, :func:`_stack`.
 
 X-basis labels follow the Hadamard image of the computational basis:
 ``PLUS == 0`` encodes |+> = H|0> and ``MINUS == 1`` encodes |-> = H|1>.
 
-Every measurement draws exactly one uniform variate per measured state
-(one per row of a batch), all in a single ``rng.random(batch)`` call on
-the caller's ``numpy.random.Generator``: uniform ``i`` goes to row ``i``,
-whatever the row's wires.  Whole-protocol runs are then reproducible from
-a single seed whatever the amplitudes happen to be.  A caller that lists
-its rows sorted by wire with a stable sort draws exactly what one call
-per distinct wire, in ascending wire order, would draw.  The outcome is
-the first one whose cumulative probability exceeds the scaled uniform;
-when rounding leaves the uniform at the total, it is the last outcome of
-nonzero probability, so a collapse never divides by zero.
+The measurement core, :func:`_measure`, takes one uniform variate per
+measured state (one per row of a batch) and never sees a generator.  The
+public measurements draw those uniforms in a single ``rng.random(batch)``
+call on the caller's ``numpy.random.Generator``: uniform ``i`` goes to row
+``i``, whatever the row's wires.  Whole-protocol runs are then
+reproducible from a single seed whatever the amplitudes happen to be.  A
+caller that lists its rows sorted by wire with a stable sort draws exactly
+what one call per distinct wire, in ascending wire order, would draw.  The
+outcome is the first one whose cumulative probability exceeds the scaled
+uniform; when rounding leaves the uniform at the total, it is the last
+outcome of nonzero probability, so a collapse never divides by zero.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 
 import numpy as np
 
@@ -123,95 +127,61 @@ def _check_wire(q: int, n: int) -> None:
         raise ValueError(f"qubit {q} out of bounds for a {n}-qubit register")
 
 
-def _mask(n: int, q: int) -> int:
-    return 1 << (n - 1 - q)
-
-
-# Index tables.  Wires are validated when a table is first built; a bad
-# wire raises and is never cached.
+# Index tables.  ``_table(op, n, *wires)`` is built on first use and
+# cached; wires are validated then, and a bad wire raises and is never
+# cached, so an int-wire call that hits the cache needs no check.
 
 
 @functools.lru_cache(maxsize=None)
-def _cnot_table(n: int, control: int, target: int) -> np.ndarray:
-    """Basis label each output label reads from under CNOT."""
-    _check_wire(control, n)
-    _check_wire(target, n)
-    if control == target:
-        raise ValueError("control and target must be distinct qubits")
-    labels = np.arange(1 << n)
-    return np.where(labels & _mask(n, control), labels ^ _mask(n, target), labels)
+def _table(op: str, n: int, *wires: int) -> np.ndarray:
+    """Labels an ``op`` on ``wires`` of an ``n``-qubit register gathers.
 
-
-@functools.lru_cache(maxsize=None)
-def _split_table(n: int, q: int) -> np.ndarray:
-    """(2, 2**(n-1)) labels: row v holds the labels with qubit ``q`` = v,
-    column j the same assignment of the other qubits in both rows."""
-    _check_wire(q, n)
-    labels = np.arange(1 << n)
-    rest = labels[(labels & _mask(n, q)) == 0]
-    return np.stack([rest, rest | _mask(n, q)])
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_table(n: int, q1: int, q2: int) -> np.ndarray:
-    """(4, 2**(n-2)) labels: row (v1 << 1) | v2 holds the labels with
-    q1 = v1 and q2 = v2, column j the same rest in every row."""
-    _check_wire(q1, n)
-    _check_wire(q2, n)
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    m1, m2 = _mask(n, q1), _mask(n, q2)
-    labels = np.arange(1 << n)
-    rest = labels[(labels & (m1 | m2)) == 0]
-    return np.stack([rest, rest | m2, rest | m1, rest | m1 | m2])
-
-
-# Per-row tables: every table of a width side by side on one trailing
-# axis, entry w for wires (w,) or w1 * n + w2 for wires (w1, w2), so one
-# ``take`` picks each row's table by its wires.  Entries whose two wires
-# coincide are left at label 0 and never used: per-row wires are checked
-# first.
-
-
-@functools.lru_cache(maxsize=None)
-def _cnot_tables(n: int) -> np.ndarray:
-    """(2**n, n*n): entry c * n + t is ``_cnot_table(n, c, t)``."""
-    out = np.zeros((1 << n, n, n), dtype=np.intp)
-    for c in range(n):
-        for t in range(n):
-            if c != t:
-                out[:, c, t] = _cnot_table(n, c, t)
-    return out.reshape(1 << n, n * n)
-
-
-@functools.lru_cache(maxsize=None)
-def _split_tables(n: int) -> np.ndarray:
-    """(2, 2**(n-1), n): entry q is ``_split_table(n, q)``."""
-    return np.stack([_split_table(n, q) for q in range(n)], axis=-1)
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_tables(n: int) -> np.ndarray:
-    """(4, 2**(n-2), n*n): entry q1 * n + q2 is ``_pair_table(n, q1, q2)``."""
-    out = np.zeros((4, 1 << (n - 2), n, n), dtype=np.intp)
-    for q1 in range(n):
-        for q2 in range(n):
-            if q1 != q2:
-                out[..., q1, q2] = _pair_table(n, q1, q2)
-    return out.reshape(4, 1 << (n - 2), n * n)
-
-
-def _row_index(amps: np.ndarray, n: int, table, row_tables, wires: tuple):
-    """Where an op on ``wires`` gathers ``amps`` from, when some wire is
-    one wire per row of a batch with one axis (an int array aligned with
-    it) and the others are ints.
-
-    When every row shares its wires, this is the axis-0 table
-    ``table(n, *wires)`` that int wires get.  Otherwise it is a (labels,
-    columns) pair that picks row i's table from ``row_tables(n)`` by its
-    wires.  A wire out of range, or two wires equal on some row, raises
-    ``ValueError``.
+    For ``"blocks"``, a (2**k, 2**(n-k)) table for k wires: row b holds the
+    labels whose wires read the bits of b, the first wire most significant,
+    and column j the same assignment of the other qubits in every row.  For
+    ``"cnot"`` on (control, target), the basis label each output label
+    reads from: the two-wire blocks with blocks 10 and 11 swapped.
     """
+    for q in wires:
+        _check_wire(q, n)
+    if len(set(wires)) < len(wires):
+        raise ValueError(f"wires {wires} must be distinct qubits")
+    offsets = [0]
+    for q in wires:
+        offsets = [offset | bit for offset in offsets for bit in (0, 1 << (n - 1 - q))]
+    labels = np.arange(1 << n)
+    blocks = labels[(labels & offsets[-1]) == 0] | np.array(offsets)[:, None]
+    if op == "cnot":
+        labels[blocks] = blocks[[0, 1, 3, 2]]
+        return labels
+    return blocks
+
+
+@functools.lru_cache(maxsize=None)
+def _stack(op: str, n: int, k: int) -> np.ndarray:
+    """Every ``_table(op, n, *wires)`` of ``k`` wires side by side on one
+    trailing axis, entry w for wires (w,) or w1 * n + w2 for wires (w1, w2),
+    so one ``take`` picks each row's table by its wires.  Entries whose two
+    wires coincide are left at label 0 and never used: per-row wires are
+    checked first."""
+    unused = np.zeros_like(_table(op, n, *range(k)))
+    wires = itertools.product(range(n), repeat=k)
+    return np.stack([_table(op, n, *w) if len(set(w)) == k else unused for w in wires], axis=-1)
+
+
+def _index(op: str, amps: np.ndarray, *wires):
+    """Where ``op`` on ``wires`` gathers ``amps`` from.
+
+    Int wires get the axis-0 table ``_table(op, n, *wires)``.  On a batch
+    with one axis a wire may also be one per row, an int array aligned with
+    it.  When every row shares its wires that is still the axis-0 table;
+    otherwise it is a (labels, columns) pair that gathers row i through the
+    table of its own wires, picked from ``_stack``.  A wire out of range,
+    or two wires equal on some row, raises ``ValueError``.
+    """
+    n = num_qubits(amps)
+    if np.ndarray not in map(type, wires):
+        return _table(op, n, *wires)
     shared = []
     for w in wires:
         if not (isinstance(w, np.ndarray) and w.ndim):
@@ -229,21 +199,12 @@ def _row_index(amps: np.ndarray, n: int, table, row_tables, wires: tuple):
             raise ValueError(f"qubit {low if low < 0 else high} out of bounds for a {n}-qubit register")
         shared.append(low if low == high else None)
     if None not in shared:
-        return table(n, *shared)
+        return _table(op, n, *shared)
     if len(wires) == 2 and np.any(np.equal(*wires)):
         raise ValueError("the two wires of a row must be distinct qubits")
     entry = wires[0] if len(wires) == 1 else wires[0] * n + wires[1]
     # ``take`` keeps the labels contiguous, and so the gathered blocks.
-    return row_tables(n).take(entry, axis=-1), np.arange(amps.shape[1])
-
-
-def _split_index(amps: np.ndarray, q):
-    """Where a one-qubit op on ``q`` (an int, or one wire per row) gathers
-    ``amps`` from."""
-    n = num_qubits(amps)
-    if isinstance(q, np.ndarray):
-        return _row_index(amps, n, _split_table, _split_tables, (q,))
-    return _split_table(n, q)
+    return _stack(op, n, len(wires)).take(entry, axis=-1), np.arange(amps.shape[1])
 
 
 def _from_table(table: np.ndarray, values) -> np.ndarray:
@@ -291,16 +252,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def apply_cnot(amps: np.ndarray, control, target) -> np.ndarray:
     """Flip ``target`` on every basis label whose ``control`` bit is 1.
-    Either wire may be one per row (see :func:`_row_index`)."""
-    n = num_qubits(amps)
-    if isinstance(control, np.ndarray) or isinstance(target, np.ndarray):
-        return amps[_row_index(amps, n, _cnot_table, _cnot_tables, (control, target))]
-    return amps[_cnot_table(n, control, target)]
+    Either wire may be one per row (see :func:`_index`)."""
+    return amps[_index("cnot", amps, control, target)]
 
 
 def apply_hadamard(amps: np.ndarray, q) -> np.ndarray:
     """Hadamard on one qubit (the basis change used by X measurements)."""
-    index = _split_index(amps, q)
+    index = _index("blocks", amps, q)
     out = np.empty_like(amps)
     out[index] = _rotate_in(amps[index])
     return out
@@ -313,17 +271,16 @@ def _probabilities(parts: np.ndarray) -> np.ndarray:
     return np.add.reduce(weights, 1)
 
 
-def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One outcome index per state from (k, *batch) probabilities, drawing
-    one uniform per state in a single call.
+def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One outcome index per state from (k, *batch) probabilities and one
+    uniform in [0, 1) per state (shape ``batch``).
 
     The outcome is the first whose cumulative probability exceeds the
     uniform scaled by the total, so it has nonzero probability.  One always
     exists: a uniform below 1 times a normal float rounds to below it.
     """
     cumulative = np.add.accumulate(probs, 0)
-    u = rng.random(probs.shape[1:]) * cumulative[-1]
-    return (cumulative <= u).argmin(0)
+    return (cumulative <= uniforms * cumulative[-1]).argmin(0)
 
 
 # The smallest normal double, added under the square root so that an
@@ -332,16 +289,17 @@ def _sample(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 _TINY = 2.0**-1022
 
 
-def _measure(amps: np.ndarray, index, rng: np.random.Generator, rotated: bool = False):
+def _measure(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = False):
     """Projective measurement onto the outcome blocks ``amps[index]``,
     rotated into the X or Bell basis by :func:`_rotate_in` when
-    ``rotated``.  Returns the outcome indices (shape ``batch``) and the
-    renormalized collapsed states."""
+    ``rotated``, sampled with one uniform per state (see :func:`_sample`).
+    Returns the outcome indices (shape ``batch``) and the renormalized
+    collapsed states."""
     parts = amps[index]
     if rotated:
         parts = _rotate_in(parts)
     probs = _probabilities(parts)
-    outcome = _sample(probs, rng)
+    outcome = _sample(probs, uniforms)
     chosen = _OUTCOMES[: len(parts)].reshape((-1,) + (1,) * outcome.ndim) == outcome
     parts = parts * (chosen / np.sqrt(probs + _TINY))[:, None]
     if rotated:
@@ -375,7 +333,8 @@ def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
         The sampled outcome (an ``int`` for a single state, an int array
         of shape ``batch`` otherwise) and the renormalized states.
     """
-    outcome, out = _measure(amps, _split_index(amps, q), rng)
+    index = _index("blocks", amps, q)
+    outcome, out = _measure(amps, index, rng.random(amps.shape[1:]))
     return _bits(outcome), out
 
 
@@ -386,14 +345,16 @@ def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
     state left in the corresponding X eigenstate; shapes as in
     :func:`measure_z`.
     """
-    outcome, out = _measure(amps, _split_index(amps, q), rng, rotated=True)
+    index = _index("blocks", amps, q)
+    outcome, out = _measure(amps, index, rng.random(amps.shape[1:]), rotated=True)
     return _bits(outcome), out
 
 
-def bell_probabilities(amps: np.ndarray, q1: int, q2: int) -> np.ndarray:
+def bell_probabilities(amps: np.ndarray, q1, q2) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on qubits (q1, q2),
-    ordered by ``BellState`` value: shape ``(4, *batch)``."""
-    return _probabilities(_rotate_in(amps[_pair_table(num_qubits(amps), q1, q2)]))
+    ordered by ``BellState`` value: shape ``(4, *batch)``.  Either wire may
+    be one per row, as in :func:`measure_z`."""
+    return _probabilities(_rotate_in(amps[_index("blocks", amps, q1, q2)]))
 
 
 def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
@@ -406,12 +367,8 @@ def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
     accordingly.  A single state gives a ``BellState``; a batch gives an
     int array of ``BellState`` values.
     """
-    n = num_qubits(amps)
-    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        index = _row_index(amps, n, _pair_table, _pair_tables, (q1, q2))
-    else:
-        index = _pair_table(n, q1, q2)
-    outcome, out = _measure(amps, index, rng, rotated=True)
+    index = _index("blocks", amps, q1, q2)
+    outcome, out = _measure(amps, index, rng.random(amps.shape[1:]), rotated=True)
     return (BellState(int(outcome)) if outcome.ndim == 0 else outcome), out
 
 

@@ -182,7 +182,9 @@ class TestDetectionCurve:
         text = emit_report(curve, "csv", None)
         assert text.splitlines()[0] == "k,detection_rate,std_error,count"
 
-    def test_rejects_negative_count_before_any_trial(self, monkeypatch):
+    @pytest.fixture
+    def trial_calls(self, monkeypatch):
+        """Indices of the trials run through ``harness.run_trial``."""
         calls = []
         real_run_trial = harness.run_trial
 
@@ -191,11 +193,23 @@ class TestDetectionCurve:
             return real_run_trial(spec, index)
 
         monkeypatch.setattr(harness, "run_trial", counting_run_trial)
+        return calls
+
+    def test_rejects_negative_count_before_any_trial(self, trial_calls):
         spec = ExperimentSpec(scenario="improved", attack="blocking", L=1, trials=5, seed=1)
         with pytest.raises(SpecValidationError) as err:
             estimate_detection_curve(spec, [1, 2, -1])
         assert err.value.field == "attacked_count"
-        assert calls == []
+        assert trial_calls == []
+
+    @pytest.mark.parametrize("attack", ["blocking", "malicious-agent"])
+    def test_rejects_spec_attacked_count_before_any_trial(self, trial_calls, attack):
+        # The k values set each row's count; a count in the spec would be ignored.
+        spec = ExperimentSpec(scenario="improved", attack=attack, L=4, trials=5, seed=1, attacked_count=3)
+        with pytest.raises(SpecValidationError) as err:
+            estimate_detection_curve(spec, [1, 2])
+        assert err.value.field == "attacked_count"
+        assert trial_calls == []
 
     def test_rejects_wrong_scenario(self):
         spec = ExperimentSpec(scenario="jiang", attack="malicious-agent", trials=5)

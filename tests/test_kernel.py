@@ -1,5 +1,7 @@
 """Kernel unit tests: preparations, gates, measurements, comparisons."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,9 @@ from sqpc.kernel import (
 )
 from conftest import (
     BELL_VECTORS,
+    X_MINUS,
     X_PLUS,
+    embed_operator,
     oracle_projector_probability,
     oracle_z_probability,
     random_state,
@@ -317,3 +321,73 @@ class TestRegister:
             return [reg.measure_z(0, rng), reg.measure_z(2, rng), reg.measure_x(1, rng)]
 
         assert drive(7) == drive(7)
+
+# Every table entry of every width: the per-row call puts one row on each
+# wire (or ordered wire pair), so the rows cover every entry of the
+# per-width stack, and each row is checked against the int-wire call on its
+# own state and against an embedded operator or projector.
+_ONE_WIRE = ("hadamard", "z", "x")
+_TWO_WIRES = ("cnot", "bell", "bell_probabilities")
+_PROJECTORS = {
+    "z": [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)],
+    "x": [X_PLUS, X_MINUS],
+    "bell": [BELL_VECTORS[name] for name in ("phi+", "phi-", "psi+", "psi-")],
+}
+_GATES = {
+    "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) * S,
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+
+
+def _kernel_call(kind, amps, wires, rng):
+    """(outcomes or None, result) of one kernel call; ``wires`` ints or per-row arrays."""
+    if kind == "cnot":
+        return None, apply_cnot(amps, *wires)
+    if kind == "hadamard":
+        return None, apply_hadamard(amps, *wires)
+    if kind == "bell_probabilities":
+        return None, bell_probabilities(amps, *wires)
+    measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}[kind]
+    outcome, post = measure(amps, *wires, rng)
+    return np.asarray(getattr(outcome, "value", outcome)), post
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in _ONE_WIRE for n in range(1, kernel.MAX_QUBITS + 1)]
+    + [(kind, n) for kind in _TWO_WIRES for n in range(2, kernel.MAX_QUBITS + 1)],
+)
+def test_per_row_tables_cover_every_entry(kind, n):
+    k = 1 if kind in _ONE_WIRE else 2
+    entries = [w for w in itertools.product(range(n), repeat=k) if len(set(w)) == k]
+    seed = 1000 * n + k
+    states = np.stack([random_state(n, np.random.default_rng(seed + i)) for i in range(len(entries))], axis=1)
+    row_wires = tuple(np.array(column) for column in zip(*entries))
+    uniforms = np.random.default_rng(seed).random(len(entries))
+
+    outcomes, got = _kernel_call(kind, states, row_wires, np.random.default_rng(seed))
+    singles = np.random.default_rng(seed)
+    for i, wires in enumerate(entries):
+        state = states[:, i]
+        outcome, expected = _kernel_call(kind, state, wires, singles)
+        assert np.allclose(got[:, i], expected, atol=1e-12)
+        if kind in _GATES:
+            full = embed_operator(_GATES[kind], list(wires), n)
+            assert np.allclose(got[:, i], full @ state, atol=TOL)
+            continue
+        vectors = _PROJECTORS["bell" if kind == "bell_probabilities" else kind]
+        if kind == "z":
+            probs = np.array([oracle_z_probability(state, wires[0], v) for v in (0, 1)])
+        else:
+            probs = np.array([oracle_projector_probability(state, v, list(wires)) for v in vectors])
+        if kind == "bell_probabilities":
+            assert got[:, i] == pytest.approx(probs, abs=TOL)
+            continue
+        # The outcome is the one the oracle's cumulative probabilities give
+        # the row's uniform, and the row collapses onto its projector.
+        assert int(outcomes[i]) == int(outcome)
+        below = probs[: int(outcome)].sum()
+        assert below - TOL <= uniforms[i] < below + probs[int(outcome)] + TOL
+        v = vectors[int(outcome)]
+        projected = embed_operator(np.outer(v, v.conj()), list(wires), n) @ state
+        assert np.allclose(got[:, i], projected / np.sqrt(probs[int(outcome)]), atol=TOL)
