@@ -22,9 +22,7 @@ from .harness import (
 )
 from .improved import (
     CheckDisclosure,
-    ImprovedConfig,
     ImprovedTranscript,
-    qubit_efficiency,
     run_improved_session,
 )
 from .jiang import (

@@ -3,7 +3,8 @@
 Every trial gets its own rng seeded by a splitmix64 hash of (master seed,
 trial index), so aggregates do not depend on execution order and a spec
 re-run reproduces every sampled bit.
-Every per-attack fact lives in one ``ATTACK_TABLE`` entry.
+Every per-scenario fact lives in one ``SCENARIO_TABLE`` entry and every
+per-attack fact in one ``ATTACK_TABLE`` entry.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .attacks import (
     InterceptResendZ,
     MaliciousAgent,
 )
-from .improved import ImprovedConfig, run_improved_session, qubit_efficiency
+from .improved import run_improved_session
 from .jiang import (
     BALANCED,
     MODE_POLICIES,
@@ -38,7 +39,33 @@ from .jiang import (
     run_session,
 )
 
-SCENARIOS = ("jiang", "improved")
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the harness knows about one protocol.
+
+    ``run`` calls its session driver, looked up at call time so that a
+    patched module attribute (as a tracer installs) takes effect;
+    ``qubit_efficiency`` counts compared secret bits per photon delivered
+    to one participant; ``has_curve`` says whether detection curves are
+    defined and ``reads_x_mismatch`` whether trials read ``x_mismatch_rate``
+    off TP's X checks.
+    """
+
+    run: Callable[..., tuple]
+    qubit_efficiency: Fraction
+    has_curve: bool = False
+    reads_x_mismatch: bool = False
+
+
+SCENARIO_TABLE = {
+    "jiang": Scenario(lambda *a, **k: run_session(*a, **k), Fraction(1, 2)),
+    "improved": Scenario(
+        lambda *a, **k: run_improved_session(*a, **k), Fraction(1, 4), has_curve=True, reads_x_mismatch=True
+    ),
+}
+
+SCENARIOS = tuple(SCENARIO_TABLE)
 
 SCHEMA_VERSION = 1
 
@@ -248,12 +275,9 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     attack = ATTACK_TABLE[spec.attack]
     taps = attack.taps(spec, key)
 
-    if spec.scenario == "jiang":
-        config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
-        transcript, outcome, reports = run_session(config, secret_a, secret_b, key, taps, rng=rng)
-    else:
-        config = ImprovedConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
-        transcript, outcome, reports = run_improved_session(config, secret_a, secret_b, key, taps, rng=rng)
+    scenario = SCENARIO_TABLE[spec.scenario]
+    config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
+    transcript, outcome, reports = scenario.run(config, secret_a, secret_b, key, taps, rng=rng)
 
     expected = _expected_outcome(secret_a, secret_b)
     correct = (not outcome.is_aborted) and outcome == expected
@@ -272,7 +296,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
     if report is not None and "sift_indicator_rate" in attack.columns:
         rate = report.sift_indicator_rate
         result.sift_indicator_rate = rate if rate is not None else 0.0
-    if report is not None and spec.scenario == "improved":
+    if report is not None and scenario.reads_x_mismatch:
         result.x_mismatch_rate = _x_mismatch_rate(transcript, report)
     return result
 
@@ -315,7 +339,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateStats:
     return AggregateStats(
         spec=spec,
         metrics=metrics,
-        qubit_efficiency=qubit_efficiency(spec.scenario),
+        qubit_efficiency=SCENARIO_TABLE[spec.scenario].qubit_efficiency,
         started_at=started_at,
         elapsed_ms=int((time.monotonic() - t0) * 1000),
     )
@@ -357,8 +381,8 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
     ``ATTACK_TABLE`` entry has a ``curve_row``: it sets what k means.
     """
     spec.validate()
-    if spec.scenario != "improved":
-        raise SpecValidationError("scenario", "detection curves are defined for the improved protocol")
+    if not SCENARIO_TABLE[spec.scenario].has_curve:
+        raise SpecValidationError("scenario", f"scenario {spec.scenario!r} has no detection curve")
     curve_row = ATTACK_TABLE[spec.attack].curve_row
     if curve_row is None:
         raise SpecValidationError("attack", f"attack {spec.attack!r} has no detection curve")

@@ -30,71 +30,33 @@ measure-resend reads, TP's X reads and TP's Z reads are arrays over the
 rows, -1 where nothing was read.  Taps, disclosures and the public record
 see positions within a channel.
 
-Sessions run on :func:`sqpc.jiang.drive_session` with this protocol's
-own steps; :func:`decode_claims` decodes tap reads of its R carriers.
+Sessions take :class:`sqpc.jiang.SessionConfig`, derive this protocol's
+counts from L where they are used, and run on
+:func:`sqpc.jiang.drive_session` with this protocol's own steps;
+:func:`decode_claims` decodes tap reads of its R carriers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, read_dict
 from .jiang import (
-    BALANCED,
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
-    MODE_POLICIES,
     PARTICIPANTS,
     Bits,
     ComparisonOutcome,
+    SessionConfig,
     draw_modes,
     drive_session,
     tp_compare,
     xor_bits,
 )
 from .kernel import Register, prepare_x, prepare_z, sort_rows
-
-
-@dataclass
-class ImprovedConfig:
-    """Parameters of one improved-protocol session.
-
-    All counts derive from the secret length: 4L photons per participant,
-    2L of them SIFTed (the R carriers), L disclosed for the integrity
-    check and L left as the message mask.
-    """
-
-    L: int
-    error_threshold: float = 0.0
-    mode_policy: str = BALANCED
-
-    def __post_init__(self) -> None:
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if not 0.0 <= self.error_threshold <= 1.0:
-            raise ValueError(f"error_threshold must lie in [0, 1], got {self.error_threshold}")
-        if self.mode_policy not in MODE_POLICIES:
-            raise ValueError(f"mode_policy must be one of {MODE_POLICIES}, got {self.mode_policy!r}")
-
-    @property
-    def photons_per_participant(self) -> int:
-        return 4 * self.L
-
-    @property
-    def photons_total(self) -> int:
-        return 8 * self.L
-
-    @property
-    def sift_count(self) -> int:
-        return 2 * self.L
-
-    @property
-    def check_count(self) -> int:
-        return self.L
 
 
 @dataclass
@@ -159,7 +121,7 @@ class ImprovedTranscript:
     TP measured).
     """
 
-    config: ImprovedConfig
+    config: SessionConfig
     photons: PhotonBatch
     modes: dict[str, np.ndarray]  # participant -> SIFT mask
     sift_positions: dict[str, np.ndarray]
@@ -176,11 +138,11 @@ class ImprovedTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_photons(config: ImprovedConfig, rng: np.random.Generator) -> PhotonBatch:
+def tp_prepare_photons(config: SessionConfig, rng: np.random.Generator) -> PhotonBatch:
     """8L photons in uniformly random |+>/|-> states in one batched
     register, the first 4L for participant A and the rest for B."""
-    signs = rng.integers(0, 2, size=config.photons_total)
-    return PhotonBatch.prepare(signs, config.photons_per_participant)
+    signs = rng.integers(0, 2, size=8 * config.L)
+    return PhotonBatch.prepare(signs, 4 * config.L)
 
 
 def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -274,7 +236,7 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
 
 
 def run_improved_session(
-    config: ImprovedConfig,
+    config: SessionConfig,
     secret_a: Sequence[int],
     secret_b: Sequence[int],
     key: Sequence[int],
@@ -289,10 +251,12 @@ def run_improved_session(
     if not len(secret_a) == len(secret_b) == len(key) == L:
         raise ValueError("secrets and key must all have length L")
 
+    # Each participant gets 4L photons and SIFTs 2L of them, the R
+    # carriers; L of those are disclosed and L left as the message mask.
     photons = tp_prepare_photons(config, rng)
-    modes = {p: draw_modes(config.photons_per_participant, config.sift_count, config.mode_policy, rng) for p in PARTICIPANTS}
+    modes = {p: draw_modes(4 * L, 2 * L, config.mode_policy, rng) for p in PARTICIPANTS}
     sift = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
-    r_positions = {p: sift[p][: config.sift_count] for p in PARTICIPANTS}
+    r_positions = {p: sift[p][: 2 * L] for p in PARTICIPANTS}
 
     transcript = ImprovedTranscript(
         config=config,
@@ -326,7 +290,7 @@ def run_improved_session(
             return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
 
         disclosures = {
-            p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=config.check_count)
+            p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=L)
             for p in PARTICIPANTS
         }
         transcript.disclosures = published.disclosures = disclosures
@@ -353,15 +317,7 @@ def run_improved_session(
 
     channels = {p: (photons.rows[channel[p]], channel[p]) for p in PARTICIPANTS}
     transcript.outcome, reports = drive_session(
-        taps, modes, config.sift_count, channels, photons.register, photons.wire, respond, tp_steps, decode_claims, truth, rng
+        taps, modes, 2 * L, channels, photons.register, photons.wire, respond, tp_steps, decode_claims, truth, rng
     )
     return transcript, transcript.outcome, reports
 
-
-def qubit_efficiency(protocol: str) -> Fraction:
-    """Compared secret bits per photon delivered to one participant."""
-    if protocol == "jiang":
-        return Fraction(1, 2)
-    if protocol == "improved":
-        return Fraction(1, 4)
-    raise ValueError(f"unknown protocol {protocol!r}")

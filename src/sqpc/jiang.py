@@ -24,19 +24,20 @@ All 2L positions live in one batched register (see :mod:`sqpc.kernel`),
 so each protocol step is a few batch calls rather than a loop over
 positions.  TP's reads come back as arrays over the positions as well: a
 Bell outcome per position and a Z bit per participant per position, each
--1 where nothing was measured.  Adversaries participate as channel taps
-with one hook call for all forward transits of their channel and one for
-all return transits; see :mod:`sqpc.attacks`.
+-1 where nothing was measured; the transcript keys each per-participant
+value by participant.  Adversaries participate as channel taps with one
+hook call for all forward transits of their channel and one for all
+return transits; see :mod:`sqpc.attacks`.
 
-:func:`drive_session` runs the transit pattern both protocols share;
-each protocol supplies its own steps and decodes tap reads itself
+:class:`SessionConfig` parametrizes a session of either protocol and
+:func:`drive_session` runs the transit pattern both share; each protocol
+supplies its own steps and decodes tap reads itself
 (:func:`decode_claims`).  :func:`attack_state_checks` verifies the double
 C-NOT state evolutions through this protocol's pair pipeline.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -118,25 +119,19 @@ def derive_message(secret: Sequence[int], r: Sequence[int], key: Sequence[int]) 
 
 @dataclass
 class SessionConfig:
-    """Parameters of one comparison session.
+    """Parameters of one comparison session, for either protocol.
 
-    ``bell_weights`` orders the preparation distribution by ``BellState``
-    value; the default is uniform and a point mass reproduces the
-    all-phi+ setting used in the double C-NOT analysis.
+    Each protocol derives its own counts from the secret length ``L``
+    where it uses them.
     """
 
     L: int
-    bell_weights: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     error_threshold: float = 0.0
     mode_policy: str = BALANCED
 
     def __post_init__(self) -> None:
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
-        if len(self.bell_weights) != 4 or any(w < 0 for w in self.bell_weights):
-            raise ValueError("bell_weights must be four non-negative weights")
-        if abs(sum(self.bell_weights) - 1.0) > 1e-9:
-            raise ValueError("bell_weights must sum to 1")
         if not 0.0 <= self.error_threshold <= 1.0:
             raise ValueError(f"error_threshold must lie in [0, 1], got {self.error_threshold}")
         if self.mode_policy not in MODE_POLICIES:
@@ -162,9 +157,10 @@ class PairBatch:
     @classmethod
     def prepare(cls, values) -> "PairBatch":
         """One pair per position, in the Bell states with the given values."""
+        register = Register(prepare_bell(values))
         values = np.asarray(values, dtype=np.intp)
         halves = np.zeros(len(values), dtype=np.intp)
-        return cls(values, Register(prepare_bell(values)), {"A": halves, "B": halves + 1})
+        return cls(values, register, {"A": halves, "B": halves + 1})
 
     @property
     def positions(self) -> np.ndarray:
@@ -175,51 +171,36 @@ class PairBatch:
 class SessionTranscript:
     """Everything TP sees, plus the session's pair register.
 
-    ``modes_a``/``modes_b`` are the SIFT masks.  ``bell_outcomes`` holds the
-    ``BellState`` value TP measured at each CTRL/CTRL position and
-    ``tp_bits_a``/``tp_bits_b`` TP's Z-read of each SIFT return, all -1
-    where nothing was measured (and ``None`` when the session aborted
-    before TP measured).
+    Per-participant fields are dicts keyed by participant.  ``modes`` holds
+    the SIFT masks.  ``bell_outcomes`` holds the ``BellState`` value TP
+    measured at each CTRL/CTRL position and ``tp_bits`` TP's Z-read of
+    each SIFT return, all -1 where nothing was measured (and ``None`` when
+    the session aborted before TP measured).
     """
 
     config: SessionConfig
     pairs: PairBatch
-    modes_a: np.ndarray
-    modes_b: np.ndarray
-    r_a: Bits
-    r_b: Bits
-    sift_positions_a: np.ndarray
-    sift_positions_b: np.ndarray
-    message_positions_a: np.ndarray
-    message_positions_b: np.ndarray
+    modes: dict[str, np.ndarray]
+    r: dict[str, Bits]
+    sift_positions: dict[str, np.ndarray]
+    message_positions: dict[str, np.ndarray]
     bell_outcomes: np.ndarray | None = None
-    tp_bits_a: np.ndarray | None = None
-    tp_bits_b: np.ndarray | None = None
+    tp_bits: dict[str, np.ndarray] | None = None
     ctrl_ctrl_positions: np.ndarray | None = None
     bell_mismatch_count: int = 0
-    tp_m_a: Bits | None = None
-    tp_m_b: Bits | None = None
+    tp_m: dict[str, Bits] | None = None
     m_t: Bits | None = None
     outcome: ComparisonOutcome | None = None
 
 
-@functools.lru_cache(maxsize=None)
-def _bell_cdf(weights: tuple[float, float, float, float]) -> np.ndarray:
-    """Cumulative Bell weights, normalized as ``Generator.choice`` does."""
-    cdf = np.asarray(weights, dtype=float).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 def tp_prepare_pairs(config: SessionConfig, rng: np.random.Generator) -> PairBatch:
-    """Draw 2L Bell variants from the configured distribution into one
-    batched register (qubit 0 = Alice's half, 1 = Bob's).
+    """Draw 2L uniformly random Bell variants into one batched register
+    (qubit 0 = Alice's half, 1 = Bob's).
 
-    One uniform per pair, inverted through the cumulative weights: the
-    draws and variants of ``rng.choice(4, size=2L, p=bell_weights)``,
-    without its per-call validation of the weights."""
-    variants = _bell_cdf(tuple(config.bell_weights)).searchsorted(rng.random(2 * config.L), side="right")
-    return PairBatch.prepare(variants)
+    One uniform per pair, scaled by 4 and truncated: the draws and
+    variants of ``rng.choice(4, size=2L, p=[0.25] * 4)``, whose cut points
+    0.25, 0.5 and 0.75, like the scaling by 4, are exact in binary."""
+    return PairBatch.prepare((4 * rng.random(2 * config.L)).astype(np.intp))
 
 
 def draw_modes(
@@ -399,31 +380,17 @@ def run_session(
         raise ValueError("secrets and key must all have length L")
 
     pairs = tp_prepare_pairs(config, rng)
-    r_a = random_bits(L, rng)
-    r_b = random_bits(L, rng)
-    msg = {"A": derive_message(secret_a, r_a, key), "B": derive_message(secret_b, r_b, key)}
-    modes = {"A": choose_modes(config, rng), "B": choose_modes(config, rng)}
+    secrets = {"A": list(secret_a), "B": list(secret_b)}
+    r = {p: random_bits(L, rng) for p in PARTICIPANTS}
+    msg = {p: derive_message(secrets[p], r[p], key) for p in PARTICIPANTS}
+    modes = {p: choose_modes(config, rng) for p in PARTICIPANTS}
     sift = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
     msg_positions = {p: sift[p][:L] for p in PARTICIPANTS}
 
     transcript = SessionTranscript(
-        config=config,
-        pairs=pairs,
-        modes_a=modes["A"],
-        modes_b=modes["B"],
-        r_a=r_a,
-        r_b=r_b,
-        sift_positions_a=sift["A"],
-        sift_positions_b=sift["B"],
-        message_positions_a=msg_positions["A"],
-        message_positions_b=msg_positions["B"],
+        config=config, pairs=pairs, modes=modes, r=r, sift_positions=sift, message_positions=msg_positions
     )
-    truth = GroundTruth(
-        L=L,
-        secrets={"A": list(secret_a), "B": list(secret_b)},
-        key=list(key),
-        messages=msg,
-    )
+    truth = GroundTruth(L=L, secrets=secrets, key=list(key), messages=msg)
 
     def respond() -> dict[str, np.ndarray]:
         # The i-th SIFT position carries message bit i, surplus SIFT
@@ -441,22 +408,20 @@ def run_session(
 
     def tp_steps(published: PublicRecord) -> ComparisonOutcome:
         # TP confirms receipt; only now are the mode declarations public.
-        bell, tp_bits_a, tp_bits_b = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
+        bell, bits_a, bits_b = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
         ctrl_ctrl = (bell >= 0).nonzero()[0]
         transcript.bell_outcomes = bell
-        transcript.tp_bits_a = tp_bits_a
-        transcript.tp_bits_b = tp_bits_b
+        transcript.tp_bits = tp_bits = {"A": bits_a, "B": bits_b}
         transcript.ctrl_ctrl_positions = ctrl_ctrl
         transcript.bell_mismatch_count = int(np.count_nonzero(bell[ctrl_ctrl] != pairs.prepared[ctrl_ctrl]))
-        transcript.tp_m_a = tp_bits_a[msg_positions["A"]].tolist()
-        transcript.tp_m_b = tp_bits_b[msg_positions["B"]].tolist()
+        transcript.tp_m = tp_m = {p: tp_bits[p][msg_positions[p]].tolist() for p in PARTICIPANTS}
         published.modes = modes
 
         n_ctrl = len(ctrl_ctrl)
         if n_ctrl > 0 and transcript.bell_mismatch_count / n_ctrl > config.error_threshold:
             return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
-        outcome, transcript.m_t = tp_compare(transcript.tp_m_a, transcript.tp_m_b, r_a, r_b)
-        published.r = {"A": r_a, "B": r_b}
+        outcome, transcript.m_t = tp_compare(tp_m["A"], tp_m["B"], r["A"], r["B"])
+        published.r = r
         return outcome
 
     channels = {p: (pairs.positions, p) for p in PARTICIPANTS}

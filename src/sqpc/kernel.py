@@ -232,8 +232,11 @@ def prepare_x(sign) -> np.ndarray:
 def prepare_bell(state) -> np.ndarray:
     """The requested Bell state; an array of ``BellState`` values gives one
     state per value, shape (4, *values.shape)."""
-    values = state.value if isinstance(state, BellState) else np.asarray(state, dtype=np.intp)
-    return _from_table(_BELL_MATRIX, values)
+    values = np.asarray(state.value if isinstance(state, BellState) else state)
+    ints = values.astype(np.intp, copy=False)
+    if not ((ints == values) & (ints >= 0) & (ints <= 3)).all():
+        raise ValueError(f"state must be a BellState value in 0..3, got {state!r}")
+    return _from_table(_BELL_MATRIX, ints)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

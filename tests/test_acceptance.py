@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from sqpc.attacks import DoubleCnotEve, MaliciousAgent
-from sqpc.harness import ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
-from sqpc.improved import ImprovedConfig, qubit_efficiency, run_improved_session
+from sqpc.harness import SCENARIO_TABLE, ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
+from sqpc.improved import run_improved_session
 from sqpc.jiang import (
     ComparisonOutcome,
     PairBatch,
@@ -157,7 +157,7 @@ def test_criterion_5_honest_correctness_both_protocols():
         secret_a = random_bits(4, rng)
         secret_b = list(secret_a) if trial % 2 == 0 else random_bits(4, rng)
         key = random_bits(4, rng)
-        _, outcome, _ = run_improved_session(ImprovedConfig(L=4), secret_a, secret_b, key, rng=rng)
+        _, outcome, _ = run_improved_session(SessionConfig(L=4), secret_a, secret_b, key, rng=rng)
         expected = _expected(secret_a, secret_b)
         aborts += int(outcome.is_aborted)
         failures += int(outcome != expected)
@@ -225,8 +225,8 @@ def test_criterion_7_blocking_detection_curve():
 
 def test_criterion_8_qubit_efficiency():
     t0 = time.monotonic()
-    eff_base = qubit_efficiency("jiang")
-    eff_improved = qubit_efficiency("improved")
+    eff_base = SCENARIO_TABLE["jiang"].qubit_efficiency
+    eff_improved = SCENARIO_TABLE["improved"].qubit_efficiency
     stats = run_experiment(ExperimentSpec(scenario="improved", attack="none", L=2, trials=5, seed=0))
     payload = json.loads(emit_report(stats, "json", None))
     ok = (

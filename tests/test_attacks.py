@@ -221,8 +221,8 @@ class TestMaliciousAgent:
             config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
         )
         report = reports[0]
-        message_positions = set(transcript.message_positions_a)
-        claimed_positions = {transcript.message_positions_a[i] for i in report.secret_bits}
+        message_positions = set(transcript.message_positions["A"])
+        claimed_positions = {transcript.message_positions["A"][i] for i in report.secret_bits}
         assert claimed_positions <= (set(report.probed_positions) & message_positions)
 
 

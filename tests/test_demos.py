@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
     "script, result_line",
     [
         ("01_state_walkthrough.py", "every fired probe read the resent message bit exactly"),
+        ("02_eavesdropper_leak.py", "detected_rate          0.0000"),
         ("03_malicious_agent.py", "attack detected: False"),
+        ("04_improved_immunity.py", "the price: qubit efficiency drops from 1/2 to 1/4"),
     ],
 )
 def test_demo_runs(script, result_line):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord
+from sqpc.harness import SCENARIO_TABLE
 from sqpc.improved import (
     CheckDisclosure,
-    ImprovedConfig,
     PhotonBatch,
     disclose_half_r,
     derive_improved_message,
-    qubit_efficiency,
     run_improved_session,
     sift_measure_resend,
     tp_check_ctrl_x,
@@ -20,6 +19,7 @@ from sqpc.improved import (
 from sqpc.jiang import (
     DISCLOSURE_MISMATCH,
     ComparisonOutcome,
+    SessionConfig,
     random_bits,
 )
 from sqpc.kernel import PLUS
@@ -35,17 +35,17 @@ def probe_reads(eve):
 
 class TestPreparation:
     def test_counts_per_participant(self, rng):
-        photons = tp_prepare_photons(ImprovedConfig(L=1), rng)
+        photons = tp_prepare_photons(SessionConfig(L=1), rng)
         assert len(photons.prepared_sign[photons.channel("A")]) == 4
         assert len(photons.prepared_sign[photons.channel("B")]) == 4
 
     def test_sign_frequency(self, rng):
-        photons = tp_prepare_photons(ImprovedConfig(L=1250), rng)
+        photons = tp_prepare_photons(SessionConfig(L=1250), rng)
         signs = photons.prepared_sign
         assert abs(np.mean(signs) - 0.5) < 0.015
 
     def test_prepared_states_are_x_eigenstates(self, rng):
-        photons = tp_prepare_photons(ImprovedConfig(L=2), rng)
+        photons = tp_prepare_photons(SessionConfig(L=2), rng)
         (wire,) = set(photons.wire.tolist())
         assert np.array_equal(photons.register.measure_x(wire, rng), photons.prepared_sign)
 
@@ -66,7 +66,7 @@ class TestSiftMeasureResend:
 
 class TestCtrlCheck:
     def test_honest_ctrl_always_matches(self, rng):
-        config = ImprovedConfig(L=4)
+        config = SessionConfig(L=4)
         photons = tp_prepare_photons(config, rng)
         ctrl = np.ones(32, dtype=bool)
         photons.return_wire = photons.wire
@@ -118,7 +118,7 @@ class TestDisclosure:
 
 class TestHonestSessions:
     def test_equal_and_not_equal(self, rng):
-        config = ImprovedConfig(L=4)
+        config = SessionConfig(L=4)
         for trial in range(150):
             secret_a = random_bits(4, rng)
             secret_b = list(secret_a) if trial % 2 == 0 else random_bits(4, rng)
@@ -132,7 +132,7 @@ class TestHonestSessions:
                 assert outcome == ComparisonOutcome.not_equal(first)
 
     def test_mask_agreement(self, rng):
-        config = ImprovedConfig(L=6)
+        config = SessionConfig(L=6)
         secret_a, secret_b, key = (random_bits(6, rng) for _ in range(3))
         transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
         for p in ("A", "B"):
@@ -157,7 +157,7 @@ class TestHonestSessions:
         assert m_t_full == expected
 
     def test_transcript_structure(self, rng):
-        config = ImprovedConfig(L=3)
+        config = SessionConfig(L=3)
         secret = random_bits(3, rng)
         transcript, _, _ = run_improved_session(config, secret, secret, random_bits(3, rng), rng=rng)
         for p in ("A", "B"):
@@ -172,7 +172,7 @@ class TestHonestSessions:
     def test_coin_policy_sessions(self):
         from sqpc.jiang import INDEPENDENT_COIN, INSUFFICIENT_SIFT
 
-        config = ImprovedConfig(L=2, mode_policy=INDEPENDENT_COIN)
+        config = SessionConfig(L=2, mode_policy=INDEPENDENT_COIN)
         secret_a, secret_b = bits("10"), bits("11")
         completed = aborted = 0
         for seed in range(150):
@@ -188,7 +188,7 @@ class TestHonestSessions:
         assert completed > 0 and aborted > 0
 
     def test_deterministic_given_seed(self):
-        config = ImprovedConfig(L=4)
+        config = SessionConfig(L=4)
         secret_a, secret_b, key = bits("1011"), bits("1001"), bits("0110")
 
         def run():
@@ -206,7 +206,7 @@ class TestHonestSessions:
 
 class TestImmunity:
     def test_double_cnot_probe_never_fires(self, rng):
-        config = ImprovedConfig(L=4)
+        config = SessionConfig(L=4)
         for _ in range(60):
             secret = random_bits(4, rng)
             _, outcome, reports = run_improved_session(
@@ -230,7 +230,7 @@ class TestImmunity:
         assert probe_reads(eve) == {pos: 0 for pos in range(80)}
 
     def test_midflight_triggers_x_mismatches(self, rng):
-        config = ImprovedConfig(L=4)
+        config = SessionConfig(L=4)
         mismatches = 0
         ctrl_attacked = 0
         for _ in range(150):
@@ -253,7 +253,7 @@ class TestImmunity:
         rng = np.random.default_rng(7)
         detected = 0
         trials = 2000
-        config = ImprovedConfig(L=1)
+        config = SessionConfig(L=1)
         for _ in range(trials):
             secret = random_bits(1, rng)
             _, outcome, _ = run_improved_session(
@@ -267,7 +267,7 @@ class TestImmunity:
     def test_threshold_knob_tolerates_mismatches(self, rng):
         # With the abort threshold maxed out the session always completes,
         # but blocking has corrupted TP's mask bits, so comparisons go wrong.
-        config = ImprovedConfig(L=8, error_threshold=1.0)
+        config = SessionConfig(L=8, error_threshold=1.0)
         wrong = 0
         for _ in range(40):
             secret = random_bits(8, rng)
@@ -279,7 +279,7 @@ class TestImmunity:
         assert wrong > 0
 
     def test_blocking_never_trips_the_x_check(self, rng):
-        config = ImprovedConfig(L=3)
+        config = SessionConfig(L=3)
         for _ in range(50):
             secret = random_bits(3, rng)
             transcript, outcome, _ = run_improved_session(
@@ -293,7 +293,7 @@ class TestImmunity:
         # Z-measuring every victim return hits all 2L CTRL photons, each
         # tripping the X check with probability 1/2.
         rng = np.random.default_rng(13)
-        config = ImprovedConfig(L=4)
+        config = SessionConfig(L=4)
         detected = 0
         trials = 300
         for _ in range(trials):
@@ -307,7 +307,7 @@ class TestImmunity:
         assert detected / trials > 0.98
 
     def test_surviving_malicious_agent_decodes_true_bits(self):
-        config = ImprovedConfig(L=2)
+        config = SessionConfig(L=2)
         rng = np.random.default_rng(29)
         survived_with_claims = 0
         for _ in range(400):
@@ -326,34 +326,37 @@ class TestImmunity:
 
 class TestConfigAndEfficiency:
     def test_efficiency_values(self):
-        assert qubit_efficiency("jiang") == pytest.approx(0.5)
-        assert qubit_efficiency("improved") == pytest.approx(0.25)
-        assert float(qubit_efficiency("improved") / qubit_efficiency("jiang")) == pytest.approx(0.5)
+        jiang, improved = (SCENARIO_TABLE[name].qubit_efficiency for name in ("jiang", "improved"))
+        assert jiang == pytest.approx(0.5)
+        assert improved == pytest.approx(0.25)
+        assert float(improved / jiang) == pytest.approx(0.5)
 
     def test_efficiency_is_exact_rational(self):
         from fractions import Fraction
 
-        assert qubit_efficiency("jiang") == Fraction(1, 2)
-        assert qubit_efficiency("improved") == Fraction(1, 4)
+        assert SCENARIO_TABLE["jiang"].qubit_efficiency == Fraction(1, 2)
+        assert SCENARIO_TABLE["improved"].qubit_efficiency == Fraction(1, 4)
 
-    def test_rejects_unknown_protocol(self):
+    def test_config_validation(self, rng):
         with pytest.raises(ValueError):
-            qubit_efficiency("other")
-
-    def test_config_validation(self):
+            SessionConfig(L=0)
         with pytest.raises(ValueError):
-            ImprovedConfig(L=0)
-        with pytest.raises(ValueError):
-            ImprovedConfig(L=2, error_threshold=1.5)
-        config = ImprovedConfig(L=3)
-        assert config.photons_total == 24
-        assert config.photons_per_participant == 12
-        assert config.sift_count == 6
-        assert config.check_count == 3
+            SessionConfig(L=2, error_threshold=1.5)
+        # At L=3: channels of 4L = 12 photons (24 in all), 2L = 6 R
+        # carriers per participant, L = 3 of them disclosed.
+        secret = bits("101")
+        transcript, outcome, _ = run_improved_session(SessionConfig(L=3), secret, secret, bits("011"), rng=rng)
+        assert not outcome.is_aborted
+        assert len(transcript.photons.prepared_sign) == 24
+        assert transcript.photons.channel_size == 12
+        for participant in ("A", "B"):
+            assert len(transcript.modes[participant]) == 12
+            assert len(transcript.r_positions[participant]) == 6
+            assert len(transcript.disclosures[participant].positions) == 3
 
     def test_rejects_wrong_lengths(self, rng):
         with pytest.raises(ValueError):
-            run_improved_session(ImprovedConfig(L=3), bits("10"), bits("101"), bits("101"), rng=rng)
+            run_improved_session(SessionConfig(L=3), bits("10"), bits("101"), bits("101"), rng=rng)
 
     def test_message_mask_xor(self):
         assert derive_improved_message(bits("1010"), bits("0110"), bits("1100")) == bits("0000")

@@ -59,29 +59,14 @@ class TestPreparation:
         for v in BellState:
             assert abs(counts[v] / 10000 - 0.25) < 0.02
 
-    def test_point_mass_distribution(self, rng):
-        config = SessionConfig(L=16, bell_weights=(1.0, 0.0, 0.0, 0.0))
-        pairs = tp_prepare_pairs(config, rng)
-        assert all(value == BellState.PHI_PLUS.value for value in pairs.prepared)
-
-    @pytest.mark.parametrize(
-        "weights",
-        [
-            (0.25, 0.25, 0.25, 0.25),
-            (1.0, 0.0, 0.0, 0.0),
-            (0.0, 0.0, 0.0, 1.0),
-            (0.1, 0.2, 0.3, 0.4),
-            (0.5, 0.0, 0.5, 0.0),
-        ],
-    )
-    def test_variants_and_draws_match_weighted_choice(self, weights):
-        # The variants rng.choice(4, size=2L, p=weights) would give, from
+    def test_variants_and_draws_match_uniform_choice(self):
+        # The variants rng.choice(4, size=2L, p=[0.25] * 4) would give, from
         # the same uniforms: the next draw of both generators agrees too.
         for seed in range(200):
-            config = SessionConfig(L=1 + seed % 40, bell_weights=weights)
+            config = SessionConfig(L=1 + seed % 40)
             ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
             pairs = tp_prepare_pairs(config, ours)
-            expected = reference.choice(4, size=2 * config.L, p=np.asarray(weights, dtype=float))
+            expected = reference.choice(4, size=2 * config.L, p=np.full(4, 0.25))
             assert np.array_equal(pairs.prepared, expected)
             assert ours.random() == reference.random()
 
@@ -201,18 +186,18 @@ class TestRunSession:
         secret_a, secret_b, key = (random_bits(16, rng) for _ in range(3))
         transcript, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
         # TP extracts exactly L message bits per participant under balanced
-        assert len(transcript.tp_m_a) == 16
-        assert len(transcript.tp_m_b) == 16
-        assert len(transcript.sift_positions_a) == 16
+        assert len(transcript.tp_m["A"]) == 16
+        assert len(transcript.tp_m["B"]) == 16
+        assert len(transcript.sift_positions["A"]) == 16
         # TP's reconstruction equals the encoded messages
-        assert transcript.tp_m_a == derive_message(secret_a, transcript.r_a, key)
-        assert transcript.tp_m_b == derive_message(secret_b, transcript.r_b, key)
+        assert transcript.tp_m["A"] == derive_message(secret_a, transcript.r["A"], key)
+        assert transcript.tp_m["B"] == derive_message(secret_b, transcript.r["B"], key)
         # M_T = Secret_A xor Secret_B on the computed prefix; the masks and
         # the key cancel, and TP never needed the key for it.
         expected_mt = [a ^ b for a, b in zip(secret_a, secret_b)]
         assert transcript.m_t == expected_mt[: len(transcript.m_t)]
         # M_i xor R_i = Secret_i xor K
-        masked = [m ^ r for m, r in zip(transcript.tp_m_a, transcript.r_a)]
+        masked = [m ^ r for m, r in zip(transcript.tp_m["A"], transcript.r["A"])]
         assert masked == [s ^ k for s, k in zip(secret_a, key)]
 
     def test_deterministic_given_seed(self):
@@ -225,7 +210,8 @@ class TestRunSession:
             rng = np.random.default_rng(99)
             transcript, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
             states = transcript.pairs.register.amps.copy()
-            return transcript.modes_a, transcript.modes_b, transcript.r_a, transcript.r_b, outcome, states
+            modes, r = transcript.modes, transcript.r
+            return modes["A"], modes["B"], r["A"], r["B"], outcome, states
 
         first = run()
         second = run()
@@ -267,9 +253,9 @@ class TestRunSession:
             )
             if outcome.is_aborted:
                 continue
-            for modes, tp_bits in ((transcript.modes_a, transcript.tp_bits_a), (transcript.modes_b, transcript.tp_bits_b)):
-                extracted = int(np.count_nonzero(tp_bits >= 0))
-                assert extracted == int(modes.sum())
+            for participant in ("A", "B"):
+                extracted = int(np.count_nonzero(transcript.tp_bits[participant] >= 0))
+                assert extracted == int(transcript.modes[participant].sum())
 
     def test_every_position_classified_once(self, rng):
         config = SessionConfig(L=8)
@@ -277,7 +263,7 @@ class TestRunSession:
         transcript, _, _ = run_session(config, secret, secret, random_bits(8, rng), rng=rng)
         for pos in range(2 * config.L):
             is_ctrl_ctrl = pos in transcript.ctrl_ctrl_positions
-            has_sift_read = transcript.tp_bits_a[pos] >= 0 or transcript.tp_bits_b[pos] >= 0
+            has_sift_read = transcript.tp_bits["A"][pos] >= 0 or transcript.tp_bits["B"][pos] >= 0
             assert is_ctrl_ctrl != has_sift_read
             assert is_ctrl_ctrl == (transcript.bell_outcomes[pos] >= 0)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqpc import kernel
+from sqpc.jiang import PairBatch
 from sqpc.kernel import (
     MINUS,
     PLUS,
@@ -64,6 +65,11 @@ class TestPreparations:
             prepare_z(2)
         with pytest.raises(ValueError):
             prepare_x(5)
+        for value in (-1, 2.5, 4, [0, 4]):
+            with pytest.raises(ValueError):
+                prepare_bell(value)
+        with pytest.raises(ValueError):
+            PairBatch.prepare([-1, 0])
 
 class TestTensor:
     def test_zero_one(self):
