@@ -1,17 +1,24 @@
 """Channel-tap adversaries for both comparison protocols.
 
-A tap sits on one participant's quantum channel and gets one hook call
-for the forward transits (TP to participant) of all its positions and one
-for the return transits (participant to TP).  A hook receives the rows of
-the session's batched register that carry the channel's positions (row
-``rows[i]`` carries position i), with the wire each one travels on.  It
-may grow the register with ancillas (one per row), measure through the
-register API, and substitute the wires that travel onward; a measurement
-over positions on different wires is one call with per-row wires, rows
-sorted by wire.  A tap keeps what it measured as arrays over the
-channel's positions, -1 where it read nothing, and reports them raw from
-``finalize``; the protocol, which knows what each position carries,
-decodes them.  Nothing here imports a protocol module.
+Sessions run in chunks: consecutive trials of one experiment share one
+batched register whose rows are (trial, position), trial-major, and each
+trial keeps its own random stream (:class:`Streams`).  A tap sits on one
+participant's quantum channel in every trial of a chunk and gets one
+hook call for the forward transits (TP to participant) of all those
+positions and one for the return transits (participant to TP).  A hook
+receives the register rows that carry the channel's positions in the
+chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
+with the wire each one travels on.  It may grow the register with
+ancillas (one per row), measure through the register API, and
+substitute the wires that travel onward; a measurement over positions
+on different wires is one call with per-row wires, rows sorted by
+(trial, wire), each trial drawing its uniforms from its own stream.  A
+tap keeps what it measured as arrays over its hook entries, -1 where it
+read nothing, and ``finalize`` reports one trial's reads raw; the
+protocol, which knows what each position carries, decodes them.  A
+single session is a chunk of one trial, whose generator a hook or
+``begin_session`` also takes as is.  Nothing here imports a protocol
+module.
 Taps never read amplitudes; everything an attacker knows comes from its
 own measurement outcomes plus the classical values published after the
 session (mode declarations, R values, disclosures, messages).
@@ -42,6 +49,69 @@ import numpy as np
 from .kernel import Register, prepare_z, sort_rows
 
 Bits = list[int]
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random(shape)`` returns given uniforms."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def random(self, shape) -> np.ndarray:
+        return self.values.reshape(shape)
+
+
+class Streams:
+    """The random streams of a chunk of trials: one numpy Generator per
+    trial, in trial order.
+
+    A register of the chunk holds each trial's rows in one block, the
+    blocks of equal size and in trial order.  A measurement over rows
+    sorted by trial takes its uniforms from :meth:`uniforms`, which draws
+    each trial's ``random(k)`` for its k rows from that trial's
+    generator: what one call per trial would draw.
+    """
+
+    def __init__(self, gens):
+        self.gens = list(gens)
+
+    @classmethod
+    def of(cls, rng) -> "Streams":
+        """``rng`` itself, or one generator as a chunk of one trial."""
+        return rng if isinstance(rng, cls) else cls([rng])
+
+    def trial(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """The trial of each of ``rows`` of a register of ``size`` rows."""
+        return rows // (size // len(self.gens))
+
+    def uniforms(self, rows: np.ndarray, size: int):
+        """The ``rng`` of a measurement over ``rows`` (ascending by trial)
+        of a register of ``size`` rows."""
+        if len(self.gens) == 1:
+            return self.gens[0]
+        counts = np.bincount(self.trial(rows, size), minlength=len(self.gens)).tolist()
+        return _Uniforms(np.concatenate([gen.random(k) for gen, k in zip(self.gens, counts)]))
+
+
+def by_wire(rows: np.ndarray, groups: np.ndarray, *wires: np.ndarray) -> tuple:
+    """``rows`` (ascending) and their per-row ``wires`` in (``groups``,
+    wires, row) order, where ``groups`` (each row's trial, or trial and
+    channel) ascend with the rows: one measurement over them draws what
+    one call per group and wire would.  A wire every row shares comes
+    back as an int, which needs no sorting here and no per-row check in
+    the kernel."""
+    wires = list(wires)
+    per_row = []
+    for i, w in enumerate(wires):
+        if len(w) and np.minimum.reduce(w) == np.maximum.reduce(w):
+            wires[i] = int(w[0])
+        else:
+            per_row.append(i)
+    if per_row:
+        rows, _, *keys = sort_rows(rows, groups, *(wires[i] for i in per_row))
+        for i, key in zip(per_row, keys):
+            wires[i] = key
+    return (rows, *wires)
 
 
 @dataclass
@@ -136,57 +206,88 @@ class ChannelTap:
 
     ``target`` names the participant whose channel is tapped.  A tap that
     is itself a protocol participant sets ``identity`` and receives its
-    own SIFT mask through :meth:`observe_own_modes` (a participant
+    own SIFT masks through :meth:`observe_own_modes` (a participant
     legitimately knows its own choices before declaring them); everything
     else arrives only through :meth:`finalize`.  An insider also holds the
-    pre-shared ``key``, with which its payload reads decode to secret bits.
+    pre-shared ``key`` of each trial, with which its payload reads decode
+    to secret bits.
     """
 
     target: str = "A"
     identity: str | None = None
-    key: Bits | None = None
+    key: list[Bits] | None = None  # one key per trial of the chunk
     attack_name: str = "none"
 
-    def begin_session(self, num_positions: int, rng: np.random.Generator) -> None:
-        """Called once per session, before any transit and also in a
-        session that aborts before its transits, with the per-channel
-        position count.  A tap drops an earlier session's reads here."""
+    def begin_session(self, num_positions: int, rng) -> None:
+        """Called once per chunk, before any transit and also when every
+        trial aborts before its transits, with the per-channel position
+        count and the chunk's :class:`Streams`.  A tap draws each trial's
+        own choices here and drops an earlier chunk's reads."""
 
     def observe_own_modes(self, sift: np.ndarray) -> None:
-        """Only called when ``identity`` names a participant."""
+        """Only called when ``identity`` names a participant, with its SIFT
+        masks, one row per trial of the chunk."""
 
-    def on_forward(
-        self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Forward transits of every position of the channel: position i
-        sits on row ``rows[i]`` of ``register`` and travels on ``wires[i]``.
-        Returns the wires handed on."""
+    def on_forward(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng) -> np.ndarray:
+        """Forward transits of every position of the channel in the live
+        trials: entry i sits on row ``rows[i]`` of ``register`` and travels
+        on ``wires[i]``.  Returns the wires handed on."""
         return wires
 
-    def on_return(
-        self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
+    def on_return(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng) -> np.ndarray:
         """Return transits; same contract as :meth:`on_forward`."""
         return wires
 
-    def finalize(self, published: PublicRecord) -> AttackReport | None:
+    def finalize(self, published: PublicRecord, trial: int = 0) -> AttackReport | None:
+        """The report of trial ``trial`` of the chunk, given its public record."""
         return None
 
 
-# What a tap holds before a session's hook calls: no positions, nothing read.
+# What a tap holds before a chunk's hook calls: no entries, nothing read.
 _NO_READS = np.full(0, -1, dtype=np.intp)
 
+# A fresh ancilla for every row; kernel ops never write into their inputs.
+_ZERO = prepare_z(0)
 
-def _read_by_wire(measure, rows: np.ndarray, wires: np.ndarray, rng: np.random.Generator, picked=None) -> np.ndarray:
-    """Reads of the positions ``picked`` (all of them by default), -1 at
-    the others: one ``measure`` call (a bound ``Register`` measurement)
-    over their rows on their per-row wires, sorted by wire."""
+
+def _hook_trials(rows: np.ndarray, register: Register, rng) -> tuple[Streams, np.ndarray]:
+    """The chunk's streams and the trial of each hook entry."""
+    rng = Streams.of(rng)
+    return rng, rng.trial(rows, register.amps.shape[1])
+
+
+def _selection(rows: np.ndarray, register: Register) -> np.ndarray | None:
+    """``rows`` (ascending) as a ``Register`` row selection: ``None``, every
+    row without a copy, when they are all of the register's rows."""
+    return None if len(rows) == register.amps.shape[1] else rows
+
+
+def _own(trials: np.ndarray, trial: int) -> slice:
+    """The hook entries of ``trial``, given the trial of each entry."""
+    start, stop = trials.searchsorted((trial, trial + 1)).tolist()
+    return slice(start, stop)
+
+
+def _at_entries(per_trial: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """A (trial, position) array at the hook entries, which run through
+    each live trial's positions in order."""
+    return per_trial[trials, np.arange(len(trials)) % per_trial.shape[1]]
+
+
+def _read_by_wire(measure, register: Register, rows, wires, trials, rng: Streams, picked=None) -> np.ndarray:
+    """Reads of the entries ``picked`` (all of them by default), -1 at the
+    others: one ``measure`` call (a bound ``Register`` measurement) over
+    their rows on their per-row wires, sorted by (trial, wire)."""
     reads = np.full(len(rows), -1, dtype=np.intp)
     if picked is None:
-        picked = np.arange(len(rows))
+        picked, picked_wires = by_wire(np.arange(len(rows)), trials, wires)
+    else:
+        picked, picked_wires = by_wire(picked, trials[picked], wires[picked])
     if len(picked):
-        picked, picked_wires = sort_rows(picked, wires[picked])
-        reads[picked] = measure(picked_wires, rng, rows[picked])
+        picked_rows = rows[picked]
+        # Rows stay ascending where every picked row shares one wire.
+        selection = _selection(picked_rows, register) if isinstance(picked_wires, int) else picked_rows
+        reads[picked] = measure(picked_wires, rng.uniforms(picked_rows, register.amps.shape[1]), selection)
     return reads
 
 
@@ -203,13 +304,16 @@ def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
     return report
 
 
-def _attack_mask(count: int | None, num_positions: int, rng: np.random.Generator) -> np.ndarray | None:
-    """A uniformly random ``count``-subset of the positions as a mask, or
-    ``None`` (attack everything the tap's policy allows) without a count."""
+def _attack_mask(count: int | None, num_positions: int, rng) -> np.ndarray | None:
+    """Per trial, a uniformly random ``count``-subset of the positions as a
+    mask, one row per trial; ``None`` (attack everything the tap's policy
+    allows) without a count."""
     if count is None:
         return None
-    mask = np.zeros(num_positions, dtype=bool)
-    mask[rng.choice(num_positions, size=min(count, num_positions), replace=False)] = True
+    gens = Streams.of(rng).gens
+    mask = np.zeros((len(gens), num_positions), dtype=bool)
+    for row, gen in zip(mask, gens):
+        row[gen.choice(num_positions, size=min(count, num_positions), replace=False)] = True
     return mask
 
 
@@ -238,38 +342,45 @@ class DoubleCnotEve(ChannelTap):
 
     def begin_session(self, num_positions, rng):
         self._ancilla: int | None = None
-        self._probed = self._indicator = self._forward_reads = self._data_bits = _NO_READS
+        self._trials = self._indicator = self._forward_reads = self._data_bits = _NO_READS
 
     def on_forward(self, rows, register, wires, rng):
-        self._ancilla = register.adjoin(prepare_z(0))
-        register.cnot(wires, self._ancilla, rows)
-        self._probed = np.arange(len(rows))
+        rng, self._trials = _hook_trials(rows, register, rng)
+        self._ancilla = register.adjoin(_ZERO)
+        selection = _selection(rows, register)
+        register.cnot(wires, self._ancilla, selection)
         if self.midflight:
-            self._forward_reads = register.measure_z(self._ancilla, rng, rows)
+            uniforms = rng.uniforms(rows, register.amps.shape[1])
+            self._forward_reads = register.measure_z(self._ancilla, uniforms, selection)
         return wires
 
     def on_return(self, rows, register, wires, rng):
         if self._ancilla is None:
             return wires
-        register.cnot(wires, self._ancilla, rows)
-        self._indicator = register.measure_z(self._ancilla, rng, rows)
+        rng = Streams.of(rng)
+        selection = _selection(rows, register)
+        register.cnot(wires, self._ancilla, selection)
+        self._indicator = register.measure_z(self._ancilla, rng.uniforms(rows, register.amps.shape[1]), selection)
         if not self.midflight:
             fired = (self._indicator == 1).nonzero()[0]
-            self._data_bits = _read_by_wire(register.measure_z, rows, wires, rng, fired)
+            self._data_bits = _read_by_wire(register.measure_z, register, rows, wires, self._trials, rng, fired)
         return wires
 
-    def finalize(self, published):
+    def finalize(self, published, trial=0):
+        own = _own(self._trials, trial)
+        probed = own.stop - own.start
+        forward_reads, indicator, data_bits = self._forward_reads[own], self._indicator[own], self._data_bits[own]
         report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = self._probed.tolist()
-        report.intercepted_bits = read_dict(self._forward_reads if self.midflight else self._data_bits)
-        report.indicator_bits = read_dict(self._indicator)
+        report.probed_positions = list(range(probed))
+        report.intercepted_bits = read_dict(forward_reads if self.midflight else data_bits)
+        report.indicator_bits = read_dict(indicator)
         report.indicator_events = sum(report.indicator_bits.values())
         # Mid-flight, the second ancilla read is (mid-flight value) XOR
         # (returned bit), so XOR-ing the two reads, which exist at every
         # probed position, gives the returned bit.
-        report.payload_reads = self._forward_reads ^ self._indicator if self.midflight else self._data_bits
+        report.payload_reads = forward_reads ^ indicator if self.midflight else data_bits
         if published.modes is not None:
-            report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target][self._probed]))
+            report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target][:probed]))
         return report
 
 
@@ -282,38 +393,33 @@ class MaliciousAgent(ChannelTap):
     the theft is invisible there.  ``intercept_count=m`` switches to
     Z-measuring m uniformly chosen return positions instead (the knob
     used to trace the improved protocol's detection curve).  Holding the
-    pre-shared key, the agent decodes victim secret bits from whatever
-    the session later publishes.
+    pre-shared key (one, or one per trial of a chunk), the agent decodes
+    victim secret bits from whatever the session later publishes.
     """
 
-    def __init__(self, victim: str = "A", key: Bits | None = None, intercept_count: int | None = None):
+    def __init__(self, victim: str = "A", key=None, intercept_count: int | None = None):
         self.target = victim
         self.identity = "B" if victim == "A" else "A"
         self.attack_name = "malicious-agent"
-        self.key = list(key) if key is not None else None
+        self.key = np.atleast_2d(key).tolist() if key is not None else None
         self.intercept_count = intercept_count
         self._attack_mask: np.ndarray | None = None
         self._own_sift: np.ndarray | None = None
-        self._reads = _NO_READS
+        self._trials = self._reads = _NO_READS
 
     def begin_session(self, num_positions, rng):
         self._attack_mask = _attack_mask(self.intercept_count, num_positions, rng)
         self._own_sift = None
-        self._reads = _NO_READS
+        self._trials = self._reads = _NO_READS
 
     def observe_own_modes(self, sift):
         self._own_sift = sift
 
-    def _attacked(self, count: int) -> np.ndarray:
-        if self._attack_mask is not None:
-            return self._attack_mask
-        if self._own_sift is None:
-            return np.zeros(count, dtype=bool)
-        return self._own_sift
-
     def on_return(self, rows, register, wires, rng):
-        attacked = self._attacked(len(rows))
-        self._reads = _read_by_wire(register.measure_z, rows, wires, rng, attacked.nonzero()[0])
+        rng, self._trials = _hook_trials(rows, register, rng)
+        chosen = self._own_sift if self._attack_mask is None else self._attack_mask
+        attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
+        self._reads = _read_by_wire(register.measure_z, register, rows, wires, self._trials, rng, attacked.nonzero()[0])
         if not attacked.any():
             return wires
         # Rows not intercepted get an idle |0> in the resend slot.
@@ -322,9 +428,10 @@ class MaliciousAgent(ChannelTap):
         fresh = register.adjoin(prepare_z(resend))
         return np.where(attacked, fresh, wires)
 
-    def finalize(self, published):
-        report = _raw_report(self, self._reads)
-        report.payload_reads = self._reads
+    def finalize(self, published, trial=0):
+        reads = self._reads[_own(self._trials, trial)]
+        report = _raw_report(self, reads)
+        report.payload_reads = reads
         return report
 
 
@@ -335,7 +442,7 @@ class BlockingAttacker(ChannelTap):
     what TP will read without telling the attacker anything (the X
     outcome distribution is uniform whatever the Z bit was).  Attacks
     every return position by default; ``attack_count`` limits it to a
-    random subset.
+    random subset per trial.
     """
 
     def __init__(self, target: str = "A", attack_count: int | None = None):
@@ -343,19 +450,20 @@ class BlockingAttacker(ChannelTap):
         self.attack_name = "blocking"
         self.attack_count = attack_count
         self._attack_mask: np.ndarray | None = None
-        self._reads = _NO_READS
+        self._trials = self._reads = _NO_READS
 
     def begin_session(self, num_positions, rng):
         self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
-        self._reads = _NO_READS
+        self._trials = self._reads = _NO_READS
 
     def on_return(self, rows, register, wires, rng):
-        attacked = None if self._attack_mask is None else self._attack_mask.nonzero()[0]
-        self._reads = _read_by_wire(register.measure_x, rows, wires, rng, attacked)
+        rng, self._trials = _hook_trials(rows, register, rng)
+        attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials).nonzero()[0]
+        self._reads = _read_by_wire(register.measure_x, register, rows, wires, self._trials, rng, attacked)
         return wires
 
-    def finalize(self, published):
-        return _raw_report(self, self._reads)
+    def finalize(self, published, trial=0):
+        return _raw_report(self, self._reads[_own(self._trials, trial)])
 
 
 class InterceptResendZ(ChannelTap):
@@ -368,11 +476,12 @@ class InterceptResendZ(ChannelTap):
         self.begin_session(0, None)
 
     def begin_session(self, num_positions, rng):
-        self._reads = _NO_READS
+        self._trials = self._reads = _NO_READS
 
     def on_forward(self, rows, register, wires, rng):
-        self._reads = _read_by_wire(register.measure_z, rows, wires, rng)
+        rng, self._trials = _hook_trials(rows, register, rng)
+        self._reads = _read_by_wire(register.measure_z, register, rows, wires, self._trials, rng)
         return wires
 
-    def finalize(self, published):
-        return _raw_report(self, self._reads)
+    def finalize(self, published, trial=0):
+        return _raw_report(self, self._reads[_own(self._trials, trial)])

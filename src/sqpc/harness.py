@@ -2,7 +2,12 @@
 
 Every trial gets its own rng seeded by a splitmix64 hash of (master seed,
 trial index), so aggregates do not depend on execution order and a spec
-re-run reproduces every sampled bit.
+re-run reproduces every sampled bit.  Experiments and detection-curve
+rows run their trials in chunks (:func:`run_chunk`): consecutive trials
+of one spec share one register of at most ``CHUNK_ROWS`` rows, on which
+each protocol step is one kernel call, while each trial draws from its
+own rng in the order a lone session would; :func:`run_trial` is a chunk
+of one trial and gives the same result.
 Every per-scenario fact lives in one ``SCENARIO_TABLE`` entry and every
 per-attack fact in one ``ATTACK_TABLE`` entry.
 """
@@ -27,8 +32,10 @@ from .attacks import (
     DoubleCnotEve,
     InterceptResendZ,
     MaliciousAgent,
+    Streams,
 )
-from .improved import run_improved_session
+# The single-session drivers stay importable here, where a tracer patches them.
+from .improved import run_improved_session, run_improved_sessions  # noqa: F401
 from .jiang import (
     BALANCED,
     MODE_POLICIES,
@@ -36,7 +43,8 @@ from .jiang import (
     ComparisonOutcome,
     SessionConfig,
     random_bits,
-    run_session,
+    run_session,  # noqa: F401
+    run_sessions,
 )
 
 
@@ -44,30 +52,40 @@ from .jiang import (
 class Scenario:
     """Everything the harness knows about one protocol.
 
-    ``run`` calls its session driver, looked up at call time so that a
-    patched module attribute (as a tracer installs) takes effect;
+    ``run`` calls its chunk session driver, looked up at call time so that
+    a patched module attribute (as a tracer installs) takes effect;
     ``qubit_efficiency`` counts compared secret bits per photon delivered
-    to one participant; ``has_curve`` says whether detection curves are
+    to one participant; ``rows_per_bit`` counts register rows per compared
+    bit of a session; ``has_curve`` says whether detection curves are
     defined and ``reads_x_mismatch`` whether trials read ``x_mismatch_rate``
     off TP's X checks.
     """
 
-    run: Callable[..., tuple]
+    run: Callable[..., list]
     qubit_efficiency: Fraction
+    rows_per_bit: int
     has_curve: bool = False
     reads_x_mismatch: bool = False
 
 
 SCENARIO_TABLE = {
-    "jiang": Scenario(lambda *a, **k: run_session(*a, **k), Fraction(1, 2)),
+    "jiang": Scenario(lambda *a, **k: run_sessions(*a, **k), Fraction(1, 2), rows_per_bit=2),
     "improved": Scenario(
-        lambda *a, **k: run_improved_session(*a, **k), Fraction(1, 4), has_curve=True, reads_x_mismatch=True
+        lambda *a, **k: run_improved_sessions(*a, **k),
+        Fraction(1, 4),
+        rows_per_bit=8,
+        has_curve=True,
+        reads_x_mismatch=True,
     ),
 }
 
 SCENARIOS = tuple(SCENARIO_TABLE)
 
 SCHEMA_VERSION = 1
+
+# Register rows of one chunk at most; a trial wider than this is a chunk
+# of its own.
+CHUNK_ROWS = 2**14
 
 _MASK64 = (1 << 64) - 1
 
@@ -122,7 +140,8 @@ class ExperimentSpec:
 class Attack:
     """Everything the harness knows about one attack.
 
-    ``taps`` builds the taps from the spec and the pre-shared key;
+    ``taps`` builds the taps of a chunk from the spec and the pre-shared
+    key of each of its trials;
     ``columns`` are metrics beyond the common five, in report order, and
     one no trial fills (``x_mismatch_rate`` outside the improved protocol)
     is left out; ``curve_row`` maps a spec and an attack size k to that
@@ -139,14 +158,14 @@ class Attack:
 _PROBE_COLUMNS = ("sift_indicator_rate", "x_mismatch_rate")
 
 ATTACK_TABLE = {
-    "none": Attack(lambda spec, key: [], columns=()),
-    "double-cnot": Attack(lambda spec, key: [DoubleCnotEve(spec.target)], columns=_PROBE_COLUMNS),
+    "none": Attack(lambda spec, keys: [], columns=()),
+    "double-cnot": Attack(lambda spec, keys: [DoubleCnotEve(spec.target)], columns=_PROBE_COLUMNS),
     "double-cnot-midflight": Attack(
-        lambda spec, key: [DoubleCnotEve(spec.target, midflight=True)], columns=_PROBE_COLUMNS
+        lambda spec, keys: [DoubleCnotEve(spec.target, midflight=True)], columns=_PROBE_COLUMNS
     ),
     # Curve k: the return positions measured, whose CTRL hits trip the X check.
     "malicious-agent": Attack(
-        lambda spec, key: [MaliciousAgent(spec.target, key, spec.attacked_count)],
+        lambda spec, keys: [MaliciousAgent(spec.target, keys, spec.attacked_count)],
         takes_count=True,
         curve_row=lambda spec, k: dataclasses.replace(spec, attacked_count=k),
     ),
@@ -154,12 +173,12 @@ ATTACK_TABLE = {
     # has.  Curve k: disclosed-and-attacked bits, every return position
     # attacked at secret length k (k = 0 attacks nothing).
     "blocking": Attack(
-        lambda spec, key: [BlockingAttacker(spec.target, spec.attacked_count)],
+        lambda spec, keys: [BlockingAttacker(spec.target, spec.attacked_count)],
         scenarios=("improved",),
         takes_count=True,
         curve_row=lambda spec, k: dataclasses.replace(spec, L=max(k, 1), attacked_count=None if k else 0),
     ),
-    "intercept-resend-z": Attack(lambda spec, key: [InterceptResendZ(spec.target)]),
+    "intercept-resend-z": Attack(lambda spec, keys: [InterceptResendZ(spec.target)]),
 }
 
 
@@ -265,25 +284,15 @@ def _x_mismatch_rate(transcript, report: AttackReport) -> float | None:
     return int(np.count_nonzero(checked & (signs != prepared))) / attacked
 
 
-def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
-    """One independent session under the spec, with a derived seed."""
-    rng = np.random.default_rng(splitmix64(spec.seed, trial_index))
-    L = spec.L
-    secret_a = random_bits(L, rng)
-    secret_b = list(secret_a) if rng.random() < 0.5 else random_bits(L, rng)
-    key = random_bits(L, rng)
-    attack = ATTACK_TABLE[spec.attack]
-    taps = attack.taps(spec, key)
-
-    scenario = SCENARIO_TABLE[spec.scenario]
-    config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
-    transcript, outcome, reports = scenario.run(config, secret_a, secret_b, key, taps, rng=rng)
-
+def _trial_result(
+    spec: ExperimentSpec, secret_a: Bits, secret_b: Bits, transcript, outcome, reports
+) -> TrialResult:
+    """A trial's metrics from its session."""
     expected = _expected_outcome(secret_a, secret_b)
     correct = (not outcome.is_aborted) and outcome == expected
 
     report = reports[0] if reports else None
-    leak_fraction = (report.learned_count / L) if report else 0.0
+    leak_fraction = (report.learned_count / spec.L) if report else 0.0
     leak_accuracy = report.accuracy if report and report.accuracy is not None else 1.0
     result = TrialResult(
         outcome=outcome,
@@ -293,12 +302,48 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
         leak_fraction=leak_fraction,
         leak_accuracy=leak_accuracy,
     )
-    if report is not None and "sift_indicator_rate" in attack.columns:
+    if report is not None and "sift_indicator_rate" in ATTACK_TABLE[spec.attack].columns:
         rate = report.sift_indicator_rate
         result.sift_indicator_rate = rate if rate is not None else 0.0
-    if report is not None and scenario.reads_x_mismatch:
+    if report is not None and SCENARIO_TABLE[spec.scenario].reads_x_mismatch:
         result.x_mismatch_rate = _x_mismatch_rate(transcript, report)
     return result
+
+
+def run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
+    """Trials ``start`` to ``stop - 1`` of the spec as one chunk: one
+    register holding every trial's rows, one kernel call per protocol
+    step.  Trial i draws everything from its own rng, seeded from (spec
+    seed, i), in the order a lone session would."""
+    gens = [np.random.default_rng(splitmix64(spec.seed, i)) for i in range(start, stop)]
+    L = spec.L
+    secrets_a, secrets_b, keys = [], [], []
+    for rng in gens:
+        secret_a = random_bits(L, rng)
+        secrets_a.append(secret_a)
+        secrets_b.append(list(secret_a) if rng.random() < 0.5 else random_bits(L, rng))
+        keys.append(random_bits(L, rng))
+    taps = ATTACK_TABLE[spec.attack].taps(spec, keys)
+
+    config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
+    sessions = SCENARIO_TABLE[spec.scenario].run(config, secrets_a, secrets_b, keys, taps, rng=Streams(gens))
+    return [
+        _trial_result(spec, secret_a, secret_b, *session)
+        for secret_a, secret_b, session in zip(secrets_a, secrets_b, sessions)
+    ]
+
+
+def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
+    """One independent session under the spec, with a derived seed: a
+    chunk of one trial."""
+    return run_chunk(spec, trial_index, trial_index + 1)[0]
+
+
+def _run_trials(spec: ExperimentSpec):
+    """Every trial of the spec in order, run chunk by chunk."""
+    size = max(1, CHUNK_ROWS // (SCENARIO_TABLE[spec.scenario].rows_per_bit * spec.L))
+    for start in range(0, spec.trials, size):
+        yield from run_chunk(spec, start, min(start + size, spec.trials))
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateStats:
@@ -321,8 +366,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateStats:
     extra = ATTACK_TABLE[spec.attack].columns
     columns.update((name, []) for name in extra)
 
-    for i in range(spec.trials):
-        trial = run_trial(spec, i)
+    for trial in _run_trials(spec):
         columns["abort_rate"].append(float(trial.aborted))
         columns["detected_rate"].append(float(trial.detected))
         columns["outcome_correct"].append(float(trial.correct))
@@ -397,9 +441,7 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
     rows = []
     for row_index, k in enumerate(attacked_counts):
         row_spec = dataclasses.replace(curve_row(spec, k), seed=splitmix64(spec.seed, 0x10_0000 + row_index))
-        detections = []
-        for i in range(spec.trials):
-            detections.append(float(run_trial(row_spec, i).detected))
+        detections = [float(trial.detected) for trial in _run_trials(row_spec)]
         summary = MetricSummary.from_values(detections)
         rows.append(CurveRow(k=k, detection_rate=summary.mean, std_error=summary.std_error, count=summary.count))
 

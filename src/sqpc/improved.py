@@ -18,17 +18,21 @@ probe got entangled with, so the second C-NOT always returns the probe to
 |0>.  Costs: participants need measurement hardware and the qubit
 efficiency halves (L compared bits for 4L photons each).
 
-All 8L photons live in one batched register (see :mod:`sqpc.kernel`):
-participant A's 4L positions are rows 0..4L-1 and B's are rows
-4L..8L-1, so position p of B is row 4L + p.  Each protocol step is one
-kernel call over both channels: SIFT measure-resend, TP's X checks and
-TP's Z reads each measure their rows in (channel, wire, row) order, which
-draws what the step would draw for A's rows then B's.  As in
-:mod:`sqpc.jiang`, each participant's modes are one boolean SIFT mask
-over their 4L positions (True = SIFT); the participants' own
+As in :mod:`sqpc.jiang`, sessions run in chunks of trials
+(:func:`run_improved_sessions`; :func:`run_improved_session` is a chunk
+of one) and all 8L photons of every trial in a chunk live in one batched
+register (see :mod:`sqpc.kernel`): trial t takes rows 8Lt..8Lt+8L-1,
+participant A's 4L positions first and B's after, so position p of B in
+trial t is row 8Lt + 4L + p.  Each protocol step is one kernel call over
+both channels of every live trial: SIFT measure-resend, TP's X checks
+and TP's Z reads each measure their rows in (trial, channel, wire, row)
+order, which draws from each trial's own stream what the step would
+draw for A's rows then B's.  Each participant's modes are one boolean
+SIFT mask over their 4L positions (True = SIFT); the participants' own
 measure-resend reads, TP's X reads and TP's Z reads are arrays over the
-rows, -1 where nothing was read.  Taps, disclosures and the public record
-see positions within a channel.
+rows, -1 where nothing was read, and each trial's transcript holds its
+own slice.  Taps, disclosures and the public record see positions within
+a channel; disclosures, comparison and decoding loop over the trials.
 
 Sessions take :class:`sqpc.jiang.SessionConfig`, derive this protocol's
 counts from L where they are used, and run on
@@ -43,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, read_dict
+from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams, by_wire, read_dict
 from .jiang import (
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
@@ -51,12 +55,13 @@ from .jiang import (
     Bits,
     ComparisonOutcome,
     SessionConfig,
+    check_lengths,
+    derive_message,
     draw_modes,
     drive_session,
     tp_compare,
-    xor_bits,
 )
-from .kernel import Register, prepare_x, prepare_z, sort_rows
+from .kernel import Register, prepare_x, prepare_z
 
 
 @dataclass
@@ -64,7 +69,8 @@ class PhotonBatch:
     """Photons as one batched register, row r = photon r.
 
     The rows split into channels of ``channel_size`` rows each, one per
-    participant in ``PARTICIPANTS`` order.  ``wire`` and ``return_wire``
+    participant in ``PARTICIPANTS`` order, and a chunk's trials lay their
+    channel pairs end to end.  ``wire`` and ``return_wire``
     are the per-row wires as delivered and as TP receives them;
     ``sift_bit`` holds the participant's own measure-resend read at SIFT
     rows and -1 elsewhere.
@@ -94,13 +100,40 @@ class PhotonBatch:
         start = PARTICIPANTS.index(participant) * self.channel_size
         return slice(start, start + self.channel_size)
 
-    def by_channel_and_wire(self, selected: np.ndarray, wires: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ``selected`` rows (a mask) and their entries of the per-row
-        ``wires``, in (channel, wire, row) order: one measurement over them
-        draws what one call per channel and wire would."""
+    def trial(self, rows: slice) -> "PhotonBatch":
+        """The photons of one trial of a chunk, ``rows``, as a batch of
+        their own; it shares the chunk's register, so its row r is
+        register row ``rows.start + r``.  The batch itself when that is all
+        of it."""
+        if rows.stop - rows.start == len(self.prepared_sign):
+            return self
+
+        def part(values):
+            return None if values is None else values[rows]
+
+        return PhotonBatch(
+            self.prepared_sign[rows],
+            self.register,
+            self.wire[rows],
+            self.channel_size,
+            part(self.return_wire),
+            part(self.sift_bit),
+        )
+
+    def measure(self, op: str, selected: np.ndarray, wires: np.ndarray, rng) -> np.ndarray:
+        """Register measurement ``op`` of the ``selected`` rows (a mask) on
+        their entries of the per-row ``wires``, in (trial, channel, wire,
+        row) order, so that one call draws from each trial's stream of
+        ``rng`` what one call per channel and wire would.  Returns the
+        reads at every row, -1 at the rows not selected."""
+        reads = np.full(len(selected), -1, dtype=np.intp)
         rows = selected.nonzero()[0]
-        rows, _, wires = sort_rows(rows, rows // self.channel_size, wires[rows])
-        return rows, wires
+        # Trials lay their channels end to end, so this key orders the
+        # rows by trial, then channel.
+        rows, wires = by_wire(rows, rows // self.channel_size, wires[rows])
+        streams = Streams.of(rng)
+        reads[rows] = getattr(self.register, op)(wires, streams.uniforms(rows, len(selected)), rows)
+        return reads
 
 
 @dataclass(frozen=True)
@@ -113,7 +146,7 @@ class CheckDisclosure:
 
 @dataclass
 class ImprovedTranscript:
-    """Everything TP sees, plus the session's photon register.
+    """Everything TP sees, plus the session's photons.
 
     ``x_results`` is TP's X read of each reflected photon and ``tp_r`` its
     Z read of each SIFT return, both over the rows of ``photons`` and -1
@@ -138,47 +171,43 @@ class ImprovedTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_photons(config: SessionConfig, rng: np.random.Generator) -> PhotonBatch:
-    """8L photons in uniformly random |+>/|-> states in one batched
-    register, the first 4L for participant A and the rest for B."""
-    signs = rng.integers(0, 2, size=8 * config.L)
+def tp_prepare_photons(config: SessionConfig, rng) -> PhotonBatch:
+    """8L photons per trial of a chunk (``rng``: its :class:`Streams`, or
+    one session's generator) in uniformly random |+>/|-> states in one
+    batched register; in each trial's rows the first 4L are for
+    participant A and the rest for B."""
+    signs = np.concatenate([gen.integers(0, 2, size=8 * config.L) for gen in Streams.of(rng).gens])
     return PhotonBatch.prepare(signs, 4 * config.L)
 
 
-def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, rng) -> np.ndarray:
     """Z-measure the incoming photon at every SIFT row (``sift`` is a mask
     over the rows) and resend a fresh qubit carrying the outcome, recorded
     in ``photons.sift_bit``.  CTRL rows reflect.  Returns the outgoing wire
     of every row."""
-    photons.sift_bit = np.full(len(sift), -1, dtype=np.intp)
+    photons.sift_bit = photons.measure("measure_z", sift, photons.wire, rng)
     if not sift.any():
         return photons.wire
-    rows, wires = photons.by_channel_and_wire(sift, photons.wire)
-    photons.sift_bit[rows] = photons.register.measure_z(wires, rng, rows)
     fresh = photons.register.adjoin(prepare_z(np.where(sift, photons.sift_bit, 0)))
     return np.where(sift, fresh, photons.wire)
 
 
-def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """X-measure every reflected photon (True in ``ctrl``, a mask over the
     rows) and compare with the prepared sign.
 
-    Returns the mismatch count and the sign read at each row, -1 where
-    nothing was measured.
+    Returns each trial's mismatch count (one trial's streams: an array of
+    one) and the sign read at each row, -1 where nothing was measured.
     """
-    signs = np.full(len(ctrl), -1, dtype=np.intp)
-    rows, wires = photons.by_channel_and_wire(ctrl, photons.return_wire)
-    signs[rows] = photons.register.measure_x(wires, rng, rows)
-    return int(np.count_nonzero(signs[rows] != photons.prepared_sign[rows])), signs
+    signs = photons.measure("measure_x", ctrl, photons.return_wire, rng)
+    mismatched = (signs >= 0) & (signs != photons.prepared_sign)
+    return np.count_nonzero(mismatched.reshape(len(Streams.of(rng).gens), -1), axis=1), signs
 
 
-def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng) -> np.ndarray:
     """TP's Z-reads of every SIFT return (True in ``sift``, a mask over the
     rows), -1 at the other rows."""
-    reads = np.full(len(sift), -1, dtype=np.intp)
-    rows, wires = photons.by_channel_and_wire(sift, photons.return_wire)
-    reads[rows] = photons.register.measure_z(wires, rng, rows)
-    return reads
+    return photons.measure("measure_z", sift, photons.return_wire, rng)
 
 
 def disclose_half_r(
@@ -193,7 +222,8 @@ def disclose_half_r(
         raise ValueError("positions and bits must align")
     if count is None:
         count = len(positions) // 2
-    picked = np.sort(rng.permutation(len(positions))[:count])
+    picked = rng.permutation(len(positions))[:count]
+    picked.sort()
     return CheckDisclosure(
         positions=tuple(np.asarray(positions)[picked].tolist()),
         values=tuple(np.asarray(r_bits)[picked].tolist()),
@@ -216,12 +246,6 @@ def mask_positions(sift: np.ndarray, L: int, disclosure: CheckDisclosure) -> np.
     return carriers[undisclosed[carriers]]
 
 
-def derive_improved_message(secret: Sequence[int], mask: Sequence[int], key: Sequence[int]) -> Bits:
-    """M = Secret XOR mask XOR K, the mask being the undisclosed R bits in
-    ascending position order."""
-    return xor_bits(secret, mask, key)
-
-
 def decode_claims(report: AttackReport, published: PublicRecord) -> None:
     """A tap's payload read at the target's i-th undisclosed R carrier
     (of the first 2L SIFT positions) is the mask of published message
@@ -235,6 +259,130 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
     report.masked_secret_bits = {idx: message[idx] ^ bit for idx, bit in reads.items()}
 
 
+def _tp_finish(
+    transcript: ImprovedTranscript,
+    published: PublicRecord,
+    truth: GroundTruth,
+    sift_bit: np.ndarray,
+    rng: np.random.Generator,
+) -> ComparisonOutcome:
+    """One live trial's classical steps once TP has measured everything:
+    the X check, the disclosures and their check, the published messages
+    and the comparison.  ``sift_bit`` holds the participants' own reads
+    over the trial's rows."""
+    L = transcript.config.L
+    published.modes = transcript.modes
+    if (
+        transcript.ctrl_position_count > 0
+        and transcript.x_mismatch_count / transcript.ctrl_position_count > transcript.config.error_threshold
+    ):
+        return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
+
+    channel = {p: transcript.photons.channel(p) for p in PARTICIPANTS}
+    own_r = {p: sift_bit[channel[p]] for p in PARTICIPANTS}
+    tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
+    r_positions = transcript.r_positions
+    disclosures = {p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=L) for p in PARTICIPANTS}
+    transcript.disclosures = published.disclosures = disclosures
+    disclosure_mismatches = sum(tp_verify_disclosure(disclosures[p], tp_r[p]) for p in PARTICIPANTS)
+    transcript.disclosure_mismatch_count = disclosure_mismatches
+    disclosed_total = sum(len(disclosures[p].positions) for p in PARTICIPANTS)
+
+    if disclosed_total > 0 and disclosure_mismatches / disclosed_total > transcript.config.error_threshold:
+        return ComparisonOutcome.aborted(DISCLOSURE_MISMATCH)
+
+    masks_tp: dict[str, Bits] = {}
+    published_m: dict[str, Bits] = {}
+    for participant in PARTICIPANTS:
+        masks = mask_positions(transcript.modes[participant], L, disclosures[participant])
+        masks_tp[participant] = tp_r[participant][masks].tolist()
+        published_m[participant] = derive_message(
+            truth.secrets[participant], own_r[participant][masks].tolist(), truth.key
+        )
+    transcript.tp_masks = masks_tp
+    transcript.published_m = truth.messages = published.messages = published_m
+
+    outcome, transcript.m_t = tp_compare(published_m["A"], published_m["B"], masks_tp["A"], masks_tp["B"])
+    return outcome
+
+
+def run_improved_sessions(
+    config: SessionConfig,
+    secrets_a: Sequence[Sequence[int]],
+    secrets_b: Sequence[Sequence[int]],
+    keys: Sequence[Sequence[int]],
+    taps: Sequence[ChannelTap] = (),
+    *,
+    rng,
+) -> list[tuple[ImprovedTranscript, ComparisonOutcome, list[AttackReport]]]:
+    """Run one improved-protocol session per trial of a chunk; same
+    driver contract as :func:`sqpc.jiang.run_sessions` (one stream per
+    trial, taps on both transits of every live trial in one call each,
+    declarations visible to taps only at finalize)."""
+    streams = Streams.of(rng)
+    L = config.L
+    check_lengths(L, streams, secrets_a, secrets_b, keys)
+    size = 8 * L
+
+    # Each participant gets 4L photons and SIFTs 2L of them, the R
+    # carriers; L of those are disclosed and L left as the message mask.
+    photons = tp_prepare_photons(config, streams)
+    modes = [{p: draw_modes(4 * L, 2 * L, config.mode_policy, gen) for p in PARTICIPANTS} for gen in streams.gens]
+    sift = {p: np.array([trial[p] for trial in modes]) for p in PARTICIPANTS}
+    sift_rows = np.concatenate([sift[p] for p in PARTICIPANTS], axis=1).ravel()
+
+    transcripts, truths = [], []
+    for trial, (secret_a, secret_b, key) in enumerate(zip(secrets_a, secrets_b, keys)):
+        positions = {p: modes[trial][p].nonzero()[0] for p in PARTICIPANTS}
+        transcripts.append(
+            ImprovedTranscript(
+                config=config,
+                photons=photons,
+                modes=modes[trial],
+                sift_positions=positions,
+                r_positions={p: positions[p][: 2 * L] for p in PARTICIPANTS},
+            )
+        )
+        secrets = {"A": list(secret_a), "B": list(secret_b)}
+        truths.append(GroundTruth(L=L, secrets=secrets, key=list(key), messages={"A": [], "B": []}))
+
+    def respond(live: np.ndarray) -> np.ndarray:
+        photons.return_wire = sift_measure_resend(photons, sift_rows & live.repeat(size), streams)
+        return photons.return_wire
+
+    def tp_steps(live: np.ndarray, published: list[PublicRecord]) -> list[ComparisonOutcome]:
+        # Receipt confirmed; modes are now declared.  TP measures
+        # everything, then each trial runs the two integrity checks in
+        # order.
+        live_rows = live.repeat(size)
+        ctrl_rows = ~sift_rows & live_rows
+        mismatches, x_results = tp_check_ctrl_x(photons, ctrl_rows, streams)
+        ctrl_counts = np.count_nonzero(ctrl_rows.reshape(-1, size), axis=1)
+        tp_r = tp_read_sift(photons, sift_rows & live_rows, streams)
+        outcomes = []
+        for trial in live.nonzero()[0].tolist():
+            rows = slice(trial * size, (trial + 1) * size)
+            transcript = transcripts[trial]
+            transcript.x_results = x_results[rows]
+            transcript.x_mismatch_count = int(mismatches[trial])
+            transcript.ctrl_position_count = int(ctrl_counts[trial])
+            transcript.tp_r = tp_r[rows]
+            outcomes.append(
+                _tp_finish(transcript, published[trial], truths[trial], photons.sift_bit[rows], streams.gens[trial])
+            )
+        return outcomes
+
+    rows = np.arange(len(photons.prepared_sign)).reshape(-1, len(PARTICIPANTS), 4 * L)
+    channels = {p: (rows[:, i], ...) for i, p in enumerate(PARTICIPANTS)}
+    outcomes, reports = drive_session(
+        taps, sift, 2 * L, channels, photons.register, photons.wire, respond, tp_steps, decode_claims, truths, streams
+    )
+    for trial, (transcript, outcome) in enumerate(zip(transcripts, outcomes)):
+        transcript.photons = photons.trial(slice(trial * size, (trial + 1) * size))
+        transcript.outcome = outcome
+    return list(zip(transcripts, outcomes, reports))
+
+
 def run_improved_session(
     config: SessionConfig,
     secret_a: Sequence[int],
@@ -244,80 +392,7 @@ def run_improved_session(
     *,
     rng: np.random.Generator,
 ) -> tuple[ImprovedTranscript, ComparisonOutcome, list[AttackReport]]:
-    """Run one improved-protocol session; same driver contract as
-    :func:`sqpc.jiang.run_session` (single rng, taps on both transits,
-    declarations visible to taps only at finalize)."""
-    L = config.L
-    if not len(secret_a) == len(secret_b) == len(key) == L:
-        raise ValueError("secrets and key must all have length L")
-
-    # Each participant gets 4L photons and SIFTs 2L of them, the R
-    # carriers; L of those are disclosed and L left as the message mask.
-    photons = tp_prepare_photons(config, rng)
-    modes = {p: draw_modes(4 * L, 2 * L, config.mode_policy, rng) for p in PARTICIPANTS}
-    sift = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
-    r_positions = {p: sift[p][: 2 * L] for p in PARTICIPANTS}
-
-    transcript = ImprovedTranscript(
-        config=config,
-        photons=photons,
-        modes=modes,
-        sift_positions=sift,
-        r_positions=r_positions,
-    )
-    secrets = {"A": list(secret_a), "B": list(secret_b)}
-    truth = GroundTruth(L=L, secrets=secrets, key=list(key), messages={"A": [], "B": []})
-    channel = {p: photons.channel(p) for p in PARTICIPANTS}
-    sift_rows = np.concatenate([modes[p] for p in PARTICIPANTS])
-
-    def respond() -> np.ndarray:
-        photons.return_wire = sift_measure_resend(photons, sift_rows, rng)
-        return photons.return_wire
-
-    def tp_steps(published: PublicRecord) -> ComparisonOutcome:
-        # Receipt confirmed; modes are now declared.  TP measures
-        # everything, then runs the two integrity checks in order.
-        published.modes = modes
-        ctrl_rows = ~sift_rows
-        mismatches, transcript.x_results = tp_check_ctrl_x(photons, ctrl_rows, rng)
-        transcript.x_mismatch_count = mismatches
-        transcript.ctrl_position_count = int(np.count_nonzero(ctrl_rows))
-        transcript.tp_r = tp_read_sift(photons, sift_rows, rng)
-        own_r = {p: photons.sift_bit[channel[p]] for p in PARTICIPANTS}
-        tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
-
-        if transcript.ctrl_position_count > 0 and mismatches / transcript.ctrl_position_count > config.error_threshold:
-            return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
-
-        disclosures = {
-            p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=L)
-            for p in PARTICIPANTS
-        }
-        transcript.disclosures = published.disclosures = disclosures
-        disclosure_mismatches = sum(tp_verify_disclosure(disclosures[p], tp_r[p]) for p in PARTICIPANTS)
-        transcript.disclosure_mismatch_count = disclosure_mismatches
-        disclosed_total = sum(len(disclosures[p].positions) for p in PARTICIPANTS)
-
-        if disclosed_total > 0 and disclosure_mismatches / disclosed_total > config.error_threshold:
-            return ComparisonOutcome.aborted(DISCLOSURE_MISMATCH)
-
-        masks_tp: dict[str, Bits] = {}
-        published_m: dict[str, Bits] = {}
-        for participant in PARTICIPANTS:
-            masks = mask_positions(modes[participant], L, disclosures[participant])
-            masks_tp[participant] = tp_r[participant][masks].tolist()
-            published_m[participant] = derive_improved_message(
-                secrets[participant], own_r[participant][masks].tolist(), key
-            )
-        transcript.tp_masks = masks_tp
-        transcript.published_m = truth.messages = published.messages = published_m
-
-        outcome, transcript.m_t = tp_compare(published_m["A"], published_m["B"], masks_tp["A"], masks_tp["B"])
-        return outcome
-
-    channels = {p: (photons.rows[channel[p]], channel[p]) for p in PARTICIPANTS}
-    transcript.outcome, reports = drive_session(
-        taps, modes, 2 * L, channels, photons.register, photons.wire, respond, tp_steps, decode_claims, truth, rng
-    )
-    return transcript, transcript.outcome, reports
-
+    """Run one improved-protocol session, a chunk of one trial (see
+    :func:`run_improved_sessions`); same driver contract as
+    :func:`sqpc.jiang.run_session`."""
+    return run_improved_sessions(config, [secret_a], [secret_b], [key], taps, rng=rng)[0]

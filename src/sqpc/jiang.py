@@ -20,14 +20,24 @@ positions; under the coin policy a SIFT deficit aborts the session and
 surplus SIFT positions carry fresh uniformly random filler qubits that the
 comparison ignores.
 
-All 2L positions live in one batched register (see :mod:`sqpc.kernel`),
-so each protocol step is a few batch calls rather than a loop over
-positions.  TP's reads come back as arrays over the positions as well: a
-Bell outcome per position and a Z bit per participant per position, each
--1 where nothing was measured; the transcript keys each per-participant
-value by participant.  Adversaries participate as channel taps with one
-hook call for all forward transits of their channel and one for all
-return transits; see :mod:`sqpc.attacks`.
+Sessions run in chunks of trials (:func:`run_sessions`; a single
+session, :func:`run_session`, is a chunk of one).  All 2L positions of
+every trial in a chunk live in one batched register (see
+:mod:`sqpc.kernel`), row ``t * 2L + p`` holding position p of trial t,
+so each protocol step is a few batch calls for the whole chunk rather
+than a loop over trials or positions.  Each trial draws from its own
+generator (:class:`sqpc.attacks.Streams`) in the order a lone session
+would: a measurement sorts its rows by (trial, wire, row) and takes each
+trial's uniforms from that trial's stream.  A trial whose SIFT count
+falls short aborts and drops out: no later transit, response or TP read
+touches its rows.  TP's reads come back as arrays over the rows: a Bell
+outcome per row and a Z bit per participant per row, each -1 where
+nothing was measured; each trial's transcript holds its own slice, and
+keys each per-participant value by participant.  Adversaries participate
+as channel taps with one hook call for all forward transits of their
+channel in the chunk and one for all return transits; see
+:mod:`sqpc.attacks`.  Per-trial classical steps (threshold checks,
+comparison, decoding, scoring) loop over the trials.
 
 :class:`SessionConfig` parametrizes a session of either protocol and
 :func:`drive_session` runs the transit pattern both share; each protocol
@@ -51,10 +61,12 @@ from .attacks import (
     DoubleCnotEve,
     GroundTruth,
     PublicRecord,
+    Streams,
+    by_wire,
     read_dict,
     score_report,
 )
-from .kernel import BellState, Register, prepare_bell, prepare_z, sort_rows
+from .kernel import BellState, Register, prepare_bell, prepare_z
 
 BALANCED = "balanced"
 INDEPENDENT_COIN = "coin"
@@ -96,6 +108,9 @@ class ComparisonOutcome:
     def attacker_detected(self) -> bool:
         """True when the abort reason corresponds to an integrity check firing."""
         return self.kind == "aborted" and self.abort_reason in _DETECTION_REASONS
+
+
+_TOO_FEW_SIFT = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
 
 
 def random_bits(length: int, rng: np.random.Generator) -> Bits:
@@ -140,12 +155,13 @@ class SessionConfig:
 
 @dataclass
 class PairBatch:
-    """A session's prepared pairs as one batched register, row p = position p.
+    """Prepared pairs as one batched register, one row per pair: row p =
+    position p of a session, or of a chunk's trials laid end to end.
 
     Wire 0 of every row is Alice's half and wire 1 Bob's.  ``wires`` maps
-    each participant to the per-position wires as delivered (forward taps
+    each participant to the per-row wires as delivered (forward taps
     may grow the register but hand the same data wires on); ``returns``
-    maps each participant to the per-position wires TP finally receives,
+    maps each participant to the per-row wires TP finally receives,
     which a SIFT response or a tampering tap may have replaced.
     """
 
@@ -166,10 +182,23 @@ class PairBatch:
     def positions(self) -> np.ndarray:
         return np.arange(len(self.prepared))
 
+    def trial(self, rows: slice) -> "PairBatch":
+        """The pairs of one trial of a chunk, ``rows``, as a batch of their
+        own; it shares the chunk's register, so position p is register
+        row ``rows.start + p``.  The batch itself when that is all of it."""
+        if rows.stop - rows.start == len(self.prepared):
+            return self
+        return PairBatch(
+            self.prepared[rows],
+            self.register,
+            {p: wires[rows] for p, wires in self.wires.items()},
+            {p: wires[rows] for p, wires in self.returns.items()},
+        )
+
 
 @dataclass
 class SessionTranscript:
-    """Everything TP sees, plus the session's pair register.
+    """Everything TP sees, plus the session's pairs.
 
     Per-participant fields are dicts keyed by participant.  ``modes`` holds
     the SIFT masks.  ``bell_outcomes`` holds the ``BellState`` value TP
@@ -193,14 +222,16 @@ class SessionTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_pairs(config: SessionConfig, rng: np.random.Generator) -> PairBatch:
-    """Draw 2L uniformly random Bell variants into one batched register
-    (qubit 0 = Alice's half, 1 = Bob's).
+def tp_prepare_pairs(config: SessionConfig, rng) -> PairBatch:
+    """Draw 2L uniformly random Bell variants per trial of a chunk (``rng``:
+    its :class:`Streams`, or one session's generator) into one batched
+    register, trial-major (qubit 0 = Alice's half, 1 = Bob's).
 
     One uniform per pair, scaled by 4 and truncated: the draws and
     variants of ``rng.choice(4, size=2L, p=[0.25] * 4)``, whose cut points
     0.25, 0.5 and 0.75, like the scaling by 4, are exact in binary."""
-    return PairBatch.prepare((4 * rng.random(2 * config.L)).astype(np.intp))
+    uniforms = np.concatenate([gen.random(2 * config.L) for gen in Streams.of(rng).gens])
+    return PairBatch.prepare((4 * uniforms).astype(np.intp))
 
 
 def draw_modes(
@@ -217,10 +248,6 @@ def draw_modes(
     if policy == INDEPENDENT_COIN:
         return rng.integers(0, 2, size=num_positions) == 1
     raise ValueError(f"unknown mode policy {policy!r}")
-
-
-def choose_modes(config: SessionConfig, rng: np.random.Generator) -> np.ndarray:
-    return draw_modes(2 * config.L, config.L, config.mode_policy, rng)
 
 
 def participant_respond(
@@ -244,29 +271,36 @@ def participant_respond(
 
 
 def tp_resolve_positions(
-    pairs: PairBatch, sift_a: np.ndarray, sift_b: np.ndarray, rng: np.random.Generator
+    pairs: PairBatch, sift_a: np.ndarray, sift_b: np.ndarray, rng, live: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """TP's measurements at every position, given both SIFT masks.
+    """TP's measurements at every row, given both SIFT masks over the rows.
 
-    CTRL/CTRL positions get a Bell measurement on the two returned wires.
-    At any other position TP Z-reads each SIFT return and leaves a
-    reflected half, if any, unmeasured.  One batch call per step with
-    per-row wires, rows sorted by wire: Bell measurements first, then
-    Alice's reads, then Bob's.  Returns ``(bell, bits_a, bits_b)``: the
-    ``BellState`` value per position and each participant's Z bit per
-    position, -1 where that measurement was not made.
+    CTRL/CTRL rows get a Bell measurement on the two returned wires.  At
+    any other row TP Z-reads each SIFT return and leaves a reflected
+    half, if any, unmeasured.  One batch call per step with per-row
+    wires, rows sorted by (trial, wire): Bell measurements first, then
+    Alice's reads, then Bob's.  ``rng`` is the chunk's :class:`Streams`
+    (or one session's generator) and ``live`` masks the rows of the
+    trials still running (every row by default).  Returns ``(bell,
+    bits_a, bits_b)``: the ``BellState`` value per row and each
+    participant's Z bit per row, -1 where that measurement was not made.
     """
-    bell = np.full(len(pairs.prepared), -1, dtype=np.intp)
-    ctrl_ctrl = (~(sift_a | sift_b)).nonzero()[0]
+    streams = Streams.of(rng)
+    size = len(pairs.prepared)
+    measured = np.ones(size, dtype=bool) if live is None else live
+    bell = np.full(size, -1, dtype=np.intp)
+    ctrl_ctrl = (~(sift_a | sift_b) & measured).nonzero()[0]
     if len(ctrl_ctrl):
-        rows, w1, w2 = sort_rows(ctrl_ctrl, pairs.returns["A"][ctrl_ctrl], pairs.returns["B"][ctrl_ctrl])
-        bell[rows] = pairs.register.measure_bell(w1, w2, rng, rows)
+        rows, w1, w2 = by_wire(
+            ctrl_ctrl, streams.trial(ctrl_ctrl, size), pairs.returns["A"][ctrl_ctrl], pairs.returns["B"][ctrl_ctrl]
+        )
+        bell[rows] = pairs.register.measure_bell(w1, w2, streams.uniforms(rows, size), rows)
     bits = []
     for participant, sift in (("A", sift_a), ("B", sift_b)):
-        read = np.full(len(sift), -1, dtype=np.intp)
-        sifted = sift.nonzero()[0]
-        rows, wires = sort_rows(sifted, pairs.returns[participant][sifted])
-        read[rows] = pairs.register.measure_z(wires, rng, rows)
+        read = np.full(size, -1, dtype=np.intp)
+        sifted = (sift & measured).nonzero()[0]
+        rows, wires = by_wire(sifted, streams.trial(sifted, size), pairs.returns[participant][sifted])
+        read[rows] = pairs.register.measure_z(wires, streams.uniforms(rows, size), rows)
         bits.append(read)
     return bell, bits[0], bits[1]
 
@@ -294,55 +328,71 @@ def drive_session(
     channels: dict[str, tuple[np.ndarray, object]],
     register: Register,
     wires,
-    respond: Callable[[], object],
-    tp_steps: Callable[[PublicRecord], ComparisonOutcome],
+    respond: Callable[[np.ndarray], object],
+    tp_steps: Callable[[np.ndarray, list[PublicRecord]], list[ComparisonOutcome]],
     decode: Callable[[AttackReport, PublicRecord], None],
-    truth: GroundTruth,
-    rng: np.random.Generator,
-) -> tuple[ComparisonOutcome, list[AttackReport]]:
-    """Run the transit pattern both protocols share around their own steps.
+    truths: Sequence[GroundTruth],
+    streams: Streams,
+) -> tuple[list[ComparisonOutcome], list[list[AttackReport]]]:
+    """Run the transit pattern both protocols share, for a chunk of
+    trials, around the protocol's own steps.
 
-    Every tap begins the session, which aborts if a participant's SIFT
-    mask holds fewer than ``sift_quota`` positions.  Otherwise each
-    channel's taps get its forward transits, ``respond()`` returns the
-    container of returned wires, the return transits follow, and
-    ``tp_steps`` fills in the public record and returns the outcome.
-    ``channels`` maps each participant to the ``register`` rows of its
-    positions and the key of its wires in either container.  Last, every
-    report is decoded, scored against ``truth`` and marked detected.
+    ``modes`` maps each participant to the SIFT masks of the chunk's
+    trials, one row per trial.  Every tap begins the chunk; a trial
+    aborts if a participant's SIFT mask holds fewer than ``sift_quota``
+    positions.  The other, live, trials go on together: each channel's
+    taps get the forward transits of all their positions in one call,
+    ``respond(live)`` returns the container of returned wires, the return
+    transits follow, and ``tp_steps(live, published)`` fills in the live
+    trials' public records and returns their outcomes.  ``channels`` maps
+    each participant to the ``register`` rows of its positions, one row
+    per trial, and the key of its wires, an array over the register rows,
+    in either container.  Last, every trial's reports are decoded,
+    scored against its entry of ``truths`` and marked detected.  Returns
+    each trial's outcome and reports.
     """
     for tap in taps:
-        tap.begin_session(len(modes[PARTICIPANTS[0]]), rng)
-    published = PublicRecord(L=truth.L)
-    if any(np.count_nonzero(modes[p]) < sift_quota for p in PARTICIPANTS):
-        outcome = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
-    else:
+        tap.begin_session(modes[PARTICIPANTS[0]].shape[1], streams)
+    published = [PublicRecord(L=truth.L) for truth in truths]
+    outcomes = [_TOO_FEW_SIFT] * len(truths)
+    live = np.minimum(*(modes[p].sum(axis=1) for p in PARTICIPANTS)) >= sift_quota
+    running = live.nonzero()[0]
+    if len(running):
         for tap in taps:
             if tap.identity in PARTICIPANTS:
                 tap.observe_own_modes(modes[tap.identity])
+        # Each channel's taps in turn, with the rows of the live trials.
+        hooked = [
+            (tap, rows[running].ravel(), key)
+            for participant, (rows, key) in channels.items()
+            for tap in taps
+            if tap.target == participant
+        ]
 
         def transit(hook: str, wires) -> None:
-            for participant, (rows, index) in channels.items():
-                for tap in taps:
-                    if tap.target == participant:
-                        wires[index] = getattr(tap, hook)(rows, register, wires[index], rng)
+            for tap, rows, key in hooked:
+                wires[key][rows] = getattr(tap, hook)(rows, register, wires[key][rows], streams)
 
         transit("on_forward", wires)
-        transit("on_return", respond())
-        outcome = tp_steps(published)
-    published.announced = outcome.kind
+        transit("on_return", respond(live))
+        for trial, outcome in zip(running.tolist(), tp_steps(live, published)):
+            outcomes[trial] = outcome
 
     reports = []
-    for tap in taps:
-        report = tap.finalize(published)
-        if report is not None:
-            decode(report, published)
-            if tap.key is not None:
-                report.secret_bits = {i: bit ^ tap.key[i] for i, bit in report.masked_secret_bits.items()}
-            score_report(report, truth)
-            report.detected = outcome.attacker_detected
-            reports.append(report)
-    return outcome, reports
+    for trial, (outcome, record, truth) in enumerate(zip(outcomes, published, truths)):
+        record.announced = outcome.kind
+        reports.append([])
+        for tap in taps:
+            report = tap.finalize(record, trial)
+            if report is not None:
+                decode(report, record)
+                if tap.key is not None:
+                    key = tap.key[trial]
+                    report.secret_bits = {i: bit ^ key[i] for i, bit in report.masked_secret_bits.items()}
+                score_report(report, truth)
+                report.detected = outcome.attacker_detected
+                reports[-1].append(report)
+    return outcomes, reports
 
 
 def decode_claims(report: AttackReport, published: PublicRecord) -> None:
@@ -357,6 +407,115 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
         report.masked_secret_bits = {idx: bit ^ r[idx] for idx, bit in report.message_bits.items()}
 
 
+def check_lengths(L: int, streams: Streams, *per_trial: Sequence[Sequence[int]]) -> None:
+    """One secret of each participant and one key per stream, each of length L."""
+    if {len(values) for values in per_trial} != {len(streams.gens)}:
+        raise ValueError("every trial needs both secrets, a key and a stream")
+    if {len(bits) for values in per_trial for bits in values} != {L}:
+        raise ValueError("secrets and key must all have length L")
+
+
+def run_sessions(
+    config: SessionConfig,
+    secrets_a: Sequence[Sequence[int]],
+    secrets_b: Sequence[Sequence[int]],
+    keys: Sequence[Sequence[int]],
+    taps: Sequence[ChannelTap] = (),
+    *,
+    rng,
+) -> list[tuple[SessionTranscript, ComparisonOutcome, list[AttackReport]]]:
+    """Run one session per trial of a chunk and return each trial's
+    (transcript, outcome, attack reports).
+
+    Trial t compares ``secrets_a[t]`` with ``secrets_b[t]`` under
+    ``keys[t]`` and draws everything, its taps' measurements included,
+    from generator t of ``rng`` (a :class:`Streams`), so identical inputs
+    give bit-identical transcripts.  Each tap gets the forward transits of
+    every position of the channel it targets, in every live trial, in one
+    call, then the return transits in another; mode declarations become
+    visible to taps only through ``finalize``, after TP has everything.
+    """
+    streams = Streams.of(rng)
+    L = config.L
+    check_lengths(L, streams, secrets_a, secrets_b, keys)
+    size = 2 * L
+
+    pairs = tp_prepare_pairs(config, streams)
+    r = [{p: random_bits(L, gen) for p in PARTICIPANTS} for gen in streams.gens]
+    modes = [{p: draw_modes(size, L, config.mode_policy, gen) for p in PARTICIPANTS} for gen in streams.gens]
+    sift = {p: np.array([trial[p] for trial in modes]) for p in PARTICIPANTS}
+
+    transcripts, truths = [], []
+    for trial, (secret_a, secret_b, key) in enumerate(zip(secrets_a, secrets_b, keys)):
+        secrets = {"A": list(secret_a), "B": list(secret_b)}
+        positions = {p: modes[trial][p].nonzero()[0] for p in PARTICIPANTS}
+        transcripts.append(
+            SessionTranscript(
+                config=config,
+                pairs=pairs,
+                modes=modes[trial],
+                r=r[trial],
+                sift_positions=positions,
+                message_positions={p: positions[p][:L] for p in PARTICIPANTS},
+            )
+        )
+        messages = {p: derive_message(secrets[p], r[trial][p], key) for p in PARTICIPANTS}
+        truths.append(GroundTruth(L=L, secrets=secrets, key=list(key), messages=messages))
+
+    def respond(live: np.ndarray) -> dict[str, np.ndarray]:
+        # The i-th SIFT position carries message bit i, surplus SIFT
+        # positions under the coin policy carry random filler.
+        running = live.nonzero()[0].tolist()
+        for participant in PARTICIPANTS:
+            bits = np.zeros(sift[participant].shape, dtype=np.intp)
+            for trial in running:
+                positions = transcripts[trial].sift_positions[participant]
+                bits[trial, positions[:L]] = truths[trial].messages[participant]
+                if len(positions) > L:
+                    bits[trial, positions[L:]] = streams.gens[trial].integers(0, 2, size=len(positions) - L)
+            pairs.returns[participant] = participant_respond(
+                (sift[participant] & live[:, None]).ravel(), pairs.register, pairs.wires[participant], bits.ravel()
+            )
+        return pairs.returns
+
+    def tp_steps(live: np.ndarray, published: list[PublicRecord]) -> list[ComparisonOutcome]:
+        # TP confirms receipt; only now are the mode declarations public.
+        sifted = {p: sift[p].ravel() for p in PARTICIPANTS}
+        bell, bits_a, bits_b = tp_resolve_positions(pairs, sifted["A"], sifted["B"], streams, live.repeat(size))
+        outcomes = []
+        for trial in live.nonzero()[0].tolist():
+            rows = slice(trial * size, (trial + 1) * size)
+            transcript, record = transcripts[trial], published[trial]
+            transcript.bell_outcomes = trial_bell = bell[rows]
+            transcript.tp_bits = tp_bits = {"A": bits_a[rows], "B": bits_b[rows]}
+            transcript.ctrl_ctrl_positions = ctrl_ctrl = (trial_bell >= 0).nonzero()[0]
+            prepared = pairs.prepared[rows]
+            transcript.bell_mismatch_count = int(np.count_nonzero(trial_bell[ctrl_ctrl] != prepared[ctrl_ctrl]))
+            transcript.tp_m = tp_m = {
+                p: tp_bits[p][transcript.message_positions[p]].tolist() for p in PARTICIPANTS
+            }
+            record.modes = transcript.modes
+
+            n_ctrl = len(ctrl_ctrl)
+            if n_ctrl > 0 and transcript.bell_mismatch_count / n_ctrl > config.error_threshold:
+                outcomes.append(ComparisonOutcome.aborted(EAVESDROPPER_DETECTED))
+                continue
+            outcome, transcript.m_t = tp_compare(tp_m["A"], tp_m["B"], transcript.r["A"], transcript.r["B"])
+            record.r = transcript.r
+            outcomes.append(outcome)
+        return outcomes
+
+    rows = np.arange(len(pairs.prepared)).reshape(-1, size)
+    channels = {p: (rows, p) for p in PARTICIPANTS}
+    outcomes, reports = drive_session(
+        taps, sift, L, channels, pairs.register, pairs.wires, respond, tp_steps, decode_claims, truths, streams
+    )
+    for trial, (transcript, outcome) in enumerate(zip(transcripts, outcomes)):
+        transcript.pairs = pairs.trial(slice(trial * size, (trial + 1) * size))
+        transcript.outcome = outcome
+    return list(zip(transcripts, outcomes, reports))
+
+
 def run_session(
     config: SessionConfig,
     secret_a: Sequence[int],
@@ -366,69 +525,13 @@ def run_session(
     *,
     rng: np.random.Generator,
 ) -> tuple[SessionTranscript, ComparisonOutcome, list[AttackReport]]:
-    """Run one full session and return (transcript, outcome, attack reports).
+    """Run one full session, a chunk of one trial (see
+    :func:`run_sessions`), and return (transcript, outcome, attack reports).
 
     All randomness, including every tap's measurement draws, comes from
-    ``rng``, so identical inputs give bit-identical transcripts.  Each tap
-    gets the forward transits of every position of the channel it targets
-    in one call, then the return transits in another; mode declarations
-    become visible to taps only through ``finalize``, after TP has
-    everything.
+    ``rng``, so identical inputs give bit-identical transcripts.
     """
-    L = config.L
-    if not len(secret_a) == len(secret_b) == len(key) == L:
-        raise ValueError("secrets and key must all have length L")
-
-    pairs = tp_prepare_pairs(config, rng)
-    secrets = {"A": list(secret_a), "B": list(secret_b)}
-    r = {p: random_bits(L, rng) for p in PARTICIPANTS}
-    msg = {p: derive_message(secrets[p], r[p], key) for p in PARTICIPANTS}
-    modes = {p: choose_modes(config, rng) for p in PARTICIPANTS}
-    sift = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
-    msg_positions = {p: sift[p][:L] for p in PARTICIPANTS}
-
-    transcript = SessionTranscript(
-        config=config, pairs=pairs, modes=modes, r=r, sift_positions=sift, message_positions=msg_positions
-    )
-    truth = GroundTruth(L=L, secrets=secrets, key=list(key), messages=msg)
-
-    def respond() -> dict[str, np.ndarray]:
-        # The i-th SIFT position carries message bit i, surplus SIFT
-        # positions under the coin policy carry random filler.
-        for participant in PARTICIPANTS:
-            bits = np.zeros(2 * L, dtype=np.intp)
-            bits[msg_positions[participant]] = msg[participant]
-            surplus = sift[participant][L:]
-            if len(surplus):
-                bits[surplus] = rng.integers(0, 2, size=len(surplus))
-            pairs.returns[participant] = participant_respond(
-                modes[participant], pairs.register, pairs.wires[participant], bits
-            )
-        return pairs.returns
-
-    def tp_steps(published: PublicRecord) -> ComparisonOutcome:
-        # TP confirms receipt; only now are the mode declarations public.
-        bell, bits_a, bits_b = tp_resolve_positions(pairs, modes["A"], modes["B"], rng)
-        ctrl_ctrl = (bell >= 0).nonzero()[0]
-        transcript.bell_outcomes = bell
-        transcript.tp_bits = tp_bits = {"A": bits_a, "B": bits_b}
-        transcript.ctrl_ctrl_positions = ctrl_ctrl
-        transcript.bell_mismatch_count = int(np.count_nonzero(bell[ctrl_ctrl] != pairs.prepared[ctrl_ctrl]))
-        transcript.tp_m = tp_m = {p: tp_bits[p][msg_positions[p]].tolist() for p in PARTICIPANTS}
-        published.modes = modes
-
-        n_ctrl = len(ctrl_ctrl)
-        if n_ctrl > 0 and transcript.bell_mismatch_count / n_ctrl > config.error_threshold:
-            return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
-        outcome, transcript.m_t = tp_compare(tp_m["A"], tp_m["B"], r["A"], r["B"])
-        published.r = r
-        return outcome
-
-    channels = {p: (pairs.positions, p) for p in PARTICIPANTS}
-    transcript.outcome, reports = drive_session(
-        taps, modes, L, channels, pairs.register, pairs.wires, respond, tp_steps, decode_claims, truth, rng
-    )
-    return transcript, transcript.outcome, reports
+    return run_sessions(config, [secret_a], [secret_b], [key], taps, rng=rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Exact pure-state simulation of small qubit registers, one at a time or
 in batches.
 
-A state is a dense complex numpy array of shape ``(2**n, *batch)``.  Axis
-0 holds the ``2**n`` amplitudes of an ``n``-qubit register (``n <= 8``);
-the trailing batch axes index independent registers of the same width.  A
-single state has batch shape ``()``; a session's positions form one array
-of batch shape ``(positions,)``.  Qubit 0 is the MOST significant bit of a
+A state is a dense real or complex numpy array of shape
+``(2**n, *batch)``.  Axis 0 holds the ``2**n`` amplitudes of an
+``n``-qubit register (``n <= 8``); the trailing batch axes index
+independent registers of the same width.  A single state has batch shape
+``()``; a chunk of sessions forms one array of batch shape ``(rows,)``,
+one row per (trial, position).  Every preparation and gate here is real,
+so sessions stay real.  Qubit 0 is the MOST significant bit of a
 basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in |0>
 and qubits 1 and 2 in |1>.  All operations return fresh arrays or
 collapse-and-renormalize, so states stay unit norm to double precision.
@@ -26,9 +28,11 @@ X-basis labels follow the Hadamard image of the computational basis:
 The measurement core, :func:`_measure`, takes one uniform variate per
 measured state (one per row of a batch) and never sees a generator.  The
 public measurements draw those uniforms in a single ``rng.random(batch)``
-call on the caller's ``numpy.random.Generator``: uniform ``i`` goes to row
-``i``, whatever the row's wires.  Whole-protocol runs are then
-reproducible from a single seed whatever the amplitudes happen to be.  A
+call on the caller's ``numpy.random.Generator`` (or any object whose
+``random(shape)`` returns uniforms of that shape, such as a chunk of
+trials' own draws): uniform ``i`` goes to row ``i``, whatever the row's
+wires.  Whole-protocol runs are then reproducible from a single seed
+whatever the amplitudes happen to be.  A
 caller that lists its rows sorted by wire with a stable sort draws exactly
 what one call per distinct wire, in ascending wire order, would draw.  The
 outcome is the first one whose cumulative probability exceeds the scaled
@@ -71,15 +75,14 @@ _BELL_MATRIX = np.array(
         [0.0, SQRT_HALF, SQRT_HALF, 0.0],
         [0.0, SQRT_HALF, -SQRT_HALF, 0.0],
     ],
-    dtype=complex,
 )
 
-_Z_STATES = np.eye(2, dtype=complex)
+_Z_STATES = np.eye(2)
 
 _OUTCOMES = np.arange(4)
 
 # Row s = the X eigenstate with sign s; the Hadamard.
-_HADAMARD = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]], dtype=complex)
+_HADAMARD = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
 
 # The Hadamard (k = 2 outcome blocks) and the change from pair blocks
@@ -190,11 +193,10 @@ def _index(op: str, amps: np.ndarray, *wires):
             continue
         if w.shape != amps.shape[1:] or w.ndim != 1:
             raise ValueError(f"per-row wires of shape {w.shape} do not align with a batch of shape {amps.shape[1:]}")
-        distinct = set(w.tolist())
-        if not distinct:
+        if not w.size:
             shared.append(None)
             continue
-        low, high = min(distinct), max(distinct)
+        low, high = int(np.minimum.reduce(w)), int(np.maximum.reduce(w))
         if low < 0 or high >= n:
             raise ValueError(f"qubit {low if low < 0 else high} out of bounds for a {n}-qubit register")
         shared.append(low if low == high else None)
@@ -421,7 +423,10 @@ class Register:
     """
 
     def __init__(self, amps: np.ndarray):
-        self.amps = np.asarray(amps, dtype=complex)
+        amps = np.asarray(amps)
+        # Real stays real (every session op is), complex stays complex,
+        # both in double precision; ints become floats.
+        self.amps = amps if amps.dtype.char in "dD" else amps.astype(np.result_type(amps, float))
         num_qubits(self.amps)  # validates the length
 
     @property

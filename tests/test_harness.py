@@ -184,16 +184,23 @@ class TestDetectionCurve:
 
     @pytest.fixture
     def trial_calls(self, monkeypatch):
-        """Indices of the trials run through ``harness.run_trial``."""
+        """Indices of the trials run through ``harness.run_chunk``, which
+        runs every trial of an experiment or a curve."""
         calls = []
-        real_run_trial = harness.run_trial
+        real_run_chunk = harness.run_chunk
 
-        def counting_run_trial(spec, index):
-            calls.append(index)
-            return real_run_trial(spec, index)
+        def counting_run_chunk(spec, start, stop):
+            calls.extend(range(start, stop))
+            return real_run_chunk(spec, start, stop)
 
-        monkeypatch.setattr(harness, "run_trial", counting_run_trial)
+        monkeypatch.setattr(harness, "run_chunk", counting_run_chunk)
         return calls
+
+    def test_valid_curve_records_its_trials(self, trial_calls):
+        # Positive control for the two "no trial ran" checks below.
+        spec = ExperimentSpec(scenario="improved", attack="blocking", L=1, trials=5, seed=1)
+        estimate_detection_curve(spec, [1, 2])
+        assert trial_calls == [0, 1, 2, 3, 4] * 2
 
     def test_rejects_negative_count_before_any_trial(self, trial_calls):
         spec = ExperimentSpec(scenario="improved", attack="blocking", L=1, trials=5, seed=1)

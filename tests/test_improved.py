@@ -9,7 +9,6 @@ from sqpc.improved import (
     CheckDisclosure,
     PhotonBatch,
     disclose_half_r,
-    derive_improved_message,
     run_improved_session,
     sift_measure_resend,
     tp_check_ctrl_x,
@@ -357,6 +356,3 @@ class TestConfigAndEfficiency:
     def test_rejects_wrong_lengths(self, rng):
         with pytest.raises(ValueError):
             run_improved_session(SessionConfig(L=3), bits("10"), bits("101"), bits("101"), rng=rng)
-
-    def test_message_mask_xor(self):
-        assert derive_improved_message(bits("1010"), bits("0110"), bits("1100")) == bits("0000")

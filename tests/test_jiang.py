@@ -7,13 +7,14 @@ import pytest
 
 from sqpc.attacks import InterceptResendZ
 from sqpc.jiang import (
+    BALANCED,
     INDEPENDENT_COIN,
     INSUFFICIENT_SIFT,
     ComparisonOutcome,
     SessionConfig,
-    choose_modes,
     PairBatch,
     derive_message,
+    draw_modes,
     participant_respond,
     random_bits,
     run_session,
@@ -72,19 +73,19 @@ class TestPreparation:
 
 class TestChooseModes:
     def test_balanced_counts(self, rng):
-        modes = choose_modes(SessionConfig(L=4), rng)
+        modes = draw_modes(8, 4, BALANCED, rng)
         assert len(modes) == 8
         assert modes.dtype == bool
         assert int(modes.sum()) == 4
 
     def test_coin_frequency(self, rng):
-        modes = choose_modes(SessionConfig(L=5000, mode_policy=INDEPENDENT_COIN), rng)
+        modes = draw_modes(10000, 5000, INDEPENDENT_COIN, rng)
         frac = int(modes.sum()) / 10000
         assert abs(frac - 0.5) < 0.015
 
     def test_same_seed_same_modes(self):
-        a = choose_modes(SessionConfig(L=16), np.random.default_rng(3))
-        b = choose_modes(SessionConfig(L=16), np.random.default_rng(3))
+        a = draw_modes(32, 16, BALANCED, np.random.default_rng(3))
+        b = draw_modes(32, 16, BALANCED, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
 class TestRespondAndResolve:
@@ -319,7 +320,7 @@ class TestBalancedEnumeration:
         n = 3000
         rng = np.random.default_rng(11)
         for _ in range(n):
-            modes = tuple(choose_modes(config, rng).tolist())
+            modes = tuple(draw_modes(2 * config.L, config.L, config.mode_policy, rng).tolist())
             counts[modes] = counts.get(modes, 0) + 1
         arrangements = set(
             tuple(i in picked for i in range(4))
