@@ -9,15 +9,13 @@ positions and one for the return transits (participant to TP).  A hook
 receives the register rows that carry the channel's positions in the
 chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
 with the wire each one travels on.  It may grow the register with
-ancillas (one per row), measure through the register API, and
-substitute the wires that travel onward; a measurement over positions
-on different wires is one call with per-row wires, rows sorted by
-(trial, wire), each trial drawing its uniforms from its own stream.  A
-tap keeps what it measured as arrays over its hook entries, -1 where it
-read nothing, and ``finalize`` reports one trial's reads raw; the
-protocol, which knows what each position carries, decodes them.  A
-single session is a chunk of one trial, whose generator a hook or
-``begin_session`` also takes as is.  Nothing here imports a protocol
+ancillas (one per row), apply gates through the register API, measure
+through :meth:`Streams.measure`, and substitute the wires that travel
+onward.  A tap keeps what it measured as arrays over its hook entries,
+-1 where it read nothing, and ``finalize`` reports one trial's reads
+raw; the protocol, which knows what each position carries, decodes
+them.  A single session is a chunk of one trial, whose generator a hook
+or ``begin_session`` also takes as is.  Nothing here imports a protocol
 module.
 Taps never read amplitudes; everything an attacker knows comes from its
 own measurement outcomes plus the classical values published after the
@@ -46,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .kernel import Register, prepare_z, sort_rows
+from .kernel import Register, prepare_z
 
 Bits = list[int]
 
@@ -66,10 +64,9 @@ class Streams:
     trial, in trial order.
 
     A register of the chunk holds each trial's rows in one block, the
-    blocks of equal size and in trial order.  A measurement over rows
-    sorted by trial takes its uniforms from :meth:`uniforms`, which draws
-    each trial's ``random(k)`` for its k rows from that trial's
-    generator: what one call per trial would draw.
+    blocks of equal size and in trial order.  Every measurement of a
+    session or a tap goes through :meth:`measure`, which owns the order
+    of the chunk's draws.
     """
 
     def __init__(self, gens):
@@ -80,38 +77,52 @@ class Streams:
         """``rng`` itself, or one generator as a chunk of one trial."""
         return rng if isinstance(rng, cls) else cls([rng])
 
-    def trial(self, rows: np.ndarray, size: int) -> np.ndarray:
-        """The trial of each of ``rows`` of a register of ``size`` rows."""
-        return rows // (size // len(self.gens))
+    def measure(self, register: Register, op: str, rows: np.ndarray, *wires, block: int | None = None) -> np.ndarray:
+        """The reads of ``register`` measurement ``op`` (``"measure_z"``,
+        ``"measure_x"`` or ``"measure_bell"``) of ``rows`` (ascending) on
+        ``wires``, each an int or one per row, aligned with ``rows``.
 
-    def uniforms(self, rows: np.ndarray, size: int):
-        """The ``rng`` of a measurement over ``rows`` (ascending by trial)
-        of a register of ``size`` rows."""
+        One kernel call draws what one lone call per (trial, ``block``,
+        wires), in ascending order, would draw from that trial's
+        generator: the rows go in (``row // block``, wires, row) order,
+        ``block`` one trial's rows unless given, and each trial's
+        uniforms are its ``random(k)`` for its k rows.  A wire every row
+        shares goes to the kernel as an int and sorts nothing, and all of
+        the register's rows, unsorted, are measured with no row selection,
+        which copies nothing.  No rows make no kernel call and draw
+        nothing.
+        """
+        if not len(rows):
+            return np.zeros(0, dtype=np.intp)
+        size = register.amps.shape[1]
+        trial_rows = size // len(self.gens)
+        wires, per_row = list(wires), []
+        for i, w in enumerate(wires):
+            if isinstance(w, np.ndarray):
+                if np.minimum.reduce(w) == np.maximum.reduce(w):
+                    wires[i] = int(w[0])
+                else:
+                    per_row.append(i)
+        order = None
+        if per_row:
+            # lexsort's last key is its first; the sort is stable, so rows
+            # stay ascending within a (block, wires) group.
+            order = np.lexsort((*(wires[i] for i in reversed(per_row)), rows // (block or trial_rows)))
+            rows = rows[order]
+            for i in per_row:
+                wires[i] = wires[i][order]
         if len(self.gens) == 1:
-            return self.gens[0]
-        counts = np.bincount(self.trial(rows, size), minlength=len(self.gens)).tolist()
-        return _Uniforms(np.concatenate([gen.random(k) for gen, k in zip(self.gens, counts)]))
-
-
-def by_wire(rows: np.ndarray, groups: np.ndarray, *wires: np.ndarray) -> tuple:
-    """``rows`` (ascending) and their per-row ``wires`` in (``groups``,
-    wires, row) order, where ``groups`` (each row's trial, or trial and
-    channel) ascend with the rows: one measurement over them draws what
-    one call per group and wire would.  A wire every row shares comes
-    back as an int, which needs no sorting here and no per-row check in
-    the kernel."""
-    wires = list(wires)
-    per_row = []
-    for i, w in enumerate(wires):
-        if len(w) and np.minimum.reduce(w) == np.maximum.reduce(w):
-            wires[i] = int(w[0])
+            rng = self.gens[0]
         else:
-            per_row.append(i)
-    if per_row:
-        rows, _, *keys = sort_rows(rows, groups, *(wires[i] for i in per_row))
-        for i, key in zip(per_row, keys):
-            wires[i] = key
-    return (rows, *wires)
+            counts = np.bincount(rows // trial_rows, minlength=len(self.gens)).tolist()
+            rng = _Uniforms(np.concatenate([gen.random(k) for gen, k in zip(self.gens, counts)]))
+        selection = None if order is None and len(rows) == size else rows
+        reads = getattr(register, op)(*wires, rng, selection)
+        if order is None:
+            return reads
+        aligned = np.empty_like(reads)
+        aligned[order] = reads
+        return aligned
 
 
 @dataclass
@@ -253,13 +264,7 @@ _ZERO = prepare_z(0)
 def _hook_trials(rows: np.ndarray, register: Register, rng) -> tuple[Streams, np.ndarray]:
     """The chunk's streams and the trial of each hook entry."""
     rng = Streams.of(rng)
-    return rng, rng.trial(rows, register.amps.shape[1])
-
-
-def _selection(rows: np.ndarray, register: Register) -> np.ndarray | None:
-    """``rows`` (ascending) as a ``Register`` row selection: ``None``, every
-    row without a copy, when they are all of the register's rows."""
-    return None if len(rows) == register.amps.shape[1] else rows
+    return rng, rows // (register.amps.shape[1] // len(rng.gens))
 
 
 def _own(trials: np.ndarray, trial: int) -> slice:
@@ -274,20 +279,13 @@ def _at_entries(per_trial: np.ndarray, trials: np.ndarray) -> np.ndarray:
     return per_trial[trials, np.arange(len(trials)) % per_trial.shape[1]]
 
 
-def _read_by_wire(measure, register: Register, rows, wires, trials, rng: Streams, picked=None) -> np.ndarray:
-    """Reads of the entries ``picked`` (all of them by default), -1 at the
-    others: one ``measure`` call (a bound ``Register`` measurement) over
-    their rows on their per-row wires, sorted by (trial, wire)."""
-    reads = np.full(len(rows), -1, dtype=np.intp)
+def _read(op: str, register: Register, rows, wires, rng: Streams, picked=None) -> np.ndarray:
+    """Reads ``op`` of the hook entries ``picked`` (all of them by
+    default) on their wires, -1 at the others."""
     if picked is None:
-        picked, picked_wires = by_wire(np.arange(len(rows)), trials, wires)
-    else:
-        picked, picked_wires = by_wire(picked, trials[picked], wires[picked])
-    if len(picked):
-        picked_rows = rows[picked]
-        # Rows stay ascending where every picked row shares one wire.
-        selection = _selection(picked_rows, register) if isinstance(picked_wires, int) else picked_rows
-        reads[picked] = measure(picked_wires, rng.uniforms(picked_rows, register.amps.shape[1]), selection)
+        return rng.measure(register, op, rows, wires)
+    reads = np.full(len(rows), -1, dtype=np.intp)
+    reads[picked] = rng.measure(register, op, rows[picked], wires[picked])
     return reads
 
 
@@ -344,26 +342,26 @@ class DoubleCnotEve(ChannelTap):
         self._ancilla: int | None = None
         self._trials = self._indicator = self._forward_reads = self._data_bits = _NO_READS
 
+    def _probe(self, rows, register, wires) -> None:
+        # All of the register's rows go as no row selection, which copies nothing.
+        register.cnot(wires, self._ancilla, None if len(rows) == register.amps.shape[1] else rows)
+
     def on_forward(self, rows, register, wires, rng):
         rng, self._trials = _hook_trials(rows, register, rng)
         self._ancilla = register.adjoin(_ZERO)
-        selection = _selection(rows, register)
-        register.cnot(wires, self._ancilla, selection)
+        self._probe(rows, register, wires)
         if self.midflight:
-            uniforms = rng.uniforms(rows, register.amps.shape[1])
-            self._forward_reads = register.measure_z(self._ancilla, uniforms, selection)
+            self._forward_reads = rng.measure(register, "measure_z", rows, self._ancilla)
         return wires
 
     def on_return(self, rows, register, wires, rng):
         if self._ancilla is None:
             return wires
         rng = Streams.of(rng)
-        selection = _selection(rows, register)
-        register.cnot(wires, self._ancilla, selection)
-        self._indicator = register.measure_z(self._ancilla, rng.uniforms(rows, register.amps.shape[1]), selection)
+        self._probe(rows, register, wires)
+        self._indicator = rng.measure(register, "measure_z", rows, self._ancilla)
         if not self.midflight:
-            fired = (self._indicator == 1).nonzero()[0]
-            self._data_bits = _read_by_wire(register.measure_z, register, rows, wires, self._trials, rng, fired)
+            self._data_bits = _read("measure_z", register, rows, wires, rng, (self._indicator == 1).nonzero()[0])
         return wires
 
     def finalize(self, published, trial=0):
@@ -419,7 +417,7 @@ class MaliciousAgent(ChannelTap):
         rng, self._trials = _hook_trials(rows, register, rng)
         chosen = self._own_sift if self._attack_mask is None else self._attack_mask
         attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
-        self._reads = _read_by_wire(register.measure_z, register, rows, wires, self._trials, rng, attacked.nonzero()[0])
+        self._reads = _read("measure_z", register, rows, wires, rng, attacked.nonzero()[0])
         if not attacked.any():
             return wires
         # Rows not intercepted get an idle |0> in the resend slot.
@@ -459,7 +457,7 @@ class BlockingAttacker(ChannelTap):
     def on_return(self, rows, register, wires, rng):
         rng, self._trials = _hook_trials(rows, register, rng)
         attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials).nonzero()[0]
-        self._reads = _read_by_wire(register.measure_x, register, rows, wires, self._trials, rng, attacked)
+        self._reads = _read("measure_x", register, rows, wires, rng, attacked)
         return wires
 
     def finalize(self, published, trial=0):
@@ -480,7 +478,7 @@ class InterceptResendZ(ChannelTap):
 
     def on_forward(self, rows, register, wires, rng):
         rng, self._trials = _hook_trials(rows, register, rng)
-        self._reads = _read_by_wire(register.measure_z, register, rows, wires, self._trials, rng)
+        self._reads = _read("measure_z", register, rows, wires, rng)
         return wires
 
     def finalize(self, published, trial=0):

@@ -36,6 +36,7 @@ from .attacks import (
 )
 # The single-session drivers stay importable here, where a tracer patches them.
 from .improved import run_improved_session, run_improved_sessions  # noqa: F401
+from .improved import x_mismatch_rate
 from .jiang import (
     BALANCED,
     MODE_POLICIES,
@@ -52,20 +53,22 @@ from .jiang import (
 class Scenario:
     """Everything the harness knows about one protocol.
 
-    ``run`` calls its chunk session driver, looked up at call time so that
-    a patched module attribute (as a tracer installs) takes effect;
+    ``run`` calls its chunk session driver, looked up here at call time
+    so that a tracer that patches this module's ``run_sessions`` or
+    ``run_improved_sessions`` takes effect (patching the single-session
+    drivers times nothing: experiments call the chunk drivers);
     ``qubit_efficiency`` counts compared secret bits per photon delivered
-    to one participant; ``rows_per_bit`` counts register rows per compared
-    bit of a session; ``has_curve`` says whether detection curves are
-    defined and ``reads_x_mismatch`` whether trials read ``x_mismatch_rate``
-    off TP's X checks.
+    to one participant; ``rows_per_bit`` counts register rows per
+    compared bit of a session; ``has_curve`` says whether detection
+    curves are defined and ``x_mismatch_rate``, when set, reads a trial's
+    ``x_mismatch_rate`` off its transcript and its attack report.
     """
 
     run: Callable[..., list]
     qubit_efficiency: Fraction
     rows_per_bit: int
     has_curve: bool = False
-    reads_x_mismatch: bool = False
+    x_mismatch_rate: Callable[[object, AttackReport], float | None] | None = None
 
 
 SCENARIO_TABLE = {
@@ -75,7 +78,7 @@ SCENARIO_TABLE = {
         Fraction(1, 4),
         rows_per_bit=8,
         has_curve=True,
-        reads_x_mismatch=True,
+        x_mismatch_rate=x_mismatch_rate,
     ),
 }
 
@@ -269,21 +272,6 @@ def _expected_outcome(secret_a: Bits, secret_b: Bits) -> ComparisonOutcome:
     return ComparisonOutcome.equal()
 
 
-def _x_mismatch_rate(transcript, report: AttackReport) -> float | None:
-    """Mismatch rate of TP's X checks over the attacked CTRL positions."""
-    if transcript.x_results is None:
-        return None
-    channel = transcript.photons.channel(report.target)
-    probed = np.asarray(report.probed_positions, dtype=np.intp)
-    signs = transcript.x_results[channel][probed]
-    checked = signs >= 0
-    attacked = int(np.count_nonzero(checked))
-    if not attacked:
-        return None
-    prepared = transcript.photons.prepared_sign[channel][probed]
-    return int(np.count_nonzero(checked & (signs != prepared))) / attacked
-
-
 def _trial_result(
     spec: ExperimentSpec, secret_a: Bits, secret_b: Bits, transcript, outcome, reports
 ) -> TrialResult:
@@ -305,8 +293,9 @@ def _trial_result(
     if report is not None and "sift_indicator_rate" in ATTACK_TABLE[spec.attack].columns:
         rate = report.sift_indicator_rate
         result.sift_indicator_rate = rate if rate is not None else 0.0
-    if report is not None and SCENARIO_TABLE[spec.scenario].reads_x_mismatch:
-        result.x_mismatch_rate = _x_mismatch_rate(transcript, report)
+    scenario = SCENARIO_TABLE[spec.scenario]
+    if report is not None and scenario.x_mismatch_rate is not None:
+        result.x_mismatch_rate = scenario.x_mismatch_rate(transcript, report)
     return result
 
 
@@ -432,6 +421,8 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
         raise SpecValidationError("attack", f"attack {spec.attack!r} has no detection curve")
     if spec.attacked_count is not None:
         raise SpecValidationError("attacked_count", "a detection curve sets the attacked count from its k values")
+    if not attacked_counts:
+        raise SpecValidationError("attacked_count", "a detection curve needs at least one k value")
     for k in attacked_counts:
         if k < 0:
             raise SpecValidationError("attacked_count", f"curve points must be >= 0, got {k}")

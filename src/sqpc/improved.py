@@ -25,14 +25,15 @@ register (see :mod:`sqpc.kernel`): trial t takes rows 8Lt..8Lt+8L-1,
 participant A's 4L positions first and B's after, so position p of B in
 trial t is row 8Lt + 4L + p.  Each protocol step is one kernel call over
 both channels of every live trial: SIFT measure-resend, TP's X checks
-and TP's Z reads each measure their rows in (trial, channel, wire, row)
-order, which draws from each trial's own stream what the step would
-draw for A's rows then B's.  Each participant's modes are one boolean
-SIFT mask over their 4L positions (True = SIFT); the participants' own
-measure-resend reads, TP's X reads and TP's Z reads are arrays over the
-rows, -1 where nothing was read, and each trial's transcript holds its
-own slice.  Taps, disclosures and the public record see positions within
-a channel; disclosures, comparison and decoding loop over the trials.
+and TP's Z reads are each one :meth:`sqpc.attacks.Streams.measure`
+call in blocks of one channel, which draws from each trial's own stream
+what the step would draw for A's rows then B's.  Each participant's
+modes are one boolean SIFT mask over their 4L positions (True = SIFT);
+the participants' own measure-resend reads, TP's X reads and TP's Z
+reads are arrays over the rows, -1 where nothing was read, and each
+trial's transcript holds its own slice.  Taps, disclosures and the
+public record see positions within a channel; disclosures, comparison
+and decoding loop over the trials.
 
 Sessions take :class:`sqpc.jiang.SessionConfig`, derive this protocol's
 counts from L where they are used, and run on
@@ -47,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams, by_wire, read_dict
+from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams, read_dict
 from .jiang import (
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
@@ -122,17 +123,12 @@ class PhotonBatch:
 
     def measure(self, op: str, selected: np.ndarray, wires: np.ndarray, rng) -> np.ndarray:
         """Register measurement ``op`` of the ``selected`` rows (a mask) on
-        their entries of the per-row ``wires``, in (trial, channel, wire,
-        row) order, so that one call draws from each trial's stream of
-        ``rng`` what one call per channel and wire would.  Returns the
-        reads at every row, -1 at the rows not selected."""
+        their entries of the per-row ``wires``: one
+        :meth:`Streams.measure` call, in blocks of one channel.  Returns
+        the reads at every row, -1 at the rows not selected."""
         reads = np.full(len(selected), -1, dtype=np.intp)
         rows = selected.nonzero()[0]
-        # Trials lay their channels end to end, so this key orders the
-        # rows by trial, then channel.
-        rows, wires = by_wire(rows, rows // self.channel_size, wires[rows])
-        streams = Streams.of(rng)
-        reads[rows] = getattr(self.register, op)(wires, streams.uniforms(rows, len(selected)), rows)
+        reads[rows] = Streams.of(rng).measure(self.register, op, rows, wires[rows], block=self.channel_size)
         return reads
 
 
@@ -257,6 +253,23 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
     message = published.messages[target]
     reads = read_dict(report.payload_reads[masks])
     report.masked_secret_bits = {idx: message[idx] ^ bit for idx, bit in reads.items()}
+
+
+def x_mismatch_rate(transcript: ImprovedTranscript, report: AttackReport) -> float | None:
+    """Mismatch rate of TP's X checks over the positions ``report``
+    probed, counting only those TP X-checked; ``None`` when there are
+    none, or TP never measured."""
+    if transcript.x_results is None:
+        return None
+    channel = transcript.photons.channel(report.target)
+    probed = np.asarray(report.probed_positions, dtype=np.intp)
+    signs = transcript.x_results[channel][probed]
+    checked = signs >= 0
+    attacked = int(np.count_nonzero(checked))
+    if not attacked:
+        return None
+    prepared = transcript.photons.prepared_sign[channel][probed]
+    return int(np.count_nonzero(checked & (signs != prepared))) / attacked
 
 
 def _tp_finish(

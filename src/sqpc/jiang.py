@@ -27,10 +27,10 @@ every trial in a chunk live in one batched register (see
 so each protocol step is a few batch calls for the whole chunk rather
 than a loop over trials or positions.  Each trial draws from its own
 generator (:class:`sqpc.attacks.Streams`) in the order a lone session
-would: a measurement sorts its rows by (trial, wire, row) and takes each
-trial's uniforms from that trial's stream.  A trial whose SIFT count
-falls short aborts and drops out: no later transit, response or TP read
-touches its rows.  TP's reads come back as arrays over the rows: a Bell
+would: every measurement goes through :meth:`Streams.measure`, which
+sorts its rows by (trial, wire, row) and takes each trial's uniforms
+from that trial's stream.  A trial whose SIFT count falls short aborts
+and drops out: no later transit, response or TP read touches its rows.  TP's reads come back as arrays over the rows: a Bell
 outcome per row and a Z bit per participant per row, each -1 where
 nothing was measured; each trial's transcript holds its own slice, and
 keys each per-participant value by participant.  Adversaries participate
@@ -62,7 +62,6 @@ from .attacks import (
     GroundTruth,
     PublicRecord,
     Streams,
-    by_wire,
     read_dict,
     score_report,
 )
@@ -277,11 +276,11 @@ def tp_resolve_positions(
 
     CTRL/CTRL rows get a Bell measurement on the two returned wires.  At
     any other row TP Z-reads each SIFT return and leaves a reflected
-    half, if any, unmeasured.  One batch call per step with per-row
-    wires, rows sorted by (trial, wire): Bell measurements first, then
-    Alice's reads, then Bob's.  ``rng`` is the chunk's :class:`Streams`
-    (or one session's generator) and ``live`` masks the rows of the
-    trials still running (every row by default).  Returns ``(bell,
+    half, if any, unmeasured.  One :meth:`Streams.measure` call per
+    step: Bell measurements first, then Alice's reads, then Bob's.
+    ``rng`` is the chunk's :class:`Streams` (or one session's generator)
+    and ``live`` masks the rows of the trials still running (every row by
+    default).  Returns ``(bell,
     bits_a, bits_b)``: the ``BellState`` value per row and each
     participant's Z bit per row, -1 where that measurement was not made.
     """
@@ -289,18 +288,15 @@ def tp_resolve_positions(
     size = len(pairs.prepared)
     measured = np.ones(size, dtype=bool) if live is None else live
     bell = np.full(size, -1, dtype=np.intp)
-    ctrl_ctrl = (~(sift_a | sift_b) & measured).nonzero()[0]
-    if len(ctrl_ctrl):
-        rows, w1, w2 = by_wire(
-            ctrl_ctrl, streams.trial(ctrl_ctrl, size), pairs.returns["A"][ctrl_ctrl], pairs.returns["B"][ctrl_ctrl]
-        )
-        bell[rows] = pairs.register.measure_bell(w1, w2, streams.uniforms(rows, size), rows)
+    rows = (~(sift_a | sift_b) & measured).nonzero()[0]
+    bell[rows] = streams.measure(
+        pairs.register, "measure_bell", rows, pairs.returns["A"][rows], pairs.returns["B"][rows]
+    )
     bits = []
     for participant, sift in (("A", sift_a), ("B", sift_b)):
         read = np.full(size, -1, dtype=np.intp)
-        sifted = (sift & measured).nonzero()[0]
-        rows, wires = by_wire(sifted, streams.trial(sifted, size), pairs.returns[participant][sifted])
-        read[rows] = pairs.register.measure_z(wires, streams.uniforms(rows, size), rows)
+        rows = (sift & measured).nonzero()[0]
+        read[rows] = streams.measure(pairs.register, "measure_z", rows, pairs.returns[participant][rows])
         bits.append(read)
     return bell, bits[0], bits[1]
 

@@ -34,7 +34,8 @@ trials' own draws): uniform ``i`` goes to row ``i``, whatever the row's
 wires.  Whole-protocol runs are then reproducible from a single seed
 whatever the amplitudes happen to be.  A
 caller that lists its rows sorted by wire with a stable sort draws exactly
-what one call per distinct wire, in ascending wire order, would draw.  The
+what one call per distinct wire, in ascending wire order, would draw;
+``sqpc.attacks.Streams.measure`` sorts a chunk's rows that way.  The
 outcome is the first one whose cumulative probability exceeds the scaled
 uniform; when rounding leaves the uniform at the total, it is the last
 outcome of nonzero probability, so a collapse never divides by zero.
@@ -394,16 +395,6 @@ def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool
         phase = amps[i] / expected[i]
         phase = phase / abs(phase)
     return bool(np.max(np.abs(amps - phase * expected)) <= tol)
-
-
-def sort_rows(rows: np.ndarray, *keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``rows`` and the aligned ``keys`` (per-row wires, or a channel then
-    wires), reordered by the keys with a stable sort, the first key most
-    significant.  Measuring the sorted rows on their sorted wires in one
-    call draws the uniforms that one call per distinct key combination, in
-    ascending order, would draw."""
-    order = np.lexsort(keys[::-1])
-    return (rows[order], *(key[order] for key in keys))
 
 
 class Register:

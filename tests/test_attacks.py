@@ -12,6 +12,7 @@ from sqpc.attacks import (
     InterceptResendZ,
     MaliciousAgent,
     PublicRecord,
+    Streams,
 )
 from sqpc.jiang import (
     INDEPENDENT_COIN,
@@ -62,6 +63,60 @@ class TestStateCheckSuite:
         expected[0b101] = SQRT_HALF
         assert amplitudes_close(pairs.register.amps[:, 0], expected, 1e-9)
         assert np.linalg.norm(pairs.register.amps) == pytest.approx(1.0, abs=1e-12)
+
+
+def _chunk_layout(seed):
+    """A random chunk: 1-4 trials of one or two blocks of rows each, a
+    random real state per row, a measurement on one or two per-row wires
+    and an ascending row subset (sometimes every row)."""
+    rng = np.random.default_rng(seed)
+    trials, blocks, block = int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 6))
+    size, n = trials * blocks * block, 3
+    amps = rng.normal(size=(1 << n, size))
+    amps /= np.linalg.norm(amps, axis=0)
+    op = ("measure_z", "measure_x", "measure_bell")[int(rng.integers(3))]
+    first = rng.integers(n, size=size) if rng.random() < 0.7 else np.full(size, int(rng.integers(n)))
+    wires = [first] if op != "measure_bell" else [first, (first + rng.integers(1, n, size=size)) % n]
+    rows = np.arange(size) if rng.random() < 0.2 else (rng.random(size) < 0.7).nonzero()[0]
+    return amps, op, rows, [w[rows] for w in wires], trials, block
+
+
+class TestStreamsMeasure:
+    """One ``Streams.measure`` call is one lone measurement per (trial,
+    block, wires), in ascending order, each from that trial's generator."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("per_block", [False, True])
+    def test_matches_lone_measurements(self, seed, per_block):
+        amps, op, rows, wires, trials, block = _chunk_layout(seed)
+        trial_rows = amps.shape[1] // trials
+        gens = [np.random.default_rng([seed, t]) for t in range(trials)]
+        lone_gens = [np.random.default_rng([seed, t]) for t in range(trials)]
+        register, lone = Register(amps.copy()), Register(amps.copy())
+
+        reads = Streams(gens).measure(register, op, rows, *wires, block=block if per_block else None)
+
+        expected = np.full(len(rows), -1)
+        groups = rows // (block if per_block else trial_rows)
+        keys = sorted({(int(g), *(int(w[i]) for w in wires)) for i, g in enumerate(groups)})
+        for group, *key in keys:
+            picked = (groups == group) & np.logical_and.reduce([w == k for w, k in zip(wires, key)])
+            gen = lone_gens[rows[picked][0] // trial_rows]
+            expected[picked] = getattr(lone, op)(*key, gen, rows[picked])
+        assert reads.tolist() == expected.tolist()
+        assert np.array_equal(register.amps, lone.amps)
+        assert [gen.random() for gen in gens] == [gen.random() for gen in lone_gens]
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_empty_rows_draw_nothing(self, trials):
+        gens = [np.random.default_rng([7, t]) for t in range(trials)]
+        register = Register(np.tile(prepare_z(0)[:, None], (1, 2 * trials)))
+        before = register.amps.copy()
+        register.measure_z = None  # a kernel call would fail
+        reads = Streams(gens).measure(register, "measure_z", np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+        assert len(reads) == 0
+        assert np.array_equal(register.amps, before)
+        assert [gen.random() for gen in gens] == [np.random.default_rng([7, t]).random() for t in range(trials)]
 
 
 class TestDoubleCnotEve:

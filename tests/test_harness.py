@@ -209,6 +209,14 @@ class TestDetectionCurve:
         assert err.value.field == "attacked_count"
         assert trial_calls == []
 
+    def test_rejects_empty_curve_before_any_trial(self, trial_calls):
+        # A curve of no k values would report nothing and look like success.
+        spec = ExperimentSpec(scenario="improved", attack="blocking", L=1, trials=5, seed=1)
+        with pytest.raises(SpecValidationError) as err:
+            estimate_detection_curve(spec, [])
+        assert err.value.field == "attacked_count"
+        assert trial_calls == []
+
     @pytest.mark.parametrize("attack", ["blocking", "malicious-agent"])
     def test_rejects_spec_attacked_count_before_any_trial(self, trial_calls, attack):
         # The k values set each row's count; a count in the spec would be ignored.
@@ -274,3 +282,8 @@ class TestCli:
         ])
         assert code == 0
         assert out.read_text().splitlines()[0] == "k,detection_rate,std_error,count"
+
+    def test_detection_curve_cli_rejects_empty_k(self, capsys):
+        code = main(["detection-curve", "--scenario", "improved", "--attack", "blocking", "--k", ","])
+        assert code == 1
+        assert "attacked_count" in capsys.readouterr().err
