@@ -84,13 +84,14 @@ class Streams:
 
         One kernel call draws what one lone call per (trial, ``block``,
         wires), in ascending order, would draw from that trial's
-        generator: the rows go in (``row // block``, wires, row) order,
-        ``block`` one trial's rows unless given, and each trial's
-        uniforms are its ``random(k)`` for its k rows.  A wire every row
-        shares goes to the kernel as an int and sorts nothing, and all of
-        the register's rows, unsorted, are measured with no row selection,
-        which copies nothing.  No rows make no kernel call and draw
-        nothing.
+        generator: the rows take their uniforms in (``row // block``,
+        wires, row) order, ``block`` one trial's rows unless given, and
+        each trial's uniforms are its ``random(k)`` for its k rows.  The
+        kernel sees the rows as given, each with its own uniform.  A wire
+        every row shares goes to the kernel as an int and sorts nothing,
+        and all of the register's rows are measured with no row
+        selection, which copies nothing.  No rows make no kernel call and
+        draw nothing.
         """
         if not len(rows):
             return np.zeros(0, dtype=np.intp)
@@ -99,30 +100,24 @@ class Streams:
         wires, per_row = list(wires), []
         for i, w in enumerate(wires):
             if isinstance(w, np.ndarray):
-                if np.minimum.reduce(w) == np.maximum.reduce(w):
+                if (w == w[0]).all():
                     wires[i] = int(w[0])
                 else:
                     per_row.append(i)
-        order = None
-        if per_row:
-            # lexsort's last key is its first; the sort is stable, so rows
-            # stay ascending within a (block, wires) group.
-            order = np.lexsort((*(wires[i] for i in reversed(per_row)), rows // (block or trial_rows)))
-            rows = rows[order]
-            for i in per_row:
-                wires[i] = wires[i][order]
-        if len(self.gens) == 1:
+        if len(self.gens) == 1 and not per_row:
             rng = self.gens[0]
         else:
             counts = np.bincount(rows // trial_rows, minlength=len(self.gens)).tolist()
-            rng = _Uniforms(np.concatenate([gen.random(k) for gen, k in zip(self.gens, counts)]))
-        selection = None if order is None and len(rows) == size else rows
-        reads = getattr(register, op)(*wires, rng, selection)
-        if order is None:
-            return reads
-        aligned = np.empty_like(reads)
-        aligned[order] = reads
-        return aligned
+            uniforms = np.concatenate([gen.random(k) for gen, k in zip(self.gens, counts)])
+            if per_row:
+                # lexsort's last key is its first; the sort is stable, so
+                # rows stay ascending within a (block, wires) group.
+                order = np.lexsort((*(wires[i] for i in reversed(per_row)), rows // (block or trial_rows)))
+                by_row = np.empty_like(uniforms)
+                by_row[order] = uniforms
+                uniforms = by_row
+            rng = _Uniforms(uniforms)
+        return getattr(register, op)(*wires, rng, None if len(rows) == size else rows)
 
 
 @dataclass
@@ -311,7 +306,7 @@ def _attack_mask(count: int | None, num_positions: int, rng) -> np.ndarray | Non
     gens = Streams.of(rng).gens
     mask = np.zeros((len(gens), num_positions), dtype=bool)
     for row, gen in zip(mask, gens):
-        row[gen.choice(num_positions, size=min(count, num_positions), replace=False)] = True
+        row[gen.choice(num_positions, size=count, replace=False)] = True
     return mask
 
 

@@ -58,24 +58,28 @@ class Scenario:
     ``run_improved_sessions`` takes effect (patching the single-session
     drivers times nothing: experiments call the chunk drivers);
     ``qubit_efficiency`` counts compared secret bits per photon delivered
-    to one participant; ``rows_per_bit`` counts register rows per
-    compared bit of a session; ``has_curve`` says whether detection
-    curves are defined and ``x_mismatch_rate``, when set, reads a trial's
-    ``x_mismatch_rate`` off its transcript and its attack report.
+    to one participant; ``positions_per_bit`` counts the positions of one
+    participant's channel per compared bit, which bounds an attacked
+    count; ``rows_per_bit`` counts register rows per compared bit of a
+    session; ``has_curve`` says whether detection curves are defined and
+    ``x_mismatch_rate``, when set, reads a trial's ``x_mismatch_rate``
+    off its transcript and its attack report.
     """
 
     run: Callable[..., list]
     qubit_efficiency: Fraction
+    positions_per_bit: int
     rows_per_bit: int
     has_curve: bool = False
     x_mismatch_rate: Callable[[object, AttackReport], float | None] | None = None
 
 
 SCENARIO_TABLE = {
-    "jiang": Scenario(lambda *a, **k: run_sessions(*a, **k), Fraction(1, 2), rows_per_bit=2),
+    "jiang": Scenario(lambda *a, **k: run_sessions(*a, **k), Fraction(1, 2), positions_per_bit=2, rows_per_bit=2),
     "improved": Scenario(
         lambda *a, **k: run_improved_sessions(*a, **k),
         Fraction(1, 4),
+        positions_per_bit=4,
         rows_per_bit=8,
         has_curve=True,
         x_mismatch_rate=x_mismatch_rate,
@@ -137,6 +141,12 @@ class ExperimentSpec:
             raise SpecValidationError("attacked_count", f"attack {self.attack!r} takes no attacked count")
         if self.attacked_count is not None and self.attacked_count < 0:
             raise SpecValidationError("attacked_count", f"must be >= 0, got {self.attacked_count}")
+        positions = SCENARIO_TABLE[self.scenario].positions_per_bit * self.L
+        if self.attacked_count is not None and self.attacked_count > positions:
+            raise SpecValidationError(
+                "attacked_count",
+                f"must be <= {positions}, the positions of one channel at L={self.L}, got {self.attacked_count}",
+            )
 
 
 @dataclass(frozen=True)
@@ -412,6 +422,7 @@ class DetectionCurve:
 def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -> DetectionCurve:
     """Detection rate as a function of attack size k, for an attack whose
     ``ATTACK_TABLE`` entry has a ``curve_row``: it sets what k means.
+    Every row's spec is validated before the first trial runs.
     """
     spec.validate()
     if not SCENARIO_TABLE[spec.scenario].has_curve:
@@ -429,9 +440,15 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
 
+    row_specs = [
+        dataclasses.replace(curve_row(spec, k), seed=splitmix64(spec.seed, 0x10_0000 + row_index))
+        for row_index, k in enumerate(attacked_counts)
+    ]
+    for row_spec in row_specs:
+        row_spec.validate()
+
     rows = []
-    for row_index, k in enumerate(attacked_counts):
-        row_spec = dataclasses.replace(curve_row(spec, k), seed=splitmix64(spec.seed, 0x10_0000 + row_index))
+    for k, row_spec in zip(attacked_counts, row_specs):
         detections = [float(trial.detected) for trial in _run_trials(row_spec)]
         summary = MetricSummary.from_values(detections)
         rows.append(CurveRow(k=k, detection_rate=summary.mean, std_error=summary.std_error, count=summary.count))

@@ -2,10 +2,12 @@
 
 Instead of Bell pairs, TP prepares 8L single photons in random X-basis
 states and sends 4L to each participant.  SIFT becomes measure-resend in
-the Z basis: the measured bit joins the participant's R string (now 2L
-bits) and never carries a message directly.  CTRL still reflects.  TP
-X-checks every reflected photon against what it prepared, Z-reads every
-SIFT return, and then each participant publishes a random half of their R
+the Z basis: the participant sends back the measured photon itself, now
+the Z eigenstate of its outcome, and the measured bit joins the
+participant's R string (now 2L bits) and never carries a message
+directly.  CTRL still reflects.  TP X-checks every reflected photon
+against what it prepared, Z-reads every SIFT return, and then each
+participant publishes a random half of their R
 (positions and values) so TP can catch an attacker who corrupted the
 returned classical data.  The surviving half of R becomes the mask: each
 participant publishes M_i = Secret_i XOR mask_i XOR K_AB and TP compares
@@ -23,11 +25,14 @@ As in :mod:`sqpc.jiang`, sessions run in chunks of trials
 of one) and all 8L photons of every trial in a chunk live in one batched
 register (see :mod:`sqpc.kernel`): trial t takes rows 8Lt..8Lt+8L-1,
 participant A's 4L positions first and B's after, so position p of B in
-trial t is row 8Lt + 4L + p.  Each protocol step is one kernel call over
-both channels of every live trial: SIFT measure-resend, TP's X checks
-and TP's Z reads are each one :meth:`sqpc.attacks.Streams.measure`
-call in blocks of one channel, which draws from each trial's own stream
-what the step would draw for A's rows then B's.  Each participant's
+trial t is row 8Lt + 4L + p.  Every photon travels both ways on wire 0,
+so an honest session's register has one qubit per row; only a tap that
+adjoins qubits (an ancilla, a resend of its own) widens it.  Each
+protocol step is one kernel call over both channels of every live
+trial: SIFT measure-resend, TP's X checks and TP's Z reads are each one
+:meth:`sqpc.attacks.Streams.measure` call in blocks of one channel,
+which draws from each trial's own stream what the step would draw for
+A's rows then B's.  Each participant's
 modes are one boolean SIFT mask over their 4L positions (True = SIFT);
 the participants' own measure-resend reads, TP's X reads and TP's Z
 reads are arrays over the rows, -1 where nothing was read, and each
@@ -62,7 +67,7 @@ from .jiang import (
     drive_session,
     tp_compare,
 )
-from .kernel import Register, prepare_x, prepare_z
+from .kernel import Register, prepare_x
 
 
 @dataclass
@@ -72,7 +77,9 @@ class PhotonBatch:
     The rows split into channels of ``channel_size`` rows each, one per
     participant in ``PARTICIPANTS`` order, and a chunk's trials lay their
     channel pairs end to end.  ``wire`` and ``return_wire``
-    are the per-row wires as delivered and as TP receives them;
+    are the per-row wires as delivered and as TP receives them: a
+    measure-resend sends the measured photon back on its own wire, so
+    they differ only where a tap substituted a qubit of its own;
     ``sift_bit`` holds the participant's own measure-resend read at SIFT
     rows and -1 elsewhere.
     """
@@ -178,14 +185,13 @@ def tp_prepare_photons(config: SessionConfig, rng) -> PhotonBatch:
 
 def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, rng) -> np.ndarray:
     """Z-measure the incoming photon at every SIFT row (``sift`` is a mask
-    over the rows) and resend a fresh qubit carrying the outcome, recorded
-    in ``photons.sift_bit``.  CTRL rows reflect.  Returns the outgoing wire
-    of every row."""
+    over the rows), recording the outcome in ``photons.sift_bit``, and
+    send the measured photon back: it is now exactly the Z eigenstate of
+    its outcome, a product with every other qubit, so it is the state a
+    fresh qubit carrying the outcome would be.  CTRL rows reflect.  Every
+    photon returns on the wire it arrived on: returns ``photons.wire``."""
     photons.sift_bit = photons.measure("measure_z", sift, photons.wire, rng)
-    if not sift.any():
-        return photons.wire
-    fresh = photons.register.adjoin(prepare_z(np.where(sift, photons.sift_bit, 0)))
-    return np.where(sift, fresh, photons.wire)
+    return photons.wire
 
 
 def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,8 @@ so each protocol step is a few batch calls for the whole chunk rather
 than a loop over trials or positions.  Each trial draws from its own
 generator (:class:`sqpc.attacks.Streams`) in the order a lone session
 would: every measurement goes through :meth:`Streams.measure`, which
-sorts its rows by (trial, wire, row) and takes each trial's uniforms
-from that trial's stream.  A trial whose SIFT count falls short aborts
+hands each trial's uniforms, drawn from that trial's stream, to its rows
+in (trial, wire, row) order.  A trial whose SIFT count falls short aborts
 and drops out: no later transit, response or TP read touches its rows.  TP's reads come back as arrays over the rows: a Bell
 outcome per row and a Z bit per participant per row, each -1 where
 nothing was measured; each trial's transcript holds its own slice, and

@@ -41,6 +41,8 @@ class TestSpecValidation:
             ("target", dict(target="C")),
             ("attacked_count", dict(attacked_count=-1)),
             ("attacked_count", dict(attack="double-cnot", attacked_count=1)),
+            ("attacked_count", dict(attack="blocking", L=2, attacked_count=9)),
+            ("attacked_count", dict(scenario="jiang", attack="malicious-agent", L=2, attacked_count=5)),
         ],
     )
     def test_rejects_bad_fields(self, field, overrides):
@@ -226,6 +228,14 @@ class TestDetectionCurve:
         assert err.value.field == "attacked_count"
         assert trial_calls == []
 
+    def test_rejects_count_beyond_channel_before_any_trial(self, trial_calls):
+        # L=2 gives a channel of 8 positions; the last row asks for more.
+        spec = ExperimentSpec(scenario="improved", attack="malicious-agent", L=2, trials=5, seed=1)
+        with pytest.raises(SpecValidationError) as err:
+            estimate_detection_curve(spec, [1, 8, 9])
+        assert err.value.field == "attacked_count"
+        assert trial_calls == []
+
     def test_rejects_wrong_scenario(self):
         spec = ExperimentSpec(scenario="jiang", attack="malicious-agent", trials=5)
         with pytest.raises(SpecValidationError):
@@ -287,3 +297,28 @@ class TestCli:
         code = main(["detection-curve", "--scenario", "improved", "--attack", "blocking", "--k", ","])
         assert code == 1
         assert "attacked_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detection-curve", "--scenario", "improved", "--attack", "malicious-agent", "--L", "2", "--k", "100"],
+            ["run", "--scenario", "improved", "--attack", "blocking", "--L", "2", "--attacked-count", "100"],
+        ],
+    )
+    def test_rejects_count_beyond_channel(self, argv, capsys):
+        assert main([*argv, "--trials", "2", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "attacked_count" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detection-curve", "--scenario", "improved", "--attack", "malicious-agent", "--L", "2", "--k", "8"],
+            ["run", "--scenario", "improved", "--attack", "blocking", "--L", "2", "--attacked-count", "8"],
+            ["run", "--scenario", "jiang", "--attack", "malicious-agent", "--L", "2", "--attacked-count", "4"],
+        ],
+    )
+    def test_count_of_whole_channel_runs(self, argv, capsys):
+        assert main([*argv, "--trials", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.count("\n") >= 2

@@ -21,7 +21,7 @@ from sqpc.jiang import (
     SessionConfig,
     random_bits,
 )
-from sqpc.kernel import PLUS
+from sqpc.kernel import PLUS, prepare_x
 
 
 def bits(text):
@@ -62,6 +62,55 @@ class TestSiftMeasureResend:
         wires = sift_measure_resend(photons, np.ones(50, dtype=bool), rng)
         (wire,) = set(wires.tolist())
         assert np.array_equal(photons.register.measure_z(wire, rng), photons.sift_bit)
+
+    def test_resend_is_the_measured_photon_in_place(self, rng):
+        signs = rng.integers(2, size=64)
+        sift = rng.integers(2, size=64).astype(bool)
+        photons = PhotonBatch.prepare(signs)
+        wires = sift_measure_resend(photons, sift, rng)
+        assert np.array_equal(wires, photons.wire)
+        assert photons.register.n == 1
+        # The other Z block of a measured photon is exactly zero, and its
+        # own block carries the whole norm; CTRL rows are left as prepared.
+        rows = sift.nonzero()[0]
+        assert np.all(photons.register.amps[1 - photons.sift_bit[rows], rows] == 0.0)
+        assert np.allclose(np.abs(photons.register.amps[photons.sift_bit[rows], rows]), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(photons.register.amps[:, ~sift], prepare_x(signs[~sift]))
+
+    @pytest.mark.parametrize("taps", [[], [BlockingAttacker("A")], [BlockingAttacker("B", attack_count=3)]])
+    def test_register_keeps_one_qubit_per_photon(self, rng, taps):
+        config = SessionConfig(L=3)
+        secret = random_bits(3, rng)
+        transcript, _, _ = run_improved_session(config, secret, secret, random_bits(3, rng), taps, rng=rng)
+        assert transcript.photons.register.n == 1
+
+    @pytest.mark.parametrize(
+        "make_tap",
+        [
+            lambda key: MaliciousAgent(victim="A", key=key),
+            lambda key: MaliciousAgent(victim="B", key=key, intercept_count=5),
+            lambda key: DoubleCnotEve("A"),
+        ],
+    )
+    def test_a_tap_adjoins_exactly_one_qubit(self, rng, make_tap):
+        # One qubit per photon, plus the resend or ancilla the tap adjoins.
+        config = SessionConfig(L=3)
+        secret, key = random_bits(3, rng), random_bits(3, rng)
+        transcript, _, _ = run_improved_session(config, secret, secret, key, [make_tap(key)], rng=rng)
+        assert transcript.photons.register.n == 2
+
+    def test_tp_reads_what_the_participant_read_where_no_tap_was(self, rng):
+        config = SessionConfig(L=4)
+        for _ in range(20):
+            secret = random_bits(4, rng)
+            tap = BlockingAttacker("A", attack_count=5)
+            transcript, _, reports = run_improved_session(config, secret, secret, random_bits(4, rng), [tap], rng=rng)
+            photons = transcript.photons
+            untouched = np.ones(len(photons.prepared_sign), dtype=bool)
+            untouched[photons.channel("A")][reports[0].probed_positions] = False
+            sift = (photons.sift_bit >= 0) & untouched
+            assert np.count_nonzero(sift) >= 8
+            assert np.array_equal(transcript.tp_r[sift], photons.sift_bit[sift])
 
 class TestCtrlCheck:
     def test_honest_ctrl_always_matches(self, rng):

@@ -3,11 +3,13 @@
 Each digest is the sha256 of a CSV report for a fixed spec and seed:
 ``run_experiment`` for every valid scenario x attack x mode policy, each
 protocol's attacks again with target B, and the blocking and
-malicious-agent detection curves under both policies.
+malicious-agent detection curves under both policies.  The improved
+protocol is also pinned at other lengths, with no error threshold, with
+partial attacks and at more curve points.
 A change that moves no rng draw must leave every digest as recorded.  A
 change that reorders draws on purpose re-records them with
-``experiment_digest`` and ``curve_digest`` below and says so in its
-change notes.
+``experiment_digest``, ``curve_digest`` and ``improved_digest`` below and
+says so in its change notes.
 """
 
 import hashlib
@@ -91,6 +93,43 @@ CURVE_DIGESTS = {
     ("malicious-agent", "coin"): "a81b8585c3d33bdd95c87b2aeaa94af00ebe16c1df6752f9f373bdb0c2829900",
 }
 
+# Improved protocol at threshold 0: every attack at L = 1 and L = 3, the
+# partial malicious-agent and blocking attacks on 2 positions, and the
+# blocking curve at k = 0, 1, 5.  Key: (attack, L, attacked count, or a
+# tuple of curve points, policy).
+IMPROVED_DIGESTS = {
+    ("none", 1, None, "balanced"): "bc0c5a33b329e2e477cca5f3cb8f1825cd3943b0b00beedc3d690bfb316850c2",
+    ("none", 1, None, "coin"): "f0bb68688a7ac32d9bbd741907ccb1783e748f6ae49f1283d17027e2d7c0aa71",
+    ("none", 3, None, "balanced"): "bc0c5a33b329e2e477cca5f3cb8f1825cd3943b0b00beedc3d690bfb316850c2",
+    ("none", 3, None, "coin"): "5516d01a590b73d02848c845c28b16c0376c54aba9c1fbb927a513354f7c103a",
+    ("double-cnot", 1, None, "balanced"): "0bbeb4036f54dfb713f2ebfe89b7b0c9e04c9cf90dc926d6c064a33f18748269",
+    ("double-cnot", 1, None, "coin"): "c6171820b37acf2b6b18b87d74c78566f02bbf478ab3de9ef89581f39b8a11f3",
+    ("double-cnot", 3, None, "balanced"): "0bbeb4036f54dfb713f2ebfe89b7b0c9e04c9cf90dc926d6c064a33f18748269",
+    ("double-cnot", 3, None, "coin"): "92b09c46a9d6bcff2d7af0d518bea7dbf1a8879c5c47a786ec415470fce9a731",
+    ("double-cnot-midflight", 1, None, "balanced"): "a605d6053cb9e32034e04e14740f06deb4b01cd907202ffeb3d5eeaed2877a30",
+    ("double-cnot-midflight", 1, None, "coin"): "f6599be78a8360f3da3a55683f6f350379ba28dc9555198b3f07a03988af178c",
+    ("double-cnot-midflight", 3, None, "balanced"): "8e25f0ae62e660ca27652ff7bbe0c5f9f6efffba188372a5cae0bf28e8e47605",
+    ("double-cnot-midflight", 3, None, "coin"): "95dabf5ba4f31573e66aca46005a7b94172f99551fa942adb11c6da738e5c8eb",
+    ("malicious-agent", 1, None, "balanced"): "ffb560e7a88184675307b614949ddf2812a06231248b11510c0f0eb7001c6b4b",
+    ("malicious-agent", 1, None, "coin"): "05db888ffc0855a6b925f8839938945059f44e2eaae5cc0967b2c858fda2f730",
+    ("malicious-agent", 3, None, "balanced"): "f906c702b42498af2cb27001e7e2f76623a98432d153400bff5ebf25b753c411",
+    ("malicious-agent", 3, None, "coin"): "4180c4d4fbc326e0bb7a8161d1f5eb09e984ae7f7bca1a06a872a0960775b921",
+    ("blocking", 1, None, "balanced"): "0d24cd182135f6f15789956fbb35e52f2e8abb777e7518a8c321053b8028d1f5",
+    ("blocking", 1, None, "coin"): "98916819b3a06d1b0920d4e465e61d0552b97283ec7bb1032eaf8f01087b21cc",
+    ("blocking", 3, None, "balanced"): "42e367295cb4ff917ffd3f62ed3e10b224036dab04dc8c06acc1c88e7c94f02b",
+    ("blocking", 3, None, "coin"): "cc4a6bc240b4f50b58892e18c5211e6319ddb0c1908f116ee4ea52e6bf5295d8",
+    ("intercept-resend-z", 1, None, "balanced"): "4a55703b21a3461479e10141050461213a9bf626d231c37f3e41dabdf77ae10a",
+    ("intercept-resend-z", 1, None, "coin"): "e4eccfd5c575955d1f1150c91e37b58ceff4a35381413bb7c359fe25cda75d35",
+    ("intercept-resend-z", 3, None, "balanced"): "68231899c055a98c6dfdc4da3dde71518563ad5559cc3525006532783537da82",
+    ("intercept-resend-z", 3, None, "coin"): "81fad107f9027e100dd59983c549501775f3cdc695583315c8dd3bb925ad4ee6",
+    ("malicious-agent", 3, 2, "balanced"): "f049837c15293b8d77a944011f1d44984269dbc436cfca419c91d7cd28bbd437",
+    ("malicious-agent", 3, 2, "coin"): "58649650880acd1cc1183b0aef9f2d8f42fd7db2bc1c667925ad8ad696f0496f",
+    ("blocking", 3, 2, "balanced"): "2087a4d0451a85cdb5bcfbf1976e5f3ae34e245ceed62dcb16cc5c874e527d4c",
+    ("blocking", 3, 2, "coin"): "7fbee2c18246ef72cc46eff40839d86110d8832607bfd1a11d95d9ad7fc27785",
+    ("blocking", 1, (0, 1, 5), "balanced"): "0dc37fb0208235b79ea6dd7445ac2d032610eb318da635fd37d35ec18e51cce5",
+    ("blocking", 1, (0, 1, 5), "coin"): "83f7255e4cd8ca3d45f267c8a2396c92a453ea30e43d8ce269791351106afdd0",
+}
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -120,6 +159,14 @@ def curve_digest(attack: str, policy: str) -> str:
     return _sha(emit_report(estimate_detection_curve(spec, CURVES[attack]), "csv"))
 
 
+def improved_digest(attack: str, L: int, count, policy: str) -> str:
+    spec = ExperimentSpec(scenario="improved", attack=attack, L=L, mode_policy=policy, trials=30, seed=11)
+    if isinstance(count, tuple):
+        return _sha(emit_report(estimate_detection_curve(spec, list(count)), "csv"))
+    spec.attacked_count = count
+    return _sha(emit_report(run_experiment(spec), "csv"))
+
+
 @pytest.mark.parametrize("scenario,attack,policy", experiment_cases())
 def test_experiment_csv_bytes(scenario, attack, policy):
     assert experiment_digest(scenario, attack, policy) == EXPERIMENT_DIGESTS[scenario, attack, policy]
@@ -138,3 +185,8 @@ def test_jiang_csv_bytes_target_b(attack, policy):
 @pytest.mark.parametrize("attack,policy", curve_cases())
 def test_curve_csv_bytes(attack, policy):
     assert curve_digest(attack, policy) == CURVE_DIGESTS[attack, policy]
+
+
+@pytest.mark.parametrize("attack,L,count,policy", list(IMPROVED_DIGESTS))
+def test_improved_csv_bytes(attack, L, count, policy):
+    assert improved_digest(attack, L, count, policy) == IMPROVED_DIGESTS[attack, L, count, policy]
