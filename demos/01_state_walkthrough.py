@@ -55,8 +55,8 @@ pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["
 pairs.returns["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], message_bits)
 pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
 report = probe_reads(eve)
-fired = [pos for pos, bit in report.indicator_bits.items() if bit]
-# a fired probe reads the message bit exactly
-assert report.intercepted_bits == {pos: int(message_bits[pos]) for pos in fired}
-print(f"  probe fired {len(fired)}/{trials} times ({len(fired) / trials:.3f}, expected 0.500)")
+fired = report.indicator_events
+# a fired probe reads the message bit exactly; an unfired one reads nothing (-1)
+assert np.array_equal(report.intercepted_bits, np.where(report.indicator_bits == 1, message_bits, -1))
+print(f"  probe fired {fired}/{trials} times ({fired / trials:.3f}, expected 0.500)")
 print("  every fired probe read the resent message bit exactly")

@@ -30,8 +30,6 @@ report = reports[0]
 
 print("one L=8 session in detail:")
 print(f"  victim secret        {''.join(map(str, secret_a))}")
-stolen = ["?"] * 8
-for idx, bit in report.secret_bits.items():
-    stolen[idx] = str(bit)
-print(f"  attacker recovered   {''.join(stolen)}   ('?' = not intercepted)")
+stolen = "".join("?" if bit < 0 else str(bit) for bit in report.secret_bits.tolist())
+print(f"  attacker recovered   {stolen}   ('?' = not intercepted)")
 print(f"  outcome: {outcome.kind}, attack detected: {report.detected}")

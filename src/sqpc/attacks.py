@@ -11,14 +11,16 @@ chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
 with the wire each one travels on.  It may grow the register with
 ancillas (one per row), apply gates through the register API, measure
 through :meth:`Streams.measure`, and substitute the wires that travel
-onward.  A tap keeps what it measured as arrays over its hook entries,
--1 where it read nothing, and ``finalize`` reports one trial's reads
-raw; the protocol, which knows what each position carries, decodes
-them.  A single session is a chunk of one trial, whose generator a hook
-or ``begin_session`` also takes as is.  Nothing here imports a protocol
-module.
-Taps never read amplitudes; everything an attacker knows comes from its
-own measurement outcomes plus the classical values published after the
+onward.  Reads and claims have one format from tap to score: int
+arrays, -1 where nothing was read or claimed.  A tap keeps its reads
+over its hook entries, and ``finalize`` reports one trial's reads raw,
+over its channel positions; the protocol, which knows what each
+position carries, decodes them into claims over message indices.  A
+single session is a chunk of one trial, whose generator a hook or
+``begin_session`` also takes as is.  Nothing here imports a protocol
+module.  Taps never read amplitudes (a register's size is its
+``num_rows``); everything an attacker knows comes from its own
+measurement outcomes plus the classical values published after the
 session (mode declarations, R values, disclosures, messages).
 
 Attackers here:
@@ -95,7 +97,7 @@ class Streams:
         """
         if not len(rows):
             return np.zeros(0, dtype=np.intp)
-        size = register.amps.shape[1]
+        size = register.num_rows
         trial_rows = size // len(self.gens)
         wires, per_row = list(wires), []
         for i, w in enumerate(wires):
@@ -133,7 +135,6 @@ class PublicRecord:
     r: dict[str, Bits] | None = None
     disclosures: dict[str, object] | None = None  # participant -> CheckDisclosure
     messages: dict[str, Bits] | None = None
-    announced: str = ""
 
 
 @dataclass
@@ -146,33 +147,50 @@ class GroundTruth:
     messages: dict[str, Bits]
 
 
+# Every read and claim array before anything is read or claimed; never written.
+_NOTHING = np.zeros(0, dtype=np.intp)
+_NOTHING.flags.writeable = False
+
+
 @dataclass
 class AttackReport:
-    """What one attacker walked away with.
+    """What one attacker walked away with, as int arrays, -1 wherever
+    nothing was read or claimed.
 
-    ``intercepted_bits`` are raw per-position channel reads;
-    ``indicator_bits`` are the double C-NOT probe reads per position;
-    ``payload_reads`` are the reads of the target's SIFT payload per
-    position (-1 where none), ``None`` for a tap that never reads it.
-    The session driver decodes them into ``message_bits`` /
-    ``masked_secret_bits`` / ``secret_bits``, claims keyed by message
-    index (a masked bit is Secret XOR K, all an outsider can get without
-    the pre-shared key), and fills in ``accuracy`` and ``detected``.
+    Over the trial's positions of the tapped channel:
+    ``intercepted_bits`` are the raw channel reads, ``indicator_bits``
+    the double C-NOT probe reads and ``payload_reads`` the reads of the
+    target's SIFT payload (``None`` for a tap that never reads it);
+    ``probed_positions`` lists the positions the tap probed.  Over
+    message indices: the session driver decodes the payload reads into
+    ``message_bits``, ``masked_secret_bits`` (Secret XOR K, all an
+    outsider can get without the pre-shared key) and, for an insider
+    holding the key, ``secret_bits``, and fills in ``accuracy`` and
+    ``detected``.  An array with no entries reads or claims nothing.
     """
 
     attack: str
     target: str
-    probed_positions: list[int] = field(default_factory=list)
-    intercepted_bits: dict[int, int] = field(default_factory=dict)
-    indicator_bits: dict[int, int] = field(default_factory=dict)
-    message_bits: dict[int, int] = field(default_factory=dict)
-    masked_secret_bits: dict[int, int] = field(default_factory=dict)
-    secret_bits: dict[int, int] = field(default_factory=dict)
-    indicator_events: int = 0
+    probed_positions: np.ndarray = field(default_factory=lambda: _NOTHING)
+    intercepted_bits: np.ndarray = field(default_factory=lambda: _NOTHING)
+    indicator_bits: np.ndarray = field(default_factory=lambda: _NOTHING)
+    message_bits: np.ndarray = field(default_factory=lambda: _NOTHING)
+    masked_secret_bits: np.ndarray = field(default_factory=lambda: _NOTHING)
+    secret_bits: np.ndarray = field(default_factory=lambda: _NOTHING)
     indicator_opportunities: int = 0
     payload_reads: np.ndarray | None = None
     accuracy: float | None = None
     detected: bool | None = None
+
+    @property
+    def claims(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The claim arrays, plain, masked and secret."""
+        return self.message_bits, self.masked_secret_bits, self.secret_bits
+
+    @property
+    def indicator_events(self) -> int:
+        """Probe reads that fired."""
+        return self.indicator_bits.tolist().count(1)
 
     @property
     def sift_indicator_rate(self) -> float | None:
@@ -182,28 +200,27 @@ class AttackReport:
 
     @property
     def learned_count(self) -> int:
-        """Bits of the victim's protected data this report claims to know."""
-        return max(len(self.message_bits), len(self.masked_secret_bits), len(self.secret_bits))
+        """Message indices of the victim's protected data this report claims to know."""
+        return max(len(c) - c.tolist().count(-1) for c in self.claims)
 
 
 def score_report(report: AttackReport, truth: GroundTruth) -> None:
     """Check every decoded claim against the ground truth and set accuracy.
 
-    A report with no decoded bits scores 1.0 (vacuously correct) so that
-    aggregate metrics keep one value per trial.
+    A claim of -1 (none) equals no true bit.  A report with no claims
+    scores 1.0 (vacuously correct) so that aggregate metrics keep one
+    value per trial.
     """
-    target = report.target
-    total = 0
-    matched = 0
-    for idx, bit in report.message_bits.items():
-        total += 1
-        matched += int(bit == truth.messages[target][idx])
-    for idx, bit in report.masked_secret_bits.items():
-        total += 1
-        matched += int(bit == (truth.secrets[target][idx] ^ truth.key[idx]))
-    for idx, bit in report.secret_bits.items():
-        total += 1
-        matched += int(bit == truth.secrets[target][idx])
+    if not any(len(c) for c in report.claims):
+        report.accuracy = 1.0
+        return
+    secret = np.asarray(truth.secrets[report.target])
+    expected = truth.messages[report.target], secret ^ truth.key, secret
+    total = matched = 0
+    for claims, bits in zip(report.claims, expected):
+        if len(claims):
+            total += len(claims) - claims.tolist().count(-1)
+            matched += int(np.count_nonzero(claims == bits))
     report.accuracy = matched / total if total else 1.0
 
 
@@ -216,19 +233,35 @@ class ChannelTap:
     legitimately knows its own choices before declaring them); everything
     else arrives only through :meth:`finalize`.  An insider also holds the
     pre-shared ``key`` of each trial, with which its payload reads decode
-    to secret bits.
+    to secret bits.  A tap that sets ``attack_count`` (the malicious
+    agent and the blocking attacker) attacks a random subset of that many
+    positions per trial, ``_attack_mask``.  A hook notes the trial of each
+    of its entries (:meth:`_record`) and keeps its reads over them in the
+    attributes ``_entry_reads`` names; ``finalize`` takes one trial's
+    entries (:meth:`_entries`).  A fresh tap is as :meth:`begin_session`
+    leaves it.
     """
 
     target: str = "A"
     identity: str | None = None
     key: list[Bits] | None = None  # one key per trial of the chunk
     attack_name: str = "none"
+    attack_count: int | None = None
+    _entry_reads: tuple[str, ...] = ()
+
+    def __init__(self, target: str = "A"):
+        self.target = target
+        self.begin_session(0, None)
 
     def begin_session(self, num_positions: int, rng) -> None:
         """Called once per chunk, before any transit and also when every
         trial aborts before its transits, with the per-channel position
-        count and the chunk's :class:`Streams`.  A tap draws each trial's
-        own choices here and drops an earlier chunk's reads."""
+        count and the chunk's :class:`Streams`.  Draws each trial's
+        attacked positions and drops an earlier chunk's entries and reads."""
+        self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
+        self._trials = _NOTHING
+        for name in self._entry_reads:
+            setattr(self, name, _NOTHING)
 
     def observe_own_modes(self, sift: np.ndarray) -> None:
         """Only called when ``identity`` names a participant, with its SIFT
@@ -248,24 +281,20 @@ class ChannelTap:
         """The report of trial ``trial`` of the chunk, given its public record."""
         return None
 
+    def _record(self, rows: np.ndarray, register: Register, rng) -> Streams:
+        """Note the trial of each hook entry; returns the chunk's streams."""
+        rng = Streams.of(rng)
+        self._trials = rows // (register.num_rows // len(rng.gens))
+        return rng
 
-# What a tap holds before a chunk's hook calls: no entries, nothing read.
-_NO_READS = np.full(0, -1, dtype=np.intp)
+    def _entries(self, trial: int) -> slice:
+        """The hook entries of ``trial``."""
+        start, stop = self._trials.searchsorted((trial, trial + 1)).tolist()
+        return slice(start, stop)
+
 
 # A fresh ancilla for every row; kernel ops never write into their inputs.
 _ZERO = prepare_z(0)
-
-
-def _hook_trials(rows: np.ndarray, register: Register, rng) -> tuple[Streams, np.ndarray]:
-    """The chunk's streams and the trial of each hook entry."""
-    rng = Streams.of(rng)
-    return rng, rows // (register.amps.shape[1] // len(rng.gens))
-
-
-def _own(trials: np.ndarray, trial: int) -> slice:
-    """The hook entries of ``trial``, given the trial of each entry."""
-    start, stop = trials.searchsorted((trial, trial + 1)).tolist()
-    return slice(start, stop)
 
 
 def _at_entries(per_trial: np.ndarray, trials: np.ndarray) -> np.ndarray:
@@ -284,17 +313,9 @@ def _read(op: str, register: Register, rows, wires, rng: Streams, picked=None) -
     return reads
 
 
-def read_dict(reads: np.ndarray) -> dict[int, int]:
-    """The reads actually made, keyed by index in ascending order."""
-    return {pos: bit for pos, bit in enumerate(reads.tolist()) if bit >= 0}
-
-
 def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
     """A report of channel reads, probing every position read."""
-    report = AttackReport(attack=tap.attack_name, target=tap.target)
-    report.intercepted_bits = read_dict(reads)
-    report.probed_positions = list(report.intercepted_bits)
-    return report
+    return AttackReport(tap.attack_name, tap.target, probed_positions=(reads >= 0).nonzero()[0], intercepted_bits=reads)
 
 
 def _attack_mask(count: int | None, num_positions: int, rng) -> np.ndarray | None:
@@ -327,22 +348,19 @@ class DoubleCnotEve(ChannelTap):
     the transit qubit's Z value at every position.
     """
 
+    _entry_reads = ("_forward_reads", "_indicator", "_data_bits")
+
     def __init__(self, target: str = "A", midflight: bool = False):
-        self.target = target
+        super().__init__(target)
         self.midflight = midflight
         self.attack_name = "double-cnot-midflight" if midflight else "double-cnot"
-        self.begin_session(0, None)
-
-    def begin_session(self, num_positions, rng):
-        self._ancilla: int | None = None
-        self._trials = self._indicator = self._forward_reads = self._data_bits = _NO_READS
 
     def _probe(self, rows, register, wires) -> None:
         # All of the register's rows go as no row selection, which copies nothing.
-        register.cnot(wires, self._ancilla, None if len(rows) == register.amps.shape[1] else rows)
+        register.cnot(wires, self._ancilla, None if len(rows) == register.num_rows else rows)
 
     def on_forward(self, rows, register, wires, rng):
-        rng, self._trials = _hook_trials(rows, register, rng)
+        rng = self._record(rows, register, rng)
         self._ancilla = register.adjoin(_ZERO)
         self._probe(rows, register, wires)
         if self.midflight:
@@ -350,7 +368,7 @@ class DoubleCnotEve(ChannelTap):
         return wires
 
     def on_return(self, rows, register, wires, rng):
-        if self._ancilla is None:
+        if not len(self._trials):  # no forward transit this chunk, so no ancilla
             return wires
         rng = Streams.of(rng)
         self._probe(rows, register, wires)
@@ -360,18 +378,15 @@ class DoubleCnotEve(ChannelTap):
         return wires
 
     def finalize(self, published, trial=0):
-        own = _own(self._trials, trial)
+        own = self._entries(trial)
         probed = own.stop - own.start
-        forward_reads, indicator, data_bits = self._forward_reads[own], self._indicator[own], self._data_bits[own]
-        report = AttackReport(attack=self.attack_name, target=self.target)
-        report.probed_positions = list(range(probed))
-        report.intercepted_bits = read_dict(forward_reads if self.midflight else data_bits)
-        report.indicator_bits = read_dict(indicator)
-        report.indicator_events = sum(report.indicator_bits.values())
+        reads = (self._forward_reads if self.midflight else self._data_bits)[own]
+        report = AttackReport(self.attack_name, self.target, probed_positions=np.arange(probed), intercepted_bits=reads)
+        report.indicator_bits = indicator = self._indicator[own]
         # Mid-flight, the second ancilla read is (mid-flight value) XOR
         # (returned bit), so XOR-ing the two reads, which exist at every
         # probed position, gives the returned bit.
-        report.payload_reads = forward_reads ^ indicator if self.midflight else data_bits
+        report.payload_reads = reads ^ indicator if self.midflight else reads
         if published.modes is not None:
             report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target][:probed]))
         return report
@@ -390,39 +405,37 @@ class MaliciousAgent(ChannelTap):
     victim secret bits from whatever the session later publishes.
     """
 
+    attack_name = "malicious-agent"
+    _entry_reads = ("_reads",)
+
     def __init__(self, victim: str = "A", key=None, intercept_count: int | None = None):
-        self.target = victim
+        super().__init__(victim)
         self.identity = "B" if victim == "A" else "A"
-        self.attack_name = "malicious-agent"
         self.key = np.atleast_2d(key).tolist() if key is not None else None
-        self.intercept_count = intercept_count
-        self._attack_mask: np.ndarray | None = None
-        self._own_sift: np.ndarray | None = None
-        self._trials = self._reads = _NO_READS
+        self.attack_count = intercept_count
 
     def begin_session(self, num_positions, rng):
-        self._attack_mask = _attack_mask(self.intercept_count, num_positions, rng)
-        self._own_sift = None
-        self._trials = self._reads = _NO_READS
+        super().begin_session(num_positions, rng)
+        self._own_sift: np.ndarray | None = None
 
     def observe_own_modes(self, sift):
         self._own_sift = sift
 
     def on_return(self, rows, register, wires, rng):
-        rng, self._trials = _hook_trials(rows, register, rng)
+        rng = self._record(rows, register, rng)
         chosen = self._own_sift if self._attack_mask is None else self._attack_mask
         attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
         self._reads = _read("measure_z", register, rows, wires, rng, attacked.nonzero()[0])
         if not attacked.any():
             return wires
         # Rows not intercepted get an idle |0> in the resend slot.
-        resend = np.zeros(register.amps.shape[1], dtype=np.intp)
+        resend = np.zeros(register.num_rows, dtype=np.intp)
         resend[rows[attacked]] = self._reads[attacked]
         fresh = register.adjoin(prepare_z(resend))
         return np.where(attacked, fresh, wires)
 
     def finalize(self, published, trial=0):
-        reads = self._reads[_own(self._trials, trial)]
+        reads = self._reads[self._entries(trial)]
         report = _raw_report(self, reads)
         report.payload_reads = reads
         return report
@@ -438,43 +451,34 @@ class BlockingAttacker(ChannelTap):
     random subset per trial.
     """
 
-    def __init__(self, target: str = "A", attack_count: int | None = None):
-        self.target = target
-        self.attack_name = "blocking"
-        self.attack_count = attack_count
-        self._attack_mask: np.ndarray | None = None
-        self._trials = self._reads = _NO_READS
+    attack_name = "blocking"
+    _entry_reads = ("_reads",)
 
-    def begin_session(self, num_positions, rng):
-        self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
-        self._trials = self._reads = _NO_READS
+    def __init__(self, target: str = "A", attack_count: int | None = None):
+        super().__init__(target)
+        self.attack_count = attack_count
 
     def on_return(self, rows, register, wires, rng):
-        rng, self._trials = _hook_trials(rows, register, rng)
+        rng = self._record(rows, register, rng)
         attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials).nonzero()[0]
         self._reads = _read("measure_x", register, rows, wires, rng, attacked)
         return wires
 
     def finalize(self, published, trial=0):
-        return _raw_report(self, self._reads[_own(self._trials, trial)])
+        return _raw_report(self, self._reads[self._entries(trial)])
 
 
 class InterceptResendZ(ChannelTap):
     """Baseline intercept-resend: Z-measures every forward qubit, sending
     the post-measurement eigenstate onward."""
 
-    def __init__(self, target: str = "A"):
-        self.target = target
-        self.attack_name = "intercept-resend-z"
-        self.begin_session(0, None)
-
-    def begin_session(self, num_positions, rng):
-        self._trials = self._reads = _NO_READS
+    attack_name = "intercept-resend-z"
+    _entry_reads = ("_reads",)
 
     def on_forward(self, rows, register, wires, rng):
-        rng, self._trials = _hook_trials(rows, register, rng)
+        rng = self._record(rows, register, rng)
         self._reads = _read("measure_z", register, rows, wires, rng)
         return wires
 
     def finalize(self, published, trial=0):
-        return _raw_report(self, self._reads[_own(self._trials, trial)])
+        return _raw_report(self, self._reads[self._entries(trial)])

@@ -15,6 +15,7 @@ per-attack fact in one ``ATTACK_TABLE`` entry.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -57,28 +58,30 @@ class Scenario:
     so that a tracer that patches this module's ``run_sessions`` or
     ``run_improved_sessions`` takes effect (patching the single-session
     drivers times nothing: experiments call the chunk drivers);
-    ``qubit_efficiency`` counts compared secret bits per photon delivered
-    to one participant; ``positions_per_bit`` counts the positions of one
-    participant's channel per compared bit, which bounds an attacked
-    count; ``rows_per_bit`` counts register rows per compared bit of a
-    session; ``has_curve`` says whether detection curves are defined and
-    ``x_mismatch_rate``, when set, reads a trial's ``x_mismatch_rate``
-    off its transcript and its attack report.
+    ``positions_per_bit`` counts the positions of one participant's
+    channel per compared bit, which bounds an attacked count and gives
+    the qubit efficiency; ``rows_per_bit`` counts register rows per
+    compared bit of a session; ``has_curve`` says whether detection
+    curves are defined and ``x_mismatch_rate``, when set, reads a trial's
+    ``x_mismatch_rate`` off its transcript and its attack report.
     """
 
     run: Callable[..., list]
-    qubit_efficiency: Fraction
     positions_per_bit: int
     rows_per_bit: int
     has_curve: bool = False
     x_mismatch_rate: Callable[[object, AttackReport], float | None] | None = None
 
+    @functools.cached_property
+    def qubit_efficiency(self) -> Fraction:
+        """Compared secret bits per photon delivered to one participant."""
+        return Fraction(1, self.positions_per_bit)
+
 
 SCENARIO_TABLE = {
-    "jiang": Scenario(lambda *a, **k: run_sessions(*a, **k), Fraction(1, 2), positions_per_bit=2, rows_per_bit=2),
+    "jiang": Scenario(lambda *a, **k: run_sessions(*a, **k), positions_per_bit=2, rows_per_bit=2),
     "improved": Scenario(
         lambda *a, **k: run_improved_sessions(*a, **k),
-        Fraction(1, 4),
         positions_per_bit=4,
         rows_per_bit=8,
         has_curve=True,

@@ -53,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams, read_dict
+from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams
 from .jiang import (
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
@@ -212,19 +212,12 @@ def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng) -> np.ndarray:
     return photons.measure("measure_z", sift, photons.return_wire, rng)
 
 
-def disclose_half_r(
-    positions: Sequence[int],
-    r_bits: Sequence[int],
-    rng: np.random.Generator,
-    count: int | None = None,
-) -> CheckDisclosure:
-    """Publish a uniformly random ``count``-subset (default: half) of the
-    R-carrying positions together with the measured bits."""
+def disclose_half_r(positions: Sequence[int], r_bits: Sequence[int], rng: np.random.Generator) -> CheckDisclosure:
+    """Publish a uniformly random half of the R-carrying positions
+    together with the measured bits."""
     if len(positions) != len(r_bits):
         raise ValueError("positions and bits must align")
-    if count is None:
-        count = len(positions) // 2
-    picked = rng.permutation(len(positions))[:count]
+    picked = rng.permutation(len(positions))[: len(positions) // 2]
     picked.sort()
     return CheckDisclosure(
         positions=tuple(np.asarray(positions)[picked].tolist()),
@@ -256,9 +249,8 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
         return
     target = report.target
     masks = mask_positions(published.modes[target], published.L, published.disclosures[target])
-    message = published.messages[target]
-    reads = read_dict(report.payload_reads[masks])
-    report.masked_secret_bits = {idx: message[idx] ^ bit for idx, bit in reads.items()}
+    reads = report.payload_reads[masks]
+    report.masked_secret_bits = np.where(reads >= 0, reads ^ published.messages[target], -1)
 
 
 def x_mismatch_rate(transcript: ImprovedTranscript, report: AttackReport) -> float | None:
@@ -268,13 +260,12 @@ def x_mismatch_rate(transcript: ImprovedTranscript, report: AttackReport) -> flo
     if transcript.x_results is None:
         return None
     channel = transcript.photons.channel(report.target)
-    probed = np.asarray(report.probed_positions, dtype=np.intp)
-    signs = transcript.x_results[channel][probed]
+    signs = transcript.x_results[channel][report.probed_positions]
     checked = signs >= 0
     attacked = int(np.count_nonzero(checked))
     if not attacked:
         return None
-    prepared = transcript.photons.prepared_sign[channel][probed]
+    prepared = transcript.photons.prepared_sign[channel][report.probed_positions]
     return int(np.count_nonzero(checked & (signs != prepared))) / attacked
 
 
@@ -301,7 +292,7 @@ def _tp_finish(
     own_r = {p: sift_bit[channel[p]] for p in PARTICIPANTS}
     tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
     r_positions = transcript.r_positions
-    disclosures = {p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng, count=L) for p in PARTICIPANTS}
+    disclosures = {p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng) for p in PARTICIPANTS}
     transcript.disclosures = published.disclosures = disclosures
     disclosure_mismatches = sum(tp_verify_disclosure(disclosures[p], tp_r[p]) for p in PARTICIPANTS)
     transcript.disclosure_mismatch_count = disclosure_mismatches

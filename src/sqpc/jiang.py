@@ -62,7 +62,6 @@ from .attacks import (
     GroundTruth,
     PublicRecord,
     Streams,
-    read_dict,
     score_report,
 )
 from .kernel import BellState, Register, prepare_bell, prepare_z
@@ -376,15 +375,14 @@ def drive_session(
 
     reports = []
     for trial, (outcome, record, truth) in enumerate(zip(outcomes, published, truths)):
-        record.announced = outcome.kind
         reports.append([])
         for tap in taps:
             report = tap.finalize(record, trial)
             if report is not None:
                 decode(report, record)
-                if tap.key is not None:
-                    key = tap.key[trial]
-                    report.secret_bits = {i: bit ^ key[i] for i, bit in report.masked_secret_bits.items()}
+                masked = report.masked_secret_bits
+                if tap.key is not None and len(masked):
+                    report.secret_bits = np.where(masked >= 0, masked ^ tap.key[trial], -1)
                 score_report(report, truth)
                 report.detected = outcome.attacker_detected
                 reports[-1].append(report)
@@ -397,10 +395,9 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
     if report.payload_reads is None or published.modes is None:
         return
     carriers = published.modes[report.target].nonzero()[0][: published.L]
-    report.message_bits = read_dict(report.payload_reads[carriers])
+    reads = report.message_bits = report.payload_reads[carriers]
     if published.r is not None:
-        r = published.r[report.target]
-        report.masked_secret_bits = {idx: bit ^ r[idx] for idx, bit in report.message_bits.items()}
+        report.masked_secret_bits = np.where(reads >= 0, reads ^ published.r[report.target], -1)
 
 
 def check_lengths(L: int, streams: Streams, *per_trial: Sequence[Sequence[int]]) -> None:

@@ -409,9 +409,9 @@ class Register:
     (indices into the single batch axis) when given; each wire is an int
     for all of them or an int array aligned with them, one per row.
     Measurement uniform ``i`` goes to the i-th selected row.  Adversary
-    taps act on registers exclusively through these methods, never by
-    reading amplitudes, so that every bit an attacker learns comes from a
-    measurement outcome.
+    taps act on registers exclusively through these methods and the row
+    count ``num_rows``, never by reading amplitudes, so that every bit an
+    attacker learns comes from a measurement outcome.
     """
 
     def __init__(self, amps: np.ndarray):
@@ -424,6 +424,10 @@ class Register:
     @property
     def n(self) -> int:
         return num_qubits(self.amps)
+
+    @property
+    def num_rows(self) -> int:
+        return self.amps.shape[1]
 
     def _get(self, rows) -> np.ndarray:
         return self.amps if rows is None else self.amps[:, rows]

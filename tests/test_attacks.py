@@ -7,12 +7,15 @@ import pytest
 
 from sqpc import jiang
 from sqpc.attacks import (
+    AttackReport,
     BlockingAttacker,
     DoubleCnotEve,
+    GroundTruth,
     InterceptResendZ,
     MaliciousAgent,
     PublicRecord,
     Streams,
+    score_report,
 )
 from sqpc.jiang import (
     INDEPENDENT_COIN,
@@ -119,6 +122,61 @@ class TestStreamsMeasure:
         assert [gen.random() for gen in gens] == [np.random.default_rng([7, t]).random() for t in range(trials)]
 
 
+class TestScoreReport:
+    TRUTH = GroundTruth(
+        L=4, secrets={"A": [1, 0, 1, 1], "B": [0, 0, 0, 0]}, key=[0, 1, 1, 0], messages={"A": [1, 1, 0, 0], "B": []}
+    )
+
+    def test_wrong_claims_in_every_array(self):
+        # Secret xor K is 1101.  Right/wrong per claimed index:
+        # messages 0 right, 1 wrong, 3 right; masked 1 wrong, 2 wrong;
+        # secret 0 right, 3 wrong.  3 of 7 claims match.
+        report = AttackReport(
+            "test",
+            "A",
+            indicator_bits=np.array([1, 0, -1, 1, 0]),
+            message_bits=np.array([1, 0, -1, 0]),
+            masked_secret_bits=np.array([-1, 0, 1, -1]),
+            secret_bits=np.array([1, -1, -1, 0]),
+        )
+        score_report(report, self.TRUTH)
+        assert report.accuracy == 3 / 7
+        assert report.learned_count == 3
+        assert report.indicator_events == 2
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_loop_over_claimed_indices(self, seed):
+        rng = np.random.default_rng(seed)
+        L = int(rng.integers(1, 9))
+        secret, key, message = (rng.integers(2, size=L).tolist() for _ in range(3))
+        truth = GroundTruth(L=L, secrets={"A": secret}, key=key, messages={"A": message})
+        expected = {
+            "message_bits": message,
+            "masked_secret_bits": [s ^ k for s, k in zip(secret, key)],
+            "secret_bits": secret,
+        }
+        arrays = {
+            name: np.where(rng.random(L) < 0.6, rng.integers(2, size=L), -1)
+            for name in expected
+            if rng.random() < 0.7
+        }
+        report = AttackReport("test", "A", **arrays)
+        score_report(report, truth)
+        claims = [
+            (bit, expected[name][i]) for name, a in arrays.items() for i, bit in enumerate(a.tolist()) if bit >= 0
+        ]
+        assert report.accuracy == (sum(bit == true for bit, true in claims) / len(claims) if claims else 1.0)
+        assert report.learned_count == max((sum(bit >= 0 for bit in a.tolist()) for a in arrays.values()), default=0)
+
+    @pytest.mark.parametrize("claims", [{}, {"masked_secret_bits": np.full(4, -1)}])
+    def test_no_claims_score_one(self, claims):
+        report = AttackReport("test", "A", **claims)
+        score_report(report, self.TRUTH)
+        assert report.accuracy == 1.0
+        assert report.learned_count == 0
+        assert report.indicator_events == 0
+
+
 class TestDoubleCnotEve:
     @pytest.mark.parametrize("variant", list(BellState))
     def test_ctrl_restoration_is_exact(self, variant, rng):
@@ -133,7 +191,7 @@ class TestDoubleCnotEve:
         pairs.returns["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
         pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
         report = eve.finalize(PublicRecord(L=trips // 2))
-        assert report.indicator_bits == {pos: 0 for pos in range(trips)}
+        assert report.indicator_bits.tolist() == [0] * trips
         bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, rng)
         assert (bell != pairs.prepared).tolist() == [False] * trips
 
@@ -146,9 +204,9 @@ class TestDoubleCnotEve:
         pairs.returns["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], m)
         pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
         report = eve.finalize(PublicRecord(L=trials // 2))
-        fired = sorted(pos for pos, bit in report.indicator_bits.items() if bit)
-        # a fired probe reads the bit exactly
-        assert report.intercepted_bits == {pos: int(m[pos]) for pos in fired}
+        fired = (report.indicator_bits == 1).nonzero()[0]
+        # a fired probe reads the bit exactly, and an unfired one reads nothing
+        assert report.intercepted_bits.tolist() == np.where(report.indicator_bits == 1, m, -1).tolist()
         # and the read does not disturb the resent eigenstate
         (wire,) = set(pairs.returns["A"][fired].tolist())
         assert np.array_equal(pairs.register.measure_z(wire, rng, np.array(fired)), m[fired])
@@ -162,9 +220,9 @@ class TestDoubleCnotEve:
         assert report.detected is False
         assert report.accuracy == 1.0
         # every learned message index decodes to Secret xor K
-        for idx, bit in report.masked_secret_bits.items():
-            assert bit == secret_a[idx] ^ key[idx]
-        assert set(report.message_bits) == set(report.masked_secret_bits)
+        claimed = report.masked_secret_bits >= 0
+        assert np.array_equal(report.masked_secret_bits[claimed], np.bitwise_xor(secret_a, key)[claimed])
+        assert np.array_equal(report.message_bits >= 0, claimed)
 
     def test_abort_rate_zero_over_sessions(self, rng):
         config = SessionConfig(L=8)
@@ -180,8 +238,8 @@ class TestDoubleCnotEve:
         _, _, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("B")], rng=rng)
         report = reports[0]
         assert report.target == "B"
-        for idx, bit in report.masked_secret_bits.items():
-            assert bit == secret_b[idx] ^ key[idx]
+        claimed = report.masked_secret_bits >= 0
+        assert np.array_equal(report.masked_secret_bits[claimed], np.bitwise_xor(secret_b, key)[claimed])
 
     def test_reused_tap_reports_only_its_own_session(self):
         # One tap across sessions: a session that aborts before any transit
@@ -195,9 +253,9 @@ class TestDoubleCnotEve:
             )
             if outcome.abort_reason == INSUFFICIENT_SIFT:
                 aborted += 1
-                assert report.probed_positions == []
-                assert report.indicator_bits == {}
-                assert report.intercepted_bits == {}
+                assert len(report.probed_positions) == 0
+                assert len(report.indicator_bits) == 0
+                assert len(report.intercepted_bits) == 0
         assert aborted > 0
 
     def test_midflight_on_base_protocol_is_loud_but_total(self):
@@ -214,7 +272,7 @@ class TestDoubleCnotEve:
             )
             report = reports[0]
             detected += outcome.attacker_detected
-            assert len(report.message_bits) == 16
+            assert np.count_nonzero(report.message_bits >= 0) == 16
             assert report.accuracy == 1.0
         # each CTRL/CTRL position mismatches with probability 1/2, so with
         # ~8 such positions per session detection is near certain
@@ -233,8 +291,8 @@ class TestMaliciousAgent:
             assert not outcome.is_aborted
             assert report.detected is False
             assert report.accuracy == 1.0
-            for idx, bit in report.secret_bits.items():
-                assert bit == secret_a[idx]
+            claimed = report.secret_bits >= 0
+            assert np.array_equal(report.secret_bits[claimed], np.asarray(secret_a)[claimed])
 
     def test_outcome_survives_interception(self, rng):
         # measure-and-resend of Z eigenstates is invisible to TP's reads
@@ -266,7 +324,7 @@ class TestMaliciousAgent:
             _, _, reports = run_session(
                 config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
-            fractions.append(len(reports[0].secret_bits) / 2)
+            fractions.append(np.count_nonzero(reports[0].secret_bits >= 0) / 2)
         assert abs(np.mean(fractions) - exact) < 0.02
 
     def test_victim_ctrl_positions_contribute_nothing(self, rng):
@@ -277,7 +335,7 @@ class TestMaliciousAgent:
         )
         report = reports[0]
         message_positions = set(transcript.message_positions["A"])
-        claimed_positions = {transcript.message_positions["A"][i] for i in report.secret_bits}
+        claimed_positions = set(transcript.message_positions["A"][report.secret_bits >= 0].tolist())
         assert claimed_positions <= (set(report.probed_positions) & message_positions)
 
 
@@ -292,7 +350,8 @@ class TestBlocking:
             tap.begin_session(len(positions), rng)
             reg = Register(prepare_z(np.full(len(positions), z_bit)))
             tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), rng)
-            for read in tap.finalize(PublicRecord(L=1)).intercepted_bits.values():
+            reads = tap.finalize(PublicRecord(L=1)).intercepted_bits
+            for read in reads[reads >= 0].tolist():
                 counts[z_bit][read] += 1
         for z_bit in (0, 1):
             frac = counts[z_bit][0] / 4000

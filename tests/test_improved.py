@@ -139,7 +139,7 @@ class TestCtrlCheck:
         photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, rng)
         photons.return_wire = photons.wire
         photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, rng)
-        assert probe_reads(eve) == {0: 0, 1: 0}
+        assert probe_reads(eve).tolist() == [0, 0]
         assert photons.register.measure_x(0, rng).tolist() == [0, 1]
 
 class TestDisclosure:
@@ -275,7 +275,7 @@ class TestImmunity:
         photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, rng)
         photons.return_wire = sift_measure_resend(photons, np.ones(80, dtype=bool), rng)
         photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, rng)
-        assert probe_reads(eve) == {pos: 0 for pos in range(80)}
+        assert probe_reads(eve).tolist() == [0] * 80
 
     def test_midflight_triggers_x_mismatches(self, rng):
         config = SessionConfig(L=4)
@@ -365,11 +365,11 @@ class TestImmunity:
                 [MaliciousAgent(victim="A", key=key, intercept_count=3)], rng=rng,
             )
             report = reports[0]
-            if not outcome.is_aborted and report.secret_bits:
+            claimed = report.secret_bits >= 0
+            if not outcome.is_aborted and claimed.any():
                 survived_with_claims += 1
                 assert report.accuracy == 1.0
-                for idx, bit in report.secret_bits.items():
-                    assert bit == secret_a[idx]
+                assert np.array_equal(report.secret_bits[claimed], np.asarray(secret_a)[claimed])
         assert survived_with_claims > 0
 
 class TestConfigAndEfficiency:
