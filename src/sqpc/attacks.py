@@ -11,11 +11,13 @@ chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
 with the wire each one travels on.  It may grow the register with
 ancillas (one per row), apply gates through the register API, measure
 through :meth:`Streams.measure`, and substitute the wires that travel
-onward.  Reads and claims have one format from tap to score: int
-arrays, -1 where nothing was read or claimed.  A tap keeps its reads
-over its hook entries, and ``finalize`` reports one trial's reads raw,
-over its channel positions; the protocol, which knows what each
-position carries, decodes them into claims over message indices.  A
+onward.  Bits have one format from the draw that makes them to the
+score that reads them: 1-D int arrays.  Secrets, keys, R, masks,
+messages and disclosures hold 0s and 1s; reads and claims hold -1 where
+nothing was read or claimed.  A tap keeps its reads over its hook
+entries, and ``finalize`` reports one trial's reads raw, over its
+channel positions; the protocol, which knows what each position
+carries, decodes them into claims over message indices.  A
 single session is a chunk of one trial, whose generator a hook or
 ``begin_session`` also takes as is.  Nothing here imports a protocol
 module.  Taps never read amplitudes (a register's size is its
@@ -47,8 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import Register, prepare_z
-
-Bits = list[int]
 
 
 class _Uniforms:
@@ -128,26 +128,30 @@ class PublicRecord:
 
     Fields stay ``None`` when the protocol never reached the step that
     would have published them (an abort suppresses later publications).
+    Every bit string (``r``, ``messages``) is a 1-D int array.
     """
 
     L: int
     modes: dict[str, np.ndarray] | None = None  # participant -> SIFT mask
-    r: dict[str, Bits] | None = None
+    r: dict[str, np.ndarray] | None = None
     disclosures: dict[str, object] | None = None  # participant -> CheckDisclosure
-    messages: dict[str, Bits] | None = None
+    messages: dict[str, np.ndarray] | None = None
 
 
 @dataclass
 class GroundTruth:
-    """Driver-side truth used to score attack reports; never shown to taps."""
+    """Driver-side truth used to score attack reports; never shown to taps.
+    ``secrets``, ``key`` and ``messages`` are 1-D int arrays of L bits
+    (a message has no entries until it is made)."""
 
     L: int
-    secrets: dict[str, Bits]
-    key: Bits
-    messages: dict[str, Bits]
+    secrets: dict[str, np.ndarray]
+    key: np.ndarray
+    messages: dict[str, np.ndarray]
 
 
-# Every read and claim array before anything is read or claimed; never written.
+# Every read and claim array before anything is read or claimed, and a
+# message before it is made; never written.
 _NOTHING = np.zeros(0, dtype=np.intp)
 _NOTHING.flags.writeable = False
 
@@ -214,7 +218,7 @@ def score_report(report: AttackReport, truth: GroundTruth) -> None:
     if not any(len(c) for c in report.claims):
         report.accuracy = 1.0
         return
-    secret = np.asarray(truth.secrets[report.target])
+    secret = truth.secrets[report.target]
     expected = truth.messages[report.target], secret ^ truth.key, secret
     total = matched = 0
     for claims, bits in zip(report.claims, expected):
@@ -244,7 +248,7 @@ class ChannelTap:
 
     target: str = "A"
     identity: str | None = None
-    key: list[Bits] | None = None  # one key per trial of the chunk
+    key: np.ndarray | None = None  # (trials, L): one key per trial of the chunk
     attack_name: str = "none"
     attack_count: int | None = None
     _entry_reads: tuple[str, ...] = ()
@@ -411,7 +415,7 @@ class MaliciousAgent(ChannelTap):
     def __init__(self, victim: str = "A", key=None, intercept_count: int | None = None):
         super().__init__(victim)
         self.identity = "B" if victim == "A" else "A"
-        self.key = np.atleast_2d(key).tolist() if key is not None else None
+        self.key = None if key is None else np.atleast_2d(key)
         self.attack_count = intercept_count
 
     def begin_session(self, num_positions, rng):

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,9 +41,9 @@ from .improved import x_mismatch_rate
 from .jiang import (
     BALANCED,
     MODE_POLICIES,
-    Bits,
     ComparisonOutcome,
     SessionConfig,
+    first_difference,
     random_bits,
     run_session,  # noqa: F401
     run_sessions,
@@ -157,14 +157,14 @@ class Attack:
     """Everything the harness knows about one attack.
 
     ``taps`` builds the taps of a chunk from the spec and the pre-shared
-    key of each of its trials;
+    keys of its trials, one L-bit int array per trial;
     ``columns`` are metrics beyond the common five, in report order, and
     one no trial fills (``x_mismatch_rate`` outside the improved protocol)
     is left out; ``curve_row`` maps a spec and an attack size k to that
     detection-curve row's spec (``None``: no curve).
     """
 
-    taps: Callable[[ExperimentSpec, Bits], list[ChannelTap]]
+    taps: Callable[[ExperimentSpec, Sequence[np.ndarray]], list[ChannelTap]]
     scenarios: tuple[str, ...] = SCENARIOS
     columns: tuple[str, ...] = ("x_mismatch_rate",)
     takes_count: bool = False
@@ -278,19 +278,11 @@ def splitmix64(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _expected_outcome(secret_a: Bits, secret_b: Bits) -> ComparisonOutcome:
-    for i, (a, b) in enumerate(zip(secret_a, secret_b)):
-        if a != b:
-            return ComparisonOutcome.not_equal(i)
-    return ComparisonOutcome.equal()
-
-
 def _trial_result(
-    spec: ExperimentSpec, secret_a: Bits, secret_b: Bits, transcript, outcome, reports
+    spec: ExperimentSpec, secret_a: np.ndarray, secret_b: np.ndarray, transcript, outcome, reports
 ) -> TrialResult:
     """A trial's metrics from its session."""
-    expected = _expected_outcome(secret_a, secret_b)
-    correct = (not outcome.is_aborted) and outcome == expected
+    correct = not outcome.is_aborted and outcome == first_difference(secret_a, secret_b)
 
     report = reports[0] if reports else None
     leak_fraction = (report.learned_count / spec.L) if report else 0.0
@@ -319,12 +311,12 @@ def run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
     seed, i), in the order a lone session would."""
     gens = [np.random.default_rng(splitmix64(spec.seed, i)) for i in range(start, stop)]
     L = spec.L
-    secrets_a, secrets_b, keys = [], [], []
+    bits = []
     for rng in gens:
         secret_a = random_bits(L, rng)
-        secrets_a.append(secret_a)
-        secrets_b.append(list(secret_a) if rng.random() < 0.5 else random_bits(L, rng))
-        keys.append(random_bits(L, rng))
+        bits.append((secret_a, secret_a if rng.random() < 0.5 else random_bits(L, rng), random_bits(L, rng)))
+    # Alice's secrets, Bob's and the keys, one L-bit array per trial each.
+    secrets_a, secrets_b, keys = zip(*bits)
     taps = ATTACK_TABLE[spec.attack].taps(spec, keys)
 
     config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)

@@ -12,7 +12,9 @@ participant publishes a random half of their R
 returned classical data.  The surviving half of R becomes the mask: each
 participant publishes M_i = Secret_i XOR mask_i XOR K_AB and TP compares
 using its OWN Z-reads as the masks, which is what keeps R quantum
-protected end to end.
+protected end to end.  Every bit string (secrets, keys, masks, published
+messages, M_T, and a disclosure's positions and values) is a 1-D int
+array.
 
 The double C-NOT probe never fires here: a reflected X eigenstate undoes
 the first C-NOT, and a measure-resend sends back exactly the bit the
@@ -53,15 +55,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams
+from .attacks import _NOTHING, AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams
 from .jiang import (
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
     PARTICIPANTS,
-    Bits,
     ComparisonOutcome,
     SessionConfig,
-    check_lengths,
+    check_bits,
     derive_message,
     draw_modes,
     drive_session,
@@ -139,12 +140,13 @@ class PhotonBatch:
         return reads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckDisclosure:
-    """A participant's published half of R: positions and measured values."""
+    """A participant's published half of R: positions and measured values,
+    aligned 1-D int arrays."""
 
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
+    positions: np.ndarray
+    values: np.ndarray
 
 
 @dataclass
@@ -168,9 +170,9 @@ class ImprovedTranscript:
     tp_r: np.ndarray | None = None
     disclosures: dict[str, CheckDisclosure] | None = None
     disclosure_mismatch_count: int | None = None
-    tp_masks: dict[str, Bits] | None = None
-    published_m: dict[str, Bits] | None = None
-    m_t: Bits | None = None
+    tp_masks: dict[str, np.ndarray] | None = None
+    published_m: dict[str, np.ndarray] | None = None
+    m_t: np.ndarray | None = None
     outcome: ComparisonOutcome | None = None
 
 
@@ -212,24 +214,20 @@ def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng) -> np.ndarray:
     return photons.measure("measure_z", sift, photons.return_wire, rng)
 
 
-def disclose_half_r(positions: Sequence[int], r_bits: Sequence[int], rng: np.random.Generator) -> CheckDisclosure:
+def disclose_half_r(positions: np.ndarray, r_bits: np.ndarray, rng: np.random.Generator) -> CheckDisclosure:
     """Publish a uniformly random half of the R-carrying positions
-    together with the measured bits."""
+    together with the measured bits, both int arrays."""
     if len(positions) != len(r_bits):
         raise ValueError("positions and bits must align")
     picked = rng.permutation(len(positions))[: len(positions) // 2]
     picked.sort()
-    return CheckDisclosure(
-        positions=tuple(np.asarray(positions)[picked].tolist()),
-        values=tuple(np.asarray(r_bits)[picked].tolist()),
-    )
+    return CheckDisclosure(positions=positions[picked], values=r_bits[picked])
 
 
 def tp_verify_disclosure(disclosure: CheckDisclosure, tp_reads: np.ndarray) -> int:
     """Count disagreements between a disclosure and TP's own Z-reads, an
     array over the participant's positions."""
-    read = tp_reads[np.asarray(disclosure.positions, dtype=np.intp)]
-    return int(np.count_nonzero(read != np.asarray(disclosure.values, dtype=np.intp)))
+    return int(np.count_nonzero(tp_reads[disclosure.positions] != disclosure.values))
 
 
 def mask_positions(sift: np.ndarray, L: int, disclosure: CheckDisclosure) -> np.ndarray:
@@ -237,7 +235,7 @@ def mask_positions(sift: np.ndarray, L: int, disclosure: CheckDisclosure) -> np.
     that ``disclosure`` left out, ascending: the i-th masks message bit i."""
     carriers = sift.nonzero()[0][: 2 * L]
     undisclosed = np.ones(len(sift), dtype=bool)
-    undisclosed[list(disclosure.positions)] = False
+    undisclosed[disclosure.positions] = False
     return carriers[undisclosed[carriers]]
 
 
@@ -301,14 +299,11 @@ def _tp_finish(
     if disclosed_total > 0 and disclosure_mismatches / disclosed_total > transcript.config.error_threshold:
         return ComparisonOutcome.aborted(DISCLOSURE_MISMATCH)
 
-    masks_tp: dict[str, Bits] = {}
-    published_m: dict[str, Bits] = {}
+    masks_tp, published_m = {}, {}
     for participant in PARTICIPANTS:
         masks = mask_positions(transcript.modes[participant], L, disclosures[participant])
-        masks_tp[participant] = tp_r[participant][masks].tolist()
-        published_m[participant] = derive_message(
-            truth.secrets[participant], own_r[participant][masks].tolist(), truth.key
-        )
+        masks_tp[participant] = tp_r[participant][masks]
+        published_m[participant] = derive_message(truth.secrets[participant], own_r[participant][masks], truth.key)
     transcript.tp_masks = masks_tp
     transcript.published_m = truth.messages = published.messages = published_m
 
@@ -318,9 +313,9 @@ def _tp_finish(
 
 def run_improved_sessions(
     config: SessionConfig,
-    secrets_a: Sequence[Sequence[int]],
-    secrets_b: Sequence[Sequence[int]],
-    keys: Sequence[Sequence[int]],
+    secrets_a,
+    secrets_b,
+    keys,
     taps: Sequence[ChannelTap] = (),
     *,
     rng,
@@ -331,7 +326,7 @@ def run_improved_sessions(
     declarations visible to taps only at finalize)."""
     streams = Streams.of(rng)
     L = config.L
-    check_lengths(L, streams, secrets_a, secrets_b, keys)
+    secrets_a, secrets_b, keys = check_bits(L, streams, secrets_a, secrets_b, keys)
     size = 8 * L
 
     # Each participant gets 4L photons and SIFTs 2L of them, the R
@@ -353,8 +348,8 @@ def run_improved_sessions(
                 r_positions={p: positions[p][: 2 * L] for p in PARTICIPANTS},
             )
         )
-        secrets = {"A": list(secret_a), "B": list(secret_b)}
-        truths.append(GroundTruth(L=L, secrets=secrets, key=list(key), messages={"A": [], "B": []}))
+        secrets = {"A": secret_a, "B": secret_b}
+        truths.append(GroundTruth(L=L, secrets=secrets, key=key, messages={"A": _NOTHING, "B": _NOTHING}))
 
     def respond(live: np.ndarray) -> np.ndarray:
         photons.return_wire = sift_measure_resend(photons, sift_rows & live.repeat(size), streams)
@@ -395,9 +390,9 @@ def run_improved_sessions(
 
 def run_improved_session(
     config: SessionConfig,
-    secret_a: Sequence[int],
-    secret_b: Sequence[int],
-    key: Sequence[int],
+    secret_a,
+    secret_b,
+    key,
     taps: Sequence[ChannelTap] = (),
     *,
     rng: np.random.Generator,

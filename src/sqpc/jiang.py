@@ -9,7 +9,9 @@ of M_i = Secret_i XOR R_i XOR K_AB (SIFT).  After all qubits return and
 modes are declared, TP Bell-measures CTRL/CTRL positions against what it
 prepared, Z-reads every SIFT return, and, if the mismatch rate stays at
 or below the error threshold, the participants publish R_A and R_B so TP
-can scan M_A XOR M_B XOR R_A XOR R_B for the first nonzero bit.
+can scan M_A XOR M_B XOR R_A XOR R_B for the first nonzero bit.  Every
+bit string (secrets, keys, R, messages, TP's message reads and M_T) is
+a 1-D int array from the draw that makes it to the score that reads it.
 
 Each participant's mode choices are one boolean SIFT mask over the 2L
 positions (True = SIFT, False = CTRL); the transcript, the public record
@@ -56,7 +58,6 @@ import numpy as np
 from . import kernel
 from .attacks import (
     AttackReport,
-    Bits,
     ChannelTap,
     DoubleCnotEve,
     GroundTruth,
@@ -111,23 +112,23 @@ class ComparisonOutcome:
 _TOO_FEW_SIFT = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
 
 
-def random_bits(length: int, rng: np.random.Generator) -> Bits:
-    return rng.integers(0, 2, size=length).tolist()
+def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:
+    """``length`` uniformly random bits, one ``rng.integers`` call."""
+    return rng.integers(0, 2, size=length)
 
 
-def xor_bits(*seqs: Sequence[int]) -> Bits:
-    lengths = {len(s) for s in seqs}
-    if len(lengths) != 1:
-        raise ValueError(f"length mismatch: {sorted(len(s) for s in seqs)}")
-    out = list(seqs[0])
-    for s in seqs[1:]:
-        out = [a ^ b for a, b in zip(out, s)]
-    return out
+def derive_message(secret, r, key) -> np.ndarray:
+    """M = Secret XOR R XOR K, bitwise, of bit strings of one length."""
+    if not len(secret) == len(r) == len(key):
+        raise ValueError(f"length mismatch: {len(secret)}, {len(r)}, {len(key)}")
+    return np.bitwise_xor(np.bitwise_xor(secret, r), key)
 
 
-def derive_message(secret: Sequence[int], r: Sequence[int], key: Sequence[int]) -> Bits:
-    """M = Secret XOR R XOR K, bitwise."""
-    return xor_bits(secret, r, key)
+def first_difference(x: np.ndarray, y) -> ComparisonOutcome:
+    """Equal, or NotEqual at the first index where bit strings ``x`` and
+    ``y`` differ."""
+    differ = (x != y).nonzero()[0]
+    return ComparisonOutcome.not_equal(int(differ[0])) if len(differ) else ComparisonOutcome.equal()
 
 
 @dataclass
@@ -208,15 +209,15 @@ class SessionTranscript:
     config: SessionConfig
     pairs: PairBatch
     modes: dict[str, np.ndarray]
-    r: dict[str, Bits]
+    r: dict[str, np.ndarray]
     sift_positions: dict[str, np.ndarray]
     message_positions: dict[str, np.ndarray]
     bell_outcomes: np.ndarray | None = None
     tp_bits: dict[str, np.ndarray] | None = None
     ctrl_ctrl_positions: np.ndarray | None = None
     bell_mismatch_count: int = 0
-    tp_m: dict[str, Bits] | None = None
-    m_t: Bits | None = None
+    tp_m: dict[str, np.ndarray] | None = None
+    m_t: np.ndarray | None = None
     outcome: ComparisonOutcome | None = None
 
 
@@ -300,20 +301,16 @@ def tp_resolve_positions(
     return bell, bits[0], bits[1]
 
 
-def tp_compare(
-    m_a: Sequence[int], m_b: Sequence[int], r_a: Sequence[int], r_b: Sequence[int]
-) -> tuple[ComparisonOutcome, Bits]:
+def tp_compare(m_a, m_b, r_a, r_b) -> tuple[ComparisonOutcome, np.ndarray]:
     """Scan M_A XOR M_B XOR R_A XOR R_B in ascending index order, stopping
-    at the first 1.  Returns the outcome and the prefix actually computed."""
+    at the first 1.  Returns the outcome and the prefix up to that 1 (all
+    of it when there is none)."""
     if not len(m_a) == len(m_b) == len(r_a) == len(r_b):
         raise ValueError("message and mask lengths differ")
-    prefix: Bits = []
-    for i, (a, b, ra, rb) in enumerate(zip(m_a, m_b, r_a, r_b)):
-        bit = a ^ b ^ ra ^ rb
-        prefix.append(bit)
-        if bit:
-            return ComparisonOutcome.not_equal(i), prefix
-    return ComparisonOutcome.equal(), prefix
+    unmasked_a, unmasked_b = np.bitwise_xor(m_a, r_a), np.bitwise_xor(m_b, r_b)
+    outcome = first_difference(unmasked_a, unmasked_b)
+    m_t = unmasked_a ^ unmasked_b
+    return outcome, m_t if outcome.first_diff_index is None else m_t[: outcome.first_diff_index + 1]
 
 
 def drive_session(
@@ -400,19 +397,23 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
         report.masked_secret_bits = np.where(reads >= 0, reads ^ published.r[report.target], -1)
 
 
-def check_lengths(L: int, streams: Streams, *per_trial: Sequence[Sequence[int]]) -> None:
-    """One secret of each participant and one key per stream, each of length L."""
-    if {len(values) for values in per_trial} != {len(streams.gens)}:
-        raise ValueError("every trial needs both secrets, a key and a stream")
-    if {len(bits) for values in per_trial for bits in values} != {L}:
-        raise ValueError("secrets and key must all have length L")
+def check_bits(L: int, streams: Streams, secrets_a, secrets_b, keys) -> np.ndarray:
+    """Both participants' secrets and the keys, each (trials, L) with one
+    trial per stream, as one (3, trials, L) int array.  Raises
+    ValueError on any other shape or on an entry that is not an int 0 or 1."""
+    bits = np.asarray((secrets_a, secrets_b, keys))
+    if bits.shape != (3, len(streams.gens), L):
+        raise ValueError(f"secrets and keys must each have shape (trials, L) = {(len(streams.gens), L)}")
+    if bits.dtype.kind not in "iu" or (bits >> 1).any():
+        raise ValueError("secrets and keys must hold only int bits, 0 or 1")
+    return bits
 
 
 def run_sessions(
     config: SessionConfig,
-    secrets_a: Sequence[Sequence[int]],
-    secrets_b: Sequence[Sequence[int]],
-    keys: Sequence[Sequence[int]],
+    secrets_a,
+    secrets_b,
+    keys,
     taps: Sequence[ChannelTap] = (),
     *,
     rng,
@@ -420,6 +421,8 @@ def run_sessions(
     """Run one session per trial of a chunk and return each trial's
     (transcript, outcome, attack reports).
 
+    ``secrets_a``, ``secrets_b`` and ``keys`` are (trials, L) array-likes
+    of bits, checked (:func:`check_bits`) before anything is drawn.
     Trial t compares ``secrets_a[t]`` with ``secrets_b[t]`` under
     ``keys[t]`` and draws everything, its taps' measurements included,
     from generator t of ``rng`` (a :class:`Streams`), so identical inputs
@@ -430,7 +433,7 @@ def run_sessions(
     """
     streams = Streams.of(rng)
     L = config.L
-    check_lengths(L, streams, secrets_a, secrets_b, keys)
+    secrets_a, secrets_b, keys = check_bits(L, streams, secrets_a, secrets_b, keys)
     size = 2 * L
 
     pairs = tp_prepare_pairs(config, streams)
@@ -440,7 +443,7 @@ def run_sessions(
 
     transcripts, truths = [], []
     for trial, (secret_a, secret_b, key) in enumerate(zip(secrets_a, secrets_b, keys)):
-        secrets = {"A": list(secret_a), "B": list(secret_b)}
+        secrets = {"A": secret_a, "B": secret_b}
         positions = {p: modes[trial][p].nonzero()[0] for p in PARTICIPANTS}
         transcripts.append(
             SessionTranscript(
@@ -453,7 +456,7 @@ def run_sessions(
             )
         )
         messages = {p: derive_message(secrets[p], r[trial][p], key) for p in PARTICIPANTS}
-        truths.append(GroundTruth(L=L, secrets=secrets, key=list(key), messages=messages))
+        truths.append(GroundTruth(L=L, secrets=secrets, key=key, messages=messages))
 
     def respond(live: np.ndarray) -> dict[str, np.ndarray]:
         # The i-th SIFT position carries message bit i, surplus SIFT
@@ -484,9 +487,7 @@ def run_sessions(
             transcript.ctrl_ctrl_positions = ctrl_ctrl = (trial_bell >= 0).nonzero()[0]
             prepared = pairs.prepared[rows]
             transcript.bell_mismatch_count = int(np.count_nonzero(trial_bell[ctrl_ctrl] != prepared[ctrl_ctrl]))
-            transcript.tp_m = tp_m = {
-                p: tp_bits[p][transcript.message_positions[p]].tolist() for p in PARTICIPANTS
-            }
+            transcript.tp_m = tp_m = {p: tp_bits[p][transcript.message_positions[p]] for p in PARTICIPANTS}
             record.modes = transcript.modes
 
             n_ctrl = len(ctrl_ctrl)
@@ -511,15 +512,16 @@ def run_sessions(
 
 def run_session(
     config: SessionConfig,
-    secret_a: Sequence[int],
-    secret_b: Sequence[int],
-    key: Sequence[int],
+    secret_a,
+    secret_b,
+    key,
     taps: Sequence[ChannelTap] = (),
     *,
     rng: np.random.Generator,
 ) -> tuple[SessionTranscript, ComparisonOutcome, list[AttackReport]]:
     """Run one full session, a chunk of one trial (see
     :func:`run_sessions`), and return (transcript, outcome, attack reports).
+    ``secret_a``, ``secret_b`` and ``key`` are L bits each.
 
     All randomness, including every tap's measurement draws, comes from
     ``rng``, so identical inputs give bit-identical transcripts.

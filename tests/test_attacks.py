@@ -124,7 +124,10 @@ class TestStreamsMeasure:
 
 class TestScoreReport:
     TRUTH = GroundTruth(
-        L=4, secrets={"A": [1, 0, 1, 1], "B": [0, 0, 0, 0]}, key=[0, 1, 1, 0], messages={"A": [1, 1, 0, 0], "B": []}
+        L=4,
+        secrets={"A": np.array([1, 0, 1, 1]), "B": np.array([0, 0, 0, 0])},
+        key=np.array([0, 1, 1, 0]),
+        messages={"A": np.array([1, 1, 0, 0]), "B": np.zeros(0, dtype=int)},
     )
 
     def test_wrong_claims_in_every_array(self):
@@ -148,12 +151,12 @@ class TestScoreReport:
     def test_matches_a_loop_over_claimed_indices(self, seed):
         rng = np.random.default_rng(seed)
         L = int(rng.integers(1, 9))
-        secret, key, message = (rng.integers(2, size=L).tolist() for _ in range(3))
+        secret, key, message = (rng.integers(2, size=L) for _ in range(3))
         truth = GroundTruth(L=L, secrets={"A": secret}, key=key, messages={"A": message})
         expected = {
-            "message_bits": message,
-            "masked_secret_bits": [s ^ k for s, k in zip(secret, key)],
-            "secret_bits": secret,
+            "message_bits": message.tolist(),
+            "masked_secret_bits": [s ^ k for s, k in zip(secret.tolist(), key.tolist())],
+            "secret_bits": secret.tolist(),
         }
         arrays = {
             name: np.where(rng.random(L) < 0.6, rng.integers(2, size=L), -1)
@@ -304,7 +307,7 @@ class TestMaliciousAgent:
             _, outcome, _ = run_session(
                 config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
-            expected = ComparisonOutcome.equal() if secret_a == secret_b else ComparisonOutcome.not_equal(
+            expected = ComparisonOutcome.equal() if np.array_equal(secret_a, secret_b) else ComparisonOutcome.not_equal(
                 next(i for i, (a, b) in enumerate(zip(secret_a, secret_b)) if a != b)
             )
             assert outcome == expected

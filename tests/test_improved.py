@@ -25,7 +25,7 @@ from sqpc.kernel import PLUS, prepare_x
 
 
 def bits(text):
-    return [int(c) for c in text]
+    return np.array([int(c) for c in text])
 
 def probe_reads(eve):
     """The double C-NOT probe's per-position reads, as its report publishes them."""
@@ -144,21 +144,21 @@ class TestCtrlCheck:
 
 class TestDisclosure:
     def test_half_of_positions_disclosed(self, rng):
-        positions = [1, 4, 5, 9]
-        disclosure = disclose_half_r(positions, [0, 1, 1, 0], rng)
+        positions = np.array([1, 4, 5, 9])
+        disclosure = disclose_half_r(positions, bits("0110"), rng)
         assert len(disclosure.positions) == 2
-        assert set(disclosure.positions) <= set(positions)
+        assert set(disclosure.positions.tolist()) <= set(positions.tolist())
 
     def test_values_align_with_positions(self, rng):
-        positions = [2, 3, 7, 8]
-        r_bits = [1, 0, 1, 1]
+        positions = np.array([2, 3, 7, 8])
+        r_bits = bits("1011")
         disclosure = disclose_half_r(positions, r_bits, rng)
-        lookup = dict(zip(positions, r_bits))
-        for pos, value in zip(disclosure.positions, disclosure.values):
+        lookup = dict(zip(positions.tolist(), r_bits.tolist()))
+        for pos, value in zip(disclosure.positions.tolist(), disclosure.values.tolist()):
             assert value == lookup[pos]
 
     def test_verify_counts_mismatches(self):
-        disclosure = CheckDisclosure(positions=(1, 3), values=(0, 1))
+        disclosure = CheckDisclosure(positions=np.array([1, 3]), values=bits("01"))
         # TP's reads over positions 0..3, -1 where it read nothing.
         assert tp_verify_disclosure(disclosure, np.array([-1, 0, -1, 1])) == 0
         assert tp_verify_disclosure(disclosure, np.array([-1, 1, -1, 1])) == 1
@@ -169,11 +169,11 @@ class TestHonestSessions:
         config = SessionConfig(L=4)
         for trial in range(150):
             secret_a = random_bits(4, rng)
-            secret_b = list(secret_a) if trial % 2 == 0 else random_bits(4, rng)
+            secret_b = secret_a.copy() if trial % 2 == 0 else random_bits(4, rng)
             key = random_bits(4, rng)
             transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
             assert not outcome.is_aborted
-            if secret_a == secret_b:
+            if np.array_equal(secret_a, secret_b):
                 assert outcome == ComparisonOutcome.equal()
             else:
                 first = next(i for i, (a, b) in enumerate(zip(secret_a, secret_b)) if a != b)
@@ -192,17 +192,9 @@ class TestHonestSessions:
             assert np.array_equal(tp_r[read], transcript.photons.sift_bit[own][read])
             assert len(transcript.tp_masks[p]) == 6
         # masks cancel: published messages decode against TP masks
-        m_t_full = [
-            a ^ b ^ ma ^ mb
-            for a, b, ma, mb in zip(
-                transcript.published_m["A"],
-                transcript.published_m["B"],
-                transcript.tp_masks["A"],
-                transcript.tp_masks["B"],
-            )
-        ]
-        expected = [a ^ b for a, b in zip(secret_a, secret_b)]
-        assert m_t_full == expected
+        published_m, tp_masks = transcript.published_m, transcript.tp_masks
+        m_t_full = published_m["A"] ^ published_m["B"] ^ tp_masks["A"] ^ tp_masks["B"]
+        assert np.array_equal(m_t_full, secret_a ^ secret_b)
 
     def test_transcript_structure(self, rng):
         config = SessionConfig(L=3)
@@ -245,8 +237,8 @@ class TestHonestSessions:
             return (
                 {p: mask.tolist() for p, mask in transcript.modes.items()},
                 transcript.tp_r.tolist(),
-                transcript.disclosures,
-                transcript.published_m,
+                {p: (d.positions.tolist(), d.values.tolist()) for p, d in transcript.disclosures.items()},
+                {p: m.tolist() for p, m in transcript.published_m.items()},
                 outcome,
             )
 

@@ -1,18 +1,22 @@
-"""Byte-identity of CSV reports across refactors that keep the rng draw order.
+"""Byte-identity of reports across refactors that keep the rng draw order.
 
 Each digest is the sha256 of a CSV report for a fixed spec and seed:
 ``run_experiment`` for every valid scenario x attack x mode policy, each
 protocol's attacks again with target B, and the blocking and
 malicious-agent detection curves under both policies.  The improved
 protocol is also pinned at other lengths, with no error threshold, with
-partial attacks and at more curve points.
+partial attacks and at more curve points.  A CSV report carries no
+spec, so reports whose metrics are all constant share a digest across
+lengths; the JSON reports of a few specs at two lengths are pinned too,
+without their two wall-clock fields (``started_at``, ``elapsed_ms``).
 A change that moves no rng draw must leave every digest as recorded.  A
 change that reorders draws on purpose re-records them with
-``experiment_digest``, ``curve_digest`` and ``improved_digest`` below and
-says so in its change notes.
+``experiment_digest``, ``curve_digest``, ``improved_digest`` and
+``json_digest`` below and says so in its change notes.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -131,6 +135,26 @@ IMPROVED_DIGESTS = {
 }
 
 
+# JSON reports at threshold 0, 30 trials, seed 11, at L = 1 and 3.  Key:
+# (scenario, attack, policy, L, curve points or None).  Improved none and
+# double-cnot under the balanced policy share a CSV digest across these
+# lengths (IMPROVED_DIGESTS).
+JSON_DIGESTS = {
+    ("improved", "none", "balanced", 1, None): "f68172342039a636530665ffa53e43e50a6db405bb9e1b46b94acbbded2218bf",
+    ("improved", "none", "balanced", 3, None): "eb6f2d9f7d670fe5673ab82e25606b8a3b7f521dba3767641ebc185120719851",
+    ("improved", "double-cnot", "balanced", 1, None): "18e3816126ee313298942e4e45534987d40c342ac767091cbf289bafb6a1414f",
+    ("improved", "double-cnot", "balanced", 3, None): "ca73ecd467ab1e8f044602c82f0d9157ff6b737f66567cd2147a7e8e63097b4d",
+    ("improved", "blocking", "coin", 1, None): "b872198cdde14905ca1529cd0e1d851d135dcc61e31e73cd715fa51569254292",
+    ("improved", "blocking", "coin", 3, None): "80435a92491e1103be6d55e89d202745a7c12ccc9316433430b9ae06f500d96c",
+    ("jiang", "double-cnot", "balanced", 1, None): "946bffc43aedb5d3a41a0b2e205f658bdb0fb778aab903a1025afb8c5e7aca3f",
+    ("jiang", "double-cnot", "balanced", 3, None): "875741e75eceb6f2439b1df1bfa96ec19ef2f7af2530342bb8187dffae8f0f15",
+    ("jiang", "malicious-agent", "coin", 1, None): "691991efd2c143e9ad73aa3f3ee4755881fd07cf80beaaa94e7cdaff895a7b53",
+    ("jiang", "malicious-agent", "coin", 3, None): "b44583cdacffcd0cb570e5c592e41c459beadfe32f18d9991ffe5c92860605e4",
+    ("improved", "blocking", "balanced", 1, (0, 1, 2)): "12abdc78cd562ca975af8fe89e8ea79faab51a509c46f8ce792a740db7fac75f",
+    ("improved", "blocking", "balanced", 3, (0, 1, 2)): "007a59db167742abc1d9576b11418086014f234928f44f35eb1dbf4f92935c7f",
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -167,6 +191,15 @@ def improved_digest(attack: str, L: int, count, policy: str) -> str:
     return _sha(emit_report(run_experiment(spec), "csv"))
 
 
+def json_digest(scenario: str, attack: str, policy: str, L: int, curve) -> str:
+    """The sha256 of a JSON report without its two wall-clock fields."""
+    spec = ExperimentSpec(scenario=scenario, attack=attack, L=L, mode_policy=policy, trials=30, seed=11)
+    stats = run_experiment(spec) if curve is None else estimate_detection_curve(spec, list(curve))
+    report = json.loads(emit_report(stats, "json"))
+    del report["started_at"], report["elapsed_ms"]
+    return _sha(json.dumps(report, indent=2) + "\n")
+
+
 @pytest.mark.parametrize("scenario,attack,policy", experiment_cases())
 def test_experiment_csv_bytes(scenario, attack, policy):
     assert experiment_digest(scenario, attack, policy) == EXPERIMENT_DIGESTS[scenario, attack, policy]
@@ -190,3 +223,22 @@ def test_curve_csv_bytes(attack, policy):
 @pytest.mark.parametrize("attack,L,count,policy", list(IMPROVED_DIGESTS))
 def test_improved_csv_bytes(attack, L, count, policy):
     assert improved_digest(attack, L, count, policy) == IMPROVED_DIGESTS[attack, L, count, policy]
+
+
+def _json_case_id(case) -> str:
+    scenario, attack, policy, L, curve = case
+    return f"{scenario}-{attack}-{policy}-L{L}" + ("-curve" if curve else "")
+
+
+@pytest.mark.parametrize("case", list(JSON_DIGESTS), ids=_json_case_id)
+def test_json_report_bytes(case):
+    assert json_digest(*case) == JSON_DIGESTS[case]
+
+
+def test_json_digests_tell_lengths_apart():
+    # The CSV reports of improved none/balanced at L = 1 and 3 are the same
+    # bytes; their JSON reports, which carry the spec, are not.
+    csv_1, csv_3 = (IMPROVED_DIGESTS["none", L, None, "balanced"] for L in (1, 3))
+    json_1, json_3 = (json_digest("improved", "none", "balanced", L, None) for L in (1, 3))
+    assert csv_1 == csv_3
+    assert json_1 != json_3
