@@ -10,7 +10,7 @@ receives the register rows that carry the channel's positions in the
 chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
 with the wire each one travels on.  It may grow the register with
 ancillas (one per row), apply gates through the register API, measure
-through :meth:`Streams.measure`, and substitute the wires that travel
+through :meth:`Streams.read`, and substitute the wires that travel
 onward.  Bits have one format from the draw that makes them to the
 score that reads them: 1-D int arrays.  Secrets, keys, R, masks,
 messages and disclosures hold 0s and 1s; reads and claims hold -1 where
@@ -68,7 +68,8 @@ class Streams:
     A register of the chunk holds each trial's rows in one block, the
     blocks of equal size and in trial order.  Every measurement of a
     session or a tap goes through :meth:`measure`, which owns the order
-    of the chunk's draws.
+    of the chunk's draws, and every read array that holds -1 where
+    nothing was measured comes from :meth:`read`.
     """
 
     def __init__(self, gens):
@@ -120,6 +121,19 @@ class Streams:
                 uniforms = by_row
             rng = _Uniforms(uniforms)
         return getattr(register, op)(*wires, rng, None if len(rows) == size else rows)
+
+    def read(self, register: Register, op: str, rows: np.ndarray, *wires, picked=None, block=None) -> np.ndarray:
+        """The reads of :meth:`measure` at the entries ``picked`` of
+        ``rows`` (a mask or indices into them; all of them by default),
+        -1 at the others: one array aligned with ``rows``."""
+        if picked is None:
+            return self.measure(register, op, rows, *wires, block=block)
+        # One scan of a mask rather than one in each of the three indexings.
+        picked = picked.nonzero()[0] if picked.dtype == bool else picked
+        reads = np.full(len(rows), -1, dtype=np.intp)
+        wires = [w[picked] if isinstance(w, np.ndarray) else w for w in wires]
+        reads[picked] = self.measure(register, op, rows[picked], *wires, block=block)
+        return reads
 
 
 @dataclass
@@ -307,16 +321,6 @@ def _at_entries(per_trial: np.ndarray, trials: np.ndarray) -> np.ndarray:
     return per_trial[trials, np.arange(len(trials)) % per_trial.shape[1]]
 
 
-def _read(op: str, register: Register, rows, wires, rng: Streams, picked=None) -> np.ndarray:
-    """Reads ``op`` of the hook entries ``picked`` (all of them by
-    default) on their wires, -1 at the others."""
-    if picked is None:
-        return rng.measure(register, op, rows, wires)
-    reads = np.full(len(rows), -1, dtype=np.intp)
-    reads[picked] = rng.measure(register, op, rows[picked], wires[picked])
-    return reads
-
-
 def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
     """A report of channel reads, probing every position read."""
     return AttackReport(tap.attack_name, tap.target, probed_positions=(reads >= 0).nonzero()[0], intercepted_bits=reads)
@@ -378,7 +382,7 @@ class DoubleCnotEve(ChannelTap):
         self._probe(rows, register, wires)
         self._indicator = rng.measure(register, "measure_z", rows, self._ancilla)
         if not self.midflight:
-            self._data_bits = _read("measure_z", register, rows, wires, rng, (self._indicator == 1).nonzero()[0])
+            self._data_bits = rng.read(register, "measure_z", rows, wires, picked=self._indicator == 1)
         return wires
 
     def finalize(self, published, trial=0):
@@ -429,7 +433,7 @@ class MaliciousAgent(ChannelTap):
         rng = self._record(rows, register, rng)
         chosen = self._own_sift if self._attack_mask is None else self._attack_mask
         attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
-        self._reads = _read("measure_z", register, rows, wires, rng, attacked.nonzero()[0])
+        self._reads = rng.read(register, "measure_z", rows, wires, picked=attacked)
         if not attacked.any():
             return wires
         # Rows not intercepted get an idle |0> in the resend slot.
@@ -464,8 +468,8 @@ class BlockingAttacker(ChannelTap):
 
     def on_return(self, rows, register, wires, rng):
         rng = self._record(rows, register, rng)
-        attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials).nonzero()[0]
-        self._reads = _read("measure_x", register, rows, wires, rng, attacked)
+        attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials)
+        self._reads = rng.read(register, "measure_x", rows, wires, picked=attacked)
         return wires
 
     def finalize(self, published, trial=0):
@@ -481,7 +485,7 @@ class InterceptResendZ(ChannelTap):
 
     def on_forward(self, rows, register, wires, rng):
         rng = self._record(rows, register, rng)
-        self._reads = _read("measure_z", register, rows, wires, rng)
+        self._reads = rng.read(register, "measure_z", rows, wires)
         return wires
 
     def finalize(self, published, trial=0):

@@ -9,6 +9,7 @@ success, 1 on validation failure or failed checks, 2 on I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .harness import (
@@ -39,7 +40,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mode-policy", choices=MODE_POLICIES, default="balanced", dest="mode_policy")
-    parser.add_argument("--threshold", type=float, default=0.0, help="abort threshold on check mismatch rate")
+    parser.add_argument("--threshold", type=float, default=0.0, dest="error_threshold",
+                        help="abort threshold on check mismatch rate")
     parser.add_argument("--target", choices=("A", "B"), default="A", help="participant whose channel is attacked")
     counted = ", ".join(name for name, attack in ATTACK_TABLE.items() if attack.takes_count)
     parser.add_argument("--attacked-count", type=int, default=None, dest="attacked_count",
@@ -65,17 +67,7 @@ def _build_parser() -> _Parser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    spec = ExperimentSpec(
-        scenario=args.scenario,
-        attack=args.attack,
-        L=args.L,
-        trials=args.trials,
-        seed=args.seed,
-        mode_policy=args.mode_policy,
-        error_threshold=args.threshold,
-        target=args.target,
-        attacked_count=args.attacked_count,
-    )
+    spec = ExperimentSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentSpec)})
     spec.validate()
     return spec
 

@@ -134,6 +134,8 @@ class ExperimentSpec:
             raise SpecValidationError("L", f"must be >= 1, got {self.L}")
         if self.trials < 1:
             raise SpecValidationError("trials", f"must be >= 1, got {self.trials}")
+        if not 0 <= self.seed <= _MASK64:
+            raise SpecValidationError("seed", f"must lie in [0, 2**64), got {self.seed}")
         if self.mode_policy not in MODE_POLICIES:
             raise SpecValidationError("mode_policy", f"must be one of {MODE_POLICIES}, got {self.mode_policy!r}")
         if not 0.0 <= self.error_threshold <= 1.0:

@@ -7,9 +7,11 @@ the Z eigenstate of its outcome, and the measured bit joins the
 participant's R string (now 2L bits) and never carries a message
 directly.  CTRL still reflects.  TP X-checks every reflected photon
 against what it prepared, Z-reads every SIFT return, and then each
-participant publishes a random half of their R
-(positions and values) so TP can catch an attacker who corrupted the
-returned classical data.  The surviving half of R becomes the mask: each
+participant publishes a random half of their R (positions and values)
+so TP can catch an attacker who corrupted the returned classical data.
+Each of the two checks aborts the session by the one rule
+:meth:`sqpc.jiang.SessionConfig.exceeds`: its mismatch rate is above the
+error threshold.  The surviving half of R becomes the mask: each
 participant publishes M_i = Secret_i XOR mask_i XOR K_AB and TP compares
 using its OWN Z-reads as the masks, which is what keeps R quantum
 protected end to end.  Every bit string (secrets, keys, masks, published
@@ -32,15 +34,13 @@ so an honest session's register has one qubit per row; only a tap that
 adjoins qubits (an ancilla, a resend of its own) widens it.  Each
 protocol step is one kernel call over both channels of every live
 trial: SIFT measure-resend, TP's X checks and TP's Z reads are each one
-:meth:`sqpc.attacks.Streams.measure` call in blocks of one channel,
-which draws from each trial's own stream what the step would draw for
-A's rows then B's.  Each participant's
-modes are one boolean SIFT mask over their 4L positions (True = SIFT);
-the participants' own measure-resend reads, TP's X reads and TP's Z
-reads are arrays over the rows, -1 where nothing was read, and each
-trial's transcript holds its own slice.  Taps, disclosures and the
-public record see positions within a channel; disclosures, comparison
-and decoding loop over the trials.
+:meth:`sqpc.attacks.Streams.read` call in blocks of one channel, which
+draws from each trial's own stream what the step would draw for A's rows
+then B's and returns a read per row, -1 where nothing was read; each
+trial's transcript holds its own slice.  Each participant's modes are
+one boolean SIFT mask over their 4L positions (True = SIFT).  Taps,
+disclosures and the public record see positions within a channel;
+disclosures, comparison and decoding loop over the trials.
 
 Sessions take :class:`sqpc.jiang.SessionConfig`, derive this protocol's
 counts from L where they are used, and run on
@@ -130,14 +130,10 @@ class PhotonBatch:
         )
 
     def measure(self, op: str, selected: np.ndarray, wires: np.ndarray, rng) -> np.ndarray:
-        """Register measurement ``op`` of the ``selected`` rows (a mask) on
-        their entries of the per-row ``wires``: one
-        :meth:`Streams.measure` call, in blocks of one channel.  Returns
-        the reads at every row, -1 at the rows not selected."""
-        reads = np.full(len(selected), -1, dtype=np.intp)
-        rows = selected.nonzero()[0]
-        reads[rows] = Streams.of(rng).measure(self.register, op, rows, wires[rows], block=self.channel_size)
-        return reads
+        """The :meth:`Streams.read` of the ``selected`` rows (a mask) on
+        their ``wires``, in blocks of one channel: a read per row, -1 at
+        the rows not selected."""
+        return Streams.of(rng).read(self.register, op, self.rows, wires, picked=selected, block=self.channel_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,12 +204,6 @@ def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, rng) -> tuple[np.nda
     return np.count_nonzero(mismatched.reshape(len(Streams.of(rng).gens), -1), axis=1), signs
 
 
-def tp_read_sift(photons: PhotonBatch, sift: np.ndarray, rng) -> np.ndarray:
-    """TP's Z-reads of every SIFT return (True in ``sift``, a mask over the
-    rows), -1 at the other rows."""
-    return photons.measure("measure_z", sift, photons.return_wire, rng)
-
-
 def disclose_half_r(positions: np.ndarray, r_bits: np.ndarray, rng: np.random.Generator) -> CheckDisclosure:
     """Publish a uniformly random half of the R-carrying positions
     together with the measured bits, both int arrays."""
@@ -278,12 +268,9 @@ def _tp_finish(
     the X check, the disclosures and their check, the published messages
     and the comparison.  ``sift_bit`` holds the participants' own reads
     over the trial's rows."""
-    L = transcript.config.L
+    config = transcript.config
     published.modes = transcript.modes
-    if (
-        transcript.ctrl_position_count > 0
-        and transcript.x_mismatch_count / transcript.ctrl_position_count > transcript.config.error_threshold
-    ):
+    if config.exceeds(transcript.x_mismatch_count, transcript.ctrl_position_count):
         return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
 
     channel = {p: transcript.photons.channel(p) for p in PARTICIPANTS}
@@ -296,12 +283,12 @@ def _tp_finish(
     transcript.disclosure_mismatch_count = disclosure_mismatches
     disclosed_total = sum(len(disclosures[p].positions) for p in PARTICIPANTS)
 
-    if disclosed_total > 0 and disclosure_mismatches / disclosed_total > transcript.config.error_threshold:
+    if config.exceeds(disclosure_mismatches, disclosed_total):
         return ComparisonOutcome.aborted(DISCLOSURE_MISMATCH)
 
     masks_tp, published_m = {}, {}
     for participant in PARTICIPANTS:
-        masks = mask_positions(transcript.modes[participant], L, disclosures[participant])
+        masks = mask_positions(transcript.modes[participant], config.L, disclosures[participant])
         masks_tp[participant] = tp_r[participant][masks]
         published_m[participant] = derive_message(truth.secrets[participant], own_r[participant][masks], truth.key)
     transcript.tp_masks = masks_tp
@@ -363,7 +350,7 @@ def run_improved_sessions(
         ctrl_rows = ~sift_rows & live_rows
         mismatches, x_results = tp_check_ctrl_x(photons, ctrl_rows, streams)
         ctrl_counts = np.count_nonzero(ctrl_rows.reshape(-1, size), axis=1)
-        tp_r = tp_read_sift(photons, sift_rows & live_rows, streams)
+        tp_r = photons.measure("measure_z", sift_rows & live_rows, photons.return_wire, streams)
         outcomes = []
         for trial in live.nonzero()[0].tolist():
             rows = slice(trial * size, (trial + 1) * size)

@@ -7,9 +7,10 @@ one to Bob.  Each participant either reflects a received qubit (CTRL) or
 keeps it unmeasured and sends back a fresh Z-basis qubit encoding one bit
 of M_i = Secret_i XOR R_i XOR K_AB (SIFT).  After all qubits return and
 modes are declared, TP Bell-measures CTRL/CTRL positions against what it
-prepared, Z-reads every SIFT return, and, if the mismatch rate stays at
-or below the error threshold, the participants publish R_A and R_B so TP
-can scan M_A XOR M_B XOR R_A XOR R_B for the first nonzero bit.  Every
+prepared, Z-reads every SIFT return, and, unless the mismatch rate is
+above the error threshold (:meth:`SessionConfig.exceeds`, the abort
+rule of every integrity check), the participants publish R_A and R_B so
+TP can scan M_A XOR M_B XOR R_A XOR R_B for the first nonzero bit.  Every
 bit string (secrets, keys, R, messages, TP's message reads and M_T) is
 a 1-D int array from the draw that makes it to the score that reads it.
 
@@ -32,11 +33,12 @@ generator (:class:`sqpc.attacks.Streams`) in the order a lone session
 would: every measurement goes through :meth:`Streams.measure`, which
 hands each trial's uniforms, drawn from that trial's stream, to its rows
 in (trial, wire, row) order.  A trial whose SIFT count falls short aborts
-and drops out: no later transit, response or TP read touches its rows.  TP's reads come back as arrays over the rows: a Bell
-outcome per row and a Z bit per participant per row, each -1 where
-nothing was measured; each trial's transcript holds its own slice, and
-keys each per-participant value by participant.  Adversaries participate
-as channel taps with one hook call for all forward transits of their
+and drops out: no later transit, response or TP read touches its rows.
+TP's reads come back from :meth:`Streams.read` as arrays over the rows:
+a Bell outcome per row and a Z bit per participant per row, each -1
+where nothing was measured; each trial's transcript holds its own slice,
+and keys each per-participant value by participant.  Adversaries
+participate as channel taps with one hook call for all forward transits of their
 channel in the chunk and one for all return transits; see
 :mod:`sqpc.attacks`.  Per-trial classical steps (threshold checks,
 comparison, decoding, scoring) loop over the trials.
@@ -150,6 +152,12 @@ class SessionConfig:
             raise ValueError(f"error_threshold must lie in [0, 1], got {self.error_threshold}")
         if self.mode_policy not in MODE_POLICIES:
             raise ValueError(f"mode_policy must be one of {MODE_POLICIES}, got {self.mode_policy!r}")
+
+    def exceeds(self, mismatches: int, checked: int) -> bool:
+        """The abort rule of every integrity check: ``mismatches`` of
+        ``checked`` positions is a rate above ``error_threshold``.  A check
+        of no positions passes."""
+        return checked > 0 and mismatches / checked > self.error_threshold
 
 
 @dataclass
@@ -276,29 +284,21 @@ def tp_resolve_positions(
 
     CTRL/CTRL rows get a Bell measurement on the two returned wires.  At
     any other row TP Z-reads each SIFT return and leaves a reflected
-    half, if any, unmeasured.  One :meth:`Streams.measure` call per
-    step: Bell measurements first, then Alice's reads, then Bob's.
-    ``rng`` is the chunk's :class:`Streams` (or one session's generator)
-    and ``live`` masks the rows of the trials still running (every row by
-    default).  Returns ``(bell,
-    bits_a, bits_b)``: the ``BellState`` value per row and each
-    participant's Z bit per row, -1 where that measurement was not made.
+    half, if any, unmeasured.  One :meth:`Streams.read` call per step:
+    Bell measurements first, then Alice's reads, then Bob's.  ``rng`` is
+    the chunk's :class:`Streams` (or one session's generator) and
+    ``live`` masks the rows of the trials still running (every row by
+    default).  Returns ``(bell, bits_a, bits_b)``: the ``BellState`` value
+    per row and each participant's Z bit per row, -1 where that
+    measurement was not made.
     """
-    streams = Streams.of(rng)
-    size = len(pairs.prepared)
-    measured = np.ones(size, dtype=bool) if live is None else live
-    bell = np.full(size, -1, dtype=np.intp)
-    rows = (~(sift_a | sift_b) & measured).nonzero()[0]
-    bell[rows] = streams.measure(
-        pairs.register, "measure_bell", rows, pairs.returns["A"][rows], pairs.returns["B"][rows]
-    )
-    bits = []
-    for participant, sift in (("A", sift_a), ("B", sift_b)):
-        read = np.full(size, -1, dtype=np.intp)
-        rows = (sift & measured).nonzero()[0]
-        read[rows] = streams.measure(pairs.register, "measure_z", rows, pairs.returns[participant][rows])
-        bits.append(read)
-    return bell, bits[0], bits[1]
+    streams, register, rows = Streams.of(rng), pairs.register, pairs.positions
+    measured = True if live is None else live
+    wire_a, wire_b = pairs.returns["A"], pairs.returns["B"]
+    bell = streams.read(register, "measure_bell", rows, wire_a, wire_b, picked=~(sift_a | sift_b) & measured)
+    bits_a = streams.read(register, "measure_z", rows, wire_a, picked=sift_a & measured)
+    bits_b = streams.read(register, "measure_z", rows, wire_b, picked=sift_b & measured)
+    return bell, bits_a, bits_b
 
 
 def tp_compare(m_a, m_b, r_a, r_b) -> tuple[ComparisonOutcome, np.ndarray]:
@@ -490,8 +490,7 @@ def run_sessions(
             transcript.tp_m = tp_m = {p: tp_bits[p][transcript.message_positions[p]] for p in PARTICIPANTS}
             record.modes = transcript.modes
 
-            n_ctrl = len(ctrl_ctrl)
-            if n_ctrl > 0 and transcript.bell_mismatch_count / n_ctrl > config.error_threshold:
+            if config.exceeds(transcript.bell_mismatch_count, len(ctrl_ctrl)):
                 outcomes.append(ComparisonOutcome.aborted(EAVESDROPPER_DETECTED))
                 continue
             outcome, transcript.m_t = tp_compare(tp_m["A"], tp_m["B"], transcript.r["A"], transcript.r["B"])

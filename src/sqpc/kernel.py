@@ -24,6 +24,9 @@ per-width stack of those tables, :func:`_stack`.
 
 X-basis labels follow the Hadamard image of the computational basis:
 ``PLUS == 0`` encodes |+> = H|0> and ``MINUS == 1`` encodes |-> = H|1>.
+The X and Bell bases have one definition, the butterfly that measures in
+them (:func:`_rotate_in`): :func:`prepare_x` and :func:`prepare_bell` run
+it backwards on the basis vectors.
 
 The measurement core, :func:`_measure`, takes one uniform variate per
 measured state (one per row of a batch) and never sees a generator.  The
@@ -68,32 +71,18 @@ class BellState(enum.Enum):
     PSI_MINUS = 3  # (|01> - |10>) / sqrt(2)
 
 
-# Row v = BellState(v), column (v1 << 1) | v2 = pair basis label, v1 the
-# first measured qubit.
-_BELL_MATRIX = np.array(
-    [
-        [SQRT_HALF, 0.0, 0.0, SQRT_HALF],
-        [SQRT_HALF, 0.0, 0.0, -SQRT_HALF],
-        [0.0, SQRT_HALF, SQRT_HALF, 0.0],
-        [0.0, SQRT_HALF, -SQRT_HALF, 0.0],
-    ],
-)
-
-_Z_STATES = np.eye(2)
-
 _OUTCOMES = np.arange(4)
-
-# Row s = the X eigenstate with sign s; the Hadamard.
-_HADAMARD = np.array([[SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
 
 
 # The Hadamard (k = 2 outcome blocks) and the change from pair blocks
-# (v1 << 1) | v2 to Bell overlaps ordered by BellState value (k = 4, the
-# rows of _BELL_MATRIX) share one butterfly: with x the first k/2 blocks
+# (v1 << 1) | v2, v1 the first measured qubit, to Bell overlaps ordered by
+# BellState value (k = 4) share one butterfly: with x the first k/2 blocks
 # and y the last k/2 in reverse order, output rows 2i and 2i+1 are
 # (x_i + y_i) / sqrt(2) and (x_i - y_i) / sqrt(2).  Element-wise adds, not
 # a matrix product that may fuse a multiply into an add, so amplitudes of
 # equal size cancel exactly and an outcome of probability 0 stays at 0.
+# The preparation tables (row s = the state of label s) run it backwards
+# on the basis vectors, so a prepared state measures to its own label.
 
 
 def _rotate_in(parts: np.ndarray) -> np.ndarray:
@@ -116,6 +105,11 @@ def _rotate_out(parts: np.ndarray) -> np.ndarray:
     np.subtract(x, y, out=out[::-1][:half])
     out *= SQRT_HALF
     return out
+
+
+_Z_STATES = np.eye(2)
+_X_STATES = _rotate_out(np.eye(2)).T
+_BELL_STATES = _rotate_out(np.eye(4)).T
 
 
 def num_qubits(amps: np.ndarray) -> int:
@@ -230,7 +224,7 @@ def prepare_x(sign) -> np.ndarray:
     signs = np.asarray(sign)
     if not ((signs == PLUS) | (signs == MINUS)).all():
         raise ValueError(f"sign must be PLUS (0) or MINUS (1), got {sign!r}")
-    return _from_table(_HADAMARD, signs.astype(np.intp))
+    return _from_table(_X_STATES, signs.astype(np.intp))
 
 
 def prepare_bell(state) -> np.ndarray:
@@ -240,7 +234,7 @@ def prepare_bell(state) -> np.ndarray:
     ints = values.astype(np.intp, copy=False)
     if not ((ints == values) & (ints >= 0) & (ints <= 3)).all():
         raise ValueError(f"state must be a BellState value in 0..3, got {state!r}")
-    return _from_table(_BELL_MATRIX, ints)
+    return _from_table(_BELL_STATES, ints)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -122,6 +122,36 @@ class TestStreamsMeasure:
         assert [gen.random() for gen in gens] == [np.random.default_rng([7, t]).random() for t in range(trials)]
 
 
+class TestStreamsRead:
+    """``Streams.read`` is ``Streams.measure`` of the picked entries, -1
+    at the others, whether ``picked`` is a mask or indices."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("as_mask", [False, True])
+    def test_measures_the_picked_entries(self, seed, as_mask):
+        amps, op, rows, wires, trials, block = _chunk_layout(seed)
+        mask = np.random.default_rng([seed, 99]).random(len(rows)) < 0.6
+        gens = [np.random.default_rng([seed, t]) for t in range(trials)]
+        lone_gens = [np.random.default_rng([seed, t]) for t in range(trials)]
+        register, lone = Register(amps.copy()), Register(amps.copy())
+
+        picked = mask if as_mask else mask.nonzero()[0]
+        reads = Streams(gens).read(register, op, rows, *wires, picked=picked, block=block)
+
+        expected = np.full(len(rows), -1)
+        expected[mask] = Streams(lone_gens).measure(lone, op, rows[mask], *(w[mask] for w in wires), block=block)
+        assert reads.tolist() == expected.tolist()
+        assert np.array_equal(register.amps, lone.amps)
+        assert [gen.random() for gen in gens] == [gen.random() for gen in lone_gens]
+
+    def test_no_pick_is_measure(self):
+        amps, op, rows, wires, trials, block = _chunk_layout(3)
+        gens = [np.random.default_rng([3, t]) for t in range(trials)]
+        lone_gens = [np.random.default_rng([3, t]) for t in range(trials)]
+        reads = Streams(gens).read(Register(amps.copy()), op, rows, *wires)
+        assert reads.tolist() == Streams(lone_gens).measure(Register(amps.copy()), op, rows, *wires).tolist()
+
+
 class TestScoreReport:
     TRUTH = GroundTruth(
         L=4,

@@ -43,6 +43,8 @@ class TestSpecValidation:
             ("attacked_count", dict(attack="double-cnot", attacked_count=1)),
             ("attacked_count", dict(attack="blocking", L=2, attacked_count=9)),
             ("attacked_count", dict(scenario="jiang", attack="malicious-agent", L=2, attacked_count=5)),
+            ("seed", dict(seed=-1)),
+            ("seed", dict(seed=2**64)),
         ],
     )
     def test_rejects_bad_fields(self, field, overrides):
@@ -266,6 +268,14 @@ class TestCli:
         ])
         assert code == 1
         assert "attack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed,code", [(-1, 1), (2**64, 1), (0, 0), (2**64 - 1, 0)])
+    def test_seed_range_exit_code(self, seed, code, capsys):
+        argv = ["run", "--scenario", "jiang", "--L", "2", "--trials", "2", "--seed", str(seed), "--format", "csv"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert ("seed" in captured.err) == bool(code)
+        assert (captured.out == "") == bool(code)
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 1

@@ -71,6 +71,33 @@ class TestPreparations:
         with pytest.raises(ValueError):
             PairBatch.prepare([-1, 0])
 
+class TestDerivedBases:
+    """The X and Bell preparation tables come from the measurement
+    butterfly; they equal the literal tables, byte for byte."""
+
+    HADAMARD = np.array([[S, S], [S, -S]])  # row s = sign s
+    BELL = np.array(
+        [
+            [S, 0.0, 0.0, S],
+            [S, 0.0, 0.0, -S],
+            [0.0, S, S, 0.0],
+            [0.0, S, -S, 0.0],
+        ]
+    )  # row v = BellState(v)
+
+    @pytest.mark.parametrize("sign", [PLUS, MINUS])
+    def test_prepare_x(self, sign):
+        assert prepare_x(sign).tobytes() == self.HADAMARD[sign].tobytes()
+
+    @pytest.mark.parametrize("variant", list(BellState))
+    def test_prepare_bell(self, variant):
+        assert prepare_bell(variant).tobytes() == self.BELL[variant.value].tobytes()
+        assert prepare_bell(variant.value).tobytes() == self.BELL[variant.value].tobytes()
+
+    def test_batches(self):
+        assert prepare_x(np.array([PLUS, MINUS])).tobytes() == self.HADAMARD.T.tobytes()
+        assert prepare_bell(np.arange(4)).tobytes() == self.BELL.T.tobytes()
+
 class TestTensor:
     def test_zero_one(self):
         assert np.allclose(tensor(prepare_z(0), prepare_z(1)), [0, 1, 0, 0], atol=TOL)
