@@ -93,8 +93,7 @@ class Streams:
         kernel sees the rows as given, each with its own uniform.  A wire
         every row shares goes to the kernel as an int and sorts nothing,
         and all of the register's rows are measured with no row
-        selection, which copies nothing.  No rows make no kernel call and
-        draw nothing.
+        selection.  No rows make no kernel call and draw nothing.
         """
         if not len(rows):
             return np.zeros(0, dtype=np.intp)
@@ -311,7 +310,7 @@ class ChannelTap:
         return slice(start, stop)
 
 
-# A fresh ancilla for every row; kernel ops never write into their inputs.
+# The ancilla of every row; adjoining copies it into the register.
 _ZERO = prepare_z(0)
 
 
@@ -364,7 +363,7 @@ class DoubleCnotEve(ChannelTap):
         self.attack_name = "double-cnot-midflight" if midflight else "double-cnot"
 
     def _probe(self, rows, register, wires) -> None:
-        # All of the register's rows go as no row selection, which copies nothing.
+        # All of the register's rows go as no row selection: one axis-0 gather.
         register.cnot(wires, self._ancilla, None if len(rows) == register.num_rows else rows)
 
     def on_forward(self, rows, register, wires, rng):

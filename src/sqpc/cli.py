@@ -34,17 +34,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(**{f.name: f.default for f in dataclasses.fields(ExperimentSpec) if f.name != "scenario"})
     parser.add_argument("--scenario", choices=SCENARIOS, required=True)
-    parser.add_argument("--attack", choices=tuple(ATTACK_TABLE), default="none")
-    parser.add_argument("--L", type=int, default=32, help="secret length in bits")
-    parser.add_argument("--trials", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mode-policy", choices=MODE_POLICIES, default="balanced", dest="mode_policy")
-    parser.add_argument("--threshold", type=float, default=0.0, dest="error_threshold",
+    parser.add_argument("--attack", choices=tuple(ATTACK_TABLE))
+    parser.add_argument("--L", type=int, help="secret length in bits")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--mode-policy", choices=MODE_POLICIES, dest="mode_policy")
+    parser.add_argument("--threshold", type=float, dest="error_threshold",
                         help="abort threshold on check mismatch rate")
-    parser.add_argument("--target", choices=("A", "B"), default="A", help="participant whose channel is attacked")
+    parser.add_argument("--target", choices=("A", "B"), help="participant whose channel is attacked")
     counted = ", ".join(name for name, attack in ATTACK_TABLE.items() if attack.takes_count)
-    parser.add_argument("--attacked-count", type=int, default=None, dest="attacked_count",
+    parser.add_argument("--attacked-count", type=int, dest="attacked_count",
                         help=f"attacked-position subset size, taken only by {counted} (default: attack-specific)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")

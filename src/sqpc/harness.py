@@ -130,6 +130,11 @@ class ExperimentSpec:
             raise SpecValidationError(
                 "attack", f"{self.attack!r} is not valid for scenario {self.scenario!r}"
             )
+        numbers = dict(L=(int,), trials=(int,), seed=(int,), error_threshold=(int, float), attacked_count=(int, type(None)))
+        for name, kinds in numbers.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise SpecValidationError(name, f"must be {'a number' if float in kinds else 'an int'}, got {value!r}")
         if self.L < 1:
             raise SpecValidationError("L", f"must be >= 1, got {self.L}")
         if self.trials < 1:

@@ -9,18 +9,20 @@ independent registers of the same width.  A single state has batch shape
 one row per (trial, position).  Every preparation and gate here is real,
 so sessions stay real.  Qubit 0 is the MOST significant bit of a
 basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in |0>
-and qubits 1 and 2 in |1>.  All operations return fresh arrays or
-collapse-and-renormalize, so states stay unit norm to double precision.
+and qubits 1 and 2 in |1>.  Module functions return fresh arrays and a
+:class:`Register` changes its own; collapses renormalize, so states stay
+unit norm to double precision.
 
-Every gate and measurement, and :func:`bell_probabilities`, gathers axis 0
+Every gate and measurement gathers its blocks once and writes them back
+once, to the same place; it and :func:`bell_probabilities` find them
 through one dispatch, :func:`_index`, from one cached table builder,
 :func:`_table`, which validates the wires when it builds a table.  On a
-batch with one axis each wire may also be one per row, an int array
-aligned with the rows, so rows whose qubits travel on different wires
-share one call.  Int wires, and per-row wires that every row shares,
-gather along axis 0 through the table of their (width, wires); mixed
-per-row wires gather each row through its own table, picked from the one
-per-width stack of those tables, :func:`_stack`.
+batch with one axis an op may act on some rows only, and each wire may
+be one per row, an int array aligned with those rows, so rows whose
+qubits travel on different wires share one call.  Int wires, and per-row
+wires that every row shares, gather through the table of their (width,
+wires); mixed per-row wires gather each row through its own table,
+picked from the one per-width stack of those tables, :func:`_stack`.
 
 X-basis labels follow the Hadamard image of the computational basis:
 ``PLUS == 0`` encodes |+> = H|0> and ``MINUS == 1`` encodes |-> = H|1>.
@@ -28,8 +30,9 @@ The X and Bell bases have one definition, the butterfly that measures in
 them (:func:`_rotate_in`): :func:`prepare_x` and :func:`prepare_bell` run
 it backwards on the basis vectors.
 
-The measurement core, :func:`_measure`, takes one uniform variate per
-measured state (one per row of a batch) and never sees a generator.  The
+The measurement core, :func:`_collapse`, collapses the blocks where they
+live, takes one uniform variate per measured state (one per row of a
+batch) and never sees a generator.  The
 public measurements draw those uniforms in a single ``rng.random(batch)``
 call on the caller's ``numpy.random.Generator`` (or any object whose
 ``random(shape)`` returns uniforms of that shape, such as a chunk of
@@ -138,8 +141,8 @@ def _table(op: str, n: int, *wires: int) -> np.ndarray:
     For ``"blocks"``, a (2**k, 2**(n-k)) table for k wires: row b holds the
     labels whose wires read the bits of b, the first wire most significant,
     and column j the same assignment of the other qubits in every row.  For
-    ``"cnot"`` on (control, target), the basis label each output label
-    reads from: the two-wire blocks with blocks 10 and 11 swapped.
+    ``"cnot"`` on (control, target), the two blocks a CNOT swaps: blocks 10
+    and 11 of the two-wire table.
     """
     for q in wires:
         _check_wire(q, n)
@@ -150,10 +153,7 @@ def _table(op: str, n: int, *wires: int) -> np.ndarray:
         offsets = [offset | bit for offset in offsets for bit in (0, 1 << (n - 1 - q))]
     labels = np.arange(1 << n)
     blocks = labels[(labels & offsets[-1]) == 0] | np.array(offsets)[:, None]
-    if op == "cnot":
-        labels[blocks] = blocks[[0, 1, 3, 2]]
-        return labels
-    return blocks
+    return blocks[2:] if op == "cnot" else blocks
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,41 +168,45 @@ def _stack(op: str, n: int, k: int) -> np.ndarray:
     return np.stack([_table(op, n, *w) if len(set(w)) == k else unused for w in wires], axis=-1)
 
 
-def _index(op: str, amps: np.ndarray, *wires):
-    """Where ``op`` on ``wires`` gathers ``amps`` from.
-
-    Int wires get the axis-0 table ``_table(op, n, *wires)``.  On a batch
-    with one axis a wire may also be one per row, an int array aligned with
-    it.  When every row shares its wires that is still the axis-0 table;
-    otherwise it is a (labels, columns) pair that gathers row i through the
-    table of its own wires, picked from ``_stack``.  A wire out of range,
-    or two wires equal on some row, raises ``ValueError``.
+def _index(op: str, amps: np.ndarray, *wires, rows=None):
+    """Where ``op`` on ``wires`` of ``rows`` (indices into the one batch
+    axis; every row when ``None``) reads and writes: ``amps`` and the
+    axis-0 table ``_table(op, n, *wires)`` for int wires on every row, else
+    ``amps.reshape(-1)`` and one flat index (a view: an op that writes
+    passes a C-contiguous array).  A wire may also be one per row, an int
+    array aligned with ``rows`` (with the batch when ``None``); wires every
+    row shares count as ints, and mixed ones take each row's table from
+    ``_stack``.  A wire out of range, or two wires equal on some row,
+    raises ``ValueError``.
     """
     n = num_qubits(amps)
-    if np.ndarray not in map(type, wires):
-        return _table(op, n, *wires)
-    shared = []
-    for w in wires:
-        if not (isinstance(w, np.ndarray) and w.ndim):
-            _check_wire(int(w), n)
-            shared.append(int(w))
-            continue
-        if w.shape != amps.shape[1:] or w.ndim != 1:
-            raise ValueError(f"per-row wires of shape {w.shape} do not align with a batch of shape {amps.shape[1:]}")
-        if not w.size:
-            shared.append(None)
-            continue
-        low, high = int(np.minimum.reduce(w)), int(np.maximum.reduce(w))
-        if low < 0 or high >= n:
-            raise ValueError(f"qubit {low if low < 0 else high} out of bounds for a {n}-qubit register")
-        shared.append(low if low == high else None)
-    if None not in shared:
-        return _table(op, n, *shared)
-    if len(wires) == 2 and np.any(np.equal(*wires)):
-        raise ValueError("the two wires of a row must be distinct qubits")
-    entry = wires[0] if len(wires) == 1 else wires[0] * n + wires[1]
-    # ``take`` keeps the labels contiguous, and so the gathered blocks.
-    return _stack(op, n, len(wires)).take(entry, axis=-1), np.arange(amps.shape[1])
+    if np.ndarray in map(type, wires):
+        batch = amps.shape[1:] if rows is None else (len(rows),)
+        shared = []
+        for w in wires:
+            if not (isinstance(w, np.ndarray) and w.ndim):
+                _check_wire(int(w), n)
+                shared.append(int(w))
+                continue
+            if w.shape != batch or w.ndim != 1:
+                raise ValueError(f"per-row wires of shape {w.shape} do not align with rows of shape {batch}")
+            if not w.size:
+                shared.append(None)
+                continue
+            low, high = int(np.minimum.reduce(w)), int(np.maximum.reduce(w))
+            if low < 0 or high >= n:
+                raise ValueError(f"qubit {low if low < 0 else high} out of bounds for a {n}-qubit register")
+            shared.append(low if low == high else None)
+        if None in shared:
+            if len(wires) == 2 and np.any(np.equal(*wires)):
+                raise ValueError("the two wires of a row must be distinct qubits")
+            entry = wires[0] if len(wires) == 1 else wires[0] * n + wires[1]
+            # ``take`` keeps the labels contiguous, and so the gathered blocks.
+            labels = _stack(op, n, len(wires)).take(entry, axis=-1)
+            return amps.reshape(-1), labels * amps.shape[1] + (np.arange(batch[0]) if rows is None else rows)
+        wires = shared
+    table = _table(op, n, *wires)
+    return (amps, table) if rows is None else (amps.reshape(-1), table[..., None] * amps.shape[1] + rows)
 
 
 def _from_table(table: np.ndarray, values) -> np.ndarray:
@@ -254,14 +258,17 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def apply_cnot(amps: np.ndarray, control, target) -> np.ndarray:
     """Flip ``target`` on every basis label whose ``control`` bit is 1.
     Either wire may be one per row (see :func:`_index`)."""
-    return amps[_index("cnot", amps, control, target)]
+    out = amps.copy()
+    flat, index = _index("cnot", out, control, target)
+    flat[index] = flat[index][::-1]
+    return out
 
 
 def apply_hadamard(amps: np.ndarray, q) -> np.ndarray:
     """Hadamard on one qubit (the basis change used by X measurements)."""
-    index = _index("blocks", amps, q)
-    out = np.empty_like(amps)
-    out[index] = _rotate_in(amps[index])
+    out = amps.copy()
+    flat, index = _index("blocks", out, q)
+    flat[index] = _rotate_in(flat[index])
     return out
 
 
@@ -290,24 +297,21 @@ def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 _TINY = 2.0**-1022
 
 
-def _measure(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = False):
+def _collapse(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = False) -> np.ndarray:
     """Projective measurement onto the outcome blocks ``amps[index]``,
     rotated into the X or Bell basis by :func:`_rotate_in` when
     ``rotated``, sampled with one uniform per state (see :func:`_sample`).
-    Returns the outcome indices (shape ``batch``) and the renormalized
-    collapsed states."""
+    Collapses and renormalizes those blocks in ``amps`` and returns the
+    outcome indices (shape ``batch``)."""
     parts = amps[index]
     if rotated:
         parts = _rotate_in(parts)
     probs = _probabilities(parts)
     outcome = _sample(probs, uniforms)
     chosen = _OUTCOMES[: len(parts)].reshape((-1,) + (1,) * outcome.ndim) == outcome
-    parts = parts * (chosen / np.sqrt(probs + _TINY))[:, None]
-    if rotated:
-        parts = _rotate_out(parts)
-    out = np.empty_like(amps)
-    out[index] = parts
-    return outcome, out
+    parts *= (chosen / np.sqrt(probs + _TINY))[:, None]
+    amps[index] = _rotate_out(parts) if rotated else parts
+    return outcome
 
 
 def _bits(outcome: np.ndarray):
@@ -334,9 +338,8 @@ def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
         The sampled outcome (an ``int`` for a single state, an int array
         of shape ``batch`` otherwise) and the renormalized states.
     """
-    index = _index("blocks", amps, q)
-    outcome, out = _measure(amps, index, rng.random(amps.shape[1:]))
-    return _bits(outcome), out
+    out = amps.copy()
+    return _bits(_collapse(*_index("blocks", out, q), rng.random(amps.shape[1:]))), out
 
 
 def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
@@ -346,16 +349,16 @@ def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
     state left in the corresponding X eigenstate; shapes as in
     :func:`measure_z`.
     """
-    index = _index("blocks", amps, q)
-    outcome, out = _measure(amps, index, rng.random(amps.shape[1:]), rotated=True)
-    return _bits(outcome), out
+    out = amps.copy()
+    return _bits(_collapse(*_index("blocks", out, q), rng.random(amps.shape[1:]), rotated=True)), out
 
 
 def bell_probabilities(amps: np.ndarray, q1, q2) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on qubits (q1, q2),
     ordered by ``BellState`` value: shape ``(4, *batch)``.  Either wire may
     be one per row, as in :func:`measure_z`."""
-    return _probabilities(_rotate_in(amps[_index("blocks", amps, q1, q2)]))
+    flat, index = _index("blocks", amps, q1, q2)
+    return _probabilities(_rotate_in(flat[index]))
 
 
 def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
@@ -368,8 +371,8 @@ def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
     accordingly.  A single state gives a ``BellState``; a batch gives an
     int array of ``BellState`` values.
     """
-    index = _index("blocks", amps, q1, q2)
-    outcome, out = _measure(amps, index, rng.random(amps.shape[1:]), rotated=True)
+    out = amps.copy()
+    outcome = _collapse(*_index("blocks", out, q1, q2), rng.random(amps.shape[1:]), rotated=True)
     return (BellState(int(outcome)) if outcome.ndim == 0 else outcome), out
 
 
@@ -395,24 +398,25 @@ def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool
 class Register:
     """Mutable qubit register: one state, or a batch of same-width states.
 
-    Thin stateful wrapper over the kernel ops: qubits can only be adjoined
-    (never removed), so wire indices handed out by :meth:`adjoin` stay
-    valid for the life of the register, and every row of a batch has the
-    same width.  A row that does not need an adjoined qubit keeps it idle
-    in |0>.  Gates and measurements act on every row, or only on ``rows``
-    (indices into the single batch axis) when given; each wire is an int
-    for all of them or an int array aligned with them, one per row.
-    Measurement uniform ``i`` goes to the i-th selected row.  Adversary
-    taps act on registers exclusively through these methods and the row
-    count ``num_rows``, never by reading amplitudes, so that every bit an
-    attacker learns comes from a measurement outcome.
+    The register owns its amplitudes: it copies the array it is built from,
+    and its gates and measurements change that copy in place.  Qubits can
+    only be adjoined (never removed), so wire indices handed out by
+    :meth:`adjoin` stay valid for the life of the register, and every row
+    of a batch has the same width.  A row that does not need an adjoined
+    qubit keeps it idle in |0>.  Gates and measurements act on every row,
+    or only on ``rows`` (indices into the single batch axis) when given;
+    each wire is an int for all of them or an int array aligned with them,
+    one per row.  Measurement uniform ``i`` goes to the i-th selected row.
+    Adversary taps act on registers exclusively through these methods and
+    the row count ``num_rows``, never by reading amplitudes, so that every
+    bit an attacker learns comes from a measurement outcome.
     """
 
     def __init__(self, amps: np.ndarray):
         amps = np.asarray(amps)
         # Real stays real (every session op is), complex stays complex,
         # both in double precision; ints become floats.
-        self.amps = amps if amps.dtype.char in "dD" else amps.astype(np.result_type(amps, float))
+        self.amps = amps.astype(np.result_type(amps, float), order="C")
         num_qubits(self.amps)  # validates the length
 
     @property
@@ -423,15 +427,6 @@ class Register:
     def num_rows(self) -> int:
         return self.amps.shape[1]
 
-    def _get(self, rows) -> np.ndarray:
-        return self.amps if rows is None else self.amps[:, rows]
-
-    def _set(self, rows, amps: np.ndarray) -> None:
-        if rows is None:
-            self.amps = amps
-        else:
-            self.amps[:, rows] = amps
-
     def adjoin(self, amps: np.ndarray) -> int:
         """Tensor a fresh (sub)state onto every row: one state for all rows,
         or shape ``(2**k, *batch)`` for one per row.  Returns the wire index
@@ -441,28 +436,24 @@ class Register:
         return wire
 
     def cnot(self, control, target, rows=None) -> None:
-        self._set(rows, apply_cnot(self._get(rows), control, target))
+        amps, index = _index("cnot", self.amps, control, target, rows=rows)
+        amps[index] = amps[index][::-1]
 
     def hadamard(self, wire, rows=None) -> None:
-        self._set(rows, apply_hadamard(self._get(rows), wire))
+        amps, index = _index("blocks", self.amps, wire, rows=rows)
+        amps[index] = _rotate_in(amps[index])
 
-    # Each measurement calls the kernel core itself rather than the module
-    # function: one Python call less on the path every session measures on.
+    def _collapse_rows(self, wires, rng, rows, rotated=False) -> np.ndarray:
+        amps, index = _index("blocks", self.amps, *wires, rows=rows)
+        uniforms = rng.random(self.amps.shape[1:] if rows is None else (len(rows),))
+        return _collapse(amps, index, uniforms, rotated)
 
     def measure_z(self, wire, rng: np.random.Generator, rows=None):
-        amps = self._get(rows)
-        bit, amps = _measure(amps, _index("blocks", amps, wire), rng.random(amps.shape[1:]))
-        self._set(rows, amps)
-        return _bits(bit)
+        return _bits(self._collapse_rows((wire,), rng, rows))
 
     def measure_x(self, wire, rng: np.random.Generator, rows=None):
-        amps = self._get(rows)
-        sign, amps = _measure(amps, _index("blocks", amps, wire), rng.random(amps.shape[1:]), rotated=True)
-        self._set(rows, amps)
-        return _bits(sign)
+        return _bits(self._collapse_rows((wire,), rng, rows, rotated=True))
 
     def measure_bell(self, w1, w2, rng: np.random.Generator, rows=None):
-        amps = self._get(rows)
-        outcome, amps = _measure(amps, _index("blocks", amps, w1, w2), rng.random(amps.shape[1:]), rotated=True)
-        self._set(rows, amps)
+        outcome = self._collapse_rows((w1, w2), rng, rows, rotated=True)
         return BellState(int(outcome)) if outcome.ndim == 0 else outcome

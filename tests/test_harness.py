@@ -1,5 +1,6 @@
 """Harness tests: spec validation, determinism, aggregation, reports, CLI."""
 
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from sqpc import harness
-from sqpc.cli import main
+from sqpc.cli import _build_parser, main
 from sqpc.harness import (
     ExperimentSpec,
     MetricSummary,
@@ -45,6 +46,13 @@ class TestSpecValidation:
             ("attacked_count", dict(scenario="jiang", attack="malicious-agent", L=2, attacked_count=5)),
             ("seed", dict(seed=-1)),
             ("seed", dict(seed=2**64)),
+            ("seed", dict(seed=1.5)),
+            ("L", dict(L=2.0)),
+            ("trials", dict(trials=2.0)),
+            ("attacked_count", dict(attack="blocking", attacked_count=1.0)),
+            ("seed", dict(seed=True)),
+            ("error_threshold", dict(error_threshold=True)),
+            ("error_threshold", dict(error_threshold="0.1")),
         ],
     )
     def test_rejects_bad_fields(self, field, overrides):
@@ -276,6 +284,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert ("seed" in captured.err) == bool(code)
         assert (captured.out == "") == bool(code)
+
+    @pytest.mark.parametrize("command", ["run", "detection-curve"])
+    def test_omitted_flags_take_the_spec_defaults(self, command, monkeypatch):
+        # A fresh default on every field shows the parser reads them from the spec.
+        fields = [f for f in dataclasses.fields(ExperimentSpec) if f.name != "scenario"]
+        for f in fields:
+            monkeypatch.setattr(f, "default", object())
+        args = _build_parser().parse_args([command, "--scenario", "jiang"])
+        for f in fields:
+            assert getattr(args, f.name) is f.default, f.name
 
     def test_bad_flag_exit_code(self, capsys):
         assert main(["run", "--scenario", "nope"]) == 1

@@ -355,6 +355,19 @@ class TestRegister:
 
         assert drive(7) == drive(7)
 
+    @pytest.mark.parametrize("op", ["cnot", "hadamard", "measure_z", "measure_x", "measure_bell"])
+    @pytest.mark.parametrize("rows", [None, np.array([3, 0])])
+    def test_never_writes_into_the_array_it_was_built_from(self, op, rows, rng):
+        amps = rng.normal(size=(8, 4))
+        amps /= np.linalg.norm(amps, axis=0)
+        source = amps.copy()
+        register = Register(amps)
+        wires = (0, 2) if op in ("cnot", "measure_bell") else (1,)
+        getattr(register, op)(*wires, *([rng] if op.startswith("measure") else []), rows=rows)
+        picked = slice(None) if rows is None else rows
+        assert not np.array_equal(register.amps[:, picked], source[:, picked])
+        assert np.array_equal(amps, source)
+
 # Every table entry of every width: the per-row call puts one row on each
 # wire (or ordered wire pair), so the rows cover every entry of the
 # per-width stack, and each row is checked against the int-wire call on its
