@@ -357,8 +357,9 @@ class TestRegister:
 
     @pytest.mark.parametrize("op", ["cnot", "hadamard", "measure_z", "measure_x", "measure_bell"])
     @pytest.mark.parametrize("rows", [None, np.array([3, 0])])
-    def test_never_writes_into_the_array_it_was_built_from(self, op, rows, rng):
-        amps = rng.normal(size=(8, 4))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_never_writes_into_the_array_it_was_built_from(self, op, rows, order, rng):
+        amps = np.asarray(rng.normal(size=(8, 4)), order=order)
         amps /= np.linalg.norm(amps, axis=0)
         source = amps.copy()
         register = Register(amps)
