@@ -10,10 +10,11 @@ time.
 import numpy as np
 
 from sqpc import BellState, DoubleCnotEve
-from sqpc.attacks import PublicRecord
+from sqpc.attacks import PublicRecord, Streams
 from sqpc.jiang import PairBatch, participant_respond
 
 rng = np.random.default_rng(1)
+streams = Streams([rng])  # the hooks draw from a chunk of one trial
 
 
 def show(label, amps):
@@ -36,12 +37,12 @@ pairs = PairBatch.prepare([BellState.PHI_PLUS.value])  # a batch of one position
 show("pair as prepared (A,B)", pairs.register.amps[:, 0])
 
 eve = DoubleCnotEve(target="A")
-pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], streams)
 show("after forward C-NOT (A,B,probe)", pairs.register.amps[:, 0])
 print("  the probe is now perfectly correlated with both halves")
 
 pairs.returns["A"] = participant_respond(np.array([False]), pairs.register, pairs.wires["A"])  # one CTRL position
-pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], streams)
 show("after return C-NOT + probe read", pairs.register.amps[:, 0])
 print(f"  probe read: {probe_reads(eve).indicator_bits[0]}  (always 0 on a reflection)")
 print()
@@ -51,9 +52,9 @@ trials = 20_000  # one batch position per trial
 message_bits = rng.integers(2, size=trials)
 pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
 eve = DoubleCnotEve(target="A")
-pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], streams)
 pairs.returns["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], message_bits)
-pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], streams)
 report = probe_reads(eve)
 fired = report.indicator_events
 # a fired probe reads the message bit exactly; an unfired one reads nothing (-1)

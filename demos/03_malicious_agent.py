@@ -10,7 +10,7 @@ one half.
 import numpy as np
 
 from sqpc import ExperimentSpec, MaliciousAgent, SessionConfig, run_experiment
-from sqpc.jiang import random_bits, run_session
+from sqpc.jiang import run_session
 
 spec = ExperimentSpec(scenario="jiang", attack="malicious-agent", L=32, trials=2_000, seed=7)
 stats = run_experiment(spec)
@@ -21,9 +21,9 @@ print()
 
 # One concrete session, spelled out.
 rng = np.random.default_rng(99)
-key = random_bits(8, rng)
-secret_a = random_bits(8, rng)
-secret_b = random_bits(8, rng)
+key = rng.integers(2, size=8)
+secret_a = rng.integers(2, size=8)
+secret_b = rng.integers(2, size=8)
 agent = MaliciousAgent(victim="A", key=key)
 transcript, outcome, reports = run_session(SessionConfig(L=8), secret_a, secret_b, key, [agent], rng=rng)
 report = reports[0]

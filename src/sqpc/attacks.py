@@ -17,13 +17,13 @@ messages and disclosures hold 0s and 1s; reads and claims hold -1 where
 nothing was read or claimed.  A tap keeps its reads over its hook
 entries, and ``finalize`` reports one trial's reads raw, over its
 channel positions; the protocol, which knows what each position
-carries, decodes them into claims over message indices.  A
-single session is a chunk of one trial, whose generator a hook or
-``begin_session`` also takes as is.  Nothing here imports a protocol
-module.  Taps never read amplitudes (a register's size is its
-``num_rows``); everything an attacker knows comes from its own
-measurement outcomes plus the classical values published after the
-session (mode declarations, R values, disclosures, messages).
+carries, decodes them into claims over message indices.  Every hook and
+``begin_session`` takes the chunk's :class:`Streams`, which make every
+draw of the chunk; a single session is a chunk of one trial.  Nothing
+here imports a protocol module.  Taps never read amplitudes (a
+register's size is its ``num_rows``); everything an attacker knows comes
+from its own measurement outcomes plus the classical values published
+after the session (mode declarations, R values, disclosures, messages).
 
 Attackers here:
 
@@ -61,24 +61,59 @@ class _Uniforms:
         return self.values.reshape(shape)
 
 
+def _rows(rows: list, *shape: int) -> np.ndarray:
+    """Per-trial draws of one ``shape`` as one array, a row per trial; a
+    lone trial's row is a view of its draw."""
+    if len(rows) == 1 and isinstance(rows[0], np.ndarray):
+        return rows[0][None]
+    return np.array(rows) if rows else np.zeros((0, *shape))
+
+
 class Streams:
     """The random streams of a chunk of trials: one numpy Generator per
-    trial, in trial order.
+    trial, in trial order, and every draw the chunk makes.
 
+    Each draw method (:meth:`random`, :meth:`integers`,
+    :meth:`permutation`, :meth:`choice`) makes, on the generator of every
+    trial, or of each trial listed in ``trials`` (indices, ascending),
+    the one call a lone session makes at that draw site, and returns one
+    row per trial drawn; an empty list draws nothing and returns no rows.
     A register of the chunk holds each trial's rows in one block, the
     blocks of equal size and in trial order.  Every measurement of a
     session or a tap goes through :meth:`measure`, which owns the order
-    of the chunk's draws, and every read array that holds -1 where
-    nothing was measured comes from :meth:`read`.
+    of the chunk's measurement draws, and every read array that holds -1
+    where nothing was measured comes from :meth:`read`.  A lone session
+    is a chunk of one trial, ``Streams([rng])``.
     """
 
     def __init__(self, gens):
         self.gens = list(gens)
 
-    @classmethod
-    def of(cls, rng) -> "Streams":
-        """``rng`` itself, or one generator as a chunk of one trial."""
-        return rng if isinstance(rng, cls) else cls([rng])
+    def __len__(self) -> int:
+        return len(self.gens)
+
+    def _each(self, trials) -> list:
+        """The generators of ``trials``, every trial's by default."""
+        return self.gens if trials is None else [self.gens[t] for t in trials]
+
+    def random(self, size: int | None = None, trials=None) -> np.ndarray:
+        """Each trial's ``random(size)``."""
+        return _rows([gen.random(size) for gen in self._each(trials)], *([] if size is None else [size]))
+
+    def integers(self, high: int, size, trials=None):
+        """Each trial's ``integers(0, high, size=size)``.  With ``size`` a
+        list, one size per trial drawn, the rows come back as a list."""
+        if isinstance(size, int):
+            return _rows([gen.integers(0, high, size=size) for gen in self._each(trials)], size)
+        return [gen.integers(0, high, size=k) for gen, k in zip(self._each(trials), size)]
+
+    def permutation(self, n: int, trials=None) -> np.ndarray:
+        """Each trial's ``permutation(n)``."""
+        return _rows([gen.permutation(n) for gen in self._each(trials)], n)
+
+    def choice(self, n: int, size: int, trials=None) -> np.ndarray:
+        """Each trial's ``choice(n, size=size, replace=False)``."""
+        return _rows([gen.choice(n, size=size, replace=False) for gen in self._each(trials)], size)
 
     def measure(self, register: Register, op: str, rows: np.ndarray, *wires, block: int | None = None) -> np.ndarray:
         """The reads of ``register`` measurement ``op`` (``"measure_z"``,
@@ -270,7 +305,7 @@ class ChannelTap:
         self.target = target
         self.begin_session(0, None)
 
-    def begin_session(self, num_positions: int, rng) -> None:
+    def begin_session(self, num_positions: int, rng: Streams) -> None:
         """Called once per chunk, before any transit and also when every
         trial aborts before its transits, with the per-channel position
         count and the chunk's :class:`Streams`.  Draws each trial's
@@ -284,13 +319,13 @@ class ChannelTap:
         """Only called when ``identity`` names a participant, with its SIFT
         masks, one row per trial of the chunk."""
 
-    def on_forward(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng) -> np.ndarray:
+    def on_forward(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: Streams) -> np.ndarray:
         """Forward transits of every position of the channel in the live
         trials: entry i sits on row ``rows[i]`` of ``register`` and travels
         on ``wires[i]``.  Returns the wires handed on."""
         return wires
 
-    def on_return(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng) -> np.ndarray:
+    def on_return(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: Streams) -> np.ndarray:
         """Return transits; same contract as :meth:`on_forward`."""
         return wires
 
@@ -298,11 +333,9 @@ class ChannelTap:
         """The report of trial ``trial`` of the chunk, given its public record."""
         return None
 
-    def _record(self, rows: np.ndarray, register: Register, rng) -> Streams:
-        """Note the trial of each hook entry; returns the chunk's streams."""
-        rng = Streams.of(rng)
-        self._trials = rows // (register.num_rows // len(rng.gens))
-        return rng
+    def _record(self, rows: np.ndarray, register: Register, rng: Streams) -> None:
+        """Note the trial of each hook entry."""
+        self._trials = rows // (register.num_rows // len(rng))
 
     def _entries(self, trial: int) -> slice:
         """The hook entries of ``trial``."""
@@ -325,16 +358,14 @@ def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
     return AttackReport(tap.attack_name, tap.target, probed_positions=(reads >= 0).nonzero()[0], intercepted_bits=reads)
 
 
-def _attack_mask(count: int | None, num_positions: int, rng) -> np.ndarray | None:
+def _attack_mask(count: int | None, num_positions: int, rng: Streams) -> np.ndarray | None:
     """Per trial, a uniformly random ``count``-subset of the positions as a
     mask, one row per trial; ``None`` (attack everything the tap's policy
     allows) without a count."""
     if count is None:
         return None
-    gens = Streams.of(rng).gens
-    mask = np.zeros((len(gens), num_positions), dtype=bool)
-    for row, gen in zip(mask, gens):
-        row[gen.choice(num_positions, size=count, replace=False)] = True
+    mask = np.zeros((len(rng), num_positions), dtype=bool)
+    np.put_along_axis(mask, rng.choice(num_positions, count), True, axis=1)
     return mask
 
 
@@ -367,7 +398,7 @@ class DoubleCnotEve(ChannelTap):
         register.cnot(wires, self._ancilla, None if len(rows) == register.num_rows else rows)
 
     def on_forward(self, rows, register, wires, rng):
-        rng = self._record(rows, register, rng)
+        self._record(rows, register, rng)
         self._ancilla = register.adjoin(_ZERO)
         self._probe(rows, register, wires)
         if self.midflight:
@@ -377,7 +408,6 @@ class DoubleCnotEve(ChannelTap):
     def on_return(self, rows, register, wires, rng):
         if not len(self._trials):  # no forward transit this chunk, so no ancilla
             return wires
-        rng = Streams.of(rng)
         self._probe(rows, register, wires)
         self._indicator = rng.measure(register, "measure_z", rows, self._ancilla)
         if not self.midflight:
@@ -429,7 +459,7 @@ class MaliciousAgent(ChannelTap):
         self._own_sift = sift
 
     def on_return(self, rows, register, wires, rng):
-        rng = self._record(rows, register, rng)
+        self._record(rows, register, rng)
         chosen = self._own_sift if self._attack_mask is None else self._attack_mask
         attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
         self._reads = rng.read(register, "measure_z", rows, wires, picked=attacked)
@@ -466,7 +496,7 @@ class BlockingAttacker(ChannelTap):
         self.attack_count = attack_count
 
     def on_return(self, rows, register, wires, rng):
-        rng = self._record(rows, register, rng)
+        self._record(rows, register, rng)
         attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials)
         self._reads = rng.read(register, "measure_x", rows, wires, picked=attacked)
         return wires
@@ -483,7 +513,7 @@ class InterceptResendZ(ChannelTap):
     _entry_reads = ("_reads",)
 
     def on_forward(self, rows, register, wires, rng):
-        rng = self._record(rows, register, rng)
+        self._record(rows, register, rng)
         self._reads = rng.read(register, "measure_z", rows, wires)
         return wires
 

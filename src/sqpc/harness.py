@@ -44,7 +44,6 @@ from .jiang import (
     ComparisonOutcome,
     SessionConfig,
     first_difference,
-    random_bits,
     run_session,  # noqa: F401
     run_sessions,
 )
@@ -316,18 +315,19 @@ def run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
     register holding every trial's rows, one kernel call per protocol
     step.  Trial i draws everything from its own rng, seeded from (spec
     seed, i), in the order a lone session would."""
-    gens = [np.random.default_rng(splitmix64(spec.seed, i)) for i in range(start, stop)]
+    streams = Streams([np.random.default_rng(splitmix64(spec.seed, i)) for i in range(start, stop)])
     L = spec.L
-    bits = []
-    for rng in gens:
-        secret_a = random_bits(L, rng)
-        bits.append((secret_a, secret_a if rng.random() < 0.5 else random_bits(L, rng), random_bits(L, rng)))
-    # Alice's secrets, Bob's and the keys, one L-bit array per trial each.
-    secrets_a, secrets_b, keys = zip(*bits)
+    # Alice's secrets, Bob's and the keys, one row of L bits per trial
+    # each; Bob's secret is Alice's unless a coin says it differs.
+    secrets_a = streams.integers(2, L)
+    differ = (streams.random() >= 0.5).nonzero()[0]
+    secrets_b = secrets_a.copy()
+    secrets_b[differ] = streams.integers(2, L, differ)
+    keys = streams.integers(2, L)
     taps = ATTACK_TABLE[spec.attack].taps(spec, keys)
 
     config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
-    sessions = SCENARIO_TABLE[spec.scenario].run(config, secrets_a, secrets_b, keys, taps, rng=Streams(gens))
+    sessions = SCENARIO_TABLE[spec.scenario].run(config, secrets_a, secrets_b, keys, taps, streams=streams)
     return [
         _trial_result(spec, secret_a, secret_b, *session)
         for secret_a, secret_b, session in zip(secrets_a, secrets_b, sessions)
@@ -335,8 +335,12 @@ def run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialResult:
-    """One independent session under the spec, with a derived seed: a
-    chunk of one trial."""
+    """Trial ``trial_index`` of the spec's experiment, with a derived
+    seed: a chunk of one trial.  Raises :class:`SpecValidationError` on a
+    spec ``run_experiment`` rejects or an index outside its trials."""
+    spec.validate()
+    if isinstance(trial_index, bool) or not isinstance(trial_index, int) or not 0 <= trial_index < spec.trials:
+        raise SpecValidationError("trial_index", f"must be an int in [0, {spec.trials}), got {trial_index!r}")
     return run_chunk(spec, trial_index, trial_index + 1)[0]
 
 
@@ -437,6 +441,8 @@ def estimate_detection_curve(spec: ExperimentSpec, attacked_counts: list[int]) -
     if not attacked_counts:
         raise SpecValidationError("attacked_count", "a detection curve needs at least one k value")
     for k in attacked_counts:
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise SpecValidationError("attacked_count", f"curve points must be ints, got {k!r}")
         if k < 0:
             raise SpecValidationError("attacked_count", f"curve points must be >= 0, got {k}")
     started_at = datetime.now(timezone.utc).isoformat()

@@ -33,14 +33,15 @@ trial t is row 8Lt + 4L + p.  Every photon travels both ways on wire 0,
 so an honest session's register has one qubit per row; only a tap that
 adjoins qubits (an ancilla, a resend of its own) widens it.  Each
 protocol step is one kernel call over both channels of every live
-trial: SIFT measure-resend, TP's X checks and TP's Z reads are each one
-:meth:`sqpc.attacks.Streams.read` call in blocks of one channel, which
-draws from each trial's own stream what the step would draw for A's rows
-then B's and returns a read per row, -1 where nothing was read; each
-trial's transcript holds its own slice.  Each participant's modes are
-one boolean SIFT mask over their 4L positions (True = SIFT).  Taps,
-disclosures and the public record see positions within a channel;
-disclosures, comparison and decoding loop over the trials.
+trial, and every draw one :class:`sqpc.attacks.Streams` call: SIFT
+measure-resend, TP's X checks and TP's Z reads are each one
+:meth:`~sqpc.attacks.Streams.read` in blocks of one channel, a read per
+row (-1 where nothing was read), and the photon signs, SIFT masks and
+disclosure permutations come a row per trial; each trial's transcript
+holds views of its own rows.  Each participant's modes are one boolean
+SIFT mask over their 4L positions (True = SIFT).  Taps, disclosures and
+the public record see positions within a channel; the classical checks,
+comparison and decoding loop over the trials.
 
 Sessions take :class:`sqpc.jiang.SessionConfig`, derive this protocol's
 counts from L where they are used, and run on
@@ -69,6 +70,9 @@ from .jiang import (
     tp_compare,
 )
 from .kernel import Register, prepare_x
+
+
+_X_CHECK_FAILED = ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
 
 
 @dataclass
@@ -129,11 +133,11 @@ class PhotonBatch:
             part(self.sift_bit),
         )
 
-    def measure(self, op: str, selected: np.ndarray, wires: np.ndarray, rng) -> np.ndarray:
+    def measure(self, op: str, selected: np.ndarray, wires: np.ndarray, streams: Streams) -> np.ndarray:
         """The :meth:`Streams.read` of the ``selected`` rows (a mask) on
         their ``wires``, in blocks of one channel: a read per row, -1 at
         the rows not selected."""
-        return Streams.of(rng).read(self.register, op, self.rows, wires, picked=selected, block=self.channel_size)
+        return streams.read(self.register, op, self.rows, wires, picked=selected, block=self.channel_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,44 +176,43 @@ class ImprovedTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_photons(config: SessionConfig, rng) -> PhotonBatch:
-    """8L photons per trial of a chunk (``rng``: its :class:`Streams`, or
-    one session's generator) in uniformly random |+>/|-> states in one
-    batched register; in each trial's rows the first 4L are for
+def tp_prepare_photons(config: SessionConfig, streams: Streams) -> PhotonBatch:
+    """8L photons per trial of a chunk in uniformly random |+>/|-> states
+    in one batched register; in each trial's rows the first 4L are for
     participant A and the rest for B."""
-    signs = np.concatenate([gen.integers(0, 2, size=8 * config.L) for gen in Streams.of(rng).gens])
-    return PhotonBatch.prepare(signs, 4 * config.L)
+    return PhotonBatch.prepare(streams.integers(2, 8 * config.L).ravel(), 4 * config.L)
 
 
-def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, rng) -> np.ndarray:
+def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, streams: Streams) -> np.ndarray:
     """Z-measure the incoming photon at every SIFT row (``sift`` is a mask
     over the rows), recording the outcome in ``photons.sift_bit``, and
     send the measured photon back: it is now exactly the Z eigenstate of
     its outcome, a product with every other qubit, so it is the state a
     fresh qubit carrying the outcome would be.  CTRL rows reflect.  Every
     photon returns on the wire it arrived on: returns ``photons.wire``."""
-    photons.sift_bit = photons.measure("measure_z", sift, photons.wire, rng)
+    photons.sift_bit = photons.measure("measure_z", sift, photons.wire, streams)
     return photons.wire
 
 
-def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, streams: Streams) -> tuple[np.ndarray, np.ndarray]:
     """X-measure every reflected photon (True in ``ctrl``, a mask over the
     rows) and compare with the prepared sign.
 
-    Returns each trial's mismatch count (one trial's streams: an array of
-    one) and the sign read at each row, -1 where nothing was measured.
+    Returns each trial's mismatch count and the sign read at each row, -1
+    where nothing was measured.
     """
-    signs = photons.measure("measure_x", ctrl, photons.return_wire, rng)
+    signs = photons.measure("measure_x", ctrl, photons.return_wire, streams)
     mismatched = (signs >= 0) & (signs != photons.prepared_sign)
-    return np.count_nonzero(mismatched.reshape(len(Streams.of(rng).gens), -1), axis=1), signs
+    return np.count_nonzero(mismatched.reshape(len(streams), -1), axis=1), signs
 
 
-def disclose_half_r(positions: np.ndarray, r_bits: np.ndarray, rng: np.random.Generator) -> CheckDisclosure:
-    """Publish a uniformly random half of the R-carrying positions
-    together with the measured bits, both int arrays."""
-    if len(positions) != len(r_bits):
-        raise ValueError("positions and bits must align")
-    picked = rng.permutation(len(positions))[: len(positions) // 2]
+def disclose_half_r(positions: np.ndarray, r_bits: np.ndarray, order: np.ndarray) -> CheckDisclosure:
+    """Publish half of the R-carrying positions, the ones a uniformly
+    random permutation ``order`` of their indices puts first, together
+    with the measured bits, both int arrays."""
+    if not len(positions) == len(r_bits) == len(order):
+        raise ValueError("positions, bits and order must align")
+    picked = order[: len(order) // 2].copy()
     picked.sort()
     return CheckDisclosure(positions=positions[picked], values=r_bits[picked])
 
@@ -262,22 +265,19 @@ def _tp_finish(
     published: PublicRecord,
     truth: GroundTruth,
     sift_bit: np.ndarray,
-    rng: np.random.Generator,
+    orders: dict[str, np.ndarray],
 ) -> ComparisonOutcome:
-    """One live trial's classical steps once TP has measured everything:
-    the X check, the disclosures and their check, the published messages
-    and the comparison.  ``sift_bit`` holds the participants' own reads
-    over the trial's rows."""
+    """One trial's classical steps once TP has measured everything and
+    the X check passed: the disclosures, drawn by each participant's
+    permutation in ``orders``, their check, the published messages and
+    the comparison.  ``sift_bit`` holds the participants' own reads over
+    the trial's rows."""
     config = transcript.config
-    published.modes = transcript.modes
-    if config.exceeds(transcript.x_mismatch_count, transcript.ctrl_position_count):
-        return ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
-
     channel = {p: transcript.photons.channel(p) for p in PARTICIPANTS}
     own_r = {p: sift_bit[channel[p]] for p in PARTICIPANTS}
     tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
     r_positions = transcript.r_positions
-    disclosures = {p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], rng) for p in PARTICIPANTS}
+    disclosures = {p: disclose_half_r(r_positions[p], own_r[p][r_positions[p]], orders[p]) for p in PARTICIPANTS}
     transcript.disclosures = published.disclosures = disclosures
     disclosure_mismatches = sum(tp_verify_disclosure(disclosures[p], tp_r[p]) for p in PARTICIPANTS)
     transcript.disclosure_mismatch_count = disclosure_mismatches
@@ -305,13 +305,12 @@ def run_improved_sessions(
     keys,
     taps: Sequence[ChannelTap] = (),
     *,
-    rng,
+    streams: Streams,
 ) -> list[tuple[ImprovedTranscript, ComparisonOutcome, list[AttackReport]]]:
     """Run one improved-protocol session per trial of a chunk; same
     driver contract as :func:`sqpc.jiang.run_sessions` (one stream per
     trial, taps on both transits of every live trial in one call each,
     declarations visible to taps only at finalize)."""
-    streams = Streams.of(rng)
     L = config.L
     secrets_a, secrets_b, keys = check_bits(L, streams, secrets_a, secrets_b, keys)
     size = 8 * L
@@ -319,18 +318,18 @@ def run_improved_sessions(
     # Each participant gets 4L photons and SIFTs 2L of them, the R
     # carriers; L of those are disclosed and L left as the message mask.
     photons = tp_prepare_photons(config, streams)
-    modes = [{p: draw_modes(4 * L, 2 * L, config.mode_policy, gen) for p in PARTICIPANTS} for gen in streams.gens]
-    sift = {p: np.array([trial[p] for trial in modes]) for p in PARTICIPANTS}
+    sift = {p: draw_modes(4 * L, 2 * L, config.mode_policy, streams) for p in PARTICIPANTS}
     sift_rows = np.concatenate([sift[p] for p in PARTICIPANTS], axis=1).ravel()
 
     transcripts, truths = [], []
     for trial, (secret_a, secret_b, key) in enumerate(zip(secrets_a, secrets_b, keys)):
-        positions = {p: modes[trial][p].nonzero()[0] for p in PARTICIPANTS}
+        modes = {p: sift[p][trial] for p in PARTICIPANTS}
+        positions = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
         transcripts.append(
             ImprovedTranscript(
                 config=config,
                 photons=photons,
-                modes=modes[trial],
+                modes=modes,
                 sift_positions=positions,
                 r_positions={p: positions[p][: 2 * L] for p in PARTICIPANTS},
             )
@@ -338,9 +337,9 @@ def run_improved_sessions(
         secrets = {"A": secret_a, "B": secret_b}
         truths.append(GroundTruth(L=L, secrets=secrets, key=key, messages={"A": _NOTHING, "B": _NOTHING}))
 
-    def respond(live: np.ndarray) -> np.ndarray:
+    def respond(live: np.ndarray) -> dict[str, np.ndarray]:
         photons.return_wire = sift_measure_resend(photons, sift_rows & live.repeat(size), streams)
-        return photons.return_wire
+        return dict.fromkeys(PARTICIPANTS, photons.return_wire)
 
     def tp_steps(live: np.ndarray, published: list[PublicRecord]) -> list[ComparisonOutcome]:
         # Receipt confirmed; modes are now declared.  TP measures
@@ -351,23 +350,34 @@ def run_improved_sessions(
         mismatches, x_results = tp_check_ctrl_x(photons, ctrl_rows, streams)
         ctrl_counts = np.count_nonzero(ctrl_rows.reshape(-1, size), axis=1)
         tp_r = photons.measure("measure_z", sift_rows & live_rows, photons.return_wire, streams)
-        outcomes = []
-        for trial in live.nonzero()[0].tolist():
+        running = live.nonzero()[0].tolist()
+        outcomes = dict.fromkeys(running, _X_CHECK_FAILED)
+        checked = []
+        for trial in running:
             rows = slice(trial * size, (trial + 1) * size)
             transcript = transcripts[trial]
             transcript.x_results = x_results[rows]
             transcript.x_mismatch_count = int(mismatches[trial])
             transcript.ctrl_position_count = int(ctrl_counts[trial])
             transcript.tp_r = tp_r[rows]
-            outcomes.append(
-                _tp_finish(transcript, published[trial], truths[trial], photons.sift_bit[rows], streams.gens[trial])
-            )
-        return outcomes
+            published[trial].modes = transcript.modes
+            if not config.exceeds(transcript.x_mismatch_count, transcript.ctrl_position_count):
+                checked.append(trial)
+        # Where the X check passed, each participant discloses half of
+        # its 2L R carriers.
+        orders = {p: streams.permutation(2 * L, checked) for p in PARTICIPANTS}
+        for j, trial in enumerate(checked):
+            sift_bit = photons.sift_bit[trial * size : (trial + 1) * size]
+            trial_orders = {p: orders[p][j] for p in PARTICIPANTS}
+            outcomes[trial] = _tp_finish(transcripts[trial], published[trial], truths[trial], sift_bit, trial_orders)
+        return list(outcomes.values())
 
+    # Both channels' rows travel on the one wire array: they are disjoint.
     rows = np.arange(len(photons.prepared_sign)).reshape(-1, len(PARTICIPANTS), 4 * L)
-    channels = {p: (rows[:, i], ...) for i, p in enumerate(PARTICIPANTS)}
+    channels = {p: rows[:, i] for i, p in enumerate(PARTICIPANTS)}
+    wires = dict.fromkeys(PARTICIPANTS, photons.wire)
     outcomes, reports = drive_session(
-        taps, sift, 2 * L, channels, photons.register, photons.wire, respond, tp_steps, decode_claims, truths, streams
+        taps, sift, 2 * L, channels, photons.register, wires, respond, tp_steps, decode_claims, truths, streams
     )
     for trial, (transcript, outcome) in enumerate(zip(transcripts, outcomes)):
         transcript.photons = photons.trial(slice(trial * size, (trial + 1) * size))
@@ -387,4 +397,4 @@ def run_improved_session(
     """Run one improved-protocol session, a chunk of one trial (see
     :func:`run_improved_sessions`); same driver contract as
     :func:`sqpc.jiang.run_session`."""
-    return run_improved_sessions(config, [secret_a], [secret_b], [key], taps, rng=rng)[0]
+    return run_improved_sessions(config, [secret_a], [secret_b], [key], taps, streams=Streams([rng]))[0]

@@ -28,18 +28,15 @@ session, :func:`run_session`, is a chunk of one).  All 2L positions of
 every trial in a chunk live in one batched register (see
 :mod:`sqpc.kernel`), row ``t * 2L + p`` holding position p of trial t,
 so each protocol step is a few batch calls for the whole chunk rather
-than a loop over trials or positions.  Each trial draws from its own
-generator (:class:`sqpc.attacks.Streams`) in the order a lone session
-would: every measurement goes through :meth:`Streams.measure`, which
-hands each trial's uniforms, drawn from that trial's stream, to its rows
-in (trial, wire, row) order.  A trial whose SIFT count falls short aborts
-and drops out: no later transit, response or TP read touches its rows.
-TP's reads come back from :meth:`Streams.read` as arrays over the rows:
-a Bell outcome per row and a Z bit per participant per row, each -1
-where nothing was measured; each trial's transcript holds its own slice,
-and keys each per-participant value by participant.  Adversaries
-participate as channel taps with one hook call for all forward transits of their
-channel in the chunk and one for all return transits; see
+than a loop over trials or positions.  Every draw, measurements
+included, is one call of the chunk's :class:`sqpc.attacks.Streams`,
+which draws each trial's values from that trial's stream as a lone
+session would and returns a row per trial (R, SIFT masks) or per
+register row (TP's reads, -1 where nothing was measured); each trial's
+transcript holds views of its own rows, keyed by participant.  A trial
+whose SIFT count falls short aborts and drops out: no later transit,
+response or TP read touches its rows.  Adversaries are channel taps
+with one hook call per transit direction for the chunk; see
 :mod:`sqpc.attacks`.  Per-trial classical steps (threshold checks,
 comparison, decoding, scoring) loop over the trials.
 
@@ -112,11 +109,6 @@ class ComparisonOutcome:
 
 
 _TOO_FEW_SIFT = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
-
-
-def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:
-    """``length`` uniformly random bits, one ``rng.integers`` call."""
-    return rng.integers(0, 2, size=length)
 
 
 def derive_message(secret, r, key) -> np.ndarray:
@@ -229,31 +221,29 @@ class SessionTranscript:
     outcome: ComparisonOutcome | None = None
 
 
-def tp_prepare_pairs(config: SessionConfig, rng) -> PairBatch:
-    """Draw 2L uniformly random Bell variants per trial of a chunk (``rng``:
-    its :class:`Streams`, or one session's generator) into one batched
-    register, trial-major (qubit 0 = Alice's half, 1 = Bob's).
+def tp_prepare_pairs(config: SessionConfig, streams: Streams) -> PairBatch:
+    """Draw 2L uniformly random Bell variants per trial of a chunk into one
+    batched register, trial-major (qubit 0 = Alice's half, 1 = Bob's).
 
     One uniform per pair, scaled by 4 and truncated: the draws and
     variants of ``rng.choice(4, size=2L, p=[0.25] * 4)``, whose cut points
     0.25, 0.5 and 0.75, like the scaling by 4, are exact in binary."""
-    uniforms = np.concatenate([gen.random(2 * config.L) for gen in Streams.of(rng).gens])
-    return PairBatch.prepare((4 * uniforms).astype(np.intp))
+    return PairBatch.prepare((4 * streams.random(2 * config.L)).astype(np.intp).ravel())
 
 
-def draw_modes(
-    num_positions: int, sift_quota: int, policy: str, rng: np.random.Generator
-) -> np.ndarray:
-    """SIFT mask (True = SIFT, False = CTRL) for one participant.
+def draw_modes(num_positions: int, sift_quota: int, policy: str, streams: Streams) -> np.ndarray:
+    """SIFT masks (True = SIFT, False = CTRL) for one participant, one row
+    per trial.
 
     Balanced: a uniformly random arrangement with exactly ``sift_quota``
-    SIFT entries, from one ``rng.permutation``.  Coin: an independent fair
-    coin per position, from one ``rng.integers`` call.
+    SIFT entries, from one ``permutation`` per trial.  Coin: an
+    independent fair coin per position, from one ``integers`` call per
+    trial.
     """
     if policy == BALANCED:
-        return rng.permutation(num_positions) < sift_quota
+        return streams.permutation(num_positions) < sift_quota
     if policy == INDEPENDENT_COIN:
-        return rng.integers(0, 2, size=num_positions) == 1
+        return streams.integers(2, num_positions) == 1
     raise ValueError(f"unknown mode policy {policy!r}")
 
 
@@ -278,21 +268,20 @@ def participant_respond(
 
 
 def tp_resolve_positions(
-    pairs: PairBatch, sift_a: np.ndarray, sift_b: np.ndarray, rng, live: np.ndarray | None = None
+    pairs: PairBatch, sift_a: np.ndarray, sift_b: np.ndarray, streams: Streams, live: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """TP's measurements at every row, given both SIFT masks over the rows.
 
     CTRL/CTRL rows get a Bell measurement on the two returned wires.  At
     any other row TP Z-reads each SIFT return and leaves a reflected
     half, if any, unmeasured.  One :meth:`Streams.read` call per step:
-    Bell measurements first, then Alice's reads, then Bob's.  ``rng`` is
-    the chunk's :class:`Streams` (or one session's generator) and
-    ``live`` masks the rows of the trials still running (every row by
+    Bell measurements first, then Alice's reads, then Bob's.  ``live``
+    masks the rows of the trials still running (every row by
     default).  Returns ``(bell, bits_a, bits_b)``: the ``BellState`` value
     per row and each participant's Z bit per row, -1 where that
     measurement was not made.
     """
-    streams, register, rows = Streams.of(rng), pairs.register, pairs.positions
+    register, rows = pairs.register, pairs.positions
     measured = True if live is None else live
     wire_a, wire_b = pairs.returns["A"], pairs.returns["B"]
     bell = streams.read(register, "measure_bell", rows, wire_a, wire_b, picked=~(sift_a | sift_b) & measured)
@@ -317,10 +306,10 @@ def drive_session(
     taps: Sequence[ChannelTap],
     modes: dict[str, np.ndarray],
     sift_quota: int,
-    channels: dict[str, tuple[np.ndarray, object]],
+    channels: dict[str, np.ndarray],
     register: Register,
-    wires,
-    respond: Callable[[np.ndarray], object],
+    wires: dict[str, np.ndarray],
+    respond: Callable[[np.ndarray], dict[str, np.ndarray]],
     tp_steps: Callable[[np.ndarray, list[PublicRecord]], list[ComparisonOutcome]],
     decode: Callable[[AttackReport, PublicRecord], None],
     truths: Sequence[GroundTruth],
@@ -334,12 +323,13 @@ def drive_session(
     aborts if a participant's SIFT mask holds fewer than ``sift_quota``
     positions.  The other, live, trials go on together: each channel's
     taps get the forward transits of all their positions in one call,
-    ``respond(live)`` returns the container of returned wires, the return
-    transits follow, and ``tp_steps(live, published)`` fills in the live
-    trials' public records and returns their outcomes.  ``channels`` maps
-    each participant to the ``register`` rows of its positions, one row
-    per trial, and the key of its wires, an array over the register rows,
-    in either container.  Last, every trial's reports are decoded,
+    ``respond(live)`` returns the returned wires, the return transits
+    follow, and ``tp_steps(live, published)`` fills in the live trials'
+    public records and returns their outcomes.  ``channels`` maps each
+    participant to the ``register`` rows of its positions, one row per
+    trial; ``wires`` and what ``respond`` returns map each participant to
+    the wires its channel's rows travel on, one per register row, as
+    delivered and as returned.  Last, every trial's reports are decoded,
     scored against its entry of ``truths`` and marked detected.  Returns
     each trial's outcome and reports.
     """
@@ -355,15 +345,16 @@ def drive_session(
                 tap.observe_own_modes(modes[tap.identity])
         # Each channel's taps in turn, with the rows of the live trials.
         hooked = [
-            (tap, rows[running].ravel(), key)
-            for participant, (rows, key) in channels.items()
+            (tap, rows[running].ravel())
+            for participant, rows in channels.items()
             for tap in taps
             if tap.target == participant
         ]
 
-        def transit(hook: str, wires) -> None:
-            for tap, rows, key in hooked:
-                wires[key][rows] = getattr(tap, hook)(rows, register, wires[key][rows], streams)
+        def transit(hook: str, wires: dict[str, np.ndarray]) -> None:
+            for tap, rows in hooked:
+                carried = wires[tap.target]
+                carried[rows] = getattr(tap, hook)(rows, register, carried[rows], streams)
 
         transit("on_forward", wires)
         transit("on_return", respond(live))
@@ -402,8 +393,8 @@ def check_bits(L: int, streams: Streams, secrets_a, secrets_b, keys) -> np.ndarr
     trial per stream, as one (3, trials, L) int array.  Raises
     ValueError on any other shape or on an entry that is not an int 0 or 1."""
     bits = np.asarray((secrets_a, secrets_b, keys))
-    if bits.shape != (3, len(streams.gens), L):
-        raise ValueError(f"secrets and keys must each have shape (trials, L) = {(len(streams.gens), L)}")
+    if bits.shape != (3, len(streams), L):
+        raise ValueError(f"secrets and keys must each have shape (trials, L) = {(len(streams), L)}")
     if bits.dtype.kind not in "iu" or (bits >> 1).any():
         raise ValueError("secrets and keys must hold only int bits, 0 or 1")
     return bits
@@ -416,7 +407,7 @@ def run_sessions(
     keys,
     taps: Sequence[ChannelTap] = (),
     *,
-    rng,
+    streams: Streams,
 ) -> list[tuple[SessionTranscript, ComparisonOutcome, list[AttackReport]]]:
     """Run one session per trial of a chunk and return each trial's
     (transcript, outcome, attack reports).
@@ -425,59 +416,60 @@ def run_sessions(
     of bits, checked (:func:`check_bits`) before anything is drawn.
     Trial t compares ``secrets_a[t]`` with ``secrets_b[t]`` under
     ``keys[t]`` and draws everything, its taps' measurements included,
-    from generator t of ``rng`` (a :class:`Streams`), so identical inputs
-    give bit-identical transcripts.  Each tap gets the forward transits of
-    every position of the channel it targets, in every live trial, in one
-    call, then the return transits in another; mode declarations become
-    visible to taps only through ``finalize``, after TP has everything.
+    from stream t of ``streams``, so identical inputs give bit-identical
+    transcripts.  Each tap gets the forward transits of every position of
+    the channel it targets, in every live trial, in one call, then the
+    return transits in another; mode declarations become visible to taps
+    only through ``finalize``, after TP has everything.
     """
-    streams = Streams.of(rng)
     L = config.L
     secrets_a, secrets_b, keys = check_bits(L, streams, secrets_a, secrets_b, keys)
     size = 2 * L
 
     pairs = tp_prepare_pairs(config, streams)
-    r = [{p: random_bits(L, gen) for p in PARTICIPANTS} for gen in streams.gens]
-    modes = [{p: draw_modes(size, L, config.mode_policy, gen) for p in PARTICIPANTS} for gen in streams.gens]
-    sift = {p: np.array([trial[p] for trial in modes]) for p in PARTICIPANTS}
+    r = {p: streams.integers(2, L) for p in PARTICIPANTS}
+    sift = {p: draw_modes(size, L, config.mode_policy, streams) for p in PARTICIPANTS}
+    secrets = {"A": secrets_a, "B": secrets_b}
+    messages = {p: derive_message(secrets[p], r[p], keys) for p in PARTICIPANTS}
 
     transcripts, truths = [], []
-    for trial, (secret_a, secret_b, key) in enumerate(zip(secrets_a, secrets_b, keys)):
-        secrets = {"A": secret_a, "B": secret_b}
-        positions = {p: modes[trial][p].nonzero()[0] for p in PARTICIPANTS}
+    for trial, key in enumerate(keys):
+        modes = {p: sift[p][trial] for p in PARTICIPANTS}
+        positions = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
         transcripts.append(
             SessionTranscript(
                 config=config,
                 pairs=pairs,
-                modes=modes[trial],
-                r=r[trial],
+                modes=modes,
+                r={p: r[p][trial] for p in PARTICIPANTS},
                 sift_positions=positions,
                 message_positions={p: positions[p][:L] for p in PARTICIPANTS},
             )
         )
-        messages = {p: derive_message(secrets[p], r[trial][p], key) for p in PARTICIPANTS}
-        truths.append(GroundTruth(L=L, secrets=secrets, key=key, messages=messages))
+        trial_secrets, trial_messages = ({p: bits[p][trial] for p in PARTICIPANTS} for bits in (secrets, messages))
+        truths.append(GroundTruth(L=L, secrets=trial_secrets, key=key, messages=trial_messages))
 
     def respond(live: np.ndarray) -> dict[str, np.ndarray]:
         # The i-th SIFT position carries message bit i, surplus SIFT
         # positions under the coin policy carry random filler.
-        running = live.nonzero()[0].tolist()
         for participant in PARTICIPANTS:
-            bits = np.zeros(sift[participant].shape, dtype=np.intp)
-            for trial in running:
-                positions = transcripts[trial].sift_positions[participant]
-                bits[trial, positions[:L]] = truths[trial].messages[participant]
-                if len(positions) > L:
-                    bits[trial, positions[L:]] = streams.gens[trial].integers(0, 2, size=len(positions) - L)
+            sifted = carriers = sift[participant] & live[:, None]
+            bits = np.zeros(sifted.shape, dtype=np.intp)
+            if config.mode_policy == INDEPENDENT_COIN and np.count_nonzero(sifted) > L * np.count_nonzero(live):
+                carriers = sifted & (sifted.cumsum(axis=1) <= L)
+                surplus = sifted & ~carriers
+                extra = np.count_nonzero(surplus, axis=1)
+                filled = extra.nonzero()[0]
+                bits[surplus] = np.concatenate(streams.integers(2, extra[filled].tolist(), filled))
+            bits[carriers] = messages[participant][live].ravel()
             pairs.returns[participant] = participant_respond(
-                (sift[participant] & live[:, None]).ravel(), pairs.register, pairs.wires[participant], bits.ravel()
+                sifted.ravel(), pairs.register, pairs.wires[participant], bits.ravel()
             )
         return pairs.returns
 
     def tp_steps(live: np.ndarray, published: list[PublicRecord]) -> list[ComparisonOutcome]:
         # TP confirms receipt; only now are the mode declarations public.
-        sifted = {p: sift[p].ravel() for p in PARTICIPANTS}
-        bell, bits_a, bits_b = tp_resolve_positions(pairs, sifted["A"], sifted["B"], streams, live.repeat(size))
+        bell, bits_a, bits_b = tp_resolve_positions(pairs, sift["A"].ravel(), sift["B"].ravel(), streams, live.repeat(size))
         outcomes = []
         for trial in live.nonzero()[0].tolist():
             rows = slice(trial * size, (trial + 1) * size)
@@ -498,8 +490,7 @@ def run_sessions(
             outcomes.append(outcome)
         return outcomes
 
-    rows = np.arange(len(pairs.prepared)).reshape(-1, size)
-    channels = {p: (rows, p) for p in PARTICIPANTS}
+    channels = dict.fromkeys(PARTICIPANTS, np.arange(len(pairs.prepared)).reshape(-1, size))
     outcomes, reports = drive_session(
         taps, sift, L, channels, pairs.register, pairs.wires, respond, tp_steps, decode_claims, truths, streams
     )
@@ -525,7 +516,7 @@ def run_session(
     All randomness, including every tap's measurement draws, comes from
     ``rng``, so identical inputs give bit-identical transcripts.
     """
-    return run_sessions(config, [secret_a], [secret_b], [key], taps, rng=rng)[0]
+    return run_sessions(config, [secret_a], [secret_b], [key], taps, streams=Streams([rng]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +561,7 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
     model at the observable level.
     """
     s = kernel.SQRT_HALF
-    rng = np.random.default_rng(0)
+    rng = Streams([np.random.default_rng(0)])
     checks: list[StateCheck] = []
 
     def run_pipeline(message_bit: int | None):

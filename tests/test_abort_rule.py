@@ -16,7 +16,6 @@ from sqpc.jiang import (
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
     SessionConfig,
-    random_bits,
     run_session,
 )
 
@@ -48,7 +47,7 @@ CHECKS = {
 
 def session(run, tap, threshold):
     rng = np.random.default_rng(SEED)
-    secret_a, secret_b, key = (random_bits(L, rng) for _ in range(3))
+    secret_a, secret_b, key = (rng.integers(2, size=L) for _ in range(3))
     config = SessionConfig(L=L, error_threshold=threshold)
     transcript, outcome, _ = run(config, secret_a, secret_b, key, [tap()], rng=rng)
     return transcript, outcome

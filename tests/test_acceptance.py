@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from sqpc.attacks import DoubleCnotEve, MaliciousAgent
+from sqpc.attacks import DoubleCnotEve, MaliciousAgent, Streams
 from sqpc.harness import SCENARIO_TABLE, ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
 from sqpc.improved import run_improved_session
 from sqpc.jiang import (
@@ -20,7 +20,6 @@ from sqpc.jiang import (
     SessionConfig,
     attack_state_checks,
     participant_respond,
-    random_bits,
     run_session,
     tp_resolve_positions,
 )
@@ -64,11 +63,11 @@ def test_criterion_2_silent_ctrl_restoration():
         # One batch position per trial.
         pairs = PairBatch.prepare([variant.value] * trials_per_state)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
         pairs.returns["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
         pairs.returns["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
-        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
-        bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, rng)
+        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], Streams([rng]))
+        bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, Streams([rng]))
         mismatches += int(np.count_nonzero(bell != pairs.prepared))
     ok = mismatches == 0
     report_line(
@@ -119,7 +118,7 @@ def test_criterion_4_malicious_agent_overlap():
     config = SessionConfig(L=2)
     small = []
     for _ in range(2_000):
-        secret_a, secret_b, key = (random_bits(2, rng) for _ in range(3))
+        secret_a, secret_b, key = (rng.integers(2, size=2) for _ in range(3))
         _, _, reports = run_session(config, secret_a, secret_b, key, [MaliciousAgent("A", key)], rng=rng)
         small.append(np.count_nonzero(reports[0].secret_bits >= 0) / 2)
     small_mean = float(np.mean(small))
@@ -146,17 +145,17 @@ def test_criterion_5_honest_correctness_both_protocols():
     failures = 0
     aborts = 0
     for trial in range(1_000):
-        secret_a = random_bits(8, rng)
-        secret_b = list(secret_a) if trial % 2 == 0 else random_bits(8, rng)
-        key = random_bits(8, rng)
+        secret_a = rng.integers(2, size=8)
+        secret_b = list(secret_a) if trial % 2 == 0 else rng.integers(2, size=8)
+        key = rng.integers(2, size=8)
         _, outcome, _ = run_session(SessionConfig(L=8), secret_a, secret_b, key, rng=rng)
         expected = _expected(secret_a, secret_b)
         aborts += int(outcome.is_aborted)
         failures += int(outcome != expected)
     for trial in range(1_000):
-        secret_a = random_bits(4, rng)
-        secret_b = list(secret_a) if trial % 2 == 0 else random_bits(4, rng)
-        key = random_bits(4, rng)
+        secret_a = rng.integers(2, size=4)
+        secret_b = list(secret_a) if trial % 2 == 0 else rng.integers(2, size=4)
+        key = rng.integers(2, size=4)
         _, outcome, _ = run_improved_session(SessionConfig(L=4), secret_a, secret_b, key, rng=rng)
         expected = _expected(secret_a, secret_b)
         aborts += int(outcome.is_aborted)

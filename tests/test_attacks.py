@@ -25,7 +25,6 @@ from sqpc.jiang import (
     SessionConfig,
     attack_state_checks,
     participant_respond,
-    random_bits,
     run_session,
 )
 from sqpc.kernel import SQRT_HALF, BellState, Register, amplitudes_close, prepare_z
@@ -49,7 +48,7 @@ class TestStateCheckSuite:
         for m, indices in ((0, (0b0000, 0b1110)), (1, (0b0001, 0b1111))):
             pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
             eve = DoubleCnotEve("A")
-            pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+            pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
             pairs.returns["A"] = participant_respond(np.array([True]), pairs.register, pairs.wires["A"], [m])
             expected = np.zeros(16, dtype=complex)
             for i in indices:
@@ -60,7 +59,7 @@ class TestStateCheckSuite:
         # CNOT into a fresh ancilla maps psi+ into matched three-way flips.
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
         expected = np.zeros(8, dtype=complex)  # wires (A, B, E)
         expected[0b010] = SQRT_HALF
         expected[0b101] = SQRT_HALF
@@ -218,14 +217,14 @@ class TestDoubleCnotEve:
         trips = 500
         pairs = PairBatch.prepare([variant.value] * trips)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
         ctrl = np.zeros(trips, dtype=bool)
         pairs.returns["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
         pairs.returns["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
-        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], Streams([rng]))
         report = eve.finalize(PublicRecord(L=trips // 2))
         assert report.indicator_bits.tolist() == [0] * trips
-        bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, rng)
+        bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, Streams([rng]))
         assert (bell != pairs.prepared).tolist() == [False] * trips
 
     def test_indicator_and_data_read_on_sift(self, rng):
@@ -233,9 +232,9 @@ class TestDoubleCnotEve:
         m = rng.integers(2, size=trials)
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
         pairs.returns["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], m)
-        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], rng)
+        pairs.returns["A"] = eve.on_return(pairs.positions, pairs.register, pairs.returns["A"], Streams([rng]))
         report = eve.finalize(PublicRecord(L=trials // 2))
         fired = (report.indicator_bits == 1).nonzero()[0]
         # a fired probe reads the bit exactly, and an unfired one reads nothing
@@ -247,7 +246,7 @@ class TestDoubleCnotEve:
 
     def test_session_report_decodes_masked_secret(self, rng):
         config = SessionConfig(L=32)
-        secret_a, secret_b, key = (random_bits(32, rng) for _ in range(3))
+        secret_a, secret_b, key = (rng.integers(2, size=32) for _ in range(3))
         _, outcome, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("A")], rng=rng)
         report = reports[0]
         assert report.detected is False
@@ -260,14 +259,14 @@ class TestDoubleCnotEve:
     def test_abort_rate_zero_over_sessions(self, rng):
         config = SessionConfig(L=8)
         for _ in range(100):
-            s = random_bits(8, rng)
-            _, outcome, reports = run_session(config, s, s, random_bits(8, rng), [DoubleCnotEve("A")], rng=rng)
+            s = rng.integers(2, size=8)
+            _, outcome, reports = run_session(config, s, s, rng.integers(2, size=8), [DoubleCnotEve("A")], rng=rng)
             assert not outcome.is_aborted
             assert reports[0].detected is False
 
     def test_targets_bob_channel_symmetrically(self, rng):
         config = SessionConfig(L=16)
-        secret_a, secret_b, key = (random_bits(16, rng) for _ in range(3))
+        secret_a, secret_b, key = (rng.integers(2, size=16) for _ in range(3))
         _, _, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("B")], rng=rng)
         report = reports[0]
         assert report.target == "B"
@@ -299,7 +298,7 @@ class TestDoubleCnotEve:
         detected = 0
         trials = 60
         for _ in range(trials):
-            secret_a, secret_b, key = (random_bits(16, rng) for _ in range(3))
+            secret_a, secret_b, key = (rng.integers(2, size=16) for _ in range(3))
             _, outcome, reports = run_session(
                 config, secret_a, secret_b, key, [DoubleCnotEve("A", midflight=True)], rng=rng
             )
@@ -316,7 +315,7 @@ class TestMaliciousAgent:
     def test_steals_exact_bits_silently(self, rng):
         config = SessionConfig(L=32)
         for _ in range(40):
-            secret_a, secret_b, key = (random_bits(32, rng) for _ in range(3))
+            secret_a, secret_b, key = (rng.integers(2, size=32) for _ in range(3))
             _, outcome, reports = run_session(
                 config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
@@ -331,9 +330,9 @@ class TestMaliciousAgent:
         # measure-and-resend of Z eigenstates is invisible to TP's reads
         config = SessionConfig(L=8)
         for _ in range(60):
-            secret_a = random_bits(8, rng)
-            secret_b = random_bits(8, rng)
-            key = random_bits(8, rng)
+            secret_a = rng.integers(2, size=8)
+            secret_b = rng.integers(2, size=8)
+            key = rng.integers(2, size=8)
             _, outcome, _ = run_session(
                 config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
@@ -353,7 +352,7 @@ class TestMaliciousAgent:
         rng = np.random.default_rng(23)
         fractions = []
         for _ in range(3000):
-            secret_a, secret_b, key = (random_bits(2, rng) for _ in range(3))
+            secret_a, secret_b, key = (rng.integers(2, size=2) for _ in range(3))
             _, _, reports = run_session(
                 config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
             )
@@ -362,7 +361,7 @@ class TestMaliciousAgent:
 
     def test_victim_ctrl_positions_contribute_nothing(self, rng):
         config = SessionConfig(L=8)
-        secret_a, secret_b, key = (random_bits(8, rng) for _ in range(3))
+        secret_a, secret_b, key = (rng.integers(2, size=8) for _ in range(3))
         transcript, _, reports = run_session(
             config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
         )
@@ -380,9 +379,9 @@ class TestBlocking:
         positions = np.arange(4000)
         for z_bit in (0, 1):
             tap = BlockingAttacker("A")
-            tap.begin_session(len(positions), rng)
+            tap.begin_session(len(positions), Streams([rng]))
             reg = Register(prepare_z(np.full(len(positions), z_bit)))
-            tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), rng)
+            tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), Streams([rng]))
             reads = tap.finalize(PublicRecord(L=1)).intercepted_bits
             for read in reads[reads >= 0].tolist():
                 counts[z_bit][read] += 1
@@ -392,9 +391,9 @@ class TestBlocking:
 
     def test_report_claims_nothing(self, rng):
         config = SessionConfig(L=4)
-        secret = random_bits(4, rng)
+        secret = rng.integers(2, size=4)
         # library-level: blocking CAN run on the base protocol
-        _, _, reports = run_session(config, secret, secret, random_bits(4, rng), [BlockingAttacker("A")], rng=rng)
+        _, _, reports = run_session(config, secret, secret, rng.integers(2, size=4), [BlockingAttacker("A")], rng=rng)
         report = reports[0]
         assert report.learned_count == 0
         assert report.accuracy == 1.0
@@ -407,9 +406,9 @@ class TestInterceptResend:
         detected = 0
         trials = 80
         for _ in range(trials):
-            secret = random_bits(16, rng)
+            secret = rng.integers(2, size=16)
             _, outcome, reports = run_session(
-                config, secret, secret, random_bits(16, rng), [InterceptResendZ("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=16), [InterceptResendZ("A")], rng=rng
             )
             report = reports[0]
             assert report.learned_count == 0

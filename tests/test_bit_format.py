@@ -55,7 +55,7 @@ def _session_bits(monkeypatch, scenario: str, attack: str) -> dict[str, object]:
 
     monkeypatch.setattr(module, "drive_session", recording_drive)
     rng = np.random.default_rng(SEED)
-    secret_a, secret_b, key = (jiang.random_bits(L, rng) for _ in range(3))
+    secret_a, secret_b, key = (rng.integers(2, size=L) for _ in range(3))
     spec = ExperimentSpec(scenario=scenario, attack=attack, L=L, mode_policy=INDEPENDENT_COIN)
     taps = ATTACK_TABLE[attack].taps(spec, (key,))  # one key per trial, as a chunk hands them
     witness = _Witness()

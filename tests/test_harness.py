@@ -75,6 +75,36 @@ class TestSeeding:
         backward = [run_trial(spec, i).leak_fraction for i in reversed(range(25))]
         assert forward == backward[::-1]
 
+class TestRunTrial:
+    """``run_trial`` runs only a trial that ``run_experiment`` would run."""
+
+    @pytest.mark.parametrize(
+        "field,overrides",
+        [
+            ("attack", dict(attack="blocking")),
+            ("seed", dict(seed=-5)),
+            ("attacked_count", dict(scenario="improved", attack="blocking", L=2, attacked_count=99)),
+            ("L", dict(L=0)),
+        ],
+    )
+    def test_rejects_a_spec_the_experiment_rejects(self, field, overrides):
+        with pytest.raises(SpecValidationError) as err:
+            run_trial(small_spec(**overrides), 0)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "index", [-1, 40, 41, True, 1.0, "0"], ids=["negative", "trials", "past-trials", "bool", "float", "str"]
+    )
+    def test_rejects_an_index_outside_the_trials(self, index):
+        with pytest.raises(SpecValidationError) as err:
+            run_trial(small_spec(), index)  # trials 0 to 39
+        assert err.value.field == "trial_index"
+
+    def test_runs_the_experiment_s_last_trial(self):
+        spec = small_spec(attack="double-cnot")
+        assert run_trial(spec, 39) == harness.run_chunk(spec, 39, 40)[0]
+
+
 class TestAggregation:
     def test_bernoulli_std_error_formula(self):
         values = [1.0] * 30 + [0.0] * 70
@@ -214,10 +244,17 @@ class TestDetectionCurve:
         estimate_detection_curve(spec, [1, 2])
         assert trial_calls == [0, 1, 2, 3, 4] * 2
 
-    def test_rejects_negative_count_before_any_trial(self, trial_calls):
-        spec = ExperimentSpec(scenario="improved", attack="blocking", L=1, trials=5, seed=1)
+    @pytest.mark.parametrize("attack", ["blocking", "malicious-agent"])
+    @pytest.mark.parametrize(
+        "k_values",
+        [[1, 2, -1], [1, 1.5], [True], [1, np.int64(2)], ["2"]],
+        ids=["negative", "float", "bool", "numpy-int", "str"],
+    )
+    def test_rejects_negative_count_before_any_trial(self, trial_calls, k_values, attack):
+        # A point that is not a count is blamed on the count, not on L.
+        spec = ExperimentSpec(scenario="improved", attack=attack, L=1, trials=5, seed=1)
         with pytest.raises(SpecValidationError) as err:
-            estimate_detection_curve(spec, [1, 2, -1])
+            estimate_detection_curve(spec, k_values)
         assert err.value.field == "attacked_count"
         assert trial_calls == []
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord
+from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord, Streams
 from sqpc.harness import SCENARIO_TABLE
 from sqpc.improved import (
     CheckDisclosure,
@@ -19,7 +19,6 @@ from sqpc.jiang import (
     DISCLOSURE_MISMATCH,
     ComparisonOutcome,
     SessionConfig,
-    random_bits,
 )
 from sqpc.kernel import PLUS, prepare_x
 
@@ -34,17 +33,17 @@ def probe_reads(eve):
 
 class TestPreparation:
     def test_counts_per_participant(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=1), rng)
+        photons = tp_prepare_photons(SessionConfig(L=1), Streams([rng]))
         assert len(photons.prepared_sign[photons.channel("A")]) == 4
         assert len(photons.prepared_sign[photons.channel("B")]) == 4
 
     def test_sign_frequency(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=1250), rng)
+        photons = tp_prepare_photons(SessionConfig(L=1250), Streams([rng]))
         signs = photons.prepared_sign
         assert abs(np.mean(signs) - 0.5) < 0.015
 
     def test_prepared_states_are_x_eigenstates(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=2), rng)
+        photons = tp_prepare_photons(SessionConfig(L=2), Streams([rng]))
         (wire,) = set(photons.wire.tolist())
         assert np.array_equal(photons.register.measure_x(wire, rng), photons.prepared_sign)
 
@@ -53,13 +52,13 @@ class TestSiftMeasureResend:
         # 4000 SIFTed |+> photons, one batch position each.
         trials = 4000
         photons = PhotonBatch.prepare([PLUS] * trials)
-        sift_measure_resend(photons, np.ones(trials, dtype=bool), rng)
+        sift_measure_resend(photons, np.ones(trials, dtype=bool), Streams([rng]))
         ones = int(photons.sift_bit.sum())
         assert abs(ones / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_resent_qubit_carries_the_bit(self, rng):
         photons = PhotonBatch.prepare([PLUS] * 50)
-        wires = sift_measure_resend(photons, np.ones(50, dtype=bool), rng)
+        wires = sift_measure_resend(photons, np.ones(50, dtype=bool), Streams([rng]))
         (wire,) = set(wires.tolist())
         assert np.array_equal(photons.register.measure_z(wire, rng), photons.sift_bit)
 
@@ -67,7 +66,7 @@ class TestSiftMeasureResend:
         signs = rng.integers(2, size=64)
         sift = rng.integers(2, size=64).astype(bool)
         photons = PhotonBatch.prepare(signs)
-        wires = sift_measure_resend(photons, sift, rng)
+        wires = sift_measure_resend(photons, sift, Streams([rng]))
         assert np.array_equal(wires, photons.wire)
         assert photons.register.n == 1
         # The other Z block of a measured photon is exactly zero, and its
@@ -80,8 +79,8 @@ class TestSiftMeasureResend:
     @pytest.mark.parametrize("taps", [[], [BlockingAttacker("A")], [BlockingAttacker("B", attack_count=3)]])
     def test_register_keeps_one_qubit_per_photon(self, rng, taps):
         config = SessionConfig(L=3)
-        secret = random_bits(3, rng)
-        transcript, _, _ = run_improved_session(config, secret, secret, random_bits(3, rng), taps, rng=rng)
+        secret = rng.integers(2, size=3)
+        transcript, _, _ = run_improved_session(config, secret, secret, rng.integers(2, size=3), taps, rng=rng)
         assert transcript.photons.register.n == 1
 
     @pytest.mark.parametrize(
@@ -95,16 +94,16 @@ class TestSiftMeasureResend:
     def test_a_tap_adjoins_exactly_one_qubit(self, rng, make_tap):
         # One qubit per photon, plus the resend or ancilla the tap adjoins.
         config = SessionConfig(L=3)
-        secret, key = random_bits(3, rng), random_bits(3, rng)
+        secret, key = rng.integers(2, size=3), rng.integers(2, size=3)
         transcript, _, _ = run_improved_session(config, secret, secret, key, [make_tap(key)], rng=rng)
         assert transcript.photons.register.n == 2
 
     def test_tp_reads_what_the_participant_read_where_no_tap_was(self, rng):
         config = SessionConfig(L=4)
         for _ in range(20):
-            secret = random_bits(4, rng)
+            secret = rng.integers(2, size=4)
             tap = BlockingAttacker("A", attack_count=5)
-            transcript, _, reports = run_improved_session(config, secret, secret, random_bits(4, rng), [tap], rng=rng)
+            transcript, _, reports = run_improved_session(config, secret, secret, rng.integers(2, size=4), [tap], rng=rng)
             photons = transcript.photons
             untouched = np.ones(len(photons.prepared_sign), dtype=bool)
             untouched[photons.channel("A")][reports[0].probed_positions] = False
@@ -115,10 +114,10 @@ class TestSiftMeasureResend:
 class TestCtrlCheck:
     def test_honest_ctrl_always_matches(self, rng):
         config = SessionConfig(L=4)
-        photons = tp_prepare_photons(config, rng)
+        photons = tp_prepare_photons(config, Streams([rng]))
         ctrl = np.ones(32, dtype=bool)
         photons.return_wire = photons.wire
-        mismatches, signs = tp_check_ctrl_x(photons, ctrl, rng)
+        mismatches, signs = tp_check_ctrl_x(photons, ctrl, Streams([rng]))
         assert mismatches == 0
         assert all(np.count_nonzero(signs[photons.channel(p)] >= 0) == 16 for p in ("A", "B"))
 
@@ -136,23 +135,23 @@ class TestCtrlCheck:
         # both signs.
         photons = PhotonBatch.prepare([0, 1])
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, rng)
+        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams([rng]))
         photons.return_wire = photons.wire
-        photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, rng)
+        photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, Streams([rng]))
         assert probe_reads(eve).tolist() == [0, 0]
         assert photons.register.measure_x(0, rng).tolist() == [0, 1]
 
 class TestDisclosure:
     def test_half_of_positions_disclosed(self, rng):
         positions = np.array([1, 4, 5, 9])
-        disclosure = disclose_half_r(positions, bits("0110"), rng)
+        disclosure = disclose_half_r(positions, bits("0110"), rng.permutation(4))
         assert len(disclosure.positions) == 2
         assert set(disclosure.positions.tolist()) <= set(positions.tolist())
 
     def test_values_align_with_positions(self, rng):
         positions = np.array([2, 3, 7, 8])
         r_bits = bits("1011")
-        disclosure = disclose_half_r(positions, r_bits, rng)
+        disclosure = disclose_half_r(positions, r_bits, rng.permutation(4))
         lookup = dict(zip(positions.tolist(), r_bits.tolist()))
         for pos, value in zip(disclosure.positions.tolist(), disclosure.values.tolist()):
             assert value == lookup[pos]
@@ -168,9 +167,9 @@ class TestHonestSessions:
     def test_equal_and_not_equal(self, rng):
         config = SessionConfig(L=4)
         for trial in range(150):
-            secret_a = random_bits(4, rng)
-            secret_b = secret_a.copy() if trial % 2 == 0 else random_bits(4, rng)
-            key = random_bits(4, rng)
+            secret_a = rng.integers(2, size=4)
+            secret_b = secret_a.copy() if trial % 2 == 0 else rng.integers(2, size=4)
+            key = rng.integers(2, size=4)
             transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
             assert not outcome.is_aborted
             if np.array_equal(secret_a, secret_b):
@@ -181,7 +180,7 @@ class TestHonestSessions:
 
     def test_mask_agreement(self, rng):
         config = SessionConfig(L=6)
-        secret_a, secret_b, key = (random_bits(6, rng) for _ in range(3))
+        secret_a, secret_b, key = (rng.integers(2, size=6) for _ in range(3))
         transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
         for p in ("A", "B"):
             # TP's Z-read agrees with the participant's measure-resend bit at
@@ -198,8 +197,8 @@ class TestHonestSessions:
 
     def test_transcript_structure(self, rng):
         config = SessionConfig(L=3)
-        secret = random_bits(3, rng)
-        transcript, _, _ = run_improved_session(config, secret, secret, random_bits(3, rng), rng=rng)
+        secret = rng.integers(2, size=3)
+        transcript, _, _ = run_improved_session(config, secret, secret, rng.integers(2, size=3), rng=rng)
         for p in ("A", "B"):
             assert len(transcript.sift_positions[p]) == 6
             assert len(transcript.r_positions[p]) == 6
@@ -248,9 +247,9 @@ class TestImmunity:
     def test_double_cnot_probe_never_fires(self, rng):
         config = SessionConfig(L=4)
         for _ in range(60):
-            secret = random_bits(4, rng)
+            secret = rng.integers(2, size=4)
             _, outcome, reports = run_improved_session(
-                config, secret, secret, random_bits(4, rng), [DoubleCnotEve("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=4), [DoubleCnotEve("A")], rng=rng
             )
             report = reports[0]
             assert not outcome.is_aborted
@@ -264,9 +263,9 @@ class TestImmunity:
         # 40 photons of each sign, one batch position each.
         photons = PhotonBatch.prepare([0] * 40 + [1] * 40)
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, rng)
-        photons.return_wire = sift_measure_resend(photons, np.ones(80, dtype=bool), rng)
-        photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, rng)
+        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams([rng]))
+        photons.return_wire = sift_measure_resend(photons, np.ones(80, dtype=bool), Streams([rng]))
+        photons.return_wire = eve.on_return(photons.rows, photons.register, photons.return_wire, Streams([rng]))
         assert probe_reads(eve).tolist() == [0] * 80
 
     def test_midflight_triggers_x_mismatches(self, rng):
@@ -274,9 +273,9 @@ class TestImmunity:
         mismatches = 0
         ctrl_attacked = 0
         for _ in range(150):
-            secret = random_bits(4, rng)
+            secret = rng.integers(2, size=4)
             transcript, outcome, _ = run_improved_session(
-                config, secret, secret, random_bits(4, rng), [DoubleCnotEve("A", midflight=True)], rng=rng
+                config, secret, secret, rng.integers(2, size=4), [DoubleCnotEve("A", midflight=True)], rng=rng
             )
             own = transcript.photons.channel("A")
             signs = transcript.x_results[own]
@@ -295,9 +294,9 @@ class TestImmunity:
         trials = 2000
         config = SessionConfig(L=1)
         for _ in range(trials):
-            secret = random_bits(1, rng)
+            secret = rng.integers(2, size=1)
             _, outcome, _ = run_improved_session(
-                config, secret, secret, random_bits(1, rng), [BlockingAttacker("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=1), [BlockingAttacker("A")], rng=rng
             )
             if outcome.is_aborted:
                 assert outcome.abort_reason == DISCLOSURE_MISMATCH
@@ -310,9 +309,9 @@ class TestImmunity:
         config = SessionConfig(L=8, error_threshold=1.0)
         wrong = 0
         for _ in range(40):
-            secret = random_bits(8, rng)
+            secret = rng.integers(2, size=8)
             _, outcome, _ = run_improved_session(
-                config, secret, list(secret), random_bits(8, rng), [BlockingAttacker("A")], rng=rng
+                config, secret, list(secret), rng.integers(2, size=8), [BlockingAttacker("A")], rng=rng
             )
             assert not outcome.is_aborted
             wrong += outcome != ComparisonOutcome.equal()
@@ -321,9 +320,9 @@ class TestImmunity:
     def test_blocking_never_trips_the_x_check(self, rng):
         config = SessionConfig(L=3)
         for _ in range(50):
-            secret = random_bits(3, rng)
+            secret = rng.integers(2, size=3)
             transcript, outcome, _ = run_improved_session(
-                config, secret, secret, random_bits(3, rng), [BlockingAttacker("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=3), [BlockingAttacker("A")], rng=rng
             )
             assert transcript.x_mismatch_count == 0
             if outcome.is_aborted:
@@ -337,7 +336,7 @@ class TestImmunity:
         detected = 0
         trials = 300
         for _ in range(trials):
-            secret_a, secret_b, key = (random_bits(4, rng) for _ in range(3))
+            secret_a, secret_b, key = (rng.integers(2, size=4) for _ in range(3))
             _, outcome, _ = run_improved_session(
                 config, secret_a, secret_b, key,
                 [MaliciousAgent(victim="A", key=key, intercept_count=16)], rng=rng,
@@ -351,7 +350,7 @@ class TestImmunity:
         rng = np.random.default_rng(29)
         survived_with_claims = 0
         for _ in range(400):
-            secret_a, secret_b, key = (random_bits(2, rng) for _ in range(3))
+            secret_a, secret_b, key = (rng.integers(2, size=2) for _ in range(3))
             _, outcome, reports = run_improved_session(
                 config, secret_a, secret_b, key,
                 [MaliciousAgent(victim="A", key=key, intercept_count=3)], rng=rng,

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpc.attacks import InterceptResendZ
+from sqpc.attacks import InterceptResendZ, Streams
 from sqpc.jiang import (
     BALANCED,
     INDEPENDENT_COIN,
@@ -16,7 +16,6 @@ from sqpc.jiang import (
     derive_message,
     draw_modes,
     participant_respond,
-    random_bits,
     run_session,
     tp_compare,
     tp_prepare_pairs,
@@ -39,7 +38,7 @@ class TestDeriveMessage:
 
     def test_involution(self, rng):
         for _ in range(50):
-            s, r, k = (random_bits(16, rng) for _ in range(3))
+            s, r, k = (rng.integers(2, size=16) for _ in range(3))
             assert np.array_equal(derive_message(derive_message(s, r, k), r, k), s)
 
     def test_length_mismatch(self):
@@ -48,12 +47,12 @@ class TestDeriveMessage:
 
 class TestPreparation:
     def test_two_records_for_l1(self, rng):
-        pairs = tp_prepare_pairs(SessionConfig(L=1), rng)
+        pairs = tp_prepare_pairs(SessionConfig(L=1), Streams([rng]))
         assert pairs.register.amps.shape == (4, 2)
         assert np.allclose(np.linalg.norm(pairs.register.amps, axis=0), 1.0)
 
     def test_uniform_variant_frequencies(self, rng):
-        pairs = tp_prepare_pairs(SessionConfig(L=5000), rng)
+        pairs = tp_prepare_pairs(SessionConfig(L=5000), Streams([rng]))
         counts = {v: 0 for v in BellState}
         for value in pairs.prepared:
             counts[BellState(int(value))] += 1
@@ -66,26 +65,26 @@ class TestPreparation:
         for seed in range(200):
             config = SessionConfig(L=1 + seed % 40)
             ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            pairs = tp_prepare_pairs(config, ours)
+            pairs = tp_prepare_pairs(config, Streams([ours]))
             expected = reference.choice(4, size=2 * config.L, p=np.full(4, 0.25))
             assert np.array_equal(pairs.prepared, expected)
             assert ours.random() == reference.random()
 
 class TestChooseModes:
     def test_balanced_counts(self, rng):
-        modes = draw_modes(8, 4, BALANCED, rng)
+        (modes,) = draw_modes(8, 4, BALANCED, Streams([rng]))
         assert len(modes) == 8
         assert modes.dtype == bool
         assert int(modes.sum()) == 4
 
     def test_coin_frequency(self, rng):
-        modes = draw_modes(10000, 5000, INDEPENDENT_COIN, rng)
+        (modes,) = draw_modes(10000, 5000, INDEPENDENT_COIN, Streams([rng]))
         frac = int(modes.sum()) / 10000
         assert abs(frac - 0.5) < 0.015
 
     def test_same_seed_same_modes(self):
-        a = draw_modes(32, 16, BALANCED, np.random.default_rng(3))
-        b = draw_modes(32, 16, BALANCED, np.random.default_rng(3))
+        (a,) = draw_modes(32, 16, BALANCED, Streams([np.random.default_rng(3)]))
+        (b,) = draw_modes(32, 16, BALANCED, Streams([np.random.default_rng(3)]))
         assert np.array_equal(a, b)
 
 class TestRespondAndResolve:
@@ -94,7 +93,7 @@ class TestRespondAndResolve:
             pairs = PairBatch.prepare([variant.value])
             pairs.returns["A"] = participant_respond(CTRL, pairs.register, pairs.wires["A"])
             pairs.returns["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
-            bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, rng)
+            bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, Streams([rng]))
             assert BellState(int(bell[0])) is variant
             assert bell[0] == pairs.prepared[0]
             assert (bit_a[0], bit_b[0]) == (-1, -1)
@@ -103,7 +102,7 @@ class TestRespondAndResolve:
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         pairs.returns["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [1])
         pairs.returns["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
-        bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, rng)
+        bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, Streams([rng]))
         assert bit_a[0] == 1
         assert bit_b[0] == -1
         assert bell[0] == -1
@@ -126,7 +125,7 @@ class TestRespondAndResolve:
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         pairs.returns["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [0])
         pairs.returns["B"] = participant_respond(SIFT, pairs.register, pairs.wires["B"], [1])
-        _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, rng)
+        _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, Streams([rng]))
         assert (bit_a[0], bit_b[0]) == (0, 1)
 
     def test_sift_requires_bit(self):
@@ -142,7 +141,7 @@ class TestCompare:
 
     def test_first_difference_index(self, rng):
         # secrets 1100 vs 1000 with honest masking differ first at index 1
-        key, r_a, r_b = (random_bits(4, rng) for _ in range(3))
+        key, r_a, r_b = (rng.integers(2, size=4) for _ in range(3))
         m_a = derive_message(bits("1100"), r_a, key)
         m_b = derive_message(bits("1000"), r_b, key)
         outcome, prefix = tp_compare(m_a, m_b, r_a, r_b)
@@ -151,7 +150,7 @@ class TestCompare:
 
     def test_masks_and_key_cancel(self, rng):
         for _ in range(50):
-            s_a, s_b, key, r_a, r_b = (random_bits(8, rng) for _ in range(5))
+            s_a, s_b, key, r_a, r_b = (rng.integers(2, size=8) for _ in range(5))
             m_a = derive_message(s_a, r_a, key)
             m_b = derive_message(s_b, r_b, key)
             _, prefix = tp_compare(m_a, m_b, r_a, r_b)
@@ -167,12 +166,12 @@ class TestRunSession:
     def test_honest_equal_and_not_equal(self, rng):
         config = SessionConfig(L=8)
         for trial in range(200):
-            secret_a = random_bits(8, rng)
+            secret_a = rng.integers(2, size=8)
             if trial % 2 == 0:
                 secret_b = secret_a.copy()
             else:
-                secret_b = random_bits(8, rng)
-            key = random_bits(8, rng)
+                secret_b = rng.integers(2, size=8)
+            key = rng.integers(2, size=8)
             _, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
             assert not outcome.is_aborted
             if np.array_equal(secret_a, secret_b):
@@ -184,7 +183,7 @@ class TestRunSession:
 
     def test_transcript_bookkeeping(self, rng):
         config = SessionConfig(L=16)
-        secret_a, secret_b, key = (random_bits(16, rng) for _ in range(3))
+        secret_a, secret_b, key = (rng.integers(2, size=16) for _ in range(3))
         transcript, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
         # TP extracts exactly L message bits per participant under balanced
         assert len(transcript.tp_m["A"]) == 16
@@ -222,8 +221,8 @@ class TestRunSession:
     def test_honest_never_aborts(self, rng):
         config = SessionConfig(L=4)
         for _ in range(300):
-            s = random_bits(4, rng)
-            _, outcome, _ = run_session(config, s, s, random_bits(4, rng), rng=rng)
+            s = rng.integers(2, size=4)
+            _, outcome, _ = run_session(config, s, s, rng.integers(2, size=4), rng=rng)
             assert outcome == ComparisonOutcome.equal()
 
     def test_coin_policy_deficit_aborts(self):
@@ -259,8 +258,8 @@ class TestRunSession:
 
     def test_every_position_classified_once(self, rng):
         config = SessionConfig(L=8)
-        secret = random_bits(8, rng)
-        transcript, _, _ = run_session(config, secret, secret, random_bits(8, rng), rng=rng)
+        secret = rng.integers(2, size=8)
+        transcript, _, _ = run_session(config, secret, secret, rng.integers(2, size=8), rng=rng)
         for pos in range(2 * config.L):
             is_ctrl_ctrl = pos in transcript.ctrl_ctrl_positions
             has_sift_read = transcript.tp_bits["A"][pos] >= 0 or transcript.tp_bits["B"][pos] >= 0
@@ -291,9 +290,9 @@ class TestRunSession:
         ctrl_ctrl = 0
         rng = np.random.default_rng(5)
         for trial in range(120):
-            secret = random_bits(16, rng)
+            secret = rng.integers(2, size=16)
             transcript, outcome, _ = run_session(
-                config, secret, secret, random_bits(16, rng), [InterceptResendZ("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=16), [InterceptResendZ("A")], rng=rng
             )
             ctrl_ctrl += len(transcript.ctrl_ctrl_positions)
             mismatches += transcript.bell_mismatch_count
@@ -319,7 +318,8 @@ class TestBalancedEnumeration:
         n = 3000
         rng = np.random.default_rng(11)
         for _ in range(n):
-            modes = tuple(draw_modes(2 * config.L, config.L, config.mode_policy, rng).tolist())
+            (modes,) = draw_modes(2 * config.L, config.L, config.mode_policy, Streams([rng]))
+            modes = tuple(modes.tolist())
             counts[modes] = counts.get(modes, 0) + 1
         arrangements = set(
             tuple(i in picked for i in range(4))
