@@ -92,6 +92,13 @@ class Streams:
     def __len__(self) -> int:
         return len(self.gens)
 
+    @staticmethod
+    def check(streams) -> None:
+        """Refuse anything but a ``Streams``: a bare generator has draw
+        methods of the same names that draw something else."""
+        if not isinstance(streams, Streams):
+            raise TypeError(f"expected a Streams, got {type(streams).__name__}")
+
     def _each(self, trials) -> list:
         """The generators of ``trials``, every trial's by default."""
         return self.gens if trials is None else [self.gens[t] for t in trials]
@@ -364,6 +371,7 @@ def _attack_mask(count: int | None, num_positions: int, rng: Streams) -> np.ndar
     allows) without a count."""
     if count is None:
         return None
+    Streams.check(rng)
     mask = np.zeros((len(rng), num_positions), dtype=bool)
     np.put_along_axis(mask, rng.choice(num_positions, count), True, axis=1)
     return mask

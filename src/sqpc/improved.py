@@ -180,6 +180,7 @@ def tp_prepare_photons(config: SessionConfig, streams: Streams) -> PhotonBatch:
     """8L photons per trial of a chunk in uniformly random |+>/|-> states
     in one batched register; in each trial's rows the first 4L are for
     participant A and the rest for B."""
+    Streams.check(streams)
     return PhotonBatch.prepare(streams.integers(2, 8 * config.L).ravel(), 4 * config.L)
 
 

@@ -228,6 +228,7 @@ def tp_prepare_pairs(config: SessionConfig, streams: Streams) -> PairBatch:
     One uniform per pair, scaled by 4 and truncated: the draws and
     variants of ``rng.choice(4, size=2L, p=[0.25] * 4)``, whose cut points
     0.25, 0.5 and 0.75, like the scaling by 4, are exact in binary."""
+    Streams.check(streams)
     return PairBatch.prepare((4 * streams.random(2 * config.L)).astype(np.intp).ravel())
 
 
@@ -240,6 +241,7 @@ def draw_modes(num_positions: int, sift_quota: int, policy: str, streams: Stream
     independent fair coin per position, from one ``integers`` call per
     trial.
     """
+    Streams.check(streams)
     if policy == BALANCED:
         return streams.permutation(num_positions) < sift_quota
     if policy == INDEPENDENT_COIN:

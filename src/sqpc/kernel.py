@@ -32,7 +32,11 @@ it backwards on the basis vectors.
 
 The measurement core, :func:`_collapse`, collapses the blocks where they
 live, takes one uniform variate per measured state (one per row of a
-batch) and never sees a generator.  The
+batch) and never sees a generator.  A single state writes back only the
+measured basis state, its row of the preparation table, times the
+renormalized chosen block; a batch zeroes the other blocks and rotates
+them all back.  Both give the same outcomes and amplitudes, up to the
+sign of a zero.  The
 public measurements draw those uniforms in a single ``rng.random(batch)``
 call on the caller's ``numpy.random.Generator`` (or any object whose
 ``random(shape)`` returns uniforms of that shape, such as a chunk of
@@ -302,12 +306,24 @@ def _collapse(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = Fal
     rotated into the X or Bell basis by :func:`_rotate_in` when
     ``rotated``, sampled with one uniform per state (see :func:`_sample`).
     Collapses and renormalizes those blocks in ``amps`` and returns the
-    outcome indices (shape ``batch``)."""
+    outcome indices (shape ``batch``).
+
+    A single state writes back row ``outcome`` of its preparation table
+    (``_Z_STATES``, ``_X_STATES`` or ``_BELL_STATES``) times the scaled
+    chosen block: the products :func:`_rotate_out` makes of one nonzero
+    block, so the amplitudes equal the batch path's up to the sign of a
+    zero.  A batch zeroes the other blocks and rotates them all back,
+    which is cheaper there than gathering each row's block and state."""
     parts = amps[index]
     if rotated:
         parts = _rotate_in(parts)
     probs = _probabilities(parts)
     outcome = _sample(probs, uniforms)
+    if outcome.ndim == 0:
+        states = (_X_STATES if len(parts) == 2 else _BELL_STATES) if rotated else _Z_STATES
+        block = parts[outcome] * (1.0 / np.sqrt(probs[outcome] + _TINY))
+        amps[index] = states[outcome][:, None] * block
+        return outcome
     chosen = _OUTCOMES[: len(parts)].reshape((-1,) + (1,) * outcome.ndim) == outcome
     parts *= (chosen / np.sqrt(probs + _TINY))[:, None]
     amps[index] = _rotate_out(parts) if rotated else parts
@@ -317,6 +333,15 @@ def _collapse(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = Fal
 def _bits(outcome: np.ndarray):
     """An ``int`` for a single state, an int array for a batch."""
     return int(outcome) if outcome.ndim == 0 else outcome
+
+
+_BELL_LABELS = tuple(BellState)
+
+
+def _bell(outcome: np.ndarray):
+    """A ``BellState`` for a single state, an int array of ``BellState``
+    values for a batch."""
+    return _BELL_LABELS[outcome] if outcome.ndim == 0 else outcome
 
 
 def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
@@ -372,8 +397,7 @@ def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
     int array of ``BellState`` values.
     """
     out = amps.copy()
-    outcome = _collapse(*_index("blocks", out, q1, q2), rng.random(amps.shape[1:]), rotated=True)
-    return (BellState(int(outcome)) if outcome.ndim == 0 else outcome), out
+    return _bell(_collapse(*_index("blocks", out, q1, q2), rng.random(amps.shape[1:]), rotated=True)), out
 
 
 def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool:
@@ -455,5 +479,4 @@ class Register:
         return _bits(self._collapse_rows((wire,), rng, rows, rotated=True))
 
     def measure_bell(self, w1, w2, rng: np.random.Generator, rows=None):
-        outcome = self._collapse_rows((w1, w2), rng, rows, rotated=True)
-        return BellState(int(outcome)) if outcome.ndim == 0 else outcome
+        return _bell(self._collapse_rows((w1, w2), rng, rows, rotated=True))

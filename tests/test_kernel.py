@@ -438,3 +438,38 @@ def test_per_row_tables_cover_every_entry(kind, n):
         v = vectors[int(outcome)]
         projected = embed_operator(np.outer(v, v.conj()), list(wires), n) @ state
         assert np.allclose(got[:, i], projected / np.sqrt(probs[int(outcome)]), atol=TOL)
+
+
+# A collapse writes its blocks back one of two ways: a single state writes
+# the measured basis state, a row of the preparation table, times the
+# chosen block; a batch zeroes the other blocks and rotates them all back.
+# The two must give the same outcome and equal amplitudes (up to the sign
+# of a zero) for every width, wire and uniform, including the edge
+# uniforms 0 and 1 - 2**-53 and outcomes of probability 0.
+class _ConstantUniform:
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self, size=()):
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in ("z", "x") for n in range(1, kernel.MAX_QUBITS + 1)]
+    + [("bell", n) for n in range(2, kernel.MAX_QUBITS + 1)],
+)
+def test_single_state_write_back_equals_one_column_batch(kind, n):
+    measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}[kind]
+    rng = np.random.default_rng(7000 + n)
+    wire_sets = list(itertools.permutations(range(n), 2 if kind == "bell" else 1))
+    for is_complex, with_zeros in itertools.product((False, True), repeat=2):
+        state = rng.normal(size=1 << n) + (1j * rng.normal(size=1 << n) if is_complex else 0)
+        if with_zeros:
+            state[1:][rng.random((1 << n) - 1) < 0.5] = 0
+        state /= np.linalg.norm(state)
+        for wires, u in itertools.product(wire_sets, (0.0, 1 - 2**-53, rng.random(), rng.random())):
+            outcome, post = measure(state, *wires, _ConstantUniform(u))
+            outcomes, posts = measure(state[:, None], *wires, _ConstantUniform(u))
+            assert getattr(outcome, "value", outcome) == int(outcomes[0])
+            assert post.dtype == posts.dtype and np.array_equal(post, posts[:, 0])

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqpc.attacks import Streams
+from sqpc.attacks import Streams, _attack_mask
+from sqpc.improved import tp_prepare_photons
+from sqpc.jiang import BALANCED, INDEPENDENT_COIN, SessionConfig, draw_modes, tp_prepare_pairs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -112,3 +114,24 @@ def test_streams_wraps_no_bare_generator():
     # Every helper takes a Streams; there is no shim that accepts a
     # generator in its place.
     assert not hasattr(Streams, "of")
+
+
+# Each helper that draws on a Streams, called on a bare generator: its
+# draw methods share the names of Streams' and would run, drawing
+# something else (a coin of integers in [2, n), a choice with
+# replacement) or failing with an unrelated message.
+BARE_GENERATOR_CALLS = {
+    "draw_modes-coin": lambda rng: draw_modes(8, 4, INDEPENDENT_COIN, rng),
+    "draw_modes-balanced": lambda rng: draw_modes(8, 4, BALANCED, rng),
+    "tp_prepare_pairs": lambda rng: tp_prepare_pairs(SessionConfig(L=2), rng),
+    "tp_prepare_photons": lambda rng: tp_prepare_photons(SessionConfig(L=2), rng),
+    "_attack_mask": lambda rng: _attack_mask(2, 8, rng),
+}
+
+
+@pytest.mark.parametrize("call", BARE_GENERATOR_CALLS)
+def test_helpers_refuse_a_bare_generator(call):
+    rng = np.random.default_rng(7)
+    with pytest.raises(TypeError, match="Streams"):
+        BARE_GENERATOR_CALLS[call](rng)
+    assert rng.random() == np.random.default_rng(7).random(), "the refused call drew"
