@@ -80,10 +80,9 @@ class Streams:
     row per trial drawn; an empty list draws nothing and returns no rows.
     A register of the chunk holds each trial's rows in one block, the
     blocks of equal size and in trial order.  Every measurement of a
-    session or a tap goes through :meth:`measure`, which owns the order
-    of the chunk's measurement draws, and every read array that holds -1
-    where nothing was measured comes from :meth:`read`.  A lone session
-    is a chunk of one trial, ``Streams([rng])``.
+    session or a tap goes through :meth:`read`, which owns the order of
+    the chunk's measurement draws and puts -1 where nothing was measured.
+    A lone session is a chunk of one trial, ``Streams([rng])``.
     """
 
     def __init__(self, gens):
@@ -121,10 +120,12 @@ class Streams:
         """Each trial's ``choice(n, size=size, replace=False)``."""
         return _rows([gen.choice(n, size=size, replace=False) for gen in self._each(trials)], size)
 
-    def measure(self, register: Register, op: str, rows: np.ndarray, *wires, block: int | None = None) -> np.ndarray:
+    def read(self, register: Register, op: str, rows: np.ndarray, *wires, picked=None, block=None) -> np.ndarray:
         """The reads of ``register`` measurement ``op`` (``"measure_z"``,
         ``"measure_x"`` or ``"measure_bell"``) of ``rows`` (ascending) on
-        ``wires``, each an int or one per row, aligned with ``rows``.
+        ``wires``, each an int or one per row, aligned with ``rows``; with
+        ``picked``, a boolean mask aligned with them, of the entries it
+        marks only, -1 at the others.
 
         One kernel call draws what one lone call per (trial, ``block``,
         wires), in ascending order, would draw from that trial's
@@ -136,6 +137,15 @@ class Streams:
         and all of the register's rows are measured with no row
         selection.  No rows make no kernel call and draw nothing.
         """
+        if picked is not None:
+            if picked.dtype != bool:
+                raise TypeError(f"picked must be a boolean mask, got dtype {picked.dtype}")
+            # One scan of the mask rather than one in each of the three indexings.
+            picked = picked.nonzero()[0]
+            reads = np.full(len(rows), -1, dtype=np.intp)
+            wires = [w[picked] if isinstance(w, np.ndarray) else w for w in wires]
+            reads[picked] = self.read(register, op, rows[picked], *wires, block=block)
+            return reads
         if not len(rows):
             return np.zeros(0, dtype=np.intp)
         size = register.num_rows
@@ -161,21 +171,6 @@ class Streams:
                 uniforms = by_row
             rng = _Uniforms(uniforms)
         return getattr(register, op)(*wires, rng, None if len(rows) == size else rows)
-
-    def read(self, register: Register, op: str, rows: np.ndarray, *wires, picked=None, block=None) -> np.ndarray:
-        """The reads of :meth:`measure` at the entries of ``rows`` that
-        ``picked``, a boolean mask aligned with them, marks (all of them by
-        default), -1 at the others: one array aligned with ``rows``."""
-        if picked is None:
-            return self.measure(register, op, rows, *wires, block=block)
-        if picked.dtype != bool:
-            raise TypeError(f"picked must be a boolean mask, got dtype {picked.dtype}")
-        # One scan of the mask rather than one in each of the three indexings.
-        picked = picked.nonzero()[0]
-        reads = np.full(len(rows), -1, dtype=np.intp)
-        wires = [w[picked] if isinstance(w, np.ndarray) else w for w in wires]
-        reads[picked] = self.measure(register, op, rows[picked], *wires, block=block)
-        return reads
 
 
 @dataclass
@@ -296,10 +291,11 @@ class ChannelTap:
     to secret bits.  A tap that sets ``attack_count`` (the malicious
     agent and the blocking attacker) attacks a random subset of that many
     positions per trial, ``_attack_mask``.  A hook notes the trial of each
-    of its entries (:meth:`_record`) and keeps its reads over them in the
-    attributes ``_entry_reads`` names; ``finalize`` takes one trial's
-    entries (:meth:`_entries`).  A fresh tap is as :meth:`begin_session`
-    leaves it.
+    of its entries (:meth:`_record`) and keeps its reads over them, each
+    read array empty (``_NOTHING``) until a hook writes it; ``finalize``
+    reaches them only through one trial's entries (:meth:`_entries`), so
+    a chunk sees no read of an earlier one.  A fresh tap is as
+    :meth:`begin_session` leaves it.
     """
 
     target: str = "A"
@@ -307,7 +303,6 @@ class ChannelTap:
     key: np.ndarray | None = None  # (trials, L): one key per trial of the chunk
     attack_name: str = "none"
     attack_count: int | None = None
-    _entry_reads: tuple[str, ...] = ()
 
     def __init__(self, target: str = "A"):
         self.target = target
@@ -317,11 +312,9 @@ class ChannelTap:
         """Called once per chunk, before any transit and also when every
         trial aborts before its transits, with the per-channel position
         count and the chunk's :class:`Streams`.  Draws each trial's
-        attacked positions and drops an earlier chunk's entries and reads."""
+        attacked positions and drops an earlier chunk's entries."""
         self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
         self._trials = _NOTHING
-        for name in self._entry_reads:
-            setattr(self, name, _NOTHING)
 
     def observe_own_modes(self, sift: np.ndarray) -> None:
         """Only called when ``identity`` names a participant, with its SIFT
@@ -395,7 +388,7 @@ class DoubleCnotEve(ChannelTap):
     the transit qubit's Z value at every position.
     """
 
-    _entry_reads = ("_forward_reads", "_indicator", "_data_bits")
+    _forward_reads = _indicator = _data_bits = _NOTHING
 
     def __init__(self, target: str = "A", midflight: bool = False):
         super().__init__(target)
@@ -411,14 +404,14 @@ class DoubleCnotEve(ChannelTap):
         self._ancilla = register.adjoin(_ZERO)
         self._probe(rows, register, wires)
         if self.midflight:
-            self._forward_reads = rng.measure(register, "measure_z", rows, self._ancilla)
+            self._forward_reads = rng.read(register, "measure_z", rows, self._ancilla)
         return wires
 
     def on_return(self, rows, register, wires, rng):
         if not len(self._trials):  # no forward transit this chunk, so no ancilla
             return wires
         self._probe(rows, register, wires)
-        self._indicator = rng.measure(register, "measure_z", rows, self._ancilla)
+        self._indicator = rng.read(register, "measure_z", rows, self._ancilla)
         if not self.midflight:
             self._data_bits = rng.read(register, "measure_z", rows, wires, picked=self._indicator == 1)
         return wires
@@ -452,7 +445,7 @@ class MaliciousAgent(ChannelTap):
     """
 
     attack_name = "malicious-agent"
-    _entry_reads = ("_reads",)
+    _reads = _NOTHING
 
     def __init__(self, victim: str = "A", key=None, intercept_count: int | None = None):
         super().__init__(victim)
@@ -498,7 +491,7 @@ class BlockingAttacker(ChannelTap):
     """
 
     attack_name = "blocking"
-    _entry_reads = ("_reads",)
+    _reads = _NOTHING
 
     def __init__(self, target: str = "A", attack_count: int | None = None):
         super().__init__(target)
@@ -519,7 +512,7 @@ class InterceptResendZ(ChannelTap):
     the post-measurement eigenstate onward."""
 
     attack_name = "intercept-resend-z"
-    _entry_reads = ("_reads",)
+    _reads = _NOTHING
 
     def on_forward(self, rows, register, wires, rng):
         self._record(rows, register, rng)

@@ -56,11 +56,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     run_p = sub.add_parser("run", help="run one Monte Carlo experiment")
+    run_p.set_defaults(handler=_cmd_run)
     _add_common(run_p)
 
-    sub.add_parser("verify-equations", help="exact-amplitude checks of the attack state evolutions")
+    verify_p = sub.add_parser("verify-equations", help="exact-amplitude checks of the attack state evolutions")
+    verify_p.set_defaults(handler=_cmd_verify_equations)
 
     curve_p = sub.add_parser("detection-curve", help="detection rate per attacked-bit count")
+    curve_p.set_defaults(handler=_cmd_detection_curve)
     _add_common(curve_p)
     curve_p.add_argument("--k", default="1,2,4,8", help="comma-separated attack sizes")
 
@@ -89,7 +92,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return _emit(stats, args)
 
 
-def _cmd_verify_equations() -> int:
+def _cmd_verify_equations(args: argparse.Namespace) -> int:
     checks = attack_state_checks()
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -108,22 +111,14 @@ def _cmd_detection_curve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify-equations":
-            return _cmd_verify_equations()
-        if args.command == "detection-curve":
-            return _cmd_detection_curve(args)
-        parser.error(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SpecValidationError as exc:
         print(f"sqpc: invalid spec: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
         return int(exc.code or 0)
-    return 0
 
 
 if __name__ == "__main__":

@@ -122,7 +122,7 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise SpecValidationError("scenario", f"must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.attack not in ATTACK_TABLE:
+        if not isinstance(self.attack, str) or self.attack not in ATTACK_TABLE:
             raise SpecValidationError("attack", f"must be one of {tuple(ATTACK_TABLE)}, got {self.attack!r}")
         attack = ATTACK_TABLE[self.attack]
         if self.scenario not in attack.scenarios:
@@ -214,6 +214,17 @@ class TrialResult:
     leak_accuracy: float
     sift_indicator_rate: float | None = None
     x_mismatch_rate: float | None = None
+
+
+# The report metrics of every experiment and the ``TrialResult`` field
+# of each; an attack's ``columns`` follow, each its own field's name.
+_COMMON_METRICS = {
+    "abort_rate": "aborted",
+    "detected_rate": "detected",
+    "outcome_correct": "correct",
+    "leak_fraction": "leak_fraction",
+    "leak_accuracy": "leak_accuracy",
+}
 
 
 @dataclass(frozen=True)
@@ -361,25 +372,12 @@ def run_experiment(spec: ExperimentSpec) -> AggregateStats:
     started_at = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
 
-    columns: dict[str, list[float]] = {
-        "abort_rate": [],
-        "detected_rate": [],
-        "outcome_correct": [],
-        "leak_fraction": [],
-        "leak_accuracy": [],
-    }
-    extra = ATTACK_TABLE[spec.attack].columns
-    columns.update((name, []) for name in extra)
-
+    fields = {**_COMMON_METRICS, **{name: name for name in ATTACK_TABLE[spec.attack].columns}}
+    columns: dict[str, list[float]] = {name: [] for name in fields}
     for trial in _run_trials(spec):
-        columns["abort_rate"].append(float(trial.aborted))
-        columns["detected_rate"].append(float(trial.detected))
-        columns["outcome_correct"].append(float(trial.correct))
-        columns["leak_fraction"].append(trial.leak_fraction)
-        columns["leak_accuracy"].append(trial.leak_accuracy)
-        for name in extra:
-            value = getattr(trial, name)
-            if value is not None:
+        for name, field in fields.items():
+            value = getattr(trial, field)
+            if value is not None:  # a metric this trial has no value of
                 columns[name].append(value)
 
     metrics = {

@@ -164,7 +164,6 @@ class ImprovedTranscript:
     tp_masks: dict[str, np.ndarray] | None = None
     published_m: dict[str, np.ndarray] | None = None
     m_t: np.ndarray | None = None
-    outcome: ComparisonOutcome | None = None
 
 
 def tp_prepare_photons(config: SessionConfig, streams: Streams) -> PhotonBatch:
@@ -370,9 +369,8 @@ def run_improved_sessions(
     outcomes, reports = drive_session(
         taps, sift, 2 * L, channels, photons.register, wires, respond, tp_steps, decode_claims, truths, streams
     )
-    for trial, (transcript, outcome) in enumerate(zip(transcripts, outcomes)):
+    for trial, transcript in enumerate(transcripts):
         transcript.photons = photons.trial(slice(trial * size, (trial + 1) * size))
-        transcript.outcome = outcome
     return list(zip(transcripts, outcomes, reports))
 
 

@@ -213,7 +213,6 @@ class SessionTranscript:
     bell_mismatch_count: int = 0
     tp_m: dict[str, np.ndarray] | None = None
     m_t: np.ndarray | None = None
-    outcome: ComparisonOutcome | None = None
 
 
 def tp_prepare_pairs(config: SessionConfig, streams: Streams) -> PairBatch:
@@ -489,9 +488,8 @@ def run_sessions(
     outcomes, reports = drive_session(
         taps, sift, L, channels, pairs.register, pairs.wires, respond, tp_steps, decode_claims, truths, streams
     )
-    for trial, (transcript, outcome) in enumerate(zip(transcripts, outcomes)):
+    for trial, transcript in enumerate(transcripts):
         transcript.pairs = pairs.trial(slice(trial * size, (trial + 1) * size))
-        transcript.outcome = outcome
     return list(zip(transcripts, outcomes, reports))
 
 

@@ -11,8 +11,11 @@ so sessions stay real.  Qubit 0 is the MOST significant bit of a
 basis index: on a 3-qubit register the index ``0b011`` has qubit 0 in |0>
 and qubits 1 and 2 in |1>.  Module functions return fresh arrays and a
 :class:`Register` changes its own; collapses renormalize, so states stay
-unit norm to double precision.  Both copy an input state by one rule,
-:func:`_owned`: float64 for a real or int state, complex128 for a complex one.
+unit norm to double precision.  Every op, :func:`tensor` and
+:func:`bell_probabilities` read an input state by one dtype rule,
+:func:`_double`: float64 for a real or int state, complex128 for a
+complex one, cast only when it is neither; a :class:`Register` and every
+op that returns a state copy it by that rule (:func:`_owned`).
 
 Every gate and measurement gathers its blocks once and writes them back
 once, to the same place; it and :func:`bell_probabilities` find them
@@ -46,7 +49,7 @@ wires.  Whole-protocol runs are then reproducible from a single seed
 whatever the amplitudes happen to be.  A
 caller that hands out the uniforms to its rows in wire order, by a stable
 sort, draws exactly what one call per distinct wire, in ascending wire
-order, would draw; ``sqpc.attacks.Streams.measure`` does that for a
+order, would draw; ``sqpc.attacks.Streams.read`` does that for a
 chunk's rows.  The
 outcome is the first one whose cumulative probability exceeds the scaled
 uniform; when rounding leaves the uniform at the total, it is the last
@@ -253,6 +256,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = num_qubits(a) + num_qubits(b)
     if n > MAX_QUBITS:
         raise ValueError(f"register overflow: {n} qubits exceeds the cap of {MAX_QUBITS}")
+    a, b = _double(a), _double(b)
     batch = a.shape[1:] if a.ndim >= b.ndim else b.shape[1:]
     ndim = 1 + len(batch)
     a = a.reshape(a.shape + (1,) * (ndim - a.ndim))
@@ -263,11 +267,19 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _DOUBLE = (np.dtype(float), np.dtype(complex))
 
 
+def _double(amps: np.ndarray) -> np.ndarray:
+    """A state in double precision: itself if float64 or complex128, else
+    a C-order cast, to float64 if real or int and to complex128 if complex."""
+    if amps.dtype in _DOUBLE:
+        return amps
+    return amps.astype(complex if amps.dtype.kind == "c" else float, order="C")
+
+
 def _owned(amps: np.ndarray) -> np.ndarray:
-    """A C-order copy of a state: float64 if real or int, else complex128."""
+    """A C-order copy of a state in double precision (:func:`_double`)."""
     if amps.dtype in _DOUBLE:
         return amps.copy()  # C order too, and cheaper than a cast
-    return amps.astype(complex if amps.dtype.kind == "c" else float, order="C")
+    return _double(amps)
 
 
 def apply_cnot(amps: np.ndarray, control, target) -> np.ndarray:
@@ -393,7 +405,7 @@ def bell_probabilities(amps: np.ndarray, q1, q2) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on qubits (q1, q2),
     ordered by ``BellState`` value: shape ``(4, *batch)``.  Either wire may
     be one per row, as in :func:`measure_z`."""
-    flat, index = _index("blocks", amps, q1, q2)
+    flat, index = _index("blocks", _double(amps), q1, q2)
     return _probabilities(_rotate_in(flat[index]))
 
 

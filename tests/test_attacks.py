@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpc import jiang
+from sqpc import improved, jiang
 from sqpc.attacks import (
     AttackReport,
     BlockingAttacker,
@@ -84,8 +84,9 @@ def _chunk_layout(seed):
 
 
 class TestStreamsMeasure:
-    """One ``Streams.measure`` call is one lone measurement per (trial,
-    block, wires), in ascending order, each from that trial's generator."""
+    """One ``Streams.read`` call without a mask is one lone measurement
+    per (trial, block, wires), in ascending order, each from that trial's
+    generator."""
 
     @pytest.mark.parametrize("seed", range(60))
     @pytest.mark.parametrize("per_block", [False, True])
@@ -96,7 +97,7 @@ class TestStreamsMeasure:
         lone_gens = [np.random.default_rng([seed, t]) for t in range(trials)]
         register, lone = Register(amps.copy()), Register(amps.copy())
 
-        reads = Streams(gens).measure(register, op, rows, *wires, block=block if per_block else None)
+        reads = Streams(gens).read(register, op, rows, *wires, block=block if per_block else None)
 
         expected = np.full(len(rows), -1)
         groups = rows // (block if per_block else trial_rows)
@@ -115,14 +116,14 @@ class TestStreamsMeasure:
         register = Register(np.tile(prepare_z(0)[:, None], (1, 2 * trials)))
         before = register.amps.copy()
         register.measure_z = None  # a kernel call would fail
-        reads = Streams(gens).measure(register, "measure_z", np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+        reads = Streams(gens).read(register, "measure_z", np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
         assert len(reads) == 0
         assert np.array_equal(register.amps, before)
         assert [gen.random() for gen in gens] == [np.random.default_rng([7, t]).random() for t in range(trials)]
 
 
 class TestStreamsRead:
-    """``Streams.read`` is ``Streams.measure`` of the entries a mask
+    """``Streams.read`` with a mask is the unmasked read of the entries it
     picks, -1 at the others."""
 
     @pytest.mark.parametrize("seed", range(20))
@@ -137,7 +138,7 @@ class TestStreamsRead:
         reads = Streams(gens).read(register, op, rows, *wires, picked=mask, block=block)
 
         expected = np.full(len(rows), -1)
-        expected[mask] = Streams(lone_gens).measure(lone, op, rows[mask], *(w[mask] for w in wires), block=block)
+        expected[mask] = Streams(lone_gens).read(lone, op, rows[mask], *(w[mask] for w in wires), block=block)
         assert reads.tolist() == expected.tolist()
         assert np.array_equal(register.amps, lone.amps)
         assert [gen.random() for gen in gens] == [gen.random() for gen in lone_gens]
@@ -149,11 +150,14 @@ class TestStreamsRead:
             Streams(gens).read(Register(amps.copy()), op, rows, *wires, picked=np.arange(len(rows)))
 
     def test_no_pick_is_measure(self):
+        # No mask reads exactly what a mask that picks every entry reads.
         amps, op, rows, wires, trials, block = _chunk_layout(3)
         gens = [np.random.default_rng([3, t]) for t in range(trials)]
         lone_gens = [np.random.default_rng([3, t]) for t in range(trials)]
+        everything = np.ones(len(rows), dtype=bool)
         reads = Streams(gens).read(Register(amps.copy()), op, rows, *wires)
-        assert reads.tolist() == Streams(lone_gens).measure(Register(amps.copy()), op, rows, *wires).tolist()
+        masked = Streams(lone_gens).read(Register(amps.copy()), op, rows, *wires, picked=everything)
+        assert reads.tolist() == masked.tolist()
 
 
 class TestScoreReport:
@@ -420,3 +424,47 @@ class TestInterceptResend:
             detected += outcome.attacker_detected
         # ~8 CTRL/CTRL positions, each mismatching with probability 1/2
         assert detected / trials > 0.9
+
+
+class TestTapsReusedAcrossChunks:
+    """A tap kept for a second chunk reports none of the first chunk's
+    reads: the harness builds fresh taps for every chunk, so only a
+    caller that reuses them reaches this."""
+
+    KEYS = np.array([[1], [0]])
+    CASES = {
+        # L=1 under the coin policy: seeds whose first two-trial chunk
+        # runs and whose second aborts for too few SIFT positions.
+        "jiang": (
+            jiang.run_sessions,
+            lambda keys: [DoubleCnotEve("A"), MaliciousAgent("A", keys, 1), InterceptResendZ("B")],
+            5,
+        ),
+        "improved": (
+            improved.run_improved_sessions,
+            lambda keys: [DoubleCnotEve("A"), BlockingAttacker("B")],
+            6,
+        ),
+    }
+
+    @pytest.mark.parametrize("protocol", CASES)
+    def test_a_chunk_that_aborts_reports_nothing(self, protocol):
+        run, make_taps, seed = self.CASES[protocol]
+        config = SessionConfig(L=1, mode_policy=INDEPENDENT_COIN)
+        taps = make_taps(self.KEYS)
+
+        def chunk(first_trial):
+            streams = Streams([np.random.default_rng([seed, t]) for t in (first_trial, first_trial + 1)])
+            return run(config, [[0], [1]], [[1], [1]], self.KEYS, taps, streams=streams)
+
+        ran, aborted = chunk(0), chunk(2)
+        assert all(outcome.abort_reason != INSUFFICIENT_SIFT for _, outcome, _ in ran)
+        assert all(any(len(r.probed_positions) for r in reports) for _, _, reports in ran)
+        assert all(outcome.abort_reason == INSUFFICIENT_SIFT for _, outcome, _ in aborted)
+        for _, _, reports in aborted:
+            assert len(reports) == len(taps)
+            for report in reports:
+                assert len(report.intercepted_bits) == 0
+                assert len(report.indicator_bits) == 0
+                assert len(report.probed_positions) == 0
+                assert report.learned_count == 0

@@ -53,6 +53,7 @@ class TestSpecValidation:
             ("seed", dict(seed=True)),
             ("error_threshold", dict(error_threshold=True)),
             ("error_threshold", dict(error_threshold="0.1")),
+            ("attack", dict(attack=["none"])),
         ],
     )
     def test_rejects_bad_fields(self, field, overrides):

@@ -372,6 +372,28 @@ class TestDtypeRule:
         for dtype, expected in ((np.int64, np.float64), (np.float32, np.float64), (np.complex64, np.complex128)):
             assert Register(np.array([1, 0], dtype=dtype)).amps.dtype == expected
 
+    READS = {
+        "tensor": lambda amps, dtype: tensor(amps, np.array([0, 1], dtype=dtype)),
+        "bell_probabilities": lambda amps, dtype: bell_probabilities(amps, 0, 1),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float32, np.complex64])
+    @pytest.mark.parametrize("read", READS)
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_tensor_and_bell_probabilities_follow_the_rule(self, read, dtype, batch):
+        # The states of the op test above, tensored with |1> or Bell-read.
+        kind = np.dtype(dtype).kind
+        amps = np.zeros((4, *batch))
+        amps[2] = 1
+        if batch:
+            amps[:, 1] = (1, 0, 0, 0) if kind == "i" else 0.5
+        double = complex if kind == "c" else float
+        result = self.READS[read](amps.astype(dtype), dtype)
+        expected = self.READS[read](amps.astype(double), double)
+        assert result.dtype == expected.dtype == (double if read == "tensor" else float)
+        assert np.array_equal(result, expected)
+
+
 class TestRegister:
     def test_adjoin_returns_new_wire(self):
         reg = Register(prepare_bell(BellState.PHI_PLUS))
