@@ -2,10 +2,10 @@
 
 Sessions run in chunks: consecutive trials of one experiment share one
 batched register whose rows are (trial, position), trial-major, and each
-trial keeps its own random stream (:class:`Streams`).  A tap sits on one
-participant's quantum channel in every trial of a chunk and gets one
-hook call for the forward transits (TP to participant) of all those
-positions and one for the return transits (participant to TP).  A hook
+trial draws from its own counter-based stream (:class:`Streams`).  A tap
+sits on one participant's quantum channel in every trial of a chunk and
+gets one hook call for the forward transits (TP to participant) of all
+those positions and one for the return transits (participant to TP).  A hook
 receives the register rows that carry the channel's positions in the
 chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
 with the wire each one travels on.  It may grow the register with
@@ -19,7 +19,8 @@ entries, and ``finalize`` reports one trial's reads raw, over its
 channel positions; the protocol, which knows what each position
 carries, decodes them into claims over message indices.  Every hook and
 ``begin_session`` takes the chunk's :class:`Streams`, which make every
-draw of the chunk; a single session is a chunk of one trial.  Nothing
+draw of the chunk, each at a named site of ``SITES`` (a tap's sites
+name its channel); a single session is a chunk of one trial.  Nothing
 here imports a protocol module.  Taps never read amplitudes (a
 register's size is its ``num_rows``); everything an attacker knows comes
 from its own measurement outcomes plus the classical values published
@@ -33,10 +34,10 @@ Attackers here:
   whose Z value she can then read without disturbing anything.  The
   mid-flight variant reads the ancilla between the two C-NOTs instead,
   trading silence for information.
-* ``MaliciousAgent``, a legitimate participant who measures the other
-  participant's returned qubits and resends identical Z eigenstates,
-  either at its own SIFT positions (where TP never Bell-checks) or at a
-  random position subset.
+* ``MaliciousAgent``, a legitimate participant who Z-measures the other
+  participant's returned qubits in place and sends them on, either at its
+  own SIFT positions (where TP never Bell-checks) or at a random position
+  subset.
 * ``BlockingAttacker``, who X-measures returned qubits to corrupt the
   integrity of TP's classical reads without learning anything.
 * ``InterceptResendZ``, the naive baseline that Z-measures every forward
@@ -45,51 +46,115 @@ Attackers here:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .kernel import Register, prepare_z
 
 
-class _Uniforms:
-    """A generator stand-in whose ``random(shape)`` returns given uniforms."""
+# Every draw site of a chunk, by name, and the index that keys its
+# counters.  The harness draws the compared secrets and the pre-shared
+# key; "prepare" is TP's Bell variants or photon signs; the Bell-state
+# protocol's participants draw R and the coin policy's filler bits, the
+# improved protocol's their measure-resend reads and disclosure orders;
+# a tap on a channel draws its attacked positions ("attack"), its probe
+# reads and its reads of the channel's qubits ("intercept"); TP reads
+# last.
+SITES = {
+    name: index
+    for index, name in enumerate(
+        (
+            "secret_a", "differ", "secret_b", "key", "prepare",
+            "modes_A", "modes_B", "r_A", "r_B", "filler_A", "filler_B", "sift", "disclose_A", "disclose_B",
+            "attack_A", "attack_B", "probe_A", "probe_B", "intercept_A", "intercept_B",
+            "tp_bell", "tp_z_A", "tp_z_B", "tp_x", "tp_z",
+        )
+    )
+}
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
-
-    def random(self, shape) -> np.ndarray:
-        return self.values.reshape(shape)
+_MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
-def _rows(rows: list, *shape: int) -> np.ndarray:
-    """Per-trial draws of one ``shape`` as one array, a row per trial; a
-    lone trial's row is a view of its draw."""
-    if len(rows) == 1 and isinstance(rows[0], np.ndarray):
-        return rows[0][None]
-    return np.array(rows) if rows else np.zeros((0, *shape))
+def splitmix64(seed: int, index: int) -> int:
+    """Output ``index`` (from 0) of the SplitMix64 stream seeded with
+    ``seed`` (Steele, Lea & Flood, OOPSLA 2014), in Python ints."""
+    z = (seed + (index + 1) * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+# The multipliers for uint64 arrays, which wrap silently where a numpy
+# scalar multiply would warn.
+_UINT_MIX1, _UINT_MIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
+# Or-ed onto 52 hash bits, the bit pattern of a double in [1, 2).
+_ONE = np.uint64(0x3FF0000000000000)
+
+
+@functools.lru_cache(maxsize=None)
+def _offsets(width: int) -> np.ndarray:
+    """``(counter + 1) * gamma`` of every (site, position) counter below
+    ``width``, ``site << 32 | position``, shape (sites, 1, width)."""
+    counters = np.arange(len(SITES), dtype=np.uint64)[:, None, None] << 32 | np.arange(width, dtype=np.uint64)
+    return (counters + 1) * np.uint64(_GAMMA)
+
+
+def draw_keys(rng: np.random.Generator, trials: int = 1) -> np.ndarray:
+    """The trial keys of ``trials`` sessions run outside an experiment,
+    one draw of ``rng`` each."""
+    return rng.integers(1 << 64, size=trials, dtype=np.uint64)
 
 
 class Streams:
-    """The random streams of a chunk of trials: one numpy Generator per
-    trial, in trial order, and every draw the chunk makes.
+    """The random streams of a chunk of trials, one 64-bit key per trial in
+    trial order, and every draw the chunk makes.
 
-    Each draw method (:meth:`random`, :meth:`integers`,
-    :meth:`permutation`, :meth:`choice`) makes, on the generator of every
-    trial, or of each trial listed in ``trials`` (indices, ascending),
-    the one call a lone session makes at that draw site, and returns one
-    row per trial drawn; an empty list draws nothing and returns no rows.
-    A register of the chunk holds each trial's rows in one block, the
-    blocks of equal size and in trial order.  Every measurement of a
-    session or a tap goes through :meth:`read`, which owns the order of
-    the chunk's measurement draws and puts -1 where nothing was measured.
-    A lone session is a chunk of one trial, ``Streams([rng])``.
+    Every value is a pure function of (trial key, draw site, position): the
+    output ``site << 32 | position`` of the SplitMix64 stream seeded with
+    the key, a counter-based generator (Salmon et al., SC 2011).  So a
+    trial draws the same values in any chunk, and a read draws the same
+    whatever wire its qubit is on.  The constructor hashes every site's
+    counters below ``width`` for the whole chunk at once; a draw that
+    reaches past them hashes again, wider.  Each draw method
+    (:meth:`random`, :meth:`integers`, :meth:`permutation`) takes a site
+    of ``SITES`` and returns one row per trial.  Every measurement of a
+    session or a tap goes through :meth:`read`, which puts -1 where
+    nothing was measured.  An experiment's trial i has the key
+    ``splitmix64(seed, i)``; a lone session draws its key
+    (:func:`draw_keys`).
     """
 
-    def __init__(self, gens):
-        self.gens = list(gens)
+    def __init__(self, keys, width: int = 0):
+        self.trial_keys = np.asarray(keys, dtype=np.uint64)
+        self._hash(width)
 
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self.trial_keys)
+
+    def _hash(self, width: int) -> None:
+        """SplitMix64 of every trial key with every counter below ``width``."""
+        bits = self.trial_keys[:, None] + _offsets(width)
+        bits ^= bits >> 30
+        bits *= _UINT_MIX1
+        bits ^= bits >> 27
+        bits *= _UINT_MIX2
+        bits ^= bits >> 31
+        # The top 52 bits as the mantissa of a double in [1, 2), less 1:
+        # exactly (bits >> 12) / 2**52, without an int-to-float cast.
+        uniforms = ((bits >> 12) | _ONE).view(np.float64)
+        uniforms -= 1.0
+        bits.flags.writeable = uniforms.flags.writeable = False
+        self._bits, self._uniforms = bits, uniforms
+
+    def _site(self, site: str, size: int, bits: bool = False) -> np.ndarray:
+        """Positions 0..size-1 of ``site``, one row per trial: uniforms, or
+        the hash outputs they come from with ``bits``."""
+        if size > self._bits.shape[2]:
+            self._hash(size)
+        return (self._bits if bits else self._uniforms)[SITES[site], :, :size]
 
     @staticmethod
     def check(streams) -> None:
@@ -98,44 +163,34 @@ class Streams:
         if not isinstance(streams, Streams):
             raise TypeError(f"expected a Streams, got {type(streams).__name__}")
 
-    def _each(self, trials) -> list:
-        """The generators of ``trials``, every trial's by default."""
-        return self.gens if trials is None else [self.gens[t] for t in trials]
+    def random(self, site: str, size: int | None = None) -> np.ndarray:
+        """Uniforms in [0, 1), 52 bits each: ``size`` per trial, or one
+        per trial (position 0) without a size."""
+        uniforms = self._site(site, size or 1)
+        return uniforms if size is not None else uniforms[:, 0]
 
-    def random(self, size: int | None = None, trials=None) -> np.ndarray:
-        """Each trial's ``random(size)``."""
-        return _rows([gen.random(size) for gen in self._each(trials)], *([] if size is None else [size]))
+    def integers(self, site: str, high: int, size: int) -> np.ndarray:
+        """Ints in [0, ``high``), ``size`` per trial: each uniform scaled by
+        ``high`` and truncated, exact for a power of two."""
+        return (self.random(site, size) * high).astype(np.intp)
 
-    def integers(self, high: int, size: int, trials=None) -> np.ndarray:
-        """Each trial's ``integers(0, high, size=size)``, one size for
-        every trial drawn; a draw whose size differs by trial is one call
-        per trial."""
-        return _rows([gen.integers(0, high, size=size) for gen in self._each(trials)], size)
+    def permutation(self, site: str, n: int) -> np.ndarray:
+        """A uniformly random permutation of ``n`` per trial: the order of
+        the site's first n hash outputs, which never tie."""
+        return self._site(site, n, bits=True).argsort(axis=1)
 
-    def permutation(self, n: int, trials=None) -> np.ndarray:
-        """Each trial's ``permutation(n)``."""
-        return _rows([gen.permutation(n) for gen in self._each(trials)], n)
-
-    def choice(self, n: int, size: int, trials=None) -> np.ndarray:
-        """Each trial's ``choice(n, size=size, replace=False)``."""
-        return _rows([gen.choice(n, size=size, replace=False) for gen in self._each(trials)], size)
-
-    def read(self, register: Register, op: str, rows: np.ndarray, *wires, picked=None, block=None) -> np.ndarray:
+    def read(self, register: Register, op: str, site: str, rows: np.ndarray, *wires, picked=None) -> np.ndarray:
         """The reads of ``register`` measurement ``op`` (``"measure_z"``,
         ``"measure_x"`` or ``"measure_bell"``) of ``rows`` (ascending) on
         ``wires``, each an int or one per row, aligned with ``rows``; with
         ``picked``, a boolean mask aligned with them, of the entries it
         marks only, -1 at the others.
 
-        One kernel call draws what one lone call per (trial, ``block``,
-        wires), in ascending order, would draw from that trial's
-        generator: the rows take their uniforms in (``row // block``,
-        wires, row) order, ``block`` one trial's rows unless given, and
-        each trial's uniforms are its ``random(k)`` for its k rows.  The
-        kernel sees the rows as given, each with its own uniform.  A wire
-        every row shares goes to the kernel as an int and sorts nothing,
-        and all of the register's rows are measured with no row
-        selection.  No rows make no kernel call and draw nothing.
+        Row r, position ``r % k`` of trial ``r // k`` for the register's k
+        rows per trial, takes the uniform of that trial, ``site`` and that
+        position, whatever its wires, in one kernel call.  All of the
+        register's rows are measured with no row selection.  No rows make
+        no kernel call.
         """
         if picked is not None:
             if picked.dtype != bool:
@@ -144,33 +199,15 @@ class Streams:
             picked = picked.nonzero()[0]
             reads = np.full(len(rows), -1, dtype=np.intp)
             wires = [w[picked] if isinstance(w, np.ndarray) else w for w in wires]
-            reads[picked] = self.read(register, op, rows[picked], *wires, block=block)
+            reads[picked] = self.read(register, op, site, rows[picked], *wires)
             return reads
         if not len(rows):
             return np.zeros(0, dtype=np.intp)
         size = register.num_rows
-        trial_rows = size // len(self.gens)
-        wires, per_row = list(wires), []
-        for i, w in enumerate(wires):
-            if isinstance(w, np.ndarray):
-                if (w == w[0]).all():
-                    wires[i] = int(w[0])
-                else:
-                    per_row.append(i)
-        if len(self.gens) == 1 and not per_row:
-            rng = self.gens[0]
-        else:
-            counts = np.bincount(rows // trial_rows, minlength=len(self.gens)).tolist()
-            uniforms = np.concatenate([gen.random(k) for gen, k in zip(self.gens, counts)])
-            if per_row:
-                # lexsort's last key is its first; the sort is stable, so
-                # rows stay ascending within a (block, wires) group.
-                order = np.lexsort((*(wires[i] for i in reversed(per_row)), rows // (block or trial_rows)))
-                by_row = np.empty_like(uniforms)
-                by_row[order] = uniforms
-                uniforms = by_row
-            rng = _Uniforms(uniforms)
-        return getattr(register, op)(*wires, rng, None if len(rows) == size else rows)
+        uniforms = self.random(site, size // len(self)).reshape(-1)
+        if len(rows) == size:
+            return getattr(register, op)(*wires, uniforms, None)
+        return getattr(register, op)(*wires, uniforms[rows], rows)
 
 
 @dataclass
@@ -313,7 +350,7 @@ class ChannelTap:
         trial aborts before its transits, with the per-channel position
         count and the chunk's :class:`Streams`.  Draws each trial's
         attacked positions and drops an earlier chunk's entries."""
-        self._attack_mask = _attack_mask(self.attack_count, num_positions, rng)
+        self._attack_mask = _attack_mask(self.attack_count, num_positions, rng, "attack_" + self.target)
         self._trials = _NOTHING
 
     def observe_own_modes(self, sift: np.ndarray) -> None:
@@ -359,15 +396,15 @@ def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
     return AttackReport(tap.attack_name, tap.target, probed_positions=(reads >= 0).nonzero()[0], intercepted_bits=reads)
 
 
-def _attack_mask(count: int | None, num_positions: int, rng: Streams) -> np.ndarray | None:
+def _attack_mask(count: int | None, num_positions: int, rng: Streams, site: str) -> np.ndarray | None:
     """Per trial, a uniformly random ``count``-subset of the positions as a
-    mask, one row per trial; ``None`` (attack everything the tap's policy
-    allows) without a count."""
+    mask drawn at ``site``, one row per trial; ``None`` (attack everything
+    the tap's policy allows) without a count."""
     if count is None:
         return None
     Streams.check(rng)
     mask = np.zeros((len(rng), num_positions), dtype=bool)
-    np.put_along_axis(mask, rng.choice(num_positions, count), True, axis=1)
+    np.put_along_axis(mask, rng.permutation(site, num_positions)[:, :count], True, axis=1)
     return mask
 
 
@@ -404,16 +441,17 @@ class DoubleCnotEve(ChannelTap):
         self._ancilla = register.adjoin(_ZERO)
         self._probe(rows, register, wires)
         if self.midflight:
-            self._forward_reads = rng.read(register, "measure_z", rows, self._ancilla)
+            self._forward_reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, self._ancilla)
         return wires
 
     def on_return(self, rows, register, wires, rng):
         if not len(self._trials):  # no forward transit this chunk, so no ancilla
             return wires
         self._probe(rows, register, wires)
-        self._indicator = rng.read(register, "measure_z", rows, self._ancilla)
+        self._indicator = rng.read(register, "measure_z", "probe_" + self.target, rows, self._ancilla)
         if not self.midflight:
-            self._data_bits = rng.read(register, "measure_z", rows, wires, picked=self._indicator == 1)
+            site = "intercept_" + self.target
+            self._data_bits = rng.read(register, "measure_z", site, rows, wires, picked=self._indicator == 1)
         return wires
 
     def finalize(self, published, trial=0):
@@ -432,8 +470,10 @@ class DoubleCnotEve(ChannelTap):
 
 
 class MaliciousAgent(ChannelTap):
-    """A participant who measures the victim's returned qubits and resends
-    identical Z eigenstates.
+    """A participant who Z-measures the victim's returned qubits and sends
+    each measured qubit on: it is then the product Z eigenstate of its
+    read, the state a fresh qubit carrying the read would be, so the
+    resend is the qubit itself, on its own wire.
 
     By default it intercepts exactly at its own SIFT positions, the ones
     TP can never verify with a Bell measurement in the base protocol, so
@@ -446,16 +486,13 @@ class MaliciousAgent(ChannelTap):
 
     attack_name = "malicious-agent"
     _reads = _NOTHING
+    _own_sift: np.ndarray | None = None
 
     def __init__(self, victim: str = "A", key=None, intercept_count: int | None = None):
         super().__init__(victim)
         self.identity = "B" if victim == "A" else "A"
         self.key = None if key is None else np.atleast_2d(key)
         self.attack_count = intercept_count
-
-    def begin_session(self, num_positions, rng):
-        super().begin_session(num_positions, rng)
-        self._own_sift: np.ndarray | None = None
 
     def observe_own_modes(self, sift):
         self._own_sift = sift
@@ -464,14 +501,8 @@ class MaliciousAgent(ChannelTap):
         self._record(rows, register, rng)
         chosen = self._own_sift if self._attack_mask is None else self._attack_mask
         attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
-        self._reads = rng.read(register, "measure_z", rows, wires, picked=attacked)
-        if not attacked.any():
-            return wires
-        # Rows not intercepted get an idle |0> in the resend slot.
-        resend = np.zeros(register.num_rows, dtype=np.intp)
-        resend[rows[attacked]] = self._reads[attacked]
-        fresh = register.adjoin(prepare_z(resend))
-        return np.where(attacked, fresh, wires)
+        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wires, picked=attacked)
+        return wires
 
     def finalize(self, published, trial=0):
         reads = self._reads[self._entries(trial)]
@@ -500,7 +531,7 @@ class BlockingAttacker(ChannelTap):
     def on_return(self, rows, register, wires, rng):
         self._record(rows, register, rng)
         attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials)
-        self._reads = rng.read(register, "measure_x", rows, wires, picked=attacked)
+        self._reads = rng.read(register, "measure_x", "intercept_" + self.target, rows, wires, picked=attacked)
         return wires
 
     def finalize(self, published, trial=0):
@@ -516,7 +547,7 @@ class InterceptResendZ(ChannelTap):
 
     def on_forward(self, rows, register, wires, rng):
         self._record(rows, register, rng)
-        self._reads = rng.read(register, "measure_z", rows, wires)
+        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wires)
         return wires
 
     def finalize(self, published, trial=0):

@@ -1,13 +1,14 @@
 """Experiment runner: scenario wiring, Monte Carlo aggregation, reports.
 
-Every trial gets its own rng seeded by a splitmix64 hash of (master seed,
-trial index), so aggregates do not depend on execution order and a spec
-re-run reproduces every sampled bit.  Experiments and detection-curve
-rows run their trials in chunks (:func:`run_chunk`): consecutive trials
-of one spec share one register of at most ``CHUNK_ROWS`` rows, on which
-each protocol step is one kernel call, while each trial draws from its
-own rng in the order a lone session would; :func:`run_trial` is a chunk
-of one trial and gives the same result.
+Trial i's every draw is a pure function of its key, a splitmix64 hash
+of (master seed, i), a draw site and a position (:class:`Streams`), so
+aggregates do not depend on execution order and a spec re-run
+reproduces every sampled bit.  Experiments and detection-curve rows run
+their trials in chunks (:func:`run_chunk`): consecutive trials of one
+spec share one register of at most ``CHUNK_ROWS`` rows, on which each
+protocol step is one kernel call, and one hash makes the draws of every
+trial of the chunk; :func:`run_trial` is a chunk of one trial and gives
+the same result.
 Every per-scenario fact lives in one ``SCENARIO_TABLE`` entry and every
 per-attack fact in one ``ATTACK_TABLE`` entry.
 """
@@ -34,6 +35,7 @@ from .attacks import (
     InterceptResendZ,
     MaliciousAgent,
     Streams,
+    splitmix64,
 )
 # The single-session drivers stay importable here, where a tracer patches them.
 from .improved import run_improved_session, run_improved_sessions  # noqa: F401
@@ -287,14 +289,6 @@ class AggregateStats:
         return "\n".join(lines) + "\n"
 
 
-def splitmix64(seed: int, index: int) -> int:
-    """Stable 64-bit mix of (seed, index) for per-trial rng streams."""
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _trial_result(
     spec: ExperimentSpec, secret_a: np.ndarray, secret_b: np.ndarray, transcript, outcome, reports
 ) -> TrialResult:
@@ -324,21 +318,22 @@ def _trial_result(
 def run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
     """Trials ``start`` to ``stop - 1`` of the spec as one chunk: one
     register holding every trial's rows, one kernel call per protocol
-    step.  Trial i draws everything from its own rng, seeded from (spec
-    seed, i), in the order a lone session would."""
-    streams = Streams([np.random.default_rng(splitmix64(spec.seed, i)) for i in range(start, stop)])
+    step.  Trial i draws everything from the key ``splitmix64(spec seed,
+    i)``, hashed with every site's counters up to its rows once for the
+    whole chunk."""
+    scenario = SCENARIO_TABLE[spec.scenario]
     L = spec.L
+    streams = Streams([splitmix64(spec.seed, i) for i in range(start, stop)], scenario.rows_per_bit * L)
     # Alice's secrets, Bob's and the keys, one row of L bits per trial
     # each; Bob's secret is Alice's unless a coin says it differs.
-    secrets_a = streams.integers(2, L)
-    differ = (streams.random() >= 0.5).nonzero()[0]
-    secrets_b = secrets_a.copy()
-    secrets_b[differ] = streams.integers(2, L, differ)
-    keys = streams.integers(2, L)
+    secrets_a = streams.integers("secret_a", 2, L)
+    differ = streams.random("differ") >= 0.5
+    secrets_b = np.where(differ[:, None], streams.integers("secret_b", 2, L), secrets_a)
+    keys = streams.integers("key", 2, L)
     taps = ATTACK_TABLE[spec.attack].taps(spec, keys)
 
     config = SessionConfig(L=L, error_threshold=spec.error_threshold, mode_policy=spec.mode_policy)
-    sessions = SCENARIO_TABLE[spec.scenario].run(config, secrets_a, secrets_b, keys, taps, streams=streams)
+    sessions = scenario.run(config, secrets_a, secrets_b, keys, taps, streams=streams)
     return [
         _trial_result(spec, secret_a, secret_b, *session)
         for secret_a, secret_b, session in zip(secrets_a, secrets_b, sessions)

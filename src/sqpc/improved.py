@@ -30,20 +30,19 @@ of one) and all 8L photons of every trial in a chunk live in one batched
 register (see :mod:`sqpc.kernel`): trial t takes rows 8Lt..8Lt+8L-1,
 participant A's 4L positions first and B's after, so position p of B in
 trial t is row 8Lt + 4L + p.  Every photon travels both ways on wire 0,
-so an honest session's register has one qubit per row; only a tap that
-adjoins qubits (an ancilla, a resend of its own) widens it, and only a
-tap's resend moves a row off wire 0 in the one wire map of both
-channels, ``PhotonBatch.wire``.  Each
+so an honest session's register has one qubit per row; only the double
+C-NOT ancilla widens it, and no attack in this package moves a row off
+wire 0 in the one wire map of both channels, ``PhotonBatch.wire``.  Each
 protocol step is one kernel call over both channels of every live
-trial, and every draw one :class:`sqpc.attacks.Streams` call: SIFT
-measure-resend, TP's X checks and TP's Z reads are each one
-:meth:`~sqpc.attacks.Streams.read` in blocks of one channel, a read per
-row (-1 where nothing was read), and the photon signs, SIFT masks and
-disclosure permutations come a row per trial; each trial's transcript
-holds views of its own rows.  Each participant's modes are one boolean
-SIFT mask over their 4L positions (True = SIFT).  Taps, disclosures and
-the public record see positions within a channel; the classical checks,
-comparison and decoding loop over the trials.
+trial, and every draw one :class:`sqpc.attacks.Streams` call at a named
+site: SIFT measure-resend, TP's X checks and TP's Z reads are each one
+:meth:`~sqpc.attacks.Streams.read`, a read per row (-1 where nothing was
+read) keyed by the row's trial and position, and the photon signs, SIFT
+masks and disclosure permutations come a row per trial; each trial's
+transcript holds views of its own rows.  Each participant's modes are
+one boolean SIFT mask over their 4L positions (True = SIFT).  Taps,
+disclosures and the public record see positions within a channel; the
+classical checks, comparison and decoding loop over the trials.
 
 Sessions take :class:`sqpc.jiang.SessionConfig`, derive this protocol's
 counts from L where they are used, and run on
@@ -58,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import _NOTHING, AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams
+from .attacks import _NOTHING, AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams, draw_keys
 from .jiang import (
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
@@ -85,7 +84,7 @@ class PhotonBatch:
     participant in ``PARTICIPANTS`` order, and a chunk's trials lay their
     channel pairs end to end.  ``wire`` is the wire each row's photon is
     on now: a measure-resend sends the measured photon back on its own
-    wire, so only a tap that substitutes a qubit of its own moves a row;
+    wire, so only a tap hook that hands on another wire moves a row;
     after a session it holds the wires TP measured.  ``sift_bit`` holds
     the participant's own measure-resend read at SIFT rows and -1
     elsewhere.
@@ -124,11 +123,11 @@ class PhotonBatch:
         sift_bit = None if self.sift_bit is None else self.sift_bit[rows]
         return PhotonBatch(self.prepared_sign[rows], self.register, self.wire[rows], self.channel_size, sift_bit)
 
-    def measure(self, op: str, selected: np.ndarray, streams: Streams) -> np.ndarray:
-        """The :meth:`Streams.read` of the ``selected`` rows (a mask) on
-        their ``wire``, in blocks of one channel: a read per row, -1 at
-        the rows not selected."""
-        return streams.read(self.register, op, self.rows, self.wire, picked=selected, block=self.channel_size)
+    def measure(self, op: str, site: str, selected: np.ndarray, streams: Streams) -> np.ndarray:
+        """The :meth:`Streams.read` at ``site`` of the ``selected`` rows (a
+        mask) on their ``wire``: a read per row, -1 at the rows not
+        selected."""
+        return streams.read(self.register, op, site, self.rows, self.wire, picked=selected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +170,7 @@ def tp_prepare_photons(config: SessionConfig, streams: Streams) -> PhotonBatch:
     in one batched register; in each trial's rows the first 4L are for
     participant A and the rest for B."""
     Streams.check(streams)
-    return PhotonBatch.prepare(streams.integers(2, 8 * config.L).ravel(), 4 * config.L)
+    return PhotonBatch.prepare(streams.integers("prepare", 2, 8 * config.L).ravel(), 4 * config.L)
 
 
 def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, streams: Streams) -> None:
@@ -182,7 +181,7 @@ def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, streams: Streams
     fresh qubit carrying the outcome would be.  CTRL rows reflect.  Every
     photon returns on the wire it arrived on, so ``photons.wire`` stays
     as it is."""
-    photons.sift_bit = photons.measure("measure_z", sift, streams)
+    photons.sift_bit = photons.measure("measure_z", "sift", sift, streams)
 
 
 def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, streams: Streams) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +191,7 @@ def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, streams: Streams) ->
     Returns each trial's mismatch count and the sign read at each row, -1
     where nothing was measured.
     """
-    signs = photons.measure("measure_x", ctrl, streams)
+    signs = photons.measure("measure_x", "tp_x", ctrl, streams)
     mismatched = (signs >= 0) & (signs != photons.prepared_sign)
     return np.count_nonzero(mismatched.reshape(len(streams), -1), axis=1), signs
 
@@ -303,13 +302,13 @@ def run_improved_sessions(
     trial, taps on both transits of every live trial in one call each,
     declarations visible to taps only at finalize)."""
     L = config.L
-    secrets_a, secrets_b, keys = check_bits(L, streams, secrets_a, secrets_b, keys)
+    secrets_a, secrets_b, keys = check_bits(L, len(streams), secrets_a, secrets_b, keys)
     size = 8 * L
 
     # Each participant gets 4L photons and SIFTs 2L of them, the R
     # carriers; L of those are disclosed and L left as the message mask.
     photons = tp_prepare_photons(config, streams)
-    sift = {p: draw_modes(4 * L, 2 * L, config.mode_policy, streams) for p in PARTICIPANTS}
+    sift = {p: draw_modes(4 * L, 2 * L, config.mode_policy, streams, "modes_" + p) for p in PARTICIPANTS}
     sift_rows = np.concatenate([sift[p] for p in PARTICIPANTS], axis=1).ravel()
 
     transcripts, truths = [], []
@@ -339,7 +338,7 @@ def run_improved_sessions(
         ctrl_rows = ~sift_rows & live_rows
         mismatches, x_results = tp_check_ctrl_x(photons, ctrl_rows, streams)
         ctrl_counts = np.count_nonzero(ctrl_rows.reshape(-1, size), axis=1)
-        tp_r = photons.measure("measure_z", sift_rows & live_rows, streams)
+        tp_r = photons.measure("measure_z", "tp_z", sift_rows & live_rows, streams)
         running = live.nonzero()[0].tolist()
         outcomes = dict.fromkeys(running, _X_CHECK_FAILED)
         checked = []
@@ -355,10 +354,10 @@ def run_improved_sessions(
                 checked.append(trial)
         # Where the X check passed, each participant discloses half of
         # its 2L R carriers.
-        orders = {p: streams.permutation(2 * L, checked) for p in PARTICIPANTS}
-        for j, trial in enumerate(checked):
+        orders = {p: streams.permutation("disclose_" + p, 2 * L) for p in PARTICIPANTS}
+        for trial in checked:
             sift_bit = photons.sift_bit[trial * size : (trial + 1) * size]
-            trial_orders = {p: orders[p][j] for p in PARTICIPANTS}
+            trial_orders = {p: orders[p][trial] for p in PARTICIPANTS}
             outcomes[trial] = _tp_finish(transcripts[trial], published[trial], truths[trial], sift_bit, trial_orders)
         return list(outcomes.values())
 
@@ -386,4 +385,5 @@ def run_improved_session(
     """Run one improved-protocol session, a chunk of one trial (see
     :func:`run_improved_sessions`); same driver contract as
     :func:`sqpc.jiang.run_session`."""
-    return run_improved_sessions(config, [secret_a], [secret_b], [key], taps, streams=Streams([rng]))[0]
+    bits = check_bits(config.L, 1, [secret_a], [secret_b], [key])
+    return run_improved_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), 8 * config.L))[0]

@@ -29,9 +29,9 @@ every trial in a chunk live in one batched register (see
 :mod:`sqpc.kernel`), row ``t * 2L + p`` holding position p of trial t,
 so each protocol step is a few batch calls for the whole chunk rather
 than a loop over trials or positions.  Every draw, measurements
-included, is one call of the chunk's :class:`sqpc.attacks.Streams`,
-which draws each trial's values from that trial's stream as a lone
-session would and returns a row per trial (R, SIFT masks) or per
+included, is one call of the chunk's :class:`sqpc.attacks.Streams` at a
+named site, which gives each trial the values of its own key, in any
+chunk, and returns a row per trial (R, SIFT masks, filler bits) or per
 register row (TP's reads, -1 where nothing was measured); each trial's
 transcript holds views of its own rows, keyed by participant.  A trial
 whose SIFT count falls short aborts and drops out: no later transit,
@@ -63,6 +63,7 @@ from .attacks import (
     GroundTruth,
     PublicRecord,
     Streams,
+    draw_keys,
     score_report,
 )
 from .kernel import BellState, Register, prepare_bell, prepare_z
@@ -201,7 +202,6 @@ class SessionTranscript:
     the session aborted before TP measured).
     """
 
-    config: SessionConfig
     pairs: PairBatch
     modes: dict[str, np.ndarray]
     r: dict[str, np.ndarray]
@@ -219,27 +219,25 @@ def tp_prepare_pairs(config: SessionConfig, streams: Streams) -> PairBatch:
     """Draw 2L uniformly random Bell variants per trial of a chunk into one
     batched register, trial-major (qubit 0 = Alice's half, 1 = Bob's).
 
-    One uniform per pair, scaled by 4 and truncated: the draws and
-    variants of ``rng.choice(4, size=2L, p=[0.25] * 4)``, whose cut points
-    0.25, 0.5 and 0.75, like the scaling by 4, are exact in binary."""
+    One uniform per pair at the site "prepare", scaled by 4 and
+    truncated."""
     Streams.check(streams)
-    return PairBatch.prepare((4 * streams.random(2 * config.L)).astype(np.intp).ravel())
+    return PairBatch.prepare(streams.integers("prepare", 4, 2 * config.L).ravel())
 
 
-def draw_modes(num_positions: int, sift_quota: int, policy: str, streams: Streams) -> np.ndarray:
-    """SIFT masks (True = SIFT, False = CTRL) for one participant, one row
-    per trial.
+def draw_modes(num_positions: int, sift_quota: int, policy: str, streams: Streams, site: str) -> np.ndarray:
+    """SIFT masks (True = SIFT, False = CTRL) for one participant, drawn at
+    ``site``, one row per trial.
 
     Balanced: a uniformly random arrangement with exactly ``sift_quota``
-    SIFT entries, from one ``permutation`` per trial.  Coin: an
-    independent fair coin per position, from one ``integers`` call per
-    trial.
+    SIFT entries, from a permutation.  Coin: an independent fair coin per
+    position.
     """
     Streams.check(streams)
     if policy == BALANCED:
-        return streams.permutation(num_positions) < sift_quota
+        return streams.permutation(site, num_positions) < sift_quota
     if policy == INDEPENDENT_COIN:
-        return streams.integers(2, num_positions) == 1
+        return streams.integers(site, 2, num_positions) == 1
     raise ValueError(f"unknown mode policy {policy!r}")
 
 
@@ -270,8 +268,9 @@ def tp_resolve_positions(
 
     CTRL/CTRL rows get a Bell measurement on the two ``pairs.wires``.  At
     any other row TP Z-reads each SIFT return and leaves a reflected
-    half, if any, unmeasured.  One :meth:`Streams.read` call per step:
-    Bell measurements first, then Alice's reads, then Bob's.  ``live``
+    half, if any, unmeasured.  One :meth:`Streams.read` call per step,
+    each at its own site: the Bell measurements, Alice's reads and
+    Bob's.  ``live``
     masks the rows of the trials still running (every row by
     default).  Returns ``(bell, bits_a, bits_b)``: the ``BellState`` value
     per row and each participant's Z bit per row, -1 where that
@@ -280,9 +279,9 @@ def tp_resolve_positions(
     register, rows = pairs.register, pairs.positions
     measured = True if live is None else live
     wire_a, wire_b = pairs.wires["A"], pairs.wires["B"]
-    bell = streams.read(register, "measure_bell", rows, wire_a, wire_b, picked=~(sift_a | sift_b) & measured)
-    bits_a = streams.read(register, "measure_z", rows, wire_a, picked=sift_a & measured)
-    bits_b = streams.read(register, "measure_z", rows, wire_b, picked=sift_b & measured)
+    bell = streams.read(register, "measure_bell", "tp_bell", rows, wire_a, wire_b, picked=~(sift_a | sift_b) & measured)
+    bits_a = streams.read(register, "measure_z", "tp_z_A", rows, wire_a, picked=sift_a & measured)
+    bits_b = streams.read(register, "measure_z", "tp_z_B", rows, wire_b, picked=sift_b & measured)
     return bell, bits_a, bits_b
 
 
@@ -385,13 +384,13 @@ def decode_claims(report: AttackReport, published: PublicRecord) -> None:
         report.masked_secret_bits = np.where(reads >= 0, reads ^ published.r[report.target], -1)
 
 
-def check_bits(L: int, streams: Streams, secrets_a, secrets_b, keys) -> np.ndarray:
-    """Both participants' secrets and the keys, each (trials, L) with one
-    trial per stream, as one (3, trials, L) int array.  Raises
-    ValueError on any other shape or on an entry that is not an int 0 or 1."""
+def check_bits(L: int, trials: int, secrets_a, secrets_b, keys) -> np.ndarray:
+    """Both participants' secrets and the keys, each (trials, L), as one
+    (3, trials, L) int array.  Raises ValueError on any other shape or on
+    an entry that is not an int 0 or 1."""
     bits = np.asarray((secrets_a, secrets_b, keys))
-    if bits.shape != (3, len(streams), L):
-        raise ValueError(f"secrets and keys must each have shape (trials, L) = {(len(streams), L)}")
+    if bits.shape != (3, trials, L):
+        raise ValueError(f"secrets and keys must each have shape (trials, L) = {(trials, L)}")
     if bits.dtype.kind not in "iu" or (bits >> 1).any():
         raise ValueError("secrets and keys must hold only int bits, 0 or 1")
     return bits
@@ -414,18 +413,19 @@ def run_sessions(
     Trial t compares ``secrets_a[t]`` with ``secrets_b[t]`` under
     ``keys[t]`` and draws everything, its taps' measurements included,
     from stream t of ``streams``, so identical inputs give bit-identical
-    transcripts.  Each tap gets the forward transits of every position of
-    the channel it targets, in every live trial, in one call, then the
-    return transits in another; mode declarations become visible to taps
-    only through ``finalize``, after TP has everything.
+    transcripts, whatever the chunk.  Each tap gets the forward transits
+    of every position of the channel it targets, in every live trial, in
+    one call, then the return transits in another; mode declarations
+    become visible to taps only through ``finalize``, after TP has
+    everything.
     """
     L = config.L
-    secrets_a, secrets_b, keys = check_bits(L, streams, secrets_a, secrets_b, keys)
+    secrets_a, secrets_b, keys = check_bits(L, len(streams), secrets_a, secrets_b, keys)
     size = 2 * L
 
     pairs = tp_prepare_pairs(config, streams)
-    r = {p: streams.integers(2, L) for p in PARTICIPANTS}
-    sift = {p: draw_modes(size, L, config.mode_policy, streams) for p in PARTICIPANTS}
+    r = {p: streams.integers("r_" + p, 2, L) for p in PARTICIPANTS}
+    sift = {p: draw_modes(size, L, config.mode_policy, streams, "modes_" + p) for p in PARTICIPANTS}
     secrets = {"A": secrets_a, "B": secrets_b}
     messages = {p: derive_message(secrets[p], r[p], keys) for p in PARTICIPANTS}
 
@@ -435,7 +435,6 @@ def run_sessions(
         positions = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
         transcripts.append(
             SessionTranscript(
-                config=config,
                 pairs=pairs,
                 modes=modes,
                 r={p: r[p][trial] for p in PARTICIPANTS},
@@ -450,14 +449,9 @@ def run_sessions(
         # The i-th SIFT position carries message bit i, surplus SIFT
         # positions under the coin policy carry random filler.
         for participant in PARTICIPANTS:
-            sifted = carriers = sift[participant] & live[:, None]
-            bits = np.zeros(sifted.shape, dtype=np.intp)
-            if config.mode_policy == INDEPENDENT_COIN and np.count_nonzero(sifted) > L * np.count_nonzero(live):
-                carriers = sifted & (sifted.cumsum(axis=1) <= L)
-                surplus = sifted & ~carriers
-                extra = np.count_nonzero(surplus, axis=1)
-                for trial in extra.nonzero()[0].tolist():
-                    bits[trial, surplus[trial]] = streams.integers(2, int(extra[trial]), [trial])[0]
+            sifted = sift[participant] & live[:, None]
+            carriers = sifted & (sifted.cumsum(axis=1) <= L)
+            bits = streams.integers("filler_" + participant, 2, size)
             bits[carriers] = messages[participant][live].ravel()
             pairs.wires[participant] = participant_respond(sifted.ravel(), pairs.register, pairs.wires[participant], bits.ravel())
 
@@ -506,10 +500,13 @@ def run_session(
     :func:`run_sessions`), and return (transcript, outcome, attack reports).
     ``secret_a``, ``secret_b`` and ``key`` are L bits each.
 
-    All randomness, including every tap's measurement draws, comes from
-    ``rng``, so identical inputs give bit-identical transcripts.
+    The session's key is one draw of ``rng``, made once the bits pass
+    :func:`check_bits`, and all randomness, including every tap's
+    measurement draws, comes from that key, so identical inputs give
+    bit-identical transcripts.
     """
-    return run_sessions(config, [secret_a], [secret_b], [key], taps, streams=Streams([rng]))[0]
+    bits = check_bits(config.L, 1, [secret_a], [secret_b], [key])
+    return run_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), 2 * config.L))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +551,7 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
     model at the observable level.
     """
     s = kernel.SQRT_HALF
-    rng = Streams([np.random.default_rng(0)])
+    rng = Streams([0])
     checks: list[StateCheck] = []
 
     def run_pipeline(message_bit: int | None):

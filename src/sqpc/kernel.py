@@ -42,15 +42,12 @@ renormalized chosen block; a batch zeroes the other blocks and rotates
 them all back.  Both give the same outcomes and amplitudes, up to the
 sign of a zero.  The
 public measurements draw those uniforms in a single ``rng.random(batch)``
-call on the caller's ``numpy.random.Generator`` (or any object whose
-``random(shape)`` returns uniforms of that shape, such as a chunk of
-trials' own draws): uniform ``i`` goes to row ``i``, whatever the row's
-wires.  Whole-protocol runs are then reproducible from a single seed
-whatever the amplitudes happen to be.  A
-caller that hands out the uniforms to its rows in wire order, by a stable
-sort, draws exactly what one call per distinct wire, in ascending wire
-order, would draw; ``sqpc.attacks.Streams.read`` does that for a
-chunk's rows.  The
+call on the caller's ``numpy.random.Generator``; a :class:`Register`
+measurement also takes the uniforms themselves.  Uniform ``i`` goes to
+row ``i``, whatever the row's wires, so runs are reproducible from the
+draws whatever the amplitudes happen to be.
+``sqpc.attacks.Streams.read`` hands each row of a chunk the uniform of
+its trial, draw site and position, so no draw depends on a wire.  The
 outcome is the first one whose cumulative probability exceeds the scaled
 uniform; when rounding leaves the uniform at the total, it is the last
 outcome of nonzero probability, so a collapse never divides by zero.
@@ -264,20 +261,26 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] * b[None, :]).reshape((-1,) + batch)
 
 
-_DOUBLE = (np.dtype(float), np.dtype(complex))
+# numpy's own float64 and complex128 dtypes, native byte order.  A dtype
+# test by identity costs no rich compare; an equal dtype that is another
+# object is cast, which copies and is still right.
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
 
 
 def _double(amps: np.ndarray) -> np.ndarray:
-    """A state in double precision: itself if float64 or complex128, else
-    a C-order cast, to float64 if real or int and to complex128 if complex."""
-    if amps.dtype in _DOUBLE:
+    """A state in double precision: itself if native float64 or
+    complex128, else a C-order cast, to float64 if real or int and to
+    complex128 if complex."""
+    dtype = amps.dtype
+    if dtype is _FLOAT or dtype is _COMPLEX:
         return amps
-    return amps.astype(complex if amps.dtype.kind == "c" else float, order="C")
+    return amps.astype(_COMPLEX if dtype.kind == "c" else _FLOAT, order="C")
 
 
 def _owned(amps: np.ndarray) -> np.ndarray:
     """A C-order copy of a state in double precision (:func:`_double`)."""
-    if amps.dtype in _DOUBLE:
+    dtype = amps.dtype
+    if dtype is _FLOAT or dtype is _COMPLEX:
         return amps.copy()  # C order too, and cheaper than a cast
     return _double(amps)
 
@@ -453,7 +456,9 @@ class Register:
     qubit keeps it idle in |0>.  Gates and measurements act on every row,
     or only on ``rows`` (indices into the single batch axis) when given;
     each wire is an int for all of them or an int array aligned with them,
-    one per row.  Measurement uniform ``i`` goes to the i-th selected row.
+    one per row.  A measurement takes a ``numpy.random.Generator``, or the
+    uniforms themselves, an array of one per selected row; uniform ``i``
+    goes to the i-th selected row.
     Adversary taps act on registers exclusively through these methods and
     the row count ``num_rows``, never by reading amplitudes, so that every
     bit an attacker learns comes from a measurement outcome.
@@ -489,14 +494,15 @@ class Register:
 
     def _collapse_rows(self, wires, rng, rows, rotated=False) -> np.ndarray:
         amps, index = _index("blocks", self.amps, *wires, rows=rows)
-        uniforms = rng.random(self.amps.shape[1:] if rows is None else (len(rows),))
-        return _collapse(amps, index, uniforms, rotated)
+        if not isinstance(rng, np.ndarray):
+            rng = rng.random(self.amps.shape[1:] if rows is None else (len(rows),))
+        return _collapse(amps, index, rng, rotated)
 
-    def measure_z(self, wire, rng: np.random.Generator, rows=None):
+    def measure_z(self, wire, rng: np.random.Generator | np.ndarray, rows=None):
         return _bits(self._collapse_rows((wire,), rng, rows))
 
-    def measure_x(self, wire, rng: np.random.Generator, rows=None):
+    def measure_x(self, wire, rng: np.random.Generator | np.ndarray, rows=None):
         return _bits(self._collapse_rows((wire,), rng, rows, rotated=True))
 
-    def measure_bell(self, w1, w2, rng: np.random.Generator, rows=None):
+    def measure_bell(self, w1, w2, rng: np.random.Generator | np.ndarray, rows=None):
         return _bell(self._collapse_rows((w1, w2), rng, rows, rotated=True))

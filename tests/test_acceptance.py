@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from sqpc.attacks import DoubleCnotEve, MaliciousAgent, Streams
+from sqpc.attacks import DoubleCnotEve, MaliciousAgent, Streams, draw_keys
 from sqpc.harness import SCENARIO_TABLE, ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
 from sqpc.improved import run_improved_session
 from sqpc.jiang import (
@@ -63,11 +63,11 @@ def test_criterion_2_silent_ctrl_restoration():
         # One batch position per trial.
         pairs = PairBatch.prepare([variant.value] * trials_per_state)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
         pairs.wires["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
         pairs.wires["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
-        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
-        bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, Streams([rng]))
+        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
+        bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, Streams(draw_keys(rng)))
         mismatches += int(np.count_nonzero(bell != pairs.prepared))
     ok = mismatches == 0
     report_line(

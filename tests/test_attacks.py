@@ -13,9 +13,12 @@ from sqpc.attacks import (
     GroundTruth,
     InterceptResendZ,
     MaliciousAgent,
+    SITES,
     PublicRecord,
     Streams,
+    draw_keys,
     score_report,
+    splitmix64,
 )
 from sqpc.jiang import (
     INDEPENDENT_COIN,
@@ -48,7 +51,7 @@ class TestStateCheckSuite:
         for m, indices in ((0, (0b0000, 0b1110)), (1, (0b0001, 0b1111))):
             pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
             eve = DoubleCnotEve("A")
-            pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
+            pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
             pairs.wires["A"] = participant_respond(np.array([True]), pairs.register, pairs.wires["A"], [m])
             expected = np.zeros(16, dtype=complex)
             for i in indices:
@@ -59,7 +62,7 @@ class TestStateCheckSuite:
         # CNOT into a fresh ancilla maps psi+ into matched three-way flips.
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
         expected = np.zeros(8, dtype=complex)  # wires (A, B, E)
         expected[0b010] = SQRT_HALF
         expected[0b101] = SQRT_HALF
@@ -68,58 +71,67 @@ class TestStateCheckSuite:
 
 
 def _chunk_layout(seed):
-    """A random chunk: 1-4 trials of one or two blocks of rows each, a
-    random real state per row, a measurement on one or two per-row wires
-    and an ascending row subset (sometimes every row)."""
+    """A random chunk: 1-4 trials of 1-10 rows each, a random real state
+    per row, a measurement on one or two per-row wires, an ascending row
+    subset (sometimes every row) and a draw site."""
     rng = np.random.default_rng(seed)
-    trials, blocks, block = int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 6))
-    size, n = trials * blocks * block, 3
+    trials, trial_rows = int(rng.integers(1, 5)), int(rng.integers(1, 11))
+    size, n = trials * trial_rows, 3
     amps = rng.normal(size=(1 << n, size))
     amps /= np.linalg.norm(amps, axis=0)
     op = ("measure_z", "measure_x", "measure_bell")[int(rng.integers(3))]
     first = rng.integers(n, size=size) if rng.random() < 0.7 else np.full(size, int(rng.integers(n)))
     wires = [first] if op != "measure_bell" else [first, (first + rng.integers(1, n, size=size)) % n]
     rows = np.arange(size) if rng.random() < 0.2 else (rng.random(size) < 0.7).nonzero()[0]
-    return amps, op, rows, [w[rows] for w in wires], trials, block
+    site = list(SITES)[int(rng.integers(len(SITES)))]
+    return amps, op, site, rows, [w[rows] for w in wires], draw_keys(rng, trials)
+
+
+def _move_qubits(amps: np.ndarray, order: list[int]) -> np.ndarray:
+    """Every row's state with qubit q moved to wire ``order[q]``."""
+    n = len(order)
+    axes = [order.index(wire) for wire in range(n)] + [n]
+    return amps.reshape((2,) * n + amps.shape[1:]).transpose(axes).reshape(amps.shape)
 
 
 class TestStreamsMeasure:
     """One ``Streams.read`` call without a mask is one lone measurement
-    per (trial, block, wires), in ascending order, each from that trial's
-    generator."""
+    per row, each with the uniform of its trial, the read's site and its
+    position; moving the measured qubits to other wires changes no read."""
 
     @pytest.mark.parametrize("seed", range(60))
-    @pytest.mark.parametrize("per_block", [False, True])
-    def test_matches_lone_measurements(self, seed, per_block):
-        amps, op, rows, wires, trials, block = _chunk_layout(seed)
-        trial_rows = amps.shape[1] // trials
-        gens = [np.random.default_rng([seed, t]) for t in range(trials)]
-        lone_gens = [np.random.default_rng([seed, t]) for t in range(trials)]
-        register, lone = Register(amps.copy()), Register(amps.copy())
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_matches_lone_measurements(self, seed, moved):
+        amps, op, site, rows, wires, keys = _chunk_layout(seed)
+        trial_rows = amps.shape[1] // len(keys)
+        streams = Streams(keys)
+        register = Register(amps.copy())
 
-        reads = Streams(gens).read(register, op, rows, *wires, block=block if per_block else None)
+        reads = streams.read(register, op, site, rows, *wires)
 
-        expected = np.full(len(rows), -1)
-        groups = rows // (block if per_block else trial_rows)
-        keys = sorted({(int(g), *(int(w[i]) for w in wires)) for i, g in enumerate(groups)})
-        for group, *key in keys:
-            picked = (groups == group) & np.logical_and.reduce([w == k for w, k in zip(wires, key)])
-            gen = lone_gens[rows[picked][0] // trial_rows]
-            expected[picked] = getattr(lone, op)(*key, gen, rows[picked])
-        assert reads.tolist() == expected.tolist()
-        assert np.array_equal(register.amps, lone.amps)
-        assert [gen.random() for gen in gens] == [gen.random() for gen in lone_gens]
+        # Each row alone, on a register whose qubits sit on other wires
+        # when ``moved``.
+        order = list(np.random.default_rng([seed, 1]).permutation(3)) if moved else [0, 1, 2]
+        lone = Register(_move_qubits(amps, order))
+        uniforms = streams.random(site, trial_rows).reshape(-1)
+        expected = [
+            getattr(lone, op)(*(order[w[i]] for w in wires), uniforms[row : row + 1], np.array([row]))[0]
+            for i, row in enumerate(rows.tolist())
+        ]
+        assert reads.tolist() == expected
+        # Moved qubits sum a row's probabilities in another order, so the
+        # amplitudes agree to rounding.
+        restored = _move_qubits(lone.amps, [order.index(q) for q in range(3)])
+        assert np.allclose(register.amps, restored, rtol=0, atol=1e-12) if moved else np.array_equal(register.amps, restored)
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_empty_rows_draw_nothing(self, trials):
-        gens = [np.random.default_rng([7, t]) for t in range(trials)]
         register = Register(np.tile(prepare_z(0)[:, None], (1, 2 * trials)))
         before = register.amps.copy()
         register.measure_z = None  # a kernel call would fail
-        reads = Streams(gens).read(register, "measure_z", np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+        reads = Streams(range(trials)).read(register, "measure_z", "tp_z", np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
         assert len(reads) == 0
         assert np.array_equal(register.amps, before)
-        assert [gen.random() for gen in gens] == [np.random.default_rng([7, t]).random() for t in range(trials)]
 
 
 class TestStreamsRead:
@@ -129,34 +141,28 @@ class TestStreamsRead:
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("as_mask", [True])  # ``picked`` is a mask only
     def test_measures_the_picked_entries(self, seed, as_mask):
-        amps, op, rows, wires, trials, block = _chunk_layout(seed)
+        amps, op, site, rows, wires, keys = _chunk_layout(seed)
         mask = np.random.default_rng([seed, 99]).random(len(rows)) < 0.6
-        gens = [np.random.default_rng([seed, t]) for t in range(trials)]
-        lone_gens = [np.random.default_rng([seed, t]) for t in range(trials)]
         register, lone = Register(amps.copy()), Register(amps.copy())
 
-        reads = Streams(gens).read(register, op, rows, *wires, picked=mask, block=block)
+        reads = Streams(keys).read(register, op, site, rows, *wires, picked=mask)
 
         expected = np.full(len(rows), -1)
-        expected[mask] = Streams(lone_gens).read(lone, op, rows[mask], *(w[mask] for w in wires), block=block)
+        expected[mask] = Streams(keys).read(lone, op, site, rows[mask], *(w[mask] for w in wires))
         assert reads.tolist() == expected.tolist()
         assert np.array_equal(register.amps, lone.amps)
-        assert [gen.random() for gen in gens] == [gen.random() for gen in lone_gens]
 
     def test_indices_are_refused(self):
-        amps, op, rows, wires, trials, _ = _chunk_layout(3)
-        gens = [np.random.default_rng([3, t]) for t in range(trials)]
+        amps, op, site, rows, wires, keys = _chunk_layout(3)
         with pytest.raises(TypeError, match="boolean mask"):
-            Streams(gens).read(Register(amps.copy()), op, rows, *wires, picked=np.arange(len(rows)))
+            Streams(keys).read(Register(amps.copy()), op, site, rows, *wires, picked=np.arange(len(rows)))
 
     def test_no_pick_is_measure(self):
         # No mask reads exactly what a mask that picks every entry reads.
-        amps, op, rows, wires, trials, block = _chunk_layout(3)
-        gens = [np.random.default_rng([3, t]) for t in range(trials)]
-        lone_gens = [np.random.default_rng([3, t]) for t in range(trials)]
+        amps, op, site, rows, wires, keys = _chunk_layout(3)
         everything = np.ones(len(rows), dtype=bool)
-        reads = Streams(gens).read(Register(amps.copy()), op, rows, *wires)
-        masked = Streams(lone_gens).read(Register(amps.copy()), op, rows, *wires, picked=everything)
+        reads = Streams(keys).read(Register(amps.copy()), op, site, rows, *wires)
+        masked = Streams(keys).read(Register(amps.copy()), op, site, rows, *wires, picked=everything)
         assert reads.tolist() == masked.tolist()
 
 
@@ -226,14 +232,14 @@ class TestDoubleCnotEve:
         trips = 500
         pairs = PairBatch.prepare([variant.value] * trips)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
         ctrl = np.zeros(trips, dtype=bool)
         pairs.wires["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
         pairs.wires["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
-        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
+        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
         report = eve.finalize(PublicRecord(L=trips // 2))
         assert report.indicator_bits.tolist() == [0] * trips
-        bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, Streams([rng]))
+        bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, Streams(draw_keys(rng)))
         assert (bell != pairs.prepared).tolist() == [False] * trips
 
     def test_indicator_and_data_read_on_sift(self, rng):
@@ -241,9 +247,9 @@ class TestDoubleCnotEve:
         m = rng.integers(2, size=trials)
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
+        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
         pairs.wires["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], m)
-        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams([rng]))
+        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
         report = eve.finalize(PublicRecord(L=trials // 2))
         fired = (report.indicator_bits == 1).nonzero()[0]
         # a fired probe reads the bit exactly, and an unfired one reads nothing
@@ -388,9 +394,9 @@ class TestBlocking:
         positions = np.arange(4000)
         for z_bit in (0, 1):
             tap = BlockingAttacker("A")
-            tap.begin_session(len(positions), Streams([rng]))
+            tap.begin_session(len(positions), Streams(draw_keys(rng)))
             reg = Register(prepare_z(np.full(len(positions), z_bit)))
-            tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), Streams([rng]))
+            tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), Streams(draw_keys(rng)))
             reads = tap.finalize(PublicRecord(L=1)).intercepted_bits
             for read in reads[reads >= 0].tolist():
                 counts[z_bit][read] += 1
@@ -438,12 +444,12 @@ class TestTapsReusedAcrossChunks:
         "jiang": (
             jiang.run_sessions,
             lambda keys: [DoubleCnotEve("A"), MaliciousAgent("A", keys, 1), InterceptResendZ("B")],
-            5,
+            6,
         ),
         "improved": (
             improved.run_improved_sessions,
             lambda keys: [DoubleCnotEve("A"), BlockingAttacker("B")],
-            6,
+            9,
         ),
     }
 
@@ -454,7 +460,7 @@ class TestTapsReusedAcrossChunks:
         taps = make_taps(self.KEYS)
 
         def chunk(first_trial):
-            streams = Streams([np.random.default_rng([seed, t]) for t in (first_trial, first_trial + 1)])
+            streams = Streams([splitmix64(seed, t) for t in (first_trial, first_trial + 1)])
             return run(config, [[0], [1]], [[1], [1]], self.KEYS, taps, streams=streams)
 
         ran, aborted = chunk(0), chunk(2)

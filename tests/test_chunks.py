@@ -42,7 +42,7 @@ def test_chunked_experiment_equals_lone_trials(monkeypatch, scenario, attack, po
 def test_insufficient_sift_abort_mid_chunk(monkeypatch):
     # Coin policy at L=2: a trial aborts when a participant SIFTs fewer
     # than 2 of 4 positions.  Trials after it in its chunk still run.
-    spec = ExperimentSpec(scenario="jiang", attack="double-cnot", L=2, trials=TRIALS, seed=23, mode_policy="coin")
+    spec = ExperimentSpec(scenario="jiang", attack="double-cnot", L=2, trials=TRIALS, seed=24, mode_policy="coin")
     chunks = record_chunks(monkeypatch, spec)
     run_experiment(spec)
     mid_chunk = [

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("02_eavesdropper_leak.py", "detected_rate          0.0000"),
         ("03_malicious_agent.py", "attack detected: False"),
         ("04_improved_immunity.py", "the price: qubit efficiency drops from 1/2 to 1/4"),
-        ("05_blocking_detection.py", "  4   0.9400     0.9375"),
+        ("05_blocking_detection.py", "  4   0.9465     0.9375"),
     ],
 )
 def test_demo_runs(script, result_line):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord, Streams
+from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord, Streams, draw_keys
 from sqpc.harness import SCENARIO_TABLE
 from sqpc.improved import (
     CheckDisclosure,
@@ -33,17 +33,17 @@ def probe_reads(eve):
 
 class TestPreparation:
     def test_counts_per_participant(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=1), Streams([rng]))
+        photons = tp_prepare_photons(SessionConfig(L=1), Streams(draw_keys(rng)))
         assert len(photons.prepared_sign[photons.channel("A")]) == 4
         assert len(photons.prepared_sign[photons.channel("B")]) == 4
 
     def test_sign_frequency(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=1250), Streams([rng]))
+        photons = tp_prepare_photons(SessionConfig(L=1250), Streams(draw_keys(rng)))
         signs = photons.prepared_sign
         assert abs(np.mean(signs) - 0.5) < 0.015
 
     def test_prepared_states_are_x_eigenstates(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=2), Streams([rng]))
+        photons = tp_prepare_photons(SessionConfig(L=2), Streams(draw_keys(rng)))
         (wire,) = set(photons.wire.tolist())
         assert np.array_equal(photons.register.measure_x(wire, rng), photons.prepared_sign)
 
@@ -52,13 +52,13 @@ class TestSiftMeasureResend:
         # 4000 SIFTed |+> photons, one batch position each.
         trials = 4000
         photons = PhotonBatch.prepare([PLUS] * trials)
-        sift_measure_resend(photons, np.ones(trials, dtype=bool), Streams([rng]))
+        sift_measure_resend(photons, np.ones(trials, dtype=bool), Streams(draw_keys(rng)))
         ones = int(photons.sift_bit.sum())
         assert abs(ones / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_resent_qubit_carries_the_bit(self, rng):
         photons = PhotonBatch.prepare([PLUS] * 50)
-        sift_measure_resend(photons, np.ones(50, dtype=bool), Streams([rng]))
+        sift_measure_resend(photons, np.ones(50, dtype=bool), Streams(draw_keys(rng)))
         (wire,) = set(photons.wire.tolist())
         assert np.array_equal(photons.register.measure_z(wire, rng), photons.sift_bit)
 
@@ -67,7 +67,7 @@ class TestSiftMeasureResend:
         sift = rng.integers(2, size=64).astype(bool)
         photons = PhotonBatch.prepare(signs)
         delivered = photons.wire.copy()
-        sift_measure_resend(photons, sift, Streams([rng]))
+        sift_measure_resend(photons, sift, Streams(draw_keys(rng)))
         assert np.array_equal(photons.wire, delivered)
         assert photons.register.n == 1
         # The other Z block of a measured photon is exactly zero, and its
@@ -77,23 +77,35 @@ class TestSiftMeasureResend:
         assert np.allclose(np.abs(photons.register.amps[photons.sift_bit[rows], rows]), 1.0, rtol=0, atol=1e-12)
         assert np.array_equal(photons.register.amps[:, ~sift], prepare_x(signs[~sift]))
 
-    @pytest.mark.parametrize("taps", [[], [BlockingAttacker("A")], [BlockingAttacker("B", attack_count=3)]])
-    def test_register_keeps_one_qubit_per_photon(self, rng, taps):
+    @pytest.mark.parametrize(
+        "make_taps",
+        [
+            lambda key: [],
+            lambda key: [BlockingAttacker("A")],
+            lambda key: [BlockingAttacker("B", attack_count=3)],
+            # The malicious agent sends on the photon it measured.
+            lambda key: [MaliciousAgent(victim="A", key=key)],
+            lambda key: [MaliciousAgent(victim="B", key=key, intercept_count=5)],
+        ],
+        ids=["taps0", "taps1", "taps2", "taps3", "taps4"],
+    )
+    def test_register_keeps_one_qubit_per_photon(self, rng, make_taps):
         config = SessionConfig(L=3)
-        secret = rng.integers(2, size=3)
-        transcript, _, _ = run_improved_session(config, secret, secret, rng.integers(2, size=3), taps, rng=rng)
+        secret, key = rng.integers(2, size=3), rng.integers(2, size=3)
+        transcript, _, _ = run_improved_session(config, secret, secret, key, make_taps(key), rng=rng)
         assert transcript.photons.register.n == 1
 
     @pytest.mark.parametrize(
         "make_tap",
         [
-            lambda key: MaliciousAgent(victim="A", key=key),
-            lambda key: MaliciousAgent(victim="B", key=key, intercept_count=5),
             lambda key: DoubleCnotEve("A"),
+            lambda key: DoubleCnotEve("B"),
+            lambda key: DoubleCnotEve("A", midflight=True),
         ],
     )
     def test_a_tap_adjoins_exactly_one_qubit(self, rng, make_tap):
-        # One qubit per photon, plus the resend or ancilla the tap adjoins.
+        # One qubit per photon, plus the double C-NOT ancilla, the only
+        # qubit any tap adjoins.
         config = SessionConfig(L=3)
         secret, key = rng.integers(2, size=3), rng.integers(2, size=3)
         transcript, _, _ = run_improved_session(config, secret, secret, key, [make_tap(key)], rng=rng)
@@ -121,15 +133,21 @@ class TestSiftMeasureResend:
         resent = np.zeros(len(photons.prepared_sign), dtype=bool)
         resent[photons.channel("B")][report.probed_positions] = True
         assert np.count_nonzero(resent) == 5
-        # Every photon comes back on wire 0; the agent's resends are on wire 1.
-        assert photons.wire.tolist() == resent.astype(int).tolist()
+        # Every photon comes back on wire 0, the agent's resends too: they
+        # are the photons it measured, and TP Z-reads what it read.
+        assert photons.wire.tolist() == [0] * len(resent)
+        assert photons.register.n == 1
+        read_by_both = resent & (transcript.tp_r >= 0)
+        assert read_by_both.any()
+        reads = report.payload_reads[read_by_both[photons.channel("B")]]
+        assert transcript.tp_r[read_by_both].tolist() == reads.tolist()
 
 class TestCtrlCheck:
     def test_honest_ctrl_always_matches(self, rng):
         config = SessionConfig(L=4)
-        photons = tp_prepare_photons(config, Streams([rng]))
+        photons = tp_prepare_photons(config, Streams(draw_keys(rng)))
         ctrl = np.ones(32, dtype=bool)
-        mismatches, signs = tp_check_ctrl_x(photons, ctrl, Streams([rng]))
+        mismatches, signs = tp_check_ctrl_x(photons, ctrl, Streams(draw_keys(rng)))
         assert mismatches == 0
         assert all(np.count_nonzero(signs[photons.channel(p)] >= 0) == 16 for p in ("A", "B"))
 
@@ -147,8 +165,8 @@ class TestCtrlCheck:
         # both signs.
         photons = PhotonBatch.prepare([0, 1])
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams([rng]))
-        photons.wire = eve.on_return(photons.rows, photons.register, photons.wire, Streams([rng]))
+        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
+        photons.wire = eve.on_return(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
         assert probe_reads(eve).tolist() == [0, 0]
         assert photons.register.measure_x(0, rng).tolist() == [0, 1]
 
@@ -274,9 +292,9 @@ class TestImmunity:
         # 40 photons of each sign, one batch position each.
         photons = PhotonBatch.prepare([0] * 40 + [1] * 40)
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams([rng]))
-        sift_measure_resend(photons, np.ones(80, dtype=bool), Streams([rng]))
-        photons.wire = eve.on_return(photons.rows, photons.register, photons.wire, Streams([rng]))
+        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
+        sift_measure_resend(photons, np.ones(80, dtype=bool), Streams(draw_keys(rng)))
+        photons.wire = eve.on_return(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
         assert probe_reads(eve).tolist() == [0] * 80
 
     def test_midflight_triggers_x_mismatches(self, rng):

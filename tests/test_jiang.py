@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpc.attacks import InterceptResendZ, MaliciousAgent, Streams
+from sqpc.attacks import InterceptResendZ, MaliciousAgent, Streams, draw_keys
 from sqpc.jiang import (
     BALANCED,
     INDEPENDENT_COIN,
@@ -47,12 +47,12 @@ class TestDeriveMessage:
 
 class TestPreparation:
     def test_two_records_for_l1(self, rng):
-        pairs = tp_prepare_pairs(SessionConfig(L=1), Streams([rng]))
+        pairs = tp_prepare_pairs(SessionConfig(L=1), Streams(draw_keys(rng)))
         assert pairs.register.amps.shape == (4, 2)
         assert np.allclose(np.linalg.norm(pairs.register.amps, axis=0), 1.0)
 
     def test_uniform_variant_frequencies(self, rng):
-        pairs = tp_prepare_pairs(SessionConfig(L=5000), Streams([rng]))
+        pairs = tp_prepare_pairs(SessionConfig(L=5000), Streams(draw_keys(rng)))
         counts = {v: 0 for v in BellState}
         for value in pairs.prepared:
             counts[BellState(int(value))] += 1
@@ -60,31 +60,31 @@ class TestPreparation:
             assert abs(counts[v] / 10000 - 0.25) < 0.02
 
     def test_variants_and_draws_match_uniform_choice(self):
-        # The variants rng.choice(4, size=2L, p=[0.25] * 4) would give, from
-        # the same uniforms: the next draw of both generators agrees too.
+        # The variants an inverse-CDF choice of 4 with p=[0.25] * 4 makes
+        # from the site's uniforms, as numpy's Generator.choice does.
         for seed in range(200):
             config = SessionConfig(L=1 + seed % 40)
-            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            pairs = tp_prepare_pairs(config, Streams([ours]))
-            expected = reference.choice(4, size=2 * config.L, p=np.full(4, 0.25))
+            streams = Streams([seed])
+            pairs = tp_prepare_pairs(config, streams)
+            uniforms = streams.random("prepare", 2 * config.L)[0]
+            expected = np.searchsorted(np.cumsum(np.full(4, 0.25)), uniforms, side="right")
             assert np.array_equal(pairs.prepared, expected)
-            assert ours.random() == reference.random()
 
 class TestChooseModes:
     def test_balanced_counts(self, rng):
-        (modes,) = draw_modes(8, 4, BALANCED, Streams([rng]))
+        (modes,) = draw_modes(8, 4, BALANCED, Streams(draw_keys(rng)), "modes_A")
         assert len(modes) == 8
         assert modes.dtype == bool
         assert int(modes.sum()) == 4
 
     def test_coin_frequency(self, rng):
-        (modes,) = draw_modes(10000, 5000, INDEPENDENT_COIN, Streams([rng]))
+        (modes,) = draw_modes(10000, 5000, INDEPENDENT_COIN, Streams(draw_keys(rng)), "modes_A")
         frac = int(modes.sum()) / 10000
         assert abs(frac - 0.5) < 0.015
 
     def test_same_seed_same_modes(self):
-        (a,) = draw_modes(32, 16, BALANCED, Streams([np.random.default_rng(3)]))
-        (b,) = draw_modes(32, 16, BALANCED, Streams([np.random.default_rng(3)]))
+        (a,) = draw_modes(32, 16, BALANCED, Streams(draw_keys(np.random.default_rng(3))), "modes_A")
+        (b,) = draw_modes(32, 16, BALANCED, Streams(draw_keys(np.random.default_rng(3))), "modes_A")
         assert np.array_equal(a, b)
 
 class TestRespondAndResolve:
@@ -93,7 +93,7 @@ class TestRespondAndResolve:
             pairs = PairBatch.prepare([variant.value])
             pairs.wires["A"] = participant_respond(CTRL, pairs.register, pairs.wires["A"])
             pairs.wires["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
-            bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, Streams([rng]))
+            bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, Streams(draw_keys(rng)))
             assert BellState(int(bell[0])) is variant
             assert bell[0] == pairs.prepared[0]
             assert (bit_a[0], bit_b[0]) == (-1, -1)
@@ -102,7 +102,7 @@ class TestRespondAndResolve:
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         pairs.wires["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [1])
         pairs.wires["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
-        bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, Streams([rng]))
+        bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, Streams(draw_keys(rng)))
         assert bit_a[0] == 1
         assert bit_b[0] == -1
         assert bell[0] == -1
@@ -125,7 +125,7 @@ class TestRespondAndResolve:
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         pairs.wires["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [0])
         pairs.wires["B"] = participant_respond(SIFT, pairs.register, pairs.wires["B"], [1])
-        _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, Streams([rng]))
+        _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, Streams(draw_keys(rng)))
         assert (bit_a[0], bit_b[0]) == (0, 1)
 
     def test_sift_requires_bit(self):
@@ -330,10 +330,14 @@ class TestWireMap:
         modes, wires = transcript.modes, transcript.pairs.wires
         resent = np.zeros(6, dtype=bool)
         resent[report.probed_positions] = True
-        assert resent.any()
-        # The agent's resend is adjoined after both fresh qubits.
-        assert wires["A"].tolist() == np.where(resent, 4, np.where(modes["A"], 2, 0)).tolist()
+        # The agent sends on the qubit it measured: no wire moves, no qubit
+        # joins the two fresh ones, and TP reads what the agent read.
+        assert wires["A"].tolist() == np.where(modes["A"], 2, 0).tolist()
         assert wires["B"].tolist() == np.where(modes["B"], 3, 1).tolist()
+        assert transcript.pairs.register.n == 4
+        read_by_both = resent & modes["A"]
+        assert read_by_both.any()
+        assert transcript.tp_bits["A"][read_by_both].tolist() == report.payload_reads[read_by_both].tolist()
 
 
 class TestBalancedEnumeration:
@@ -345,7 +349,7 @@ class TestBalancedEnumeration:
         n = 3000
         rng = np.random.default_rng(11)
         for _ in range(n):
-            (modes,) = draw_modes(2 * config.L, config.L, config.mode_policy, Streams([rng]))
+            (modes,) = draw_modes(2 * config.L, config.L, config.mode_policy, Streams(draw_keys(rng)), "modes_A")
             modes = tuple(modes.tolist())
             counts[modes] = counts.get(modes, 0) + 1
         arrangements = set(

@@ -340,7 +340,7 @@ class TestDtypeRule:
         "measure_bell": lambda amps, rng: measure_bell(amps, 0, 1, rng),
     }
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float32, np.complex64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float32, np.complex64, ">f8", ">c16"])
     @pytest.mark.parametrize("op", OPS)
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_results_equal_the_double_precision_input(self, op, dtype, batch):
@@ -377,7 +377,7 @@ class TestDtypeRule:
         "bell_probabilities": lambda amps, dtype: bell_probabilities(amps, 0, 1),
     }
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float32, np.complex64])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float32, np.complex64, ">f8", ">c16"])
     @pytest.mark.parametrize("read", READS)
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_tensor_and_bell_probabilities_follow_the_rule(self, read, dtype, batch):

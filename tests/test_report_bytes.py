@@ -39,62 +39,62 @@ CURVES = {
 
 EXPERIMENT_DIGESTS = {
     ("jiang", "none", "balanced"): "1cf268563cc34aa5497976a26d37135ac74ddd8b1a6ba1d40e8313f2a3de26cd",
-    ("jiang", "none", "coin"): "0f79f7c82d1f6c0620569d348ad468e31f8fa1039b2bb61966b47a9f1beee7e8",
-    ("jiang", "double-cnot", "balanced"): "e876f1f692b0895f0bb790dcdddb90c231ea971e1d7a9e2224d21a0fbd27cc36",
-    ("jiang", "double-cnot", "coin"): "e6bc19b547822eeb34cc194fe3ed7ebb7a1742c7d402a5bb998303f937472af6",
-    ("jiang", "double-cnot-midflight", "balanced"): "541fdf32211ecd04b20bd6d831aed54bf56b1e70103ad20f0ebbb45f2713fae7",
-    ("jiang", "double-cnot-midflight", "coin"): "c9563815154d983593515484da6cbf8e14f2bd37b1195f4e80e79cc16069cf4a",
-    ("jiang", "malicious-agent", "balanced"): "45838905bc491b23c3cc604ca7edeb5950246e7eb6f74afb23cb695bdc89a50a",
-    ("jiang", "malicious-agent", "coin"): "2bb95e0859c9c9b9a352e900819df265cb398d3670424314a021c864078c2396",
-    ("jiang", "intercept-resend-z", "balanced"): "554964032d5dfd1c5fdbf50f41369cf13ed9c4d995efc377d34b542b26abfb00",
-    ("jiang", "intercept-resend-z", "coin"): "dc8e37e533b7ee84da7f372231f4e28841867c3f47a75279e02de8ccf4564b79",
+    ("jiang", "none", "coin"): "288159b8cf0b06ef5bb6de1c222817d07d71915450f77279de58d7dd2b238bf9",
+    ("jiang", "double-cnot", "balanced"): "83e48bce24f56fbd138d2362118f8b54eddd18e3ffc3b165f61f32297b2d8b8c",
+    ("jiang", "double-cnot", "coin"): "19118f95de099cd41eed8d72d9b6b5e60f551123d21cb3dd928a4be96abb362f",
+    ("jiang", "double-cnot-midflight", "balanced"): "78e1950b0cc00957ac6434344cc8e5b721820fa4598efb08d973c9b01869f882",
+    ("jiang", "double-cnot-midflight", "coin"): "5c90a746b79935f6e88819da68fa1aedd6c7a2f43ffea49317e2ce590acd8c9b",
+    ("jiang", "malicious-agent", "balanced"): "34b6830c23c40f1586eb48d98d64f796f25a1e9e169a391bc8bfe6b5b82bef4f",
+    ("jiang", "malicious-agent", "coin"): "ba4fa0de7e1e37c4446477573f27a07133dbf03f8a5b42b7c276736833e2e68f",
+    ("jiang", "intercept-resend-z", "balanced"): "c4175c8e0d5522c4ba5953ac74fa73ba02abaaf6620f1303c919f75ec2cd0367",
+    ("jiang", "intercept-resend-z", "coin"): "7c2bc7990ab308b1f0e22ddb6f039ea793e2d411b2bdb2751797e1b39bd22104",
     ("improved", "none", "balanced"): "bc0c5a33b329e2e477cca5f3cb8f1825cd3943b0b00beedc3d690bfb316850c2",
-    ("improved", "none", "coin"): "aeac394a2774a010bc87fab3f711fea13cdf2a3cd7d0039637f9b761826a45e5",
+    ("improved", "none", "coin"): "5516d01a590b73d02848c845c28b16c0376c54aba9c1fbb927a513354f7c103a",
     ("improved", "double-cnot", "balanced"): "0bbeb4036f54dfb713f2ebfe89b7b0c9e04c9cf90dc926d6c064a33f18748269",
-    ("improved", "double-cnot", "coin"): "6d97ae009eb02326168842f933091a95a3b1075c8cda42be40ec8e8bb3a5b26a",
-    ("improved", "double-cnot-midflight", "balanced"): "bf9fc7b75021ccbed6969760cf09f434ddb2b6efdd84095fba626737138d27e5",
-    ("improved", "double-cnot-midflight", "coin"): "5133722e141bdda05fb0c168b450ed01fbbb7e5730b701bb177c1150a781aa8d",
-    ("improved", "malicious-agent", "balanced"): "5d9c2445ccd763917e21a95aac884dba888c4048c9a8b0a3d7e3fa13b90fae9d",
-    ("improved", "malicious-agent", "coin"): "d4021a3026ad02b0efe87ff48ba60f972eb80baf2a7d520cb0fd6fc443757efb",
-    ("improved", "blocking", "balanced"): "751b96e3765e8724262c8b89c3b5e16190bdce3b9df2a2d1fcef30785ab8f856",
-    ("improved", "blocking", "coin"): "8bb61cc0f5358a66111c8c012b12b982345c83be6a9447e6c972f54ad1bb9bce",
-    ("improved", "intercept-resend-z", "balanced"): "18bd79ae4a6fb3fe048c144c439a151fe5ab702014806a2183418808936261e3",
-    ("improved", "intercept-resend-z", "coin"): "b8f4fd8d78f2253e986ffa12887993e70b461bab2c0b0becce9f8cfe1353e276",
+    ("improved", "double-cnot", "coin"): "92b09c46a9d6bcff2d7af0d518bea7dbf1a8879c5c47a786ec415470fce9a731",
+    ("improved", "double-cnot-midflight", "balanced"): "1a52f90823aa65db34f00f0814139526e06864a95343340c203e6ecd8e70d414",
+    ("improved", "double-cnot-midflight", "coin"): "89a36acb2c26b093f8ded1a5dddce01cf41b68494be016f705b10e3439ac24e5",
+    ("improved", "malicious-agent", "balanced"): "9a1cdbc76b510ea3f3286c2a60ed3d01d0591ccec30d6eada82f2a8d98fbc7f5",
+    ("improved", "malicious-agent", "coin"): "c15a3d27dcbf5d0507a61a2b54c34df4121e5a35b3db56ac792f3193be7d16f4",
+    ("improved", "blocking", "balanced"): "5832f0285b2d2112cc86388d941a20d561eadfa2f02d0ae214eabb67d6aa3aee",
+    ("improved", "blocking", "coin"): "a39daf9775607cc5d59dba7ea665b4da0a4e6f9b4ddf4ab375d2ac588df72038",
+    ("improved", "intercept-resend-z", "balanced"): "f50b1a8c96193c9084f80fcce485e28d584f330c146ec1551fdbb30fa9e24225",
+    ("improved", "intercept-resend-z", "coin"): "bd6985817b6e69987dfc456e9971828203f082ca310de4afc05d18b85f142744",
 }
 
 # Improved protocol with the attack on participant B's channel, whose
 # positions sit on the second half of the session's photon register.
 TARGET_B_DIGESTS = {
     ("double-cnot", "balanced"): "0bbeb4036f54dfb713f2ebfe89b7b0c9e04c9cf90dc926d6c064a33f18748269",
-    ("double-cnot", "coin"): "6d97ae009eb02326168842f933091a95a3b1075c8cda42be40ec8e8bb3a5b26a",
-    ("double-cnot-midflight", "balanced"): "609e79deb65fe12ada05a407f4f11205f61c9245f34df3431f0a9933ffac037f",
-    ("double-cnot-midflight", "coin"): "638bdb5a130f05096dba11470c75e362edc31be69ef90eaa7f359d8f61066b98",
-    ("malicious-agent", "balanced"): "4154621f49e93b69550f891513ce03b029d44d8969d8ac889a04d3bf3a828e5d",
-    ("malicious-agent", "coin"): "07d3213fc3beb021f2a5c5815a292bf86f7d2d93f509aa4d3b023f5e84c3ce4c",
-    ("blocking", "balanced"): "2632aafb45426b855115ec512ff5001ae994e967d209b2bd5b7956e8e79a7e4c",
-    ("blocking", "coin"): "409bf839dfcc8083a62b3cf3c6f2cd94f56d19a51669e0216689a6ab63045237",
-    ("intercept-resend-z", "balanced"): "c4014cea6e9abb6f2977a3629575e071ab5f35e3e744c7da5f702a231549afc6",
-    ("intercept-resend-z", "coin"): "9c165313f82b9d095f365c64a33742fc5b5fc592e91adfcb521dc17ea8b10ab6",
+    ("double-cnot", "coin"): "92b09c46a9d6bcff2d7af0d518bea7dbf1a8879c5c47a786ec415470fce9a731",
+    ("double-cnot-midflight", "balanced"): "c45cb7a56e394987024b9e4ffc3ef0ef73aabb780571c744fa7992438b45882f",
+    ("double-cnot-midflight", "coin"): "2d6fda76d0706e69bb48d61478245165d4ea5a1d71cd722640b186fde9a00ccd",
+    ("malicious-agent", "balanced"): "0f5408454223c2248a7ce0046843300e3cde3e49917078cf9618f5a91695e714",
+    ("malicious-agent", "coin"): "2835a1a3ede615dbb627659d711397350f3bf89ea39d49ca65f9a9944eb4b822",
+    ("blocking", "balanced"): "8293c9dfdf46231c3e993ed8b401a267260871122aceb7e7c6d2b661d9b24b60",
+    ("blocking", "coin"): "51fc73c62ea879b662282d3b4507f95a6a87be424ae26378200e12af19ba80da",
+    ("intercept-resend-z", "balanced"): "387d5237e3512654adbf347183407a1bab235b65aef33281f221ed624a86c63c",
+    ("intercept-resend-z", "coin"): "41a597cd320bdff31cf1a31731054c88df61891d01dcff5992fbbb3e6876758d",
 }
 
 # The base protocol with the attack on participant B's channel, whose
 # positions are the second wire of every pair.
 JIANG_TARGET_B_DIGESTS = {
-    ("double-cnot", "balanced"): "535995e6374a92a8000ecf5f8f6a567fae6e549be2f3df3b5b8f427a0ec5729b",
-    ("double-cnot", "coin"): "6ea393a58eac9e6e2711a064b00adc6dbd8a594147db052f590c5cc89a28f1f4",
-    ("double-cnot-midflight", "balanced"): "d96c5c15952b626f600e1b92efb1b39378454383544c5cff9709153a5df0e038",
-    ("double-cnot-midflight", "coin"): "59de18fda41ec32eb28cac1748f95c3ca3664b8718364f800e18ff69f31e7ba6",
-    ("malicious-agent", "balanced"): "45838905bc491b23c3cc604ca7edeb5950246e7eb6f74afb23cb695bdc89a50a",
-    ("malicious-agent", "coin"): "045e082cd213c814ae54aae3dcbc56e00e336e69531e6486a43a30aec13db405",
-    ("intercept-resend-z", "balanced"): "554964032d5dfd1c5fdbf50f41369cf13ed9c4d995efc377d34b542b26abfb00",
-    ("intercept-resend-z", "coin"): "dc8e37e533b7ee84da7f372231f4e28841867c3f47a75279e02de8ccf4564b79",
+    ("double-cnot", "balanced"): "ced389ffb38489907c75dfedd8ec1f2c9981481001118aaa0fb3f068d80a8c1d",
+    ("double-cnot", "coin"): "266edf5f19853bdc9ddb149d83c10ce07d59137190cb23809036253875e6192b",
+    ("double-cnot-midflight", "balanced"): "6c225643267764934ec406169c94d9521a9096b92a5cd32f181197da5d7dc853",
+    ("double-cnot-midflight", "coin"): "9134bd5c08d317357fd4c842455ab06b5531e100ce1291cd8a35a4759404a750",
+    ("malicious-agent", "balanced"): "34b6830c23c40f1586eb48d98d64f796f25a1e9e169a391bc8bfe6b5b82bef4f",
+    ("malicious-agent", "coin"): "4032271904327c75ef6d35538fe5910568b6fd393b04370368c88c3ce1bb2974",
+    ("intercept-resend-z", "balanced"): "c4175c8e0d5522c4ba5953ac74fa73ba02abaaf6620f1303c919f75ec2cd0367",
+    ("intercept-resend-z", "coin"): "7c2bc7990ab308b1f0e22ddb6f039ea793e2d411b2bdb2751797e1b39bd22104",
 }
 
 CURVE_DIGESTS = {
-    ("blocking", "balanced"): "3e4b4b1ff2f85d97ad2eb800c2b9caf9b94bb19f265862e6878d66d773022509",
-    ("blocking", "coin"): "f493829b454f4b6212710880ee2536d0b64c4b00e3c831de39af919860833487",
-    ("malicious-agent", "balanced"): "386c1732e225d267a5209f883f8cba8f338877d8e2cc6d7a1084d6b162c4516a",
-    ("malicious-agent", "coin"): "a81b8585c3d33bdd95c87b2aeaa94af00ebe16c1df6752f9f373bdb0c2829900",
+    ("blocking", "balanced"): "29cfcf3f987a3bdbc41a87243bbd67088b2022c61c3fac2a45e4d9929847503e",
+    ("blocking", "coin"): "1a10271e9534dabe5474a29a37b2603f393acaa8b92dba10d057f0e4357bbd86",
+    ("malicious-agent", "balanced"): "6dde771448f1ab37ee79ef8edad5d2a1b08f2939486333d48e5a9af8556cd1c3",
+    ("malicious-agent", "coin"): "8432f4849e48c79ee6c42065d3f06b127900454323288b5d32dc821b5b0559f7",
 }
 
 # Improved protocol at threshold 0: every attack at L = 1 and L = 3, the
@@ -103,35 +103,35 @@ CURVE_DIGESTS = {
 # tuple of curve points, policy).
 IMPROVED_DIGESTS = {
     ("none", 1, None, "balanced"): "bc0c5a33b329e2e477cca5f3cb8f1825cd3943b0b00beedc3d690bfb316850c2",
-    ("none", 1, None, "coin"): "f0bb68688a7ac32d9bbd741907ccb1783e748f6ae49f1283d17027e2d7c0aa71",
+    ("none", 1, None, "coin"): "5516d01a590b73d02848c845c28b16c0376c54aba9c1fbb927a513354f7c103a",
     ("none", 3, None, "balanced"): "bc0c5a33b329e2e477cca5f3cb8f1825cd3943b0b00beedc3d690bfb316850c2",
-    ("none", 3, None, "coin"): "5516d01a590b73d02848c845c28b16c0376c54aba9c1fbb927a513354f7c103a",
+    ("none", 3, None, "coin"): "aeac394a2774a010bc87fab3f711fea13cdf2a3cd7d0039637f9b761826a45e5",
     ("double-cnot", 1, None, "balanced"): "0bbeb4036f54dfb713f2ebfe89b7b0c9e04c9cf90dc926d6c064a33f18748269",
-    ("double-cnot", 1, None, "coin"): "c6171820b37acf2b6b18b87d74c78566f02bbf478ab3de9ef89581f39b8a11f3",
+    ("double-cnot", 1, None, "coin"): "c6ebc658145dbbedea305f9eddf9b8dab51cf5658d5aac52a314b9ffbb06ef55",
     ("double-cnot", 3, None, "balanced"): "0bbeb4036f54dfb713f2ebfe89b7b0c9e04c9cf90dc926d6c064a33f18748269",
-    ("double-cnot", 3, None, "coin"): "92b09c46a9d6bcff2d7af0d518bea7dbf1a8879c5c47a786ec415470fce9a731",
-    ("double-cnot-midflight", 1, None, "balanced"): "a605d6053cb9e32034e04e14740f06deb4b01cd907202ffeb3d5eeaed2877a30",
-    ("double-cnot-midflight", 1, None, "coin"): "f6599be78a8360f3da3a55683f6f350379ba28dc9555198b3f07a03988af178c",
-    ("double-cnot-midflight", 3, None, "balanced"): "8e25f0ae62e660ca27652ff7bbe0c5f9f6efffba188372a5cae0bf28e8e47605",
-    ("double-cnot-midflight", 3, None, "coin"): "95dabf5ba4f31573e66aca46005a7b94172f99551fa942adb11c6da738e5c8eb",
-    ("malicious-agent", 1, None, "balanced"): "ffb560e7a88184675307b614949ddf2812a06231248b11510c0f0eb7001c6b4b",
-    ("malicious-agent", 1, None, "coin"): "05db888ffc0855a6b925f8839938945059f44e2eaae5cc0967b2c858fda2f730",
-    ("malicious-agent", 3, None, "balanced"): "f906c702b42498af2cb27001e7e2f76623a98432d153400bff5ebf25b753c411",
-    ("malicious-agent", 3, None, "coin"): "4180c4d4fbc326e0bb7a8161d1f5eb09e984ae7f7bca1a06a872a0960775b921",
-    ("blocking", 1, None, "balanced"): "0d24cd182135f6f15789956fbb35e52f2e8abb777e7518a8c321053b8028d1f5",
-    ("blocking", 1, None, "coin"): "98916819b3a06d1b0920d4e465e61d0552b97283ec7bb1032eaf8f01087b21cc",
-    ("blocking", 3, None, "balanced"): "42e367295cb4ff917ffd3f62ed3e10b224036dab04dc8c06acc1c88e7c94f02b",
-    ("blocking", 3, None, "coin"): "cc4a6bc240b4f50b58892e18c5211e6319ddb0c1908f116ee4ea52e6bf5295d8",
-    ("intercept-resend-z", 1, None, "balanced"): "4a55703b21a3461479e10141050461213a9bf626d231c37f3e41dabdf77ae10a",
-    ("intercept-resend-z", 1, None, "coin"): "e4eccfd5c575955d1f1150c91e37b58ceff4a35381413bb7c359fe25cda75d35",
-    ("intercept-resend-z", 3, None, "balanced"): "68231899c055a98c6dfdc4da3dde71518563ad5559cc3525006532783537da82",
-    ("intercept-resend-z", 3, None, "coin"): "81fad107f9027e100dd59983c549501775f3cdc695583315c8dd3bb925ad4ee6",
-    ("malicious-agent", 3, 2, "balanced"): "f049837c15293b8d77a944011f1d44984269dbc436cfca419c91d7cd28bbd437",
-    ("malicious-agent", 3, 2, "coin"): "58649650880acd1cc1183b0aef9f2d8f42fd7db2bc1c667925ad8ad696f0496f",
-    ("blocking", 3, 2, "balanced"): "2087a4d0451a85cdb5bcfbf1976e5f3ae34e245ceed62dcb16cc5c874e527d4c",
-    ("blocking", 3, 2, "coin"): "7fbee2c18246ef72cc46eff40839d86110d8832607bfd1a11d95d9ad7fc27785",
-    ("blocking", 1, (0, 1, 5), "balanced"): "0dc37fb0208235b79ea6dd7445ac2d032610eb318da635fd37d35ec18e51cce5",
-    ("blocking", 1, (0, 1, 5), "coin"): "83f7255e4cd8ca3d45f267c8a2396c92a453ea30e43d8ce269791351106afdd0",
+    ("double-cnot", 3, None, "coin"): "6d97ae009eb02326168842f933091a95a3b1075c8cda42be40ec8e8bb3a5b26a",
+    ("double-cnot-midflight", 1, None, "balanced"): "9f37bab96d3529d2b9645a82e21b9137fed450f5f8e327115075714a15a6805a",
+    ("double-cnot-midflight", 1, None, "coin"): "305d88110e24f8fc8e0e7a9b4f4f3d51a8a58e622649153b42c56186780ca65d",
+    ("double-cnot-midflight", 3, None, "balanced"): "ce98100798d511553f09fe903c3cbfdd1b13db06a36268f8a3f6f89ac3c03b3c",
+    ("double-cnot-midflight", 3, None, "coin"): "eb51b6965ec7f537beb3da889a69099c6766a18214a45e8a7ca1f5a6c53d319c",
+    ("malicious-agent", 1, None, "balanced"): "2025cb5c5c1583d4ee1d49f068a5ffa5a20d4950a1e0b683650ded63d4a7390a",
+    ("malicious-agent", 1, None, "coin"): "716bf70f6be939d1826d87ffc3f9d9e7aa6b9babafa6c59709eb6c6feda45f60",
+    ("malicious-agent", 3, None, "balanced"): "80a8bab6ac025fb49acd8ce19dbe786c7a776fe8555df5776ec411851b0e2d70",
+    ("malicious-agent", 3, None, "coin"): "9f5978f8739000ff6bde01e504ebc423e395d172904f371d4984a2e2238c22e0",
+    ("blocking", 1, None, "balanced"): "77357fd556b941faf68282c2e2d50bf9f8d33a98fa29c0da0a0ecc478a1c884c",
+    ("blocking", 1, None, "coin"): "14cf6bb5e4ba367742805ab17c4aaf50793838f635bf696cb201cbc8424b03af",
+    ("blocking", 3, None, "balanced"): "d6807952c78959cfdd82293a510d100d0f05abf1e102e2401814127ce7dd2838",
+    ("blocking", 3, None, "coin"): "4559eb5fc7852d3d82026046c8a0f41865b992cc41e64e5864c30bac33c8a4df",
+    ("intercept-resend-z", 1, None, "balanced"): "c8ed9b3d58e2c38a8ebe63afbf7555c2cfbae8d3da86393777e312b849e606e7",
+    ("intercept-resend-z", 1, None, "coin"): "357a57056dd7ef826f8a0c0ec4dc8b5978c8f4c4aed9bec551fbaed89b20db76",
+    ("intercept-resend-z", 3, None, "balanced"): "7f268adb032398fbc17594e6eb9fde22e0ccee6e9919b83c3295abd97d02eccd",
+    ("intercept-resend-z", 3, None, "coin"): "8d622653c0ab3bc1f4febbe39b675f5094316a07bbe8c44e32c9b08127495ee9",
+    ("malicious-agent", 3, 2, "balanced"): "1aac99733f0507cfd95e739c38975ab2d93fdc229b5afd4000dbfab4e329487b",
+    ("malicious-agent", 3, 2, "coin"): "d53419ee2e49e7d5d53f9e6104f6590f636e135b6239cc64adeceea61c26ff1f",
+    ("blocking", 3, 2, "balanced"): "c1640c7341fb4eee8e8913380a0e7d62ab9b199159f9153cfb472340a9206b92",
+    ("blocking", 3, 2, "coin"): "7a99fc88098fa8a60513f4ddc05cf1dff4522a973076415f6ec238ed94c12f7f",
+    ("blocking", 1, (0, 1, 5), "balanced"): "5d2b5e976ddc79bb1ffdfc2cce8cc35cdceec3e30c7d2f9426f84a84b1ef4df7",
+    ("blocking", 1, (0, 1, 5), "coin"): "9bf78dad3d5e88cd5ca5dfa002ffb91f9cf1ee5085a5ed658d268953b6748c3b",
 }
 
 
@@ -144,14 +144,14 @@ JSON_DIGESTS = {
     ("improved", "none", "balanced", 3, None): "eb6f2d9f7d670fe5673ab82e25606b8a3b7f521dba3767641ebc185120719851",
     ("improved", "double-cnot", "balanced", 1, None): "18e3816126ee313298942e4e45534987d40c342ac767091cbf289bafb6a1414f",
     ("improved", "double-cnot", "balanced", 3, None): "ca73ecd467ab1e8f044602c82f0d9157ff6b737f66567cd2147a7e8e63097b4d",
-    ("improved", "blocking", "coin", 1, None): "b872198cdde14905ca1529cd0e1d851d135dcc61e31e73cd715fa51569254292",
-    ("improved", "blocking", "coin", 3, None): "80435a92491e1103be6d55e89d202745a7c12ccc9316433430b9ae06f500d96c",
-    ("jiang", "double-cnot", "balanced", 1, None): "946bffc43aedb5d3a41a0b2e205f658bdb0fb778aab903a1025afb8c5e7aca3f",
-    ("jiang", "double-cnot", "balanced", 3, None): "875741e75eceb6f2439b1df1bfa96ec19ef2f7af2530342bb8187dffae8f0f15",
-    ("jiang", "malicious-agent", "coin", 1, None): "691991efd2c143e9ad73aa3f3ee4755881fd07cf80beaaa94e7cdaff895a7b53",
-    ("jiang", "malicious-agent", "coin", 3, None): "b44583cdacffcd0cb570e5c592e41c459beadfe32f18d9991ffe5c92860605e4",
-    ("improved", "blocking", "balanced", 1, (0, 1, 2)): "12abdc78cd562ca975af8fe89e8ea79faab51a509c46f8ce792a740db7fac75f",
-    ("improved", "blocking", "balanced", 3, (0, 1, 2)): "007a59db167742abc1d9576b11418086014f234928f44f35eb1dbf4f92935c7f",
+    ("improved", "blocking", "coin", 1, None): "4f19e4f9453b4553ea7e0012dbe6fd3c7d1bfc44c7c32dcd37b5b791d2b16712",
+    ("improved", "blocking", "coin", 3, None): "790f9a0d285aa1206014688cdf7730b7aa1a1a18c27c26dd43b52a6efd65ab33",
+    ("jiang", "double-cnot", "balanced", 1, None): "6ba7bdd4dd4ce4504e419d4705ef56488eb7d869d47613afd2ddcdac4efe8ffb",
+    ("jiang", "double-cnot", "balanced", 3, None): "cd2572c6fa10aebe295718499aa61b1b26a3e4a7976fb4302432185699575ac7",
+    ("jiang", "malicious-agent", "coin", 1, None): "0eab74616ef8f3cadf4c590375c54b4e49162bf22fd758f59d61858178c8f3a4",
+    ("jiang", "malicious-agent", "coin", 3, None): "05f8679a25a8388915f123a0f67aeb41951bc5cea63ad2d94fcd463a9ff291d1",
+    ("improved", "blocking", "balanced", 1, (0, 1, 2)): "c3fed5994abea0655f7a81b18af5d6c71990a6caa793325b2908443728ba7303",
+    ("improved", "blocking", "balanced", 3, (0, 1, 2)): "f5663fb968273131bb33974cc692d7e661eae5cc6098649d8150f353a3ea3c19",
 }
 
 

@@ -1,10 +1,10 @@
 """``Streams`` makes every draw of a chunk.
 
-Each draw method makes, on the generator of every trial (or of each
-listed trial), the call a lone session makes on its own generator, and
-returns one row per trial drawn.  The guard below keeps every other
-module off the generators: in ``src/`` the attribute ``gens`` is read
-only inside ``class Streams``.
+Every draw is a pure function of (trial key, site, position): each row of
+a chunk's draw is the draw of that trial alone, whatever trials share its
+chunk, and every uniform is the SplitMix64 output its counter names.  The
+guard below keeps every other module off the keys: in ``src/`` the
+attribute ``trial_keys`` is read only inside ``class Streams``.
 """
 
 import ast
@@ -13,66 +13,89 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqpc.attacks import Streams, _attack_mask
+from sqpc.attacks import SITES, Streams, _attack_mask, splitmix64
 from sqpc.improved import tp_prepare_photons
 from sqpc.jiang import BALANCED, INDEPENDENT_COIN, SessionConfig, draw_modes, tp_prepare_pairs
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Each draw method, as a chunk call (streams, trials) and as the lone
-# call it stands for on one trial's generator.
+# Each draw method as a call on a chunk's streams, a row per trial.
 DRAWS = {
-    "random": (lambda s, trials: s.random(5, trials), lambda gen: gen.random(5)),
-    "random-scalar": (lambda s, trials: s.random(trials=trials), lambda gen: gen.random()),
-    "integers": (lambda s, trials: s.integers(2, 7, trials), lambda gen: gen.integers(0, 2, size=7)),
-    "permutation": (lambda s, trials: s.permutation(6, trials), lambda gen: gen.permutation(6)),
-    "choice": (lambda s, trials: s.choice(9, 4, trials), lambda gen: gen.choice(9, size=4, replace=False)),
+    "random": lambda s: s.random("prepare", 5),
+    "random-scalar": lambda s: s.random("differ"),
+    "integers": lambda s: s.integers("secret_a", 2, 7),
+    "permutation": lambda s: s.permutation("modes_A", 6),
+    "choice": lambda s: _attack_mask(4, 9, s, "attack_B"),
 }
 TRIALS = 4
-
-
-def _generators(seed: int) -> list[np.random.Generator]:
-    return [np.random.default_rng([seed, t]) for t in range(TRIALS)]
+KEYS = np.array([splitmix64(11, t) for t in range(TRIALS)], dtype=np.uint64)
 
 
 @pytest.mark.parametrize("trials", [None, [0], [1, 3], [2], []], ids=["all", "first", "two", "one", "none"])
 @pytest.mark.parametrize("draw", DRAWS)
 def test_each_row_is_the_lone_call(draw, trials):
-    chunk_draw, lone_draw = DRAWS[draw]
-    gens, lone = _generators(11), _generators(11)
-    rows = chunk_draw(Streams(gens), trials)
+    # A chunk of the listed trials draws, for each, what it draws alone.
     drawn = range(TRIALS) if trials is None else trials
-    expected = [lone_draw(lone[t]) for t in drawn]
+    rows = DRAWS[draw](Streams(KEYS[list(drawn)]))
+    expected = [DRAWS[draw](Streams(KEYS[[t]]))[0] for t in drawn]
     assert len(rows) == len(expected)
     for row, lone_row in zip(rows, expected):
         assert np.array_equal(row, lone_row)
-    # Every generator is where the lone calls leave it, so a trial outside
-    # the subset has not advanced.
-    assert [gen.random() for gen in gens] == [gen.random() for gen in lone]
 
 
 @pytest.mark.parametrize("draw", DRAWS)
 def test_rows_have_one_shape(draw):
-    chunk_draw, lone_draw = DRAWS[draw]
-    shape = np.shape(lone_draw(np.random.default_rng(0)))
-    assert chunk_draw(Streams(_generators(3)), None).shape == (TRIALS, *shape)
-    assert chunk_draw(Streams(_generators(3)), [2]).shape == (1, *shape)
-    assert chunk_draw(Streams(_generators(3)), []).shape == (0, *shape)
+    shape = np.shape(DRAWS[draw](Streams(KEYS[:1]))[0])
+    assert DRAWS[draw](Streams(KEYS)).shape == (TRIALS, *shape)
+    assert DRAWS[draw](Streams(KEYS[[2]])).shape == (1, *shape)
+    assert DRAWS[draw](Streams(KEYS[:0])).shape == (0, *shape)
 
 
 def test_length_is_the_trial_count():
-    assert len(Streams(_generators(1))) == TRIALS
+    assert len(Streams(KEYS)) == TRIALS
+
+
+def test_uniforms_are_the_counters_splitmix64_outputs():
+    # Position p of site s for key k: the top 52 bits of output
+    # s << 32 | p of the SplitMix64 stream seeded with k, over 2**52.
+    streams = Streams(KEYS)
+    for site, index in SITES.items():
+        for p in (0, 3, 7):
+            for key, uniform in zip(KEYS.tolist(), streams.random(site, 8)[:, p].tolist()):
+                assert uniform == (splitmix64(key, index << 32 | p) >> 12) / 2.0**52
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_every_site_draws_alike_alone_and_in_any_chunk(site):
+    # Eight trials cut into chunks four ways, each hashed at its own width:
+    # every trial's uniforms and permutation at the site are its own.
+    keys = np.array([splitmix64(5, t) for t in range(8)], dtype=np.uint64)
+    alone = [Streams(keys[[t]], 3) for t in range(8)]
+    for cuts in ([8], [1] * 8, [3, 5], [2, 1, 4, 1]):
+        start = 0
+        for size in cuts:
+            chunk = Streams(keys[start : start + size], 16 * size)
+            for j, t in enumerate(range(start, start + size)):
+                assert np.array_equal(chunk.random(site, 12)[j], alone[t].random(site, 12)[0])
+                assert np.array_equal(chunk.permutation(site, 12)[j], alone[t].permutation(site, 12)[0])
+            start += size
+
+
+def test_draws_are_read_only():
+    streams = Streams(KEYS)
+    with pytest.raises(ValueError):
+        streams.random("key", 4)[0, 0] = 0.5
 
 
 def gens_reads(source: str, name: str) -> list[tuple[str, str, int]]:
     """(file name, enclosing qualified name, line) of every read of an
-    attribute ``gens``."""
+    attribute ``trial_keys``."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = (*scope, node.name)
-        if isinstance(node, ast.Attribute) and node.attr == "gens" and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and node.attr == "trial_keys" and isinstance(node.ctx, ast.Load):
             found.append((name, ".".join(scope), node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -85,12 +108,12 @@ def test_guard_finds_reads():
     source = "\n".join(
         [
             "class Streams:",
-            "    def __init__(self, gens):",
-            "        self.gens = list(gens)",
+            "    def __init__(self, keys):",
+            "        self.trial_keys = keys",
             "    def first(self):",
-            "        return self.gens[0]",
+            "        return self.trial_keys[0]",
             "def outside(streams):",
-            "    return len(streams.gens)",
+            "    return len(streams.trial_keys)",
         ]
     )
     assert gens_reads(source, "a.py") == [("a.py", "Streams.first", 5), ("a.py", "outside", 7)]
@@ -110,14 +133,13 @@ def test_streams_wraps_no_bare_generator():
 
 # Each helper that draws on a Streams, called on a bare generator: its
 # draw methods share the names of Streams' and would run, drawing
-# something else (a coin of integers in [2, n), a choice with
-# replacement) or failing with an unrelated message.
+# something else or failing with an unrelated message.
 BARE_GENERATOR_CALLS = {
-    "draw_modes-coin": lambda rng: draw_modes(8, 4, INDEPENDENT_COIN, rng),
-    "draw_modes-balanced": lambda rng: draw_modes(8, 4, BALANCED, rng),
+    "draw_modes-coin": lambda rng: draw_modes(8, 4, INDEPENDENT_COIN, rng, "modes_A"),
+    "draw_modes-balanced": lambda rng: draw_modes(8, 4, BALANCED, rng, "modes_A"),
     "tp_prepare_pairs": lambda rng: tp_prepare_pairs(SessionConfig(L=2), rng),
     "tp_prepare_photons": lambda rng: tp_prepare_photons(SessionConfig(L=2), rng),
-    "_attack_mask": lambda rng: _attack_mask(2, 8, rng),
+    "_attack_mask": lambda rng: _attack_mask(2, 8, rng, "attack_A"),
 }
 
 
