@@ -36,21 +36,24 @@ it backwards on the basis vectors.
 
 The measurement core, :func:`_collapse`, collapses the blocks where they
 live, takes one uniform variate per measured state (one per row of a
-batch) and never sees a generator.  A single state writes back only the
-measured basis state, its row of the preparation table, times the
-renormalized chosen block; a batch zeroes the other blocks and rotates
-them all back.  Both give the same outcomes and amplitudes, up to the
-sign of a zero.  The
+batch) and never sees a generator.  The outcome is the first whose running
+sum of probabilities, added from left to right, exceeds the uniform times
+their total: a tie goes to the next outcome, and one of probability 0 is
+never picked, so a collapse never divides by zero.  A single state and a
+batch share the gather, the probabilities and that rule, but pick and
+write back apart.  A single state has at most four probabilities, so it
+picks in Python floats (:func:`_pick`), the same double sums and product
+that numpy makes for a batch (:func:`_sample`), and writes back only the
+measured basis state, in the state's dtype, times the renormalized chosen
+block; a batch zeroes the other blocks and rotates them all back.  Both
+give the same outcomes and amplitudes, up to the sign of a zero.  The
 public measurements draw those uniforms in a single ``rng.random(batch)``
 call on the caller's ``numpy.random.Generator``; a :class:`Register`
 measurement also takes the uniforms themselves.  Uniform ``i`` goes to
 row ``i``, whatever the row's wires, so runs are reproducible from the
 draws whatever the amplitudes happen to be.
 ``sqpc.attacks.Streams.read`` hands each row of a chunk the uniform of
-its trial, draw site and position, so no draw depends on a wire.  The
-outcome is the first one whose cumulative probability exceeds the scaled
-uniform; when rounding leaves the uniform at the total, it is the last
-outcome of nonzero probability, so a collapse never divides by zero.
+its trial, draw site and position, so no draw depends on a wire.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -115,9 +119,11 @@ def _rotate_out(parts: np.ndarray) -> np.ndarray:
     return out
 
 
+# Preparation tables, amplitude axis first and in C order: column s is the
+# state of label s, so a ``take`` of columns prepares C-ordered states.
 _Z_STATES = np.eye(2)
-_X_STATES = _rotate_out(np.eye(2)).T
-_BELL_STATES = _rotate_out(np.eye(4)).T
+_X_STATES = _rotate_out(np.eye(2))
+_BELL_STATES = _rotate_out(np.eye(4))
 
 
 def num_qubits(amps: np.ndarray) -> int:
@@ -214,9 +220,10 @@ def _index(op: str, amps: np.ndarray, *wires, rows=None):
     return (amps, table) if rows is None else (amps.reshape(-1), table[..., None] * amps.shape[1] + rows)
 
 
-def _from_table(table: np.ndarray, values) -> np.ndarray:
-    """States ``table[values]`` with the amplitude axis first."""
-    return table.T[:, values]
+def _from_table(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The states of labels ``values``, columns of ``table``, with the
+    amplitude axis first: shape ``(len(table), *values.shape)``, C order."""
+    return table.take(values, axis=1)
 
 
 def prepare_z(bit) -> np.ndarray:
@@ -321,53 +328,72 @@ def _sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return (cumulative <= uniforms * cumulative[-1]).argmin(0)
 
 
+def _pick(probs: list[float], uniform: float) -> int:
+    """:func:`_sample` for one state, in Python floats: the same running
+    sums from left to right and the same scaled uniform, so the same
+    outcome, without the fixed cost of numpy calls on k <= 4 values."""
+    sums = list(itertools.accumulate(probs))
+    threshold = uniform * sums[-1]
+    for outcome, total in enumerate(sums):
+        if total > threshold:
+            return outcome
+    return 0  # as argmin gives when no sum exceeds it: a total of 0 or subnormal
+
+
 # The smallest normal double, added under the square root so that an
 # outcome of probability 0, which is never the chosen one, scales by
 # 0 / sqrt(TINY) = 0 rather than 0 / 0.
 _TINY = 2.0**-1022
 
+# The basis states a single-state collapse writes back, entry s (shape
+# (k, 1), to broadcast over a block) for outcome s, by (dtype, rotated,
+# number of outcomes k): in the state's own dtype, so a complex state is
+# not cast from a real table on every call.
+_BASES = {
+    (dtype, rotated, len(states)): states.T[:, :, None].astype(dtype, order="C")
+    for dtype in (_FLOAT, _COMPLEX)
+    for rotated, states in ((False, _Z_STATES), (True, _X_STATES), (True, _BELL_STATES))
+}
 
-def _collapse(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = False) -> np.ndarray:
+
+def _collapse(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = False):
     """Projective measurement onto the outcome blocks ``amps[index]``,
     rotated into the X or Bell basis by :func:`_rotate_in` when
     ``rotated``, sampled with one uniform per state (see :func:`_sample`).
-    Collapses and renormalizes those blocks in ``amps`` and returns the
-    outcome indices (shape ``batch``).
+    Collapses and renormalizes those blocks in ``amps`` (native float64 or
+    complex128) and returns the outcome: an ``int`` for a single state,
+    whose blocks have shape (k, m), else an int array of shape ``batch``.
 
-    A single state writes back row ``outcome`` of its preparation table
-    (``_Z_STATES``, ``_X_STATES`` or ``_BELL_STATES``) times the scaled
-    chosen block: the products :func:`_rotate_out` makes of one nonzero
-    block, so the amplitudes equal the batch path's up to the sign of a
-    zero.  A batch zeroes the other blocks and rotates them all back,
+    A single state picks its outcome in Python floats (:func:`_pick`) and
+    writes back the basis state of its outcome, a row of ``_BASES``, times
+    the scaled chosen block: the products :func:`_rotate_out` makes of one
+    nonzero block, so the amplitudes equal the batch path's up to the sign
+    of a zero.  A batch zeroes the other blocks and rotates them all back,
     which is cheaper there than gathering each row's block and state."""
     parts = amps[index]
     if rotated:
         parts = _rotate_in(parts)
     probs = _probabilities(parts)
-    outcome = _sample(probs, uniforms)
-    if outcome.ndim == 0:
-        states = (_X_STATES if len(parts) == 2 else _BELL_STATES) if rotated else _Z_STATES
-        block = parts[outcome] * (1.0 / np.sqrt(probs[outcome] + _TINY))
-        amps[index] = states[outcome][:, None] * block
+    if parts.ndim == 2:
+        probs = probs.tolist()
+        outcome = _pick(probs, float(uniforms))
+        block = parts[outcome] * (1.0 / math.sqrt(probs[outcome] + _TINY))
+        amps[index] = _BASES[parts.dtype, rotated, len(parts)][outcome] * block
         return outcome
+    outcome = _sample(probs, uniforms)
     chosen = _OUTCOMES[: len(parts)].reshape((-1,) + (1,) * outcome.ndim) == outcome
     parts *= (chosen / np.sqrt(probs + _TINY))[:, None]
     amps[index] = _rotate_out(parts) if rotated else parts
     return outcome
 
 
-def _bits(outcome: np.ndarray):
-    """An ``int`` for a single state, an int array for a batch."""
-    return int(outcome) if outcome.ndim == 0 else outcome
-
-
 _BELL_LABELS = tuple(BellState)
 
 
-def _bell(outcome: np.ndarray):
+def _bell(outcome):
     """A ``BellState`` for a single state, an int array of ``BellState``
     values for a batch."""
-    return _BELL_LABELS[outcome] if outcome.ndim == 0 else outcome
+    return _BELL_LABELS[outcome] if isinstance(outcome, int) else outcome
 
 
 def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
@@ -390,7 +416,7 @@ def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
         of shape ``batch`` otherwise) and the renormalized states.
     """
     out = _owned(amps)
-    return _bits(_collapse(*_index("blocks", out, q), rng.random(amps.shape[1:]))), out
+    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:])), out
 
 
 def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
@@ -401,7 +427,7 @@ def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
     :func:`measure_z`.
     """
     out = _owned(amps)
-    return _bits(_collapse(*_index("blocks", out, q), rng.random(amps.shape[1:]), rotated=True)), out
+    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:]), rotated=True), out
 
 
 def bell_probabilities(amps: np.ndarray, q1, q2) -> np.ndarray:
@@ -499,10 +525,10 @@ class Register:
         return _collapse(amps, index, rng, rotated)
 
     def measure_z(self, wire, rng: np.random.Generator | np.ndarray, rows=None):
-        return _bits(self._collapse_rows((wire,), rng, rows))
+        return self._collapse_rows((wire,), rng, rows)
 
     def measure_x(self, wire, rng: np.random.Generator | np.ndarray, rows=None):
-        return _bits(self._collapse_rows((wire,), rng, rows, rotated=True))
+        return self._collapse_rows((wire,), rng, rows, rotated=True)
 
     def measure_bell(self, w1, w2, rng: np.random.Generator | np.ndarray, rows=None):
         return _bell(self._collapse_rows((w1, w2), rng, rows, rotated=True))

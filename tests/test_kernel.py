@@ -506,12 +506,12 @@ def test_per_row_tables_cover_every_entry(kind, n):
         assert np.allclose(got[:, i], projected / np.sqrt(probs[int(outcome)]), atol=TOL)
 
 
-# A collapse writes its blocks back one of two ways: a single state writes
-# the measured basis state, a row of the preparation table, times the
-# chosen block; a batch zeroes the other blocks and rotates them all back.
-# The two must give the same outcome and equal amplitudes (up to the sign
-# of a zero) for every width, wire and uniform, including the edge
-# uniforms 0 and 1 - 2**-53 and outcomes of probability 0.
+# A collapse picks its outcome and writes its blocks back one of two ways:
+# a single state picks in Python floats and writes the measured basis state
+# times the chosen block; a batch picks in numpy, zeroes the other blocks
+# and rotates them all back.  The two must give the same outcome and equal
+# amplitudes (up to the sign of a zero) for every width, wire and uniform,
+# including the edge uniforms 0 and 1 - 2**-53 and outcomes of probability 0.
 class _ConstantUniform:
     def __init__(self, value: float):
         self.value = value
@@ -539,3 +539,56 @@ def test_single_state_write_back_equals_one_column_batch(kind, n):
             outcomes, posts = measure(state[:, None], *wires, _ConstantUniform(u))
             assert getattr(outcome, "value", outcome) == int(outcomes[0])
             assert post.dtype == posts.dtype and np.array_equal(post, posts[:, 0])
+
+
+# States, unnormalized and exact in every dtype, whose running sums land
+# exactly on u * total, or that take an extreme uniform, with the outcome
+# the rule gives: the first whose running sum exceeds u * total, so a tie
+# goes to the next outcome of nonzero probability and an outcome of
+# probability 0 is never picked.  (kind, amplitudes, wires, u, outcome).
+TIES_AND_EXTREMES = [
+    ("z", [1, 1], (0,), 0.5, 1),
+    ("z", [1, 1], (0,), 0.0, 0),
+    ("z", [0, 1], (0,), 0.0, 1),
+    ("z", [1, 0], (0,), 1 - 2**-53, 0),
+    ("z", [1] * 8, (1,), 0.5, 1),
+    ("x", [1, 0], (0,), 0.5, 1),
+    ("x", [1, 1], (0,), 1 - 2**-53, 0),
+    ("x", [1, -1], (0,), 0.0, 1),
+    ("bell", [1, 0, 0, 0], (0, 1), 0.5, 1),
+    ("bell", [1, 0, 0, 0], (0, 1), 1 - 2**-53, 1),
+    ("bell", [0, 1, -1, 0], (0, 1), 0.0, 3),
+    ("bell", [0, 1, 0, 0], (0, 1), 0.0, 2),
+    ("bell", [0, 1, 0, 0], (0, 1), 0.5, 3),
+    ("bell", [1, 1, 1, 1], (0, 1), 0.5, 2),
+    ("bell", [1, 0, 0, 0, 0, 0, 0, 1], (2, 0), 0.5, 1),
+    ("bell", [1, 0, 0, 0, 0, 0, 0, 1], (2, 0), 1 - 2**-53, 1),
+]
+
+
+def _measure_with(api, kind, amps, wires, u):
+    """(outcome as an int or int array, collapsed state) of one measurement
+    through the module function or a ``Register``, every draw ``u``."""
+    if api == "module":
+        outcome, post = {"z": measure_z, "x": measure_x, "bell": measure_bell}[kind](amps, *wires, _ConstantUniform(u))
+    else:
+        register = Register(amps)
+        outcome = getattr(register, f"measure_{kind}")(*wires, _ConstantUniform(u))
+        post = register.amps
+    return getattr(outcome, "value", outcome), post
+
+
+@pytest.mark.parametrize("api", ["module", "register"])
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
+@pytest.mark.parametrize("kind, amps, wires, u, expected", TIES_AND_EXTREMES)
+def test_single_state_pick_at_ties_and_extremes(kind, amps, wires, u, expected, dtype, api):
+    complex_input = np.dtype(dtype).kind == "c"
+    state = (np.array(amps) * (1j if complex_input else 1)).astype(dtype)
+    double = state.astype(complex if complex_input else float)
+    outcome, post = _measure_with(api, kind, state, wires, u)
+    batch_outcomes, batch_posts = _measure_with(api, kind, state[:, None], wires, u)
+    double_outcome, double_post = _measure_with(api, kind, double, wires, u)
+    assert type(outcome) is int and outcome == int(batch_outcomes[0]) == double_outcome == expected
+    assert post.dtype == batch_posts.dtype == double.dtype
+    assert np.array_equal(post, batch_posts[:, 0]) and np.array_equal(post, double_post)
+    assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)

@@ -1,4 +1,8 @@
-"""Property tests of the kernel: extreme uniforms and the single code path.
+"""Property tests of the kernel: extreme uniforms, and batches against the
+single states they were stacked from.  The two share the gather, the
+outcome probabilities and the sampling rule, but pick the outcome (Python
+floats for a single state, numpy for a batch) and write the collapse back
+separately, so each batch row must agree with its single state.
 
 States are drawn by hypothesis.  Measurements take their uniforms from
 stub generators, so a test can hand the kernel the extremes a real
