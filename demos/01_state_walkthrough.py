@@ -37,12 +37,12 @@ pairs = PairBatch.prepare([BellState.PHI_PLUS.value])  # a batch of one position
 show("pair as prepared (A,B)", pairs.register.amps[:, 0])
 
 eve = DoubleCnotEve(target="A")
-pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], streams)
+eve.on_forward(pairs.positions, pairs.register, 0, streams)
 show("after forward C-NOT (A,B,probe)", pairs.register.amps[:, 0])
 print("  the probe is now perfectly correlated with both halves")
 
-pairs.wires["A"] = participant_respond(np.array([False]), pairs.register, pairs.wires["A"])  # one CTRL position
-pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], streams)
+participant_respond(np.array([False]), pairs.register, 0)  # one CTRL position
+eve.on_return(pairs.positions, pairs.register, 0, streams)
 show("after return C-NOT + probe read", pairs.register.amps[:, 0])
 print(f"  probe read: {probe_reads(eve).indicator_bits[0]}  (always 0 on a reflection)")
 print()
@@ -52,9 +52,9 @@ trials = 20_000  # one batch position per trial
 message_bits = rng.integers(2, size=trials)
 pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
 eve = DoubleCnotEve(target="A")
-pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], streams)
-pairs.wires["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], message_bits)
-pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], streams)
+eve.on_forward(pairs.positions, pairs.register, 0, streams)
+participant_respond(np.ones(trials, dtype=bool), pairs.register, 0, message_bits)
+eve.on_return(pairs.positions, pairs.register, 0, streams)
 report = probe_reads(eve)
 fired = report.indicator_events
 # a fired probe reads the message bit exactly; an unfired one reads nothing (-1)

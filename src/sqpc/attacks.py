@@ -8,11 +8,11 @@ gets one hook call for the forward transits (TP to participant) of all
 those positions and one for the return transits (participant to TP).  A hook
 receives the register rows that carry the channel's positions in the
 chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
-with the wire each one travels on.  It may grow the register with
-ancillas (one per row), apply gates through the register API, measure
-through :meth:`Streams.read`, and substitute the wires that travel
-onward.  Bits have one format from the draw that makes them to the
-score that reads them: 1-D int arrays.  Secrets, keys, R, masks,
+and the channel's wire, an int: every qubit on the channel travels on
+it, both ways.  A hook may grow the register with ancillas (one per
+row), apply gates through the register API and measure through
+:meth:`Streams.read`; it returns nothing.  Bits have one format from the
+draw that makes them to the score that reads them: 1-D int arrays.  Secrets, keys, R, masks,
 messages and disclosures hold 0s and 1s; reads and claims hold -1 where
 nothing was read or claimed.  A tap keeps its reads over its hook
 entries, and ``finalize`` reports one trial's reads raw, over its
@@ -179,18 +179,16 @@ class Streams:
         the site's first n hash outputs, which never tie."""
         return self._site(site, n, bits=True).argsort(axis=1)
 
-    def read(self, register: Register, op: str, site: str, rows: np.ndarray, *wires, picked=None) -> np.ndarray:
+    def read(self, register: Register, op: str, site: str, rows: np.ndarray, *wires: int, picked=None) -> np.ndarray:
         """The reads of ``register`` measurement ``op`` (``"measure_z"``,
         ``"measure_x"`` or ``"measure_bell"``) of ``rows`` (ascending) on
-        ``wires``, each an int or one per row, aligned with ``rows``; with
-        ``picked``, a boolean mask aligned with them, of the entries it
-        marks only, -1 at the others.
+        the int ``wires``; with ``picked``, a boolean mask aligned with
+        ``rows``, of the entries it marks only, -1 at the others.
 
         Row r, position ``r % k`` of trial ``r // k`` for the register's k
         rows per trial, takes the uniform of that trial, ``site`` and that
-        position, whatever its wires, in one kernel call.  All of the
-        register's rows are measured with no row selection.  No rows make
-        no kernel call.
+        position, in one kernel call.  All of the register's rows are
+        measured with no row selection.  No rows make no kernel call.
         """
         if picked is not None:
             if picked.dtype != bool:
@@ -198,7 +196,6 @@ class Streams:
             # One scan of the mask rather than one in each of the three indexings.
             picked = picked.nonzero()[0]
             reads = np.full(len(rows), -1, dtype=np.intp)
-            wires = [w[picked] if isinstance(w, np.ndarray) else w for w in wires]
             reads[picked] = self.read(register, op, site, rows[picked], *wires)
             return reads
         if not len(rows):
@@ -357,15 +354,13 @@ class ChannelTap:
         """Only called when ``identity`` names a participant, with its SIFT
         masks, one row per trial of the chunk."""
 
-    def on_forward(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: Streams) -> np.ndarray:
+    def on_forward(self, rows: np.ndarray, register: Register, wire: int, rng: Streams) -> None:
         """Forward transits of every position of the channel in the live
-        trials: entry i sits on row ``rows[i]`` of ``register`` and travels
-        on ``wires[i]``.  Returns the wires handed on."""
-        return wires
+        trials: entry i sits on row ``rows[i]`` of ``register``, and every
+        entry travels on the channel's ``wire``."""
 
-    def on_return(self, rows: np.ndarray, register: Register, wires: np.ndarray, rng: Streams) -> np.ndarray:
+    def on_return(self, rows: np.ndarray, register: Register, wire: int, rng: Streams) -> None:
         """Return transits; same contract as :meth:`on_forward`."""
-        return wires
 
     def finalize(self, published: PublicRecord, trial: int = 0) -> AttackReport | None:
         """The report of trial ``trial`` of the chunk, given its public record."""
@@ -432,27 +427,25 @@ class DoubleCnotEve(ChannelTap):
         self.midflight = midflight
         self.attack_name = "double-cnot-midflight" if midflight else "double-cnot"
 
-    def _probe(self, rows, register, wires) -> None:
+    def _probe(self, rows, register, wire) -> None:
         # All of the register's rows go as no row selection: one axis-0 gather.
-        register.cnot(wires, self._ancilla, None if len(rows) == register.num_rows else rows)
+        register.cnot(wire, self._ancilla, None if len(rows) == register.num_rows else rows)
 
-    def on_forward(self, rows, register, wires, rng):
+    def on_forward(self, rows, register, wire, rng):
         self._record(rows, register, rng)
         self._ancilla = register.adjoin(_ZERO)
-        self._probe(rows, register, wires)
+        self._probe(rows, register, wire)
         if self.midflight:
             self._forward_reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, self._ancilla)
-        return wires
 
-    def on_return(self, rows, register, wires, rng):
+    def on_return(self, rows, register, wire, rng):
         if not len(self._trials):  # no forward transit this chunk, so no ancilla
-            return wires
-        self._probe(rows, register, wires)
+            return
+        self._probe(rows, register, wire)
         self._indicator = rng.read(register, "measure_z", "probe_" + self.target, rows, self._ancilla)
         if not self.midflight:
             site = "intercept_" + self.target
-            self._data_bits = rng.read(register, "measure_z", site, rows, wires, picked=self._indicator == 1)
-        return wires
+            self._data_bits = rng.read(register, "measure_z", site, rows, wire, picked=self._indicator == 1)
 
     def finalize(self, published, trial=0):
         own = self._entries(trial)
@@ -473,7 +466,7 @@ class MaliciousAgent(ChannelTap):
     """A participant who Z-measures the victim's returned qubits and sends
     each measured qubit on: it is then the product Z eigenstate of its
     read, the state a fresh qubit carrying the read would be, so the
-    resend is the qubit itself, on its own wire.
+    resend is the qubit itself, on the channel's wire.
 
     By default it intercepts exactly at its own SIFT positions, the ones
     TP can never verify with a Bell measurement in the base protocol, so
@@ -497,12 +490,11 @@ class MaliciousAgent(ChannelTap):
     def observe_own_modes(self, sift):
         self._own_sift = sift
 
-    def on_return(self, rows, register, wires, rng):
+    def on_return(self, rows, register, wire, rng):
         self._record(rows, register, rng)
         chosen = self._own_sift if self._attack_mask is None else self._attack_mask
         attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
-        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wires, picked=attacked)
-        return wires
+        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wire, picked=attacked)
 
     def finalize(self, published, trial=0):
         reads = self._reads[self._entries(trial)]
@@ -528,11 +520,10 @@ class BlockingAttacker(ChannelTap):
         super().__init__(target)
         self.attack_count = attack_count
 
-    def on_return(self, rows, register, wires, rng):
+    def on_return(self, rows, register, wire, rng):
         self._record(rows, register, rng)
         attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials)
-        self._reads = rng.read(register, "measure_x", "intercept_" + self.target, rows, wires, picked=attacked)
-        return wires
+        self._reads = rng.read(register, "measure_x", "intercept_" + self.target, rows, wire, picked=attacked)
 
     def finalize(self, published, trial=0):
         return _raw_report(self, self._reads[self._entries(trial)])
@@ -545,10 +536,9 @@ class InterceptResendZ(ChannelTap):
     attack_name = "intercept-resend-z"
     _reads = _NOTHING
 
-    def on_forward(self, rows, register, wires, rng):
+    def on_forward(self, rows, register, wire, rng):
         self._record(rows, register, rng)
-        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wires)
-        return wires
+        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wire)
 
     def finalize(self, published, trial=0):
         return _raw_report(self, self._reads[self._entries(trial)])

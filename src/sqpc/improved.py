@@ -29,13 +29,12 @@ As in :mod:`sqpc.jiang`, sessions run in chunks of trials
 of one) and all 8L photons of every trial in a chunk live in one batched
 register (see :mod:`sqpc.kernel`): trial t takes rows 8Lt..8Lt+8L-1,
 participant A's 4L positions first and B's after, so position p of B in
-trial t is row 8Lt + 4L + p.  Every photon travels both ways on wire 0,
-so an honest session's register has one qubit per row; only the double
-C-NOT ancilla widens it, and no attack in this package moves a row off
-wire 0 in the one wire map of both channels, ``PhotonBatch.wire``.  Each
-protocol step is one kernel call over both channels of every live
-trial, and every draw one :class:`sqpc.attacks.Streams` call at a named
-site: SIFT measure-resend, TP's X checks and TP's Z reads are each one
+trial t is row 8Lt + 4L + p.  Both channels are wire 0: every photon
+travels both ways on it, so an honest session's register has one qubit
+per row, and only the double C-NOT ancilla widens it.  Each protocol
+step is one kernel call over both channels of every live trial, and
+every draw one :class:`sqpc.attacks.Streams` call at a named site: SIFT
+measure-resend, TP's X checks and TP's Z reads are each one
 :meth:`~sqpc.attacks.Streams.read`, a read per row (-1 where nothing was
 read) keyed by the row's trial and position, and the photon signs, SIFT
 masks and disclosure permutations come a row per trial; each trial's
@@ -82,17 +81,13 @@ class PhotonBatch:
 
     The rows split into channels of ``channel_size`` rows each, one per
     participant in ``PARTICIPANTS`` order, and a chunk's trials lay their
-    channel pairs end to end.  ``wire`` is the wire each row's photon is
-    on now: a measure-resend sends the measured photon back on its own
-    wire, so only a tap hook that hands on another wire moves a row;
-    after a session it holds the wires TP measured.  ``sift_bit`` holds
-    the participant's own measure-resend read at SIFT rows and -1
-    elsewhere.
+    channel pairs end to end.  Every photon is on wire 0, both ways.
+    ``sift_bit`` holds the participant's own measure-resend read at SIFT
+    rows and -1 elsewhere.
     """
 
     prepared_sign: np.ndarray
     register: Register
-    wire: np.ndarray
     channel_size: int
     sift_bit: np.ndarray | None = None
 
@@ -101,8 +96,7 @@ class PhotonBatch:
         """One photon per row in the X eigenstate of the given sign; one
         channel of all rows unless ``channel_size`` is given."""
         signs = np.asarray(signs, dtype=np.intp)
-        wire = np.zeros(len(signs), dtype=np.intp)
-        return cls(signs, Register(prepare_x(signs)), wire, channel_size or len(signs))
+        return cls(signs, Register(prepare_x(signs)), channel_size or len(signs))
 
     @property
     def rows(self) -> np.ndarray:
@@ -121,13 +115,12 @@ class PhotonBatch:
         if rows.stop - rows.start == len(self.prepared_sign):
             return self
         sift_bit = None if self.sift_bit is None else self.sift_bit[rows]
-        return PhotonBatch(self.prepared_sign[rows], self.register, self.wire[rows], self.channel_size, sift_bit)
+        return PhotonBatch(self.prepared_sign[rows], self.register, self.channel_size, sift_bit)
 
     def measure(self, op: str, site: str, selected: np.ndarray, streams: Streams) -> np.ndarray:
         """The :meth:`Streams.read` at ``site`` of the ``selected`` rows (a
-        mask) on their ``wire``: a read per row, -1 at the rows not
-        selected."""
-        return streams.read(self.register, op, site, self.rows, self.wire, picked=selected)
+        mask) on wire 0: a read per row, -1 at the rows not selected."""
+        return streams.read(self.register, op, site, self.rows, 0, picked=selected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,8 +172,7 @@ def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, streams: Streams
     send the measured photon back: it is now exactly the Z eigenstate of
     its outcome, a product with every other qubit, so it is the state a
     fresh qubit carrying the outcome would be.  CTRL rows reflect.  Every
-    photon returns on the wire it arrived on, so ``photons.wire`` stays
-    as it is."""
+    photon returns on wire 0, where it arrived."""
     photons.sift_bit = photons.measure("measure_z", "sift", sift, streams)
 
 
@@ -361,12 +353,11 @@ def run_improved_sessions(
             outcomes[trial] = _tp_finish(transcripts[trial], published[trial], truths[trial], sift_bit, trial_orders)
         return list(outcomes.values())
 
-    # Both channels' rows are on the one wire map: they are disjoint.
+    # Both channels are wire 0, on disjoint rows.
     rows = np.arange(len(photons.prepared_sign)).reshape(-1, len(PARTICIPANTS), 4 * L)
-    channels = {p: rows[:, i] for i, p in enumerate(PARTICIPANTS)}
-    wires = dict.fromkeys(PARTICIPANTS, photons.wire)
+    channels = {p: (rows[:, i], 0) for i, p in enumerate(PARTICIPANTS)}
     outcomes, reports = drive_session(
-        taps, sift, 2 * L, channels, photons.register, wires, respond, tp_steps, decode_claims, truths, streams
+        taps, sift, 2 * L, channels, photons.register, respond, tp_steps, decode_claims, truths, streams
     )
     for trial, transcript in enumerate(transcripts):
         transcript.photons = photons.trial(slice(trial * size, (trial + 1) * size))

@@ -35,11 +35,13 @@ chunk, and returns a row per trial (R, SIFT masks, filler bits) or per
 register row (TP's reads, -1 where nothing was measured); each trial's
 transcript holds views of its own rows, keyed by participant.  A trial
 whose SIFT count falls short aborts and drops out: no later transit,
-response or TP read touches its rows.  Each channel has one wire map
-(:class:`PairBatch`), which responses and taps update and TP reads.
-Adversaries are channel taps with one hook call per transit direction
-for the chunk; see :mod:`sqpc.attacks`.  Per-trial classical steps (threshold checks,
-comparison, decoding, scoring) loop over the trials.
+response or TP read touches its rows.  Each channel has one fixed wire,
+Alice's wire 0 and Bob's wire 1, from the delivery to TP's reads: a SIFT
+response swaps its fresh qubit into the channel's wire
+(:func:`participant_respond`).  Adversaries are channel taps with one
+hook call per transit direction for the chunk; see :mod:`sqpc.attacks`.
+Per-trial classical steps (threshold checks, comparison, decoding,
+scoring) loop over the trials.
 
 :class:`SessionConfig` parametrizes a session of either protocol and
 :func:`drive_session` runs the transit pattern both share; each protocol
@@ -159,24 +161,18 @@ class PairBatch:
     """Prepared pairs as one batched register, one row per pair: row p =
     position p of a session, or of a chunk's trials laid end to end.
 
-    Wire 0 of every row is Alice's half and wire 1 Bob's.  ``wires`` maps
-    each participant to the wire each row's qubit on that channel is on
-    now: the delivered half until the participant responds, then the
-    fresh qubit at a SIFT row, and whatever a tap hands on after it.
-    After a session it holds the wires TP measured.
+    Wire 0 of every row is Alice's channel and wire 1 Bob's: each carries
+    the delivered half until the participant responds, then what goes back
+    to TP, and TP measures those two wires.
     """
 
     prepared: np.ndarray  # BellState value per position
     register: Register
-    wires: dict[str, np.ndarray]
 
     @classmethod
     def prepare(cls, values) -> "PairBatch":
         """One pair per position, in the Bell states with the given values."""
-        register = Register(prepare_bell(values))
-        values = np.asarray(values, dtype=np.intp)
-        halves = np.zeros(len(values), dtype=np.intp)
-        return cls(values, register, {"A": halves, "B": halves + 1})
+        return cls(np.asarray(values, dtype=np.intp), Register(prepare_bell(values)))
 
     @property
     def positions(self) -> np.ndarray:
@@ -188,7 +184,7 @@ class PairBatch:
         row ``rows.start + p``.  The batch itself when that is all of it."""
         if rows.stop - rows.start == len(self.prepared):
             return self
-        return PairBatch(self.prepared[rows], self.register, {p: wires[rows] for p, wires in self.wires.items()})
+        return PairBatch(self.prepared[rows], self.register)
 
 
 @dataclass
@@ -241,24 +237,24 @@ def draw_modes(num_positions: int, sift_quota: int, policy: str, streams: Stream
     raise ValueError(f"unknown mode policy {policy!r}")
 
 
-def participant_respond(
-    sift: np.ndarray, register: Register, incoming: np.ndarray, message_bits=None
-) -> np.ndarray:
-    """Apply one participant's response at every position of a register.
+def participant_respond(sift: np.ndarray, register: Register, wire: int, message_bits=None) -> None:
+    """Apply one participant's response at every position of a register,
+    whose channel is ``wire``.
 
-    CTRL reflects the incoming wire untouched.  SIFT keeps the incoming
+    CTRL reflects the incoming qubit untouched.  SIFT keeps the incoming
     qubit in the register unmeasured (the physical "discard") and sends a
     fresh Z-basis qubit carrying that position's entry of
-    ``message_bits``.  The fresh qubit is adjoined to every row, idle in
-    |0> at CTRL positions.  ``sift`` is the participant's SIFT mask over
-    the rows.  Returns the outgoing wire of every position.
+    ``message_bits`` back on the same channel.  The fresh qubit is
+    adjoined to every row, idle in |0> at CTRL positions, and swapped into
+    ``wire`` at SIFT positions, so the discarded half ends on the adjoined
+    wire.  ``sift`` is the participant's SIFT mask over the rows.
     """
     if not sift.any():
-        return incoming
+        return
     if message_bits is None:
         raise ValueError("SIFT response requires a message bit")
     fresh = register.adjoin(prepare_z(np.where(sift, message_bits, 0)))
-    return np.where(sift, fresh, incoming)
+    register.swap(wire, fresh, sift.nonzero()[0])
 
 
 def tp_resolve_positions(
@@ -266,22 +262,20 @@ def tp_resolve_positions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """TP's measurements at every row, given both SIFT masks over the rows.
 
-    CTRL/CTRL rows get a Bell measurement on the two ``pairs.wires``.  At
-    any other row TP Z-reads each SIFT return and leaves a reflected
-    half, if any, unmeasured.  One :meth:`Streams.read` call per step,
-    each at its own site: the Bell measurements, Alice's reads and
-    Bob's.  ``live``
-    masks the rows of the trials still running (every row by
-    default).  Returns ``(bell, bits_a, bits_b)``: the ``BellState`` value
-    per row and each participant's Z bit per row, -1 where that
-    measurement was not made.
+    CTRL/CTRL rows get a Bell measurement on the two channel wires, 0 and
+    1.  At any other row TP Z-reads each SIFT return on its channel's wire
+    and leaves a reflected half, if any, unmeasured.  One
+    :meth:`Streams.read` call per step, each at its own site: the Bell
+    measurements, Alice's reads and Bob's.  ``live`` masks the rows of
+    the trials still running (every row by default).  Returns ``(bell,
+    bits_a, bits_b)``: the ``BellState`` value per row and each
+    participant's Z bit per row, -1 where that measurement was not made.
     """
     register, rows = pairs.register, pairs.positions
     measured = True if live is None else live
-    wire_a, wire_b = pairs.wires["A"], pairs.wires["B"]
-    bell = streams.read(register, "measure_bell", "tp_bell", rows, wire_a, wire_b, picked=~(sift_a | sift_b) & measured)
-    bits_a = streams.read(register, "measure_z", "tp_z_A", rows, wire_a, picked=sift_a & measured)
-    bits_b = streams.read(register, "measure_z", "tp_z_B", rows, wire_b, picked=sift_b & measured)
+    bell = streams.read(register, "measure_bell", "tp_bell", rows, 0, 1, picked=~(sift_a | sift_b) & measured)
+    bits_a = streams.read(register, "measure_z", "tp_z_A", rows, 0, picked=sift_a & measured)
+    bits_b = streams.read(register, "measure_z", "tp_z_B", rows, 1, picked=sift_b & measured)
     return bell, bits_a, bits_b
 
 
@@ -301,9 +295,8 @@ def drive_session(
     taps: Sequence[ChannelTap],
     modes: dict[str, np.ndarray],
     sift_quota: int,
-    channels: dict[str, np.ndarray],
+    channels: dict[str, tuple[np.ndarray, int]],
     register: Register,
-    wires: dict[str, np.ndarray],
     respond: Callable[[np.ndarray], None],
     tp_steps: Callable[[np.ndarray, list[PublicRecord]], list[ComparisonOutcome]],
     decode: Callable[[AttackReport, PublicRecord], None],
@@ -321,12 +314,11 @@ def drive_session(
     ``respond(live)`` makes the participants' responses, the return
     transits follow, and ``tp_steps(live, published)`` fills in the live
     trials' public records and returns their outcomes.  ``channels`` maps
-    each participant to the ``register`` rows of its positions, one row
-    per trial, and ``wires`` to the wire each of those rows is on now;
-    ``respond`` updates ``wires`` in place and the wires a tap hook
-    returns replace those it got.  Last, every trial's reports are decoded,
-    scored against its entry of ``truths`` and marked detected.  Returns
-    each trial's outcome and reports.
+    each participant to its channel: the ``register`` rows of its
+    positions, one row per trial, and the one wire they all travel on,
+    which each of the channel's tap hooks gets.  Last, every trial's
+    reports are decoded, scored against its entry of ``truths`` and
+    marked detected.  Returns each trial's outcome and reports.
     """
     for tap in taps:
         tap.begin_session(modes[PARTICIPANTS[0]].shape[1], streams)
@@ -340,16 +332,15 @@ def drive_session(
                 tap.observe_own_modes(modes[tap.identity])
         # Each channel's taps in turn, with the rows of the live trials.
         hooked = [
-            (tap, rows[running].ravel())
-            for participant, rows in channels.items()
+            (tap, rows[running].ravel(), wire)
+            for participant, (rows, wire) in channels.items()
             for tap in taps
             if tap.target == participant
         ]
 
         def transit(hook: str) -> None:
-            for tap, rows in hooked:
-                carried = wires[tap.target]
-                carried[rows] = getattr(tap, hook)(rows, register, carried[rows], streams)
+            for tap, rows, wire in hooked:
+                getattr(tap, hook)(rows, register, wire, streams)
 
         transit("on_forward")
         respond(live)
@@ -448,12 +439,12 @@ def run_sessions(
     def respond(live: np.ndarray) -> None:
         # The i-th SIFT position carries message bit i, surplus SIFT
         # positions under the coin policy carry random filler.
-        for participant in PARTICIPANTS:
+        for wire, participant in enumerate(PARTICIPANTS):
             sifted = sift[participant] & live[:, None]
             carriers = sifted & (sifted.cumsum(axis=1) <= L)
             bits = streams.integers("filler_" + participant, 2, size)
             bits[carriers] = messages[participant][live].ravel()
-            pairs.wires[participant] = participant_respond(sifted.ravel(), pairs.register, pairs.wires[participant], bits.ravel())
+            participant_respond(sifted.ravel(), pairs.register, wire, bits.ravel())
 
     def tp_steps(live: np.ndarray, published: list[PublicRecord]) -> list[ComparisonOutcome]:
         # TP confirms receipt; only now are the mode declarations public.
@@ -478,9 +469,10 @@ def run_sessions(
             outcomes.append(outcome)
         return outcomes
 
-    channels = dict.fromkeys(PARTICIPANTS, np.arange(len(pairs.prepared)).reshape(-1, size))
+    rows = np.arange(len(pairs.prepared)).reshape(-1, size)
+    channels = {p: (rows, wire) for wire, p in enumerate(PARTICIPANTS)}
     outcomes, reports = drive_session(
-        taps, sift, L, channels, pairs.register, pairs.wires, respond, tp_steps, decode_claims, truths, streams
+        taps, sift, L, channels, pairs.register, respond, tp_steps, decode_claims, truths, streams
     )
     for trial, transcript in enumerate(transcripts):
         transcript.pairs = pairs.trial(slice(trial * size, (trial + 1) * size))
@@ -543,9 +535,10 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
     """Amplitude-exact verification of the double C-NOT state evolutions
     on a phi+ pair, as used by ``sqpc verify-equations``.
 
-    Register wire order is (Alice half, Bob half, probe ancilla, fresh
-    resend qubit) in adjoin order; expected states are written in that
-    convention.  The resend cases are checked by composing kernel ops
+    Register wire order is (Alice's channel, Bob half, probe ancilla,
+    discarded half): a SIFT resend swaps into Alice's channel and the half
+    it discards takes the adjoined wire.  Expected states are written in
+    that convention.  The resend cases are checked by composing kernel ops
     from the coherent-pair premise in wire order (resend, probe, far
     half), and the discard case is checked through the retained-qubit
     model at the observable level.
@@ -558,9 +551,9 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
         """Forward tap on a one-position phi+ batch, then CTRL (None) or SIFT(bit)."""
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         eve = DoubleCnotEve(target="A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], rng)
+        eve.on_forward(pairs.positions, pairs.register, 0, rng)
         sift = np.array([message_bit is not None])
-        pairs.wires["A"] = participant_respond(sift, pairs.register, pairs.wires["A"], [message_bit or 0])
+        participant_respond(sift, pairs.register, 0, [message_bit or 0])
         return pairs, eve
 
     # 1. Forward tap entangles the probe: (|000> + |111>)/sqrt(2) on (A, B, E).
@@ -571,7 +564,7 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
 
     # 2. CTRL round trip restores the pair and parks the probe back in |0>.
     pairs, eve = run_pipeline(None)
-    pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], rng)
+    eve.on_return(pairs.positions, pairs.register, 0, rng)
     expected = kernel.tensor(prepare_bell(BellState.PHI_PLUS), prepare_z(0))
     indicator = eve.finalize(PublicRecord(L=1)).indicator_bits[0]
     ok = kernel.amplitudes_close(pairs.register.amps[:, 0], expected, tol) and indicator == 0
@@ -580,7 +573,7 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
     # 3. After a SIFT discard the probe and the far half stay perfectly
     #    Z-correlated (the retained-qubit reading of the discarded pair).
     pairs, _ = run_pipeline(0)
-    amps = pairs.register.amps[:, 0]  # wires: A=0, B=1, E=2, F=3
+    amps = pairs.register.amps[:, 0]  # wires: A's resend 0, B 1, E 2, discarded half 3
     p_disagree = _prob(amps, lambda b: b[2] != b[1])
     p_probe_one = _prob(amps, lambda b: b[2] == 1)
     ok = p_disagree <= tol and abs(p_probe_one - 0.5) <= tol
@@ -601,10 +594,9 @@ def attack_state_checks(tol: float = 1e-9) -> list[StateCheck]:
     # 6. Through the full pipeline the probe fires with probability exactly
     #    1/2 on SIFT positions and, when it fires, certifies the resent bit.
     ok = True
-    probe = 2
+    resend, probe = 0, 2
     for bit in (0, 1):
         pairs, _ = run_pipeline(bit)
-        resend = int(pairs.wires["A"][0])
         pairs.register.cnot(resend, probe)
         amps = pairs.register.amps[:, 0]
         p_fire = _prob(amps, lambda b: b[probe] == 1)

@@ -20,13 +20,10 @@ op that returns a state copy it by that rule (:func:`_owned`).
 Every gate and measurement gathers its blocks once and writes them back
 once, to the same place; it and :func:`bell_probabilities` find them
 through one dispatch, :func:`_index`, from one cached table builder,
-:func:`_table`, which validates the wires when it builds a table.  On a
-batch with one axis an op may act on some rows only, and each wire may
-be one per row, an int array aligned with those rows, so rows whose
-qubits travel on different wires share one call.  Int wires, and per-row
-wires that every row shares, gather through the table of their (width,
-wires); mixed per-row wires gather each row through its own table,
-picked from the one per-width stack of those tables, :func:`_stack`.
+:func:`_table`, which validates the wires when it builds a table.  A wire
+is an int, the same for every row; on a batch with one axis an op may act
+on some rows only.  The two-wire gates, CNOT and SWAP, each exchange two
+blocks of the same table.
 
 X-basis labels follow the Hadamard image of the computational basis:
 ``PLUS == 0`` encodes |+> = H|0> and ``MINUS == 1`` encodes |-> = H|1>.
@@ -49,11 +46,12 @@ block; a batch zeroes the other blocks and rotates them all back.  Both
 give the same outcomes and amplitudes, up to the sign of a zero.  The
 public measurements draw those uniforms in a single ``rng.random(batch)``
 call on the caller's ``numpy.random.Generator``; a :class:`Register`
-measurement also takes the uniforms themselves.  Uniform ``i`` goes to
-row ``i``, whatever the row's wires, so runs are reproducible from the
-draws whatever the amplitudes happen to be.
-``sqpc.attacks.Streams.read`` hands each row of a chunk the uniform of
-its trial, draw site and position, so no draw depends on a wire.
+measurement also takes the uniforms themselves.  A single state draws
+one Python float (``rng.random()``), the same double as a 0-d array draw.
+Uniform ``i`` goes to row ``i``, so runs are reproducible from the draws
+whatever the amplitudes happen to be.  ``sqpc.attacks.Streams.read``
+hands each row of a chunk the uniform of its trial, draw site and
+position, so no draw depends on a wire.
 """
 
 from __future__ import annotations
@@ -135,14 +133,12 @@ def num_qubits(amps: np.ndarray) -> int:
     return n
 
 
-def _check_wire(q: int, n: int) -> None:
-    if not 0 <= q < n:
-        raise ValueError(f"qubit {q} out of bounds for a {n}-qubit register")
-
-
 # Index tables.  ``_table(op, n, *wires)`` is built on first use and
 # cached; wires are validated then, and a bad wire raises and is never
-# cached, so an int-wire call that hits the cache needs no check.
+# cached, so a call that hits the cache needs no check.  The two-wire
+# gates exchange two blocks of the two-wire table: a CNOT on (control,
+# target) blocks 10 and 11, a SWAP blocks 01 and 10.
+_EXCHANGED = {"cnot": slice(2, 4), "swap": slice(1, 3)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,11 +148,12 @@ def _table(op: str, n: int, *wires: int) -> np.ndarray:
     For ``"blocks"``, a (2**k, 2**(n-k)) table for k wires: row b holds the
     labels whose wires read the bits of b, the first wire most significant,
     and column j the same assignment of the other qubits in every row.  For
-    ``"cnot"`` on (control, target), the two blocks a CNOT swaps: blocks 10
-    and 11 of the two-wire table.
+    ``"cnot"`` and ``"swap"`` on two wires, the two blocks of that table
+    the gate exchanges (``_EXCHANGED``).
     """
     for q in wires:
-        _check_wire(q, n)
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of bounds for a {n}-qubit register")
     if len(set(wires)) < len(wires):
         raise ValueError(f"wires {wires} must be distinct qubits")
     offsets = [0]
@@ -164,59 +161,19 @@ def _table(op: str, n: int, *wires: int) -> np.ndarray:
         offsets = [offset | bit for offset in offsets for bit in (0, 1 << (n - 1 - q))]
     labels = np.arange(1 << n)
     blocks = labels[(labels & offsets[-1]) == 0] | np.array(offsets)[:, None]
-    return blocks[2:] if op == "cnot" else blocks
+    return blocks[_EXCHANGED[op]] if op in _EXCHANGED else blocks
 
 
-@functools.lru_cache(maxsize=None)
-def _stack(op: str, n: int, k: int) -> np.ndarray:
-    """Every ``_table(op, n, *wires)`` of ``k`` wires side by side on one
-    trailing axis, entry w for wires (w,) or w1 * n + w2 for wires (w1, w2),
-    so one ``take`` picks each row's table by its wires.  Entries whose two
-    wires coincide are left at label 0 and never used: per-row wires are
-    checked first."""
-    unused = np.zeros_like(_table(op, n, *range(k)))
-    wires = itertools.product(range(n), repeat=k)
-    return np.stack([_table(op, n, *w) if len(set(w)) == k else unused for w in wires], axis=-1)
-
-
-def _index(op: str, amps: np.ndarray, *wires, rows=None):
-    """Where ``op`` on ``wires`` of ``rows`` (indices into the one batch
-    axis; every row when ``None``) reads and writes: ``amps`` and the
-    axis-0 table ``_table(op, n, *wires)`` for int wires on every row, else
+def _index(op: str, amps: np.ndarray, *wires: int, rows=None):
+    """Where ``op`` on the int ``wires`` of ``rows`` (indices into the one
+    batch axis; every row when ``None``) reads and writes: ``amps`` and
+    the axis-0 table ``_table(op, n, *wires)`` for every row, else
     ``amps.reshape(-1)`` and one flat index (a view: an op that writes
-    passes a C-contiguous array).  A wire may also be one per row, an int
-    array aligned with ``rows`` (with the batch when ``None``); wires every
-    row shares count as ints, and mixed ones take each row's table from
-    ``_stack``.  A wire out of range, or two wires equal on some row,
-    raises ``ValueError``.
+    passes a C-contiguous array).  A wire out of range, or two equal
+    wires, raises ``ValueError``; a wire that is not hashable, such as an
+    int array, raises ``TypeError``.
     """
-    n = num_qubits(amps)
-    if np.ndarray in map(type, wires):
-        batch = amps.shape[1:] if rows is None else (len(rows),)
-        shared = []
-        for w in wires:
-            if not (isinstance(w, np.ndarray) and w.ndim):
-                _check_wire(int(w), n)
-                shared.append(int(w))
-                continue
-            if w.shape != batch or w.ndim != 1:
-                raise ValueError(f"per-row wires of shape {w.shape} do not align with rows of shape {batch}")
-            if not w.size:
-                shared.append(None)
-                continue
-            low, high = int(np.minimum.reduce(w)), int(np.maximum.reduce(w))
-            if low < 0 or high >= n:
-                raise ValueError(f"qubit {low if low < 0 else high} out of bounds for a {n}-qubit register")
-            shared.append(low if low == high else None)
-        if None in shared:
-            if len(wires) == 2 and np.any(np.equal(*wires)):
-                raise ValueError("the two wires of a row must be distinct qubits")
-            entry = wires[0] if len(wires) == 1 else wires[0] * n + wires[1]
-            # ``take`` keeps the labels contiguous, and so the gathered blocks.
-            labels = _stack(op, n, len(wires)).take(entry, axis=-1)
-            return amps.reshape(-1), labels * amps.shape[1] + (np.arange(batch[0]) if rows is None else rows)
-        wires = shared
-    table = _table(op, n, *wires)
+    table = _table(op, num_qubits(amps), *wires)
     return (amps, table) if rows is None else (amps.reshape(-1), table[..., None] * amps.shape[1] + rows)
 
 
@@ -293,8 +250,7 @@ def _owned(amps: np.ndarray) -> np.ndarray:
 
 
 def apply_cnot(amps: np.ndarray, control, target) -> np.ndarray:
-    """Flip ``target`` on every basis label whose ``control`` bit is 1.
-    Either wire may be one per row (see :func:`_index`)."""
+    """Flip ``target`` on every basis label whose ``control`` bit is 1."""
     out = _owned(amps)
     flat, index = _index("cnot", out, control, target)
     flat[index] = flat[index][::-1]
@@ -403,11 +359,11 @@ def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
     ----------
     amps : ndarray
         Unit-norm state, shape ``(2**n, *batch)``.
-    q : int or ndarray
-        Qubit to measure: one for every state, or one per row of a batch
-        with one axis (an int array aligned with it).
+    q : int
+        Qubit to measure, the same in every state.
     rng : numpy.random.Generator
-        Source of the Born-rule draws, one per state.
+        Source of the Born-rule draws, one per state: a Python float for
+        a single state.
 
     Returns
     -------
@@ -416,7 +372,7 @@ def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
         of shape ``batch`` otherwise) and the renormalized states.
     """
     out = _owned(amps)
-    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:])), out
+    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:] or None)), out
 
 
 def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
@@ -427,20 +383,18 @@ def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
     :func:`measure_z`.
     """
     out = _owned(amps)
-    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:]), rotated=True), out
+    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:] or None), rotated=True), out
 
 
 def bell_probabilities(amps: np.ndarray, q1, q2) -> np.ndarray:
     """Born probabilities of the four Bell outcomes on qubits (q1, q2),
-    ordered by ``BellState`` value: shape ``(4, *batch)``.  Either wire may
-    be one per row, as in :func:`measure_z`."""
+    ordered by ``BellState`` value: shape ``(4, *batch)``."""
     flat, index = _index("blocks", _double(amps), q1, q2)
     return _probabilities(_rotate_in(flat[index]))
 
 
 def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
-    """Projective measurement of qubits (q1, q2) in the Bell basis; either
-    may be one per row, as in :func:`measure_z`.
+    """Projective measurement of qubits (q1, q2) in the Bell basis.
 
     The outcome is sampled from the four Bell projector probabilities and
     the returned state is the renormalized collapse, with the pair left in
@@ -449,7 +403,7 @@ def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
     int array of ``BellState`` values.
     """
     out = _owned(amps)
-    return _bell(_collapse(*_index("blocks", out, q1, q2), rng.random(amps.shape[1:]), rotated=True)), out
+    return _bell(_collapse(*_index("blocks", out, q1, q2), rng.random(amps.shape[1:] or None), rotated=True)), out
 
 
 def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool:
@@ -481,10 +435,9 @@ class Register:
     of a batch has the same width.  A row that does not need an adjoined
     qubit keeps it idle in |0>.  Gates and measurements act on every row,
     or only on ``rows`` (indices into the single batch axis) when given;
-    each wire is an int for all of them or an int array aligned with them,
-    one per row.  A measurement takes a ``numpy.random.Generator``, or the
-    uniforms themselves, an array of one per selected row; uniform ``i``
-    goes to the i-th selected row.
+    each wire is an int, the same for all of them.  A measurement takes a
+    ``numpy.random.Generator``, or the uniforms themselves, an array of one
+    per selected row; uniform ``i`` goes to the i-th selected row.
     Adversary taps act on registers exclusively through these methods and
     the row count ``num_rows``, never by reading amplitudes, so that every
     bit an attacker learns comes from a measurement outcome.
@@ -510,8 +463,13 @@ class Register:
         self.amps = tensor(self.amps, amps)
         return wire
 
-    def cnot(self, control, target, rows=None) -> None:
+    def cnot(self, control: int, target: int, rows=None) -> None:
         amps, index = _index("cnot", self.amps, control, target, rows=rows)
+        amps[index] = amps[index][::-1]
+
+    def swap(self, w1: int, w2: int, rows=None) -> None:
+        """Exchange the qubits on wires ``w1`` and ``w2``."""
+        amps, index = _index("swap", self.amps, w1, w2, rows=rows)
         amps[index] = amps[index][::-1]
 
     def hadamard(self, wire, rows=None) -> None:
@@ -521,7 +479,7 @@ class Register:
     def _collapse_rows(self, wires, rng, rows, rotated=False) -> np.ndarray:
         amps, index = _index("blocks", self.amps, *wires, rows=rows)
         if not isinstance(rng, np.ndarray):
-            rng = rng.random(self.amps.shape[1:] if rows is None else (len(rows),))
+            rng = rng.random((self.amps.shape[1:] if rows is None else (len(rows),)) or None)
         return _collapse(amps, index, rng, rotated)
 
     def measure_z(self, wire, rng: np.random.Generator | np.ndarray, rows=None):

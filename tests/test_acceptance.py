@@ -63,10 +63,10 @@ def test_criterion_2_silent_ctrl_restoration():
         # One batch position per trial.
         pairs = PairBatch.prepare([variant.value] * trials_per_state)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
-        pairs.wires["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
-        pairs.wires["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
-        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        participant_respond(ctrl, pairs.register, 0)
+        participant_respond(ctrl, pairs.register, 1)
+        eve.on_return(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
         bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, Streams(draw_keys(rng)))
         mismatches += int(np.count_nonzero(bell != pairs.prepared))
     ok = mismatches == 0

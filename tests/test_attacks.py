@@ -45,14 +45,15 @@ class TestStateCheckSuite:
             assert check.passed, check.name
 
     def test_pipeline_retained_states_exact(self, rng):
-        # Full tap + SIFT pipeline on phi+, wires (A, B, E, F): the true
-        # register state is the GHZ correlations tensored with the fresh
-        # |m>, for either message bit.
-        for m, indices in ((0, (0b0000, 0b1110)), (1, (0b0001, 0b1111))):
+        # Full tap + SIFT pipeline on phi+, wires (A's channel, B, E, the
+        # discarded half): the true register state is the fresh |m> on A's
+        # channel tensored with the GHZ correlations of the other three,
+        # for either message bit.
+        for m, indices in ((0, (0b0000, 0b0111)), (1, (0b1000, 0b1111))):
             pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
             eve = DoubleCnotEve("A")
-            pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
-            pairs.wires["A"] = participant_respond(np.array([True]), pairs.register, pairs.wires["A"], [m])
+            eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+            participant_respond(np.array([True]), pairs.register, 0, [m])
             expected = np.zeros(16, dtype=complex)
             for i in indices:
                 expected[i] = SQRT_HALF
@@ -62,7 +63,7 @@ class TestStateCheckSuite:
         # CNOT into a fresh ancilla maps psi+ into matched three-way flips.
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
         expected = np.zeros(8, dtype=complex)  # wires (A, B, E)
         expected[0b010] = SQRT_HALF
         expected[0b101] = SQRT_HALF
@@ -72,7 +73,7 @@ class TestStateCheckSuite:
 
 def _chunk_layout(seed):
     """A random chunk: 1-4 trials of 1-10 rows each, a random real state
-    per row, a measurement on one or two per-row wires, an ascending row
+    per row, a measurement on one or two int wires, an ascending row
     subset (sometimes every row) and a draw site."""
     rng = np.random.default_rng(seed)
     trials, trial_rows = int(rng.integers(1, 5)), int(rng.integers(1, 11))
@@ -80,11 +81,11 @@ def _chunk_layout(seed):
     amps = rng.normal(size=(1 << n, size))
     amps /= np.linalg.norm(amps, axis=0)
     op = ("measure_z", "measure_x", "measure_bell")[int(rng.integers(3))]
-    first = rng.integers(n, size=size) if rng.random() < 0.7 else np.full(size, int(rng.integers(n)))
-    wires = [first] if op != "measure_bell" else [first, (first + rng.integers(1, n, size=size)) % n]
+    first = int(rng.integers(n))
+    wires = [first] if op != "measure_bell" else [first, (first + int(rng.integers(1, n))) % n]
     rows = np.arange(size) if rng.random() < 0.2 else (rng.random(size) < 0.7).nonzero()[0]
     site = list(SITES)[int(rng.integers(len(SITES)))]
-    return amps, op, site, rows, [w[rows] for w in wires], draw_keys(rng, trials)
+    return amps, op, site, rows, wires, draw_keys(rng, trials)
 
 
 def _move_qubits(amps: np.ndarray, order: list[int]) -> np.ndarray:
@@ -115,8 +116,8 @@ class TestStreamsMeasure:
         lone = Register(_move_qubits(amps, order))
         uniforms = streams.random(site, trial_rows).reshape(-1)
         expected = [
-            getattr(lone, op)(*(order[w[i]] for w in wires), uniforms[row : row + 1], np.array([row]))[0]
-            for i, row in enumerate(rows.tolist())
+            getattr(lone, op)(*(order[w] for w in wires), uniforms[row : row + 1], np.array([row]))[0]
+            for row in rows.tolist()
         ]
         assert reads.tolist() == expected
         # Moved qubits sum a row's probabilities in another order, so the
@@ -129,7 +130,7 @@ class TestStreamsMeasure:
         register = Register(np.tile(prepare_z(0)[:, None], (1, 2 * trials)))
         before = register.amps.copy()
         register.measure_z = None  # a kernel call would fail
-        reads = Streams(range(trials)).read(register, "measure_z", "tp_z", np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+        reads = Streams(range(trials)).read(register, "measure_z", "tp_z", np.zeros(0, dtype=np.intp), 0)
         assert len(reads) == 0
         assert np.array_equal(register.amps, before)
 
@@ -148,7 +149,7 @@ class TestStreamsRead:
         reads = Streams(keys).read(register, op, site, rows, *wires, picked=mask)
 
         expected = np.full(len(rows), -1)
-        expected[mask] = Streams(keys).read(lone, op, site, rows[mask], *(w[mask] for w in wires))
+        expected[mask] = Streams(keys).read(lone, op, site, rows[mask], *wires)
         assert reads.tolist() == expected.tolist()
         assert np.array_equal(register.amps, lone.amps)
 
@@ -232,11 +233,11 @@ class TestDoubleCnotEve:
         trips = 500
         pairs = PairBatch.prepare([variant.value] * trips)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
         ctrl = np.zeros(trips, dtype=bool)
-        pairs.wires["A"] = participant_respond(ctrl, pairs.register, pairs.wires["A"])
-        pairs.wires["B"] = participant_respond(ctrl, pairs.register, pairs.wires["B"])
-        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
+        participant_respond(ctrl, pairs.register, 0)
+        participant_respond(ctrl, pairs.register, 1)
+        eve.on_return(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
         report = eve.finalize(PublicRecord(L=trips // 2))
         assert report.indicator_bits.tolist() == [0] * trips
         bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, Streams(draw_keys(rng)))
@@ -247,16 +248,15 @@ class TestDoubleCnotEve:
         m = rng.integers(2, size=trials)
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
         eve = DoubleCnotEve("A")
-        pairs.wires["A"] = eve.on_forward(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
-        pairs.wires["A"] = participant_respond(np.ones(trials, dtype=bool), pairs.register, pairs.wires["A"], m)
-        pairs.wires["A"] = eve.on_return(pairs.positions, pairs.register, pairs.wires["A"], Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        participant_respond(np.ones(trials, dtype=bool), pairs.register, 0, m)
+        eve.on_return(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
         report = eve.finalize(PublicRecord(L=trials // 2))
         fired = (report.indicator_bits == 1).nonzero()[0]
         # a fired probe reads the bit exactly, and an unfired one reads nothing
         assert report.intercepted_bits.tolist() == np.where(report.indicator_bits == 1, m, -1).tolist()
-        # and the read does not disturb the resent eigenstate
-        (wire,) = set(pairs.wires["A"][fired].tolist())
-        assert np.array_equal(pairs.register.measure_z(wire, rng, np.array(fired)), m[fired])
+        # and the read does not disturb the resent eigenstate on A's channel
+        assert np.array_equal(pairs.register.measure_z(0, rng, np.array(fired)), m[fired])
         assert abs(len(fired) / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_session_report_decodes_masked_secret(self, rng):
@@ -396,7 +396,7 @@ class TestBlocking:
             tap = BlockingAttacker("A")
             tap.begin_session(len(positions), Streams(draw_keys(rng)))
             reg = Register(prepare_z(np.full(len(positions), z_bit)))
-            tap.on_return(positions, reg, np.zeros(len(positions), dtype=int), Streams(draw_keys(rng)))
+            tap.on_return(positions, reg, 0, Streams(draw_keys(rng)))
             reads = tap.finalize(PublicRecord(L=1)).intercepted_bits
             for read in reads[reads >= 0].tolist():
                 counts[z_bit][read] += 1

@@ -44,8 +44,7 @@ class TestPreparation:
 
     def test_prepared_states_are_x_eigenstates(self, rng):
         photons = tp_prepare_photons(SessionConfig(L=2), Streams(draw_keys(rng)))
-        (wire,) = set(photons.wire.tolist())
-        assert np.array_equal(photons.register.measure_x(wire, rng), photons.prepared_sign)
+        assert np.array_equal(photons.register.measure_x(0, rng), photons.prepared_sign)
 
 class TestSiftMeasureResend:
     def test_r_bit_uniform_on_plus_input(self, rng):
@@ -59,16 +58,13 @@ class TestSiftMeasureResend:
     def test_resent_qubit_carries_the_bit(self, rng):
         photons = PhotonBatch.prepare([PLUS] * 50)
         sift_measure_resend(photons, np.ones(50, dtype=bool), Streams(draw_keys(rng)))
-        (wire,) = set(photons.wire.tolist())
-        assert np.array_equal(photons.register.measure_z(wire, rng), photons.sift_bit)
+        assert np.array_equal(photons.register.measure_z(0, rng), photons.sift_bit)
 
     def test_resend_is_the_measured_photon_in_place(self, rng):
         signs = rng.integers(2, size=64)
         sift = rng.integers(2, size=64).astype(bool)
         photons = PhotonBatch.prepare(signs)
-        delivered = photons.wire.copy()
         sift_measure_resend(photons, sift, Streams(draw_keys(rng)))
-        assert np.array_equal(photons.wire, delivered)
         assert photons.register.n == 1
         # The other Z block of a measured photon is exactly zero, and its
         # own block carries the whole norm; CTRL rows are left as prepared.
@@ -135,7 +131,6 @@ class TestSiftMeasureResend:
         assert np.count_nonzero(resent) == 5
         # Every photon comes back on wire 0, the agent's resends too: they
         # are the photons it measured, and TP Z-reads what it read.
-        assert photons.wire.tolist() == [0] * len(resent)
         assert photons.register.n == 1
         read_by_both = resent & (transcript.tp_r >= 0)
         assert read_by_both.any()
@@ -165,8 +160,8 @@ class TestCtrlCheck:
         # both signs.
         photons = PhotonBatch.prepare([0, 1])
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
-        photons.wire = eve.on_return(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
+        eve.on_forward(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
+        eve.on_return(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
         assert probe_reads(eve).tolist() == [0, 0]
         assert photons.register.measure_x(0, rng).tolist() == [0, 1]
 
@@ -292,9 +287,9 @@ class TestImmunity:
         # 40 photons of each sign, one batch position each.
         photons = PhotonBatch.prepare([0] * 40 + [1] * 40)
         eve = DoubleCnotEve("A")
-        photons.wire = eve.on_forward(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
+        eve.on_forward(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
         sift_measure_resend(photons, np.ones(80, dtype=bool), Streams(draw_keys(rng)))
-        photons.wire = eve.on_return(photons.rows, photons.register, photons.wire, Streams(draw_keys(rng)))
+        eve.on_return(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
         assert probe_reads(eve).tolist() == [0] * 80
 
     def test_midflight_triggers_x_mismatches(self, rng):

@@ -91,8 +91,8 @@ class TestRespondAndResolve:
     def test_ctrl_roundtrip_preserves_bell(self, rng):
         for variant in BellState:
             pairs = PairBatch.prepare([variant.value])
-            pairs.wires["A"] = participant_respond(CTRL, pairs.register, pairs.wires["A"])
-            pairs.wires["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
+            participant_respond(CTRL, pairs.register, 0)
+            participant_respond(CTRL, pairs.register, 1)
             bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, Streams(draw_keys(rng)))
             assert BellState(int(bell[0])) is variant
             assert bell[0] == pairs.prepared[0]
@@ -100,38 +100,41 @@ class TestRespondAndResolve:
 
     def test_sift_sends_the_message_bit(self, rng):
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
-        pairs.wires["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [1])
-        pairs.wires["B"] = participant_respond(CTRL, pairs.register, pairs.wires["B"])
+        participant_respond(SIFT, pairs.register, 0, [1])
+        participant_respond(CTRL, pairs.register, 1)
         bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, Streams(draw_keys(rng)))
         assert bit_a[0] == 1
         assert bit_b[0] == -1
         assert bell[0] == -1
 
     def test_sift_retains_correlated_discard(self, rng):
-        # After a SIFT the kept half stays perfectly Z-correlated with the
-        # far half: enumerate the register directly.
+        # After a SIFT the kept half, swapped onto the fresh wire 2, stays
+        # perfectly Z-correlated with the far half on wire 1, and Alice's
+        # channel, wire 0, carries the message bit: enumerate the register
+        # directly.
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
-        pairs.wires["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [0])
+        participant_respond(SIFT, pairs.register, 0, [0])
         amps = pairs.register.amps[:, 0]
         n = 3
         disagree = sum(
             abs(a) ** 2
             for i, a in enumerate(amps)
-            if ((i >> (n - 1)) & 1) != ((i >> (n - 2)) & 1)
+            if ((i >> (n - 3)) & 1) != ((i >> (n - 2)) & 1)
         )
         assert disagree <= 1e-12
+        assert sum(abs(a) ** 2 for i, a in enumerate(amps) if (i >> (n - 1)) & 1) <= 1e-12
 
     def test_both_sift(self, rng):
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
-        pairs.wires["A"] = participant_respond(SIFT, pairs.register, pairs.wires["A"], [0])
-        pairs.wires["B"] = participant_respond(SIFT, pairs.register, pairs.wires["B"], [1])
+        participant_respond(SIFT, pairs.register, 0, [0])
+        participant_respond(SIFT, pairs.register, 1, [1])
         _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, Streams(draw_keys(rng)))
         assert (bit_a[0], bit_b[0]) == (0, 1)
 
     def test_sift_requires_bit(self):
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         with pytest.raises(ValueError):
-            participant_respond(SIFT, pairs.register, pairs.wires["A"])
+            participant_respond(SIFT, pairs.register, 0)
 
 class TestCompare:
     def test_equal_when_everything_cancels(self):
@@ -310,16 +313,29 @@ class TestRunSession:
             run_session(SessionConfig(L=4), bits("101"), bits("1010"), bits("1010"), rng=rng)
 
 class TestWireMap:
-    """``pairs.wires`` holds the wire each position's qubit ends on: what
-    TP measures."""
+    """Alice's channel stays on wire 0 and Bob's on wire 1, where TP
+    measures; each SIFT's discarded half sits on the wire its fresh qubit
+    was adjoined on (2 for Alice, 3 for Bob), idle in |0> at CTRL rows."""
+
+    @staticmethod
+    def assert_channels_on_their_wires(transcript):
+        register, modes = transcript.pairs.register, transcript.modes
+        rng = np.random.default_rng(0)
+        for wire, participant in enumerate(("A", "B")):
+            # TP's Z read collapsed each SIFT return: a second read of the
+            # channel's wire gives the same bits.
+            sift, ctrl = modes[participant].nonzero()[0], (~modes[participant]).nonzero()[0]
+            assert register.measure_z(wire, rng, sift).tolist() == transcript.tp_bits[participant][sift].tolist()
+            assert register.measure_z(2 + wire, rng, ctrl).tolist() == [0] * len(ctrl)
+        ctrl_ctrl = transcript.ctrl_ctrl_positions
+        if len(ctrl_ctrl):
+            bell = register.measure_bell(0, 1, rng, ctrl_ctrl)
+            assert bell.tolist() == transcript.bell_outcomes[ctrl_ctrl].tolist()
 
     def test_honest_session(self):
         transcript, _, _ = run_session(SessionConfig(L=3), bits("101"), bits("011"), bits("110"), rng=np.random.default_rng(4))
-        modes, wires = transcript.modes, transcript.pairs.wires
-        # Each participant's fresh qubit at its SIFT rows (A's adjoined
-        # first), the delivered half at its CTRL rows.
-        assert wires["A"].tolist() == np.where(modes["A"], 2, 0).tolist()
-        assert wires["B"].tolist() == np.where(modes["B"], 3, 1).tolist()
+        self.assert_channels_on_their_wires(transcript)
+        assert transcript.pairs.register.n == 4
 
     def test_malicious_agent_resends(self):
         key = bits("110")
@@ -327,13 +343,12 @@ class TestWireMap:
         transcript, _, (report,) = run_session(
             SessionConfig(L=3), bits("101"), bits("011"), key, [agent], rng=np.random.default_rng(4)
         )
-        modes, wires = transcript.modes, transcript.pairs.wires
+        modes = transcript.modes
         resent = np.zeros(6, dtype=bool)
         resent[report.probed_positions] = True
-        # The agent sends on the qubit it measured: no wire moves, no qubit
-        # joins the two fresh ones, and TP reads what the agent read.
-        assert wires["A"].tolist() == np.where(modes["A"], 2, 0).tolist()
-        assert wires["B"].tolist() == np.where(modes["B"], 3, 1).tolist()
+        # The agent sends on the qubit it measured: no qubit joins the two
+        # fresh ones, and TP reads what the agent read.
+        self.assert_channels_on_their_wires(transcript)
         assert transcript.pairs.register.n == 4
         read_by_both = resent & modes["A"]
         assert read_by_both.any()

@@ -26,7 +26,6 @@ from sqpc.kernel import (
 )
 from conftest import (
     BELL_VECTORS,
-    X_MINUS,
     X_PLUS,
     embed_operator,
     oracle_projector_probability,
@@ -148,14 +147,17 @@ class TestCnot:
             apply_cnot(prepare_bell(BellState.PHI_PLUS), 0, 2)
 
     def test_matches_embedded_matrix(self, rng):
-        from conftest import embed_operator
-
+        # The CNOT, and the SWAP that exchanges another pair of its blocks.
         cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+        swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
         for _ in range(10):
             sv = random_state(4, rng)
             c, t = (int(x) for x in rng.choice(4, size=2, replace=False))
             full = embed_operator(cnot, [c, t], 4)
             assert np.allclose(apply_cnot(sv, c, t), full @ sv, atol=TOL)
+            register = Register(sv)
+            register.swap(c, t)
+            assert np.allclose(register.amps, embed_operator(swap, [c, t], 4) @ sv, atol=TOL)
 
 class TestMeasureZ:
     def test_eigenstate_is_certain(self, rng):
@@ -421,7 +423,7 @@ class TestRegister:
 
         assert drive(7) == drive(7)
 
-    @pytest.mark.parametrize("op", ["cnot", "hadamard", "measure_z", "measure_x", "measure_bell"])
+    @pytest.mark.parametrize("op", ["cnot", "hadamard", "measure_z", "measure_x", "measure_bell", "swap"])
     @pytest.mark.parametrize("rows", [None, np.array([3, 0])])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_never_writes_into_the_array_it_was_built_from(self, op, rows, order, rng):
@@ -429,82 +431,33 @@ class TestRegister:
         amps /= np.linalg.norm(amps, axis=0)
         source = amps.copy()
         register = Register(amps)
-        wires = (0, 2) if op in ("cnot", "measure_bell") else (1,)
+        wires = (0, 2) if op in ("cnot", "measure_bell", "swap") else (1,)
         getattr(register, op)(*wires, *([rng] if op.startswith("measure") else []), rows=rows)
         picked = slice(None) if rows is None else rows
         assert not np.array_equal(register.amps[:, picked], source[:, picked])
         assert np.array_equal(amps, source)
 
-# Every table entry of every width: the per-row call puts one row on each
-# wire (or ordered wire pair), so the rows cover every entry of the
-# per-width stack, and each row is checked against the int-wire call on its
-# own state and against an embedded operator or projector.
-_ONE_WIRE = ("hadamard", "z", "x")
-_TWO_WIRES = ("cnot", "bell", "bell_probabilities")
-_PROJECTORS = {
-    "z": [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)],
-    "x": [X_PLUS, X_MINUS],
-    "bell": [BELL_VECTORS[name] for name in ("phi+", "phi-", "psi+", "psi-")],
-}
-_GATES = {
-    "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) * S,
-    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
-}
-
-
-def _kernel_call(kind, amps, wires, rng):
-    """(outcomes or None, result) of one kernel call; ``wires`` ints or per-row arrays."""
-    if kind == "cnot":
-        return None, apply_cnot(amps, *wires)
-    if kind == "hadamard":
-        return None, apply_hadamard(amps, *wires)
-    if kind == "bell_probabilities":
-        return None, bell_probabilities(amps, *wires)
-    measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}[kind]
-    outcome, post = measure(amps, *wires, rng)
-    return np.asarray(getattr(outcome, "value", outcome)), post
-
-
-@pytest.mark.parametrize(
-    "kind, n",
-    [(kind, n) for kind in _ONE_WIRE for n in range(1, kernel.MAX_QUBITS + 1)]
-    + [(kind, n) for kind in _TWO_WIRES for n in range(2, kernel.MAX_QUBITS + 1)],
-)
-def test_per_row_tables_cover_every_entry(kind, n):
-    k = 1 if kind in _ONE_WIRE else 2
-    entries = [w for w in itertools.product(range(n), repeat=k) if len(set(w)) == k]
-    seed = 1000 * n + k
-    states = np.stack([random_state(n, np.random.default_rng(seed + i)) for i in range(len(entries))], axis=1)
-    row_wires = tuple(np.array(column) for column in zip(*entries))
-    uniforms = np.random.default_rng(seed).random(len(entries))
-
-    outcomes, got = _kernel_call(kind, states, row_wires, np.random.default_rng(seed))
-    singles = np.random.default_rng(seed)
-    for i, wires in enumerate(entries):
-        state = states[:, i]
-        outcome, expected = _kernel_call(kind, state, wires, singles)
-        assert np.allclose(got[:, i], expected, atol=1e-12)
-        if kind in _GATES:
-            full = embed_operator(_GATES[kind], list(wires), n)
-            assert np.allclose(got[:, i], full @ state, atol=TOL)
-            continue
-        vectors = _PROJECTORS["bell" if kind == "bell_probabilities" else kind]
-        if kind == "z":
-            probs = np.array([oracle_z_probability(state, wires[0], v) for v in (0, 1)])
-        else:
-            probs = np.array([oracle_projector_probability(state, v, list(wires)) for v in vectors])
-        if kind == "bell_probabilities":
-            assert got[:, i] == pytest.approx(probs, abs=TOL)
-            continue
-        # The outcome is the one the oracle's cumulative probabilities give
-        # the row's uniform, and the row collapses onto its projector.
-        assert int(outcomes[i]) == int(outcome)
-        below = probs[: int(outcome)].sum()
-        assert below - TOL <= uniforms[i] < below + probs[int(outcome)] + TOL
-        v = vectors[int(outcome)]
-        projected = embed_operator(np.outer(v, v.conj()), list(wires), n) @ state
-        assert np.allclose(got[:, i], projected / np.sqrt(probs[int(outcome)]), atol=TOL)
-
+    def test_an_int_array_wire_raises(self, rng):
+        # A wire is one int for every row; an array of them, even one that
+        # names a valid wire on each row, is refused before anything moves.
+        amps = rng.normal(size=(8, 4))
+        amps /= np.linalg.norm(amps, axis=0)
+        per_row = np.array([0, 1, 0, 1])
+        calls = [
+            lambda register: register.cnot(per_row, 2),
+            lambda register: register.swap(2, per_row),
+            lambda register: register.hadamard(per_row),
+            lambda register: register.measure_z(per_row, rng),
+            lambda register: register.measure_x(per_row, rng, rows=np.array([0, 2])),
+            lambda register: register.measure_bell(per_row, 2, rng),
+            lambda register: apply_cnot(register.amps, 2, per_row),
+            lambda register: bell_probabilities(register.amps, per_row, 2),
+        ]
+        for call in calls:
+            register = Register(amps)
+            with pytest.raises(TypeError):
+                call(register)
+            assert np.array_equal(register.amps, amps)
 
 # A collapse picks its outcome and writes its blocks back one of two ways:
 # a single state picks in Python floats and writes the measured basis state
@@ -516,8 +469,9 @@ class _ConstantUniform:
     def __init__(self, value: float):
         self.value = value
 
-    def random(self, size=()):
-        return np.full(size, self.value)
+    def random(self, size=None):
+        # A Python float without a size, as numpy's Generator draws.
+        return self.value if size is None else np.full(size, self.value)
 
 
 @pytest.mark.parametrize(
