@@ -26,6 +26,7 @@ from sqpc.kernel import (
 )
 from conftest import (
     BELL_VECTORS,
+    X_MINUS,
     X_PLUS,
     embed_operator,
     oracle_projector_probability,
@@ -546,3 +547,93 @@ def test_single_state_pick_at_ties_and_extremes(kind, amps, wires, u, expected, 
     assert post.dtype == batch_posts.dtype == double.dtype
     assert np.array_equal(post, batch_posts[:, 0]) and np.array_equal(post, double_post)
     assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+
+
+# Every table entry of every width: each wire (or ordered wire pair) acts
+# on its own row of one register, selected by ``rows``, and each row is
+# checked against the module call on its own state and against an embedded
+# operator or projector, while the other rows stay as they were.
+_ONE_WIRE = ("hadamard", "z", "x")
+_TWO_WIRES = ("cnot", "swap", "bell", "bell_probabilities")
+_PROJECTORS = {
+    "z": [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)],
+    "x": [X_PLUS, X_MINUS],
+    "bell": [BELL_VECTORS[name] for name in ("phi+", "phi-", "psi+", "psi-")],
+}
+_GATES = {
+    "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) * S,
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
+}
+
+
+def _register_call(kind, register, wires, u, row):
+    """Outcome (or None) of ``kind`` on ``wires`` of one ``row``, its draw ``u``."""
+    rows = np.array([row])
+    if kind in _GATES:
+        getattr(register, {"hadamard": "hadamard", "cnot": "cnot", "swap": "swap"}[kind])(*wires, rows=rows)
+        return None
+    outcome = getattr(register, f"measure_{kind}")(*wires, np.array([u]), rows=rows)
+    return int(getattr(outcome[0], "value", outcome[0]))
+
+
+def _single_call(kind, state, wires, u):
+    """(outcome or None, result) of the module call on one state."""
+    if kind == "cnot":
+        return None, apply_cnot(state, *wires)
+    if kind == "hadamard":
+        return None, apply_hadamard(state, *wires)
+    if kind == "swap":
+        register = Register(state)
+        register.swap(*wires)
+        return None, register.amps
+    measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}[kind]
+    outcome, post = measure(state, *wires, _ConstantUniform(u))
+    return int(getattr(outcome, "value", outcome)), post
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in _ONE_WIRE for n in range(1, kernel.MAX_QUBITS + 1)]
+    + [(kind, n) for kind in _TWO_WIRES for n in range(2, kernel.MAX_QUBITS + 1)],
+)
+def test_tables_cover_every_entry(kind, n):
+    k = 1 if kind in _ONE_WIRE else 2
+    entries = list(itertools.permutations(range(n), k))
+    seed = 1000 * n + k
+    states = np.stack([random_state(n, np.random.default_rng(seed + i)) for i in range(len(entries))], axis=1)
+    uniforms = np.random.default_rng(seed).random(len(entries))
+
+    register = Register(states)
+    for i, wires in enumerate(entries):
+        state = states[:, i]
+        if kind == "bell_probabilities":
+            probs = np.array([oracle_projector_probability(state, v, list(wires)) for v in _PROJECTORS["bell"]])
+            assert bell_probabilities(states, *wires)[:, i] == pytest.approx(probs, abs=TOL)
+            assert bell_probabilities(state, *wires) == pytest.approx(probs, abs=TOL)
+            continue
+        outcome = _register_call(kind, register, wires, uniforms[i], i)
+        got = register.amps[:, i]
+        single_outcome, expected = _single_call(kind, state, wires, uniforms[i])
+        assert outcome == single_outcome
+        assert np.allclose(got, expected, atol=1e-12)
+        if kind in _GATES:
+            full = embed_operator(_GATES[kind], list(wires), n)
+            assert np.allclose(got, full @ state, atol=TOL)
+            continue
+        vectors = _PROJECTORS[kind]
+        if kind == "z":
+            probs = np.array([oracle_z_probability(state, wires[0], v) for v in (0, 1)])
+        else:
+            probs = np.array([oracle_projector_probability(state, v, list(wires)) for v in vectors])
+        # The outcome is the one the oracle's cumulative probabilities give
+        # the row's uniform, and the row collapses onto its projector.
+        below = probs[:outcome].sum()
+        assert below - TOL <= uniforms[i] < below + probs[outcome] + TOL
+        v = vectors[outcome]
+        projected = embed_operator(np.outer(v, v.conj()), list(wires), n) @ state
+        assert np.allclose(got, projected / np.sqrt(probs[outcome]), atol=TOL)
+    # Each entry touched its own row only.
+    if kind != "bell_probabilities":
+        for i, wires in enumerate(entries):
+            assert np.allclose(register.amps[:, i], _single_call(kind, states[:, i], wires, uniforms[i])[1], atol=1e-12)

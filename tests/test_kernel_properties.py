@@ -210,6 +210,30 @@ def test_register_rows_touch_only_the_selected_states(n, columns, seed, data):
     assert np.max(np.abs(register.amps[:, rows] - sub.amps)) <= AGREE_TOL
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_wire_out_of_range_raises(bad):
+    # Three qubits, four rows; every entry point refuses the bad wire, in
+    # either place of a two-wire call, before anything moves.
+    stack = random_states(3, 4, np.random.default_rng(1))
+    rng = np.random.default_rng(0)
+    rows = np.array([1, 3])
+    calls = [
+        lambda register: register.hadamard(bad),
+        lambda register: register.measure_z(bad, rng),
+        lambda register: register.measure_x(bad, rng, rows),
+        lambda register: register.cnot(bad, 1),
+        lambda register: register.swap(2, bad, rows),
+        lambda register: register.measure_bell(0, bad, rng),
+        lambda register: apply_cnot(register.amps, 0, bad),
+        lambda register: bell_probabilities(register.amps, bad, 2),
+    ]
+    for call in calls:
+        register = Register(stack)
+        with pytest.raises(ValueError):
+            call(register)
+        assert np.array_equal(register.amps, stack)
+
+
 def test_equal_wires_raise():
     stack = random_states(3, 4, np.random.default_rng(2))
     with pytest.raises(ValueError):
