@@ -187,24 +187,25 @@ class Streams:
 
         Row r, position ``r % k`` of trial ``r // k`` for the register's k
         rows per trial, takes the uniform of that trial, ``site`` and that
-        position, in one kernel call.  All of the register's rows are
-        measured with no row selection.  No rows make no kernel call.
+        position, in one pass: one kernel call, with no row selection for
+        all of the register's rows, and no call for no rows.
         """
-        if picked is not None:
-            if picked.dtype != bool:
-                raise TypeError(f"picked must be a boolean mask, got dtype {picked.dtype}")
-            # One scan of the mask rather than one in each of the three indexings.
-            picked = picked.nonzero()[0]
-            reads = np.full(len(rows), -1, dtype=np.intp)
-            reads[picked] = self.read(register, op, site, rows[picked], *wires)
+        if picked is not None and picked.dtype != bool:
+            raise TypeError(f"picked must be a boolean mask, got dtype {picked.dtype}")
+        # One scan of the mask rather than one in each of the indexings.
+        picked = None if picked is None else picked.nonzero()[0]
+        measured = rows if picked is None else rows[picked]
+        if not len(measured):
+            reads = np.zeros(0, dtype=np.intp)
+        else:
+            uniforms = self.random(site, register.num_rows // len(self)).reshape(-1)
+            every = len(measured) == register.num_rows
+            reads = getattr(register, op)(*wires, uniforms if every else uniforms[measured], None if every else measured)
+        if picked is None:
             return reads
-        if not len(rows):
-            return np.zeros(0, dtype=np.intp)
-        size = register.num_rows
-        uniforms = self.random(site, size // len(self)).reshape(-1)
-        if len(rows) == size:
-            return getattr(register, op)(*wires, uniforms, None)
-        return getattr(register, op)(*wires, uniforms[rows], rows)
+        filled = np.full(len(rows), -1, dtype=np.intp)
+        filled[picked] = reads
+        return filled
 
 
 @dataclass

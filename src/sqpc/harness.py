@@ -27,7 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import improved, jiang
 from .attacks import (
+    _MASK64,
     AttackReport,
     BlockingAttacker,
     ChannelTap,
@@ -39,7 +41,6 @@ from .attacks import (
 )
 # The single-session drivers stay importable here, where a tracer patches them.
 from .improved import run_improved_session, run_improved_sessions  # noqa: F401
-from .improved import x_mismatch_rate
 from .jiang import (
     BALANCED,
     MODE_POLICIES,
@@ -59,12 +60,12 @@ class Scenario:
     so that a tracer that patches this module's ``run_sessions`` or
     ``run_improved_sessions`` takes effect (patching the single-session
     drivers times nothing: experiments call the chunk drivers);
-    ``positions_per_bit`` counts the positions of one participant's
-    channel per compared bit, which bounds an attacked count and gives
-    the qubit efficiency; ``rows_per_bit`` counts register rows per
-    compared bit of a session; ``has_curve`` says whether detection
-    curves are defined and ``x_mismatch_rate``, when set, reads a trial's
-    ``x_mismatch_rate`` off its transcript and its attack report.
+    ``positions_per_bit`` and ``rows_per_bit`` are the protocol's own
+    ``POSITIONS_PER_BIT`` (a channel's positions per compared bit, which
+    bound an attacked count and give the qubit efficiency) and
+    ``ROWS_PER_BIT`` (a trial's rows per compared bit); ``has_curve`` says
+    whether detection curves are defined and ``x_mismatch_rate``, when set,
+    reads a trial's ``x_mismatch_rate`` off its transcript and its report.
     """
 
     run: Callable[..., list]
@@ -80,13 +81,13 @@ class Scenario:
 
 
 SCENARIO_TABLE = {
-    "jiang": Scenario(lambda *a, **k: run_sessions(*a, **k), positions_per_bit=2, rows_per_bit=2),
+    "jiang": Scenario(lambda *a, **k: run_sessions(*a, **k), jiang.POSITIONS_PER_BIT, jiang.ROWS_PER_BIT),
     "improved": Scenario(
         lambda *a, **k: run_improved_sessions(*a, **k),
-        positions_per_bit=4,
-        rows_per_bit=8,
+        improved.POSITIONS_PER_BIT,
+        improved.ROWS_PER_BIT,
         has_curve=True,
-        x_mismatch_rate=x_mismatch_rate,
+        x_mismatch_rate=improved.x_mismatch_rate,
     ),
 }
 
@@ -97,8 +98,6 @@ SCHEMA_VERSION = 1
 # Register rows of one chunk at most; a trial wider than this is a chunk
 # of its own.
 CHUNK_ROWS = 2**14
-
-_MASK64 = (1 << 64) - 1
 
 
 class SpecValidationError(ValueError):

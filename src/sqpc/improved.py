@@ -27,21 +27,22 @@ efficiency halves (L compared bits for 4L photons each).
 As in :mod:`sqpc.jiang`, sessions run in chunks of trials
 (:func:`run_improved_sessions`; :func:`run_improved_session` is a chunk
 of one) and all 8L photons of every trial in a chunk live in one batched
-register (see :mod:`sqpc.kernel`): trial t takes rows 8Lt..8Lt+8L-1,
-participant A's 4L positions first and B's after, so position p of B in
-trial t is row 8Lt + 4L + p.  Both channels are wire 0: every photon
-travels both ways on it, so an honest session's register has one qubit
-per row, and only the double C-NOT ancilla widens it.  Each protocol
-step is one kernel call over both channels of every live trial, and
-every draw one :class:`sqpc.attacks.Streams` call at a named site: SIFT
-measure-resend, TP's X checks and TP's Z reads are each one
-:meth:`~sqpc.attacks.Streams.read`, a read per row (-1 where nothing was
-read) keyed by the row's trial and position, and the photon signs, SIFT
-masks and disclosure permutations come a row per trial; each trial's
-transcript holds views of its own rows.  Each participant's modes are
-one boolean SIFT mask over their 4L positions (True = SIFT).  Taps,
-disclosures and the public record see positions within a channel; the
-classical checks, comparison and decoding loop over the trials.
+register (see :mod:`sqpc.kernel`): trial t takes rows 8Lt..8Lt+8L-1
+(``ROWS_PER_BIT``), participant A's 4L positions (``POSITIONS_PER_BIT``)
+first and B's after, so position p of B in trial t is row 8Lt + 4L + p.
+Both channels are wire 0: every photon travels both ways on it, so an
+honest session's register has one qubit per row, and only the double
+C-NOT ancilla widens it.  Each protocol step is one kernel call over
+both channels of every live trial, and every draw one
+:class:`sqpc.attacks.Streams` call at a named site: SIFT measure-resend,
+TP's X checks and TP's Z reads each call its ``read`` directly on the
+photons' rows, a read per row (-1 where nothing was read) keyed by the
+row's trial and position, and the photon signs, SIFT masks and
+disclosure permutations come a row per trial; each trial's transcript
+holds views of its own rows.  Each participant's modes are one boolean
+SIFT mask over their 4L positions (True = SIFT).  Taps, disclosures and
+the public record see positions within a channel; the classical checks,
+comparison and decoding loop over the trials.
 
 Sessions take :class:`sqpc.jiang.SessionConfig`, derive this protocol's
 counts from L where they are used, and run on
@@ -74,6 +75,9 @@ from .kernel import Register, prepare_x
 
 _X_CHECK_FAILED = ComparisonOutcome.aborted(EAVESDROPPER_DETECTED)
 
+POSITIONS_PER_BIT = 4
+ROWS_PER_BIT = len(PARTICIPANTS) * POSITIONS_PER_BIT
+
 
 @dataclass
 class PhotonBatch:
@@ -81,9 +85,9 @@ class PhotonBatch:
 
     The rows split into channels of ``channel_size`` rows each, one per
     participant in ``PARTICIPANTS`` order, and a chunk's trials lay their
-    channel pairs end to end.  Every photon is on wire 0, both ways.
-    ``sift_bit`` holds the participant's own measure-resend read at SIFT
-    rows and -1 elsewhere.
+    channel pairs end to end.  Every photon is on wire 0, both ways, and
+    is read by :meth:`Streams.read` over ``rows``.  ``sift_bit`` holds the
+    participant's own measure-resend read at SIFT rows and -1 elsewhere.
     """
 
     prepared_sign: np.ndarray
@@ -116,11 +120,6 @@ class PhotonBatch:
             return self
         sift_bit = None if self.sift_bit is None else self.sift_bit[rows]
         return PhotonBatch(self.prepared_sign[rows], self.register, self.channel_size, sift_bit)
-
-    def measure(self, op: str, site: str, selected: np.ndarray, streams: Streams) -> np.ndarray:
-        """The :meth:`Streams.read` at ``site`` of the ``selected`` rows (a
-        mask) on wire 0: a read per row, -1 at the rows not selected."""
-        return streams.read(self.register, op, site, self.rows, 0, picked=selected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +162,7 @@ def tp_prepare_photons(config: SessionConfig, streams: Streams) -> PhotonBatch:
     in one batched register; in each trial's rows the first 4L are for
     participant A and the rest for B."""
     Streams.check(streams)
-    return PhotonBatch.prepare(streams.integers("prepare", 2, 8 * config.L).ravel(), 4 * config.L)
+    return PhotonBatch.prepare(streams.integers("prepare", 2, ROWS_PER_BIT * config.L).ravel(), POSITIONS_PER_BIT * config.L)
 
 
 def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, streams: Streams) -> None:
@@ -173,7 +172,7 @@ def sift_measure_resend(photons: PhotonBatch, sift: np.ndarray, streams: Streams
     its outcome, a product with every other qubit, so it is the state a
     fresh qubit carrying the outcome would be.  CTRL rows reflect.  Every
     photon returns on wire 0, where it arrived."""
-    photons.sift_bit = photons.measure("measure_z", "sift", sift, streams)
+    photons.sift_bit = streams.read(photons.register, "measure_z", "sift", photons.rows, 0, picked=sift)
 
 
 def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, streams: Streams) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +182,7 @@ def tp_check_ctrl_x(photons: PhotonBatch, ctrl: np.ndarray, streams: Streams) ->
     Returns each trial's mismatch count and the sign read at each row, -1
     where nothing was measured.
     """
-    signs = photons.measure("measure_x", "tp_x", ctrl, streams)
+    signs = streams.read(photons.register, "measure_x", "tp_x", photons.rows, 0, picked=ctrl)
     mismatched = (signs >= 0) & (signs != photons.prepared_sign)
     return np.count_nonzero(mismatched.reshape(len(streams), -1), axis=1), signs
 
@@ -295,12 +294,12 @@ def run_improved_sessions(
     declarations visible to taps only at finalize)."""
     L = config.L
     secrets_a, secrets_b, keys = check_bits(L, len(streams), secrets_a, secrets_b, keys)
-    size = 8 * L
+    size = ROWS_PER_BIT * L
 
     # Each participant gets 4L photons and SIFTs 2L of them, the R
     # carriers; L of those are disclosed and L left as the message mask.
     photons = tp_prepare_photons(config, streams)
-    sift = {p: draw_modes(4 * L, 2 * L, config.mode_policy, streams, "modes_" + p) for p in PARTICIPANTS}
+    sift = {p: draw_modes(POSITIONS_PER_BIT * L, 2 * L, config.mode_policy, streams, "modes_" + p) for p in PARTICIPANTS}
     sift_rows = np.concatenate([sift[p] for p in PARTICIPANTS], axis=1).ravel()
 
     transcripts, truths = [], []
@@ -330,7 +329,7 @@ def run_improved_sessions(
         ctrl_rows = ~sift_rows & live_rows
         mismatches, x_results = tp_check_ctrl_x(photons, ctrl_rows, streams)
         ctrl_counts = np.count_nonzero(ctrl_rows.reshape(-1, size), axis=1)
-        tp_r = photons.measure("measure_z", "tp_z", sift_rows & live_rows, streams)
+        tp_r = streams.read(photons.register, "measure_z", "tp_z", photons.rows, 0, picked=sift_rows & live_rows)
         running = live.nonzero()[0].tolist()
         outcomes = dict.fromkeys(running, _X_CHECK_FAILED)
         checked = []
@@ -354,7 +353,7 @@ def run_improved_sessions(
         return list(outcomes.values())
 
     # Both channels are wire 0, on disjoint rows.
-    rows = np.arange(len(photons.prepared_sign)).reshape(-1, len(PARTICIPANTS), 4 * L)
+    rows = photons.rows.reshape(-1, len(PARTICIPANTS), photons.channel_size)
     channels = {p: (rows[:, i], 0) for i, p in enumerate(PARTICIPANTS)}
     outcomes, reports = drive_session(
         taps, sift, 2 * L, channels, photons.register, respond, tp_steps, decode_claims, truths, streams
@@ -377,4 +376,4 @@ def run_improved_session(
     :func:`run_improved_sessions`); same driver contract as
     :func:`sqpc.jiang.run_session`."""
     bits = check_bits(config.L, 1, [secret_a], [secret_b], [key])
-    return run_improved_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), 8 * config.L))[0]
+    return run_improved_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), ROWS_PER_BIT * config.L))[0]

@@ -24,10 +24,10 @@ surplus SIFT positions carry fresh uniformly random filler qubits that the
 comparison ignores.
 
 Sessions run in chunks of trials (:func:`run_sessions`; a single
-session, :func:`run_session`, is a chunk of one).  All 2L positions of
-every trial in a chunk live in one batched register (see
-:mod:`sqpc.kernel`), row ``t * 2L + p`` holding position p of trial t,
-so each protocol step is a few batch calls for the whole chunk rather
+session, :func:`run_session`, is a chunk of one).  All 2L positions
+(``POSITIONS_PER_BIT``) of every trial in a chunk live in one register
+(see :mod:`sqpc.kernel`), row ``t * 2L + p`` (``ROWS_PER_BIT``) holding
+position p of trial t, so each protocol step is a few batch calls rather
 than a loop over trials or positions.  Every draw, measurements
 included, is one call of the chunk's :class:`sqpc.attacks.Streams` at a
 named site, which gives each trial the values of its own key, in any
@@ -113,6 +113,9 @@ class ComparisonOutcome:
 
 
 _TOO_FEW_SIFT = ComparisonOutcome.aborted(INSUFFICIENT_SIFT)
+
+POSITIONS_PER_BIT = 2
+ROWS_PER_BIT = POSITIONS_PER_BIT
 
 
 def derive_message(secret, r, key) -> np.ndarray:
@@ -218,7 +221,7 @@ def tp_prepare_pairs(config: SessionConfig, streams: Streams) -> PairBatch:
     One uniform per pair at the site "prepare", scaled by 4 and
     truncated."""
     Streams.check(streams)
-    return PairBatch.prepare(streams.integers("prepare", 4, 2 * config.L).ravel())
+    return PairBatch.prepare(streams.integers("prepare", 4, ROWS_PER_BIT * config.L).ravel())
 
 
 def draw_modes(num_positions: int, sift_quota: int, policy: str, streams: Streams, site: str) -> np.ndarray:
@@ -338,13 +341,11 @@ def drive_session(
             if tap.target == participant
         ]
 
-        def transit(hook: str) -> None:
-            for tap, rows, wire in hooked:
-                getattr(tap, hook)(rows, register, wire, streams)
-
-        transit("on_forward")
+        for tap, rows, wire in hooked:
+            tap.on_forward(rows, register, wire, streams)
         respond(live)
-        transit("on_return")
+        for tap, rows, wire in hooked:
+            tap.on_return(rows, register, wire, streams)
         for trial, outcome in zip(running.tolist(), tp_steps(live, published)):
             outcomes[trial] = outcome
 
@@ -412,11 +413,11 @@ def run_sessions(
     """
     L = config.L
     secrets_a, secrets_b, keys = check_bits(L, len(streams), secrets_a, secrets_b, keys)
-    size = 2 * L
+    size = ROWS_PER_BIT * L
 
     pairs = tp_prepare_pairs(config, streams)
     r = {p: streams.integers("r_" + p, 2, L) for p in PARTICIPANTS}
-    sift = {p: draw_modes(size, L, config.mode_policy, streams, "modes_" + p) for p in PARTICIPANTS}
+    sift = {p: draw_modes(POSITIONS_PER_BIT * L, L, config.mode_policy, streams, "modes_" + p) for p in PARTICIPANTS}
     secrets = {"A": secrets_a, "B": secrets_b}
     messages = {p: derive_message(secrets[p], r[p], keys) for p in PARTICIPANTS}
 
@@ -498,7 +499,7 @@ def run_session(
     bit-identical transcripts.
     """
     bits = check_bits(config.L, 1, [secret_a], [secret_b], [key])
-    return run_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), 2 * config.L))[0]
+    return run_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), ROWS_PER_BIT * config.L))[0]
 
 
 # ---------------------------------------------------------------------------

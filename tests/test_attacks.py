@@ -140,11 +140,18 @@ class TestStreamsRead:
     picks, -1 at the others."""
 
     @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("as_mask", [True])  # ``picked`` is a mask only
-    def test_measures_the_picked_entries(self, seed, as_mask):
+    @pytest.mark.parametrize("pick", ["some", "all", "none"])
+    def test_measures_the_picked_entries(self, seed, pick):
         amps, op, site, rows, wires, keys = _chunk_layout(seed)
-        mask = np.random.default_rng([seed, 99]).random(len(rows)) < 0.6
+        mask = {
+            "some": np.random.default_rng([seed, 99]).random(len(rows)) < 0.6,
+            "all": np.ones(len(rows), dtype=bool),
+            "none": np.zeros(len(rows), dtype=bool),
+        }[pick]
         register, lone = Register(amps.copy()), Register(amps.copy())
+        # Every kernel call's row selection, in one pass over the picked rows.
+        measure, selections = getattr(register, op), []
+        setattr(register, op, lambda *args: selections.append(args[-1]) or measure(*args))
 
         reads = Streams(keys).read(register, op, site, rows, *wires, picked=mask)
 
@@ -152,6 +159,12 @@ class TestStreamsRead:
         expected[mask] = Streams(keys).read(lone, op, site, rows[mask], *wires)
         assert reads.tolist() == expected.tolist()
         assert np.array_equal(register.amps, lone.amps)
+        if not mask.any():
+            assert selections == []
+        elif mask.sum() == register.num_rows:
+            assert selections == [None]
+        else:
+            assert len(selections) == 1 and selections[0].tolist() == rows[mask].tolist()
 
     def test_indices_are_refused(self):
         amps, op, site, rows, wires, keys = _chunk_layout(3)
