@@ -17,13 +17,15 @@ unit norm to double precision.  Every op, :func:`tensor` and
 complex one, cast only when it is neither; a :class:`Register` and every
 op that returns a state copy it by that rule (:func:`_owned`).
 
-Every gate and measurement gathers its blocks once and writes them back
-once, to the same place; it and :func:`bell_probabilities` find them
-through one dispatch, :func:`_index`, from one cached table builder,
-:func:`_table`, which validates the wires when it builds a table.  A wire
-is an int, the same for every row; on a batch with one axis an op may act
-on some rows only.  The two-wire gates, CNOT and SWAP, each exchange two
-blocks of the same table.
+Every op finds its labels in one cached table builder, :func:`_table`,
+which validates the wires when it builds a table.  A wire is an int, the
+same for every row; on a batch with one axis an op may act on some rows
+only (:func:`_index`).  A batch gathers its blocks once, rotates them by
+the butterfly (:func:`_rotate_in`) and writes them back once, to the same
+place; CNOT and SWAP exchange two blocks of one table.  A single state
+gathers its rotated blocks straight from the state (:func:`_rotated`) and
+:func:`apply_cnot` is one gather through a label permutation; the tests
+pin both forms to the same bits, up to the sign of a zero.
 
 X-basis labels follow the Hadamard image of the computational basis:
 ``PLUS == 0`` encodes |+> = H|0> and ``MINUS == 1`` encodes |-> = H|1>.
@@ -32,26 +34,25 @@ them (:func:`_rotate_in`): :func:`prepare_x` and :func:`prepare_bell` run
 it backwards on the basis vectors.
 
 The measurement core, :func:`_collapse`, collapses the blocks where they
-live, takes one uniform variate per measured state (one per row of a
-batch) and never sees a generator.  The outcome is the first whose running
-sum of probabilities, added from left to right, exceeds the uniform times
-their total: a tie goes to the next outcome, and one of probability 0 is
-never picked, so a collapse never divides by zero.  A single state and a
-batch share the gather, the probabilities and that rule, but pick and
-write back apart.  A single state has at most four probabilities, so it
-picks in Python floats (:func:`_pick`), the same double sums and product
-that numpy makes for a batch (:func:`_sample`), and writes back only the
-measured basis state, in the state's dtype, times the renormalized chosen
-block; a batch zeroes the other blocks and rotates them all back.  Both
-give the same outcomes and amplitudes, up to the sign of a zero.  The
-public measurements draw those uniforms in a single ``rng.random(batch)``
-call on the caller's ``numpy.random.Generator``; a :class:`Register`
-measurement also takes the uniforms themselves.  A single state draws
-one Python float (``rng.random()``), the same double as a 0-d array draw.
-Uniform ``i`` goes to row ``i``, so runs are reproducible from the draws
-whatever the amplitudes happen to be.  ``sqpc.attacks.Streams.read``
-hands each row of a chunk the uniform of its trial, draw site and
-position, so no draw depends on a wire.
+live and takes one uniform variate per measured state (one per row of a
+batch).  The outcome is the first whose running sum of probabilities,
+added from left to right, exceeds the uniform times their total: a tie
+goes to the next outcome, and one of probability 0 is never picked, so a
+collapse never divides by zero.  A single state has at most four
+probabilities, so it picks in Python floats (:func:`_pick`), the same
+double sums and product that numpy makes for a batch (:func:`_sample`),
+and writes back the renormalized chosen block beside a zeroed block (Z) or
+times its basis state (X, Bell); a batch zeroes the other blocks and
+rotates them all back.  Both give the same outcomes and amplitudes, up to
+the sign of a zero.  The public measurements draw those uniforms in a
+single ``rng.random(batch)`` call on the caller's
+``numpy.random.Generator``, one Python float (``rng.random()``, the same
+double as a 0-d array draw) for a single state; a :class:`Register`
+measurement also takes the uniforms themselves, in the shape of the
+measured rows (:func:`_uniforms`).  Uniform ``i`` goes to row ``i``, so
+runs are reproducible from the draws whatever the amplitudes happen to
+be.  ``sqpc.attacks.Streams.read`` hands each row of a chunk the uniform
+of its trial, draw site and position, so no draw depends on a wire.
 """
 
 from __future__ import annotations
@@ -142,14 +143,15 @@ _EXCHANGED = {"cnot": slice(2, 4), "swap": slice(1, 3)}
 
 
 @functools.lru_cache(maxsize=None)
-def _table(op: str, n: int, *wires: int) -> np.ndarray:
+def _table(op: str, n: int, *wires: int):
     """Labels an ``op`` on ``wires`` of an ``n``-qubit register gathers.
 
     For ``"blocks"``, a (2**k, 2**(n-k)) table for k wires: row b holds the
     labels whose wires read the bits of b, the first wire most significant,
     and column j the same assignment of the other qubits in every row.  For
     ``"cnot"`` and ``"swap"`` on two wires, the two blocks of that table
-    the gate exchanges (``_EXCHANGED``).
+    the gate exchanges (``_EXCHANGED``).  ``"cnot_labels"``: the label a CNOT
+    moves to each label; ``"rotated"``: the blocks and :func:`_rotated`'s tables.
     """
     for q in wires:
         if not 0 <= q < n:
@@ -161,6 +163,15 @@ def _table(op: str, n: int, *wires: int) -> np.ndarray:
         offsets = [offset | bit for offset in offsets for bit in (0, 1 << (n - 1 - q))]
     labels = np.arange(1 << n)
     blocks = labels[(labels & offsets[-1]) == 0] | np.array(offsets)[:, None]
+    if op == "cnot_labels":
+        labels[blocks[2]], labels[blocks[3]] = blocks[3], blocks[2]
+        return labels
+    if op == "rotated":  # row 2i + s: block i plus (s = 0) or minus block k - 1 - i
+        rows = np.arange(len(blocks)) // 2
+        signs = np.broadcast_to(np.resize([1.0, -1.0], (len(blocks), 1)), blocks.shape)
+        states = (_X_STATES if len(blocks) == 2 else _BELL_STATES).T[:, :, None]
+        factors = {t: (signs.astype(t), t.type(SQRT_HALF), tuple(states.astype(t, order="C"))) for t in (_FLOAT, _COMPLEX)}
+        return blocks, blocks[rows], blocks[::-1][rows], factors
     return blocks[_EXCHANGED[op]] if op in _EXCHANGED else blocks
 
 
@@ -249,16 +260,32 @@ def _owned(amps: np.ndarray) -> np.ndarray:
     return _double(amps)
 
 
+def _rotated(amps: np.ndarray, wires: tuple):
+    """A single state's blocks on ``wires``, :func:`_rotate_in` of them as
+    ``(amps[a] + signs * amps[b]) * SQRT_HALF`` (the same bits, up to the
+    sign of a zero if complex) and its outcomes' basis states.  Each factor
+    is full size in the state's dtype: a cast or broadcast costs more."""
+    blocks, a, b, factors = _table("rotated", num_qubits(amps), *wires)
+    signs, half, bases = factors[amps.dtype]
+    parts = amps[b]
+    parts *= signs
+    parts += amps[a]
+    parts *= half
+    return blocks, parts, bases
+
+
 def apply_cnot(amps: np.ndarray, control, target) -> np.ndarray:
     """Flip ``target`` on every basis label whose ``control`` bit is 1."""
-    out = _owned(amps)
-    flat, index = _index("cnot", out, control, target)
-    flat[index] = flat[index][::-1]
-    return out
+    return _double(amps)[_table("cnot_labels", num_qubits(amps), control, target)]
 
 
 def apply_hadamard(amps: np.ndarray, q) -> np.ndarray:
     """Hadamard on one qubit (the basis change used by X measurements)."""
+    if amps.ndim == 1:
+        blocks, parts, _ = _rotated(_double(amps), (q,))
+        out = np.empty(amps.shape, parts.dtype)
+        out[blocks] = parts
+        return out
     out = _owned(amps)
     flat, index = _index("blocks", out, q)
     flat[index] = _rotate_in(flat[index])
@@ -301,46 +328,65 @@ def _pick(probs: list[float], uniform: float) -> int:
 # 0 / sqrt(TINY) = 0 rather than 0 / 0.
 _TINY = 2.0**-1022
 
-# The basis states a single-state collapse writes back, entry s (shape
-# (k, 1), to broadcast over a block) for outcome s, by (dtype, rotated,
-# number of outcomes k): in the state's own dtype, so a complex state is
-# not cast from a real table on every call.
-_BASES = {
-    (dtype, rotated, len(states)): states.T[:, :, None].astype(dtype, order="C")
-    for dtype in (_FLOAT, _COMPLEX)
-    for rotated, states in ((False, _Z_STATES), (True, _X_STATES), (True, _BELL_STATES))
-}
+
+def _uniforms(rng, shape: tuple):
+    """The uniforms of a measurement of states of batch ``shape``: one
+    ``rng.random`` call (a Python float for a single state), or ``rng``
+    itself when it holds them, which must then have that shape."""
+    if not isinstance(rng, (float, np.ndarray)):
+        return rng.random(shape or None)
+    if getattr(rng, "shape", ()) != shape:  # a float has no shape attribute
+        expected = f"an array of shape {shape}" if shape else "a float or a 0-d array"
+        raise ValueError(f"uniforms must be {expected}, one per measured state; got shape {np.shape(rng)}")
+    return rng
 
 
-def _collapse(amps: np.ndarray, index, uniforms: np.ndarray, rotated: bool = False):
-    """Projective measurement onto the outcome blocks ``amps[index]``,
-    rotated into the X or Bell basis by :func:`_rotate_in` when
-    ``rotated``, sampled with one uniform per state (see :func:`_sample`).
-    Collapses and renormalizes those blocks in ``amps`` (native float64 or
-    complex128) and returns the outcome: an ``int`` for a single state,
-    whose blocks have shape (k, m), else an int array of shape ``batch``.
-
-    A single state picks its outcome in Python floats (:func:`_pick`) and
-    writes back the basis state of its outcome, a row of ``_BASES``, times
-    the scaled chosen block: the products :func:`_rotate_out` makes of one
-    nonzero block, so the amplitudes equal the batch path's up to the sign
-    of a zero.  A batch zeroes the other blocks and rotates them all back,
-    which is cheaper there than gathering each row's block and state."""
-    parts = amps[index]
-    if rotated:
-        parts = _rotate_in(parts)
-    probs = _probabilities(parts)
-    if parts.ndim == 2:
-        probs = probs.tolist()
-        outcome = _pick(probs, float(uniforms))
-        block = parts[outcome] * (1.0 / math.sqrt(probs[outcome] + _TINY))
-        amps[index] = _BASES[parts.dtype, rotated, len(parts)][outcome] * block
+def _collapse(amps: np.ndarray, wires: tuple, rng, rotated: bool = False, rows=None, out=None):
+    """Projective measurement of ``wires`` of ``rows`` of ``amps`` (native
+    float64 or complex128; every row when ``None``), in the X or Bell basis
+    when ``rotated``, with the uniforms of :func:`_uniforms`: renormalizes
+    the collapsed blocks in ``amps``, or all of a single state's amplitudes
+    in ``out`` when given, and returns the outcome, an ``int`` for a single
+    state.  A single state writes the products :func:`_rotate_out` makes of
+    one nonzero block; a batch zeroes the other blocks and rotates them all
+    back, cheaper there than gathering each row's block and basis state."""
+    if amps.ndim > 1 or rows is not None:
+        shape = amps.shape[1:] if rows is None else (len(rows),)
+        amps, index = _index("blocks", amps, *wires, rows=rows)
+        parts = amps[index]
+        if rotated:
+            parts = _rotate_in(parts)
+        probs = _probabilities(parts)
+        outcome = _sample(probs, _uniforms(rng, shape))
+        chosen = _OUTCOMES[: len(parts)].reshape((-1,) + (1,) * outcome.ndim) == outcome
+        parts *= (chosen / np.sqrt(probs + _TINY))[:, None]
+        amps[index] = _rotate_out(parts) if rotated else parts
         return outcome
-    outcome = _sample(probs, uniforms)
-    chosen = _OUTCOMES[: len(parts)].reshape((-1,) + (1,) * outcome.ndim) == outcome
-    parts *= (chosen / np.sqrt(probs + _TINY))[:, None]
-    amps[index] = _rotate_out(parts) if rotated else parts
+    out = amps if out is None else out
+    if rotated:
+        blocks, parts, bases = _rotated(amps, wires)
+    else:
+        blocks = _table("blocks", num_qubits(amps), *wires)
+        parts = amps[blocks]
+    probs = _probabilities(parts).tolist()
+    outcome = _pick(probs, float(_uniforms(rng, ())))
+    block = parts[outcome] * (1.0 / math.sqrt(probs[outcome] + _TINY))
+    if rotated:
+        out[blocks] = bases[outcome] * block
+    else:
+        out[blocks[outcome]] = block
+        out[blocks[1 - outcome]] = 0
     return outcome
+
+
+def _measure(amps: np.ndarray, wires: tuple, rng: np.random.Generator, rotated: bool = False):
+    """A module measurement: the outcome and a collapsed copy of ``amps``."""
+    if amps.ndim > 1:
+        out = _owned(amps)
+        return _collapse(out, wires, rng, rotated), out
+    amps = _double(amps)
+    out = np.empty_like(amps)
+    return _collapse(amps, wires, rng, rotated, out=out), out
 
 
 _BELL_LABELS = tuple(BellState)
@@ -371,8 +417,7 @@ def measure_z(amps: np.ndarray, q, rng: np.random.Generator):
         The sampled outcome (an ``int`` for a single state, an int array
         of shape ``batch`` otherwise) and the renormalized states.
     """
-    out = _owned(amps)
-    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:] or None)), out
+    return _measure(amps, (q,), rng)
 
 
 def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
@@ -382,8 +427,7 @@ def measure_x(amps: np.ndarray, q, rng: np.random.Generator):
     state left in the corresponding X eigenstate; shapes as in
     :func:`measure_z`.
     """
-    out = _owned(amps)
-    return _collapse(*_index("blocks", out, q), rng.random(amps.shape[1:] or None), rotated=True), out
+    return _measure(amps, (q,), rng, rotated=True)
 
 
 def bell_probabilities(amps: np.ndarray, q1, q2) -> np.ndarray:
@@ -402,8 +446,8 @@ def measure_bell(amps: np.ndarray, q1, q2, rng: np.random.Generator):
     accordingly.  A single state gives a ``BellState``; a batch gives an
     int array of ``BellState`` values.
     """
-    out = _owned(amps)
-    return _bell(_collapse(*_index("blocks", out, q1, q2), rng.random(amps.shape[1:] or None), rotated=True)), out
+    outcome, out = _measure(amps, (q1, q2), rng, rotated=True)
+    return _bell(outcome), out
 
 
 def amplitudes_close(amps: np.ndarray, expected: np.ndarray, tol: float) -> bool:
@@ -437,7 +481,8 @@ class Register:
     or only on ``rows`` (indices into the single batch axis) when given;
     each wire is an int, the same for all of them.  A measurement takes a
     ``numpy.random.Generator``, or the uniforms themselves, an array of one
-    per selected row; uniform ``i`` goes to the i-th selected row.
+    per selected row (a float or 0-d array for a single state); uniform
+    ``i`` goes to the i-th selected row.
     Adversary taps act on registers exclusively through these methods and
     the row count ``num_rows``, never by reading amplitudes, so that every
     bit an attacker learns comes from a measurement outcome.
@@ -476,17 +521,11 @@ class Register:
         amps, index = _index("blocks", self.amps, wire, rows=rows)
         amps[index] = _rotate_in(amps[index])
 
-    def _collapse_rows(self, wires, rng, rows, rotated=False) -> np.ndarray:
-        amps, index = _index("blocks", self.amps, *wires, rows=rows)
-        if not isinstance(rng, np.ndarray):
-            rng = rng.random((self.amps.shape[1:] if rows is None else (len(rows),)) or None)
-        return _collapse(amps, index, rng, rotated)
+    def measure_z(self, wire, rng: np.random.Generator | np.ndarray | float, rows=None):
+        return _collapse(self.amps, (wire,), rng, rows=rows)
 
-    def measure_z(self, wire, rng: np.random.Generator | np.ndarray, rows=None):
-        return self._collapse_rows((wire,), rng, rows)
+    def measure_x(self, wire, rng: np.random.Generator | np.ndarray | float, rows=None):
+        return _collapse(self.amps, (wire,), rng, rotated=True, rows=rows)
 
-    def measure_x(self, wire, rng: np.random.Generator | np.ndarray, rows=None):
-        return self._collapse_rows((wire,), rng, rows, rotated=True)
-
-    def measure_bell(self, w1, w2, rng: np.random.Generator | np.ndarray, rows=None):
-        return _bell(self._collapse_rows((w1, w2), rng, rows, rotated=True))
+    def measure_bell(self, w1, w2, rng: np.random.Generator | np.ndarray | float, rows=None):
+        return _bell(_collapse(self.amps, (w1, w2), rng, rotated=True, rows=rows))

@@ -1,6 +1,7 @@
 """Kernel unit tests: preparations, gates, measurements, comparisons."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -461,11 +462,13 @@ class TestRegister:
             assert np.array_equal(register.amps, amps)
 
 # A collapse picks its outcome and writes its blocks back one of two ways:
-# a single state picks in Python floats and writes the measured basis state
-# times the chosen block; a batch picks in numpy, zeroes the other blocks
-# and rotates them all back.  The two must give the same outcome and equal
-# amplitudes (up to the sign of a zero) for every width, wire and uniform,
-# including the edge uniforms 0 and 1 - 2**-53 and outcomes of probability 0.
+# a single state gathers its rotated blocks straight from the state, picks
+# in Python floats and writes the scaled chosen block; a batch rotates its
+# gathered blocks, picks in numpy, zeroes the other blocks and rotates them
+# all back.  The two must give the same outcome and equal amplitudes (up to
+# the sign of a zero) for every width, wire and uniform, including the edge
+# uniforms 0 and 1 - 2**-53 and outcomes of probability 0.  A Hadamard on a
+# single state takes the same gather, so it must equal the batch's too.
 class _ConstantUniform:
     def __init__(self, value: float):
         self.value = value
@@ -477,11 +480,17 @@ class _ConstantUniform:
 
 @pytest.mark.parametrize(
     "kind, n",
-    [(kind, n) for kind in ("z", "x") for n in range(1, kernel.MAX_QUBITS + 1)]
+    [(kind, n) for kind in ("z", "x", "hadamard") for n in range(1, kernel.MAX_QUBITS + 1)]
     + [("bell", n) for n in range(2, kernel.MAX_QUBITS + 1)],
 )
 def test_single_state_write_back_equals_one_column_batch(kind, n):
-    measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}[kind]
+    measure = {
+        "z": measure_z,
+        "x": measure_x,
+        "bell": measure_bell,
+        # A gate has no outcome; it reads as outcome 0 on every state.
+        "hadamard": lambda amps, q, rng: (0 if amps.ndim == 1 else np.zeros(1, int), apply_hadamard(amps, q)),
+    }[kind]
     rng = np.random.default_rng(7000 + n)
     wire_sets = list(itertools.permutations(range(n), 2 if kind == "bell" else 1))
     for is_complex, with_zeros in itertools.product((False, True), repeat=2):
@@ -547,6 +556,36 @@ def test_single_state_pick_at_ties_and_extremes(kind, amps, wires, u, expected, 
     assert post.dtype == batch_posts.dtype == double.dtype
     assert np.array_equal(post, batch_posts[:, 0]) and np.array_equal(post, double_post)
     assert np.linalg.norm(post) == pytest.approx(1.0, abs=1e-12)
+
+
+# A Register measurement takes the uniforms themselves only in the shape of
+# the states it measures: the selected rows of a batch, a float or a 0-d
+# array for one state.  Any other shape raises before anything moves, so a
+# one-element array is never broadcast to every row.
+@pytest.mark.parametrize("kind", ["z", "x", "bell"])
+@pytest.mark.parametrize(
+    "batch, rows, good, bad",
+    [
+        (False, None, [0.9, np.array(0.9)], [np.array([0.9]), np.full(2, 0.9)]),
+        (True, None, [np.full(4, 0.9)], [np.array([0.9]), np.full(3, 0.9), np.array(0.9), 0.9]),
+        (True, np.array([0, 2]), [np.full(2, 0.9)], [np.array([0.9]), np.full(4, 0.9), 0.9]),
+    ],
+    ids=["single", "batch", "batch-rows"],
+)
+def test_register_uniforms_must_have_the_measured_shape(kind, batch, rows, good, bad):
+    state = prepare_x(np.zeros(4, int) if batch else PLUS)
+    amps = tensor(state, prepare_x(PLUS))
+    wires = (0, 1) if kind == "bell" else (0,)
+    measured = () if not batch else (4,) if rows is None else (2,)
+    expected = "a float or a 0-d array" if not batch else re.escape(f"shape {measured}")
+    for uniforms in bad:
+        register = Register(amps)
+        with pytest.raises(ValueError, match=expected):
+            getattr(register, f"measure_{kind}")(*wires, uniforms, rows=rows)
+        assert np.array_equal(register.amps, amps)
+    for uniforms in good:
+        outcome = getattr(Register(amps), f"measure_{kind}")(*wires, uniforms, rows=rows)
+        assert np.shape(getattr(outcome, "value", outcome)) == measured
 
 
 # Every table entry of every width: each wire (or ordered wire pair) acts
