@@ -18,12 +18,16 @@ complex one, cast only when it is neither; a :class:`Register` and every
 op that returns a state copy it by that rule (:func:`_owned`).
 
 Every op finds its labels in one cached table builder, :func:`_table`,
-which validates the wires when it builds a table.  A wire is an int, the
-same for every row; on a batch with one axis an op may act on some rows
-only (:func:`_index`).  A batch gathers its blocks once, rotates them by
-the butterfly (:func:`_rotate_in`) and writes them back once, to the same
-place; CNOT and SWAP exchange two blocks of one table.  A single state
-gathers its rotated blocks straight from the state (:func:`_rotated`) and
+which validates the wires when it builds a table.  Each (width, wires)
+has one label table; every other entry of those wires is a view of it or
+a gather through it, the rotation factors are one set per block shape
+(:func:`_factors`), and every cached array is read-only.  A wire is an
+int, the same for every row; on a batch with one axis an op may act on
+some rows only, an ascending selection that :func:`_index` checks at both
+ends.  A batch gathers its blocks once, rotates them by the butterfly
+(:func:`_rotate_in`) and writes them back once, to the same place; CNOT
+and SWAP exchange two blocks of one table.  A single state gathers its
+rotated blocks straight from the state (:func:`_rotated`) and
 :func:`apply_cnot` is one gather through a label permutation; the tests
 pin both forms to the same bits, up to the sign of a zero.
 
@@ -138,8 +142,15 @@ def num_qubits(amps: np.ndarray) -> int:
 # cached; wires are validated then, and a bad wire raises and is never
 # cached, so a call that hits the cache needs no check.  The two-wire
 # gates exchange two blocks of the two-wire table: a CNOT on (control,
-# target) blocks 10 and 11, a SWAP blocks 01 and 10.
+# target) blocks 10 and 11, a SWAP blocks 01 and 10.  Entries share
+# arrays, so every cached array is read-only.
 _EXCHANGED = {"cnot": slice(2, 4), "swap": slice(1, 3)}
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.flags.writeable = False
+    return array
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,11 +159,23 @@ def _table(op: str, n: int, *wires: int):
 
     For ``"blocks"``, a (2**k, 2**(n-k)) table for k wires: row b holds the
     labels whose wires read the bits of b, the first wire most significant,
-    and column j the same assignment of the other qubits in every row.  For
-    ``"cnot"`` and ``"swap"`` on two wires, the two blocks of that table
-    the gate exchanges (``_EXCHANGED``).  ``"cnot_labels"``: the label a CNOT
-    moves to each label; ``"rotated"``: the blocks and :func:`_rotated`'s tables.
+    and column j the same assignment of the other qubits in every row.  The
+    other entries derive from it: for ``"cnot"`` and ``"swap"`` on two
+    wires, a view of the two blocks the gate exchanges (``_EXCHANGED``);
+    ``"cnot_labels"``, the label a CNOT moves to each label; ``"rotated"``,
+    the blocks, :func:`_rotated`'s two gather tables and the factors of
+    their block shape (:func:`_factors`).
     """
+    if op != "blocks":
+        blocks = _table("blocks", n, *wires)
+        if op == "cnot_labels":
+            labels = np.arange(1 << n)
+            labels[blocks[2]], labels[blocks[3]] = blocks[3], blocks[2]
+            return _frozen(labels)
+        if op == "rotated":  # row 2i + s: block i plus (s = 0) or minus block k - 1 - i
+            rows = np.arange(len(blocks)) // 2
+            return blocks, _frozen(blocks[rows]), _frozen(blocks[::-1][rows]), _factors(*blocks.shape)
+        return blocks[_EXCHANGED[op]]  # a view of a read-only array is read-only
     for q in wires:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of bounds for a {n}-qubit register")
@@ -162,30 +185,37 @@ def _table(op: str, n: int, *wires: int):
     for q in wires:
         offsets = [offset | bit for offset in offsets for bit in (0, 1 << (n - 1 - q))]
     labels = np.arange(1 << n)
-    blocks = labels[(labels & offsets[-1]) == 0] | np.array(offsets)[:, None]
-    if op == "cnot_labels":
-        labels[blocks[2]], labels[blocks[3]] = blocks[3], blocks[2]
-        return labels
-    if op == "rotated":  # row 2i + s: block i plus (s = 0) or minus block k - 1 - i
-        rows = np.arange(len(blocks)) // 2
-        signs = np.broadcast_to(np.resize([1.0, -1.0], (len(blocks), 1)), blocks.shape)
-        states = (_X_STATES if len(blocks) == 2 else _BELL_STATES).T[:, :, None]
-        factors = {t: (signs.astype(t), t.type(SQRT_HALF), tuple(states.astype(t, order="C"))) for t in (_FLOAT, _COMPLEX)}
-        return blocks, blocks[rows], blocks[::-1][rows], factors
-    return blocks[_EXCHANGED[op]] if op in _EXCHANGED else blocks
+    return _frozen(labels[(labels & offsets[-1]) == 0] | np.array(offsets)[:, None])
+
+
+@functools.lru_cache(maxsize=None)
+def _factors(k: int, m: int) -> dict:
+    """:func:`_rotated`'s factors for (k, m) blocks, by dtype (float64,
+    complex128): a full-size ±1 sign per row, ``SQRT_HALF`` and the k
+    outcomes' basis states, all in that dtype.  One set per block shape,
+    whatever the width and wires."""
+    signs = np.broadcast_to(np.resize([1.0, -1.0], (k, 1)), (k, m))
+    states = (_X_STATES if k == 2 else _BELL_STATES).T[:, :, None]
+    return {t: (_frozen(signs.astype(t)), t.type(SQRT_HALF), tuple(_frozen(states.astype(t, order="C")))) for t in (_FLOAT, _COMPLEX)}
 
 
 def _index(op: str, amps: np.ndarray, *wires: int, rows=None):
-    """Where ``op`` on the int ``wires`` of ``rows`` (indices into the one
-    batch axis; every row when ``None``) reads and writes: ``amps`` and
-    the axis-0 table ``_table(op, n, *wires)`` for every row, else
-    ``amps.reshape(-1)`` and one flat index (a view: an op that writes
-    passes a C-contiguous array).  A wire out of range, or two equal
-    wires, raises ``ValueError``; a wire that is not hashable, such as an
-    int array, raises ``TypeError``.
+    """Where ``op`` on the int ``wires`` of ``rows`` (ascending indices
+    into the one batch axis; every row when ``None``) reads and writes:
+    ``amps`` and the axis-0 table ``_table(op, n, *wires)`` for every row,
+    else ``amps.reshape(-1)`` and one flat index (a view: an op that writes
+    passes a C-contiguous array).  A wire out of range, two equal wires or
+    a row outside ``[0, rows of amps)`` raises ``ValueError``; a wire that
+    is not hashable, such as an int array, raises ``TypeError``.  An empty
+    selection reads and writes nothing.
     """
     table = _table(op, num_qubits(amps), *wires)
-    return (amps, table) if rows is None else (amps.reshape(-1), table[..., None] * amps.shape[1] + rows)
+    if rows is None:
+        return amps, table
+    total = amps.shape[1]
+    if len(rows) and (rows[0] < 0 or rows[-1] >= total):  # ascending: its ends bound it
+        raise ValueError(f"rows must be ascending indices in [0, {total}), got {rows[0]} .. {rows[-1]}")
+    return amps.reshape(-1), table[..., None] * total + rows
 
 
 def _from_table(table: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -478,8 +508,9 @@ class Register:
     :meth:`adjoin` stay valid for the life of the register, and every row
     of a batch has the same width.  A row that does not need an adjoined
     qubit keeps it idle in |0>.  Gates and measurements act on every row,
-    or only on ``rows`` (indices into the single batch axis) when given;
-    each wire is an int, the same for all of them.  A measurement takes a
+    or only on ``rows`` when given: ascending indices into the single batch
+    axis, a row outside it raising ``ValueError`` before anything moves.
+    Each wire is an int, the same for all of them.  A measurement takes a
     ``numpy.random.Generator``, or the uniforms themselves, an array of one
     per selected row (a float or 0-d array for a single state); uniform
     ``i`` goes to the i-th selected row.

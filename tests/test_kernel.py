@@ -439,6 +439,27 @@ class TestRegister:
         assert not np.array_equal(register.amps[:, picked], source[:, picked])
         assert np.array_equal(amps, source)
 
+    # A row selection is ascending, so its two ends bound it: a row outside
+    # [0, num_rows) raises, naming the bound, before anything moves.  (A
+    # flat index would wrap row -1 into another label's amplitudes.)
+    @pytest.mark.parametrize("op", ["cnot", "hadamard", "measure_z", "measure_x", "measure_bell", "swap"])
+    @pytest.mark.parametrize("rows", [[-1], [-1, 1], [3], [0, 3]])
+    def test_a_row_out_of_range_raises(self, op, rows, rng):
+        amps = tensor(prepare_z(np.zeros(3, int)), prepare_x(PLUS))
+        register = Register(amps)
+        wires = (0, 1) if op in ("cnot", "measure_bell", "swap") else (0,)
+        with pytest.raises(ValueError, match=re.escape("in [0, 3)")):
+            getattr(register, op)(*wires, *([rng] if op.startswith("measure") else []), rows=np.array(rows))
+        assert np.array_equal(register.amps, amps)
+
+    @pytest.mark.parametrize("op", ["cnot", "hadamard", "measure_z", "measure_x", "measure_bell", "swap"])
+    def test_an_empty_row_selection_changes_nothing(self, op, rng):
+        amps = tensor(prepare_x(np.zeros(3, int)), prepare_x(PLUS))
+        register = Register(amps)
+        wires = (0, 1) if op in ("cnot", "measure_bell", "swap") else (0,)
+        getattr(register, op)(*wires, *([rng] if op.startswith("measure") else []), rows=np.array([], dtype=np.intp))
+        assert np.array_equal(register.amps, amps)
+
     def test_an_int_array_wire_raises(self, rng):
         # A wire is one int for every row; an array of them, even one that
         # names a valid wire on each row, is refused before anything moves.
@@ -676,3 +697,62 @@ def test_tables_cover_every_entry(kind, n):
     if kind != "bell_probabilities":
         for i, wires in enumerate(entries):
             assert np.allclose(register.amps[:, i], _single_call(kind, states[:, i], wires, uniforms[i])[1], atol=1e-12)
+
+
+# The cached tables hold each fact once: one label table per (width,
+# wires), the "blocks" entry, which the other entries view or gather from,
+# and one set of rotation factors per block shape, shared by every wire of
+# that shape.  Entries share arrays, so every cached array is read-only.
+_TABLE_OPS = {1: ("blocks", "rotated"), 2: ("blocks", "cnot", "swap", "cnot_labels", "rotated")}
+
+
+def _arrays(entry):
+    """Every array a table entry holds, through its tuples and dicts."""
+    if isinstance(entry, np.ndarray):
+        yield entry
+    elif isinstance(entry, (tuple, dict)):
+        for item in entry.values() if isinstance(entry, dict) else entry:
+            yield from _arrays(item)
+
+
+def _every_entry():
+    return [
+        kernel._table(op, n, *wires)
+        for n in range(1, kernel.MAX_QUBITS + 1)
+        for k, ops in _TABLE_OPS.items()
+        for wires in itertools.permutations(range(n), k)
+        for op in ops
+    ]
+
+
+def test_every_table_entry_fits_in_its_byte_bound():
+    owners = {}
+    for entry in _every_entry():
+        for array in _arrays(entry):
+            while isinstance(array.base, np.ndarray):
+                array = array.base
+            owners[id(array)] = array
+    assert sum(array.nbytes for array in owners.values()) <= 0.9 * 2**20
+
+
+@pytest.mark.parametrize("n, wire_sets", [(4, [(0,), (3,), (1,)]), (4, [(0, 1), (3, 1), (2, 0)]), (8, [(0,), (7,)])])
+def test_rotated_entries_of_one_block_shape_share_their_factors(n, wire_sets):
+    first, *others = (list(_arrays(kernel._table("rotated", n, *wires)[3])) for wires in wire_sets)
+    for factors in others:
+        assert len(factors) == len(first) and all(a is b for a, b in zip(factors, first))
+
+
+@pytest.mark.parametrize("n", range(1, kernel.MAX_QUBITS + 1))
+def test_derived_entries_share_the_blocks_labels(n):
+    for wires in itertools.chain(itertools.permutations(range(n), 1), itertools.permutations(range(n), 2)):
+        blocks = kernel._table("blocks", n, *wires)
+        assert np.shares_memory(kernel._table("rotated", n, *wires)[0], blocks)
+        for op in ("cnot", "swap") if len(wires) == 2 else ():
+            assert np.shares_memory(kernel._table(op, n, *wires), blocks)
+
+
+def test_a_write_into_any_table_entry_raises():
+    for entry in _every_entry():
+        for array in _arrays(entry):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
