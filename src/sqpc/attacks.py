@@ -6,17 +6,18 @@ trial draws from its own counter-based stream (:class:`Streams`).  A tap
 sits on one participant's quantum channel in every trial of a chunk and
 gets one hook call for the forward transits (TP to participant) of all
 those positions and one for the return transits (participant to TP).  A hook
-receives the register rows that carry the channel's positions in the
-chunk's live trials, trial-major (entry ``i`` sits on row ``rows[i]``),
+receives the register rows that carry the channel's positions in every
+trial of the chunk, trial-major (entry ``i`` sits on row ``rows[i]``),
 and the channel's wire, an int: every qubit on the channel travels on
-it, both ways.  A hook may grow the register with ancillas (one per
-row), apply gates through the register API and measure through
-:meth:`Streams.read`; it returns nothing.  Bits have one format from the
-draw that makes them to the score that reads them: 1-D int arrays.  Secrets, keys, R, masks,
-messages and disclosures hold 0s and 1s; reads and claims hold -1 where
-nothing was read or claimed.  A tap keeps its reads over its hook
-entries, and ``finalize`` reports one trial's reads raw, over its
-channel positions; the protocol, which knows what each position
+it, both ways.  Every trial makes its transits, also one that aborts
+later for too few SIFT positions.  A hook may grow the register with
+ancillas (one per row), apply gates through the register API and
+measure through :meth:`Streams.read`; it returns nothing.  Bits have
+one format from the draw that makes them to the score that reads them:
+1-D int arrays.  Secrets, keys, R, masks, messages and disclosures
+hold 0s and 1s; reads and claims hold -1 where nothing was read or
+claimed.  A tap keeps its reads as (trial, position) arrays, and
+``finalize`` reports one trial's row raw, over its channel positions; the protocol, which knows what each position
 carries, decodes them into claims over message indices.  Every hook and
 ``begin_session`` takes the chunk's :class:`Streams`, which make every
 draw of the chunk, each at a named site of ``SITES`` (a tap's sites
@@ -325,12 +326,9 @@ class ChannelTap:
     pre-shared ``key`` of each trial, with which its payload reads decode
     to secret bits.  A tap that sets ``attack_count`` (the malicious
     agent and the blocking attacker) attacks a random subset of that many
-    positions per trial, ``_attack_mask``.  A hook notes the trial of each
-    of its entries (:meth:`_record`) and keeps its reads over them, each
-    read array empty (``_NOTHING``) until a hook writes it; ``finalize``
-    reaches them only through one trial's entries (:meth:`_entries`), so
-    a chunk sees no read of an earlier one.  A fresh tap is as
-    :meth:`begin_session` leaves it.
+    positions per trial, ``_attack_mask``.  A hook keeps its reads as
+    (trial, position) arrays, which the chunk's next hooks replace, and
+    ``finalize`` reports row ``trial`` of them.
     """
 
     target: str = "A"
@@ -344,21 +342,19 @@ class ChannelTap:
         self.begin_session(0, None)
 
     def begin_session(self, num_positions: int, rng: Streams) -> None:
-        """Called once per chunk, before any transit and also when every
-        trial aborts before its transits, with the per-channel position
-        count and the chunk's :class:`Streams`.  Draws each trial's
-        attacked positions and drops an earlier chunk's entries."""
+        """Called once per chunk, before any transit, with the per-channel
+        position count and the chunk's :class:`Streams`.  Draws each
+        trial's attacked positions."""
         self._attack_mask = _attack_mask(self.attack_count, num_positions, rng, "attack_" + self.target)
-        self._trials = _NOTHING
 
     def observe_own_modes(self, sift: np.ndarray) -> None:
         """Only called when ``identity`` names a participant, with its SIFT
         masks, one row per trial of the chunk."""
 
     def on_forward(self, rows: np.ndarray, register: Register, wire: int, rng: Streams) -> None:
-        """Forward transits of every position of the channel in the live
-        trials: entry i sits on row ``rows[i]`` of ``register``, and every
-        entry travels on the channel's ``wire``."""
+        """Forward transits of every position of the channel in every
+        trial of the chunk, trial-major: entry i sits on row ``rows[i]`` of
+        ``register``, and every entry travels on the channel's ``wire``."""
 
     def on_return(self, rows: np.ndarray, register: Register, wire: int, rng: Streams) -> None:
         """Return transits; same contract as :meth:`on_forward`."""
@@ -367,24 +363,9 @@ class ChannelTap:
         """The report of trial ``trial`` of the chunk, given its public record."""
         return None
 
-    def _record(self, rows: np.ndarray, register: Register, rng: Streams) -> None:
-        """Note the trial of each hook entry."""
-        self._trials = rows // (register.num_rows // len(rng))
-
-    def _entries(self, trial: int) -> slice:
-        """The hook entries of ``trial``."""
-        start, stop = self._trials.searchsorted((trial, trial + 1)).tolist()
-        return slice(start, stop)
-
 
 # The ancilla of every row; adjoining copies it into the register.
 _ZERO = prepare_z(0)
-
-
-def _at_entries(per_trial: np.ndarray, trials: np.ndarray) -> np.ndarray:
-    """A (trial, position) array at the hook entries, which run through
-    each live trial's positions in order."""
-    return per_trial[trials, np.arange(len(trials)) % per_trial.shape[1]]
 
 
 def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
@@ -395,9 +376,12 @@ def _raw_report(tap: ChannelTap, reads: np.ndarray) -> AttackReport:
 def _attack_mask(count: int | None, num_positions: int, rng: Streams, site: str) -> np.ndarray | None:
     """Per trial, a uniformly random ``count``-subset of the positions as a
     mask drawn at ``site``, one row per trial; ``None`` (attack everything
-    the tap's policy allows) without a count."""
+    the tap's policy allows) without a count.  Raises ValueError for a
+    count outside [0, ``num_positions``]."""
     if count is None:
         return None
+    if not 0 <= count <= num_positions:
+        raise ValueError(f"attack count must lie in [0, {num_positions}], the positions of the channel, got {count}")
     Streams.check(rng)
     mask = np.zeros((len(rng), num_positions), dtype=bool)
     np.put_along_axis(mask, rng.permutation(site, num_positions)[:, :count], True, axis=1)
@@ -421,8 +405,6 @@ class DoubleCnotEve(ChannelTap):
     the transit qubit's Z value at every position.
     """
 
-    _forward_reads = _indicator = _data_bits = _NOTHING
-
     def __init__(self, target: str = "A", midflight: bool = False):
         super().__init__(target)
         self.midflight = midflight
@@ -433,33 +415,31 @@ class DoubleCnotEve(ChannelTap):
         register.cnot(wire, self._ancilla, None if len(rows) == register.num_rows else rows)
 
     def on_forward(self, rows, register, wire, rng):
-        self._record(rows, register, rng)
         self._ancilla = register.adjoin(_ZERO)
         self._probe(rows, register, wire)
         if self.midflight:
-            self._forward_reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, self._ancilla)
+            reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, self._ancilla)
+            self._forward_reads = reads.reshape(len(rng), -1)
 
     def on_return(self, rows, register, wire, rng):
-        if not len(self._trials):  # no forward transit this chunk, so no ancilla
-            return
         self._probe(rows, register, wire)
-        self._indicator = rng.read(register, "measure_z", "probe_" + self.target, rows, self._ancilla)
+        indicator = rng.read(register, "measure_z", "probe_" + self.target, rows, self._ancilla)
+        self._indicator = indicator.reshape(len(rng), -1)
         if not self.midflight:
-            site = "intercept_" + self.target
-            self._data_bits = rng.read(register, "measure_z", site, rows, wire, picked=self._indicator == 1)
+            reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wire, picked=indicator == 1)
+            self._data_bits = reads.reshape(len(rng), -1)
 
     def finalize(self, published, trial=0):
-        own = self._entries(trial)
-        probed = own.stop - own.start
-        reads = (self._forward_reads if self.midflight else self._data_bits)[own]
-        report = AttackReport(self.attack_name, self.target, probed_positions=np.arange(probed), intercepted_bits=reads)
-        report.indicator_bits = indicator = self._indicator[own]
+        reads = (self._forward_reads if self.midflight else self._data_bits)[trial]
+        probed = np.arange(len(reads))
+        report = AttackReport(self.attack_name, self.target, probed_positions=probed, intercepted_bits=reads)
+        report.indicator_bits = indicator = self._indicator[trial]
         # Mid-flight, the second ancilla read is (mid-flight value) XOR
         # (returned bit), so XOR-ing the two reads, which exist at every
         # probed position, gives the returned bit.
         report.payload_reads = reads ^ indicator if self.midflight else reads
         if published.modes is not None:
-            report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target][:probed]))
+            report.indicator_opportunities = int(np.count_nonzero(published.modes[self.target]))
         return report
 
 
@@ -479,7 +459,6 @@ class MaliciousAgent(ChannelTap):
     """
 
     attack_name = "malicious-agent"
-    _reads = _NOTHING
     _own_sift: np.ndarray | None = None
 
     def __init__(self, victim: str = "A", key=None, intercept_count: int | None = None):
@@ -492,13 +471,13 @@ class MaliciousAgent(ChannelTap):
         self._own_sift = sift
 
     def on_return(self, rows, register, wire, rng):
-        self._record(rows, register, rng)
         chosen = self._own_sift if self._attack_mask is None else self._attack_mask
-        attacked = np.zeros(len(rows), dtype=bool) if chosen is None else _at_entries(chosen, self._trials)
-        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wire, picked=attacked)
+        attacked = np.zeros(len(rows), dtype=bool) if chosen is None else chosen.ravel()
+        reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wire, picked=attacked)
+        self._reads = reads.reshape(len(rng), -1)
 
     def finalize(self, published, trial=0):
-        reads = self._reads[self._entries(trial)]
+        reads = self._reads[trial]
         report = _raw_report(self, reads)
         report.payload_reads = reads
         return report
@@ -515,19 +494,18 @@ class BlockingAttacker(ChannelTap):
     """
 
     attack_name = "blocking"
-    _reads = _NOTHING
 
     def __init__(self, target: str = "A", attack_count: int | None = None):
         super().__init__(target)
         self.attack_count = attack_count
 
     def on_return(self, rows, register, wire, rng):
-        self._record(rows, register, rng)
-        attacked = None if self._attack_mask is None else _at_entries(self._attack_mask, self._trials)
-        self._reads = rng.read(register, "measure_x", "intercept_" + self.target, rows, wire, picked=attacked)
+        attacked = None if self._attack_mask is None else self._attack_mask.ravel()
+        reads = rng.read(register, "measure_x", "intercept_" + self.target, rows, wire, picked=attacked)
+        self._reads = reads.reshape(len(rng), -1)
 
     def finalize(self, published, trial=0):
-        return _raw_report(self, self._reads[self._entries(trial)])
+        return _raw_report(self, self._reads[trial])
 
 
 class InterceptResendZ(ChannelTap):
@@ -535,11 +513,9 @@ class InterceptResendZ(ChannelTap):
     the post-measurement eigenstate onward."""
 
     attack_name = "intercept-resend-z"
-    _reads = _NOTHING
 
     def on_forward(self, rows, register, wire, rng):
-        self._record(rows, register, rng)
-        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wire)
+        self._reads = rng.read(register, "measure_z", "intercept_" + self.target, rows, wire).reshape(len(rng), -1)
 
     def finalize(self, published, trial=0):
-        return _raw_report(self, self._reads[self._entries(trial)])
+        return _raw_report(self, self._reads[trial])

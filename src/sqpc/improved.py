@@ -33,7 +33,7 @@ first and B's after, so position p of B in trial t is row 8Lt + 4L + p.
 Both channels are wire 0: every photon travels both ways on it, so an
 honest session's register has one qubit per row, and only the double
 C-NOT ancilla widens it.  Each protocol step is one kernel call over
-both channels of every live trial, and every draw one
+both channels of every trial, and every draw one
 :class:`sqpc.attacks.Streams` call at a named site: SIFT measure-resend,
 TP's X checks and TP's Z reads each call its ``read`` directly on the
 photons' rows, a read per row (-1 where nothing was read) keyed by the
@@ -141,7 +141,6 @@ class ImprovedTranscript:
     TP measured).
     """
 
-    config: SessionConfig
     photons: PhotonBatch
     modes: dict[str, np.ndarray]  # participant -> SIFT mask
     sift_positions: dict[str, np.ndarray]
@@ -242,6 +241,7 @@ def x_mismatch_rate(transcript: ImprovedTranscript, report: AttackReport) -> flo
 
 
 def _tp_finish(
+    config: SessionConfig,
     transcript: ImprovedTranscript,
     published: PublicRecord,
     truth: GroundTruth,
@@ -253,7 +253,6 @@ def _tp_finish(
     permutation in ``orders``, their check, the published messages and
     the comparison.  ``sift_bit`` holds the participants' own reads over
     the trial's rows."""
-    config = transcript.config
     channel = {p: transcript.photons.channel(p) for p in PARTICIPANTS}
     own_r = {p: sift_bit[channel[p]] for p in PARTICIPANTS}
     tp_r = {p: transcript.tp_r[channel[p]] for p in PARTICIPANTS}
@@ -290,7 +289,7 @@ def run_improved_sessions(
 ) -> list[tuple[ImprovedTranscript, ComparisonOutcome, list[AttackReport]]]:
     """Run one improved-protocol session per trial of a chunk; same
     driver contract as :func:`sqpc.jiang.run_sessions` (one stream per
-    trial, taps on both transits of every live trial in one call each,
+    trial, taps on both transits of every trial in one call each,
     declarations visible to taps only at finalize)."""
     L = config.L
     secrets_a, secrets_b, keys = check_bits(L, len(streams), secrets_a, secrets_b, keys)
@@ -308,7 +307,6 @@ def run_improved_sessions(
         positions = {p: modes[p].nonzero()[0] for p in PARTICIPANTS}
         transcripts.append(
             ImprovedTranscript(
-                config=config,
                 photons=photons,
                 modes=modes,
                 sift_positions=positions,
@@ -318,18 +316,16 @@ def run_improved_sessions(
         secrets = {"A": secret_a, "B": secret_b}
         truths.append(GroundTruth(L=L, secrets=secrets, key=key, messages={"A": _NOTHING, "B": _NOTHING}))
 
-    def respond(live: np.ndarray) -> None:
-        sift_measure_resend(photons, sift_rows & live.repeat(size), streams)
+    def respond() -> None:
+        sift_measure_resend(photons, sift_rows, streams)
 
     def tp_steps(live: np.ndarray, published: list[PublicRecord]) -> list[ComparisonOutcome]:
         # Receipt confirmed; modes are now declared.  TP measures
-        # everything, then each trial runs the two integrity checks in
-        # order.
-        live_rows = live.repeat(size)
-        ctrl_rows = ~sift_rows & live_rows
-        mismatches, x_results = tp_check_ctrl_x(photons, ctrl_rows, streams)
-        ctrl_counts = np.count_nonzero(ctrl_rows.reshape(-1, size), axis=1)
-        tp_r = streams.read(photons.register, "measure_z", "tp_z", photons.rows, 0, picked=sift_rows & live_rows)
+        # everything, then each live trial runs the two integrity checks
+        # in order.
+        mismatches, x_results = tp_check_ctrl_x(photons, ~sift_rows, streams)
+        ctrl_counts = np.count_nonzero(~sift_rows.reshape(-1, size), axis=1)
+        tp_r = streams.read(photons.register, "measure_z", "tp_z", photons.rows, 0, picked=sift_rows)
         running = live.nonzero()[0].tolist()
         outcomes = dict.fromkeys(running, _X_CHECK_FAILED)
         checked = []
@@ -349,12 +345,14 @@ def run_improved_sessions(
         for trial in checked:
             sift_bit = photons.sift_bit[trial * size : (trial + 1) * size]
             trial_orders = {p: orders[p][trial] for p in PARTICIPANTS}
-            outcomes[trial] = _tp_finish(transcripts[trial], published[trial], truths[trial], sift_bit, trial_orders)
+            outcomes[trial] = _tp_finish(
+                config, transcripts[trial], published[trial], truths[trial], sift_bit, trial_orders
+            )
         return list(outcomes.values())
 
     # Both channels are wire 0, on disjoint rows.
     rows = photons.rows.reshape(-1, len(PARTICIPANTS), photons.channel_size)
-    channels = {p: (rows[:, i], 0) for i, p in enumerate(PARTICIPANTS)}
+    channels = {p: (rows[:, i].ravel(), 0) for i, p in enumerate(PARTICIPANTS)}
     outcomes, reports = drive_session(
         taps, sift, 2 * L, channels, photons.register, respond, tp_steps, decode_claims, truths, streams
     )

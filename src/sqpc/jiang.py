@@ -33,12 +33,13 @@ included, is one call of the chunk's :class:`sqpc.attacks.Streams` at a
 named site, which gives each trial the values of its own key, in any
 chunk, and returns a row per trial (R, SIFT masks, filler bits) or per
 register row (TP's reads, -1 where nothing was measured); each trial's
-transcript holds views of its own rows, keyed by participant.  A trial
-whose SIFT count falls short aborts and drops out: no later transit,
-response or TP read touches its rows.  Each channel has one fixed wire,
-Alice's wire 0 and Bob's wire 1, from the delivery to TP's reads: a SIFT
-response swaps its fresh qubit into the channel's wire
-(:func:`participant_respond`).  Adversaries are channel taps with one
+transcript holds views of its own rows, keyed by participant.  Every
+trial runs the quantum phase, the transits, responses and TP's reads; a
+trial whose SIFT count falls short aborts at TP's classical step, as the
+participants only learn it once every qubit has passed, and publishes
+nothing.  Each channel has one fixed wire, Alice's wire 0 and Bob's
+wire 1, from the delivery to TP's reads: a SIFT response swaps its
+fresh qubit into the channel's wire (:func:`participant_respond`).  Adversaries are channel taps with one
 hook call per transit direction for the chunk; see :mod:`sqpc.attacks`.
 Per-trial classical steps (threshold checks, comparison, decoding,
 scoring) loop over the trials.
@@ -261,7 +262,7 @@ def participant_respond(sift: np.ndarray, register: Register, wire: int, message
 
 
 def tp_resolve_positions(
-    pairs: PairBatch, sift_a: np.ndarray, sift_b: np.ndarray, streams: Streams, live: np.ndarray | None = None
+    pairs: PairBatch, sift_a: np.ndarray, sift_b: np.ndarray, streams: Streams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """TP's measurements at every row, given both SIFT masks over the rows.
 
@@ -269,16 +270,14 @@ def tp_resolve_positions(
     1.  At any other row TP Z-reads each SIFT return on its channel's wire
     and leaves a reflected half, if any, unmeasured.  One
     :meth:`Streams.read` call per step, each at its own site: the Bell
-    measurements, Alice's reads and Bob's.  ``live`` masks the rows of
-    the trials still running (every row by default).  Returns ``(bell,
-    bits_a, bits_b)``: the ``BellState`` value per row and each
-    participant's Z bit per row, -1 where that measurement was not made.
+    measurements, Alice's reads and Bob's.  Returns ``(bell, bits_a,
+    bits_b)``: the ``BellState`` value per row and each participant's Z
+    bit per row, -1 where that measurement was not made.
     """
     register, rows = pairs.register, pairs.positions
-    measured = True if live is None else live
-    bell = streams.read(register, "measure_bell", "tp_bell", rows, 0, 1, picked=~(sift_a | sift_b) & measured)
-    bits_a = streams.read(register, "measure_z", "tp_z_A", rows, 0, picked=sift_a & measured)
-    bits_b = streams.read(register, "measure_z", "tp_z_B", rows, 1, picked=sift_b & measured)
+    bell = streams.read(register, "measure_bell", "tp_bell", rows, 0, 1, picked=~(sift_a | sift_b))
+    bits_a = streams.read(register, "measure_z", "tp_z_A", rows, 0, picked=sift_a)
+    bits_b = streams.read(register, "measure_z", "tp_z_B", rows, 1, picked=sift_b)
     return bell, bits_a, bits_b
 
 
@@ -300,7 +299,7 @@ def drive_session(
     sift_quota: int,
     channels: dict[str, tuple[np.ndarray, int]],
     register: Register,
-    respond: Callable[[np.ndarray], None],
+    respond: Callable[[], None],
     tp_steps: Callable[[np.ndarray, list[PublicRecord]], list[ComparisonOutcome]],
     decode: Callable[[AttackReport, PublicRecord], None],
     truths: Sequence[GroundTruth],
@@ -310,44 +309,41 @@ def drive_session(
     trials, around the protocol's own steps.
 
     ``modes`` maps each participant to the SIFT masks of the chunk's
-    trials, one row per trial.  Every tap begins the chunk; a trial
-    aborts if a participant's SIFT mask holds fewer than ``sift_quota``
-    positions.  The other, live, trials go on together: each channel's
-    taps get the forward transits of all their positions in one call,
-    ``respond(live)`` makes the participants' responses, the return
-    transits follow, and ``tp_steps(live, published)`` fills in the live
-    trials' public records and returns their outcomes.  ``channels`` maps
-    each participant to its channel: the ``register`` rows of its
-    positions, one row per trial, and the one wire they all travel on,
-    which each of the channel's tap hooks gets.  Last, every trial's
+    trials, one row per trial.  Every tap begins the chunk, and every
+    trial of it runs the quantum phase: each channel's taps get the
+    forward transits of all their positions in one call, ``respond()``
+    makes the participants' responses, and the return transits follow.
+    Then a trial aborts if a participant's SIFT mask holds fewer than
+    ``sift_quota`` positions, and ``tp_steps(live, published)`` fills in
+    the other, live, trials' public records and returns their outcomes.
+    ``channels`` maps each participant to its channel: the ``register``
+    rows of its positions, trial-major, and the one wire they all travel
+    on, which each of the channel's tap hooks gets.  Last, every trial's
     reports are decoded, scored against its entry of ``truths`` and
     marked detected.  Returns each trial's outcome and reports.
     """
     for tap in taps:
         tap.begin_session(modes[PARTICIPANTS[0]].shape[1], streams)
+        if tap.identity in PARTICIPANTS:
+            tap.observe_own_modes(modes[tap.identity])
+    # Each channel's taps in turn.
+    hooked = [
+        (tap, rows, wire)
+        for participant, (rows, wire) in channels.items()
+        for tap in taps
+        if tap.target == participant
+    ]
+    for tap, rows, wire in hooked:
+        tap.on_forward(rows, register, wire, streams)
+    respond()
+    for tap, rows, wire in hooked:
+        tap.on_return(rows, register, wire, streams)
+
     published = [PublicRecord(L=truth.L) for truth in truths]
     outcomes = [_TOO_FEW_SIFT] * len(truths)
     live = np.minimum(*(modes[p].sum(axis=1) for p in PARTICIPANTS)) >= sift_quota
-    running = live.nonzero()[0]
-    if len(running):
-        for tap in taps:
-            if tap.identity in PARTICIPANTS:
-                tap.observe_own_modes(modes[tap.identity])
-        # Each channel's taps in turn, with the rows of the live trials.
-        hooked = [
-            (tap, rows[running].ravel(), wire)
-            for participant, (rows, wire) in channels.items()
-            for tap in taps
-            if tap.target == participant
-        ]
-
-        for tap, rows, wire in hooked:
-            tap.on_forward(rows, register, wire, streams)
-        respond(live)
-        for tap, rows, wire in hooked:
-            tap.on_return(rows, register, wire, streams)
-        for trial, outcome in zip(running.tolist(), tp_steps(live, published)):
-            outcomes[trial] = outcome
+    for trial, outcome in zip(live.nonzero()[0].tolist(), tp_steps(live, published)):
+        outcomes[trial] = outcome
 
     reports = []
     for trial, (outcome, record, truth) in enumerate(zip(outcomes, published, truths)):
@@ -406,8 +402,8 @@ def run_sessions(
     ``keys[t]`` and draws everything, its taps' measurements included,
     from stream t of ``streams``, so identical inputs give bit-identical
     transcripts, whatever the chunk.  Each tap gets the forward transits
-    of every position of the channel it targets, in every live trial, in
-    one call, then the return transits in another; mode declarations
+    of every position of the channel it targets, in every trial, in one
+    call, then the return transits in another; mode declarations
     become visible to taps only through ``finalize``, after TP has
     everything.
     """
@@ -437,19 +433,21 @@ def run_sessions(
         trial_secrets, trial_messages = ({p: bits[p][trial] for p in PARTICIPANTS} for bits in (secrets, messages))
         truths.append(GroundTruth(L=L, secrets=trial_secrets, key=key, messages=trial_messages))
 
-    def respond(live: np.ndarray) -> None:
-        # The i-th SIFT position carries message bit i, surplus SIFT
-        # positions under the coin policy carry random filler.
+    def respond() -> None:
+        # The i-th SIFT position, rank i, carries message bit i, surplus
+        # SIFT positions under the coin policy carry random filler, and a
+        # trial short of SIFT positions sends the bits it has carriers for.
         for wire, participant in enumerate(PARTICIPANTS):
-            sifted = sift[participant] & live[:, None]
-            carriers = sifted & (sifted.cumsum(axis=1) <= L)
+            sifted = sift[participant]
+            rank = sifted.cumsum(axis=1) - 1
+            carriers = sifted & (rank < L)
             bits = streams.integers("filler_" + participant, 2, size)
-            bits[carriers] = messages[participant][live].ravel()
+            bits[carriers] = messages[participant][carriers.nonzero()[0], rank[carriers]]
             participant_respond(sifted.ravel(), pairs.register, wire, bits.ravel())
 
     def tp_steps(live: np.ndarray, published: list[PublicRecord]) -> list[ComparisonOutcome]:
         # TP confirms receipt; only now are the mode declarations public.
-        bell, bits_a, bits_b = tp_resolve_positions(pairs, sift["A"].ravel(), sift["B"].ravel(), streams, live.repeat(size))
+        bell, bits_a, bits_b = tp_resolve_positions(pairs, sift["A"].ravel(), sift["B"].ravel(), streams)
         outcomes = []
         for trial in live.nonzero()[0].tolist():
             rows = slice(trial * size, (trial + 1) * size)
@@ -470,8 +468,7 @@ def run_sessions(
             outcomes.append(outcome)
         return outcomes
 
-    rows = np.arange(len(pairs.prepared)).reshape(-1, size)
-    channels = {p: (rows, wire) for wire, p in enumerate(PARTICIPANTS)}
+    channels = {p: (pairs.positions, wire) for wire, p in enumerate(PARTICIPANTS)}
     outcomes, reports = drive_session(
         taps, sift, L, channels, pairs.register, respond, tp_steps, decode_claims, truths, streams
     )

@@ -1,5 +1,6 @@
 """Adversary tests: tap state evolutions, leak statistics, silence claims."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from sqpc.attacks import (
     score_report,
     splitmix64,
 )
+from sqpc.improved import run_improved_session
 from sqpc.jiang import (
     INDEPENDENT_COIN,
     INSUFFICIENT_SIFT,
@@ -35,6 +37,17 @@ from sqpc.kernel import SQRT_HALF, BellState, Register, amplitudes_close, prepar
 
 def bits(text):
     return [int(c) for c in text]
+
+
+def assert_reports_equal(report, expected):
+    """Every field of two attack reports equal, arrays by value."""
+    for name in (f.name for f in dataclasses.fields(AttackReport)):
+        assert np.array_equal(getattr(report, name), getattr(expected, name)), name
+
+
+def assert_claims_nothing(report):
+    assert report.learned_count == 0
+    assert not any(len(claims) for claims in report.claims)
 
 
 class TestStateCheckSuite:
@@ -301,21 +314,22 @@ class TestDoubleCnotEve:
         claimed = report.masked_secret_bits >= 0
         assert np.array_equal(report.masked_secret_bits[claimed], np.bitwise_xor(secret_b, key)[claimed])
 
-    def test_reused_tap_reports_only_its_own_session(self):
-        # One tap across sessions: a session that aborts before any transit
-        # reports no reads, not the previous session's.
+    def test_reused_tap_reports_as_a_fresh_tap(self):
+        # One tap across sessions reports on each what a fresh tap does,
+        # and a session that aborts for too few SIFT positions claims
+        # nothing.
         eve = DoubleCnotEve("A")
         config = SessionConfig(L=2, mode_policy=INDEPENDENT_COIN)
         aborted = 0
         for seed in range(10):
-            _, outcome, (report,) = run_session(
-                config, bits("01"), bits("11"), bits("10"), [eve], rng=np.random.default_rng(seed)
+            (_, outcome, (report,)), (_, _, (fresh,)) = (
+                run_session(config, bits("01"), bits("11"), bits("10"), [tap], rng=np.random.default_rng(seed))
+                for tap in (eve, DoubleCnotEve("A"))
             )
+            assert_reports_equal(report, fresh)
             if outcome.abort_reason == INSUFFICIENT_SIFT:
                 aborted += 1
-                assert len(report.probed_positions) == 0
-                assert len(report.indicator_bits) == 0
-                assert len(report.intercepted_bits) == 0
+                assert_claims_nothing(report)
         assert aborted > 0
 
     def test_midflight_on_base_protocol_is_loud_but_total(self):
@@ -446,9 +460,9 @@ class TestInterceptResend:
 
 
 class TestTapsReusedAcrossChunks:
-    """A tap kept for a second chunk reports none of the first chunk's
-    reads: the harness builds fresh taps for every chunk, so only a
-    caller that reuses them reaches this."""
+    """A tap kept for a second chunk reports on it what a fresh tap does,
+    none of the first chunk's reads: the harness builds fresh taps for
+    every chunk, so only a caller that reuses them reaches this."""
 
     KEYS = np.array([[1], [0]])
     CASES = {
@@ -467,23 +481,98 @@ class TestTapsReusedAcrossChunks:
     }
 
     @pytest.mark.parametrize("protocol", CASES)
-    def test_a_chunk_that_aborts_reports_nothing(self, protocol):
+    def test_a_chunk_that_aborts_claims_nothing(self, protocol):
         run, make_taps, seed = self.CASES[protocol]
         config = SessionConfig(L=1, mode_policy=INDEPENDENT_COIN)
         taps = make_taps(self.KEYS)
 
-        def chunk(first_trial):
+        def chunk(first_trial, taps):
             streams = Streams([splitmix64(seed, t) for t in (first_trial, first_trial + 1)])
             return run(config, [[0], [1]], [[1], [1]], self.KEYS, taps, streams=streams)
 
-        ran, aborted = chunk(0), chunk(2)
+        ran, aborted, fresh = chunk(0, taps), chunk(2, taps), chunk(2, make_taps(self.KEYS))
         assert all(outcome.abort_reason != INSUFFICIENT_SIFT for _, outcome, _ in ran)
         assert all(any(len(r.probed_positions) for r in reports) for _, _, reports in ran)
         assert all(outcome.abort_reason == INSUFFICIENT_SIFT for _, outcome, _ in aborted)
-        for _, _, reports in aborted:
+        for (_, _, reports), (_, _, expected) in zip(aborted, fresh):
             assert len(reports) == len(taps)
-            for report in reports:
-                assert len(report.intercepted_bits) == 0
-                assert len(report.indicator_bits) == 0
-                assert len(report.probed_positions) == 0
-                assert report.learned_count == 0
+            for report, fresh_report in zip(reports, expected):
+                assert_reports_equal(report, fresh_report)
+                assert_claims_nothing(report)
+
+
+class TestShortTrialsRunTheQuantumPhase:
+    """Under the coin policy a participant learns that it has too few SIFT
+    positions only once every qubit has passed, so a trial that aborts
+    for it still makes every transit: its taps read its whole channel,
+    as their policy says, and TP reads none of it."""
+
+    CASES = {"jiang": (jiang.run_sessions, 2), "improved": (improved.run_improved_sessions, 4)}  # positions at L=1
+    TP_READS = {"jiang": ("bell_outcomes", "tp_bits"), "improved": ("x_results", "tp_r")}
+    TAPS = {
+        "double-cnot": lambda keys: DoubleCnotEve("A"),
+        "double-cnot-midflight": lambda keys: DoubleCnotEve("A", midflight=True),
+        "malicious-agent": lambda keys: MaliciousAgent("A", keys),
+        "malicious-agent-count": lambda keys: MaliciousAgent("A", keys, intercept_count=1),
+        "blocking": lambda keys: BlockingAttacker("A"),
+        "blocking-count": lambda keys: BlockingAttacker("A", attack_count=1),
+        "intercept-resend-z": lambda keys: InterceptResendZ("A"),
+    }
+
+    @pytest.mark.parametrize("kind", TAPS)
+    @pytest.mark.parametrize("protocol", CASES)
+    def test_short_trials_tap_their_whole_channel(self, protocol, kind):
+        run, positions = self.CASES[protocol]
+        trials = 8
+        keys = np.zeros((trials, 1), dtype=np.intp)
+        streams = Streams([splitmix64(3, t) for t in range(trials)])
+        config = SessionConfig(L=1, mode_policy=INDEPENDENT_COIN)
+        sessions = run(config, keys, keys, keys, [self.TAPS[kind](keys)], streams=streams)
+        short = [(t, r) for t, outcome, (r,) in sessions if outcome.abort_reason == INSUFFICIENT_SIFT]
+        assert short
+        for transcript, report in short:
+            assert all(getattr(transcript, name) is None for name in self.TP_READS[protocol])
+            read = report.intercepted_bits >= 0
+            assert len(read) == positions
+            if kind.startswith("double-cnot"):
+                assert np.array_equal(report.probed_positions, np.arange(positions))
+                assert np.all(report.indicator_bits >= 0)
+            expected = {
+                "double-cnot": report.indicator_bits == 1,  # the data qubit where the probe fired
+                "malicious-agent": transcript.modes["B"],  # the agent's own SIFT positions
+            }.get(kind, np.ones(positions, dtype=bool))
+            if kind.endswith("-count"):
+                assert np.count_nonzero(read) == 1  # one drawn position
+            else:
+                assert np.array_equal(read, expected)
+            assert_claims_nothing(report)
+
+
+class TestAttackCount:
+    """A tap built directly with an attack count outside the channel's
+    positions is refused before it reads anything."""
+
+    CASES = {
+        # A channel's positions at L=2: 8 in the improved protocol, 4 in jiang.
+        "blocking": (run_improved_session, lambda key, count: BlockingAttacker("A", attack_count=count), 8),
+        "malicious-agent": (run_session, lambda key, count: MaliciousAgent("A", key, intercept_count=count), 4),
+    }
+
+    def run(self, attack, count):
+        run, make_tap, _ = self.CASES[attack]
+        key = bits("10")
+        return run(SessionConfig(L=2), bits("01"), bits("11"), key, [make_tap(key, count)], rng=np.random.default_rng(5))
+
+    @pytest.mark.parametrize("offset", [-2, -1, 1, 42])
+    @pytest.mark.parametrize("attack", CASES)
+    def test_out_of_range_count_is_refused(self, attack, offset):
+        positions = self.CASES[attack][2]
+        count = offset if offset < 0 else positions + offset
+        with pytest.raises(ValueError, match=rf"\[0, {positions}\].* got {count}$"):
+            self.run(attack, count)
+
+    @pytest.mark.parametrize("attack", CASES)
+    def test_reads_exactly_count_positions(self, attack):
+        for count in range(self.CASES[attack][2] + 1):
+            _, _, (report,) = self.run(attack, count)
+            assert np.count_nonzero(report.intercepted_bits >= 0) == count
