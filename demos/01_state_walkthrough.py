@@ -10,11 +10,11 @@ time.
 import numpy as np
 
 from sqpc import BellState, DoubleCnotEve
-from sqpc.attacks import PublicRecord, Streams, draw_keys
+from sqpc.attacks import PublicRecord, Streams
 from sqpc.jiang import PairBatch, participant_respond
 
 rng = np.random.default_rng(1)
-streams = Streams(draw_keys(rng))  # the hooks draw from a chunk of one trial
+streams = Streams.seeded(1, range(1))  # the hooks draw from a chunk of one trial
 
 
 def show(label, amps):

@@ -25,7 +25,7 @@ key = rng.integers(2, size=8)
 secret_a = rng.integers(2, size=8)
 secret_b = rng.integers(2, size=8)
 agent = MaliciousAgent(victim="A", key=key)
-transcript, outcome, reports = run_session(SessionConfig(L=8), secret_a, secret_b, key, [agent], rng=rng)
+transcript, outcome, reports = run_session(SessionConfig(L=8), secret_a, secret_b, key, [agent], seed=99)
 report = reports[0]
 
 print("one L=8 session in detail:")

@@ -103,12 +103,6 @@ def _offsets(width: int) -> np.ndarray:
     return (counters + 1) * np.uint64(_GAMMA)
 
 
-def draw_keys(rng: np.random.Generator, trials: int = 1) -> np.ndarray:
-    """The trial keys of ``trials`` sessions run outside an experiment,
-    one draw of ``rng`` each."""
-    return rng.integers(1 << 64, size=trials, dtype=np.uint64)
-
-
 class Streams:
     """The random streams of a chunk of trials, one 64-bit key per trial in
     trial order, and every draw the chunk makes.
@@ -123,14 +117,20 @@ class Streams:
     (:meth:`random`, :meth:`integers`, :meth:`permutation`) takes a site
     of ``SITES`` and returns one row per trial.  Every measurement of a
     session or a tap goes through :meth:`read`, which puts -1 where
-    nothing was measured.  An experiment's trial i has the key
-    ``splitmix64(seed, i)``; a lone session draws its key
-    (:func:`draw_keys`).
+    nothing was measured.  Trial i of a run seeded with ``seed`` has the
+    key ``splitmix64(seed, i)`` (:meth:`seeded`); a lone session is trial 0.
     """
 
     def __init__(self, keys, width: int = 0):
         self.trial_keys = np.asarray(keys, dtype=np.uint64)
         self._hash(width)
+
+    @classmethod
+    def seeded(cls, seed: int, trials: range, width: int = 0) -> "Streams":
+        """``trials`` of a run seeded with ``seed``, an int in [0, 2**64): trial i has the key ``splitmix64(seed, i)``."""
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        return cls([splitmix64(seed, i) for i in trials], width)
 
     def __len__(self) -> int:
         return len(self.trial_keys)

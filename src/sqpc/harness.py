@@ -317,12 +317,11 @@ def _trial_result(
 def run_chunk(spec: ExperimentSpec, start: int, stop: int) -> list[TrialResult]:
     """Trials ``start`` to ``stop - 1`` of the spec as one chunk: one
     register holding every trial's rows, one kernel call per protocol
-    step.  Trial i draws everything from the key ``splitmix64(spec seed,
-    i)``, hashed with every site's counters up to its rows once for the
-    whole chunk."""
+    step, and one hash of every trial's key (:meth:`Streams.seeded`) with
+    every site's counters up to its rows."""
     scenario = SCENARIO_TABLE[spec.scenario]
     L = spec.L
-    streams = Streams([splitmix64(spec.seed, i) for i in range(start, stop)], scenario.rows_per_bit * L)
+    streams = Streams.seeded(spec.seed, range(start, stop), scenario.rows_per_bit * L)
     # Alice's secrets, Bob's and the keys, one row of L bits per trial
     # each; Bob's secret is Alice's unless a coin says it differs.
     secrets_a = streams.integers("secret_a", 2, L)

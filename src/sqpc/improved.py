@@ -57,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attacks import _NOTHING, AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams, draw_keys
+from .attacks import _NOTHING, AttackReport, ChannelTap, GroundTruth, PublicRecord, Streams
 from .jiang import (
     DISCLOSURE_MISMATCH,
     EAVESDROPPER_DETECTED,
@@ -368,10 +368,10 @@ def run_improved_session(
     key,
     taps: Sequence[ChannelTap] = (),
     *,
-    rng: np.random.Generator,
+    seed: int,
 ) -> tuple[ImprovedTranscript, ComparisonOutcome, list[AttackReport]]:
-    """Run one improved-protocol session, a chunk of one trial (see
-    :func:`run_improved_sessions`); same driver contract as
+    """Run one improved-protocol session, trial 0 of a chunk seeded with
+    ``seed`` (see :func:`run_improved_sessions`); same driver contract as
     :func:`sqpc.jiang.run_session`."""
-    bits = check_bits(config.L, 1, [secret_a], [secret_b], [key])
-    return run_improved_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), ROWS_PER_BIT * config.L))[0]
+    streams = Streams.seeded(seed, range(1), ROWS_PER_BIT * config.L)
+    return run_improved_sessions(config, [secret_a], [secret_b], [key], taps, streams=streams)[0]

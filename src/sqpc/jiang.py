@@ -66,7 +66,6 @@ from .attacks import (
     GroundTruth,
     PublicRecord,
     Streams,
-    draw_keys,
     score_report,
 )
 from .kernel import BellState, Register, prepare_bell, prepare_z
@@ -320,8 +319,11 @@ def drive_session(
     rows of its positions, trial-major, and the one wire they all travel
     on, which each of the channel's tap hooks gets.  Last, every trial's
     reports are decoded, scored against its entry of ``truths`` and
-    marked detected.  Returns each trial's outcome and reports.
+    marked detected.  Returns each trial's outcome and reports; raises
+    ValueError for a tap on no channel, before any tap hook runs.
     """
+    if strays := [f"{tap.attack_name} on {tap.target!r}" for tap in taps if tap.target not in channels]:
+        raise ValueError(f"no channel of {tuple(channels)} carries the taps {strays}")
     for tap in taps:
         tap.begin_session(modes[PARTICIPANTS[0]].shape[1], streams)
         if tap.identity in PARTICIPANTS:
@@ -484,19 +486,17 @@ def run_session(
     key,
     taps: Sequence[ChannelTap] = (),
     *,
-    rng: np.random.Generator,
+    seed: int,
 ) -> tuple[SessionTranscript, ComparisonOutcome, list[AttackReport]]:
-    """Run one full session, a chunk of one trial (see
-    :func:`run_sessions`), and return (transcript, outcome, attack reports).
-    ``secret_a``, ``secret_b`` and ``key`` are L bits each.
-
-    The session's key is one draw of ``rng``, made once the bits pass
-    :func:`check_bits`, and all randomness, including every tap's
-    measurement draws, comes from that key, so identical inputs give
-    bit-identical transcripts.
+    """Run one full session, trial 0 of a chunk seeded with ``seed`` (see
+    :func:`run_sessions`), and return (transcript, outcome, attack
+    reports).  ``secret_a``, ``secret_b`` and ``key`` are L bits each.
+    Every draw, every tap's included, comes from the key of trial 0 of an
+    experiment with that seed (:meth:`Streams.seeded`), so identical
+    inputs give bit-identical transcripts.
     """
-    bits = check_bits(config.L, 1, [secret_a], [secret_b], [key])
-    return run_sessions(config, *bits, taps, streams=Streams(draw_keys(rng), ROWS_PER_BIT * config.L))[0]
+    streams = Streams.seeded(seed, range(1), ROWS_PER_BIT * config.L)
+    return run_sessions(config, [secret_a], [secret_b], [key], taps, streams=streams)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from sqpc.attacks import DoubleCnotEve, MaliciousAgent, Streams, draw_keys
+from sqpc.attacks import DoubleCnotEve, MaliciousAgent, Streams
 from sqpc.harness import SCENARIO_TABLE, ExperimentSpec, emit_report, estimate_detection_curve, run_experiment
 from sqpc.improved import run_improved_session
 from sqpc.jiang import (
@@ -55,19 +55,19 @@ def test_criterion_1_equation_suite():
 
 def test_criterion_2_silent_ctrl_restoration():
     t0 = time.monotonic()
-    rng = np.random.default_rng(2024)
     mismatches = 0
     trials_per_state = 10_000
     ctrl = np.zeros(trials_per_state, dtype=bool)
-    for variant in BellState:
+    for key, variant in enumerate(BellState, start=2024):
         # One batch position per trial.
+        streams = Streams([key])
         pairs = PairBatch.prepare([variant.value] * trials_per_state)
         eve = DoubleCnotEve("A")
-        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, streams)
         participant_respond(ctrl, pairs.register, 0)
         participant_respond(ctrl, pairs.register, 1)
-        eve.on_return(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
-        bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, Streams(draw_keys(rng)))
+        eve.on_return(pairs.positions, pairs.register, 0, streams)
+        bell, _, _ = tp_resolve_positions(pairs, ctrl, ctrl, streams)
         mismatches += int(np.count_nonzero(bell != pairs.prepared))
     ok = mismatches == 0
     report_line(
@@ -117,9 +117,9 @@ def test_criterion_4_malicious_agent_overlap():
     rng = np.random.default_rng(57)
     config = SessionConfig(L=2)
     small = []
-    for _ in range(2_000):
+    for seed in range(2_000):
         secret_a, secret_b, key = (rng.integers(2, size=2) for _ in range(3))
-        _, _, reports = run_session(config, secret_a, secret_b, key, [MaliciousAgent("A", key)], rng=rng)
+        _, _, reports = run_session(config, secret_a, secret_b, key, [MaliciousAgent("A", key)], seed=seed)
         small.append(np.count_nonzero(reports[0].secret_bits >= 0) / 2)
     small_mean = float(np.mean(small))
 
@@ -148,7 +148,7 @@ def test_criterion_5_honest_correctness_both_protocols():
         secret_a = rng.integers(2, size=8)
         secret_b = list(secret_a) if trial % 2 == 0 else rng.integers(2, size=8)
         key = rng.integers(2, size=8)
-        _, outcome, _ = run_session(SessionConfig(L=8), secret_a, secret_b, key, rng=rng)
+        _, outcome, _ = run_session(SessionConfig(L=8), secret_a, secret_b, key, seed=trial)
         expected = _expected(secret_a, secret_b)
         aborts += int(outcome.is_aborted)
         failures += int(outcome != expected)
@@ -156,7 +156,7 @@ def test_criterion_5_honest_correctness_both_protocols():
         secret_a = rng.integers(2, size=4)
         secret_b = list(secret_a) if trial % 2 == 0 else rng.integers(2, size=4)
         key = rng.integers(2, size=4)
-        _, outcome, _ = run_improved_session(SessionConfig(L=4), secret_a, secret_b, key, rng=rng)
+        _, outcome, _ = run_improved_session(SessionConfig(L=4), secret_a, secret_b, key, seed=trial)
         expected = _expected(secret_a, secret_b)
         aborts += int(outcome.is_aborted)
         failures += int(outcome != expected)

@@ -10,6 +10,7 @@ from sqpc import improved, jiang
 from sqpc.attacks import (
     AttackReport,
     BlockingAttacker,
+    ChannelTap,
     DoubleCnotEve,
     GroundTruth,
     InterceptResendZ,
@@ -17,7 +18,6 @@ from sqpc.attacks import (
     SITES,
     PublicRecord,
     Streams,
-    draw_keys,
     score_report,
     splitmix64,
 )
@@ -57,7 +57,7 @@ class TestStateCheckSuite:
         for check in checks:
             assert check.passed, check.name
 
-    def test_pipeline_retained_states_exact(self, rng):
+    def test_pipeline_retained_states_exact(self):
         # Full tap + SIFT pipeline on phi+, wires (A's channel, B, E, the
         # discarded half): the true register state is the fresh |m> on A's
         # channel tensored with the GHZ correlations of the other three,
@@ -65,18 +65,18 @@ class TestStateCheckSuite:
         for m, indices in ((0, (0b0000, 0b0111)), (1, (0b1000, 0b1111))):
             pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
             eve = DoubleCnotEve("A")
-            eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+            eve.on_forward(pairs.positions, pairs.register, 0, Streams([0]))
             participant_respond(np.array([True]), pairs.register, 0, [m])
             expected = np.zeros(16, dtype=complex)
             for i in indices:
                 expected[i] = SQRT_HALF
             assert amplitudes_close(pairs.register.amps[:, 0], expected, 1e-9)
 
-    def test_forward_tap_on_psi_plus(self, rng):
+    def test_forward_tap_on_psi_plus(self):
         # CNOT into a fresh ancilla maps psi+ into matched three-way flips.
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         eve = DoubleCnotEve("A")
-        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, Streams([0]))
         expected = np.zeros(8, dtype=complex)  # wires (A, B, E)
         expected[0b010] = SQRT_HALF
         expected[0b101] = SQRT_HALF
@@ -98,7 +98,7 @@ def _chunk_layout(seed):
     wires = [first] if op != "measure_bell" else [first, (first + int(rng.integers(1, n))) % n]
     rows = np.arange(size) if rng.random() < 0.2 else (rng.random(size) < 0.7).nonzero()[0]
     site = list(SITES)[int(rng.integers(len(SITES)))]
-    return amps, op, site, rows, wires, draw_keys(rng, trials)
+    return amps, op, site, rows, wires, [splitmix64(seed, t) for t in range(trials)]
 
 
 def _move_qubits(amps: np.ndarray, order: list[int]) -> np.ndarray:
@@ -253,30 +253,32 @@ class TestScoreReport:
 
 class TestDoubleCnotEve:
     @pytest.mark.parametrize("variant", list(BellState))
-    def test_ctrl_restoration_is_exact(self, variant, rng):
+    def test_ctrl_restoration_is_exact(self, variant):
         # 500 round trips per Bell state, one batch position each: the
         # probe never fires and TP's Bell read never mismatches.
         trips = 500
+        streams = Streams([0])
         pairs = PairBatch.prepare([variant.value] * trips)
         eve = DoubleCnotEve("A")
-        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, streams)
         ctrl = np.zeros(trips, dtype=bool)
         participant_respond(ctrl, pairs.register, 0)
         participant_respond(ctrl, pairs.register, 1)
-        eve.on_return(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        eve.on_return(pairs.positions, pairs.register, 0, streams)
         report = eve.finalize(PublicRecord(L=trips // 2))
         assert report.indicator_bits.tolist() == [0] * trips
-        bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, Streams(draw_keys(rng)))
+        bell, _, _ = jiang.tp_resolve_positions(pairs, ctrl, ctrl, streams)
         assert (bell != pairs.prepared).tolist() == [False] * trips
 
     def test_indicator_and_data_read_on_sift(self, rng):
         trials = 3000
         m = rng.integers(2, size=trials)
+        streams = Streams([1])
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value] * trials)
         eve = DoubleCnotEve("A")
-        eve.on_forward(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        eve.on_forward(pairs.positions, pairs.register, 0, streams)
         participant_respond(np.ones(trials, dtype=bool), pairs.register, 0, m)
-        eve.on_return(pairs.positions, pairs.register, 0, Streams(draw_keys(rng)))
+        eve.on_return(pairs.positions, pairs.register, 0, streams)
         report = eve.finalize(PublicRecord(L=trials // 2))
         fired = (report.indicator_bits == 1).nonzero()[0]
         # a fired probe reads the bit exactly, and an unfired one reads nothing
@@ -288,7 +290,7 @@ class TestDoubleCnotEve:
     def test_session_report_decodes_masked_secret(self, rng):
         config = SessionConfig(L=32)
         secret_a, secret_b, key = (rng.integers(2, size=32) for _ in range(3))
-        _, outcome, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("A")], rng=rng)
+        _, outcome, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("A")], seed=1)
         report = reports[0]
         assert report.detected is False
         assert report.accuracy == 1.0
@@ -299,16 +301,16 @@ class TestDoubleCnotEve:
 
     def test_abort_rate_zero_over_sessions(self, rng):
         config = SessionConfig(L=8)
-        for _ in range(100):
+        for seed in range(100):
             s = rng.integers(2, size=8)
-            _, outcome, reports = run_session(config, s, s, rng.integers(2, size=8), [DoubleCnotEve("A")], rng=rng)
+            _, outcome, reports = run_session(config, s, s, rng.integers(2, size=8), [DoubleCnotEve("A")], seed=seed)
             assert not outcome.is_aborted
             assert reports[0].detected is False
 
     def test_targets_bob_channel_symmetrically(self, rng):
         config = SessionConfig(L=16)
         secret_a, secret_b, key = (rng.integers(2, size=16) for _ in range(3))
-        _, _, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("B")], rng=rng)
+        _, _, reports = run_session(config, secret_a, secret_b, key, [DoubleCnotEve("B")], seed=1)
         report = reports[0]
         assert report.target == "B"
         claimed = report.masked_secret_bits >= 0
@@ -323,7 +325,7 @@ class TestDoubleCnotEve:
         aborted = 0
         for seed in range(10):
             (_, outcome, (report,)), (_, _, (fresh,)) = (
-                run_session(config, bits("01"), bits("11"), bits("10"), [tap], rng=np.random.default_rng(seed))
+                run_session(config, bits("01"), bits("11"), bits("10"), [tap], seed=seed)
                 for tap in (eve, DoubleCnotEve("A"))
             )
             assert_reports_equal(report, fresh)
@@ -339,10 +341,10 @@ class TestDoubleCnotEve:
         rng = np.random.default_rng(17)
         detected = 0
         trials = 60
-        for _ in range(trials):
+        for seed in range(trials):
             secret_a, secret_b, key = (rng.integers(2, size=16) for _ in range(3))
             _, outcome, reports = run_session(
-                config, secret_a, secret_b, key, [DoubleCnotEve("A", midflight=True)], rng=rng
+                config, secret_a, secret_b, key, [DoubleCnotEve("A", midflight=True)], seed=seed
             )
             report = reports[0]
             detected += outcome.attacker_detected
@@ -356,10 +358,10 @@ class TestDoubleCnotEve:
 class TestMaliciousAgent:
     def test_steals_exact_bits_silently(self, rng):
         config = SessionConfig(L=32)
-        for _ in range(40):
+        for seed in range(40):
             secret_a, secret_b, key = (rng.integers(2, size=32) for _ in range(3))
             _, outcome, reports = run_session(
-                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
+                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], seed=seed
             )
             report = reports[0]
             assert not outcome.is_aborted
@@ -371,12 +373,12 @@ class TestMaliciousAgent:
     def test_outcome_survives_interception(self, rng):
         # measure-and-resend of Z eigenstates is invisible to TP's reads
         config = SessionConfig(L=8)
-        for _ in range(60):
+        for seed in range(60):
             secret_a = rng.integers(2, size=8)
             secret_b = rng.integers(2, size=8)
             key = rng.integers(2, size=8)
             _, outcome, _ = run_session(
-                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
+                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], seed=seed
             )
             expected = ComparisonOutcome.equal() if np.array_equal(secret_a, secret_b) else ComparisonOutcome.not_equal(
                 next(i for i, (a, b) in enumerate(zip(secret_a, secret_b)) if a != b)
@@ -393,10 +395,10 @@ class TestMaliciousAgent:
         config = SessionConfig(L=2)
         rng = np.random.default_rng(23)
         fractions = []
-        for _ in range(3000):
+        for seed in range(3000):
             secret_a, secret_b, key = (rng.integers(2, size=2) for _ in range(3))
             _, _, reports = run_session(
-                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
+                config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], seed=seed
             )
             fractions.append(np.count_nonzero(reports[0].secret_bits >= 0) / 2)
         assert abs(np.mean(fractions) - exact) < 0.02
@@ -405,7 +407,7 @@ class TestMaliciousAgent:
         config = SessionConfig(L=8)
         secret_a, secret_b, key = (rng.integers(2, size=8) for _ in range(3))
         transcript, _, reports = run_session(
-            config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], rng=rng
+            config, secret_a, secret_b, key, [MaliciousAgent(victim="A", key=key)], seed=1
         )
         report = reports[0]
         message_positions = set(transcript.message_positions["A"])
@@ -414,16 +416,17 @@ class TestMaliciousAgent:
 
 
 class TestBlocking:
-    def test_x_outcomes_carry_no_information(self, rng):
+    def test_x_outcomes_carry_no_information(self):
         # Outcome distribution is uniform whatever the Z bit: sample both.
         # 4000 returned qubits per Z bit, one batch position each.
         counts = {0: [0, 0], 1: [0, 0]}
         positions = np.arange(4000)
         for z_bit in (0, 1):
+            streams = Streams([z_bit])
             tap = BlockingAttacker("A")
-            tap.begin_session(len(positions), Streams(draw_keys(rng)))
+            tap.begin_session(len(positions), streams)
             reg = Register(prepare_z(np.full(len(positions), z_bit)))
-            tap.on_return(positions, reg, 0, Streams(draw_keys(rng)))
+            tap.on_return(positions, reg, 0, streams)
             reads = tap.finalize(PublicRecord(L=1)).intercepted_bits
             for read in reads[reads >= 0].tolist():
                 counts[z_bit][read] += 1
@@ -435,7 +438,7 @@ class TestBlocking:
         config = SessionConfig(L=4)
         secret = rng.integers(2, size=4)
         # library-level: blocking CAN run on the base protocol
-        _, _, reports = run_session(config, secret, secret, rng.integers(2, size=4), [BlockingAttacker("A")], rng=rng)
+        _, _, reports = run_session(config, secret, secret, rng.integers(2, size=4), [BlockingAttacker("A")], seed=1)
         report = reports[0]
         assert report.learned_count == 0
         assert report.accuracy == 1.0
@@ -447,10 +450,10 @@ class TestInterceptResend:
         rng = np.random.default_rng(31)
         detected = 0
         trials = 80
-        for _ in range(trials):
+        for seed in range(trials):
             secret = rng.integers(2, size=16)
             _, outcome, reports = run_session(
-                config, secret, secret, rng.integers(2, size=16), [InterceptResendZ("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=16), [InterceptResendZ("A")], seed=seed
             )
             report = reports[0]
             assert report.learned_count == 0
@@ -487,7 +490,7 @@ class TestTapsReusedAcrossChunks:
         taps = make_taps(self.KEYS)
 
         def chunk(first_trial, taps):
-            streams = Streams([splitmix64(seed, t) for t in (first_trial, first_trial + 1)])
+            streams = Streams.seeded(seed, range(first_trial, first_trial + 2))
             return run(config, [[0], [1]], [[1], [1]], self.KEYS, taps, streams=streams)
 
         ran, aborted, fresh = chunk(0, taps), chunk(2, taps), chunk(2, make_taps(self.KEYS))
@@ -525,7 +528,7 @@ class TestShortTrialsRunTheQuantumPhase:
         run, positions = self.CASES[protocol]
         trials = 8
         keys = np.zeros((trials, 1), dtype=np.intp)
-        streams = Streams([splitmix64(3, t) for t in range(trials)])
+        streams = Streams.seeded(3, range(trials))
         config = SessionConfig(L=1, mode_policy=INDEPENDENT_COIN)
         sessions = run(config, keys, keys, keys, [self.TAPS[kind](keys)], streams=streams)
         short = [(t, r) for t, outcome, (r,) in sessions if outcome.abort_reason == INSUFFICIENT_SIFT]
@@ -548,6 +551,28 @@ class TestShortTrialsRunTheQuantumPhase:
             assert_claims_nothing(report)
 
 
+class TestTapTargets:
+    """A tap on a participant with no channel is refused before any tap
+    hook runs."""
+
+    @pytest.mark.parametrize("run", [run_session, run_improved_session])
+    def test_a_tap_on_no_channel_is_refused(self, run):
+        calls = []
+
+        class Witness(ChannelTap):
+            def begin_session(self, num_positions, rng):
+                calls.append("begin_session")
+
+            def on_forward(self, rows, register, wire, rng):
+                calls.append("on_forward")
+
+        witness = Witness("A")
+        calls.clear()  # the constructor begins an empty session
+        with pytest.raises(ValueError, match="double-cnot on 'C'"):
+            run(SessionConfig(L=2), bits("01"), bits("11"), bits("10"), [witness, DoubleCnotEve("C")], seed=1)
+        assert calls == []
+
+
 class TestAttackCount:
     """A tap built directly with an attack count outside the channel's
     positions is refused before it reads anything."""
@@ -561,7 +586,7 @@ class TestAttackCount:
     def run(self, attack, count):
         run, make_tap, _ = self.CASES[attack]
         key = bits("10")
-        return run(SessionConfig(L=2), bits("01"), bits("11"), key, [make_tap(key, count)], rng=np.random.default_rng(5))
+        return run(SessionConfig(L=2), bits("01"), bits("11"), key, [make_tap(key, count)], seed=5)
 
     @pytest.mark.parametrize("offset", [-2, -1, 1, 42])
     @pytest.mark.parametrize("attack", CASES)

@@ -1,4 +1,5 @@
-"""The demos run end to end and print their result lines."""
+"""The demos and the README's library example run end to end and print
+their result lines."""
 
 import os
 import subprocess
@@ -8,6 +9,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """A fresh interpreter on ``args`` with the package's ``src`` on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
 
 
 @pytest.mark.parametrize(
@@ -21,14 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_runs(script, result_line):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
+    done = run_python(str(ROOT / "demos" / script))
     assert done.returncode == 0, done.stderr
     assert result_line in done.stdout
+
+
+def test_readme_library_example_runs():
+    # The first python block under "## Library", with warnings as errors.
+    library = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    done = run_python("-W", "error", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[0] in ("equal", "not-equal")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sqpc import harness
+from sqpc.attacks import AttackReport, DoubleCnotEve, MaliciousAgent
 from sqpc.cli import _build_parser, main
 from sqpc.harness import (
     ExperimentSpec,
@@ -19,6 +20,8 @@ from sqpc.harness import (
     run_trial,
     splitmix64,
 )
+from sqpc.improved import run_improved_session
+from sqpc.jiang import SessionConfig, run_session
 
 def small_spec(**overrides):
     base = dict(scenario="jiang", attack="none", L=6, trials=40, seed=7)
@@ -75,6 +78,51 @@ class TestSeeding:
         forward = [run_trial(spec, i).leak_fraction for i in range(25)]
         backward = [run_trial(spec, i).leak_fraction for i in reversed(range(25))]
         assert forward == backward[::-1]
+
+    @pytest.mark.parametrize(
+        "scenario, attack, lone, make_tap",
+        [
+            ("jiang", "double-cnot", run_session, lambda key: DoubleCnotEve("A")),
+            ("improved", "malicious-agent", run_improved_session, lambda key: MaliciousAgent("A", key)),
+        ],
+    )
+    def test_a_lone_session_replays_trial_0(self, monkeypatch, scenario, attack, lone, make_tap):
+        # Fed trial 0's secrets and key and the spec's seed, a lone session
+        # runs as that trial: same outcome, same tap report.
+        spec = ExperimentSpec(scenario=scenario, attack=attack, L=4, trials=1, seed=2024)
+        name = {"jiang": "run_sessions", "improved": "run_improved_sessions"}[scenario]
+        chunk_driver, chunk = getattr(harness, name), {}
+
+        def recording_driver(config, secrets_a, secrets_b, keys, taps, *, streams):
+            chunk["inputs"] = secrets_a[0], secrets_b[0], keys[0]
+            chunk["sessions"] = chunk_driver(config, secrets_a, secrets_b, keys, taps, streams=streams)
+            return chunk["sessions"]
+
+        monkeypatch.setattr(harness, name, recording_driver)
+        (trial,) = harness.run_chunk(spec, 0, 1)
+        ((_, chunk_outcome, (chunk_report,)),) = chunk["sessions"]
+        secret_a, secret_b, key = chunk["inputs"]
+
+        _, outcome, (report,) = lone(SessionConfig(L=spec.L), secret_a, secret_b, key, [make_tap(key)], seed=spec.seed)
+        assert outcome == chunk_outcome == trial.outcome
+        assert (report.intercepted_bits >= 0).any()  # a report with reads to compare
+        for field in dataclasses.fields(AttackReport):
+            assert np.array_equal(getattr(report, field.name), getattr(chunk_report, field.name)), field.name
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "7", -1, 2**64], ids=["bool", "float", "str", "negative", "2**64"])
+    @pytest.mark.parametrize("lone", [run_session, run_improved_session])
+    def test_a_lone_session_refuses_a_seed_the_spec_refuses(self, lone, seed):
+        with pytest.raises(SpecValidationError):
+            small_spec(seed=seed).validate()
+        with pytest.raises(ValueError, match=r"seed must be an int in \[0, 2\*\*64\)"):
+            lone(SessionConfig(L=1), [0], [1], [1], seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("lone", [run_session, run_improved_session])
+    def test_a_lone_session_takes_every_seed_the_spec_takes(self, lone, seed):
+        small_spec(seed=seed).validate()
+        _, outcome, _ = lone(SessionConfig(L=1), [0], [1], [1], seed=seed)
+        assert outcome.first_diff_index == 0
 
 class TestRunTrial:
     """``run_trial`` runs only a trial that ``run_experiment`` would run."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord, Streams, draw_keys
+from sqpc.attacks import BlockingAttacker, DoubleCnotEve, MaliciousAgent, PublicRecord, Streams
 from sqpc.harness import SCENARIO_TABLE
 from sqpc.improved import (
     CheckDisclosure,
@@ -32,39 +32,39 @@ def probe_reads(eve):
 
 
 class TestPreparation:
-    def test_counts_per_participant(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=1), Streams(draw_keys(rng)))
+    def test_counts_per_participant(self):
+        photons = tp_prepare_photons(SessionConfig(L=1), Streams([0]))
         assert len(photons.prepared_sign[photons.channel("A")]) == 4
         assert len(photons.prepared_sign[photons.channel("B")]) == 4
 
-    def test_sign_frequency(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=1250), Streams(draw_keys(rng)))
+    def test_sign_frequency(self):
+        photons = tp_prepare_photons(SessionConfig(L=1250), Streams([0]))
         signs = photons.prepared_sign
         assert abs(np.mean(signs) - 0.5) < 0.015
 
     def test_prepared_states_are_x_eigenstates(self, rng):
-        photons = tp_prepare_photons(SessionConfig(L=2), Streams(draw_keys(rng)))
+        photons = tp_prepare_photons(SessionConfig(L=2), Streams([0]))
         assert np.array_equal(photons.register.measure_x(0, rng), photons.prepared_sign)
 
 class TestSiftMeasureResend:
-    def test_r_bit_uniform_on_plus_input(self, rng):
+    def test_r_bit_uniform_on_plus_input(self):
         # 4000 SIFTed |+> photons, one batch position each.
         trials = 4000
         photons = PhotonBatch.prepare([PLUS] * trials)
-        sift_measure_resend(photons, np.ones(trials, dtype=bool), Streams(draw_keys(rng)))
+        sift_measure_resend(photons, np.ones(trials, dtype=bool), Streams([0]))
         ones = int(photons.sift_bit.sum())
         assert abs(ones / trials - 0.5) < 4 * np.sqrt(0.25 / trials)
 
     def test_resent_qubit_carries_the_bit(self, rng):
         photons = PhotonBatch.prepare([PLUS] * 50)
-        sift_measure_resend(photons, np.ones(50, dtype=bool), Streams(draw_keys(rng)))
+        sift_measure_resend(photons, np.ones(50, dtype=bool), Streams([0]))
         assert np.array_equal(photons.register.measure_z(0, rng), photons.sift_bit)
 
     def test_resend_is_the_measured_photon_in_place(self, rng):
         signs = rng.integers(2, size=64)
         sift = rng.integers(2, size=64).astype(bool)
         photons = PhotonBatch.prepare(signs)
-        sift_measure_resend(photons, sift, Streams(draw_keys(rng)))
+        sift_measure_resend(photons, sift, Streams([0]))
         assert photons.register.n == 1
         # The other Z block of a measured photon is exactly zero, and its
         # own block carries the whole norm; CTRL rows are left as prepared.
@@ -88,7 +88,7 @@ class TestSiftMeasureResend:
     def test_register_keeps_one_qubit_per_photon(self, rng, make_taps):
         config = SessionConfig(L=3)
         secret, key = rng.integers(2, size=3), rng.integers(2, size=3)
-        transcript, _, _ = run_improved_session(config, secret, secret, key, make_taps(key), rng=rng)
+        transcript, _, _ = run_improved_session(config, secret, secret, key, make_taps(key), seed=1)
         assert transcript.photons.register.n == 1
 
     @pytest.mark.parametrize(
@@ -104,15 +104,15 @@ class TestSiftMeasureResend:
         # qubit any tap adjoins.
         config = SessionConfig(L=3)
         secret, key = rng.integers(2, size=3), rng.integers(2, size=3)
-        transcript, _, _ = run_improved_session(config, secret, secret, key, [make_tap(key)], rng=rng)
+        transcript, _, _ = run_improved_session(config, secret, secret, key, [make_tap(key)], seed=1)
         assert transcript.photons.register.n == 2
 
     def test_tp_reads_what_the_participant_read_where_no_tap_was(self, rng):
         config = SessionConfig(L=4)
-        for _ in range(20):
+        for seed in range(20):
             secret = rng.integers(2, size=4)
             tap = BlockingAttacker("A", attack_count=5)
-            transcript, _, reports = run_improved_session(config, secret, secret, rng.integers(2, size=4), [tap], rng=rng)
+            transcript, _, reports = run_improved_session(config, secret, secret, rng.integers(2, size=4), [tap], seed=seed)
             photons = transcript.photons
             untouched = np.ones(len(photons.prepared_sign), dtype=bool)
             untouched[photons.channel("A")][reports[0].probed_positions] = False
@@ -124,7 +124,7 @@ class TestSiftMeasureResend:
         config = SessionConfig(L=3)
         secret, key = rng.integers(2, size=3), rng.integers(2, size=3)
         agent = MaliciousAgent(victim="B", key=key, intercept_count=5)
-        transcript, _, (report,) = run_improved_session(config, secret, secret, key, [agent], rng=rng)
+        transcript, _, (report,) = run_improved_session(config, secret, secret, key, [agent], seed=1)
         photons = transcript.photons
         resent = np.zeros(len(photons.prepared_sign), dtype=bool)
         resent[photons.channel("B")][report.probed_positions] = True
@@ -138,11 +138,12 @@ class TestSiftMeasureResend:
         assert transcript.tp_r[read_by_both].tolist() == reads.tolist()
 
 class TestCtrlCheck:
-    def test_honest_ctrl_always_matches(self, rng):
+    def test_honest_ctrl_always_matches(self):
         config = SessionConfig(L=4)
-        photons = tp_prepare_photons(config, Streams(draw_keys(rng)))
+        streams = Streams([0])
+        photons = tp_prepare_photons(config, streams)
         ctrl = np.ones(32, dtype=bool)
-        mismatches, signs = tp_check_ctrl_x(photons, ctrl, Streams(draw_keys(rng)))
+        mismatches, signs = tp_check_ctrl_x(photons, ctrl, streams)
         assert mismatches == 0
         assert all(np.count_nonzero(signs[photons.channel(p)] >= 0) == 16 for p in ("A", "B"))
 
@@ -160,8 +161,9 @@ class TestCtrlCheck:
         # both signs.
         photons = PhotonBatch.prepare([0, 1])
         eve = DoubleCnotEve("A")
-        eve.on_forward(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
-        eve.on_return(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
+        streams = Streams([0])
+        eve.on_forward(photons.rows, photons.register, 0, streams)
+        eve.on_return(photons.rows, photons.register, 0, streams)
         assert probe_reads(eve).tolist() == [0, 0]
         assert photons.register.measure_x(0, rng).tolist() == [0, 1]
 
@@ -194,7 +196,7 @@ class TestHonestSessions:
             secret_a = rng.integers(2, size=4)
             secret_b = secret_a.copy() if trial % 2 == 0 else rng.integers(2, size=4)
             key = rng.integers(2, size=4)
-            transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
+            transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, seed=trial)
             assert not outcome.is_aborted
             if np.array_equal(secret_a, secret_b):
                 assert outcome == ComparisonOutcome.equal()
@@ -205,7 +207,7 @@ class TestHonestSessions:
     def test_mask_agreement(self, rng):
         config = SessionConfig(L=6)
         secret_a, secret_b, key = (rng.integers(2, size=6) for _ in range(3))
-        transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
+        transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, seed=1)
         for p in ("A", "B"):
             # TP's Z-read agrees with the participant's measure-resend bit at
             # every honest SIFT position.
@@ -222,7 +224,7 @@ class TestHonestSessions:
     def test_transcript_structure(self, rng):
         config = SessionConfig(L=3)
         secret = rng.integers(2, size=3)
-        transcript, _, _ = run_improved_session(config, secret, secret, rng.integers(2, size=3), rng=rng)
+        transcript, _, _ = run_improved_session(config, secret, secret, rng.integers(2, size=3), seed=1)
         for p in ("A", "B"):
             assert len(transcript.sift_positions[p]) == 6
             assert len(transcript.r_positions[p]) == 6
@@ -240,7 +242,7 @@ class TestHonestSessions:
         completed = aborted = 0
         for seed in range(150):
             _, outcome, _ = run_improved_session(
-                config, secret_a, secret_b, bits("01"), rng=np.random.default_rng(seed)
+                config, secret_a, secret_b, bits("01"), seed=seed
             )
             if outcome.is_aborted:
                 aborted += 1
@@ -255,8 +257,7 @@ class TestHonestSessions:
         secret_a, secret_b, key = bits("1011"), bits("1001"), bits("0110")
 
         def run():
-            rng = np.random.default_rng(123)
-            transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, rng=rng)
+            transcript, outcome, _ = run_improved_session(config, secret_a, secret_b, key, seed=123)
             return (
                 {p: mask.tolist() for p, mask in transcript.modes.items()},
                 transcript.tp_r.tolist(),
@@ -270,36 +271,37 @@ class TestHonestSessions:
 class TestImmunity:
     def test_double_cnot_probe_never_fires(self, rng):
         config = SessionConfig(L=4)
-        for _ in range(60):
+        for seed in range(60):
             secret = rng.integers(2, size=4)
             _, outcome, reports = run_improved_session(
-                config, secret, secret, rng.integers(2, size=4), [DoubleCnotEve("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=4), [DoubleCnotEve("A")], seed=seed
             )
             report = reports[0]
             assert not outcome.is_aborted
             assert report.indicator_events == 0
             assert report.learned_count == 0
 
-    def test_double_cnot_exact_by_enumeration(self, rng):
+    def test_double_cnot_exact_by_enumeration(self):
         # For each prepared sign and each measured r bit the probe returns
         # to |0> with certainty: run the pipeline and assert the probe read
         # is 0 every time (the only randomness is the r draw itself).
         # 40 photons of each sign, one batch position each.
         photons = PhotonBatch.prepare([0] * 40 + [1] * 40)
         eve = DoubleCnotEve("A")
-        eve.on_forward(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
-        sift_measure_resend(photons, np.ones(80, dtype=bool), Streams(draw_keys(rng)))
-        eve.on_return(photons.rows, photons.register, 0, Streams(draw_keys(rng)))
+        streams = Streams([0])
+        eve.on_forward(photons.rows, photons.register, 0, streams)
+        sift_measure_resend(photons, np.ones(80, dtype=bool), streams)
+        eve.on_return(photons.rows, photons.register, 0, streams)
         assert probe_reads(eve).tolist() == [0] * 80
 
     def test_midflight_triggers_x_mismatches(self, rng):
         config = SessionConfig(L=4)
         mismatches = 0
         ctrl_attacked = 0
-        for _ in range(150):
+        for seed in range(150):
             secret = rng.integers(2, size=4)
             transcript, outcome, _ = run_improved_session(
-                config, secret, secret, rng.integers(2, size=4), [DoubleCnotEve("A", midflight=True)], rng=rng
+                config, secret, secret, rng.integers(2, size=4), [DoubleCnotEve("A", midflight=True)], seed=seed
             )
             own = transcript.photons.channel("A")
             signs = transcript.x_results[own]
@@ -317,10 +319,10 @@ class TestImmunity:
         detected = 0
         trials = 2000
         config = SessionConfig(L=1)
-        for _ in range(trials):
+        for seed in range(trials):
             secret = rng.integers(2, size=1)
             _, outcome, _ = run_improved_session(
-                config, secret, secret, rng.integers(2, size=1), [BlockingAttacker("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=1), [BlockingAttacker("A")], seed=seed
             )
             if outcome.is_aborted:
                 assert outcome.abort_reason == DISCLOSURE_MISMATCH
@@ -332,10 +334,10 @@ class TestImmunity:
         # but blocking has corrupted TP's mask bits, so comparisons go wrong.
         config = SessionConfig(L=8, error_threshold=1.0)
         wrong = 0
-        for _ in range(40):
+        for seed in range(40):
             secret = rng.integers(2, size=8)
             _, outcome, _ = run_improved_session(
-                config, secret, list(secret), rng.integers(2, size=8), [BlockingAttacker("A")], rng=rng
+                config, secret, list(secret), rng.integers(2, size=8), [BlockingAttacker("A")], seed=seed
             )
             assert not outcome.is_aborted
             wrong += outcome != ComparisonOutcome.equal()
@@ -343,10 +345,10 @@ class TestImmunity:
 
     def test_blocking_never_trips_the_x_check(self, rng):
         config = SessionConfig(L=3)
-        for _ in range(50):
+        for seed in range(50):
             secret = rng.integers(2, size=3)
             transcript, outcome, _ = run_improved_session(
-                config, secret, secret, rng.integers(2, size=3), [BlockingAttacker("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=3), [BlockingAttacker("A")], seed=seed
             )
             assert transcript.x_mismatch_count == 0
             if outcome.is_aborted:
@@ -359,11 +361,11 @@ class TestImmunity:
         config = SessionConfig(L=4)
         detected = 0
         trials = 300
-        for _ in range(trials):
+        for seed in range(trials):
             secret_a, secret_b, key = (rng.integers(2, size=4) for _ in range(3))
             _, outcome, _ = run_improved_session(
                 config, secret_a, secret_b, key,
-                [MaliciousAgent(victim="A", key=key, intercept_count=16)], rng=rng,
+                [MaliciousAgent(victim="A", key=key, intercept_count=16)], seed=seed,
             )
             detected += outcome.attacker_detected
         # undetected probability is E[(1/2)^{#CTRL hit}] = (1/2)^8 here
@@ -373,11 +375,11 @@ class TestImmunity:
         config = SessionConfig(L=2)
         rng = np.random.default_rng(29)
         survived_with_claims = 0
-        for _ in range(400):
+        for seed in range(400):
             secret_a, secret_b, key = (rng.integers(2, size=2) for _ in range(3))
             _, outcome, reports = run_improved_session(
                 config, secret_a, secret_b, key,
-                [MaliciousAgent(victim="A", key=key, intercept_count=3)], rng=rng,
+                [MaliciousAgent(victim="A", key=key, intercept_count=3)], seed=seed,
             )
             report = reports[0]
             claimed = report.secret_bits >= 0
@@ -400,7 +402,7 @@ class TestConfigAndEfficiency:
         assert SCENARIO_TABLE["jiang"].qubit_efficiency == Fraction(1, 2)
         assert SCENARIO_TABLE["improved"].qubit_efficiency == Fraction(1, 4)
 
-    def test_config_validation(self, rng):
+    def test_config_validation(self):
         with pytest.raises(ValueError):
             SessionConfig(L=0)
         with pytest.raises(ValueError):
@@ -408,7 +410,7 @@ class TestConfigAndEfficiency:
         # At L=3: channels of 4L = 12 photons (24 in all), 2L = 6 R
         # carriers per participant, L = 3 of them disclosed.
         secret = bits("101")
-        transcript, outcome, _ = run_improved_session(SessionConfig(L=3), secret, secret, bits("011"), rng=rng)
+        transcript, outcome, _ = run_improved_session(SessionConfig(L=3), secret, secret, bits("011"), seed=1)
         assert not outcome.is_aborted
         assert len(transcript.photons.prepared_sign) == 24
         assert transcript.photons.channel_size == 12
@@ -417,6 +419,6 @@ class TestConfigAndEfficiency:
             assert len(transcript.r_positions[participant]) == 6
             assert len(transcript.disclosures[participant].positions) == 3
 
-    def test_rejects_wrong_lengths(self, rng):
+    def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):
-            run_improved_session(SessionConfig(L=3), bits("10"), bits("101"), bits("101"), rng=rng)
+            run_improved_session(SessionConfig(L=3), bits("10"), bits("101"), bits("101"), seed=1)

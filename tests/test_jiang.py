@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpc.attacks import InterceptResendZ, MaliciousAgent, Streams, draw_keys
+from sqpc.attacks import InterceptResendZ, MaliciousAgent, Streams
 from sqpc.jiang import (
     BALANCED,
     INDEPENDENT_COIN,
@@ -46,13 +46,13 @@ class TestDeriveMessage:
             derive_message(bits("01"), bits("011"), bits("01"))
 
 class TestPreparation:
-    def test_two_records_for_l1(self, rng):
-        pairs = tp_prepare_pairs(SessionConfig(L=1), Streams(draw_keys(rng)))
+    def test_two_records_for_l1(self):
+        pairs = tp_prepare_pairs(SessionConfig(L=1), Streams([0]))
         assert pairs.register.amps.shape == (4, 2)
         assert np.allclose(np.linalg.norm(pairs.register.amps, axis=0), 1.0)
 
-    def test_uniform_variant_frequencies(self, rng):
-        pairs = tp_prepare_pairs(SessionConfig(L=5000), Streams(draw_keys(rng)))
+    def test_uniform_variant_frequencies(self):
+        pairs = tp_prepare_pairs(SessionConfig(L=5000), Streams([0]))
         counts = {v: 0 for v in BellState}
         for value in pairs.prepared:
             counts[BellState(int(value))] += 1
@@ -71,38 +71,38 @@ class TestPreparation:
             assert np.array_equal(pairs.prepared, expected)
 
 class TestChooseModes:
-    def test_balanced_counts(self, rng):
-        (modes,) = draw_modes(8, 4, BALANCED, Streams(draw_keys(rng)), "modes_A")
+    def test_balanced_counts(self):
+        (modes,) = draw_modes(8, 4, BALANCED, Streams([0]), "modes_A")
         assert len(modes) == 8
         assert modes.dtype == bool
         assert int(modes.sum()) == 4
 
-    def test_coin_frequency(self, rng):
-        (modes,) = draw_modes(10000, 5000, INDEPENDENT_COIN, Streams(draw_keys(rng)), "modes_A")
+    def test_coin_frequency(self):
+        (modes,) = draw_modes(10000, 5000, INDEPENDENT_COIN, Streams([0]), "modes_A")
         frac = int(modes.sum()) / 10000
         assert abs(frac - 0.5) < 0.015
 
     def test_same_seed_same_modes(self):
-        (a,) = draw_modes(32, 16, BALANCED, Streams(draw_keys(np.random.default_rng(3))), "modes_A")
-        (b,) = draw_modes(32, 16, BALANCED, Streams(draw_keys(np.random.default_rng(3))), "modes_A")
+        (a,) = draw_modes(32, 16, BALANCED, Streams.seeded(3, range(1)), "modes_A")
+        (b,) = draw_modes(32, 16, BALANCED, Streams.seeded(3, range(1)), "modes_A")
         assert np.array_equal(a, b)
 
 class TestRespondAndResolve:
-    def test_ctrl_roundtrip_preserves_bell(self, rng):
+    def test_ctrl_roundtrip_preserves_bell(self):
         for variant in BellState:
             pairs = PairBatch.prepare([variant.value])
             participant_respond(CTRL, pairs.register, 0)
             participant_respond(CTRL, pairs.register, 1)
-            bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, Streams(draw_keys(rng)))
+            bell, bit_a, bit_b = tp_resolve_positions(pairs, CTRL, CTRL, Streams([0]))
             assert BellState(int(bell[0])) is variant
             assert bell[0] == pairs.prepared[0]
             assert (bit_a[0], bit_b[0]) == (-1, -1)
 
-    def test_sift_sends_the_message_bit(self, rng):
+    def test_sift_sends_the_message_bit(self):
         pairs = PairBatch.prepare([BellState.PHI_PLUS.value])
         participant_respond(SIFT, pairs.register, 0, [1])
         participant_respond(CTRL, pairs.register, 1)
-        bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, Streams(draw_keys(rng)))
+        bell, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, CTRL, Streams([0]))
         assert bit_a[0] == 1
         assert bit_b[0] == -1
         assert bell[0] == -1
@@ -124,11 +124,11 @@ class TestRespondAndResolve:
         assert disagree <= 1e-12
         assert sum(abs(a) ** 2 for i, a in enumerate(amps) if (i >> (n - 1)) & 1) <= 1e-12
 
-    def test_both_sift(self, rng):
+    def test_both_sift(self):
         pairs = PairBatch.prepare([BellState.PSI_PLUS.value])
         participant_respond(SIFT, pairs.register, 0, [0])
         participant_respond(SIFT, pairs.register, 1, [1])
-        _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, Streams(draw_keys(rng)))
+        _, bit_a, bit_b = tp_resolve_positions(pairs, SIFT, SIFT, Streams([0]))
         assert (bit_a[0], bit_b[0]) == (0, 1)
 
     def test_sift_requires_bit(self):
@@ -175,7 +175,7 @@ class TestRunSession:
             else:
                 secret_b = rng.integers(2, size=8)
             key = rng.integers(2, size=8)
-            _, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
+            _, outcome, _ = run_session(config, secret_a, secret_b, key, seed=trial)
             assert not outcome.is_aborted
             if np.array_equal(secret_a, secret_b):
                 assert outcome == ComparisonOutcome.equal()
@@ -187,7 +187,7 @@ class TestRunSession:
     def test_transcript_bookkeeping(self, rng):
         config = SessionConfig(L=16)
         secret_a, secret_b, key = (rng.integers(2, size=16) for _ in range(3))
-        transcript, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
+        transcript, outcome, _ = run_session(config, secret_a, secret_b, key, seed=1)
         # TP extracts exactly L message bits per participant under balanced
         assert len(transcript.tp_m["A"]) == 16
         assert len(transcript.tp_m["B"]) == 16
@@ -209,8 +209,7 @@ class TestRunSession:
         key = bits("11001010")
 
         def run():
-            rng = np.random.default_rng(99)
-            transcript, outcome, _ = run_session(config, secret_a, secret_b, key, rng=rng)
+            transcript, outcome, _ = run_session(config, secret_a, secret_b, key, seed=99)
             states = transcript.pairs.register.amps.copy()
             modes, r = transcript.modes, transcript.r
             return modes["A"], modes["B"], r["A"], r["B"], outcome, states
@@ -223,9 +222,9 @@ class TestRunSession:
 
     def test_honest_never_aborts(self, rng):
         config = SessionConfig(L=4)
-        for _ in range(300):
+        for seed in range(300):
             s = rng.integers(2, size=4)
-            _, outcome, _ = run_session(config, s, s, rng.integers(2, size=4), rng=rng)
+            _, outcome, _ = run_session(config, s, s, rng.integers(2, size=4), seed=seed)
             assert outcome == ComparisonOutcome.equal()
 
     def test_coin_policy_deficit_aborts(self):
@@ -235,7 +234,7 @@ class TestRunSession:
         seen_abort = False
         for seed in range(200):
             _, outcome, _ = run_session(
-                config, secret, secret, bits("0110"), rng=np.random.default_rng(seed)
+                config, secret, secret, bits("0110"), seed=seed
             )
             if outcome.is_aborted:
                 assert outcome.abort_reason == INSUFFICIENT_SIFT
@@ -251,7 +250,7 @@ class TestRunSession:
         secret = bits("101011")
         for seed in range(60):
             transcript, outcome, _ = run_session(
-                config, secret, secret, bits("010101"), rng=np.random.default_rng(seed)
+                config, secret, secret, bits("010101"), seed=seed
             )
             if outcome.is_aborted:
                 continue
@@ -262,7 +261,7 @@ class TestRunSession:
     def test_every_position_classified_once(self, rng):
         config = SessionConfig(L=8)
         secret = rng.integers(2, size=8)
-        transcript, _, _ = run_session(config, secret, secret, rng.integers(2, size=8), rng=rng)
+        transcript, _, _ = run_session(config, secret, secret, rng.integers(2, size=8), seed=1)
         for pos in range(2 * config.L):
             is_ctrl_ctrl = pos in transcript.ctrl_ctrl_positions
             has_sift_read = transcript.tp_bits["A"][pos] >= 0 or transcript.tp_bits["B"][pos] >= 0
@@ -276,7 +275,7 @@ class TestRunSession:
         completed = 0
         for seed in range(120):
             _, outcome, _ = run_session(
-                config, secret_a, secret_b, bits("010"), rng=np.random.default_rng(seed)
+                config, secret_a, secret_b, bits("010"), seed=seed
             )
             if not outcome.is_aborted:
                 completed += 1
@@ -295,7 +294,7 @@ class TestRunSession:
         for trial in range(120):
             secret = rng.integers(2, size=16)
             transcript, outcome, _ = run_session(
-                config, secret, secret, rng.integers(2, size=16), [InterceptResendZ("A")], rng=rng
+                config, secret, secret, rng.integers(2, size=16), [InterceptResendZ("A")], seed=trial
             )
             ctrl_ctrl += len(transcript.ctrl_ctrl_positions)
             mismatches += transcript.bell_mismatch_count
@@ -308,9 +307,9 @@ class TestRunSession:
         rate = mismatches / ctrl_ctrl
         assert abs(rate - 0.5) < 4 * np.sqrt(0.25 / ctrl_ctrl)
 
-    def test_rejects_wrong_lengths(self, rng):
+    def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError):
-            run_session(SessionConfig(L=4), bits("101"), bits("1010"), bits("1010"), rng=rng)
+            run_session(SessionConfig(L=4), bits("101"), bits("1010"), bits("1010"), seed=1)
 
 class TestWireMap:
     """Alice's channel stays on wire 0 and Bob's on wire 1, where TP
@@ -333,7 +332,7 @@ class TestWireMap:
             assert bell.tolist() == transcript.bell_outcomes[ctrl_ctrl].tolist()
 
     def test_honest_session(self):
-        transcript, _, _ = run_session(SessionConfig(L=3), bits("101"), bits("011"), bits("110"), rng=np.random.default_rng(4))
+        transcript, _, _ = run_session(SessionConfig(L=3), bits("101"), bits("011"), bits("110"), seed=4)
         self.assert_channels_on_their_wires(transcript)
         assert transcript.pairs.register.n == 4
 
@@ -341,7 +340,7 @@ class TestWireMap:
         key = bits("110")
         agent = MaliciousAgent(victim="A", key=key)
         transcript, _, (report,) = run_session(
-            SessionConfig(L=3), bits("101"), bits("011"), key, [agent], rng=np.random.default_rng(4)
+            SessionConfig(L=3), bits("101"), bits("011"), key, [agent], seed=4
         )
         modes = transcript.modes
         resent = np.zeros(6, dtype=bool)
@@ -362,9 +361,8 @@ class TestBalancedEnumeration:
         config = SessionConfig(L=2)
         counts = {}
         n = 3000
-        rng = np.random.default_rng(11)
-        for _ in range(n):
-            (modes,) = draw_modes(2 * config.L, config.L, config.mode_policy, Streams(draw_keys(rng)), "modes_A")
+        for key in range(n):
+            (modes,) = draw_modes(2 * config.L, config.L, config.mode_policy, Streams([key]), "modes_A")
             modes = tuple(modes.tolist())
             counts[modes] = counts.get(modes, 0) + 1
         arrangements = set(
